@@ -4,10 +4,11 @@
 //             --trace 0|1 [--out results.json] [--spans spans.jsonl]
 //
 // One process runs one workload (see README.md for why each exists):
-//   capture  closed loop, 1 client: grouped power-law Fit, Save, Load.
-//   explore  closed loop, 1 analyst: seeded read mix (model-served point
-//            and band queries, exact scan / group-by / top-k).
-//   archive  the explore mix from nproc-1 readers beside an open-loop
+//   capture  closed loop, 1 client: rounds of grouped power-law Fit,
+//            SaveDatabaseToBytes, LoadDatabaseFromBytes.
+//   explore  closed loop, 1 analyst: rounds of one read of each class
+//            (model-served point and band, exact scan, group-by, top-k).
+//   archive  the explore rounds from nproc-1 readers beside an open-loop
 //            writer appending observation bursts, RefitStale after each
 //            burst, and the learning loop running.
 //
@@ -15,9 +16,9 @@
 // checked against references computed here from the generated columns;
 // a wrong answer or a failed operation makes the run fail (exit 1). The
 // last stdout line is the result object: end-to-end metrics with
-// --trace 0, per-layer metrics with --trace 1 (the traced run records
-// its own spans around the calls into each layer and times isolated
-// public calls on a pinned snapshot).
+// --trace 0, per-layer metrics with --trace 1. A traced run makes the
+// same calls as an untraced one, with a TraceSink installed around each,
+// and then times isolated public calls on a pinned snapshot.
 
 #include <algorithm>
 #include <atomic>
@@ -32,9 +33,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "aqp/domain.h"
@@ -66,6 +69,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr const char* kTable = "measurements";
 constexpr int kSetupReps = 5;
+/// Every workload completes at least this many rounds, however short
+/// --seconds is, so each class median rests on enough samples.
+constexpr size_t kMinRounds = 5;
 constexpr size_t kBatchRows = 100;
 constexpr size_t kTopK = 10;
 /// A failed operation counts as missing every latency limit.
@@ -81,6 +87,9 @@ constexpr double kAvgRelTolerance = 1e-9;
 constexpr double kCycleSeconds = 5.0;
 constexpr int kBurstBatches = 10;
 constexpr double kBurstSpacingMs = 50.0;
+/// The writer keeps its schedule until the last reader round ends; the
+/// batches are generated up front for this much time past --seconds.
+constexpr double kWriterSlackSeconds = 30.0;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -88,6 +97,11 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
 
 double Ms(Clock::time_point a, Clock::time_point b) {
   return Seconds(a, b) * 1e3;
+}
+
+Clock::time_point After(Clock::time_point t, double seconds) {
+  return t + std::chrono::duration_cast<Clock::duration>(
+                 std::chrono::duration<double>(seconds));
 }
 
 [[noreturn]] void Die(const std::string& what) {
@@ -128,103 +142,98 @@ double PeakRssMb() {
   return 0.0;
 }
 
+std::string Fmt(const char* f, ...) __attribute__((format(printf, 1, 2)));
+std::string Fmt(const char* f, ...) {
+  char buf[512];
+  va_list ap;
+  va_start(ap, f);
+  std::vsnprintf(buf, sizeof(buf), f, ap);
+  va_end(ap);
+  return buf;
+}
+
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  return Fmt("%.17g", v);
+}
+
 // ---------------------------------------------------------------------------
-// Span recorder: the benchmark's own in-memory trace. Spans are opened
-// around calls into the layers' public functions; a thread-local stack
-// gives each span its parent, and an operation id groups one request's
-// spans. Inactive (no clock call) unless enabled.
+// Tracing. A traced call installs a TraceSink on the calling thread around
+// the same public call an untraced run makes, so the engine's own spans
+// (HybridDecision, ModelPath, ExactScan, Query, the executor operators,
+// FitGrouped and its phases, LoadImage, Harvest) are collected for that
+// call; the call itself is the outer span. Spans the engine opens on pool
+// workers do not reach the sink and count as the caller's self time.
 
-struct SpanRec {
-  const char* name;
-  uint64_t id;
-  uint64_t parent;
-  uint64_t op;
-  const char* op_class;
-  double start_us;
-  double end_us;
+/// One traced operation: its class, the layer the outer call belongs to,
+/// its wall time and the engine spans recorded inside it.
+struct OpTrace {
+  std::string cls;
+  const char* outer_layer;
+  double total_us;
+  std::vector<SpanRecord> spans;
 };
 
-class SpanRecorder {
+class TraceLog {
  public:
-  static SpanRecorder& Get() {
-    static SpanRecorder recorder;
-    return recorder;
-  }
-  void Enable(Clock::time_point origin) {
-    origin_ = origin;
-    enabled_ = true;
-  }
-  bool enabled() const { return enabled_; }
-  uint64_t NextId() { return next_id_.fetch_add(1) + 1; }
-  double NowUs() const {
-    return std::chrono::duration<double, std::micro>(Clock::now() - origin_)
-        .count();
-  }
-  void Add(const SpanRec& rec) {
+  void Add(OpTrace op) {
     std::lock_guard<std::mutex> lock(mutex_);
-    spans_.push_back(rec);
+    ops_.push_back(std::move(op));
   }
-  std::vector<SpanRec> Take() {
+  std::vector<OpTrace> Take() {
     std::lock_guard<std::mutex> lock(mutex_);
-    return std::move(spans_);
+    return std::move(ops_);
   }
 
  private:
-  bool enabled_ = false;
-  Clock::time_point origin_;
-  std::atomic<uint64_t> next_id_{0};
   std::mutex mutex_;
-  std::vector<SpanRec> spans_;
+  std::vector<OpTrace> ops_;
 };
 
-thread_local uint64_t tls_parent = 0;
-thread_local uint64_t tls_op = 0;
-thread_local const char* tls_op_class = "";
+/// The src/ module each engine span belongs to.
+const char* LayerOf(const char* span) {
+  static const std::map<std::string, const char*> layers = {
+      {"HybridDecision", "aqp"}, {"ModelPath", "aqp"},
+      {"Harvest", "learn"},      {"FitGrouped", "model"},
+      {"GroupIndex", "model"},   {"FitLoop", "model"},
+      {"MergeOutcomes", "model"}, {"SaveImage", "core"},
+      {"LoadImage", "core"}};
+  auto it = layers.find(span);
+  return it == layers.end() ? "query" : it->second;  // executor operators
+}
 
-/// Marks the calling thread's spans as belonging to one operation.
-class OpScope {
- public:
-  explicit OpScope(const char* op_class) {
-    if (!SpanRecorder::Get().enabled()) return;
-    tls_op = SpanRecorder::Get().NextId();
-    tls_op_class = op_class;
+/// Self time (span minus its direct children) per layer of one operation.
+/// Spans are in entry order with their nesting depth; depth-0 spans are
+/// the outer call's children.
+std::map<std::string, double> SelfTimes(const OpTrace& op) {
+  std::map<std::string, double> self;
+  double top = 0.0;
+  const std::vector<SpanRecord>& s = op.spans;
+  for (size_t i = 0; i < s.size(); ++i) {
+    double children = 0.0;
+    for (size_t j = i + 1; j < s.size() && s[j].depth > s[i].depth; ++j) {
+      if (s[j].depth == s[i].depth + 1) children += s[j].micros;
+    }
+    self[LayerOf(s[i].name)] += s[i].micros - children;
+    if (s[i].depth == 0) top += s[i].micros;
   }
-  ~OpScope() {
-    tls_op = 0;
-    tls_op_class = "";
-  }
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
-};
+  self[op.outer_layer] += op.total_us - top;
+  return self;
+}
 
-class BenchSpan {
- public:
-  explicit BenchSpan(const char* name) : name_(name) {
-    SpanRecorder& rec = SpanRecorder::Get();
-    if (!rec.enabled()) return;
-    active_ = true;
-    id_ = rec.NextId();
-    parent_ = tls_parent;
-    tls_parent = id_;
-    start_us_ = rec.NowUs();
-  }
-  ~BenchSpan() {
-    if (!active_) return;
-    SpanRecorder& rec = SpanRecorder::Get();
-    rec.Add({name_, id_, parent_, tls_op, tls_op_class, start_us_,
-             rec.NowUs()});
-    tls_parent = parent_;
-  }
-  BenchSpan(const BenchSpan&) = delete;
-  BenchSpan& operator=(const BenchSpan&) = delete;
-
- private:
-  const char* name_;
-  bool active_ = false;
-  uint64_t id_ = 0;
-  uint64_t parent_ = 0;
-  double start_us_ = 0.0;
-};
+/// Times `fn` (the call into the system) in ms. With a log, the call is
+/// traced and logged as one operation of class `cls`.
+template <typename Fn>
+auto Timed(TraceLog* log, const char* cls, const char* outer_layer,
+           double* ms, Fn&& fn) {
+  std::optional<TraceSink> sink;
+  if (log != nullptr) sink.emplace();
+  const Clock::time_point t0 = Clock::now();
+  auto out = fn();
+  *ms = Ms(t0, Clock::now());
+  if (log != nullptr) log->Add({cls, outer_layer, *ms * 1e3, sink->spans()});
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // Generated data and the references answers are checked against.
@@ -359,11 +368,19 @@ bool CatalogsIdentical(const Catalog& ta, const ModelCatalog& ma,
 }
 
 // ---------------------------------------------------------------------------
-// The read mix.
+// The read classes and the round.
 
 enum class Cls { kPoint, kBand, kScan, kGroupBy, kTopK };
-constexpr Cls kClasses[] = {Cls::kPoint, Cls::kBand, Cls::kScan,
-                            Cls::kGroupBy, Cls::kTopK};
+/// One read round: one read of each class, in this order. Equal counts
+/// per class give every class median the same number of samples; the
+/// shares are what the metrics need, not a model of analyst traffic. Only
+/// the query parameters are seeded: a read's latency depends on what ran
+/// before it, so a seeded order would move the class medians from seed
+/// to seed.
+constexpr Cls kRound[] = {Cls::kPoint, Cls::kBand, Cls::kScan, Cls::kGroupBy,
+                          Cls::kTopK};
+constexpr size_t kRoundSize = sizeof(kRound) / sizeof(kRound[0]);
+
 const char* ClsName(Cls c) {
   switch (c) {
     case Cls::kPoint: return "point";
@@ -374,17 +391,6 @@ const char* ClsName(Cls c) {
   }
   return "?";
 }
-/// The read mix: 25% point, 20% band, 40% scan, 10% groupby, 5% topk, in
-/// one fixed interleaved order. Only the query parameters are seeded: a
-/// read's latency depends on what ran before it (a top-k or group-by
-/// leaves caches cold and memory to fault in again), so a seeded order
-/// would move the per-class medians from seed to seed.
-constexpr Cls kDeck[] = {
-    Cls::kScan,  Cls::kPoint, Cls::kBand,    Cls::kScan,  Cls::kPoint,
-    Cls::kGroupBy, Cls::kScan, Cls::kBand,   Cls::kPoint, Cls::kScan,
-    Cls::kTopK,  Cls::kScan,  Cls::kPoint,   Cls::kBand,  Cls::kScan,
-    Cls::kGroupBy, Cls::kPoint, Cls::kScan,  Cls::kBand,  Cls::kScan};
-constexpr size_t kDeckSize = sizeof(kDeck) / sizeof(kDeck[0]);
 
 struct Query {
   Cls cls = Cls::kPoint;
@@ -394,16 +400,6 @@ struct Query {
   double lo = 0.0, hi = 0.0;
   bool hybrid() const { return cls == Cls::kPoint || cls == Cls::kBand; }
 };
-
-std::string Fmt(const char* f, ...) __attribute__((format(printf, 1, 2)));
-std::string Fmt(const char* f, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, f);
-  std::vsnprintf(buf, sizeof(buf), f, ap);
-  va_end(ap);
-  return buf;
-}
 
 Query MakeQuery(Cls cls, const Reference& ref, std::mt19937_64* rng) {
   Query q;
@@ -451,17 +447,23 @@ Query MakeQuery(Cls cls, const Reference& ref, std::mt19937_64* rng) {
   return q;
 }
 
-/// Deals the read mix from position `start` of the deck onwards.
-class Mix {
+/// Deals read rounds; `start` rotates the round, so concurrent readers
+/// do not issue their heavy reads in step.
+class Rounds {
  public:
-  Mix(uint64_t seed, size_t start) : rng_(seed), next_(start) {}
-  Query Next(const Reference& ref) {
-    return MakeQuery(kDeck[next_++ % kDeckSize], ref, &rng_);
+  Rounds(uint64_t seed, size_t start) : rng_(seed), start_(start) {}
+  std::vector<Query> Next(const Reference& ref) {
+    std::vector<Query> round;
+    for (size_t i = 0; i < kRoundSize; ++i) {
+      round.push_back(
+          MakeQuery(kRound[(start_ + i) % kRoundSize], ref, &rng_));
+    }
+    return round;
   }
 
  private:
   std::mt19937_64 rng_;
-  size_t next_;
+  size_t start_;
 };
 
 bool NearlyEqual(double a, double b) {
@@ -560,13 +562,12 @@ bool ExactMatches(const Query& q, const Table& t, const Reference& ref,
 }
 
 // ---------------------------------------------------------------------------
-// The system under test and the two ways of driving it.
+// The system under test.
 
 struct World {
   std::unique_ptr<Learner> learner;
   std::unique_ptr<Server> server;
   std::shared_ptr<ClientSession> admin;
-  HybridOptions hybrid;
 
   /// Sessions go before the server, the server before the learner.
   void Reset() {
@@ -597,73 +598,19 @@ struct ReadResult {
   double error_bound = 0.0;
 };
 
-/// One read. Untraced it goes through the session's own entry points
-/// (ExecuteHybrid for point/band, ExecuteSql otherwise). Traced it goes
-/// through ExecuteRead(body), so the serve span is the parent of the
-/// parse, model, exec and harvest spans opened inside the body; the body
-/// applies the hybrid engine's arbitration rule itself.
-Result<ReadResult> RunRead(ClientSession* session, const World& world,
-                           const Query& q, bool traced) {
+/// One read through the session: ExecuteHybrid for point/band,
+/// ExecuteSql otherwise.
+Result<ReadResult> RunRead(ClientSession* session, const Query& q) {
   ReadResult out;
-  if (!traced) {
-    if (q.hybrid()) {
-      Result<HybridAnswer> a = session->ExecuteHybrid(q.sql);
-      if (!a.ok()) return a.status();
-      out.table = std::move(a->table);
-      out.from_model = a->approximate;
-      out.error_bound = a->error_bound;
-      return out;
-    }
-    Result<Table> t = session->ExecuteSql(q.sql);
-    if (!t.ok()) return t.status();
-    out.table = std::move(*t);
+  if (q.hybrid()) {
+    Result<HybridAnswer> a = session->ExecuteHybrid(q.sql);
+    if (!a.ok()) return a.status();
+    out.table = std::move(a->table);
+    out.from_model = a->approximate;
+    out.error_bound = a->error_bound;
     return out;
   }
-  Learner* learner = world.learner != nullptr && world.learner->enabled()
-                         ? world.learner.get()
-                         : nullptr;
-  OpScope op(ClsName(q.cls));
-  BenchSpan serve("serve.read");
-  Result<Table> t = session->ExecuteRead(
-      [&](const DatabaseSnapshot& db) -> Result<Table> {
-        Result<SelectStatement> stmt = [&] {
-          BenchSpan span("query.parse");
-          return ParseSelect(q.sql);
-        }();
-        if (!stmt.ok()) return stmt.status();
-        if (q.hybrid()) {
-          Result<ApproxAnswer> approx = [&] {
-            BenchSpan span("aqp.model");
-            ModelQueryEngine engine(&db.tables, &db.models, &db.domains);
-            return engine.ExecuteStatement(*stmt);
-          }();
-          if (approx.ok()) {
-            auto model = db.models.Get(approx->model_id);
-            std::string why;
-            if (model.ok() &&
-                (*model)->ArbitrationQuality() >= world.hybrid.min_quality &&
-                (learner == nullptr ||
-                 !learner->RejectModel(approx->model_id, &why))) {
-              if (learner != nullptr) {
-                learner->OnDecision(kTable, approx->model_id, db.models);
-              }
-              out.from_model = true;
-              out.error_bound = approx->max_error_bound;
-              return std::move(approx->table);
-            }
-          }
-        }
-        Result<Table> exact = [&] {
-          BenchSpan span("query.exec");
-          return ExecuteSelect(db.tables, *stmt);
-        }();
-        if (exact.ok() && q.hybrid() && learner != nullptr) {
-          BenchSpan span("learn.harvest");
-          learner->OnExactScan(*stmt, db.tables, db.models);
-          learner->OnDecision(kTable, 0, db.models);
-        }
-        return exact;
-      });
+  Result<Table> t = session->ExecuteSql(q.sql);
   if (!t.ok()) return t.status();
   out.table = std::move(*t);
   return out;
@@ -680,29 +627,12 @@ Status AppendBatch(Table* dst, const Table& rows) {
   return Status::OK();
 }
 
-/// One ingest. Traced it is a SnapshotCatalog::Commit with the
-/// benchmark's own mutator, which yields commit, clone and append spans.
-Status RunIngest(World* world, const Table& batch, bool traced) {
-  if (!traced) return world->admin->Ingest(kTable, batch);
-  OpScope op("ingest");
-  BenchSpan commit("serve.commit");
-  return world->server->snapshots().Commit(
-      [&](DatabaseSnapshot* db) -> Status {
-        Result<TablePtr> dst = [&] {
-          BenchSpan span("storage.clone");
-          return SnapshotCatalog::MutableTableForWrite(db, kTable);
-        }();
-        if (!dst.ok()) return dst.status();
-        BenchSpan span("storage.append");
-        return AppendBatch(dst->get(), batch);
-      });
-}
-
 // ---------------------------------------------------------------------------
 // Run bookkeeping.
 
 struct Tally {
   std::map<std::string, std::vector<double>> ms;  // latency per class
+  std::vector<double> round_ms;
   size_t attempted = 0;
   size_t failed = 0;
   size_t wrong = 0;
@@ -715,6 +645,7 @@ struct Tally {
     for (const auto& [k, v] : o.ms) {
       ms[k].insert(ms[k].end(), v.begin(), v.end());
     }
+    round_ms.insert(round_ms.end(), o.round_ms.begin(), o.round_ms.end());
     attempted += o.attempted;
     failed += o.failed;
     wrong += o.wrong;
@@ -736,21 +667,22 @@ void Wrong(Tally* tally, const std::string& what) {
   std::fprintf(stderr, "lawsbench: WRONG %s\n", what.c_str());
 }
 
-/// Runs, times and checks one read. `must_use_model` holds where the
-/// table never changes, so point/band must be served by the model.
-void TimedRead(ClientSession* session, const World& world,
-               const Reference& ref, const Query& q, bool traced,
-               bool must_use_model, Tally* tally) {
+/// Runs, times and checks one read; returns its latency in ms.
+/// `must_use_model` holds where the table never changes, so point/band
+/// must be served by the model.
+double TimedRead(ClientSession* session, const World& world,
+                 const Reference& ref, const Query& q, TraceLog* log,
+                 bool must_use_model, Tally* tally) {
   const char* cls = ClsName(q.cls);
   const size_t rows_before = world.TableRows();
   ++tally->attempted;
-  const Clock::time_point t0 = Clock::now();
-  Result<ReadResult> r = RunRead(session, world, q, traced);
-  const double ms = Ms(t0, Clock::now());
+  double ms = 0.0;
+  Result<ReadResult> r =
+      Timed(log, cls, "serve", &ms, [&] { return RunRead(session, q); });
   if (!r.ok()) {
     tally->ms[cls].push_back(kFailedMs);
     Fail(tally, q.sql, r.status());
-    return;
+    return kFailedMs;
   }
   tally->ms[cls].push_back(ms);
   const size_t rows_after = world.TableRows();
@@ -760,7 +692,7 @@ void TimedRead(ClientSession* session, const World& world,
     const Table& t = r->table;
     if (t.num_rows() != 1 || !t.GetValue(0, 0).is_double()) {
       Wrong(tally, "model answer shape: " + q.sql);
-      return;
+      return ms;
     }
     double truth = 0.0;
     if (q.cls == Cls::kPoint) {
@@ -775,18 +707,31 @@ void TimedRead(ClientSession* session, const World& world,
     if (std::fabs(t.GetValue(0, 0).dbl() - truth) <= r->error_bound) {
       ++tally->covered;
     }
-    return;
+    return ms;
   }
   if (must_use_model && q.hybrid()) {
     Wrong(tally, "not served by the model: " + q.sql);
-    return;
+    return ms;
   }
   // The answer reflects one snapshot committed while the read ran: the
   // table held rows_before rows plus some number of whole batches.
   for (size_t n = rows_before; n <= rows_after; n += kBatchRows) {
-    if (ExactMatches(q, r->table, ref, n)) return;
+    if (ExactMatches(q, r->table, ref, n)) return ms;
   }
   Wrong(tally, "exact answer differs from reference: " + q.sql);
+  return ms;
+}
+
+/// One read round; its time is recorded only when every read succeeded.
+void TimedRound(ClientSession* session, const World& world,
+                const Reference& ref, const std::vector<Query>& round,
+                TraceLog* log, bool must_use_model, Tally* tally) {
+  double round_ms = 0.0;
+  const size_t failed0 = tally->failed;
+  for (const Query& q : round) {
+    round_ms += TimedRead(session, world, ref, q, log, must_use_model, tally);
+  }
+  if (tally->failed == failed0) tally->round_ms.push_back(round_ms);
 }
 
 struct Metrics {
@@ -801,11 +746,6 @@ struct Metrics {
     list.push_back({name, {value, unit}});
   }
 };
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  return Fmt("%.17g", v);
-}
 
 std::string MetricsJson(const Metrics& m) {
   std::string s = "{";
@@ -824,7 +764,6 @@ std::string MetricsJson(const Metrics& m) {
 struct SetupSample {
   double total_s = 0.0;
   double generate_s = 0.0;
-  double fit_s = 0.0;
 };
 
 struct Options {
@@ -860,19 +799,14 @@ World Setup(const Options& opt, Reference* ref, SetupSample* sample) {
     w.learner = std::make_unique<Learner>(lopts);
     options.hybrid.learner = w.learner.get();
   }
-  w.hybrid = options.hybrid;
   w.server = std::make_unique<Server>(options);
   w.admin = Unwrap(w.server->Connect("admin"), "connect");
   CheckOk(w.admin->CreateTable(kTable, std::move(data.observations)),
           "create table");
-  if (opt.workload != "capture") {
-    CheckOk(w.admin->RegisterDomain(kTable, "wavelength",
-                                    ColumnDomain::Explicit(data.config.bands)),
-            "register domain");
-  }
-  const Clock::time_point f0 = Clock::now();
+  CheckOk(w.admin->RegisterDomain(kTable, "wavelength",
+                                  ColumnDomain::Explicit(data.config.bands)),
+          "register domain");
   (void)Unwrap(w.admin->Fit(PowerLawRequest()), "initial fit");
-  const Clock::time_point f1 = Clock::now();
   if (opt.workload != "capture") {
     // Warm-up: the first scan builds the block index.
     (void)Unwrap(w.admin->ExecuteHybrid(
@@ -885,7 +819,6 @@ World Setup(const Options& opt, Reference* ref, SetupSample* sample) {
   }
   const Clock::time_point t3 = Clock::now();
   sample->generate_s = Seconds(t0, t1);
-  sample->fit_s = Seconds(f0, f1);
   sample->total_s = Seconds(t0, t1) + Seconds(t2, t3);
   return w;
 }
@@ -895,9 +828,7 @@ World Setup(const Options& opt, Reference* ref, SetupSample* sample) {
 
 struct RunState {
   Tally tally;
-  std::vector<double> fit_s, save_s, load_s;
   double image_ratio = 0.0;
-  std::vector<double> ingest_ms;
   std::vector<double> writer_lag_ms;
   std::vector<double> refit_s;
   size_t acked_batches = 0;
@@ -912,101 +843,70 @@ double RawColumnBytes(const Catalog& tables) {
   return bytes;
 }
 
-/// Saves the pinned state, loads it back `loads` times, and checks the
-/// round trip.
-void TimedSaveLoad(World* world, int loads, RunState* st) {
-  const SnapshotPtr snap = world->admin->PinSnapshot();
-  ++st->tally.attempted;
-  const Clock::time_point t0 = Clock::now();
-  Result<std::vector<uint8_t>> image =
-      SaveDatabaseToBytes(snap->tables, snap->models);
-  if (!image.ok()) {
-    st->save_s.push_back(kFailedMs);
-    return Fail(&st->tally, "save", image.status());
-  }
-  st->save_s.push_back(Seconds(t0, Clock::now()));
-  st->image_ratio =
-      static_cast<double>(image->size()) / RawColumnBytes(snap->tables);
-  for (int i = 0; i < loads; ++i) {
-    Catalog tables;
-    ModelCatalog models;
-    ++st->tally.attempted;
-    const Clock::time_point l0 = Clock::now();
-    const Status load = LoadDatabaseFromBytes(*image, &tables, &models);
-    if (!load.ok()) {
-      st->load_s.push_back(kFailedMs);
-      Fail(&st->tally, "load", load);
-      continue;
-    }
-    st->load_s.push_back(Seconds(l0, Clock::now()));
-    if (!CatalogsIdentical(snap->tables, snap->models, tables, models)) {
-      Wrong(&st->tally, "save/load round trip is not bit-identical");
-    }
-  }
-}
-
-void TimedIngests(World* world, const Reference& ref, size_t batches,
-                  bool traced, RunState* st) {
-  std::mt19937_64 rng(ref.source.size());
-  for (size_t i = 0; i < batches; ++i) {
-    const Table batch = MakeBatch(ref, &rng, kBatchRows);
-    ++st->tally.attempted;
-    const Clock::time_point t0 = Clock::now();
-    const Status s = RunIngest(world, batch, traced);
-    if (!s.ok()) {
-      st->ingest_ms.push_back(kFailedMs);
-      Fail(&st->tally, "ingest", s);
-      continue;
-    }
-    st->ingest_ms.push_back(Ms(t0, Clock::now()));
-  }
-}
-
-/// Two decks of the read mix, for the metrics the workload's own loop
-/// does not produce.
-void SideReads(World* world, const Reference& ref, bool traced, uint64_t seed,
-               RunState* st) {
-  Mix mix(seed * 7 + 3, 0);
-  for (size_t i = 0; i < 2 * kDeckSize; ++i) {
-    TimedRead(world->admin.get(), *world, ref, mix.Next(ref), traced, true,
-              &st->tally);
-  }
-}
-
-void RunCapture(World* world, const Reference& ref, const Options& opt,
+/// Rounds of Fit, Save and Load. Every round starts from the same state:
+/// one table and one captured model.
+void RunCapture(World* world, const Options& opt, TraceLog* log,
                 RunState* st) {
-  // Every iteration starts from the same state: one table, one model.
+  Tally& tally = st->tally;
   const SnapshotPtr initial = world->admin->PinSnapshot();
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opt.seconds));
+  const Clock::time_point deadline = After(Clock::now(), opt.seconds);
   std::unique_ptr<Table> first_params;
-  do {
-    ++st->tally.attempted;
-    Clock::time_point t0 = Clock::now();
-    Result<FitReport> fit = [&] {
-      OpScope op("fit");
-      BenchSpan span("serve.fit");
+  while (tally.round_ms.size() < kMinRounds || Clock::now() < deadline) {
+    double fit_ms = 0.0, save_ms = 0.0, load_ms = 0.0;
+    const size_t failed0 = tally.failed;
+    ++tally.attempted;
+    Result<FitReport> fit = Timed(log, "fit", "serve", &fit_ms, [&] {
       return world->admin->Fit(PowerLawRequest());
-    }();
+    });
     if (!fit.ok()) {
-      st->fit_s.push_back(kFailedMs);
-      Fail(&st->tally, "fit", fit.status());
+      tally.ms["fit"].push_back(kFailedMs);
+      Fail(&tally, "fit", fit.status());
     } else {
-      st->fit_s.push_back(Seconds(t0, Clock::now()));
+      tally.ms["fit"].push_back(fit_ms);
       const SnapshotPtr snap = world->admin->PinSnapshot();
       const CapturedModel* m = Unwrap(snap->models.Get(fit->model_id), "get");
       if (first_params == nullptr) {
         first_params = std::make_unique<Table>(m->parameter_table);
       } else if (!TablesIdentical(*first_params, m->parameter_table)) {
-        Wrong(&st->tally, "parameter table differs between iterations");
+        Wrong(&tally, "parameter table differs between rounds");
       }
     }
-    TimedSaveLoad(world, 1, st);
+    const SnapshotPtr snap = world->admin->PinSnapshot();
+    ++tally.attempted;
+    Result<std::vector<uint8_t>> image =
+        Timed(log, "save", "core", &save_ms, [&] {
+          return SaveDatabaseToBytes(snap->tables, snap->models);
+        });
+    if (!image.ok()) {
+      tally.ms["save"].push_back(kFailedMs);
+      Fail(&tally, "save", image.status());
+    } else {
+      tally.ms["save"].push_back(save_ms);
+      st->image_ratio =
+          static_cast<double>(image->size()) / RawColumnBytes(snap->tables);
+      Catalog tables;
+      ModelCatalog models;
+      ++tally.attempted;
+      const Status load = Timed(log, "load", "core", &load_ms, [&] {
+        return LoadDatabaseFromBytes(*image, &tables, &models);
+      });
+      if (!load.ok()) {
+        tally.ms["load"].push_back(kFailedMs);
+        Fail(&tally, "load", load);
+      } else {
+        tally.ms["load"].push_back(load_ms);
+        if (!CatalogsIdentical(snap->tables, snap->models, tables, models)) {
+          Wrong(&tally, "save/load round trip is not bit-identical");
+        }
+      }
+    }
+    if (tally.failed == failed0) {
+      tally.round_ms.push_back(fit_ms + save_ms + load_ms);
+    }
     CheckOk(world->admin->ReplaceDatabase(initial->tables.Clone(),
                                           initial->models.Clone()),
             "reset");
-  } while (Clock::now() < deadline);
+  }
   // The parameter table must not depend on the lane count.
   if (first_params != nullptr) {
     ThreadPool::SetGlobalThreadCount(1);
@@ -1016,33 +916,31 @@ void RunCapture(World* world, const Reference& ref, const Options& opt,
             "1-lane fit");
     ThreadPool::SetGlobalThreadCount(0);
     if (!TablesIdentical(*first_params, one_lane.parameter_table)) {
-      Wrong(&st->tally, "parameter table differs between 1 and N lanes");
+      Wrong(&tally, "parameter table differs between 1 and N lanes");
     }
   }
-  SideReads(world, ref, opt.trace, opt.seed, st);
-  TimedIngests(world, ref, 20, opt.trace, st);
 }
 
+/// Whole read rounds from one analyst session.
 void RunExplore(World* world, const Reference& ref, const Options& opt,
-                RunState* st) {
-  Mix mix(opt.seed, 0);
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opt.seconds));
+                TraceLog* log, RunState* st) {
+  Rounds rounds(opt.seed, 0);
+  const Clock::time_point deadline = After(Clock::now(), opt.seconds);
   auto analyst = Unwrap(world->server->Connect("analyst"), "connect");
-  while (Clock::now() < deadline) {
-    TimedRead(analyst.get(), *world, ref, mix.Next(ref), opt.trace, true,
-              &st->tally);
+  while (st->tally.round_ms.size() < kMinRounds || Clock::now() < deadline) {
+    TimedRound(analyst.get(), *world, ref, rounds.Next(ref), log, true,
+               &st->tally);
   }
-  TimedSaveLoad(world, 3, st);
-  TimedIngests(world, ref, 20, opt.trace, st);
 }
 
+/// nproc-1 readers issue whole read rounds while an open-loop writer
+/// appends bursts and refits; the learning loop runs throughout.
 void RunArchive(World* world, Reference* ref, const Options& opt,
-                RunState* st) {
+                TraceLog* log, RunState* st) {
   // Pre-generate every batch the writer may append, so the reference
   // holds them before any reader starts.
-  const int cycles = static_cast<int>(std::ceil(opt.seconds / kCycleSeconds));
+  const int cycles = static_cast<int>(
+      std::ceil((opt.seconds + kWriterSlackSeconds) / kCycleSeconds));
   std::vector<Table> batches;
   {
     std::mt19937_64 rng(opt.seed ^ 0x5eedba7c4ULL);
@@ -1056,9 +954,8 @@ void RunArchive(World* world, Reference* ref, const Options& opt,
   LearningLoop loop(&world->server->snapshots(), world->learner.get());
   loop.Start();
   const Clock::time_point start = Clock::now();
-  const Clock::time_point deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(opt.seconds));
+  const Clock::time_point deadline = After(start, opt.seconds);
+  std::atomic<size_t> readers_done{0};
   std::vector<Tally> tallies(readers);
   std::vector<std::thread> threads;
   for (size_t r = 0; r < readers; ++r) {
@@ -1066,56 +963,53 @@ void RunArchive(World* world, Reference* ref, const Options& opt,
       auto session =
           Unwrap(world->server->Connect("reader" + std::to_string(r)),
                  "connect reader");
-      // Readers start at different deck positions, so their heavy reads
-      // do not line up.
-      Mix mix(opt.seed * 1000003 + r, r * kDeckSize / readers);
-      while (Clock::now() < deadline) {
-        TimedRead(session.get(), *world, *ref, mix.Next(*ref), opt.trace,
-                  false, &tallies[r]);
+      Rounds rounds(opt.seed * 1000003 + r, r * kRoundSize / readers);
+      while (tallies[r].round_ms.size() < kMinRounds ||
+             Clock::now() < deadline) {
+        TimedRound(session.get(), *world, *ref, rounds.Next(*ref), log, false,
+                   &tallies[r]);
       }
+      readers_done.fetch_add(1);
     });
   }
-  // Open-loop writer on this thread.
+  // Open-loop writer on this thread, until the last reader round ends.
   auto writer = Unwrap(world->server->Connect("writer"), "connect writer");
   Tally wtally;
   bool writing = true;
   for (int c = 0; c < cycles && writing; ++c) {
     for (int b = 0; b < kBurstBatches && writing; ++b) {
       const Clock::time_point due =
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(
-                          c * kCycleSeconds + b * kBurstSpacingMs / 1e3));
-      if (due >= deadline) {
+          After(start, c * kCycleSeconds + b * kBurstSpacingMs / 1e3);
+      std::this_thread::sleep_until(due);
+      if (readers_done.load() == readers) {
         writing = false;
         break;
       }
-      std::this_thread::sleep_until(due);
       st->writer_lag_ms.push_back(Ms(due, Clock::now()));
       ++wtally.attempted;
-      const Status s =
-          opt.trace ? RunIngest(world, batches[st->acked_batches], true)
-                    : writer->Ingest(kTable, batches[st->acked_batches]);
+      double ms = 0.0;
+      const Status s = Timed(log, "ingest", "serve", &ms, [&] {
+        return writer->Ingest(kTable, batches[st->acked_batches]);
+      });
       if (!s.ok()) {
-        st->ingest_ms.push_back(kFailedMs);
+        wtally.ms["ingest"].push_back(kFailedMs);
         Fail(&wtally, "ingest", s);
         writing = false;  // later batches would no longer match the reference
         break;
       }
-      st->ingest_ms.push_back(Ms(due, Clock::now()));
+      // Timed from the moment the batch was due.
+      wtally.ms["ingest"].push_back(Ms(due, Clock::now()));
       ++st->acked_batches;
     }
     if (!writing) break;
     ++wtally.attempted;
-    const Clock::time_point t0 = Clock::now();
-    Result<RefitReport> refit = [&] {
-      OpScope op("refit");
-      BenchSpan span("serve.refit");
-      return writer->RefitStale();
-    }();
+    double ms = 0.0;
+    Result<RefitReport> refit =
+        Timed(log, "refit", "serve", &ms, [&] { return writer->RefitStale(); });
     if (!refit.ok()) {
       Fail(&wtally, "refit", refit.status());
     } else {
-      st->refit_s.push_back(Seconds(t0, Clock::now()));
+      st->refit_s.push_back(ms / 1e3);
     }
   }
   for (std::thread& t : threads) t.join();
@@ -1137,7 +1031,15 @@ void RunArchive(World* world, Reference* ref, const Options& opt,
                                 expect * 8) == 0;
   }
   if (!same) Wrong(&st->tally, "final table is not initial + acked rows");
-  TimedSaveLoad(world, 3, st);
+}
+
+/// The operation classes whose medians make up latency_geomean_ms.
+std::vector<std::string> WorkloadClasses(const std::string& workload) {
+  if (workload == "capture") return {"fit", "save", "load"};
+  std::vector<std::string> c;
+  for (Cls k : kRound) c.push_back(ClsName(k));
+  if (workload == "archive") c.push_back("ingest");
+  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -1162,13 +1064,63 @@ uint64_t CounterValue(const char* name) {
   return MetricsRegistry::Global().GetCounter(name)->value();
 }
 
-void Probes(World* world, const Reference& ref, const Options& opt,
+/// Medians over `ops` of each layer's self time, in us, for class `cls`.
+std::map<std::string, double> MedianSelfUs(const std::vector<OpTrace>& ops,
+                                           const std::string& cls,
+                                           size_t* count) {
+  std::map<std::string, std::vector<double>> per_layer;
+  std::vector<std::map<std::string, double>> rows;
+  for (const OpTrace& op : ops) {
+    if (op.cls == cls) rows.push_back(SelfTimes(op));
+  }
+  for (const auto& row : rows) {
+    for (const auto& [layer, us] : row) per_layer[layer];
+  }
+  for (const auto& row : rows) {
+    for (auto& [layer, v] : per_layer) {
+      auto it = row.find(layer);
+      v.push_back(it == row.end() ? 0.0 : it->second);
+    }
+  }
+  std::map<std::string, double> out;
+  for (auto& [layer, v] : per_layer) out[layer] = Median(std::move(v));
+  *count = rows.size();
+  return out;
+}
+
+/// The reference rows [from, from + kBatchRows) as a batch, generating
+/// them first when the reference ends before them.
+Table ReferenceBatch(Reference* ref, size_t from, uint64_t seed) {
+  if (ref->source.size() < from + kBatchRows) {
+    std::mt19937_64 rng(seed);
+    AppendToReference(MakeBatch(*ref, &rng, kBatchRows), ref);
+  }
+  auto slice = [&](const auto& v) {
+    return std::vector<typename std::decay_t<decltype(v)>::value_type>(
+        v.begin() + from, v.begin() + from + kBatchRows);
+  };
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64Vector(slice(ref->source)));
+  cols.push_back(Column::FromDoubleVector(slice(ref->wavelength)));
+  cols.push_back(Column::FromDoubleVector(slice(ref->intensity)));
+  return Unwrap(Table::FromColumns(
+                    Schema({Field{"source", DataType::kInt64, false},
+                            Field{"wavelength", DataType::kDouble, false},
+                            Field{"intensity", DataType::kDouble, false}}),
+                    std::move(cols)),
+                "reference batch");
+}
+
+void Probes(World* world, Reference* ref_rows, const Options& opt,
             Metrics* m) {
+  const Reference& ref = *ref_rows;
   // A refit needs stale models: ingest one batch, then time RefitStale.
-  // Afterwards every model is fresh for the model-path probes.
+  // Afterwards every model is fresh for the model-path probes. The batch
+  // is the reference's next rows, so later exact answers still check.
   {
-    std::mt19937_64 rng(opt.seed + 99);
-    CheckOk(world->admin->Ingest(kTable, MakeBatch(ref, &rng, kBatchRows)),
+    CheckOk(world->admin->Ingest(
+                kTable, ReferenceBatch(ref_rows, world->TableRows(),
+                                       opt.seed + 99)),
             "probe ingest");
     const Clock::time_point t0 = Clock::now();
     (void)Unwrap(world->admin->RefitStale(), "probe refit");
@@ -1202,18 +1154,19 @@ void Probes(World* world, const Reference& ref, const Options& opt,
            "count");
   }
   {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    const char* phases[][2] = {{"span.GroupIndex.micros", "model.group_index_ms"},
-                               {"span.FitLoop.micros", "model.fit_loop_ms"},
-                               {"span.MergeOutcomes.micros", "model.merge_ms"}};
-    double before[3];
-    for (int i = 0; i < 3; ++i) before[i] = reg.GetHistogram(phases[i][0])->sum();
-    SetTraceEnabled(true);
+    // FitGrouped's phase spans, collected on this thread.
+    TraceSink sink;
     (void)Unwrap(FitGrouped(*power_law, *table, spec), "fit");
-    SetTraceEnabled(false);
-    for (int i = 0; i < 3; ++i) {
-      m->Set(phases[i][1],
-             (reg.GetHistogram(phases[i][0])->sum() - before[i]) / 1e3, "ms");
+    const std::pair<const char*, const char*> phases[] = {
+        {"GroupIndex", "model.group_index_ms"},
+        {"FitLoop", "model.fit_loop_ms"},
+        {"MergeOutcomes", "model.merge_ms"}};
+    for (const auto& [span, metric] : phases) {
+      double us = 0.0;
+      for (const SpanRecord& s : sink.spans()) {
+        if (std::strcmp(s.name, span) == 0) us += s.micros;
+      }
+      m->Set(metric, us / 1e3, "ms");
     }
   }
   // core
@@ -1233,6 +1186,9 @@ void Probes(World* world, const Reference& ref, const Options& opt,
            ModelCatalog mc;
            CheckOk(LoadDatabaseFromBytes(image, &t, &mc), "load");
          }, 3), "s");
+  m->Set("core.image_ratio",
+         static_cast<double>(image.size()) / RawColumnBytes(snap->tables),
+         "ratio");
   // compress
   CompressedTable compressed;
   m->Set("compress.table_s", TimeMedian([&] {
@@ -1258,7 +1214,7 @@ void Probes(World* world, const Reference& ref, const Options& opt,
   std::mt19937_64 rng(opt.seed + 7);
   std::map<Cls, Query> q;
   std::map<Cls, SelectStatement> stmt;
-  for (Cls c : kClasses) {
+  for (Cls c : kRound) {
     q[c] = MakeQuery(c, ref, &rng);
     stmt[c] = Unwrap(ParseSelect(q[c].sql), "parse");
     m->Set(std::string("query.parse_us.") + ClsName(c), 1e6 * TimeMedian([&] {
@@ -1270,7 +1226,7 @@ void Probes(World* world, const Reference& ref, const Options& opt,
     const uint64_t pruned0 = CounterValue("scan.blocks_pruned");
     m->Set(std::string("query.exec_ms.") + ClsName(c), 1e3 * TimeMedian([&] {
              (void)Unwrap(ExecuteSelect(snap->tables, stmt[c]), "exec");
-           }, 5), "ms");
+           }, 3), "ms");
     if (c == Cls::kScan) {
       const uint64_t total = CounterValue("scan.blocks_total") - total0;
       m->Set("compress.blocks_pruned_ratio",
@@ -1284,14 +1240,12 @@ void Probes(World* world, const Reference& ref, const Options& opt,
     m->Set(std::string("query.exec_1lane_ms.") + ClsName(c),
            1e3 * TimeMedian([&] {
              (void)Unwrap(ExecuteSelect(snap->tables, stmt[c]), "exec");
-           }, 5), "ms");
+           }, 3), "ms");
     ThreadPool::SetGlobalThreadCount(0);
   }
   // aqp: the model path alone, with the band domain registered.
   {
-    DomainRegistry domains;
-    domains.Register(kTable, "wavelength", ColumnDomain::Explicit(ref.bands));
-    ModelQueryEngine engine(&snap->tables, &snap->models, &domains);
+    ModelQueryEngine engine(&snap->tables, &snap->models, &snap->domains);
     m->Set("aqp.model_us.point", 1e6 * TimeMedian([&] {
              (void)Unwrap(engine.ExecuteStatement(stmt[Cls::kPoint]), "point");
            }, 200, 0.2), "us");
@@ -1301,6 +1255,30 @@ void Probes(World* world, const Reference& ref, const Options& opt,
                           .tuples_reconstructed;
            }, 20, 0.5), "ms");
     m->Set("aqp.tuples_per_query.band", static_cast<double>(tuples), "count");
+  }
+  // Self time of each layer on each read class's path: one warm-up and
+  // five traced reads of each class through the session.
+  {
+    TraceLog log;
+    Tally scratch;
+    for (Cls c : kRound) {
+      for (int i = 0; i <= 5; ++i) {
+        TimedRead(world->admin.get(), *world, ref, q[c],
+                  i == 0 ? nullptr : &log, true, &scratch);
+      }
+    }
+    if (scratch.failed != 0 || scratch.wrong != 0) Die("probe reads failed");
+    const std::vector<OpTrace> ops = log.Take();
+    for (Cls c : kRound) {
+      size_t n = 0;
+      const auto self = MedianSelfUs(ops, ClsName(c), &n);
+      const bool hybrid = c == Cls::kPoint || c == Cls::kBand;
+      for (const char* layer : {"serve", hybrid ? "aqp" : "query"}) {
+        auto it = self.find(layer);
+        m->Set(std::string(layer) + ".self_us." + ClsName(c),
+               it == self.end() ? 0.0 : it->second, "us");
+      }
+    }
   }
   // serve
   m->Set("serve.read_overhead_us", 1e6 * TimeMedian([&] {
@@ -1364,74 +1342,48 @@ constexpr CounterDelta kCounters[] = {
     {"learn.harvest.rows", "counts.learn_harvest_rows"},
 };
 
-/// Per-class self time (span minus its children) of each layer on the
-/// read path, median over the traced reads of that class.
-void SpanMetrics(const std::vector<SpanRec>& spans, Metrics* m,
-                 std::string* breakdown) {
-  std::map<uint64_t, double> child_us;
-  for (const SpanRec& s : spans) {
-    if (s.parent != 0) child_us[s.parent] += s.end_us - s.start_us;
-  }
-  // op -> layer -> self us
-  std::map<uint64_t, std::map<std::string, double>> per_op;
-  std::map<uint64_t, const char*> op_class;
-  for (const SpanRec& s : spans) {
-    const std::string name = s.name;
-    const double self = s.end_us - s.start_us - child_us[s.id];
-    const std::string layer = name.substr(0, name.find('.'));
-    per_op[s.op][layer] += self;
-    op_class[s.op] = s.op_class;
-  }
-  const char* layers[] = {"serve", "query", "aqp", "learn"};
-  *breakdown = "{";
-  bool first = true;
-  for (Cls c : kClasses) {
-    std::map<std::string, std::vector<double>> v;
-    std::vector<double> total;
-    for (const auto& [op, by_layer] : per_op) {
-      if (std::strcmp(op_class[op], ClsName(c)) != 0) continue;
-      double sum = 0.0;
-      for (const char* l : layers) {
-        auto it = by_layer.find(l);
-        const double us = it == by_layer.end() ? 0.0 : it->second;
-        v[l].push_back(us);
-        sum += us;
-      }
-      total.push_back(sum);
+/// Per-class medians of each layer's self time over the traced window,
+/// as a JSON object for the results file.
+std::string SelfTimeJson(const std::vector<OpTrace>& ops,
+                         const std::vector<std::string>& classes) {
+  std::string s = "{";
+  for (size_t i = 0; i < classes.size(); ++i) {
+    size_t n = 0;
+    const auto self = MedianSelfUs(ops, classes[i], &n);
+    s += Fmt("%s\"%s\": {\"ops\": %zu", i == 0 ? "" : ", ", classes[i].c_str(),
+             n);
+    for (const auto& [layer, us] : self) {
+      s += Fmt(", \"%s_self_ms\": %s", layer.c_str(),
+               JsonNumber(us / 1e3).c_str());
     }
-    if (!first) *breakdown += ", ";
-    first = false;
-    *breakdown += Fmt("\"%s\": {\"ops\": %zu, \"total_ms\": %s", ClsName(c),
-                      total.size(), JsonNumber(Median(total) / 1e3).c_str());
-    for (const char* l : layers) {
-      const double med = Median(v[l]);
-      *breakdown += Fmt(", \"%s_self_ms\": %s", l,
-                        JsonNumber(med / 1e3).c_str());
-      const bool on_path =
-          std::strcmp(l, "serve") == 0 || std::strcmp(l, "query") == 0 ||
-          ((c == Cls::kPoint || c == Cls::kBand) &&
-           (std::strcmp(l, "aqp") == 0 || std::strcmp(l, "learn") == 0));
-      if (on_path) {
-        m->Set(std::string(l) + ".self_us." + ClsName(c), med, "us");
-      }
-    }
-    *breakdown += "}";
+    s += "}";
   }
-  *breakdown += "}";
+  return s + "}";
 }
 
-void WriteSpans(const std::string& path, const std::vector<SpanRec>& spans) {
+void WriteSpans(const std::string& path, const std::vector<OpTrace>& ops) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) Die("cannot write " + path);
-  for (const SpanRec& s : spans) {
+  for (size_t op = 0; op < ops.size(); ++op) {
+    // The outer call is span 0; an engine span's parent is the nearest
+    // earlier span one level up.
     std::fprintf(f,
-                 "{\"op\": %llu, \"class\": \"%s\", \"id\": %llu, "
-                 "\"parent\": %llu, \"name\": \"%s\", \"start_us\": %.3f, "
-                 "\"end_us\": %.3f}\n",
-                 static_cast<unsigned long long>(s.op), s.op_class,
-                 static_cast<unsigned long long>(s.id),
-                 static_cast<unsigned long long>(s.parent), s.name,
-                 s.start_us, s.end_us);
+                 "{\"op\": %zu, \"class\": \"%s\", \"span\": 0, \"parent\": "
+                 "null, \"name\": \"call\", \"layer\": \"%s\", \"us\": %.3f}\n",
+                 op, ops[op].cls.c_str(), ops[op].outer_layer,
+                 ops[op].total_us);
+    const std::vector<SpanRecord>& s = ops[op].spans;
+    std::vector<size_t> open = {0};
+    for (size_t i = 0; i < s.size(); ++i) {
+      open.resize(static_cast<size_t>(s[i].depth) + 1);
+      std::fprintf(f,
+                   "{\"op\": %zu, \"class\": \"%s\", \"span\": %zu, "
+                   "\"parent\": %zu, \"name\": \"%s\", \"layer\": \"%s\", "
+                   "\"us\": %.3f}\n",
+                   op, ops[op].cls.c_str(), i + 1, open.back(), s[i].name,
+                   LayerOf(s[i].name), s[i].micros);
+      open.push_back(i + 1);
+    }
   }
   std::fclose(f);
 }
@@ -1471,7 +1423,7 @@ int main(int argc, char** argv) {
 
   // Set up several times; the last world is the one measured.
   Reference ref;
-  std::vector<double> setup_s, generate_s, fit_s;
+  std::vector<double> setup_s, generate_s;
   World world;
   for (int i = 0; i < kSetupReps; ++i) {
     world.Reset();
@@ -1479,10 +1431,8 @@ int main(int argc, char** argv) {
     world = Setup(opt, i == 0 ? &ref : nullptr, &sample);
     setup_s.push_back(sample.total_s);
     generate_s.push_back(sample.generate_s);
-    fit_s.push_back(sample.fit_s);
   }
 
-  if (opt.trace) SpanRecorder::Get().Enable(Clock::now());
   std::map<std::string, uint64_t> counters0;
   for (const CounterDelta& c : kCounters) counters0[c.counter] = CounterValue(c.counter);
   MetricHistogram* queue_wait =
@@ -1490,15 +1440,16 @@ int main(int argc, char** argv) {
   const double wait_sum0 = queue_wait->sum();
   const uint64_t wait_n0 = queue_wait->count();
 
+  TraceLog trace_log;
+  TraceLog* log = opt.trace ? &trace_log : nullptr;
   RunState st;
   if (opt.workload == "capture") {
-    RunCapture(&world, ref, opt, &st);
+    RunCapture(&world, opt, log, &st);
   } else if (opt.workload == "explore") {
-    RunExplore(&world, ref, opt, &st);
+    RunExplore(&world, ref, opt, log, &st);
   } else {
-    RunArchive(&world, &ref, opt, &st);
+    RunArchive(&world, &ref, opt, log, &st);
   }
-  if (opt.workload != "capture") st.fit_s = fit_s;  // setup's fits
 
   const Tally& t = st.tally;
   const double coverage =
@@ -1514,37 +1465,27 @@ int main(int argc, char** argv) {
   }
   const bool correct = t.wrong == 0 && t.failed == 0 && coverage >= kCoverageFloor;
 
-  Metrics e2e;
-  e2e.Set("setup_s", Median(setup_s), "s");
-  e2e.Set("fit_s", Median(st.fit_s), "s");
-  e2e.Set("save_s", Median(st.save_s), "s");
-  e2e.Set("load_s", Median(st.load_s), "s");
-  e2e.Set("image_ratio", st.image_ratio, "ratio");
-  auto lat = [&](const char* cls) {
+  const std::vector<std::string> classes = WorkloadClasses(opt.workload);
+  auto lat = [&](const std::string& cls) {
     auto it = t.ms.find(cls);
     return it == t.ms.end() ? std::vector<double>{} : it->second;
   };
-  e2e.Set("point_ms_p50", Median(lat("point")), "ms");
-  e2e.Set("band_ms_p50", Median(lat("band")), "ms");
-  e2e.Set("scan_ms_p50", Median(lat("scan")), "ms");
-  e2e.Set("scan_ms_p95", Percentile(lat("scan"), 0.95), "ms");
-  e2e.Set("groupby_ms_p50", Median(lat("groupby")), "ms");
-  e2e.Set("topk_ms_p50", Median(lat("topk")), "ms");
-  e2e.Set("ingest_ms_p50", Median(st.ingest_ms), "ms");
-  e2e.Set("ingest_ms_p95", Percentile(st.ingest_ms, 0.95), "ms");
-  e2e.Set("model_hit_ratio",
-          t.hybrid == 0 ? 0.0
-                        : static_cast<double>(t.model_hits) /
-                              static_cast<double>(t.hybrid),
-          "ratio");
+  double log_sum = 0.0;
+  for (const std::string& c : classes) log_sum += std::log(Median(lat(c)));
+  Metrics e2e;
+  e2e.Set("setup_s", Median(setup_s), "s");
+  e2e.Set("round_s", Median(t.round_ms) / 1e3, "s");
+  e2e.Set("latency_geomean_ms",
+          std::exp(log_sum / static_cast<double>(classes.size())), "ms");
   e2e.Set("peak_rss_mb", PeakRssMb(), "MB");
 
   Metrics layer;
-  std::string breakdown = "{}";
+  std::string self_time = "{}";
   if (opt.trace) {
-    std::vector<SpanRec> spans = SpanRecorder::Get().Take();
-    SpanMetrics(spans, &layer, &breakdown);
-    if (!opt.spans_path.empty()) WriteSpans(opt.spans_path, spans);
+    const std::vector<OpTrace> ops = trace_log.Take();
+    self_time = SelfTimeJson(ops, classes);
+    if (!opt.spans_path.empty()) WriteSpans(opt.spans_path, ops);
+    layer.Set("lofar.generate_s", Median(generate_s), "s");
     for (const CounterDelta& c : kCounters) {
       layer.Set(c.metric,
                 static_cast<double>(CounterValue(c.counter) - counters0[c.counter]),
@@ -1553,26 +1494,24 @@ int main(int argc, char** argv) {
     layer.Set("counts.model_hits", static_cast<double>(t.model_hits), "count");
     layer.Set("counts.model_fallbacks",
               static_cast<double>(t.hybrid - t.model_hits), "count");
-    const uint64_t waits = queue_wait->count() - wait_n0;
-    layer.Set("serve.queue_wait_us",
-              waits == 0 ? 0.0
-                         : (queue_wait->sum() - wait_sum0) /
-                               static_cast<double>(waits),
-              "us");
-    layer.Set("archive.writer_lag_ms",
-              st.writer_lag_ms.empty() ? 0.0 : Median(st.writer_lag_ms), "ms");
-    layer.Set("lofar.generate_s", Median(generate_s), "s");
-    Probes(&world, ref, opt, &layer);
+    Probes(&world, &ref, opt, &layer);
   }
 
-  std::string samples = "{";
-  for (Cls c : kClasses) {
-    samples += Fmt("\"%s\": %zu, ", ClsName(c), lat(ClsName(c)).size());
+  // The full result: every class median, sample count and sample, the
+  // answer checks and the archive's writer figures.
+  std::string class_json = "{";
+  for (const auto& [cls, v] : t.ms) {
+    std::string samples;
+    for (double ms : v) {
+      samples += (samples.empty() ? "" : ", ") + JsonNumber(ms);
+    }
+    class_json += Fmt("%s\"%s\": {\"n\": %zu, \"p50_ms\": %s, \"ms\": [",
+                      class_json.size() == 1 ? "" : ", ", cls.c_str(),
+                      v.size(), JsonNumber(Median(v)).c_str()) +
+                  samples + "]}";
   }
-  samples += Fmt("\"ingest\": %zu, \"fit\": %zu, \"save\": %zu, "
-                 "\"refit\": %zu}",
-                 st.ingest_ms.size(), st.fit_s.size(), st.save_s.size(),
-                 st.refit_s.size());
+  class_json += "}";
+  const uint64_t waits = queue_wait->count() - wait_n0;
   const std::string result = Fmt(
       "{\"correct\": %s, \"attempted\": %zu, \"failed\": %zu, \"metrics\": ",
       correct ? "true" : "false", t.attempted, t.failed) +
@@ -1585,8 +1524,10 @@ int main(int argc, char** argv) {
         "{\"workload\": \"%s\", \"seed\": %llu, \"seconds\": %g, "
         "\"trace\": %d, \"correct\": %s, \"attempted\": %zu, \"failed\": "
         "%zu, \"wrong\": %zu, \"failed_ratio\": %s, \"coverage\": %s, "
-        "\"samples\": %s, \"end_to_end\": %s, \"per_layer\": %s, "
-        "\"self_time\": %s}\n",
+        "\"rounds\": %zu, \"classes\": %s, \"model_hit_ratio\": %s, "
+        "\"image_ratio\": %s, \"acked_batches\": %zu, \"refits\": %zu, "
+        "\"writer_lag_ms_p50\": %s, \"queue_wait_us_mean\": %s, "
+        "\"end_to_end\": %s, \"per_layer\": %s, \"self_time\": %s}\n",
         opt.workload.c_str(), static_cast<unsigned long long>(opt.seed),
         opt.seconds, opt.trace ? 1 : 0, correct ? "true" : "false",
         t.attempted, t.failed, t.wrong,
@@ -1594,9 +1535,19 @@ int main(int argc, char** argv) {
                                     : static_cast<double>(t.failed) /
                                           static_cast<double>(t.attempted))
             .c_str(),
-        JsonNumber(coverage).c_str(), samples.c_str(),
+        JsonNumber(coverage).c_str(), t.round_ms.size(), class_json.c_str(),
+        JsonNumber(t.hybrid == 0 ? 1.0
+                                 : static_cast<double>(t.model_hits) /
+                                       static_cast<double>(t.hybrid))
+            .c_str(),
+        JsonNumber(st.image_ratio).c_str(), st.acked_batches,
+        st.refit_s.size(), JsonNumber(Median(st.writer_lag_ms)).c_str(),
+        JsonNumber(waits == 0 ? 0.0
+                              : (queue_wait->sum() - wait_sum0) /
+                                    static_cast<double>(waits))
+            .c_str(),
         MetricsJson(e2e).c_str(), MetricsJson(layer).c_str(),
-        breakdown.c_str());
+        self_time.c_str());
     std::fclose(f);
   }
   std::printf("%s\n", result.c_str());

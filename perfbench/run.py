@@ -7,8 +7,8 @@ Run from the root of a checkout:
 
 The build goes to $CARGO_TARGET_DIR/lawsbench (default .bench_build/) and
 is incremental. The last line of stdout is the result object printed by
-the benchmark; the full results (sample counts, failed_ratio, per-class
-self times of a traced run) and the spans of a traced run are written to
+the benchmark; the full results (class medians and sample counts,
+failed_ratio, per-class self times of a traced run) and the spans of a traced run are written to
 the results/ directory beside the build. A failed build exits non-zero
 without a result; a wrong answer or a failed operation exits non-zero
 after a result with "correct": false.
@@ -32,7 +32,7 @@ def build_dir():
 
 
 def build(out_dir):
-    """Configures (once) and builds the benchmark; returns the binary path."""
+    """Configures (once) and builds both binaries; returns their directory."""
     bdir = os.path.join(out_dir, "lawsbench")
     os.makedirs(bdir, exist_ok=True)
     log_path = os.path.join(bdir, "build.log")
@@ -41,7 +41,7 @@ def build(out_dir):
         steps.append(["cmake", "-S", HERE, "-B", bdir,
                       "-DCMAKE_BUILD_TYPE=RelWithDebInfo"])
     steps.append(["cmake", "--build", bdir, "--target", "lawsbench",
-                  "-j", str(os.cpu_count() or 1)])
+                  "lawsbench_traced", "-j", str(os.cpu_count() or 1)])
     with open(log_path, "w") as log:
         for cmd in steps:
             if subprocess.run(cmd, stdout=log, stderr=subprocess.STDOUT,
@@ -50,7 +50,7 @@ def build(out_dir):
                     sys.stderr.write(f.read()[-4000:])
                 sys.stderr.write("run.py: build failed (log: %s)\n" % log_path)
                 sys.exit(2)
-    return os.path.join(bdir, "lawsbench")
+    return bdir
 
 
 def main():
@@ -63,7 +63,11 @@ def main():
     args = p.parse_args()
 
     out_dir = build_dir()
-    binary = build(out_dir)
+    bdir = build(out_dir)
+    # The traced binary counts allocations; untraced runs use the stock
+    # allocator.
+    binary = os.path.join(bdir, "lawsbench_traced" if args.trace
+                          else "lawsbench")
     results = os.path.join(out_dir, "results")
     os.makedirs(results, exist_ok=True)
     stem = os.path.join(results, "%s-seed%d-trace%d" %
