@@ -38,7 +38,10 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
+
+#include <sys/mman.h>
 
 #include "aqp/domain.h"
 #include "aqp/hybrid.h"
@@ -141,6 +144,135 @@ double PeakRssMb() {
   }
   return 0.0;
 }
+
+// ---------------------------------------------------------------------------
+// Host speed. On a shared host, other tenants slow every class at once, by
+// up to 1.5x, for minutes at a time (README.md, Steadiness). The round and
+// latency metrics are divided by a host-speed index taken in the same run,
+// so that two runs compare programs rather than hours.
+
+/// A fixed piece of work that touches nothing of LawsDB: a pass over a
+/// 32 MiB buffer, a chain of dependent reads at random places in it, and a
+/// multiply-xorshift chain, i.e. the streaming, cache-missing and
+/// arithmetic work the read and fit classes do. It runs only while the
+/// system under test is idle, so it times the host, not the program.
+class HostProbe {
+ public:
+  static constexpr size_t kWords = size_t{1} << 22;
+  /// Median kernel time on a quiet 4-vCPU KVM guest; an index of 1 means
+  /// the host ran at that speed.
+  static constexpr double kReferenceMs = 15.0;
+
+  HostProbe() : buf_(kWords) {
+    uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (uint64_t& w : buf_) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      w = x;
+    }
+  }
+
+  /// Runs and times the kernel `reps` times.
+  void Sample(int reps) {
+    for (int i = 0; i < reps; ++i) {
+      const Clock::time_point t0 = Clock::now();
+      sink_ = sink_ ^ Kernel();
+      ms_.push_back(Ms(t0, Clock::now()));
+      parts_.push_back(Parts());
+    }
+  }
+
+  std::vector<double> Parts() {
+    std::vector<double> out;
+    Clock::time_point t = Clock::now();
+    auto lap = [&] {
+      const Clock::time_point n = Clock::now();
+      out.push_back(Ms(t, n));
+      t = n;
+    };
+    uint64_t acc = 0;
+    for (uint64_t w : buf_) acc += w;
+    lap();
+    uint64_t at = acc;
+    for (uint64_t i = 0; i < 50000; ++i) at = buf_[at & (kWords - 1)] ^ i;
+    lap();
+    for (uint64_t i = 0; i < 200000; ++i) {
+      at = buf_[at & ((kWords >> 2) - 1)] ^ i;
+    }
+    lap();
+    uint64_t h = at;
+    for (int i = 0; i < 3000000; ++i) {
+      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+      h ^= h >> 29;
+    }
+    lap();
+    {
+      std::unordered_map<int64_t, std::pair<double, int64_t>> groups;
+      for (size_t i = 0; i < 400000; ++i) {
+        auto& g = groups[static_cast<int64_t>(buf_[i] % 35692)];
+        g.first += static_cast<double>(buf_[i] & 1023);
+        ++g.second;
+      }
+      acc += groups.size();
+    }
+    lap();
+    {
+      std::vector<uint32_t> idx(300000);
+      for (size_t i = 0; i < idx.size(); ++i) {
+        idx[i] = static_cast<uint32_t>(buf_[i] & ((kWords >> 2) - 1));
+      }
+      std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
+        return buf_[a] > buf_[b];
+      });
+      acc += idx[0];
+    }
+    lap();
+    {
+      const size_t bytes = size_t{16} << 20;
+      void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      char* c = static_cast<char*>(p);
+      for (size_t i = 0; i < bytes; i += 4096) c[i] = static_cast<char>(i);
+      acc += static_cast<uint64_t>(c[4096]);
+      munmap(p, bytes);
+    }
+    lap();
+    sink_ = sink_ ^ acc ^ h;
+    return out;
+  }
+  std::vector<std::vector<double>> parts_;
+
+  const std::vector<double>& samples_ms() const { return ms_; }
+
+  /// Median kernel time of the run over the reference time.
+  double Index() const { return Median(ms_) / kReferenceMs; }
+
+  static double BufferMb() { return kWords * 8.0 / (1024.0 * 1024.0); }
+
+ private:
+  uint64_t Kernel() const {
+    uint64_t sum = 0;
+    for (uint64_t w : buf_) sum += w;
+    uint64_t at = sum;
+    for (uint64_t i = 0; i < 50000; ++i) at = buf_[at & (kWords - 1)] ^ i;
+    uint64_t h = at;
+    for (int i = 0; i < 3000000; ++i) {
+      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+      h ^= h >> 29;
+    }
+    return sum ^ at ^ h;
+  }
+
+  std::vector<uint64_t> buf_;
+  std::vector<double> ms_;
+  volatile uint64_t sink_ = 0;
+};
+
+/// Kernel runs before every round of a closed-loop workload, and before
+/// and after the measured window of every workload.
+constexpr int kProbeRepsPerRound = 2;
+constexpr int kProbeRepsIdle = 10;
 
 std::string Fmt(const char* f, ...) __attribute__((format(printf, 1, 2)));
 std::string Fmt(const char* f, ...) {
@@ -846,12 +978,13 @@ double RawColumnBytes(const Catalog& tables) {
 /// Rounds of Fit, Save and Load. Every round starts from the same state:
 /// one table and one captured model.
 void RunCapture(World* world, const Options& opt, TraceLog* log,
-                RunState* st) {
+                HostProbe* probe, RunState* st) {
   Tally& tally = st->tally;
   const SnapshotPtr initial = world->admin->PinSnapshot();
   const Clock::time_point deadline = After(Clock::now(), opt.seconds);
   std::unique_ptr<Table> first_params;
   while (tally.round_ms.size() < kMinRounds || Clock::now() < deadline) {
+    probe->Sample(kProbeRepsPerRound);
     double fit_ms = 0.0, save_ms = 0.0, load_ms = 0.0;
     const size_t failed0 = tally.failed;
     ++tally.attempted;
@@ -923,11 +1056,12 @@ void RunCapture(World* world, const Options& opt, TraceLog* log,
 
 /// Whole read rounds from one analyst session.
 void RunExplore(World* world, const Reference& ref, const Options& opt,
-                TraceLog* log, RunState* st) {
+                TraceLog* log, HostProbe* probe, RunState* st) {
   Rounds rounds(opt.seed, 0);
   const Clock::time_point deadline = After(Clock::now(), opt.seconds);
   auto analyst = Unwrap(world->server->Connect("analyst"), "connect");
   while (st->tally.round_ms.size() < kMinRounds || Clock::now() < deadline) {
+    probe->Sample(kProbeRepsPerRound);
     TimedRound(analyst.get(), *world, ref, rounds.Next(ref), log, true,
                &st->tally);
   }
@@ -1033,7 +1167,7 @@ void RunArchive(World* world, Reference* ref, const Options& opt,
   if (!same) Wrong(&st->tally, "final table is not initial + acked rows");
 }
 
-/// The operation classes whose medians make up latency_geomean_ms.
+/// The operation classes whose medians make up latency_geomean_ms_norm.
 std::vector<std::string> WorkloadClasses(const std::string& workload) {
   if (workload == "capture") return {"fit", "save", "load"};
   std::vector<std::string> c;
@@ -1421,6 +1555,9 @@ Options ParseArgs(int argc, char** argv) {
 int main(int argc, char** argv) {
   const Options opt = ParseArgs(argc, argv);
 
+  // Built first: filling its buffer is not set-up time.
+  HostProbe probe;
+
   // Set up several times; the last world is the one measured.
   Reference ref;
   std::vector<double> setup_s, generate_s;
@@ -1443,13 +1580,16 @@ int main(int argc, char** argv) {
   TraceLog trace_log;
   TraceLog* log = opt.trace ? &trace_log : nullptr;
   RunState st;
+  probe.Sample(kProbeRepsIdle);
   if (opt.workload == "capture") {
-    RunCapture(&world, opt, log, &st);
+    RunCapture(&world, opt, log, &probe, &st);
   } else if (opt.workload == "explore") {
-    RunExplore(&world, ref, opt, log, &st);
+    RunExplore(&world, ref, opt, log, &probe, &st);
   } else {
     RunArchive(&world, &ref, opt, log, &st);
   }
+  probe.Sample(kProbeRepsIdle);
+  const double host = probe.Index();
 
   const Tally& t = st.tally;
   const double coverage =
@@ -1472,12 +1612,13 @@ int main(int argc, char** argv) {
   };
   double log_sum = 0.0;
   for (const std::string& c : classes) log_sum += std::log(Median(lat(c)));
+  const double geomean_ms =
+      std::exp(log_sum / static_cast<double>(classes.size()));
   Metrics e2e;
   e2e.Set("setup_s", Median(setup_s), "s");
-  e2e.Set("round_s", Median(t.round_ms) / 1e3, "s");
-  e2e.Set("latency_geomean_ms",
-          std::exp(log_sum / static_cast<double>(classes.size())), "ms");
-  e2e.Set("peak_rss_mb", PeakRssMb(), "MB");
+  e2e.Set("round_s_norm", Median(t.round_ms) / 1e3 / host, "s");
+  e2e.Set("latency_geomean_ms_norm", geomean_ms / host, "ms");
+  e2e.Set("peak_rss_mb", PeakRssMb() - HostProbe::BufferMb(), "MB");
 
   Metrics layer;
   std::string self_time = "{}";
@@ -1505,12 +1646,21 @@ int main(int argc, char** argv) {
     for (double ms : v) {
       samples += (samples.empty() ? "" : ", ") + JsonNumber(ms);
     }
-    class_json += Fmt("%s\"%s\": {\"n\": %zu, \"p50_ms\": %s, \"ms\": [",
+    class_json += Fmt("%s\"%s\": {\"n\": %zu, \"p10_ms\": %s, \"p50_ms\": %s, "
+                      "\"ms\": [",
                       class_json.size() == 1 ? "" : ", ", cls.c_str(),
-                      v.size(), JsonNumber(Median(v)).c_str()) +
+                      v.size(), JsonNumber(Percentile(v, 0.10)).c_str(),
+                      JsonNumber(Median(v)).c_str()) +
                   samples + "]}";
   }
   class_json += "}";
+  auto json_list = [](const std::vector<double>& v) {
+    std::string s = "[";
+    for (size_t i = 0; i < v.size(); ++i) {
+      s += (i == 0 ? "" : ", ") + JsonNumber(v[i]);
+    }
+    return s + "]";
+  };
   const uint64_t waits = queue_wait->count() - wait_n0;
   const std::string result = Fmt(
       "{\"correct\": %s, \"attempted\": %zu, \"failed\": %zu, \"metrics\": ",
@@ -1527,6 +1677,8 @@ int main(int argc, char** argv) {
         "\"rounds\": %zu, \"classes\": %s, \"model_hit_ratio\": %s, "
         "\"image_ratio\": %s, \"acked_batches\": %zu, \"refits\": %zu, "
         "\"writer_lag_ms_p50\": %s, \"queue_wait_us_mean\": %s, "
+        "\"round_s\": %s, \"latency_geomean_ms\": %s, \"host_index\": %s, "
+        "\"host_probe_ms\": %s, \"round_ms\": %s, "
         "\"end_to_end\": %s, \"per_layer\": %s, \"self_time\": %s}\n",
         opt.workload.c_str(), static_cast<unsigned long long>(opt.seed),
         opt.seconds, opt.trace ? 1 : 0, correct ? "true" : "false",
@@ -1546,6 +1698,14 @@ int main(int argc, char** argv) {
                               : (queue_wait->sum() - wait_sum0) /
                                     static_cast<double>(waits))
             .c_str(),
+        JsonNumber(Median(t.round_ms) / 1e3).c_str(),
+        JsonNumber(geomean_ms).c_str(), JsonNumber(host).c_str(),
+        (json_list(probe.samples_ms()) + ", \"parts\": [" + [&] {
+          std::string s;
+          for (const auto& p : probe.parts_) s += (s.empty() ? "" : ", ") + json_list(p);
+          return s;
+        }() + "]").c_str(),
+        json_list(t.round_ms).c_str(),
         MetricsJson(e2e).c_str(), MetricsJson(layer).c_str(),
         self_time.c_str());
     std::fclose(f);
