@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   double governed_total = 0.0;
   // The headline gate is the geometric mean of the per-shape governed/
   // plain ratios: every shape counts equally, so the slowest shape's
-  // run-to-run noise (the 600 ms sort swings ±5% on this box) does not
-  // drown out the three fast ones.
+  // run-to-run noise (the ~150 ms group-aggregate swings a few percent
+  // on a shared 4-core box) does not drown out the faster ones.
   double log_ratio_sum = 0.0;
   int shape_count = 0;
   for (const Shape& shape : shapes) {

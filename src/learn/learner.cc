@@ -242,7 +242,7 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
       // scans over unchanged data harvest nothing twice — intervals
       // tighten only on genuinely new observations.
       size_t begin = 0, end = 0;
-      uint64_t reserved_version = 0;
+      uint64_t reserved_resets = 0;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = candidates_.find(key);
@@ -273,10 +273,11 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
           cand.seen_rows = 0;
           cand.solved_count = 0;
           cand.tainted = false;
+          ++cand.resets;
           counters.candidates_reset->Add();
         }
         cand.seen_version = table.data_version();
-        reserved_version = cand.seen_version;
+        reserved_resets = cand.resets;
         begin = cand.seen_rows;
         end = std::min(table.num_rows(), begin + options_.max_rows_per_scan);
         cand.seen_rows = end;
@@ -319,15 +320,15 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
       // Phase 3 (locked): merge into the stored accumulator, unless the
       // candidate was reset behind our back (then the local rows belong
       // to a dead lineage and are dropped; the reset candidate will
-      // re-reserve them).
+      // re-reserve them). An append that only moved the data version
+      // keeps the lineage: rows [begin, end) are unchanged, and dropping
+      // them would leave a reserved range the accumulator never folds.
       {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = candidates_.find(key);
         if (it == candidates_.end()) continue;
         Candidate& cand = it->second;
-        if (cand.seen_version != reserved_version || cand.seen_rows < end) {
-          continue;
-        }
+        if (cand.resets != reserved_resets) continue;
         if (aborted) {
           // Rows [begin, end) are reserved but (partly) unfolded: the
           // accumulator no longer matches the row range, so the batch

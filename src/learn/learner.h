@@ -169,6 +169,9 @@ class Learner : public LearningObserver {
     /// scans of unchanged data harvest nothing twice.
     size_t seen_rows = 0;
     uint64_t seen_version = 0;
+    /// Bumped when the table is replaced and the accumulator restarts; a
+    /// harvest reserved before the bump belongs to a dead lineage.
+    uint64_t resets = 0;
     /// acc.count() at the last Apply attempt; gates re-solving.
     size_t solved_count = 0;
     /// Catalog id once promoted/adopted; 0 while still a candidate.

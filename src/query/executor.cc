@@ -1,10 +1,12 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -341,50 +343,139 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
   return out;
 }
 
-Result<Table> SortRows(Table table, const SelectStatement& stmt,
-                       const std::vector<std::unique_ptr<Expr>>& keys) {
-  if (keys.empty()) return table;
-  ScopedCharge charge;
-  std::vector<Column> key_cols;
-  for (const auto& k : keys) {
+// ORDER BY codes (DESIGN.md §11): every key value maps to a uint64 whose
+// unsigned order is the total order numbers < NaN < strings < NULL.
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+constexpr uint64_t kNanCode = 0xFFF0000000000001ull;  // just above +inf
+constexpr uint64_t kNullCode = ~uint64_t{0};
+
+/// Positive doubles gain the sign bit and negative ones flip every bit, so
+/// unsigned order is numeric order. -0.0 folds to 0.0 and every NaN bit
+/// pattern shares one code.
+uint64_t NumberOrderCode(double d) {
+  if (std::isnan(d)) return kNanCode;
+  if (d == 0.0) d = 0.0;
+  const uint64_t bits = std::bit_cast<uint64_t>(d);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+/// Fills `codes[row]` with `code_of(row)`, or the NULL code, XOR `flip`.
+template <typename CodeOf>
+Status FillOrderCodes(const Column& col, CodeOf code_of, uint64_t flip,
+                      std::vector<uint64_t>* codes) {
+  const size_t n = col.size();
+  for (size_t begin = 0; begin < n; begin += kGovernorPollStride) {
     LAWS_GOVERNOR_POLL();
-    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExprAuto(*k, table));
-    LAWS_RETURN_IF_ERROR(charge.Acquire(c.MemoryBytes(), "sort keys"));
-    key_cols.push_back(std::move(c));
+    const size_t end = std::min(n, begin + kGovernorPollStride);
+    for (size_t r = begin; r < end; ++r) {
+      (*codes)[r] = (col.IsNull(r) ? kNullCode : code_of(r)) ^ flip;
+    }
   }
-  LAWS_RETURN_IF_ERROR(charge.Acquire(
-      table.num_rows() * sizeof(uint32_t), "sort permutation"));
-  std::vector<uint32_t> perm(table.num_rows());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
+  return Status::OK();
+}
+
+/// ORDER BY keys as order codes, [key][row]. Less() compares them key by
+/// key and breaks ties on row id. The order is therefore total: std::sort
+/// reproduces a stable sort exactly, and a top-k selection keeps exactly
+/// the first k rows of it.
+struct OrderKeys {
+  std::vector<std::vector<uint64_t>> codes;
+
+  int Compare(uint32_t x, uint32_t y) const {
+    for (const std::vector<uint64_t>& c : codes) {
+      if (c[x] != c[y]) return c[x] < c[y] ? -1 : 1;
+    }
+    return 0;
+  }
+  bool Less(uint32_t x, uint32_t y) const {
+    const int c = Compare(x, y);
+    return c != 0 ? c < 0 : x < y;
+  }
+};
+
+/// The first `k` of `n` rows under `keys`, in order: a bounded max-heap
+/// over row ids, O(n log k), polling the governor between strides.
+Result<std::vector<uint32_t>> SelectTopK(const OrderKeys& keys, size_t n,
+                                         size_t k) {
+  const auto less = [&](uint32_t x, uint32_t y) {
+#ifdef LAWS_TESTING_INJECT_BUG
+    // Deliberate tie-break inversion for the mutation smoke check in
+    // tools/check_differential.sh: of two tied rows the later one wins.
+    // Never defined in production builds.
+    if (keys.Compare(x, y) == 0) return x > y;
+#endif
+    return keys.Less(x, y);
+  };
+  std::vector<uint32_t> heap;
+  heap.reserve(k);
+  for (size_t begin = 0; begin < n; begin += kGovernorPollStride) {
+    LAWS_GOVERNOR_POLL();
+    const size_t end = std::min(n, begin + kGovernorPollStride);
+    for (size_t r = begin; r < end; ++r) {
+      const uint32_t row = static_cast<uint32_t>(r);
+      if (heap.size() < k) {
+        heap.push_back(row);
+        std::push_heap(heap.begin(), heap.end(), less);
+      } else if (k > 0 && less(row, heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), less);
+        heap.back() = row;
+        std::push_heap(heap.begin(), heap.end(), less);
+      }
+    }
+  }
+  std::sort_heap(heap.begin(), heap.end(), less);
+  return heap;
+}
+
+/// ORDER BY over normalized keys. With `top_k` >= 0 only the first top_k
+/// rows are selected and gathered; otherwise every row is sorted.
+Result<Table> SortRows(const Table& table, const SelectStatement& stmt,
+                       const std::vector<std::unique_ptr<Expr>>& keys,
+                       int64_t top_k) {
+  ScopedCharge charge;
+  const size_t n = table.num_rows();
+  OrderKeys order;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    LAWS_GOVERNOR_POLL();
+    // A column reference is read in place; other keys are evaluated once.
+    const Column* col = nullptr;
+    Column evaluated(DataType::kInt64);
+    if (keys[k]->kind == ExprKind::kColumnRef) {
+      LAWS_ASSIGN_OR_RETURN(col, table.ColumnByName(keys[k]->column_name));
+    } else {
+      LAWS_ASSIGN_OR_RETURN(evaluated, EvaluateExprAuto(*keys[k], table));
+      col = &evaluated;
+    }
+    LAWS_RETURN_IF_ERROR(charge.Acquire(n * sizeof(uint64_t), "sort keys"));
+    LAWS_ASSIGN_OR_RETURN(std::vector<uint64_t> codes,
+                          OrderCodes(*col, stmt.order_by[k].ascending));
+    order.codes.push_back(std::move(codes));
+  }
+  if (top_k >= 0) {
+    const size_t k = static_cast<size_t>(top_k);
+    LAWS_RETURN_IF_ERROR(
+        charge.Acquire(k * sizeof(uint32_t), "sort permutation"));
+    LAWS_ASSIGN_OR_RETURN(std::vector<uint32_t> top,
+                          SelectTopK(order, n, k));
+    return table.GatherRows(top);
+  }
+  LAWS_RETURN_IF_ERROR(
+      charge.Acquire(n * sizeof(uint32_t), "sort permutation"));
+  std::vector<uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), uint32_t{0});
   // The comparator cannot return an error, so deadline/cancel are
-  // observed between comparisons and surfaced after the sort: track the
-  // first tripped status and re-check before gathering. (stable_sort
-  // must run to completion for the comparator to stay well-defined.)
-  bool incomparable = false;
+  // observed between comparisons and surfaced after the sort.
   size_t comparisons = 0;
   Status tripped;
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
+  std::sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
     if (tripped.ok() && ++comparisons % kGovernorPollStride == 0) {
       if (QueryGovernor* gov = QueryGovernor::Current()) {
         tripped = gov->Poll();
       }
     }
-    for (size_t k = 0; k < key_cols.size(); ++k) {
-      int c = CompareOrderValues(key_cols[k].GetValue(x),
-                                 key_cols[k].GetValue(y), &incomparable);
-      if (!stmt.order_by[k].ascending) c = -c;
-      if (c != 0) return c < 0;
-    }
-    return false;
+    return order.Less(x, y);
   });
   if (!tripped.ok()) return tripped;
-  if (incomparable) {
-    // The comparator stayed a valid total order (type-ranked), so the
-    // sort itself was well-defined — but silently interleaving strings
-    // with numbers would hide a type bug, so surface it instead.
-    return Status::TypeMismatch(
-        "ORDER BY key mixes string and numeric values");
-  }
   return table.GatherRows(perm);
 }
 
@@ -546,7 +637,7 @@ std::unique_ptr<Expr> SubstituteAliases(const Expr& expr,
 
 }  // namespace
 
-int CompareOrderValues(const Value& a, const Value& b, bool* incomparable) {
+int CompareOrderValues(const Value& a, const Value& b) {
   const bool an = a.is_null();
   const bool bn = b.is_null();
   if (an || bn) {
@@ -558,12 +649,7 @@ int CompareOrderValues(const Value& a, const Value& b, bool* incomparable) {
   if (as && bs) {
     return a.str() < b.str() ? -1 : (a.str() == b.str() ? 0 : 1);
   }
-  if (as != bs) {
-    // Mixed string/number: rank numbers (and NaN) before strings so the
-    // order stays total, and flag the pair as incomparable.
-    if (incomparable != nullptr) *incomparable = true;
-    return as ? 1 : -1;
-  }
+  if (as != bs) return as ? 1 : -1;  // numbers (and NaN) before strings
   // Both numeric: AsDouble cannot fail for non-null, non-string values.
   const double x = *a.AsDouble();
   const double y = *b.AsDouble();
@@ -574,6 +660,52 @@ int CompareOrderValues(const Value& a, const Value& b, bool* incomparable) {
     return xn ? 1 : -1;      // numbers < NaN
   }
   return x < y ? -1 : (x == y ? 0 : 1);
+}
+
+Result<std::vector<uint64_t>> OrderCodes(const Column& col, bool ascending) {
+  std::vector<uint64_t> codes(col.size());
+  const uint64_t flip = ascending ? 0 : ~uint64_t{0};
+  switch (col.type()) {
+    case DataType::kInt64:
+      LAWS_RETURN_IF_ERROR(FillOrderCodes(
+          col,
+          [&](size_t r) {
+            return NumberOrderCode(static_cast<double>(col.Int64At(r)));
+          },
+          flip, &codes));
+      break;
+    case DataType::kDouble:
+      LAWS_RETURN_IF_ERROR(FillOrderCodes(
+          col, [&](size_t r) { return NumberOrderCode(col.DoubleAt(r)); },
+          flip, &codes));
+      break;
+    case DataType::kBool:
+      LAWS_RETURN_IF_ERROR(FillOrderCodes(
+          col,
+          [&](size_t r) { return NumberOrderCode(col.BoolAt(r) ? 1.0 : 0.0); },
+          flip, &codes));
+      break;
+    case DataType::kString: {
+      // Dictionary codes follow insertion order, so rank the dictionary by
+      // text once; equal texts share a rank.
+      const std::vector<std::string>& dict = col.dictionary();
+      std::vector<uint32_t> by_text(dict.size());
+      std::iota(by_text.begin(), by_text.end(), uint32_t{0});
+      std::sort(by_text.begin(), by_text.end(),
+                [&](uint32_t a, uint32_t b) { return dict[a] < dict[b]; });
+      std::vector<uint64_t> rank(dict.size());
+      uint64_t code = kNanCode;
+      for (size_t i = 0; i < by_text.size(); ++i) {
+        if (i == 0 || dict[by_text[i]] != dict[by_text[i - 1]]) ++code;
+        rank[by_text[i]] = code;
+      }
+      const std::vector<uint32_t>& ids = col.string_codes();
+      LAWS_RETURN_IF_ERROR(FillOrderCodes(
+          col, [&](size_t r) { return rank[ids[r]]; }, flip, &codes));
+      break;
+    }
+  }
+  return codes;
 }
 
 // Note: `source` must already incorporate the statement's JOIN when one is
@@ -748,10 +880,21 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
   }
 
   // 4. ORDER BY is applied before projection (it may reference
-  // non-projected columns); LIMIT waits until after DISTINCT.
+  // non-projected columns); LIMIT waits until after DISTINCT. Without
+  // DISTINCT, and when every projected item is a column reference, only
+  // the first LIMIT rows are selected: projecting a column cannot fail,
+  // so no error can hide in the rows past the limit (DESIGN.md §11).
   Table sorted{Schema{}};
   if (!order_exprs.empty()) {
     ScopedSpan span("Sort");
+    const size_t rows_in = current->num_rows();
+    const bool top_k =
+        stmt.limit >= 0 && static_cast<size_t>(stmt.limit) < rows_in &&
+        !stmt.distinct &&
+        std::all_of(projected_items.begin(), projected_items.end(),
+                    [](const SelectItem& item) {
+                      return item.expr->kind == ExprKind::kColumnRef;
+                    });
     if (span.active()) {
       std::string keys;
       for (size_t k = 0; k < stmt.order_by.size(); ++k) {
@@ -759,10 +902,13 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
         keys += order_exprs[k]->ToString();
         keys += stmt.order_by[k].ascending ? " ASC" : " DESC";
       }
+      keys += top_k ? " | top " + std::to_string(stmt.limit) + " of " +
+                          std::to_string(rows_in)
+                    : " | full";
       span.SetDetail(keys);
     }
-    const size_t rows_in = current->num_rows();
-    LAWS_ASSIGN_OR_RETURN(sorted, SortRows(*current, stmt, order_exprs));
+    LAWS_ASSIGN_OR_RETURN(sorted, SortRows(*current, stmt, order_exprs,
+                                           top_k ? stmt.limit : -1));
     LAWS_RETURN_IF_ERROR(
         pipeline_charge.Acquire(sorted.MemoryBytes(), "sort output"));
     current = &sorted;

@@ -25,19 +25,25 @@ Result<Table> ExecuteSelectOnTable(const Table& table,
 
 /// Three-way comparison defining the total order used by ORDER BY:
 /// numbers (int64/double/bool, compared as doubles) < NaN < strings <
-/// NULL, ascending. Every NaN compares equal to every other NaN, so the
-/// order is a valid strict weak ordering even over NaN-bearing keys
-/// (std::stable_sort requires this; the previous comparator returned the
-/// same sign for NaN compared in either direction, which is UB).
+/// NULL, ascending. Every NaN compares equal to every other NaN, and -0.0
+/// equals 0.0, so the order is a valid strict weak ordering even over
+/// NaN-bearing keys.
 ///
-/// A number-vs-string pair has no meaningful order; it is still ranked
-/// deterministically (numbers first) to keep the comparator total, and
-/// reported through `incomparable` (set to true, never cleared) so
-/// callers can surface a type error instead of silently sorting — per-
-/// column typing makes this unreachable from SQL today, but the executor
-/// sorts Values, not columns, so the comparator must stay defensive.
-int CompareOrderValues(const Value& a, const Value& b,
-                       bool* incomparable = nullptr);
+/// The executor does not call this per comparison: it maps each typed key
+/// column to order-preserving uint64 codes once (DESIGN.md §11). This
+/// boxed comparator is the reference those codes are tested against. A
+/// column holds one type, so the number-vs-string ranking only matters
+/// for comparing Values of different columns.
+int CompareOrderValues(const Value& a, const Value& b);
+
+/// ORDER BY's normalized keys: one uint64 per row of `col` whose unsigned
+/// order is CompareOrderValues' order of the row values, ties included;
+/// DESC inverts every code. Numbers map through their double value, every
+/// NaN to one code above +inf, a string to a code above that by its rank
+/// in the column's dictionary, and NULL to the top code. Number, NaN and
+/// NULL codes are the same in every column; string codes only compare
+/// within one column. Polls the current governor.
+Result<std::vector<uint64_t>> OrderCodes(const Column& col, bool ascending);
 
 /// Renders the execution plan for a statement as indented text, one
 /// operator per line, innermost (scan) last — a minimal EXPLAIN for

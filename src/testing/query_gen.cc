@@ -367,6 +367,7 @@ class CaseGen {
 
     std::vector<std::string> key_texts;
     std::vector<std::string> order_pool;  // texts valid as ORDER BY keys
+    bool columns_only = false;            // every item is a column
 
     if (is_agg) {
       const int64_t num_keys = rng_.UniformInt(0, 2);
@@ -435,14 +436,20 @@ class CaseGen {
                (rng_.Bernoulli(0.8) ? IntLit() : DblLit()) + ")";
       }
     } else {
-      const bool star = rng_.Bernoulli(0.12);
-      if (star) {
+      // SELECT * and plain column lists are the shapes whose ORDER BY ...
+      // LIMIT the executor serves by top-k selection, so they draw ORDER
+      // BY and LIMIT more often below.
+      const double shape = rng_.NextDouble();
+      columns_only = shape < 0.30;
+      if (shape < 0.12) {
         sql += "*";
         order_pool = num_cols_;
       } else {
         const int64_t num_items = rng_.UniformInt(1, 4);
         for (int64_t i = 0; i < num_items; ++i) {
-          std::string item = AnyExpr();
+          std::string item = !columns_only       ? AnyExpr()
+                             : rng_.Bernoulli(0.8) ? PickFrom(num_cols_)
+                                                   : PickFrom(str_cols_);
           order_pool.push_back(item);
           if (rng_.Bernoulli(0.25)) {
             // Aliases usually fresh; occasionally shadowing a real column
@@ -466,7 +473,7 @@ class CaseGen {
       order_pool.push_back(PickFrom(str_cols_));
     }
 
-    if (!order_pool.empty() && rng_.Bernoulli(0.45)) {
+    if (!order_pool.empty() && rng_.Bernoulli(columns_only ? 0.8 : 0.45)) {
       sql += " " + Kw("ORDER") + " " + Kw("BY") + " ";
       const int64_t num_keys =
           rng_.UniformInt(1, std::min<int64_t>(3, order_pool.size()));
@@ -478,8 +485,10 @@ class CaseGen {
         }
       }
     }
-    if (rng_.Bernoulli(0.30)) {
-      sql += " " + Kw("LIMIT") + " " + std::to_string(rng_.UniformInt(0, 25));
+    if (rng_.Bernoulli(columns_only ? 0.6 : 0.30)) {
+      // Small limits usually cut into the (often filtered) rows.
+      const int64_t limit = rng_.UniformInt(0, columns_only ? 10 : 25);
+      sql += " " + Kw("LIMIT") + " " + std::to_string(limit);
     }
     if (rng_.Bernoulli(0.08)) sql += " -- seeded tail comment";
     return sql;

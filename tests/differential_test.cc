@@ -175,6 +175,25 @@ TEST(DifferentialTest, LearningSweepMatchesReference) {
   EXPECT_GT(report.harvested_rows, 0u) << report.Summary();
 }
 
+/// Three rows, two of them tied on g, under ORDER BY g DESC LIMIT 1: the
+/// top-k path must keep the earlier tied row.
+GenTable TopKTieCase() {
+  GenTable t;
+  t.name = "t0";
+  t.columns = {GenColumn{"g", DataType::kInt64, false},
+               GenColumn{"v", DataType::kInt64, false}};
+  t.rows = {{Value::Int64(1), Value::Int64(10)},
+            {Value::Int64(1), Value::Int64(20)},
+            {Value::Int64(0), Value::Int64(30)}};
+  return t;
+}
+
+SelectStatement TopKTieStatement() {
+  Result<SelectStatement> stmt =
+      ParseSelect("SELECT g, v FROM t0 ORDER BY g DESC LIMIT 1");
+  return std::move(*stmt);
+}
+
 #ifdef LAWS_TESTING_INJECT_BUG
 // Self-test of the harness: with the planted hash-aggregate off-by-one
 // (the numeric sweep drops the last input row), this exact case must be
@@ -229,6 +248,15 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedZoneMapBug) {
       << "injected zone-map pruning bug was not detected";
 }
 
+// The top-k sort's planted mutant inverts the row-id tie-break, so of two
+// rows tied on every ORDER BY key the later one survives the LIMIT. The
+// oracle sorts everything stably and then truncates, so it keeps row 0.
+TEST(DifferentialTest, MutationSmokeCatchesInjectedTopKBug) {
+  const CaseDiff diff = DiffCase({TopKTieCase()}, TopKTieStatement());
+  EXPECT_FALSE(diff.reason.empty())
+      << "injected top-k tie-break bug was not detected";
+}
+
 // The learning loop's planted mutant corrupts one merged sufficient
 // statistic in IncrementalOls::Merge — the exact class of bug (a subtly
 // wrong harvest accumulator) the learning leg exists to catch. Only the
@@ -275,6 +303,11 @@ TEST(DifferentialTest, ZoneMapMutationSmokeCaseAgreesWhenHealthy) {
   auto stmt = ParseSelect("SELECT ia FROM t0 WHERE ia >= 17");
   ASSERT_TRUE(stmt.ok());
   const CaseDiff diff = DiffCase({t}, *stmt);
+  EXPECT_TRUE(diff.reason.empty()) << diff.reason;
+}
+
+TEST(DifferentialTest, TopKMutationSmokeCaseAgreesWhenHealthy) {
+  const CaseDiff diff = DiffCase({TopKTieCase()}, TopKTieStatement());
   EXPECT_TRUE(diff.reason.empty()) << diff.reason;
 }
 

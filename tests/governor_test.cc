@@ -413,6 +413,46 @@ TEST(GovernedQueryTest, SortAndDistinctHonorCancellation) {
   EXPECT_EQ(distinct.status().code(), StatusCode::kCanceled);
 }
 
+// ORDER BY ... LIMIT over a million rows takes the top-k path, whose key
+// normalization and selection loops poll the governor every stride.
+TEST(GovernedQueryTest, TopKSortHonorsCancelAndDeadline) {
+  constexpr size_t kRows = size_t{1} << 20;
+  std::vector<int64_t> ids(kRows);
+  std::vector<double> values(kRows);
+  Rng rng(29);
+  for (size_t i = 0; i < kRows; ++i) {
+    ids[i] = static_cast<int64_t>(i);
+    values[i] = rng.NextDouble();
+  }
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64Vector(std::move(ids)));
+  cols.push_back(Column::FromDoubleVector(std::move(values)));
+  auto table = Table::FromColumns(
+      Schema({Field{"id", DataType::kInt64, false},
+              Field{"v", DataType::kDouble, false}}),
+      std::move(cols));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Catalog cat;
+  cat.RegisterOrReplace("big", std::make_shared<Table>(std::move(*table)));
+  const char* sql = "SELECT id, v FROM big ORDER BY v DESC LIMIT 10";
+  auto plain = ExecuteQuery(cat, sql);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->num_rows(), 10u);
+
+  QueryContext canceled{ResourceLimits{}};
+  canceled.Cancel();
+  auto stopped = canceled.Run([&] { return ExecuteQuery(cat, sql); });
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCanceled);
+  EXPECT_GT(canceled.governor().polls(), 0u);
+
+  ResourceLimits limits;
+  limits.timeout_micros = 1000;
+  QueryContext timed(limits);
+  auto late = timed.Run([&] { return ExecuteQuery(cat, sql); });
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(timed.governor().polls(), 0u);
+}
+
 TEST(GovernedQueryTest, ExplainAnalyzeRendersGovernorLineAndStopLine) {
   Catalog cat = MakeQueryCatalog();
   QueryContext ok_ctx{ResourceLimits{}};

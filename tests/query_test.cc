@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "query/executor.h"
 #include "query/expr_eval.h"
@@ -816,32 +820,15 @@ TEST(NanOrderTest, ComparatorIsATotalOrder) {
   EXPECT_EQ(CompareOrderValues(Value::Bool(true), Value::Int64(1)), 0);
 }
 
-TEST(NanOrderTest, MixedStringNumberKeysAreFlaggedIncomparable) {
-  // A string never has a numeric order against a number. The comparator
-  // used to return 0 ("equal") when AsDouble() failed, silently sorting
-  // incomparable keys as ties; now it ranks deterministically and sets
-  // the flag so SortRows can propagate a type error.
-  bool incomparable = false;
-  EXPECT_EQ(CompareOrderValues(Value::Double(1.0), Value::String("a"),
-                               &incomparable),
-            -1);
-  EXPECT_TRUE(incomparable);
-  incomparable = false;
-  EXPECT_EQ(CompareOrderValues(Value::String("a"), Value::Double(1.0),
-                               &incomparable),
-            1);
-  EXPECT_TRUE(incomparable);
-  // Comparable pairs never touch the flag.
-  incomparable = false;
-  EXPECT_EQ(CompareOrderValues(Value::String("a"), Value::String("b"),
-                               &incomparable),
-            -1);
-  EXPECT_EQ(CompareOrderValues(Value::String("a"), Value::Null(),
-                               &incomparable),
-            -1);
-  EXPECT_FALSE(incomparable);
-  // NaN still ranks before strings so the order stays transitive even in
-  // the flagged case.
+TEST(NanOrderTest, StringsRankAfterNumbersAndNanBeforeNull) {
+  // A string has no numeric order against a number; the comparator still
+  // ranks the families (numbers < NaN < strings < NULL) so the order stays
+  // total and transitive. The comparator used to return 0 ("equal") when
+  // AsDouble() failed, silently sorting such keys as ties.
+  EXPECT_EQ(CompareOrderValues(Value::Double(1.0), Value::String("a")), -1);
+  EXPECT_EQ(CompareOrderValues(Value::String("a"), Value::Double(1.0)), 1);
+  EXPECT_EQ(CompareOrderValues(Value::String("a"), Value::String("b")), -1);
+  EXPECT_EQ(CompareOrderValues(Value::String("a"), Value::Null()), -1);
   EXPECT_EQ(CompareOrderValues(Value::Double(kNan), Value::String("a")), -1);
 }
 
@@ -940,7 +927,8 @@ TEST(ExplainAnalyzeTest, RendersStageTreeWithRowsAndTimings) {
   EXPECT_NE(text->find("cmpgt.f64"), std::string::npos);
   EXPECT_NE(text->find("rows=6->5"), std::string::npos);
   EXPECT_NE(text->find("HashAggregate(v)  rows=5->4"), std::string::npos);
-  EXPECT_NE(text->find("Sort(__key0 ASC)  rows=4->4"), std::string::npos);
+  EXPECT_NE(text->find("Sort(__key0 ASC | full)  rows=4->4"),
+            std::string::npos);
   EXPECT_NE(text->find("time="), std::string::npos);
   // Expression-tier accounting rides below the tree.
   EXPECT_NE(text->find("expr: engine=bytecode compiled="),
@@ -1155,6 +1143,245 @@ TEST(TypeUnificationRegressionTest, NumericAggregateOverStringAlwaysErrors) {
   // MIN/MAX over strings stay legal.
   auto ok = ExecuteQuery(cat, "SELECT MIN(s), MAX(s) FROM e");
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
+// --- ORDER BY over normalized keys, and top-k ORDER BY ... LIMIT ----------
+
+constexpr int64_t k2Pow53 = int64_t{1} << 53;
+
+/// Twelve rows salted with every ordering edge (DESIGN.md §11):
+///   id  INT64 NOT NULL  row id, 0..11
+///   d   DOUBLE          NaN of both signs, NULL, +0.0 and -0.0, repeats
+///   i   INT64           2^53 and 2^53 + 1 (equal as doubles), 2^53 - 1
+///   b   BOOL            true/false/NULL
+///   s   STRING          dictionary (insertion) order != text order
+Catalog MakeOrderEdgeCatalog() {
+  Catalog cat;
+  auto t = std::make_shared<Table>(
+      Schema({Field{"id", DataType::kInt64, false},
+              Field{"d", DataType::kDouble, true},
+              Field{"i", DataType::kInt64, true},
+              Field{"b", DataType::kBool, true},
+              Field{"s", DataType::kString, true}}));
+  const double neg_nan = std::copysign(kNan, -1.0);
+  const Value null = Value::Null();
+  const std::vector<std::vector<Value>> rows = {
+      {Value::Double(kNan), Value::Int64(k2Pow53 + 1), Value::Bool(true),
+       Value::String("zeta")},
+      {Value::Double(-0.0), Value::Int64(k2Pow53), Value::Bool(false),
+       Value::String("alpha")},
+      {null, Value::Int64(k2Pow53 - 1), null, Value::String("Beta")},
+      {Value::Double(1.5), Value::Int64(k2Pow53 + 1), Value::Bool(true), null},
+      {Value::Double(0.0), null, Value::Bool(false), Value::String("")},
+      {Value::Double(neg_nan), Value::Int64(k2Pow53), Value::Bool(true),
+       Value::String("alpha")},
+      {Value::Double(-2.0), Value::Int64(-3), null, Value::String("mid")},
+      {Value::Double(-0.0), Value::Int64(k2Pow53 + 1), Value::Bool(false),
+       Value::String("zeta")},
+      {null, Value::Int64(k2Pow53), Value::Bool(true), Value::String("")},
+      {Value::Double(1.5), null, Value::Bool(false), Value::String("Beta")},
+      {Value::Double(kNan), Value::Int64(-3), Value::Bool(true), null},
+      {Value::Double(0.0), Value::Int64(k2Pow53 - 1), null,
+       Value::String("alpha")},
+  };
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<Value> row = {Value::Int64(static_cast<int64_t>(r))};
+    row.insert(row.end(), rows[r].begin(), rows[r].end());
+    EXPECT_TRUE(t->AppendRow(row).ok());
+  }
+  cat.RegisterOrReplace("k", t);
+  return cat;
+}
+
+std::vector<int64_t> ColumnInts(const Table& t, size_t col) {
+  std::vector<int64_t> out;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    out.push_back(t.GetValue(r, col).int64());
+  }
+  return out;
+}
+
+TEST(OrderByTest, FullSortMatchesStableSortOverCompareOrderValues) {
+  Catalog cat = MakeOrderEdgeCatalog();
+  TablePtr table = *cat.Get("k");
+  const struct {
+    const char* order_by;
+    std::vector<std::pair<size_t, bool>> keys;  // column, ascending
+  } cases[] = {
+      {"d", {{1, true}}},
+      {"d DESC", {{1, false}}},
+      {"i", {{2, true}}},
+      {"i DESC", {{2, false}}},
+      {"b", {{3, true}}},
+      {"b DESC", {{3, false}}},
+      {"s", {{4, true}}},
+      {"s DESC", {{4, false}}},
+      {"b, d DESC", {{3, true}, {1, false}}},
+      {"s DESC, i", {{4, false}, {2, true}}},
+      {"i DESC, b, d", {{2, false}, {3, true}, {1, true}}},
+  };
+  for (const auto& c : cases) {
+    // The reference: the boxed comparator under std::stable_sort.
+    std::vector<int64_t> expect(table->num_rows());
+    std::iota(expect.begin(), expect.end(), int64_t{0});
+    std::stable_sort(expect.begin(), expect.end(), [&](int64_t x, int64_t y) {
+      for (const auto& [col, asc] : c.keys) {
+        const int cmp = CompareOrderValues(table->GetValue(x, col),
+                                           table->GetValue(y, col));
+        if (cmp != 0) return asc ? cmp < 0 : cmp > 0;
+      }
+      return false;
+    });
+    auto full = ExecuteQuery(
+        cat, std::string("SELECT * FROM k ORDER BY ") + c.order_by);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    EXPECT_EQ(ColumnInts(*full, 0), expect) << c.order_by;
+  }
+}
+
+TEST(OrderByTest, TopKEqualsFullSortThenLimitForEveryK) {
+  Catalog cat = MakeOrderEdgeCatalog();
+  const size_t n = 12;
+  for (const char* order_by :
+       {"d", "d DESC", "i", "i DESC", "b", "b DESC", "s", "s DESC",
+        "b, d DESC", "s DESC, i", "i DESC, b, d", "d, s DESC, id"}) {
+    auto full = ExecuteQuery(
+        cat, std::string("SELECT * FROM k ORDER BY ") + order_by);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    const std::vector<int64_t> full_ids = ColumnInts(*full, 0);
+    for (size_t k = 0; k <= n + 1; ++k) {
+      const std::string sql = std::string("SELECT id, d, s FROM k ORDER BY ") +
+                              order_by + " LIMIT " + std::to_string(k);
+      auto top = ExecuteQuery(cat, sql);
+      ASSERT_TRUE(top.ok()) << sql << ": " << top.status().ToString();
+      const std::vector<int64_t> prefix(
+          full_ids.begin(), full_ids.begin() + std::min(k, n));
+      EXPECT_EQ(ColumnInts(*top, 0), prefix) << sql;
+    }
+  }
+  // Ties keep row order: 2^53 and 2^53 + 1 are one double, so the rows
+  // holding either come out by id, as do the NaNs of both signs.
+  auto ints = ExecuteQuery(cat, "SELECT id FROM k ORDER BY i DESC LIMIT 6");
+  ASSERT_TRUE(ints.ok());
+  EXPECT_EQ(ColumnInts(*ints, 0), (std::vector<int64_t>{4, 9, 0, 1, 3, 5}));
+  auto nans = ExecuteQuery(cat, "SELECT id FROM k ORDER BY d DESC LIMIT 5");
+  ASSERT_TRUE(nans.ok());
+  EXPECT_EQ(ColumnInts(*nans, 0), (std::vector<int64_t>{2, 8, 0, 5, 10}));
+}
+
+TEST(OrderByTest, DistinctLimitAndAggregatedOrderBy) {
+  Catalog cat = MakeOrderEdgeCatalog();
+  // DISTINCT dedupes after projection, so LIMIT must see the whole sorted
+  // input: the first rows by s repeat '' and 'Beta'.
+  auto distinct =
+      ExecuteQuery(cat, "SELECT DISTINCT s FROM k ORDER BY s LIMIT 3");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  ASSERT_EQ(distinct->num_rows(), 3u);
+  EXPECT_EQ(distinct->GetValue(0, 0).str(), "");
+  EXPECT_EQ(distinct->GetValue(1, 0).str(), "Beta");
+  EXPECT_EQ(distinct->GetValue(2, 0).str(), "alpha");
+
+  // Over an aggregated result the projected items rewrite to column
+  // references, so the top-k path serves it.
+  const std::string grouped =
+      "SELECT s, COUNT(*) AS c FROM k GROUP BY s ORDER BY c DESC, s";
+  auto full = ExecuteQuery(cat, grouped);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  for (size_t k = 0; k <= full->num_rows() + 1; ++k) {
+    auto top = ExecuteQuery(cat, grouped + " LIMIT " + std::to_string(k));
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    ASSERT_EQ(top->num_rows(), std::min(k, full->num_rows()));
+    for (size_t r = 0; r < top->num_rows(); ++r) {
+      EXPECT_EQ(top->GetValue(r, 0), full->GetValue(r, 0)) << "k=" << k;
+      EXPECT_EQ(top->GetValue(r, 1), full->GetValue(r, 1)) << "k=" << k;
+    }
+  }
+}
+
+TEST(OrderByTest, ProjectionErrorPastTheLimitStillSurfaces) {
+  // Eager error semantics (DESIGN.md §12): `v + 1` overflows only on the
+  // last row by v, far past LIMIT 2, and the query must still fail.
+  Catalog cat;
+  auto t = std::make_shared<Table>(
+      Schema({Field{"v", DataType::kInt64, false}}));
+  for (int64_t v : {int64_t{3}, std::numeric_limits<int64_t>::max(),
+                    int64_t{1}, int64_t{2}}) {
+    ASSERT_TRUE(t->AppendRow({Value::Int64(v)}).ok());
+  }
+  cat.RegisterOrReplace("o", t);
+  auto result = ExecuteQuery(cat, "SELECT v + 1 FROM o ORDER BY v LIMIT 2");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNumericError);
+  // The column alone is safe to project from the top rows.
+  auto plain = ExecuteQuery(cat, "SELECT v FROM o ORDER BY v LIMIT 2");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(ColumnInts(*plain, 0), (std::vector<int64_t>{1, 2}));
+}
+
+TEST(OrderByTest, OrderCodesOrderEveryPairLikeCompareOrderValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double dmax = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const int64_t imax = std::numeric_limits<int64_t>::max();
+  const int64_t imin = std::numeric_limits<int64_t>::min();
+  const Value null = Value::Null();
+  const std::vector<std::vector<Value>> families = {
+      {Value::Double(kNan), Value::Double(std::copysign(kNan, -1.0)),
+       Value::Double(-0.0), Value::Double(0.0), Value::Double(1.5),
+       Value::Double(-1.5), Value::Double(inf), Value::Double(-inf),
+       Value::Double(dmax), Value::Double(-dmax), Value::Double(tiny),
+       Value::Double(-tiny), Value::Double(9007199254740992.0), null},
+      {Value::Int64(imin), Value::Int64(imax), Value::Int64(k2Pow53),
+       Value::Int64(k2Pow53 + 1), Value::Int64(k2Pow53 - 1),
+       Value::Int64(k2Pow53 + 2), Value::Int64(0), Value::Int64(-1),
+       Value::Int64(1), null},
+      {Value::Bool(true), Value::Bool(false), null},
+      {Value::String("zeta"), Value::String("alpha"), Value::String(""),
+       Value::String("Beta"), Value::String("alpha"), Value::String("a\x01"),
+       Value::String("\xff"), Value::String("NULL"), null},
+  };
+  const DataType types[] = {DataType::kDouble, DataType::kInt64,
+                            DataType::kBool, DataType::kString};
+  struct Coded {
+    Value value;
+    uint64_t asc, desc;
+  };
+  std::vector<Coded> all;
+  for (size_t f = 0; f < 4; ++f) {
+    Column col(types[f]);
+    for (const Value& v : families[f]) ASSERT_TRUE(col.AppendValue(v).ok());
+    auto asc = OrderCodes(col, /*ascending=*/true);
+    auto desc = OrderCodes(col, /*ascending=*/false);
+    ASSERT_TRUE(asc.ok() && desc.ok());
+    for (size_t r = 0; r < families[f].size(); ++r) {
+      all.push_back({families[f][r], (*asc)[r], (*desc)[r]});
+    }
+  }
+  const auto sign = [](uint64_t a, uint64_t b) { return a < b ? -1 : a > b; };
+  for (const Coded& a : all) {
+    for (const Coded& b : all) {
+      const int expect = CompareOrderValues(a.value, b.value);
+      EXPECT_EQ(sign(a.asc, b.asc), expect)
+          << a.value.ToString() << " vs " << b.value.ToString();
+      EXPECT_EQ(sign(a.desc, b.desc), -expect)
+          << a.value.ToString() << " vs " << b.value.ToString();
+    }
+  }
+}
+
+TEST(OrderByTest, ExplainAnalyzeNamesTheSortAlgorithm) {
+  Catalog cat = MakeOrderEdgeCatalog();
+  auto top = ExplainAnalyzeQuery(cat, "SELECT id, d FROM k ORDER BY d LIMIT 3");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_NE(top->find("Sort(d ASC | top 3 of 12)  rows=12->3"),
+            std::string::npos)
+      << *top;
+  // A computed projection must see every row, so the full sort runs.
+  auto full =
+      ExplainAnalyzeQuery(cat, "SELECT id + 1 FROM k ORDER BY d LIMIT 3");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_NE(full->find("Sort(d ASC | full)  rows=12->12"), std::string::npos)
+      << *full;
 }
 
 }  // namespace
