@@ -3,12 +3,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "common/status.h"
 
 namespace laws {
+
+/// Row stride between governor polls inside per-row loops: frequent
+/// enough that a canceled query stops within microseconds, sparse enough
+/// that the poll (one TLS read + one relaxed load when idle) stays
+/// invisible in profiles.
+inline constexpr size_t kGovernorPollStride = 4096;
 
 /// Per-query resource limits enforced by QueryGovernor. Zero means
 /// "unlimited" for both fields, which is also the default — an idle

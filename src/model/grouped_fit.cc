@@ -8,13 +8,14 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "model/fit_kernels.h"
+#include "storage/grouping.h"
 
 namespace laws {
 
 namespace {
 
-/// One contiguous run of rows for a single group key inside the keyed row
-/// index built by FitGrouped.
+/// One contiguous run of rows for a single group key inside the row index
+/// built by FitGrouped.
 struct GroupSlice {
   int64_t key = 0;
   size_t offset = 0;
@@ -87,45 +88,45 @@ Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
   }
 
   ScopedSpan fit_span("FitGrouped");
-  // Group by sorting a (key, row) index instead of hashing rows into
-  // per-key vectors: one allocation, cache-friendly, and the sort on
-  // (key, row) pairs both orders groups by key (the output contract) and
-  // keeps rows within a group in first-seen order.
+  // Group the fittable rows (non-NULL key, inputs and output) with the
+  // shared partitioned grouping, which keeps each group's rows in table
+  // order, then order the groups by key (the output contract).
   ScopedSpan index_span("GroupIndex");
   const size_t n = table.num_rows();
   ScopedCharge charge;
-  LAWS_RETURN_IF_ERROR(charge.Acquire(
-      n * (sizeof(std::pair<int64_t, uint32_t>) + sizeof(uint32_t)),
-      "grouped fit index"));
-  std::vector<std::pair<int64_t, uint32_t>> keyed;
-  keyed.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (i % 4096 == 0) LAWS_GOVERNOR_POLL();
-    if (group_col->IsNull(i) || output_col->IsNull(i)) continue;
-    bool usable = true;
-    for (const Column* c : input_cols) {
-      if (c->IsNull(i)) {
-        usable = false;
-        break;
+  std::vector<const Column*> used = input_cols;
+  used.push_back(group_col);
+  used.push_back(output_col);
+  std::vector<uint32_t> fittable;
+  const bool any_null =
+      std::any_of(used.begin(), used.end(),
+                  [](const Column* c) { return c->null_count() > 0; });
+  if (any_null) {
+    LAWS_RETURN_IF_ERROR(
+        charge.Acquire(n * sizeof(uint32_t), "grouped fit rows"));
+    for (size_t i = 0; i < n; ++i) {
+      if (i % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
+      if (std::none_of(used.begin(), used.end(),
+                       [i](const Column* c) { return c->IsNull(i); })) {
+        fittable.push_back(static_cast<uint32_t>(i));
       }
     }
-    if (!usable) continue;
-    keyed.emplace_back(group_col->Int64At(i), static_cast<uint32_t>(i));
   }
-  std::sort(keyed.begin(), keyed.end());
-
-  // Row indices in group-sorted order, plus one slice per group.
-  std::vector<uint32_t> row_index(keyed.size());
-  std::vector<GroupSlice> groups;
-  for (size_t i = 0; i < keyed.size(); ++i) {
-    row_index[i] = keyed[i].second;
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
-      groups.push_back(GroupSlice{keyed[i].first, i, 0});
-    }
-    ++groups.back().length;
+  LAWS_ASSIGN_OR_RETURN(
+      Grouping grouping,
+      GroupRows({group_col}, n, any_null ? &fittable : nullptr, &charge));
+  std::vector<uint32_t> row_index;
+  std::vector<size_t> offsets;
+  LAWS_RETURN_IF_ERROR(RowsByGroup(grouping, &charge, &row_index, &offsets));
+  std::vector<GroupSlice> groups(grouping.num_groups());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    groups[g] = GroupSlice{group_col->Int64At(grouping.first_row[g]),
+                           offsets[g], offsets[g + 1] - offsets[g]};
   }
-  keyed.clear();
-  keyed.shrink_to_fit();
+  std::sort(groups.begin(), groups.end(),
+            [](const GroupSlice& a, const GroupSlice& b) {
+              return a.key < b.key;
+            });
   index_span.SetRows(n, groups.size());
   index_span.End();
 

@@ -8,7 +8,6 @@
 #include <limits>
 #include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/governor.h"
 #include "common/metrics.h"
@@ -20,15 +19,10 @@
 #include "query/expr_eval.h"
 #include "query/vector_eval.h"
 #include "query/parser.h"
+#include "storage/grouping.h"
 
 namespace laws {
 namespace {
-
-/// Row stride between governor polls inside per-row loops: frequent
-/// enough that a canceled query stops within microseconds, sparse enough
-/// that the poll (one TLS read + one relaxed load when idle) stays
-/// invisible in profiles.
-constexpr size_t kGovernorPollStride = 4096;
 
 /// A unique aggregate call discovered in the statement.
 struct AggSlot {
@@ -77,11 +71,10 @@ std::unique_ptr<Expr> RewriteForAggregated(
   return out;
 }
 
-/// Folds a group-key value into its canonical GROUP BY identity. Doubles
-/// need two fixes before text serialization: every NaN bit pattern maps to
-/// one key (printf renders the sign bit as "nan" vs "-nan", which would
-/// split NaN rows into separate groups), and -0.0 folds into +0.0
-/// (== equal values must share a group, but their rendered texts differ).
+/// Folds a group-key value into its canonical GROUP BY identity: every
+/// NaN bit pattern to one quiet NaN and -0.0 to +0.0, the same folding
+/// GroupRows applies to DOUBLE key codes, so the emitted key does not
+/// depend on which row of the group came first.
 Value CanonicalGroupValue(Value v) {
   if (v.is_double()) {
     const double d = v.dbl();
@@ -91,14 +84,10 @@ Value CanonicalGroupValue(Value v) {
   return v;
 }
 
-/// Appends a canonical, collision-free encoding of `col[row]` to `key`: a
+/// Appends a collision-free encoding of `col[row]` to a HashJoin key: a
 /// one-byte type tag, then a fixed-width payload (length-prefixed for
-/// strings). Doubles are canonicalized first — every NaN bit pattern folds
-/// to one quiet NaN and -0.0 to +0.0 — and then encoded by bit pattern.
-/// The previous text serialization had two collision classes this removes:
-/// "%.10g" merged doubles differing past ten significant digits, and the
-/// bare '|' separator let strings containing '|' (or the literal "NULL")
-/// alias values from adjacent columns.
+/// strings), with every NaN folded to one and -0.0 to +0.0. The two join
+/// sides have separate dictionaries, so strings are encoded by text.
 void AppendCanonicalKey(const Column& col, size_t row, std::string* key) {
   if (col.IsNull(row)) {
     key->push_back('N');
@@ -133,35 +122,147 @@ void AppendCanonicalKey(const Column& col, size_t row, std::string* key) {
   }
 }
 
-/// Serializes a row's group-key values into a hashable string.
-std::string MakeGroupKey(const std::vector<Column>& key_cols, size_t row) {
-  std::string key;
-  for (const Column& c : key_cols) {
-    AppendCanonicalKey(c, row, &key);
+/// Resolves `expr` against `table`: a column reference is read in place,
+/// any other expression is evaluated once into `*evaluated`.
+Result<const Column*> ResolveColumn(const Expr& expr, const Table& table,
+                                    Column* evaluated) {
+  if (expr.kind == ExprKind::kColumnRef) {
+    return table.ColumnByName(expr.column_name);
   }
-  return key;
+  LAWS_ASSIGN_OR_RETURN(*evaluated, EvaluateExprAuto(expr, table));
+  return evaluated;
 }
 
 // AggState and AggFinalValue live in query/agg_state.h, shared with the
 // encoded run-weighted aggregator (compressed_scan.cc).
 
+/// Folds one partition's rows, in table order, into their groups' states
+/// ([group * num_slots + slot]). Every group lives in one partition, so
+/// partitions write disjoint states, and each group's SUM and Welford
+/// recurrences see its rows in exactly the serial order.
+Status SweepPartition(const Grouping& grouping, size_t begin, size_t end,
+                      const std::vector<AggSlot>& slots,
+                      const std::vector<const Column*>& args,
+                      std::vector<AggState>* states) {
+  const size_t num_slots = slots.size();
+  const uint32_t* rows = grouping.rows.data() + begin;
+  const uint32_t* group = grouping.group.data() + begin;
+  const size_t len = end - begin;
+  std::vector<double> values;
+  std::vector<uint8_t> nulls;
+  for (size_t a = 0; a < num_slots; ++a) {
+    LAWS_GOVERNOR_POLL();
+    const auto state = [&](size_t i) -> AggState& {
+      return (*states)[group[i] * num_slots + a];
+    };
+    if (args[a] == nullptr) {  // COUNT(*)
+      for (size_t i = 0; i < len; ++i) {
+        if (i % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
+        AggState& s = state(i);
+        ++s.count;
+        s.any = true;
+      }
+      continue;
+    }
+    const Column& arg = *args[a];
+    if (arg.type() == DataType::kString) {
+      // Strings keep the element-wise path (dictionary lookups, ordering).
+      for (size_t i = 0; i < len; ++i) {
+        if (i % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
+        if (arg.IsNull(rows[i])) continue;
+        AggState& s = state(i);
+        ++s.count;
+        s.any = true;
+        s.is_string = true;
+        const std::string_view v = arg.StringAt(rows[i]);
+        if (s.count == 1 || v < s.smin) s.smin = v;
+        if (s.count == 1 || v > s.smax) s.smax = v;
+      }
+      continue;
+    }
+    // Numeric arguments are gathered in bulk: one type dispatch per
+    // partition instead of a Result-wrapped NumericAt per cell. Each
+    // function runs only the recurrences its final value reads.
+    values.resize(len);
+    nulls.resize(len);
+    LAWS_RETURN_IF_ERROR(
+        arg.GatherNumericMasked(rows, len, values.data(), nulls.data())
+            .status());
+    const auto sweep = [&](auto update) -> Status {
+      for (size_t i = 0; i < len; ++i) {
+        if (i % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
+#ifdef LAWS_TESTING_INJECT_BUG
+        // Deliberate off-by-one for the mutation smoke check in
+        // tools/check_differential.sh: the sweep drops the last input row.
+        // Never defined in production builds.
+        if (rows[i] + size_t{1} == grouping.rows.size()) continue;
+#endif
+        if (nulls[i]) continue;
+        AggState& s = state(i);
+        ++s.count;
+        s.any = true;
+        update(s, values[i]);
+      }
+      return Status::OK();
+    };
+    switch (slots[a].node->aggregate_func) {
+      case AggregateFunc::kCount:
+        LAWS_RETURN_IF_ERROR(sweep([](AggState&, double) {}));
+        break;
+      case AggregateFunc::kSum:
+      case AggregateFunc::kAvg:
+        LAWS_RETURN_IF_ERROR(sweep([](AggState& s, double v) { s.sum += v; }));
+        break;
+      case AggregateFunc::kMin:
+      case AggregateFunc::kMax:
+        LAWS_RETURN_IF_ERROR(sweep([](AggState& s, double v) {
+          if (!std::isnan(v)) s.saw_comparable = true;
+          s.min = std::min(s.min, v);
+          s.max = std::max(s.max, v);
+        }));
+        break;
+      case AggregateFunc::kVariance:
+      case AggregateFunc::kStddev:
+        // Welford, in the group's table order.
+        LAWS_RETURN_IF_ERROR(sweep([](AggState& s, double v) {
+          const double delta = v - s.mean;
+          s.mean += delta / static_cast<double>(s.count);
+          s.m2 += delta * (v - s.mean);
+        }));
+        break;
+    }
+  }
+  return Status::OK();
+}
+
+/// Groups `input` (GroupRows), folds every aggregate slot into per-group
+/// states, and emits one row per group in first-seen order: key columns
+/// `__key<k>`, then the slots' hidden columns. `*detail` names the
+/// grouping that ran, for the HashAggregate span.
 Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
                         const std::vector<AggSlot>& slots,
-                        std::vector<std::string>* key_names) {
-  // Evaluate group-key expressions. Key and argument columns are the
-  // aggregation's big materializations; charge them as they appear.
+                        std::vector<std::string>* key_names,
+                        std::string* detail) {
+  // Resolve group-key expressions. Evaluated key and argument columns are
+  // the aggregation's big materializations; charge them as they appear.
   ScopedCharge charge;
-  std::vector<Column> key_cols;
-  key_cols.reserve(stmt.group_by.size());
-  for (const auto& g : stmt.group_by) {
+  std::vector<Column> evaluated(stmt.group_by.size() + slots.size(),
+                                Column(DataType::kInt64));
+  std::vector<const Column*> keys;
+  for (size_t k = 0; k < stmt.group_by.size(); ++k) {
     LAWS_GOVERNOR_POLL();
-    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExprAuto(*g, input));
-    LAWS_RETURN_IF_ERROR(charge.Acquire(c.MemoryBytes(), "group keys"));
-    key_cols.push_back(std::move(c));
+    LAWS_ASSIGN_OR_RETURN(
+        const Column* c,
+        ResolveColumn(*stmt.group_by[k], input, &evaluated[k]));
+    LAWS_RETURN_IF_ERROR(
+        charge.Acquire(evaluated[k].MemoryBytes(), "group keys"));
+    keys.push_back(c);
   }
-  std::vector<size_t> representative_row;  // first row of each group
-  std::vector<std::vector<AggState>> states;
-  std::vector<Column> arg_cols;
+  const size_t num_slots = slots.size();
+  std::vector<uint32_t> representative_row;  // first row of each group
+  std::vector<AggState> states;              // [group * num_slots + slot]
+  std::vector<const Column*> args;           // nullptr for COUNT(*)
+  size_t partitions = 1;
 
   // Global aggregations over an indexed base table can often be folded
   // from zone statistics and run views without touching rows (DESIGN.md
@@ -175,28 +276,29 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
     nodes.reserve(slots.size());
     for (const AggSlot& s : slots) nodes.push_back(s.node);
     if (auto enc = EncodedGlobalAggregate(input, nodes)) {
-      states.push_back(std::move(*enc));
+      states = std::move(*enc);
       representative_row.push_back(0);
       encoded = true;
     }
   }
 
   if (!encoded) {
-    // Evaluate aggregate argument columns (once each).
-    arg_cols.reserve(slots.size());
-    for (const AggSlot& s : slots) {
+    // Resolve aggregate argument columns (once each).
+    for (size_t a = 0; a < num_slots; ++a) {
+      const AggSlot& s = slots[a];
       if (s.is_star) {
-        arg_cols.emplace_back(DataType::kInt64);  // unused placeholder
+        args.push_back(nullptr);
         continue;
       }
       LAWS_GOVERNOR_POLL();
-      LAWS_ASSIGN_OR_RETURN(Column c,
-                            EvaluateExprAuto(*s.node->children[0], input));
+      Column* owned = &evaluated[stmt.group_by.size() + a];
+      LAWS_ASSIGN_OR_RETURN(
+          const Column* c, ResolveColumn(*s.node->children[0], input, owned));
       // SUM/AVG/VARIANCE/STDDEV over a string argument is a planning-time
       // type error, not a data-dependent one (the old behavior errored only
       // when some group actually held a non-null string).
       const AggregateFunc func = s.node->aggregate_func;
-      if (c.type() == DataType::kString &&
+      if (c->type() == DataType::kString &&
           (func == AggregateFunc::kSum || func == AggregateFunc::kAvg ||
            func == AggregateFunc::kVariance ||
            func == AggregateFunc::kStddev)) {
@@ -204,139 +306,70 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
                                     "() requires a numeric argument");
       }
       LAWS_RETURN_IF_ERROR(
-          charge.Acquire(c.MemoryBytes(), "aggregate arguments"));
-      arg_cols.push_back(std::move(c));
+          charge.Acquire(owned->MemoryBytes(), "aggregate arguments"));
+      args.push_back(c);
     }
 
-    // Pass 1: hash rows into groups. Only the key columns are touched here;
-    // each row records its group ordinal for the columnar update pass.
-    std::unordered_map<std::string, size_t> group_index;
     const size_t n = input.num_rows();
-    LAWS_RETURN_IF_ERROR(
-        charge.Acquire(n * sizeof(uint32_t), "group-of vector"));
-    std::vector<uint32_t> group_of(n);
-    for (size_t row = 0; row < n; ++row) {
-      if (row % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
-      const std::string key = MakeGroupKey(key_cols, row);
-      auto [it, inserted] = group_index.emplace(key, states.size());
-      if (inserted) {
-        representative_row.push_back(row);
-        states.emplace_back(slots.size());
-      }
-      group_of[row] = static_cast<uint32_t>(it->second);
-    }
-
-    // Pass 2: one columnar sweep per aggregate slot. Numeric arguments are
-    // materialized with a single bulk GatherNumericMasked — one type
-    // dispatch per column instead of a Result-wrapped NumericAt per cell.
-    // Rows are processed in table order, so the Welford mean/m2 recurrences
-    // see values in exactly the same order (and produce bit-identical
-    // results) as the old row-at-a-time loop.
+    LAWS_ASSIGN_OR_RETURN(Grouping grouping,
+                          GroupRows(keys, n, nullptr, &charge));
+    partitions = grouping.num_partitions();
     LAWS_RETURN_IF_ERROR(charge.Acquire(
-        n * (sizeof(uint32_t) + sizeof(double) + sizeof(uint8_t)),
-        "aggregate sweep buffers"));
-    std::vector<uint32_t> all_rows(n);
-    for (size_t i = 0; i < n; ++i) all_rows[i] = static_cast<uint32_t>(i);
-    std::vector<double> arg_values(n);
-    std::vector<uint8_t> arg_nulls(n);
-    for (size_t a = 0; a < slots.size(); ++a) {
-      LAWS_GOVERNOR_POLL();
-      if (slots[a].is_star) {
-        for (size_t row = 0; row < n; ++row) {
-          AggState& s = states[group_of[row]][a];
-          ++s.count;
-          s.any = true;
-        }
-        continue;
-      }
-      const Column& arg = arg_cols[a];
-      if (arg.type() == DataType::kString) {
-        // Strings keep the element-wise path (dictionary lookups, ordering).
-        for (size_t row = 0; row < n; ++row) {
-          if (row % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
-          if (arg.IsNull(row)) continue;
-          AggState& s = states[group_of[row]][a];
-          ++s.count;
-          s.any = true;
-          s.is_string = true;
-          const std::string v(arg.StringAt(row));
-          if (s.count == 1 || v < s.smin) s.smin = v;
-          if (s.count == 1 || v > s.smax) s.smax = v;
-        }
-        continue;
-      }
-      const auto gathered =
-          arg.GatherNumericMasked(all_rows.data(), n, arg_values.data(),
-                                  arg_nulls.data());
-      if (!gathered.ok()) return gathered.status();
-#ifdef LAWS_TESTING_INJECT_BUG
-      // Deliberate off-by-one for the mutation smoke check in
-      // tools/check_differential.sh: the merge sweep drops the last input
-      // row. Never defined in production builds.
-      const size_t sweep_rows = n > 0 ? n - 1 : 0;
-#else
-      const size_t sweep_rows = n;
-#endif
-      for (size_t row = 0; row < sweep_rows; ++row) {
-        if (row % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
-        if (arg_nulls[row]) continue;
-        AggState& s = states[group_of[row]][a];
-        ++s.count;
-        s.any = true;
-        const double v = arg_values[row];
-        if (!std::isnan(v)) s.saw_comparable = true;
-        s.sum += v;
-        s.min = std::min(s.min, v);
-        s.max = std::max(s.max, v);
-        const double delta = v - s.mean;
-        s.mean += delta / static_cast<double>(s.count);
-        s.m2 += delta * (v - s.mean);
-      }
-    }
+        grouping.num_groups() * num_slots * sizeof(AggState) +
+            n * (sizeof(double) + sizeof(uint8_t)),
+        "aggregate states"));
+    states.resize(grouping.num_groups() * num_slots);
+    LAWS_RETURN_IF_ERROR(
+        ForEachPartition(grouping, [&](size_t begin, size_t end) {
+          return SweepPartition(grouping, begin, end, slots, args, &states);
+        }));
+    representative_row = std::move(grouping.first_row);
   }
 
   // Global aggregation with no GROUP BY and zero rows still yields one row
   // (COUNT(*) = 0, SUM = NULL, ...).
-  if (stmt.group_by.empty() && states.empty()) {
+  if (stmt.group_by.empty() && representative_row.empty()) {
     representative_row.push_back(0);
-    states.emplace_back(slots.size());
+    states.resize(num_slots);
   }
+  const size_t num_groups = representative_row.size();
+  *detail = stmt.group_by.empty()
+                ? std::string("one group")
+                : std::to_string(num_groups) + " groups in " +
+                      std::to_string(partitions) + " partitions";
 
   // Build the intermediate table: key columns then aggregate columns.
   std::vector<Field> fields;
   key_names->clear();
-  for (size_t k = 0; k < key_cols.size(); ++k) {
+  for (size_t k = 0; k < keys.size(); ++k) {
     const std::string name = "__key" + std::to_string(k);
     key_names->push_back(name);
-    fields.push_back(Field{name, key_cols[k].type(), true});
+    fields.push_back(Field{name, keys[k]->type(), true});
   }
   for (size_t a = 0; a < slots.size(); ++a) {
     const DataType t =
         slots[a].node->aggregate_func == AggregateFunc::kCount
             ? DataType::kInt64
-            : (!slots[a].is_star && a < arg_cols.size() &&
-                       arg_cols[a].type() == DataType::kString
+            : (a < args.size() && args[a] != nullptr &&
+                       args[a]->type() == DataType::kString
                    ? DataType::kString
                    : DataType::kDouble);
     fields.push_back(Field{slots[a].hidden_name, t, true});
   }
   Table out{Schema(std::move(fields))};
   std::vector<Value> row_values;
-  for (size_t g = 0; g < states.size(); ++g) {
+  for (size_t g = 0; g < num_groups; ++g) {
     row_values.clear();
-    for (size_t k = 0; k < key_cols.size(); ++k) {
-      // For the synthetic empty-input global group there are no keys. Key
-      // values pass through the same canonicalization as the hash key, so
-      // a group whose first row held -0.0 (or a sign-flipped NaN) emits
-      // the canonical key, not a first-seen artifact.
+    for (size_t k = 0; k < keys.size(); ++k) {
+      // Key values pass through the same canonicalization as the key
+      // codes, so a group whose first row held -0.0 (or a sign-flipped
+      // NaN) emits the canonical key, not a first-seen artifact.
       row_values.push_back(
-          key_cols.empty() || input.num_rows() == 0
-              ? Value::Null()
-              : CanonicalGroupValue(
-                    key_cols[k].GetValue(representative_row[g])));
+          CanonicalGroupValue(keys[k]->GetValue(representative_row[g])));
     }
     for (size_t a = 0; a < slots.size(); ++a) {
-      row_values.push_back(AggFinalValue(*slots[a].node, states[g][a]));
+      row_values.push_back(
+          AggFinalValue(*slots[a].node, states[g * num_slots + a]));
     }
     LAWS_RETURN_IF_ERROR(out.AppendRow(row_values));
   }
@@ -437,15 +470,9 @@ Result<Table> SortRows(const Table& table, const SelectStatement& stmt,
   OrderKeys order;
   for (size_t k = 0; k < keys.size(); ++k) {
     LAWS_GOVERNOR_POLL();
-    // A column reference is read in place; other keys are evaluated once.
-    const Column* col = nullptr;
     Column evaluated(DataType::kInt64);
-    if (keys[k]->kind == ExprKind::kColumnRef) {
-      LAWS_ASSIGN_OR_RETURN(col, table.ColumnByName(keys[k]->column_name));
-    } else {
-      LAWS_ASSIGN_OR_RETURN(evaluated, EvaluateExprAuto(*keys[k], table));
-      col = &evaluated;
-    }
+    LAWS_ASSIGN_OR_RETURN(const Column* col,
+                          ResolveColumn(*keys[k], table, &evaluated));
     LAWS_RETURN_IF_ERROR(charge.Acquire(n * sizeof(uint64_t), "sort keys"));
     LAWS_ASSIGN_OR_RETURN(std::vector<uint64_t> codes,
                           OrderCodes(*col, stmt.order_by[k].ascending));
@@ -585,28 +612,20 @@ Result<Table> HashJoin(const Table& left, const Table& right,
 }
 
 /// Keeps the first occurrence of each distinct row (order-preserving).
-/// DISTINCT uses grouping identity: NULLs equal each other, all NaNs are
-/// one class, -0.0 equals +0.0 — and the canonical encoding keeps NULL
-/// distinct from the string "NULL" and doubles apart past ten digits.
+/// DISTINCT uses grouping identity (GroupRows over every column): NULLs
+/// equal each other and differ from the text 'NULL', all NaNs are one
+/// class, and -0.0 equals +0.0.
 Result<Table> DistinctRows(Table table) {
   ScopedCharge charge;
-  LAWS_RETURN_IF_ERROR(charge.Acquire(
-      table.num_rows() * (sizeof(uint32_t) + 2 * sizeof(void*)),
-      "distinct hash set"));
-  std::unordered_set<std::string> seen;
-  seen.reserve(table.num_rows());
-  std::vector<uint32_t> keep;
-  std::string key;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (r % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
-    key.clear();
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      AppendCanonicalKey(table.column(c), r, &key);
-    }
-    if (seen.insert(key).second) keep.push_back(static_cast<uint32_t>(r));
+  std::vector<const Column*> keys;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    keys.push_back(&table.column(c));
   }
-  if (keep.size() == table.num_rows()) return table;
-  return table.GatherRows(keep);
+  LAWS_ASSIGN_OR_RETURN(Grouping grouping,
+                        GroupRows(keys, table.num_rows(), nullptr, &charge));
+  // Group ids are first-seen, so the first rows ascend.
+  if (grouping.num_groups() == table.num_rows()) return table;
+  return table.GatherRows(grouping.first_row);
 }
 
 Table LimitRows(Table table, int64_t limit) {
@@ -799,17 +818,18 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
     std::vector<std::string> key_names;
     {
       ScopedSpan span("HashAggregate");
+      const size_t rows_in = current->num_rows();
+      std::string grouping;
+      LAWS_ASSIGN_OR_RETURN(
+          aggregated, Aggregate(*current, stmt, slots, &key_names, &grouping));
       if (span.active()) {
         std::string keys;
         for (const auto& g : stmt.group_by) {
           if (!keys.empty()) keys += ", ";
           keys += g->ToString();
         }
-        span.SetDetail(keys.empty() ? "<global>" : keys);
+        span.SetDetail((keys.empty() ? "<global>" : keys) + " | " + grouping);
       }
-      const size_t rows_in = current->num_rows();
-      LAWS_ASSIGN_OR_RETURN(aggregated,
-                            Aggregate(*current, stmt, slots, &key_names));
       span.SetRows(rows_in, aggregated.num_rows());
     }
     LAWS_RETURN_IF_ERROR(pipeline_charge.Acquire(aggregated.MemoryBytes(),

@@ -194,6 +194,21 @@ SelectStatement TopKTieStatement() {
   return std::move(*stmt);
 }
 
+/// -0.0 then 0.0 twice under SELECT DISTINCT: one grouping class whose
+/// first row, -0.0, must be the one kept.
+GenTable SignedZeroCase() {
+  GenTable t;
+  t.name = "t0";
+  t.columns = {GenColumn{"d", DataType::kDouble, false}};
+  t.rows = {{Value::Double(-0.0)}, {Value::Double(0.0)}, {Value::Double(0.0)}};
+  return t;
+}
+
+SelectStatement DistinctStatement() {
+  Result<SelectStatement> stmt = ParseSelect("SELECT DISTINCT d FROM t0");
+  return std::move(*stmt);
+}
+
 #ifdef LAWS_TESTING_INJECT_BUG
 // Self-test of the harness: with the planted hash-aggregate off-by-one
 // (the numeric sweep drops the last input row), this exact case must be
@@ -257,6 +272,16 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedTopKBug) {
       << "injected top-k tie-break bug was not detected";
 }
 
+// The grouping's planted mutant fills each morsel's share of a partition
+// back to front, so a group's first row is its last. DISTINCT then keeps
+// the final 0.0 instead of the leading -0.0, which the oracle keeps; no
+// aggregate sweep runs, so only this mutant can cause the divergence.
+TEST(DifferentialTest, MutationSmokeCatchesInjectedGroupingBug) {
+  const CaseDiff diff = DiffCase({SignedZeroCase()}, DistinctStatement());
+  EXPECT_FALSE(diff.reason.empty())
+      << "injected grouping row-order bug was not detected";
+}
+
 // The learning loop's planted mutant corrupts one merged sufficient
 // statistic in IncrementalOls::Merge — the exact class of bug (a subtly
 // wrong harvest accumulator) the learning leg exists to catch. Only the
@@ -308,6 +333,11 @@ TEST(DifferentialTest, ZoneMapMutationSmokeCaseAgreesWhenHealthy) {
 
 TEST(DifferentialTest, TopKMutationSmokeCaseAgreesWhenHealthy) {
   const CaseDiff diff = DiffCase({TopKTieCase()}, TopKTieStatement());
+  EXPECT_TRUE(diff.reason.empty()) << diff.reason;
+}
+
+TEST(DifferentialTest, GroupingMutationSmokeCaseAgreesWhenHealthy) {
+  const CaseDiff diff = DiffCase({SignedZeroCase()}, DistinctStatement());
   EXPECT_TRUE(diff.reason.empty()) << diff.reason;
 }
 

@@ -453,6 +453,66 @@ TEST(GovernedQueryTest, TopKSortHonorsCancelAndDeadline) {
   EXPECT_GT(timed.governor().polls(), 0u);
 }
 
+// GROUP BY over a million interleaved keys at 4 lanes: every grouping
+// phase polls the governor, and the partition buffers are charged.
+TEST(GovernedQueryTest, GroupByHonorsCancelDeadlineAndBudget) {
+  constexpr size_t kRows = size_t{1} << 20;
+  std::vector<int64_t> keys(kRows);
+  std::vector<double> values(kRows);
+  Rng rng(31);
+  for (size_t i = 0; i < kRows; ++i) {
+    keys[i] = static_cast<int64_t>((i * 7919) % 50000);
+    values[i] = rng.NextDouble();
+  }
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64Vector(std::move(keys)));
+  cols.push_back(Column::FromDoubleVector(std::move(values)));
+  auto table = Table::FromColumns(
+      Schema({Field{"g", DataType::kInt64, false},
+              Field{"v", DataType::kDouble, false}}),
+      std::move(cols));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Catalog cat;
+  cat.RegisterOrReplace("big", std::make_shared<Table>(std::move(*table)));
+  const char* sql = "SELECT g, AVG(v) FROM big GROUP BY g";
+  ThreadPool::SetGlobalThreadCount(4);
+  auto plain = ExecuteQuery(cat, sql);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->num_rows(), 50000u);
+
+  QueryContext canceled{ResourceLimits{}};
+  canceled.Cancel();
+  auto stopped = canceled.Run([&] { return ExecuteQuery(cat, sql); });
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCanceled);
+  EXPECT_GT(canceled.governor().polls(), 0u);
+
+  ResourceLimits deadline;
+  deadline.timeout_micros = 1000;
+  QueryContext timed(deadline);
+  auto late = timed.Run([&] { return ExecuteQuery(cat, sql); });
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(timed.governor().polls(), 0u);
+
+  // The key and argument columns are read in place, so the first charge
+  // is the partition buffers (8 MiB), which this budget cannot hold.
+  ResourceLimits budget;
+  budget.memory_budget_bytes = 4u << 20;
+  QueryContext tight(budget);
+  auto exhausted = tight.Run([&] { return ExecuteQuery(cat, sql); });
+  EXPECT_EQ(exhausted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(exhausted.status().message().find("grouping partitions"),
+            std::string::npos)
+      << exhausted.status().ToString();
+  EXPECT_GT(tight.governor().polls(), 0u);
+  EXPECT_EQ(tight.governor().bytes_in_use(), 0u);
+
+  // The stopped queries left the catalog usable: the same answer again.
+  auto again = ExecuteQuery(cat, sql);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->ToString(64), plain->ToString(64));
+  ThreadPool::SetGlobalThreadCount(0);
+}
+
 TEST(GovernedQueryTest, ExplainAnalyzeRendersGovernorLineAndStopLine) {
   Catalog cat = MakeQueryCatalog();
   QueryContext ok_ctx{ResourceLimits{}};

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -828,6 +830,91 @@ TEST(GroupedFitTest, OutputIdenticalAcrossThreadCounts) {
   for (size_t i = 1; i < serial->groups.size(); ++i) {
     EXPECT_LT(serial->groups[i - 1].group_key, serial->groups[i].group_key);
   }
+}
+
+TEST(GroupedFitTest, NullsAndInterleavedKeysMatchSortedLayout) {
+  // Interleaved keys (negative ones too) with NULLs planted in the key,
+  // input and output columns. The reference is the sort-based layout
+  // spelled out: only the fittable rows, stably sorted by key, so every
+  // group is one contiguous run in table order. Grouping the interleaved
+  // table must give the identical parameter table at every lane count.
+  Rng rng(11);
+  Table t(Schema({Field{"g", DataType::kInt64, true},
+                  Field{"x", DataType::kDouble, true},
+                  Field{"y", DataType::kDouble, true}}));
+  std::vector<std::vector<Value>> fittable;
+  std::map<int64_t, size_t> rows_per_key;
+  for (int i = 0; i < 4000; ++i) {
+    const int64_t g = (i * 37) % 101 - 50;
+    const double x = rng.Uniform(0.5, 10.0);
+    std::vector<Value> row = {
+        Value::Int64(g), Value::Double(x),
+        Value::Double(2.0 + 0.3 * static_cast<double>(g) + 1.5 * x +
+                      rng.Normal(0.0, 0.1))};
+    if (i % 13 == 3) row[0] = Value::Null();
+    if (i % 17 == 5) row[1] = Value::Null();
+    if (i % 19 == 7) row[2] = Value::Null();
+    ASSERT_TRUE(t.AppendRow(row).ok());
+    if (row[0].is_null() || row[1].is_null() || row[2].is_null()) continue;
+    fittable.push_back(row);
+    ++rows_per_key[g];
+  }
+  // Key 1000: only NULL inputs, so no group at all; key 2000: too few
+  // fittable rows, so a skipped group.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value::Int64(1000), Value::Null(),
+                             Value::Double(1.0)})
+                    .ok());
+  }
+  ASSERT_TRUE(t.AppendRow({Value::Int64(2000), Value::Double(1.0),
+                           Value::Double(2.0)})
+                  .ok());
+  fittable.push_back({Value::Int64(2000), Value::Double(1.0),
+                      Value::Double(2.0)});
+  std::stable_sort(fittable.begin(), fittable.end(),
+                   [](const std::vector<Value>& a,
+                      const std::vector<Value>& b) {
+                     return a[0].int64() < b[0].int64();
+                   });
+  Table sorted(Schema({Field{"g", DataType::kInt64, false},
+                       Field{"x", DataType::kDouble, false},
+                       Field{"y", DataType::kDouble, false}}));
+  for (const auto& row : fittable) ASSERT_TRUE(sorted.AppendRow(row).ok());
+
+  LinearModel model(1);
+  GroupedFitSpec spec;
+  spec.group_column = "g";
+  spec.input_columns = {"x"};
+  spec.output_column = "y";
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    ThreadPool::SetGlobalThreadCount(lanes);
+    auto got = FitGrouped(model, t, spec);
+    auto want = FitGrouped(model, sorted, spec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(got->skipped_too_few, 1u);
+    EXPECT_EQ(got->failed, want->failed);
+    ASSERT_EQ(got->groups.size(), rows_per_key.size());
+    ASSERT_EQ(got->groups.size(), want->groups.size());
+    size_t g = 0;
+    for (const auto& [key, rows] : rows_per_key) {
+      EXPECT_EQ(got->groups[g].group_key, key);
+      EXPECT_EQ(got->groups[g].fit.quality.n_observations, rows);
+      ++g;
+    }
+    auto got_table = GroupedFitToTable(model, *got, "g");
+    auto want_table = GroupedFitToTable(model, *want, "g");
+    ASSERT_TRUE(got_table.ok() && want_table.ok());
+    ASSERT_EQ(got_table->num_rows(), want_table->num_rows());
+    for (size_t r = 0; r < got_table->num_rows(); ++r) {
+      for (size_t c = 0; c < got_table->num_columns(); ++c) {
+        // Bitwise: the same rows reach every fit in the same order.
+        EXPECT_EQ(got_table->GetValue(r, c), want_table->GetValue(r, c))
+            << "row " << r << " column " << c << " at " << lanes << " lanes";
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreadCount(0);
 }
 
 }  // namespace

@@ -926,7 +926,11 @@ TEST(ExplainAnalyzeTest, RendersStageTreeWithRowsAndTimings) {
   EXPECT_NE(text->find("Filter((id > 1) | bytecode: "), std::string::npos);
   EXPECT_NE(text->find("cmpgt.f64"), std::string::npos);
   EXPECT_NE(text->find("rows=6->5"), std::string::npos);
-  EXPECT_NE(text->find("HashAggregate(v)  rows=5->4"), std::string::npos);
+  // The aggregate names the grouping that ran.
+  EXPECT_NE(text->find("HashAggregate(v | 4 groups in 64 partitions)  "
+                       "rows=5->4"),
+            std::string::npos)
+      << *text;
   EXPECT_NE(text->find("Sort(__key0 ASC | full)  rows=4->4"),
             std::string::npos);
   EXPECT_NE(text->find("time="), std::string::npos);
@@ -934,6 +938,21 @@ TEST(ExplainAnalyzeTest, RendersStageTreeWithRowsAndTimings) {
   EXPECT_NE(text->find("expr: engine=bytecode compiled="),
             std::string::npos);
   EXPECT_NE(text->find("4 rows in"), std::string::npos);
+}
+
+TEST(ExplainAnalyzeTest, AggregateNamesTheGroupingThatRan) {
+  Catalog cat = MakeNanCatalog();
+  // Without GROUP BY the statement is one group and nothing is hashed.
+  auto global = ExplainAnalyzeQuery(cat, "SELECT COUNT(*) FROM n WHERE id > 1");
+  ASSERT_TRUE(global.ok()) << global.status().ToString();
+  EXPECT_NE(global->find("HashAggregate(<global> | one group)  rows=5->1"),
+            std::string::npos)
+      << *global;
+  // DISTINCT rides on the same grouping: NaN rows are one class.
+  auto distinct = ExplainAnalyzeQuery(cat, "SELECT DISTINCT v FROM n");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_NE(distinct->find("Distinct  rows=6->5"), std::string::npos)
+      << *distinct;
 }
 
 TEST(ExplainAnalyzeTest, ReportsErrorsInsteadOfATree) {

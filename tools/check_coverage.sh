@@ -13,8 +13,8 @@
 #                          scan/expression tiers (src/query/bytecode* +
 #                          vector_eval* + compressed_scan* +
 #                          query_context*, src/compress/block_store*,
-#                          src/common/governor*, and all of src/serve
-#                          and src/learn);
+#                          src/common/governor*, src/storage/grouping*,
+#                          and all of src/serve and src/learn);
 #                          default 75 — tiers whose bugs only surface as
 #                          silent wrong answers (or queries that cannot
 #                          be stopped, or snapshot isolation quietly
@@ -98,9 +98,12 @@ for rel in sorted(lines):
         base.startswith("block_store")
     in_common = rel.startswith(os.path.join("src", "common")) and \
         base.startswith("governor")
+    in_storage = rel.startswith(os.path.join("src", "storage")) and \
+        base.startswith("grouping")
     in_serve = rel.startswith(os.path.join("src", "serve"))
     in_learn = rel.startswith(os.path.join("src", "learn"))
-    if not (in_query or in_compress or in_common or in_serve or in_learn):
+    if not (in_query or in_compress or in_common or in_storage or in_serve
+            or in_learn):
         continue
     linemap = lines[rel]
     fcov = sum(1 for hit in linemap.values() if hit)

@@ -15,8 +15,9 @@
 #     guarded off-by-one in the hash-aggregate sweep, a dropped last
 #     lane in the bytecode f64 adder, a one-ulp shrink of every
 #     zone-map max, a corrupted merge of harvested sufficient
-#     statistics, AND an inverted row-id tie-break in the top-k ORDER BY
-#     ... LIMIT selection) and asserts the harness flags all five —
+#     statistics, an inverted row-id tie-break in the top-k ORDER BY
+#     ... LIMIT selection, AND a grouping scatter that fills each
+#     partition back to front) and asserts the harness flags all six —
 #     proof the oracle comparison, the tier matrix, and the learning
 #     self-check can actually fail.
 #
@@ -52,14 +53,14 @@ echo "== differential sweep again with LAWS_SCAN_DECODE=1 (compressed tier off) 
 LAWS_SCAN_DECODE=1 LAWS_FUZZ_QUERIES="$QUERIES" \
   "$BUILD_DIR/tests/differential_test"
 
-echo "== mutation smoke: injected aggregate + bytecode + zone-map + harvest + top-k bugs must be caught =="
+echo "== mutation smoke: injected aggregate + bytecode + zone-map + harvest + top-k + grouping bugs must be caught =="
 cmake -B "$MUTANT_DIR" -S . -DLAWS_TESTING_INJECT_BUG=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$MUTANT_DIR" -j "$JOBS" --target differential_test
 "$MUTANT_DIR/tests/differential_test" \
-  --gtest_filter='DifferentialTest.MutationSmokeCatchesInjectedBug:DifferentialTest.MutationSmokeCatchesInjectedBytecodeBug:DifferentialTest.MutationSmokeCatchesInjectedZoneMapBug:DifferentialTest.MutationSmokeCatchesInjectedHarvestBug:DifferentialTest.MutationSmokeCatchesInjectedTopKBug'
+  --gtest_filter='DifferentialTest.MutationSmokeCatchesInjectedBug:DifferentialTest.MutationSmokeCatchesInjectedBytecodeBug:DifferentialTest.MutationSmokeCatchesInjectedZoneMapBug:DifferentialTest.MutationSmokeCatchesInjectedHarvestBug:DifferentialTest.MutationSmokeCatchesInjectedTopKBug:DifferentialTest.MutationSmokeCatchesInjectedGroupingBug'
 
 echo "Differential gate passed: $QUERIES queries agreed with the oracle" \
      "across the tree-walk/bytecode/compressed tier matrix (zero" \
      "mismatches, zero AQP bound violations) and the harness detected all" \
-     "five injected bugs."
+     "six injected bugs."

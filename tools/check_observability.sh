@@ -68,7 +68,7 @@ grep -q 'answered by: model-point (approximate, error bound' <<<"$out" \
 grep -q 'HybridDecision(exact: COUNT(\*)' <<<"$out" \
   || fail "no exact-fallback HybridDecision span"
 grep -q 'ExactScan' <<<"$out" || fail "no ExactScan span"
-grep -Eq 'HashAggregate\(<global>\)  rows=4000->1' <<<"$out" \
+grep -Eq 'HashAggregate\(<global> \| one group\)  rows=4000->1' <<<"$out" \
   || fail "no aggregate stage in the exact plan"
 grep -q 'answered by: exact (COUNT(\*)' <<<"$out" \
   || fail "no exact decision line"
