@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -12,11 +13,24 @@
 
 namespace laws {
 
+/// Bytes ByteWriter::PutVarint takes for `v`.
+inline size_t VarintSize(uint64_t v) {
+  size_t bytes = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++bytes;
+  }
+  return bytes;
+}
+
 /// Append-only little-endian byte sink used by storage serialization and the
 /// compression encoders.
 class ByteWriter {
  public:
   ByteWriter() = default;
+  /// Appends to `buf`, keeping its contents and capacity (so a buffer the
+  /// caller reserved is written without reallocating).
+  explicit ByteWriter(std::vector<uint8_t> buf) : buf_(std::move(buf)) {}
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
@@ -111,6 +125,14 @@ class ByteReader {
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();
+  }
+
+  /// Returns the next `n` bytes in place and skips past them.
+  Result<const uint8_t*> GetView(size_t n) {
+    if (n > remaining()) return Truncated("raw");
+    const uint8_t* view = data_ + pos_;
+    pos_ += n;
+    return view;
   }
 
   /// Reads a varint element count and validates it against the bytes that

@@ -3,6 +3,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace laws {
 namespace {
 
@@ -36,7 +40,7 @@ const Crc32cTables& Tables() {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t crc) {
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t crc) {
   const auto& tab = Tables();
   const auto* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
@@ -63,6 +67,54 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t crc) {
     crc = tab.t[0][(crc ^ *p++) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+bool Crc32cHardwareAvailable() { return __builtin_cpu_supports("sse4.2"); }
+
+namespace {
+
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const uint8_t* p,
+                                                        size_t n,
+                                                        uint32_t crc) {
+  uint64_t c = ~crc;
+  while (n != 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    c = _mm_crc32_u8(static_cast<uint32_t>(c), *p++);
+    --n;
+  }
+  while (n >= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    c = _mm_crc32_u64(c, w);
+    p += 8;
+    n -= 8;
+  }
+  while (n-- != 0) c = _mm_crc32_u8(static_cast<uint32_t>(c), *p++);
+  return ~static_cast<uint32_t>(c);
+}
+
+}  // namespace
+
+uint32_t Crc32cHardware(const void* data, size_t n, uint32_t crc) {
+  if (!Crc32cHardwareAvailable()) return Crc32cPortable(data, n, crc);
+  return Crc32cSse42(static_cast<const uint8_t*>(data), n, crc);
+}
+
+#else
+
+bool Crc32cHardwareAvailable() { return false; }
+
+uint32_t Crc32cHardware(const void* data, size_t n, uint32_t crc) {
+  return Crc32cPortable(data, n, crc);
+}
+
+#endif
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t crc) {
+  static const bool hardware = Crc32cHardwareAvailable();
+  return hardware ? Crc32cHardware(data, n, crc)
+                  : Crc32cPortable(data, n, crc);
 }
 
 uint32_t Crc32c(const std::vector<uint8_t>& buf, uint32_t crc) {

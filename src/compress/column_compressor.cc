@@ -1,10 +1,74 @@
 #include "compress/column_compressor.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
+#include "common/governor.h"
+#include "common/thread_pool.h"
 #include "compress/encoding.h"
 
 namespace laws {
 namespace {
+
+/// kAuto's sample: kSampleWindows evenly spaced windows of
+/// kSampleWindowRows rows. A column of at most kSampleRows rows is its own
+/// sample.
+constexpr size_t kSampleWindows = 8;
+constexpr size_t kSampleWindowRows = 8192;
+constexpr size_t kSampleRows = kSampleWindows * kSampleWindowRows;
+
+bool Applicable(DataType type, ColumnEncoding e) {
+  switch (type) {
+    case DataType::kInt64:
+      return e == ColumnEncoding::kPlain || e == ColumnEncoding::kRle ||
+             e == ColumnEncoding::kDeltaVarint ||
+             e == ColumnEncoding::kBitPack ||
+             e == ColumnEncoding::kShuffleZlib || e == ColumnEncoding::kZlib;
+    case DataType::kDouble:
+      return e == ColumnEncoding::kPlain || e == ColumnEncoding::kShuffleZlib ||
+             e == ColumnEncoding::kZlib;
+    case DataType::kString:
+      return e == ColumnEncoding::kPlain || e == ColumnEncoding::kRle ||
+             e == ColumnEncoding::kBitPack || e == ColumnEncoding::kZlib;
+    case DataType::kBool:
+      return e == ColumnEncoding::kPlain || e == ColumnEncoding::kZlib;
+  }
+  return false;
+}
+
+/// kAuto's trial order; a tie goes to the earlier encoding.
+constexpr ColumnEncoding kCandidates[] = {
+    ColumnEncoding::kPlain,   ColumnEncoding::kRle,
+    ColumnEncoding::kDeltaVarint, ColumnEncoding::kBitPack,
+    ColumnEncoding::kShuffleZlib, ColumnEncoding::kZlib};
+
+/// Bytes per row of the plain body (STRING: its uint32 dictionary code).
+size_t ElementWidth(DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+    case DataType::kDouble:
+      return 8;
+    case DataType::kString:
+      return 4;
+    case DataType::kBool:
+      return 1;
+  }
+  return 1;
+}
+
+const void* ElementData(const Column& column) {
+  switch (column.type()) {
+    case DataType::kInt64:
+      return column.int64_data().data();
+    case DataType::kDouble:
+      return column.double_data().data();
+    case DataType::kString:
+      return column.string_codes().data();
+    case DataType::kBool:
+      return column.bool_data().data();
+  }
+  return nullptr;
+}
 
 void WriteValidity(const Column& column, ByteWriter* out) {
   const bool has_nulls = column.null_count() > 0;
@@ -15,320 +79,352 @@ void WriteValidity(const Column& column, ByteWriter* out) {
   }
 }
 
-Result<std::vector<uint8_t>> ReadValidity(ByteReader* in) {
+Result<std::vector<uint8_t>> ReadValidity(ByteReader* in, uint64_t rows) {
   LAWS_ASSIGN_OR_RETURN(uint8_t has_nulls, in->GetU8());
   std::vector<uint8_t> validity;
   if (has_nulls) {
     LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(1, "validity bitmap"));
+    if (n != rows / 8 + (rows % 8 != 0 ? 1 : 0)) {
+      return Status::ParseError("validity bitmap does not match row count");
+    }
     validity.resize(n);
     LAWS_RETURN_IF_ERROR(in->GetRaw(validity.data(), n));
   }
   return validity;
 }
 
-std::vector<int64_t> CodesAsInt64(const std::vector<uint32_t>& codes) {
-  return std::vector<int64_t>(codes.begin(), codes.end());
+/// STRING columns put their dictionary before every body encoding.
+void WriteDictionary(const Column& column, ByteWriter* out) {
+  if (column.type() != DataType::kString) return;
+  out->PutVarint(column.dictionary().size());
+  for (const auto& s : column.dictionary()) out->PutString(s);
 }
 
-/// Encodes the column body (everything after validity) with `encoding`.
-/// Returns Unimplemented when the encoding does not apply to the type.
-Status EncodeBody(const Column& column, ColumnEncoding encoding,
-                  ByteWriter* out) {
+size_t DictionaryBytes(const Column& column) {
+  if (column.type() != DataType::kString) return 0;
+  size_t bytes = VarintSize(column.dictionary().size());
+  for (const auto& s : column.dictionary()) {
+    bytes += VarintSize(s.size()) + s.size();
+  }
+  return bytes;
+}
+
+/// What the plain body puts before its fixed-width rows: the dictionary
+/// (STRING), then the row count. Byte shuffling keeps the row count.
+std::vector<uint8_t> PlainHeader(const Column& column) {
+  ByteWriter w;
+  WriteDictionary(column, &w);
+  w.PutVarint(column.size());
+  return w.TakeData();
+}
+
+/// Upper bound on EncodeColumn's payload, so the buffer can be reserved
+/// before encoding starts.
+size_t MaxPayloadBytes(const Column& column, ColumnEncoding encoding) {
   const size_t n = column.size();
-  switch (column.type()) {
-    case DataType::kInt64: {
-      const auto& data = column.int64_data();
-      switch (encoding) {
-        case ColumnEncoding::kPlain:
-          out->PutVarint(n);
-          out->PutRaw(data.data(), n * sizeof(int64_t));
-          return Status::OK();
-        case ColumnEncoding::kRle:
-          RleEncodeInt64(data, out);
-          return Status::OK();
-        case ColumnEncoding::kDeltaVarint:
-          DeltaVarintEncodeInt64(data, out);
-          return Status::OK();
-        case ColumnEncoding::kBitPack:
-          BitPackEncodeInt64(data, out);
-          return Status::OK();
-        case ColumnEncoding::kShuffleZlib: {
-          ByteWriter shuffled;
-          ByteShuffleEncodeInt64(data, &shuffled);
-          LAWS_ASSIGN_OR_RETURN(
-              std::vector<uint8_t> z,
-              ZlibCompress(shuffled.data().data(), shuffled.size()));
-          out->PutVarint(z.size());
-          out->PutRaw(z.data(), z.size());
-          return Status::OK();
-        }
-        default:
-          break;
-      }
-      break;
-    }
-    case DataType::kDouble: {
-      const auto& data = column.double_data();
-      switch (encoding) {
-        case ColumnEncoding::kPlain:
-          out->PutVarint(n);
-          out->PutRaw(data.data(), n * sizeof(double));
-          return Status::OK();
-        case ColumnEncoding::kShuffleZlib: {
-          ByteWriter shuffled;
-          ByteShuffleEncodeDouble(data, &shuffled);
-          LAWS_ASSIGN_OR_RETURN(
-              std::vector<uint8_t> z,
-              ZlibCompress(shuffled.data().data(), shuffled.size()));
-          out->PutVarint(z.size());
-          out->PutRaw(z.data(), z.size());
-          return Status::OK();
-        }
-        default:
-          break;
-      }
-      break;
-    }
-    case DataType::kString: {
-      switch (encoding) {
-        case ColumnEncoding::kPlain:
-        case ColumnEncoding::kRle:
-        case ColumnEncoding::kBitPack: {
-          out->PutVarint(column.dictionary().size());
-          for (const auto& s : column.dictionary()) out->PutString(s);
-          const std::vector<int64_t> codes =
-              CodesAsInt64(column.string_codes());
-          if (encoding == ColumnEncoding::kRle) {
-            RleEncodeInt64(codes, out);
-          } else if (encoding == ColumnEncoding::kBitPack) {
-            BitPackEncodeInt64(codes, out);
-          } else {
-            out->PutVarint(n);
-            out->PutRaw(column.string_codes().data(), n * sizeof(uint32_t));
-          }
-          return Status::OK();
-        }
-        default:
-          break;
-      }
-      break;
-    }
-    case DataType::kBool: {
-      if (encoding == ColumnEncoding::kPlain) {
-        out->PutVarint(n);
-        out->PutRaw(column.bool_data().data(), n);
-        return Status::OK();
-      }
-      break;
-    }
+  const size_t validity = 1 + 10 + column.validity().size();
+  const size_t header = DictionaryBytes(column) + VarintSize(n);
+  switch (encoding) {
+    case ColumnEncoding::kRle:
+      // A run of one row takes a value of at most 10 bytes and a 1-byte
+      // length; longer runs take less per row.
+      return validity + header + 11 * n;
+    case ColumnEncoding::kDeltaVarint:
+      return validity + header + 10 * n;
+    case ColumnEncoding::kBitPack:
+      // The minimum, the width byte, and at worst every value raw.
+      return validity + header + 11 + 8 * n;
+    case ColumnEncoding::kShuffleZlib:
+    case ColumnEncoding::kZlib:
+      return validity +
+             MaxZlibBlobBytes(header + n * ElementWidth(column.type()));
+    default:
+      return validity + header + n * ElementWidth(column.type());
   }
-  return Status::Unimplemented("encoding not applicable to column type");
 }
 
-Result<Column> DecodeBody(ByteReader* in, const Field& field,
-                          ColumnEncoding encoding,
-                          const std::vector<uint8_t>& validity,
-                          size_t expected_rows) {
-  auto valid_at = [&](size_t i) {
-    if (validity.empty()) return true;
-    return ((validity[i >> 3] >> (i & 7)) & 1) != 0;
-  };
-  Column col(field.type, field.nullable || !validity.empty());
-
-  // With a known row count every deserialized length must match it exactly;
-  // otherwise expansion-capable decoders fall back to the global sanity cap.
-  const uint64_t max_elements =
-      expected_rows == kUnknownRowCount ? kMaxDecodedElements : expected_rows;
-  auto check_row_count = [&](uint64_t n) -> Status {
-    if (expected_rows != kUnknownRowCount && n != expected_rows) {
-      return Status::ParseError("column length does not match row count");
-    }
-    return Status::OK();
-  };
-
-  auto append_int64s = [&](const std::vector<int64_t>& data) -> Status {
-    for (size_t i = 0; i < data.size(); ++i) {
-      if (valid_at(i)) {
-        col.AppendInt64(data[i]);
-      } else {
-        LAWS_RETURN_IF_ERROR(col.AppendNull());
-      }
-    }
-    return Status::OK();
-  };
-
-  switch (field.type) {
-    case DataType::kInt64: {
-      std::vector<int64_t> data;
-      switch (encoding) {
-        case ColumnEncoding::kPlain: {
-          LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(8, "INT64 column"));
-          LAWS_RETURN_IF_ERROR(check_row_count(n));
-          data.resize(n);
-          LAWS_RETURN_IF_ERROR(in->GetRaw(data.data(), n * sizeof(int64_t)));
-          break;
-        }
-        case ColumnEncoding::kRle: {
-          LAWS_ASSIGN_OR_RETURN(data, RleDecodeInt64(in, max_elements));
-          break;
-        }
-        case ColumnEncoding::kDeltaVarint: {
-          LAWS_ASSIGN_OR_RETURN(data, DeltaVarintDecodeInt64(in));
-          break;
-        }
-        case ColumnEncoding::kBitPack: {
-          LAWS_ASSIGN_OR_RETURN(data, BitPackDecodeInt64(in, max_elements));
-          break;
-        }
-        case ColumnEncoding::kShuffleZlib: {
-          LAWS_ASSIGN_OR_RETURN(uint64_t zsize,
-                                in->GetCount(1, "zlib blob size"));
-          std::vector<uint8_t> blob(zsize);
-          LAWS_RETURN_IF_ERROR(in->GetRaw(blob.data(), zsize));
-          LAWS_ASSIGN_OR_RETURN(std::vector<uint8_t> plain,
-                                ZlibDecompress(blob));
-          ByteReader r(plain);
-          LAWS_ASSIGN_OR_RETURN(data, ByteShuffleDecodeInt64(&r));
-          break;
-        }
-        default:
-          return Status::ParseError("bad INT64 encoding tag");
-      }
-      LAWS_RETURN_IF_ERROR(check_row_count(data.size()));
-      LAWS_RETURN_IF_ERROR(append_int64s(data));
-      return col;
-    }
-    case DataType::kDouble: {
-      std::vector<double> data;
-      switch (encoding) {
-        case ColumnEncoding::kPlain: {
-          LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(8, "DOUBLE column"));
-          LAWS_RETURN_IF_ERROR(check_row_count(n));
-          data.resize(n);
-          LAWS_RETURN_IF_ERROR(in->GetRaw(data.data(), n * sizeof(double)));
-          break;
-        }
-        case ColumnEncoding::kShuffleZlib: {
-          LAWS_ASSIGN_OR_RETURN(uint64_t zsize,
-                                in->GetCount(1, "zlib blob size"));
-          std::vector<uint8_t> blob(zsize);
-          LAWS_RETURN_IF_ERROR(in->GetRaw(blob.data(), zsize));
-          LAWS_ASSIGN_OR_RETURN(std::vector<uint8_t> plain,
-                                ZlibDecompress(blob));
-          ByteReader r(plain);
-          LAWS_ASSIGN_OR_RETURN(data, ByteShuffleDecodeDouble(&r));
-          break;
-        }
-        default:
-          return Status::ParseError("bad DOUBLE encoding tag");
-      }
-      LAWS_RETURN_IF_ERROR(check_row_count(data.size()));
-      for (size_t i = 0; i < data.size(); ++i) {
-        if (valid_at(i)) {
-          col.AppendDouble(data[i]);
-        } else {
-          LAWS_RETURN_IF_ERROR(col.AppendNull());
-        }
-      }
-      return col;
-    }
-    case DataType::kString: {
-      // Every dictionary entry encodes at least its 1-byte length prefix.
-      LAWS_ASSIGN_OR_RETURN(uint64_t dict_size,
-                            in->GetCount(1, "string dictionary"));
-      std::vector<std::string> dict(dict_size);
-      for (auto& s : dict) {
-        LAWS_ASSIGN_OR_RETURN(s, in->GetString());
-      }
+/// Appends `column` encoded with `encoding` (applicable, not kAuto) to
+/// `payload`; with MaxPayloadBytes spare capacity it never reallocates.
+Status EncodeColumn(const Column& column, ColumnEncoding encoding,
+                    std::vector<uint8_t>* payload) {
+  ByteWriter w(std::move(*payload));
+  WriteValidity(column, &w);
+  const size_t n = column.size();
+  switch (encoding) {
+    case ColumnEncoding::kZlib:
+    case ColumnEncoding::kShuffleZlib:
+      *payload = w.TakeData();
+      return AppendZlibBlob(PlainHeader(column), ElementData(column), n,
+                            ElementWidth(column.type()),
+                            encoding == ColumnEncoding::kShuffleZlib, payload);
+    case ColumnEncoding::kPlain:
+      WriteDictionary(column, &w);
+      w.PutVarint(n);
+      w.PutRaw(ElementData(column), n * ElementWidth(column.type()));
+      break;
+    default: {
+      WriteDictionary(column, &w);
       std::vector<int64_t> codes;
+      if (column.type() == DataType::kString) {
+        codes.assign(column.string_codes().begin(),
+                     column.string_codes().end());
+      }
+      const std::vector<int64_t>& values =
+          column.type() == DataType::kString ? codes : column.int64_data();
       if (encoding == ColumnEncoding::kRle) {
-        LAWS_ASSIGN_OR_RETURN(codes, RleDecodeInt64(in, max_elements));
-      } else if (encoding == ColumnEncoding::kBitPack) {
-        LAWS_ASSIGN_OR_RETURN(codes, BitPackDecodeInt64(in, max_elements));
-      } else if (encoding == ColumnEncoding::kPlain) {
-        LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(4, "string codes"));
-        std::vector<uint32_t> raw(n);
-        LAWS_RETURN_IF_ERROR(in->GetRaw(raw.data(), n * sizeof(uint32_t)));
-        codes.assign(raw.begin(), raw.end());
+        RleEncodeInt64(values, &w);
+      } else if (encoding == ColumnEncoding::kDeltaVarint) {
+        DeltaVarintEncodeInt64(values, &w);
       } else {
-        return Status::ParseError("bad STRING encoding tag");
+        BitPackEncodeInt64(values, &w);
       }
-      LAWS_RETURN_IF_ERROR(check_row_count(codes.size()));
-      for (size_t i = 0; i < codes.size(); ++i) {
-        if (!valid_at(i)) {
-          LAWS_RETURN_IF_ERROR(col.AppendNull());
-          continue;
-        }
-        if (codes[i] < 0 || static_cast<uint64_t>(codes[i]) >= dict.size()) {
-          return Status::ParseError("dictionary code out of range");
-        }
-        col.AppendString(dict[static_cast<size_t>(codes[i])]);
-      }
-      return col;
-    }
-    case DataType::kBool: {
-      if (encoding != ColumnEncoding::kPlain) {
-        return Status::ParseError("bad BOOL encoding tag");
-      }
-      LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(1, "BOOL column"));
-      LAWS_RETURN_IF_ERROR(check_row_count(n));
-      std::vector<uint8_t> data(n);
-      LAWS_RETURN_IF_ERROR(in->GetRaw(data.data(), n));
-      for (size_t i = 0; i < data.size(); ++i) {
-        if (valid_at(i)) {
-          col.AppendBool(data[i] != 0);
-        } else {
-          LAWS_RETURN_IF_ERROR(col.AppendNull());
-        }
-      }
-      return col;
+      break;
     }
   }
-  return Status::Internal("corrupt column type");
-}
-
-/// Candidate non-zlib encodings for a type (kZlib wraps kPlain separately).
-std::vector<ColumnEncoding> CandidatesFor(DataType type) {
-  switch (type) {
-    case DataType::kInt64:
-      return {ColumnEncoding::kPlain, ColumnEncoding::kRle,
-              ColumnEncoding::kDeltaVarint, ColumnEncoding::kBitPack,
-              ColumnEncoding::kShuffleZlib};
-    case DataType::kDouble:
-      return {ColumnEncoding::kPlain, ColumnEncoding::kShuffleZlib};
-    case DataType::kString:
-      return {ColumnEncoding::kPlain, ColumnEncoding::kRle,
-              ColumnEncoding::kBitPack};
-    case DataType::kBool:
-      return {ColumnEncoding::kPlain};
-  }
-  return {ColumnEncoding::kPlain};
+  *payload = w.TakeData();
+  return Status::OK();
 }
 
 Result<CompressedColumn> CompressWith(const Column& column,
                                       ColumnEncoding encoding) {
-  CompressedColumn out;
-  out.uncompressed_bytes = column.MemoryBytes();
-  if (encoding == ColumnEncoding::kZlib) {
-    // DEFLATE over the plain body (validity stays raw up front).
-    ByteWriter plain;
-    LAWS_RETURN_IF_ERROR(EncodeBody(column, ColumnEncoding::kPlain, &plain));
-    ByteWriter w;
-    WriteValidity(column, &w);
-    LAWS_ASSIGN_OR_RETURN(std::vector<uint8_t> z,
-                          ZlibCompress(plain.data().data(), plain.size()));
-    w.PutVarint(z.size());
-    w.PutRaw(z.data(), z.size());
-    out.encoding = ColumnEncoding::kZlib;
-    out.payload = w.TakeData();
-    return out;
+  if (!Applicable(column.type(), encoding)) {
+    return Status::Unimplemented("encoding not applicable to column type");
   }
-  ByteWriter w;
-  WriteValidity(column, &w);
-  LAWS_RETURN_IF_ERROR(EncodeBody(column, encoding, &w));
+  CompressedColumn out;
   out.encoding = encoding;
-  out.payload = w.TakeData();
+  out.uncompressed_bytes = column.MemoryBytes();
+  out.payload.reserve(MaxPayloadBytes(column, encoding));
+  LAWS_RETURN_IF_ERROR(EncodeColumn(column, encoding, &out.payload));
   return out;
+}
+
+/// The smallest payload over every applicable encoding.
+Result<CompressedColumn> CompressSmallest(const Column& column) {
+  Result<CompressedColumn> best = Status::Internal("no applicable encoding");
+  for (ColumnEncoding cand : kCandidates) {
+    if (!Applicable(column.type(), cand)) continue;
+    auto c = CompressWith(column, cand);
+    if (!c.ok()) return c.status();
+    if (!best.ok() || c->payload.size() < best->payload.size()) {
+      best = std::move(c);
+    }
+  }
+  return best;
+}
+
+/// kAuto's sample of a column longer than kSampleRows: the first window
+/// starts at row 0, the last ends at the last row.
+Column SampleOf(const Column& column) {
+  const size_t span = column.size() - kSampleWindowRows;
+  std::vector<uint32_t> rows;
+  rows.reserve(kSampleRows);
+  for (size_t w = 0; w < kSampleWindows; ++w) {
+    const size_t begin = span * w / (kSampleWindows - 1);
+    for (size_t i = 0; i < kSampleWindowRows; ++i) {
+      rows.push_back(static_cast<uint32_t>(begin + i));
+    }
+  }
+  return column.Gather(rows);
+}
+
+/// One column's decode in three steps, so that DecompressTable can size
+/// every destination on the calling thread and decode on pool lanes.
+struct ColumnDecode {
+  const Field* field = nullptr;
+  ColumnEncoding encoding = ColumnEncoding::kPlain;
+  size_t rows = 0;
+  ByteReader in{nullptr, 0};  // the payload, past the validity bitmap
+  std::vector<uint8_t> validity;
+  ZlibBlobReader zlib;  // open for kZlib and kShuffleZlib
+  // Destinations, sized to `rows` by PrepareDecode: `ints`, `doubles` or
+  // `bools` by type; STRING decodes `codes` (`ints` under kRle/kBitPack)
+  // and the dictionary.
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<uint8_t> bools;
+  std::vector<uint32_t> codes;
+  std::vector<std::string> dictionary;
+};
+
+template <typename Reader>
+Status ReadDictionary(Reader* in, std::vector<std::string>* dictionary) {
+  // Every dictionary entry encodes at least its 1-byte length prefix.
+  LAWS_ASSIGN_OR_RETURN(uint64_t size, in->GetCount(1, "string dictionary"));
+  dictionary->resize(size);
+  for (auto& s : *dictionary) {
+    LAWS_ASSIGN_OR_RETURN(s, in->GetString());
+  }
+  return Status::OK();
+}
+
+/// The plain body after the dictionary: the row count, then the rows
+/// straight into the destination.
+template <typename Reader>
+Status ReadPlainRows(Reader* in, ColumnDecode* d) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetVarint());
+  if (n != d->rows) {
+    return Status::ParseError("column length does not match row count");
+  }
+  switch (d->field->type) {
+    case DataType::kInt64:
+      return in->GetRaw(d->ints.data(), n * sizeof(int64_t));
+    case DataType::kDouble:
+      return in->GetRaw(d->doubles.data(), n * sizeof(double));
+    case DataType::kString:
+      return in->GetRaw(d->codes.data(), n * sizeof(uint32_t));
+    case DataType::kBool:
+      return in->GetRaw(d->bools.data(), n);
+  }
+  return Status::Internal("corrupt column type");
+}
+
+/// Checks everything that bounds the row count, then sizes the
+/// destination: nothing is allocated from `rows` until the payload could
+/// hold that many.
+Status PrepareDecode(const CompressedColumn& compressed, const Field& field,
+                     size_t rows, ColumnDecode* d) {
+  d->field = &field;
+  d->encoding = compressed.encoding;
+  d->rows = rows;
+  d->in = ByteReader(compressed.payload);
+  LAWS_ASSIGN_OR_RETURN(d->validity, ReadValidity(&d->in, rows));
+  if (!Applicable(field.type, compressed.encoding)) {
+    return Status::ParseError(
+        "bad " + std::string(DataTypeToString(field.type)) + " encoding tag");
+  }
+  const bool zlib = compressed.encoding == ColumnEncoding::kZlib ||
+                    compressed.encoding == ColumnEncoding::kShuffleZlib;
+  if (field.type == DataType::kString && !zlib) {
+    LAWS_RETURN_IF_ERROR(ReadDictionary(&d->in, &d->dictionary));
+  }
+  const size_t width = ElementWidth(field.type);
+  switch (compressed.encoding) {
+    case ColumnEncoding::kZlib:
+    case ColumnEncoding::kShuffleZlib:
+      LAWS_RETURN_IF_ERROR(d->zlib.Open(&d->in));
+      if (rows > d->zlib.declared_bytes() / width) {
+        return Status::ParseError("column length does not match row count");
+      }
+      break;
+    case ColumnEncoding::kRle:
+    case ColumnEncoding::kBitPack: {
+      // These legitimately expand past their byte count, so the count they
+      // start with must match and stay under the sanity cap.
+      ByteReader peek = d->in;
+      LAWS_ASSIGN_OR_RETURN(uint64_t n, peek.GetVarint());
+      if (n != rows || n > kMaxDecodedElements) {
+        return Status::ParseError("column length does not match row count");
+      }
+      break;
+    }
+    case ColumnEncoding::kDeltaVarint:
+      LAWS_RETURN_IF_ERROR(d->in.CheckAvailable(rows, 1, "delta-varint rows"));
+      break;
+    default:
+      LAWS_RETURN_IF_ERROR(d->in.CheckAvailable(rows, width, "column rows"));
+      break;
+  }
+  switch (field.type) {
+    case DataType::kInt64:
+      d->ints.resize(rows);
+      break;
+    case DataType::kDouble:
+      d->doubles.resize(rows);
+      break;
+    case DataType::kBool:
+      d->bools.resize(rows);
+      break;
+    case DataType::kString:
+      if (compressed.encoding == ColumnEncoding::kRle ||
+          compressed.encoding == ColumnEncoding::kBitPack) {
+        d->ints.resize(rows);
+      } else {
+        d->codes.resize(rows);
+      }
+      break;
+  }
+  return Status::OK();
+}
+
+/// Decodes the body into the destination PrepareDecode sized.
+Status RunDecode(ColumnDecode* d) {
+  switch (d->encoding) {
+    case ColumnEncoding::kPlain:
+      LAWS_RETURN_IF_ERROR(ReadPlainRows(&d->in, d));
+      break;
+    case ColumnEncoding::kZlib:
+      if (d->field->type == DataType::kString) {
+        LAWS_RETURN_IF_ERROR(ReadDictionary(&d->zlib, &d->dictionary));
+      }
+      LAWS_RETURN_IF_ERROR(ReadPlainRows(&d->zlib, d));
+      LAWS_RETURN_IF_ERROR(d->zlib.Finish());
+      break;
+    case ColumnEncoding::kShuffleZlib: {
+      LAWS_ASSIGN_OR_RETURN(uint64_t n, d->zlib.GetVarint());
+      if (n != d->rows) {
+        return Status::ParseError("column length does not match row count");
+      }
+      void* out = d->field->type == DataType::kInt64
+                      ? static_cast<void*>(d->ints.data())
+                      : static_cast<void*>(d->doubles.data());
+      LAWS_RETURN_IF_ERROR(d->zlib.GetShuffled(out, n, 8));
+      LAWS_RETURN_IF_ERROR(d->zlib.Finish());
+      break;
+    }
+    case ColumnEncoding::kRle:
+      LAWS_RETURN_IF_ERROR(RleDecodeInt64(&d->in, d->ints.data(), d->rows));
+      break;
+    case ColumnEncoding::kDeltaVarint:
+      LAWS_RETURN_IF_ERROR(
+          DeltaVarintDecodeInt64(&d->in, d->ints.data(), d->rows));
+      break;
+    case ColumnEncoding::kBitPack:
+      LAWS_RETURN_IF_ERROR(BitPackDecodeInt64(&d->in, d->ints.data(), d->rows));
+      break;
+    default:
+      return Status::ParseError("bad encoding tag");
+  }
+  if (!d->in.AtEnd()) {
+    return Status::ParseError("trailing bytes after column payload");
+  }
+  return Status::OK();
+}
+
+/// Builds the column from the decoded destination.
+Result<Column> FinishDecode(ColumnDecode* d) {
+  const bool nullable = d->field->nullable || !d->validity.empty();
+  if (d->field->type == DataType::kString) {
+    // Re-interning rebuilds the dictionary in first-seen order.
+    Column col(DataType::kString, nullable);
+    const bool wide = !d->ints.empty();
+    for (size_t i = 0; i < d->rows; ++i) {
+      if (!d->validity.empty() && ((d->validity[i >> 3] >> (i & 7)) & 1) == 0) {
+        LAWS_RETURN_IF_ERROR(col.AppendNull());
+        continue;
+      }
+      const int64_t code = wide ? d->ints[i] : d->codes[i];
+      if (code < 0 || static_cast<uint64_t>(code) >= d->dictionary.size()) {
+        return Status::ParseError("dictionary code out of range");
+      }
+      col.AppendString(d->dictionary[static_cast<size_t>(code)]);
+    }
+    return col;
+  }
+  Column col(d->field->type, /*nullable=*/false);
+  switch (d->field->type) {
+    case DataType::kInt64:
+      col = Column::FromInt64Vector(std::move(d->ints));
+      break;
+    case DataType::kDouble:
+      col = Column::FromDoubleVector(std::move(d->doubles));
+      break;
+    default:
+      for (uint8_t& b : d->bools) b = b != 0 ? 1 : 0;
+      col = Column::FromBoolVector(std::move(d->bools));
+      break;
+  }
+  if (nullable) col.SetValidity(std::move(d->validity));
+  return col;
 }
 
 }  // namespace
@@ -377,62 +473,94 @@ Result<CompressedColumn> CompressColumn(const Column& column,
   if (encoding != ColumnEncoding::kAuto) {
     return CompressWith(column, encoding);
   }
-  Result<CompressedColumn> best =
-      Status::Internal("no applicable encoding");
-  for (ColumnEncoding cand : CandidatesFor(column.type())) {
-    auto c = CompressWith(column, cand);
-    if (!c.ok()) continue;
-    if (!best.ok() || c->payload.size() < best->payload.size()) best = c;
-  }
-  // Also consider generic DEFLATE.
-  auto z = CompressWith(column, ColumnEncoding::kZlib);
-  if (z.ok() && (!best.ok() || z->payload.size() < best->payload.size())) {
-    best = z;
-  }
-  return best;
+  if (column.size() <= kSampleRows) return CompressSmallest(column);
+  LAWS_ASSIGN_OR_RETURN(CompressedColumn trial,
+                        CompressSmallest(SampleOf(column)));
+  return CompressWith(column, trial.encoding);
 }
 
 Result<Column> DecompressColumn(const CompressedColumn& compressed,
-                                const Field& field, size_t expected_rows) {
-  ByteReader in(compressed.payload);
-  LAWS_ASSIGN_OR_RETURN(std::vector<uint8_t> validity, ReadValidity(&in));
-  if (compressed.encoding == ColumnEncoding::kZlib) {
-    LAWS_ASSIGN_OR_RETURN(uint64_t zsize, in.GetCount(1, "zlib blob size"));
-    std::vector<uint8_t> blob(zsize);
-    LAWS_RETURN_IF_ERROR(in.GetRaw(blob.data(), zsize));
-    LAWS_ASSIGN_OR_RETURN(std::vector<uint8_t> plain, ZlibDecompress(blob));
-    ByteReader body(plain);
-    return DecodeBody(&body, field, ColumnEncoding::kPlain, validity,
-                      expected_rows);
-  }
-  return DecodeBody(&in, field, compressed.encoding, validity, expected_rows);
+                                const Field& field, size_t rows) {
+  ColumnDecode d;
+  LAWS_RETURN_IF_ERROR(PrepareDecode(compressed, field, rows, &d));
+  LAWS_RETURN_IF_ERROR(RunDecode(&d));
+  return FinishDecode(&d);
 }
 
 Result<CompressedTable> CompressTable(const Table& table,
                                       ColumnEncoding encoding) {
+  const size_t k = table.num_columns();
   CompressedTable out;
   out.schema = table.schema();
   out.num_rows = table.num_rows();
-  out.columns.reserve(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    LAWS_ASSIGN_OR_RETURN(CompressedColumn cc,
-                          CompressColumn(table.column(c), encoding));
-    out.columns.push_back(std::move(cc));
+  out.columns.resize(k);
+  std::vector<Status> status(k);
+  // kAuto picks each column's encoding from its sample, one column per
+  // lane. A column that is its own sample comes out encoded.
+  std::vector<uint8_t> encoded(k, 0);
+  for (CompressedColumn& c : out.columns) c.encoding = encoding;
+  if (encoding == ColumnEncoding::kAuto) {
+    ParallelFor(0, k, [&](size_t c) {
+      const Column& column = table.column(c);
+      auto trial = column.size() <= kSampleRows
+                       ? CompressSmallest(column)
+                       : CompressSmallest(SampleOf(column));
+      if (!trial.ok()) {
+        status[c] = trial.status();
+      } else if (column.size() <= kSampleRows) {
+        out.columns[c] = std::move(*trial);
+        encoded[c] = 1;
+      } else {
+        out.columns[c].encoding = trial->encoding;
+      }
+    });
+    LAWS_GOVERNOR_POLL();
+    for (const Status& s : status) LAWS_RETURN_IF_ERROR(s);
   }
+  // Every column-sized buffer is allocated here, before the lanes run: a
+  // buffer a lane allocates is freed into that lane's malloc arena, which
+  // keeps it resident (DESIGN.md §6).
+  for (size_t c = 0; c < k; ++c) {
+    if (encoded[c]) continue;
+    const Column& column = table.column(c);
+    CompressedColumn& cc = out.columns[c];
+    if (!Applicable(column.type(), cc.encoding)) {
+      return Status::Unimplemented("encoding not applicable to column type");
+    }
+    cc.uncompressed_bytes = column.MemoryBytes();
+    cc.payload.reserve(MaxPayloadBytes(column, cc.encoding));
+  }
+  ParallelFor(0, k, [&](size_t c) {
+    if (encoded[c]) return;
+    status[c] = EncodeColumn(table.column(c), out.columns[c].encoding,
+                             &out.columns[c].payload);
+  });
+  LAWS_GOVERNOR_POLL();
+  for (const Status& s : status) LAWS_RETURN_IF_ERROR(s);
   return out;
 }
 
 Result<Table> DecompressTable(const CompressedTable& compressed) {
+  const size_t k = compressed.columns.size();
+  if (k != compressed.schema.num_fields()) {
+    return Status::ParseError("column count does not match schema");
+  }
+  // Destinations are sized on this thread, for the same reason as in
+  // CompressTable; the lanes only fill them.
+  std::vector<ColumnDecode> decodes(k);
+  for (size_t c = 0; c < k; ++c) {
+    LAWS_RETURN_IF_ERROR(PrepareDecode(compressed.columns[c],
+                                       compressed.schema.field(c),
+                                       compressed.num_rows, &decodes[c]));
+  }
+  std::vector<Status> status(k);
+  ParallelFor(0, k, [&](size_t c) { status[c] = RunDecode(&decodes[c]); });
+  LAWS_GOVERNOR_POLL();
+  for (const Status& s : status) LAWS_RETURN_IF_ERROR(s);
   std::vector<Column> columns;
-  columns.reserve(compressed.columns.size());
-  for (size_t c = 0; c < compressed.columns.size(); ++c) {
-    LAWS_ASSIGN_OR_RETURN(
-        Column col,
-        DecompressColumn(compressed.columns[c], compressed.schema.field(c),
-                         compressed.num_rows));
-    if (col.size() != compressed.num_rows) {
-      return Status::ParseError("row count mismatch after decompression");
-    }
+  columns.reserve(k);
+  for (ColumnDecode& d : decodes) {
+    LAWS_ASSIGN_OR_RETURN(Column col, FinishDecode(&d));
     columns.push_back(std::move(col));
   }
   return Table::FromColumns(compressed.schema, std::move(columns));

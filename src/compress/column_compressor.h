@@ -10,8 +10,9 @@
 
 namespace laws {
 
-/// Per-column encoding schemes. kAuto tries all applicable encodings and
-/// keeps the smallest.
+/// Per-column encoding schemes. kAuto encodes the column's sample with
+/// every applicable encoding and encodes the whole column once, with the
+/// encoding that was smallest on the sample (see CompressColumn).
 enum class ColumnEncoding : uint8_t {
   kPlain = 0,
   kRle = 1,
@@ -46,30 +47,35 @@ struct CompressedTable {
   double CompressionRatio() const;
 };
 
-/// Compresses one column with the requested encoding (kAuto = best of all
-/// applicable).
+/// Compresses one column with the requested encoding. kAuto samples: a
+/// column of at most 65,536 rows is its own sample, a longer one samples 8
+/// evenly spaced windows of 8,192 rows (the first at row 0, the last
+/// ending at the last row). Every applicable encoding is tried on the
+/// sample, a tie going to the lower ColumnEncoding value, and the column
+/// is then encoded once with the smallest; a column that is its own
+/// sample keeps that trial's payload, so short columns get the exhaustive
+/// choice.
 Result<CompressedColumn> CompressColumn(const Column& column,
                                         ColumnEncoding encoding);
 
-/// Sentinel for DecompressColumn when the caller does not know how many
-/// rows to expect; decoders then fall back to the kMaxDecodedElements
-/// sanity cap instead of an exact bound.
-inline constexpr size_t kUnknownRowCount = static_cast<size_t>(-1);
-
-/// Reconstructs a column; `field` supplies type/nullability. When
-/// `expected_rows` is known it becomes a hard bound on every allocation
-/// driven by deserialized counts (corrupt payloads fail fast with
-/// kParseError instead of over-allocating) and the decoded length is
-/// verified against it.
+/// Reconstructs a column of `rows` rows; `field` supplies type/nullability.
+/// `rows` bounds every allocation: a destination is sized only once the
+/// payload is known to hold that many rows, so a corrupt payload fails
+/// fast with kParseError instead of over-allocating. A payload that does
+/// not decode to exactly `rows` rows, or has bytes left over, is a
+/// kParseError too.
 Result<Column> DecompressColumn(const CompressedColumn& compressed,
-                                const Field& field,
-                                size_t expected_rows = kUnknownRowCount);
+                                const Field& field, size_t rows);
 
-/// Compresses all columns of a table (kAuto per column by default).
+/// Compresses all columns of a table (kAuto per column by default), one
+/// column per lane of the global pool. Every column-sized buffer is
+/// allocated on the calling thread; the output is the same at every lane
+/// count.
 Result<CompressedTable> CompressTable(
     const Table& table, ColumnEncoding encoding = ColumnEncoding::kAuto);
 
-/// Reconstructs the full table; round-trips losslessly.
+/// Reconstructs the full table, one column per lane, decoding straight
+/// into column vectors sized on the calling thread; round-trips losslessly.
 Result<Table> DecompressTable(const CompressedTable& compressed);
 
 }  // namespace laws

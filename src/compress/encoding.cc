@@ -2,6 +2,7 @@
 
 #include <zlib.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace laws {
@@ -19,27 +20,22 @@ void RleEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out) {
   }
 }
 
-Result<std::vector<int64_t>> RleDecodeInt64(ByteReader* in,
-                                            uint64_t max_elements) {
-  LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetVarint());
-  // RLE legitimately expands (a constant column is one tiny run), so the
-  // count cannot be validated against remaining(); cap it instead, and
-  // reserve no more than the input could plausibly describe — growth past
-  // that is earned run by run.
-  if (n > max_elements) {
-    return Status::ParseError("implausible RLE element count");
+Status RleDecodeInt64(ByteReader* in, int64_t* out, uint64_t n) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t count, in->GetVarint());
+  if (count != n) {
+    return Status::ParseError("RLE element count does not match row count");
   }
-  std::vector<int64_t> out;
-  out.reserve(static_cast<size_t>(std::min<uint64_t>(n, in->remaining())));
-  while (out.size() < n) {
+  uint64_t filled = 0;
+  while (filled < n) {
     LAWS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
     LAWS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
-    if (run == 0 || out.size() + run > n) {
+    if (run == 0 || run > n - filled) {
       return Status::ParseError("corrupt RLE run");
     }
-    out.insert(out.end(), run, v);
+    std::fill_n(out + filled, run, v);
+    filled += run;
   }
-  return out;
+  return Status::OK();
 }
 
 void DeltaVarintEncodeInt64(const std::vector<int64_t>& values,
@@ -54,20 +50,20 @@ void DeltaVarintEncodeInt64(const std::vector<int64_t>& values,
   }
 }
 
-Result<std::vector<int64_t>> DeltaVarintDecodeInt64(ByteReader* in) {
-  // Every delta takes at least one encoded byte, so a count above
-  // remaining() is corrupt — reject before reserving.
-  LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(1, "delta-varint count"));
-  std::vector<int64_t> out;
-  out.reserve(n);
+Status DeltaVarintDecodeInt64(ByteReader* in, int64_t* out, uint64_t n) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t count, in->GetVarint());
+  if (count != n) {
+    return Status::ParseError(
+        "delta-varint element count does not match row count");
+  }
   int64_t prev = 0;
   for (uint64_t i = 0; i < n; ++i) {
     LAWS_ASSIGN_OR_RETURN(int64_t d, in->GetSignedVarint());
     prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
                                 static_cast<uint64_t>(d));
-    out.push_back(prev);
+    out[i] = prev;
   }
-  return out;
+  return Status::OK();
 }
 
 void BitPackEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out) {
@@ -107,43 +103,36 @@ void BitPackEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out) {
   if (bits > 0) out->PutU8(static_cast<uint8_t>(acc & 0xFF));
 }
 
-Result<std::vector<int64_t>> BitPackDecodeInt64(ByteReader* in,
-                                                uint64_t max_elements) {
-  LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetVarint());
-  // Width 0 (constant column) packs any count into ~3 bytes, so the count
-  // cannot be bounded by remaining() up front; cap it, then validate the
-  // per-width payload size once the width is known.
-  if (n > max_elements) {
-    return Status::ParseError("implausible bit-pack element count");
+Status BitPackDecodeInt64(ByteReader* in, int64_t* out, uint64_t n) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t count, in->GetVarint());
+  if (count != n) {
+    return Status::ParseError(
+        "bit-pack element count does not match row count");
   }
-  std::vector<int64_t> out;
-  if (n == 0) return out;
+  if (n == 0) return Status::OK();
   LAWS_ASSIGN_OR_RETURN(int64_t lo, in->GetSignedVarint());
   LAWS_ASSIGN_OR_RETURN(uint8_t width, in->GetU8());
   if (width == 0) {
-    out.assign(n, lo);
-    return out;
+    std::fill_n(out, n, lo);
+    return Status::OK();
   }
   if (width == 255) {
     LAWS_RETURN_IF_ERROR(in->CheckAvailable(n, 8, "bit-pack raw values"));
-    out.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
-      LAWS_ASSIGN_OR_RETURN(int64_t v, in->GetI64());
-      out.push_back(v);
+      LAWS_ASSIGN_OR_RETURN(out[i], in->GetI64());
     }
-    return out;
+    return Status::OK();
   }
   if (width > 56) {
     return Status::ParseError("corrupt bit width");
   }
-  // n <= 2^28 and width <= 56, so n * width cannot overflow here.
-  if (in->remaining() < (n * width + 7) / 8) {
+  // Check the packed size before the loop, overflow-safely.
+  if (n > (static_cast<uint64_t>(in->remaining()) * 8) / width) {
     return Status::ParseError("truncated bit-pack payload");
   }
-  out.reserve(n);
   uint64_t acc = 0;
   int bits = 0;
-  const uint64_t mask = (width == 64) ? ~0ULL : ((1ULL << width) - 1);
+  const uint64_t mask = (1ULL << width) - 1;
   for (uint64_t i = 0; i < n; ++i) {
     while (bits < width) {
       LAWS_ASSIGN_OR_RETURN(uint8_t b, in->GetU8());
@@ -153,69 +142,9 @@ Result<std::vector<int64_t>> BitPackDecodeInt64(ByteReader* in,
     const uint64_t off = acc & mask;
     acc >>= width;
     bits -= width;
-    out.push_back(static_cast<int64_t>(static_cast<uint64_t>(lo) + off));
+    out[i] = static_cast<int64_t>(static_cast<uint64_t>(lo) + off);
   }
-  return out;
-}
-
-void ByteShuffleEncodeDouble(const std::vector<double>& values,
-                             ByteWriter* out) {
-  out->PutVarint(values.size());
-  const size_t n = values.size();
-  if (n == 0) return;
-  const auto* src = reinterpret_cast<const uint8_t*>(values.data());
-  std::vector<uint8_t> shuffled(n * 8);
-  for (size_t byte = 0; byte < 8; ++byte) {
-    for (size_t i = 0; i < n; ++i) {
-      shuffled[byte * n + i] = src[i * 8 + byte];
-    }
-  }
-  out->PutRaw(shuffled.data(), shuffled.size());
-}
-
-Result<std::vector<double>> ByteShuffleDecodeDouble(ByteReader* in) {
-  LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(8, "byte-shuffle count"));
-  std::vector<double> out(n);
-  if (n == 0) return out;
-  std::vector<uint8_t> shuffled(n * 8);
-  LAWS_RETURN_IF_ERROR(in->GetRaw(shuffled.data(), shuffled.size()));
-  auto* dst = reinterpret_cast<uint8_t*>(out.data());
-  for (size_t byte = 0; byte < 8; ++byte) {
-    for (size_t i = 0; i < n; ++i) {
-      dst[i * 8 + byte] = shuffled[byte * n + i];
-    }
-  }
-  return out;
-}
-
-void ByteShuffleEncodeInt64(const std::vector<int64_t>& values,
-                            ByteWriter* out) {
-  out->PutVarint(values.size());
-  const size_t n = values.size();
-  if (n == 0) return;
-  const auto* src = reinterpret_cast<const uint8_t*>(values.data());
-  std::vector<uint8_t> shuffled(n * 8);
-  for (size_t byte = 0; byte < 8; ++byte) {
-    for (size_t i = 0; i < n; ++i) {
-      shuffled[byte * n + i] = src[i * 8 + byte];
-    }
-  }
-  out->PutRaw(shuffled.data(), shuffled.size());
-}
-
-Result<std::vector<int64_t>> ByteShuffleDecodeInt64(ByteReader* in) {
-  LAWS_ASSIGN_OR_RETURN(uint64_t n, in->GetCount(8, "byte-shuffle count"));
-  std::vector<int64_t> out(n);
-  if (n == 0) return out;
-  std::vector<uint8_t> shuffled(n * 8);
-  LAWS_RETURN_IF_ERROR(in->GetRaw(shuffled.data(), shuffled.size()));
-  auto* dst = reinterpret_cast<uint8_t*>(out.data());
-  for (size_t byte = 0; byte < 8; ++byte) {
-    for (size_t i = 0; i < n; ++i) {
-      dst[i * 8 + byte] = shuffled[byte * n + i];
-    }
-  }
-  return out;
+  return Status::OK();
 }
 
 Result<std::vector<uint8_t>> ZlibCompress(const uint8_t* data, size_t size) {
@@ -233,28 +162,272 @@ Result<std::vector<uint8_t>> ZlibCompress(const uint8_t* data, size_t size) {
   return out;
 }
 
-Result<std::vector<uint8_t>> ZlibDecompress(const std::vector<uint8_t>& blob) {
-  if (blob.size() < sizeof(uint64_t)) {
+namespace {
+
+/// zlib counts in uInt; feed it at most this much per call.
+constexpr uint64_t kMaxZlibStep = uint64_t{1} << 30;
+
+/// One DEFLATE stream (level 6, the defaults compress2 uses) appending its
+/// output to a byte vector through a fixed-size staging chunk.
+class Deflater {
+ public:
+  explicit Deflater(std::vector<uint8_t>* out) : out_(out) {}
+  ~Deflater() {
+    if (open_) deflateEnd(&zs_);
+  }
+  Deflater(const Deflater&) = delete;
+  Deflater& operator=(const Deflater&) = delete;
+
+  Status Init() {
+    const int rc = deflateInit(&zs_, /*level=*/6);
+    if (rc != Z_OK) {
+      return Status::Internal("zlib deflateInit failed rc=" +
+                              std::to_string(rc));
+    }
+    open_ = true;
+    return Status::OK();
+  }
+
+  Status Feed(const uint8_t* data, size_t n) {
+    while (n > 0) {
+      const auto step =
+          static_cast<size_t>(std::min<uint64_t>(n, kMaxZlibStep));
+      zs_.next_in = const_cast<Bytef*>(data);
+      zs_.avail_in = static_cast<uInt>(step);
+      LAWS_RETURN_IF_ERROR(Pump(Z_NO_FLUSH));
+      data += step;
+      n -= step;
+    }
+    return Status::OK();
+  }
+
+  Status Finish() { return Pump(Z_FINISH); }
+
+ private:
+  /// Runs deflate until it has taken all input (Z_NO_FLUSH) or ended the
+  /// stream (Z_FINISH), appending each filled staging chunk.
+  Status Pump(int flush) {
+    while (true) {
+      zs_.next_out = chunk_;
+      zs_.avail_out = sizeof(chunk_);
+      const int rc = deflate(&zs_, flush);
+      if (rc != Z_OK && rc != Z_STREAM_END && rc != Z_BUF_ERROR) {
+        return Status::Internal("zlib deflate failed rc=" +
+                                std::to_string(rc));
+      }
+      out_->insert(out_->end(), chunk_,
+                   chunk_ + (sizeof(chunk_) - zs_.avail_out));
+      if (flush == Z_FINISH ? rc == Z_STREAM_END
+                            : zs_.avail_in == 0 && zs_.avail_out != 0) {
+        return Status::OK();
+      }
+    }
+  }
+
+  std::vector<uint8_t>* out_;
+  z_stream zs_{};
+  bool open_ = false;
+  uint8_t chunk_[kZlibChunkBytes];
+};
+
+}  // namespace
+
+size_t MaxZlibBlobBytes(uint64_t decoded_bytes) {
+  const uint64_t blob = sizeof(uint64_t) + compressBound(decoded_bytes);
+  return VarintSize(blob) + blob;
+}
+
+Status AppendZlibBlob(const std::vector<uint8_t>& header, const void* data,
+                      size_t n, size_t width, bool shuffle,
+                      std::vector<uint8_t>* out) {
+  const uint64_t decoded = header.size() + static_cast<uint64_t>(n) * width;
+  // The blob's size varint comes first but is known only at the end:
+  // reserve its widest form, then close the gap if the blob came out
+  // shorter.
+  const size_t varint_at = out->size();
+  const size_t varint_room = VarintSize(MaxZlibBlobBytes(decoded));
+  out->resize(varint_at + varint_room);
+  ByteWriter length;
+  length.PutU64(decoded);
+  out->insert(out->end(), length.data().begin(), length.data().end());
+
+  // The staging chunks live on the heap: lanes run with default stacks.
+  auto deflater = std::make_unique<Deflater>(out);
+  LAWS_RETURN_IF_ERROR(deflater->Init());
+  LAWS_RETURN_IF_ERROR(deflater->Feed(header.data(), header.size()));
+  const auto* src = static_cast<const uint8_t*>(data);
+  if (!shuffle) {
+    LAWS_RETURN_IF_ERROR(deflater->Feed(src, n * width));
+  } else {
+    std::vector<uint8_t> plane(std::min(n, kZlibChunkBytes));
+    for (size_t byte = 0; byte < width; ++byte) {
+      for (size_t begin = 0; begin < n; begin += plane.size()) {
+        const size_t rows = std::min(plane.size(), n - begin);
+        const uint8_t* p = src + begin * width + byte;
+        for (size_t i = 0; i < rows; ++i) plane[i] = p[i * width];
+        LAWS_RETURN_IF_ERROR(deflater->Feed(plane.data(), rows));
+      }
+    }
+  }
+  LAWS_RETURN_IF_ERROR(deflater->Finish());
+  deflater.reset();
+
+  const uint64_t blob = out->size() - varint_at - varint_room;
+  ByteWriter blob_size;
+  blob_size.PutVarint(blob);
+  const size_t gap = varint_room - blob_size.size();
+  std::copy(blob_size.data().begin(), blob_size.data().end(),
+            out->begin() + static_cast<std::ptrdiff_t>(varint_at + gap));
+  out->erase(out->begin() + static_cast<std::ptrdiff_t>(varint_at),
+             out->begin() + static_cast<std::ptrdiff_t>(varint_at + gap));
+  return Status::OK();
+}
+
+void ZlibBlobReader::StreamDeleter::operator()(z_stream_s* zs) const {
+  inflateEnd(zs);
+  delete zs;
+}
+
+Status ZlibBlobReader::Open(ByteReader* in) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t blob, in->GetCount(1, "zlib blob size"));
+  LAWS_ASSIGN_OR_RETURN(const uint8_t* bytes, in->GetView(blob));
+  if (blob < sizeof(uint64_t)) {
     return Status::ParseError("zlib blob too small");
   }
-  uint64_t original = 0;
-  std::memcpy(&original, blob.data(), sizeof(original));
+  std::memcpy(&declared_, bytes, sizeof(declared_));
   // DEFLATE expands at most ~1032:1; a larger claimed size means the header
-  // is corrupt. Guard before allocating.
-  const uint64_t payload = blob.size() - sizeof(uint64_t);
-  if (original > payload * 1032 + 64) {
+  // is corrupt. Every destination is sized from this, so guard here.
+  const uint64_t stream = blob - sizeof(uint64_t);
+  if (declared_ > stream * 1032 + 64) {
     return Status::ParseError("zlib blob claims implausible size");
   }
-  std::vector<uint8_t> out(original);
-  uLongf out_size = static_cast<uLongf>(original);
-  const int rc = uncompress(out.data(), &out_size,
-                            blob.data() + sizeof(uint64_t),
-                            static_cast<uLong>(blob.size() - sizeof(uint64_t)));
-  if (rc != Z_OK || out_size != original) {
-    return Status::ParseError("zlib uncompress failed rc=" +
-                              std::to_string(rc));
+  input_ = bytes + sizeof(uint64_t);
+  input_left_ = stream;
+  produced_ = 0;
+  auto zs = std::make_unique<z_stream>();
+  const int rc = inflateInit(zs.get());
+  if (rc != Z_OK) {
+    return Status::Internal("zlib inflateInit failed rc=" +
+                            std::to_string(rc));
   }
-  return out;
+  zs_.reset(zs.release());
+  return Status::OK();
+}
+
+Status ZlibBlobReader::Inflate(uint8_t* dst, size_t room, size_t* got,
+                               bool* ended) {
+  if (zs_->avail_in == 0 && input_left_ > 0) {
+    const uint64_t step = std::min(input_left_, kMaxZlibStep);
+    zs_->next_in = const_cast<Bytef*>(input_);
+    zs_->avail_in = static_cast<uInt>(step);
+    input_ += step;
+    input_left_ -= step;
+  }
+  const auto step = static_cast<uInt>(std::min<uint64_t>(room, kMaxZlibStep));
+  zs_->next_out = dst;
+  zs_->avail_out = step;
+  const int rc = inflate(zs_.get(), Z_NO_FLUSH);
+  *got = step - zs_->avail_out;
+  *ended = rc == Z_STREAM_END;
+  if (rc == Z_BUF_ERROR && zs_->avail_in == 0 && input_left_ == 0) {
+    return Status::ParseError("truncated zlib stream");
+  }
+  if (rc != Z_OK && rc != Z_STREAM_END && rc != Z_BUF_ERROR) {
+    return Status::ParseError("corrupt zlib stream rc=" + std::to_string(rc));
+  }
+  return Status::OK();
+}
+
+Status ZlibBlobReader::GetRaw(void* out, size_t n) {
+  if (zs_ == nullptr) return Status::Internal("zlib blob reader not open");
+  if (n > remaining()) {
+    return Status::ParseError("read past the zlib blob's declared size");
+  }
+  auto* dst = static_cast<uint8_t*>(out);
+  while (n > 0) {
+    size_t got = 0;
+    bool ended = false;
+    LAWS_RETURN_IF_ERROR(Inflate(dst, n, &got, &ended));
+    dst += got;
+    n -= got;
+    produced_ += got;
+    if (ended && n > 0) {
+      return Status::ParseError(
+          "zlib stream inflates to fewer bytes than declared");
+    }
+  }
+  return Status::OK();
+}
+
+Result<uint64_t> ZlibBlobReader::GetVarint() {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    uint8_t b = 0;
+    LAWS_RETURN_IF_ERROR(GetRaw(&b, 1));
+    v |= static_cast<uint64_t>(b & 0x7F) << shift;
+    if (!(b & 0x80)) return v;
+  }
+  return Status::ParseError("varint too long");
+}
+
+Result<std::string> ZlibBlobReader::GetString() {
+  LAWS_ASSIGN_OR_RETURN(uint64_t n, GetVarint());
+  if (n > remaining()) {
+    return Status::ParseError("truncated buffer reading string");
+  }
+  std::string s(static_cast<size_t>(n), '\0');
+  LAWS_RETURN_IF_ERROR(GetRaw(s.data(), s.size()));
+  return s;
+}
+
+Result<uint64_t> ZlibBlobReader::GetCount(uint64_t min_bytes_per_elem,
+                                          const char* what) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t n, GetVarint());
+  const uint64_t denom = min_bytes_per_elem == 0 ? 1 : min_bytes_per_elem;
+  if (n > remaining() / denom) {
+    return Status::ParseError(std::string("implausible count reading ") +
+                              what);
+  }
+  return n;
+}
+
+Status ZlibBlobReader::GetShuffled(void* out, size_t n, size_t width) {
+  if (width == 0 || n > remaining() / width) {
+    return Status::ParseError("read past the zlib blob's declared size");
+  }
+  auto* dst = static_cast<uint8_t*>(out);
+  std::vector<uint8_t> plane(std::min(n, kZlibChunkBytes));
+  for (size_t byte = 0; byte < width; ++byte) {
+    for (size_t begin = 0; begin < n; begin += plane.size()) {
+      const size_t rows = std::min(plane.size(), n - begin);
+      LAWS_RETURN_IF_ERROR(GetRaw(plane.data(), rows));
+      uint8_t* p = dst + begin * width + byte;
+      for (size_t i = 0; i < rows; ++i) p[i * width] = plane[i];
+    }
+  }
+  return Status::OK();
+}
+
+Status ZlibBlobReader::Finish() {
+  if (zs_ == nullptr) return Status::Internal("zlib blob reader not open");
+  if (remaining() != 0) {
+    return Status::ParseError("trailing bytes in zlib blob's decoded data");
+  }
+  // Every declared byte is out; the stream must end right here.
+  bool ended = false;
+  while (!ended) {
+    uint8_t extra = 0;
+    size_t got = 0;
+    LAWS_RETURN_IF_ERROR(Inflate(&extra, 1, &got, &ended));
+    if (got != 0) {
+      return Status::ParseError(
+          "zlib stream inflates to more bytes than declared");
+    }
+  }
+  if (zs_->avail_in != 0 || input_left_ != 0) {
+    return Status::ParseError("trailing bytes after zlib stream");
+  }
+  return Status::OK();
 }
 
 }  // namespace laws

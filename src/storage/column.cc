@@ -1,5 +1,6 @@
 #include "storage/column.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -325,6 +326,46 @@ Column Column::FromDoubleVector(std::vector<double> values) {
   out.size_ = values.size();
   out.double_data_ = std::move(values);
   return out;
+}
+
+Column Column::FromBoolVector(std::vector<uint8_t> values) {
+  Column out(DataType::kBool, /*nullable=*/false);
+  out.size_ = values.size();
+  out.bool_data_ = std::move(values);
+  return out;
+}
+
+void Column::SetValidity(std::vector<uint8_t> validity) {
+  assert(type_ != DataType::kString);
+  const size_t bytes = (size_ + 7) / 8;
+  assert(validity.empty() || validity.size() == bytes);
+  nullable_ = true;
+  validity_ = std::move(validity);
+  if (validity_.empty()) validity_.assign(bytes, 0xFF);
+  if (size_ % 8 != 0) {
+    validity_.back() |= static_cast<uint8_t>(0xFF << (size_ % 8));
+  }
+  null_count_ = 0;
+  for (size_t b = 0; b < bytes; ++b) {
+    if (validity_[b] == 0xFF) continue;
+    for (size_t i = b * 8; i < std::min(size_, b * 8 + 8); ++i) {
+      if (ValidAt(i)) continue;
+      ++null_count_;
+      switch (type_) {
+        case DataType::kInt64:
+          int64_data_[i] = 0;
+          break;
+        case DataType::kDouble:
+          double_data_[i] = 0.0;
+          break;
+        case DataType::kBool:
+          bool_data_[i] = 0;
+          break;
+        case DataType::kString:
+          break;
+      }
+    }
+  }
 }
 
 Column Column::Gather(const std::vector<uint32_t>& indices) const {

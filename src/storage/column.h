@@ -118,6 +118,17 @@ class Column {
   /// Builds a non-nullable DOUBLE column by moving `values` into place.
   static Column FromDoubleVector(std::vector<double> values);
 
+  /// Builds a non-nullable BOOL column by moving `values` (each 0 or 1)
+  /// into place.
+  static Column FromBoolVector(std::vector<uint8_t> values);
+
+  /// Makes the column nullable with the packed `validity` bitmap (1 =
+  /// valid, (size() + 7) / 8 bytes, or empty for "no row is NULL"). NULL
+  /// rows' backing slots are zeroed and the padding bits set, so a column
+  /// built by From*Vector plus this equals one built by per-row appends —
+  /// the bulk path for decoders. Not for STRING columns.
+  void SetValidity(std::vector<uint8_t> validity);
+
   /// New column containing rows at `indices` (in that order).
   Column Gather(const std::vector<uint32_t>& indices) const;
 

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "compress/column_compressor.h"
 #include "compress/encoding.h"
 #include "compress/semantic.h"
+#include "lofar/generator.h"
 #include "model/grouped_fit.h"
 #include "model/model.h"
 
@@ -14,12 +19,25 @@ namespace {
 
 // --- Block encoders ------------------------------------------------------
 
+using BlockDecoder = Status (*)(ByteReader*, int64_t*, uint64_t);
+
+/// Decodes a block-encoded stream of `n` values; the decoder must use up
+/// every byte.
+std::vector<int64_t> Decoded(BlockDecoder decode, const ByteWriter& w,
+                             size_t n) {
+  std::vector<int64_t> out(n);
+  ByteReader r(w.data());
+  const Status st = decode(&r, out.data(), n);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(r.AtEnd());
+  return out;
+}
+
 TEST(RleTest, RoundTripRuns) {
   const std::vector<int64_t> v = {5, 5, 5, 5, -1, -1, 7, 7, 7, 7, 7, 7};
   ByteWriter w;
   RleEncodeInt64(v, &w);
-  ByteReader r(w.data());
-  EXPECT_EQ(*RleDecodeInt64(&r), v);
+  EXPECT_EQ(Decoded(RleDecodeInt64, w, v.size()), v);
 }
 
 TEST(RleTest, CompressesConstantRuns) {
@@ -32,8 +50,7 @@ TEST(RleTest, CompressesConstantRuns) {
 TEST(RleTest, EmptyInput) {
   ByteWriter w;
   RleEncodeInt64({}, &w);
-  ByteReader r(w.data());
-  EXPECT_TRUE(RleDecodeInt64(&r)->empty());
+  EXPECT_TRUE(Decoded(RleDecodeInt64, w, 0).empty());
 }
 
 TEST(DeltaVarintTest, RoundTripSortedAndRandom) {
@@ -48,8 +65,7 @@ TEST(DeltaVarintTest, RoundTripSortedAndRandom) {
   DeltaVarintEncodeInt64(sorted, &w);
   // Sorted small-delta data: ~1 byte per value.
   EXPECT_LT(w.size(), sorted.size() * 2);
-  ByteReader r(w.data());
-  EXPECT_EQ(*DeltaVarintDecodeInt64(&r), sorted);
+  EXPECT_EQ(Decoded(DeltaVarintDecodeInt64, w, sorted.size()), sorted);
 }
 
 TEST(DeltaVarintTest, ExtremesSafe) {
@@ -57,8 +73,7 @@ TEST(DeltaVarintTest, ExtremesSafe) {
                                   INT64_MAX};
   ByteWriter w;
   DeltaVarintEncodeInt64(v, &w);
-  ByteReader r(w.data());
-  EXPECT_EQ(*DeltaVarintDecodeInt64(&r), v);
+  EXPECT_EQ(Decoded(DeltaVarintDecodeInt64, w, v.size()), v);
 }
 
 TEST(BitPackTest, RoundTripSmallRange) {
@@ -69,8 +84,7 @@ TEST(BitPackTest, RoundTripSmallRange) {
   BitPackEncodeInt64(v, &w);
   // Range 16 -> 4 bits/value.
   EXPECT_LT(w.size(), v.size());
-  ByteReader r(w.data());
-  EXPECT_EQ(*BitPackDecodeInt64(&r), v);
+  EXPECT_EQ(Decoded(BitPackDecodeInt64, w, v.size()), v);
 }
 
 TEST(BitPackTest, ConstantColumnIsTiny) {
@@ -78,16 +92,14 @@ TEST(BitPackTest, ConstantColumnIsTiny) {
   ByteWriter w;
   BitPackEncodeInt64(v, &w);
   EXPECT_LT(w.size(), 16u);
-  ByteReader r(w.data());
-  EXPECT_EQ(*BitPackDecodeInt64(&r), v);
+  EXPECT_EQ(Decoded(BitPackDecodeInt64, w, v.size()), v);
 }
 
 TEST(BitPackTest, WideRangeFallsBackToRaw) {
   const std::vector<int64_t> v = {INT64_MIN, 0, INT64_MAX};
   ByteWriter w;
   BitPackEncodeInt64(v, &w);
-  ByteReader r(w.data());
-  EXPECT_EQ(*BitPackDecodeInt64(&r), v);
+  EXPECT_EQ(Decoded(BitPackDecodeInt64, w, v.size()), v);
 }
 
 class BitPackWidths : public ::testing::TestWithParam<int> {};
@@ -103,22 +115,19 @@ TEST_P(BitPackWidths, EveryWidthRoundTrips) {
   v.push_back(hi);
   ByteWriter w;
   BitPackEncodeInt64(v, &w);
-  ByteReader r(w.data());
-  EXPECT_EQ(*BitPackDecodeInt64(&r), v);
+  EXPECT_EQ(Decoded(BitPackDecodeInt64, w, v.size()), v);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitPackWidths,
                          ::testing::Values(1, 2, 3, 7, 8, 9, 15, 16, 31, 33,
                                            47, 55, 56, 57, 63));
 
-TEST(ByteShuffleTest, RoundTrip) {
-  Rng rng(3);
-  std::vector<double> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(rng.Normal(100.0, 1.0));
+/// Frames a ZlibCompress blob the way column payloads carry it.
+std::vector<uint8_t> Framed(const std::vector<uint8_t>& blob) {
   ByteWriter w;
-  ByteShuffleEncodeDouble(v, &w);
-  ByteReader r(w.data());
-  EXPECT_EQ(*ByteShuffleDecodeDouble(&r), v);
+  w.PutVarint(blob.size());
+  w.PutRaw(blob.data(), blob.size());
+  return w.TakeData();
 }
 
 TEST(ZlibTest, RoundTripAndCompressesRedundancy) {
@@ -128,16 +137,31 @@ TEST(ZlibTest, RoundTripAndCompressesRedundancy) {
                         text.size());
   ASSERT_TRUE(z.ok());
   EXPECT_LT(z->size(), text.size() / 10);
-  auto back = ZlibDecompress(*z);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(std::string(back->begin(), back->end()), text);
+  const std::vector<uint8_t> framed = Framed(*z);
+  ByteReader in(framed);
+  ZlibBlobReader reader;
+  ASSERT_TRUE(reader.Open(&in).ok());
+  EXPECT_EQ(reader.declared_bytes(), text.size());
+  std::string back(text.size(), '\0');
+  ASSERT_TRUE(reader.GetRaw(back.data(), back.size()).ok());
+  EXPECT_TRUE(reader.Finish().ok());
+  EXPECT_EQ(back, text);
 }
 
 TEST(ZlibTest, RejectsCorruptBlob) {
-  std::vector<uint8_t> junk = {1, 2, 3};
-  EXPECT_FALSE(ZlibDecompress(junk).ok());
-  std::vector<uint8_t> bad(32, 0xAB);
-  EXPECT_FALSE(ZlibDecompress(bad).ok());
+  for (const std::vector<uint8_t>& blob :
+       {std::vector<uint8_t>{1, 2, 3}, std::vector<uint8_t>(32, 0xAB)}) {
+    const std::vector<uint8_t> framed = Framed(blob);
+    ByteReader in(framed);
+    ZlibBlobReader reader;
+    Status st = reader.Open(&in);
+    if (st.ok()) {
+      std::vector<uint8_t> out(reader.declared_bytes());
+      st = reader.GetRaw(out.data(), out.size());
+      if (st.ok()) st = reader.Finish();
+    }
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+  }
 }
 
 // --- Column compressor -------------------------------------------------
@@ -153,7 +177,8 @@ TEST(ColumnCompressorTest, AutoPicksCompactEncodingForSequentialInts) {
   auto cc = CompressColumn(c, ColumnEncoding::kAuto);
   ASSERT_TRUE(cc.ok());
   EXPECT_LT(cc->compressed_bytes(), c.MemoryBytes() / 3);
-  auto back = DecompressColumn(*cc, Field{"x", DataType::kInt64, false});
+  auto back =
+      DecompressColumn(*cc, Field{"x", DataType::kInt64, false}, c.size());
   ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_EQ(back->Int64At(i), c.Int64At(i));
@@ -174,7 +199,8 @@ TEST_P(EncodingRoundTrip, Int64WithNulls) {
   }
   auto cc = CompressColumn(c, GetParam());
   ASSERT_TRUE(cc.ok()) << cc.status().ToString();
-  auto back = DecompressColumn(*cc, Field{"x", DataType::kInt64, true});
+  auto back =
+      DecompressColumn(*cc, Field{"x", DataType::kInt64, true}, c.size());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->size(), c.size());
   for (size_t i = 0; i < c.size(); ++i) {
@@ -199,7 +225,8 @@ TEST(ColumnCompressorTest, DoubleShuffleZlibRoundTrip) {
                            ColumnEncoding::kZlib, ColumnEncoding::kAuto}) {
     auto cc = CompressColumn(c, e);
     ASSERT_TRUE(cc.ok());
-    auto back = DecompressColumn(*cc, Field{"x", DataType::kDouble, false});
+    auto back =
+      DecompressColumn(*cc, Field{"x", DataType::kDouble, false}, c.size());
     ASSERT_TRUE(back.ok());
     for (size_t i = 0; i < c.size(); ++i) {
       EXPECT_EQ(back->DoubleAt(i), c.DoubleAt(i));
@@ -214,7 +241,8 @@ TEST(ColumnCompressorTest, StringColumnRoundTrip) {
   auto cc = CompressColumn(c, ColumnEncoding::kAuto);
   ASSERT_TRUE(cc.ok());
   EXPECT_LT(cc->compressed_bytes(), c.MemoryBytes());
-  auto back = DecompressColumn(*cc, Field{"x", DataType::kString, false});
+  auto back =
+      DecompressColumn(*cc, Field{"x", DataType::kString, false}, c.size());
   ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_EQ(back->StringAt(i), c.StringAt(i));
@@ -227,7 +255,8 @@ TEST(ColumnCompressorTest, BoolColumnRoundTrip) {
   for (int i = 0; i < 300; ++i) c.AppendBool(rng.Bernoulli(0.5));
   auto cc = CompressColumn(c, ColumnEncoding::kAuto);
   ASSERT_TRUE(cc.ok());
-  auto back = DecompressColumn(*cc, Field{"x", DataType::kBool, false});
+  auto back =
+      DecompressColumn(*cc, Field{"x", DataType::kBool, false}, c.size());
   ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_EQ(back->BoolAt(i), c.BoolAt(i));
@@ -254,7 +283,8 @@ TEST(ColumnCompressorTest, Int64ShuffleZlibRoundTrip) {
   auto cc = CompressColumn(c, ColumnEncoding::kShuffleZlib);
   ASSERT_TRUE(cc.ok());
   EXPECT_LT(cc->compressed_bytes(), c.MemoryBytes() / 2);
-  auto back = DecompressColumn(*cc, Field{"x", DataType::kInt64, false});
+  auto back =
+      DecompressColumn(*cc, Field{"x", DataType::kInt64, false}, c.size());
   ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_EQ(back->Int64At(i), c.Int64At(i));
@@ -283,6 +313,358 @@ TEST(CompressedTableTest, FullTableRoundTripAndRatio) {
   for (size_t r = 0; r < t.num_rows(); r += 97) {
     for (size_t c = 0; c < t.num_columns(); ++c) {
       EXPECT_EQ(back->GetValue(r, c), t.GetValue(r, c));
+    }
+  }
+}
+
+// --- kAuto's sampled choice ----------------------------------------------
+
+constexpr ColumnEncoding kAllEncodings[] = {
+    ColumnEncoding::kPlain,       ColumnEncoding::kRle,
+    ColumnEncoding::kDeltaVarint, ColumnEncoding::kBitPack,
+    ColumnEncoding::kShuffleZlib, ColumnEncoding::kZlib};
+
+/// The exhaustive choice kAuto made before sampling: the smallest payload
+/// over every applicable encoding, a tie going to the earlier one.
+CompressedColumn ExhaustiveSmallest(const Column& c) {
+  std::optional<CompressedColumn> best;
+  for (ColumnEncoding e : kAllEncodings) {
+    auto cc = CompressColumn(c, e);
+    if (!cc.ok()) continue;
+    if (!best || cc->payload.size() < best->payload.size()) best = *cc;
+  }
+  EXPECT_TRUE(best.has_value());
+  return best.value_or(CompressedColumn{});
+}
+
+/// A column of `type` with `n` rows drawn from a small domain (so every
+/// encoding has something to find), every `null_every`-th row NULL when
+/// that is nonzero.
+Column MixedColumn(DataType type, size_t n, size_t null_every,
+                   uint64_t seed) {
+  Rng rng(seed);
+  Column c(type, null_every != 0);
+  const char* tags[] = {"alpha", "beta", "gamma", "delta"};
+  for (size_t i = 0; i < n; ++i) {
+    if (null_every != 0 && i % null_every == 0) {
+      EXPECT_TRUE(c.AppendNull().ok());
+      continue;
+    }
+    switch (type) {
+      case DataType::kInt64:
+        c.AppendInt64(static_cast<int64_t>(i / 16) + rng.UniformInt(0, 3));
+        break;
+      case DataType::kDouble:
+        c.AppendDouble(std::round(rng.Normal(50.0, 5.0) * 100.0) / 100.0);
+        break;
+      case DataType::kString:
+        c.AppendString(tags[rng.UniformInt(0, 3)]);
+        break;
+      case DataType::kBool:
+        c.AppendBool(rng.Bernoulli(0.2));
+        break;
+    }
+  }
+  return c;
+}
+
+TEST(AutoChoiceTest, ColumnThatIsItsOwnSampleGetsTheExhaustiveChoice) {
+  for (DataType type : {DataType::kInt64, DataType::kDouble,
+                        DataType::kString, DataType::kBool}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{1000}, size_t{65536}}) {
+      for (size_t null_every : {size_t{0}, size_t{7}}) {
+        const Column c = MixedColumn(type, n, null_every, n + null_every);
+        auto autoc = CompressColumn(c, ColumnEncoding::kAuto);
+        ASSERT_TRUE(autoc.ok()) << autoc.status().ToString();
+        const CompressedColumn ref = ExhaustiveSmallest(c);
+        SCOPED_TRACE(std::string(DataTypeToString(type)) + " n=" +
+                     std::to_string(n) + " nulls=" +
+                     std::to_string(null_every));
+        EXPECT_EQ(autoc->encoding, ref.encoding);
+        EXPECT_EQ(autoc->payload, ref.payload);
+        auto back = DecompressColumn(
+            *autoc, Field{"x", type, null_every != 0}, c.size());
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        for (size_t i = 0; i < c.size(); ++i) {
+          ASSERT_EQ(back->GetValue(i), c.GetValue(i)) << i;
+        }
+      }
+    }
+  }
+}
+
+/// Exhaustive reference over full LOFAR columns; the candidates run on
+/// pool lanes to keep the test short.
+ColumnEncoding ExhaustiveEncodingOnLanes(const Column& c) {
+  std::vector<size_t> sizes(std::size(kAllEncodings), SIZE_MAX);
+  ParallelFor(0, sizes.size(), [&](size_t i) {
+    auto cc = CompressColumn(c, kAllEncodings[i]);
+    if (cc.ok()) sizes[i] = cc->payload.size();
+  });
+  const size_t best = static_cast<size_t>(
+      std::min_element(sizes.begin(), sizes.end()) - sizes.begin());
+  return kAllEncodings[best];
+}
+
+TEST(AutoChoiceTest, SampleChoiceMatchesExhaustiveOnLofarTables) {
+  for (double jitter : {0.0, 0.12}) {
+    LofarConfig cfg;
+    cfg.band_jitter = jitter;
+    auto data = GenerateLofar(cfg);
+    ASSERT_TRUE(data.ok());
+    const Table& t = data->observations;
+    ASSERT_EQ(t.num_rows(), 1'452'824u);
+    auto ct = CompressTable(t);
+    ASSERT_TRUE(ct.ok()) << ct.status().ToString();
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      EXPECT_EQ(ct->columns[c].encoding,
+                ExhaustiveEncodingOnLanes(t.column(c)))
+          << "jitter " << jitter << " column " << t.schema().field(c).name;
+    }
+    if (jitter == 0.0) {
+      // The end-to-end benchmark's table (band_jitter 0) at the
+      // generator's default seed: its image bytes must not move.
+      EXPECT_EQ(ct->columns[0].encoding, ColumnEncoding::kShuffleZlib);
+      EXPECT_EQ(ct->columns[1].encoding, ColumnEncoding::kZlib);
+      EXPECT_EQ(ct->columns[2].encoding, ColumnEncoding::kShuffleZlib);
+      EXPECT_EQ(ct->TotalCompressedBytes(), 12'744'003u);
+    }
+  }
+}
+
+/// Restores the default pool size when a test leaves.
+struct LaneGuard {
+  ~LaneGuard() { ThreadPool::SetGlobalThreadCount(0); }
+};
+
+TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneAndFourLanes) {
+  LaneGuard guard;
+  Table t(Schema({Field{"k", DataType::kInt64, true},
+                  Field{"x", DataType::kDouble, false},
+                  Field{"tag", DataType::kString, true},
+                  Field{"flag", DataType::kBool, false},
+                  Field{"small", DataType::kInt64, false}}));
+  const size_t n = 200'000;
+  std::vector<Column> cols;
+  cols.push_back(MixedColumn(DataType::kInt64, n, 11, 1));
+  cols.push_back(MixedColumn(DataType::kDouble, n, 0, 2));
+  cols.push_back(MixedColumn(DataType::kString, n, 13, 3));
+  cols.push_back(MixedColumn(DataType::kBool, n, 0, 4));
+  cols.push_back(MixedColumn(DataType::kInt64, n, 0, 5));
+  auto table = Table::FromColumns(t.schema(), std::move(cols));
+  ASSERT_TRUE(table.ok());
+  std::vector<std::vector<uint8_t>> payloads[2];
+  for (size_t lanes : {size_t{1}, size_t{4}}) {
+    ThreadPool::SetGlobalThreadCount(lanes);
+    auto ct = CompressTable(*table);
+    ASSERT_TRUE(ct.ok()) << ct.status().ToString();
+    for (const auto& c : ct->columns) {
+      payloads[lanes == 1 ? 0 : 1].push_back(c.payload);
+    }
+    auto back = DecompressTable(*ct);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    for (size_t r = 0; r < n; r += 997) {
+      for (size_t c = 0; c < table->num_columns(); ++c) {
+        ASSERT_EQ(back->GetValue(r, c), table->GetValue(r, c));
+      }
+    }
+  }
+  EXPECT_EQ(payloads[0], payloads[1]);
+}
+
+// --- Streaming zlib codecs -----------------------------------------------
+
+/// The one-shot reference for a kZlib/kShuffleZlib payload: the validity
+/// bitmap, then the body (row count and rows, byte planes when shuffled)
+/// staged in one buffer and deflated by ZlibCompress.
+std::vector<uint8_t> OneShotPayload(const Column& c, bool shuffle) {
+  ByteWriter out;
+  out.PutU8(c.null_count() > 0 ? 1 : 0);
+  if (c.null_count() > 0) {
+    out.PutVarint(c.validity().size());
+    out.PutRaw(c.validity().data(), c.validity().size());
+  }
+  const size_t n = c.size();
+  const auto* src =
+      c.type() == DataType::kInt64
+          ? reinterpret_cast<const uint8_t*>(c.int64_data().data())
+          : reinterpret_cast<const uint8_t*>(c.double_data().data());
+  ByteWriter body;
+  body.PutVarint(n);
+  std::vector<uint8_t> rows(n * 8);
+  for (size_t i = 0; i < n * 8; ++i) {
+    rows[i] = shuffle ? src[(i % n) * 8 + i / n] : src[i];
+  }
+  body.PutRaw(rows.data(), rows.size());
+  auto z = ZlibCompress(body.data().data(), body.size());
+  EXPECT_TRUE(z.ok());
+  out.PutVarint(z->size());
+  out.PutRaw(z->data(), z->size());
+  return out.TakeData();
+}
+
+TEST(StreamingZlibTest, PayloadsEqualOneShotReference) {
+  const size_t chunk = kZlibChunkBytes;
+  for (DataType type : {DataType::kInt64, DataType::kDouble}) {
+    for (size_t n : {size_t{0}, size_t{1}, chunk - 1, chunk, chunk + 1,
+                     size_t{200'000}}) {
+      for (size_t null_every : {size_t{0}, size_t{5}}) {
+        const Column c = MixedColumn(type, n, null_every, n * 3 + 1);
+        for (ColumnEncoding e :
+             {ColumnEncoding::kZlib, ColumnEncoding::kShuffleZlib}) {
+          SCOPED_TRACE(std::string(DataTypeToString(type)) + " n=" +
+                       std::to_string(n) + " nulls=" +
+                       std::to_string(null_every) + " " +
+                       std::string(ColumnEncodingToString(e)));
+          auto cc = CompressColumn(c, e);
+          ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+          EXPECT_EQ(cc->payload,
+                    OneShotPayload(c, e == ColumnEncoding::kShuffleZlib));
+          auto back =
+              DecompressColumn(*cc, Field{"x", type, null_every != 0}, n);
+          ASSERT_TRUE(back.ok()) << back.status().ToString();
+          EXPECT_EQ(back->int64_data(), c.int64_data());
+          EXPECT_EQ(back->double_data(), c.double_data());
+          EXPECT_EQ(back->validity(), c.validity());
+          EXPECT_EQ(back->null_count(), c.null_count());
+        }
+      }
+    }
+  }
+}
+
+/// A kShuffleZlib INT64 payload (no NULLs) with a hand-built blob:
+/// `declared` decoded bytes over the DEFLATE of `body`, `tail` bytes after
+/// the stream, `after` bytes after the blob.
+CompressedColumn HandBuiltPayload(uint64_t declared,
+                                  const std::vector<uint8_t>& body,
+                                  size_t tail, size_t after,
+                                  size_t cut = 0) {
+  auto z = ZlibCompress(body.data(), body.size());
+  EXPECT_TRUE(z.ok());
+  std::vector<uint8_t> blob = *z;
+  std::memcpy(blob.data(), &declared, sizeof(declared));
+  blob.resize(blob.size() - cut);
+  blob.insert(blob.end(), tail, 0x5A);
+  ByteWriter w;
+  w.PutU8(0);
+  w.PutVarint(blob.size());
+  w.PutRaw(blob.data(), blob.size());
+  for (size_t i = 0; i < after; ++i) w.PutU8(0);
+  CompressedColumn cc;
+  cc.encoding = ColumnEncoding::kShuffleZlib;
+  cc.payload = w.TakeData();
+  return cc;
+}
+
+TEST(StreamingZlibTest, MalformedStreamsAreParseErrors) {
+  const size_t n = 5000;
+  ByteWriter good;
+  good.PutVarint(n);
+  for (size_t i = 0; i < n * 8; ++i) good.PutU8(static_cast<uint8_t>(i % 7));
+  const std::vector<uint8_t>& body = good.data();
+  const Field field{"x", DataType::kInt64, false};
+  std::vector<uint8_t> longer = body;
+  longer.push_back(1);
+  std::vector<uint8_t> shorter(body.begin(), body.end() - 1);
+
+  struct Case {
+    const char* what;
+    CompressedColumn cc;
+    size_t rows;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"truncated stream", HandBuiltPayload(body.size(), body, 0, 0, 9), n,
+       "truncated zlib stream"},
+      {"inflates to more than declared",
+       HandBuiltPayload(body.size(), longer, 0, 0), n,
+       "more bytes than declared"},
+      {"inflates to fewer than declared",
+       HandBuiltPayload(body.size(), shorter, 0, 0), n,
+       "fewer bytes than declared"},
+      {"header count above row count",
+       HandBuiltPayload(body.size(), body, 0, 0), n - 1,
+       "does not match row count"},
+      {"header count below row count",
+       HandBuiltPayload(body.size(), body, 0, 0), n + 1,
+       "does not match row count"},
+      {"trailing bytes after the stream",
+       HandBuiltPayload(body.size(), body, 3, 0), n,
+       "trailing bytes after zlib stream"},
+      {"trailing bytes after the blob",
+       HandBuiltPayload(body.size(), body, 0, 2), n,
+       "trailing bytes after column payload"},
+  };
+  // The well-formed blob decodes, so each case fails for its own reason.
+  ASSERT_TRUE(
+      DecompressColumn(HandBuiltPayload(body.size(), body, 0, 0), field, n)
+          .ok());
+  for (const Case& c : cases) {
+    auto back = DecompressColumn(c.cc, field, c.rows);
+    ASSERT_FALSE(back.ok()) << c.what;
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError)
+        << c.what << ": " << back.status().ToString();
+    EXPECT_NE(back.status().message().find(c.message), std::string::npos)
+        << c.what << ": " << back.status().ToString();
+  }
+}
+
+TEST(StreamingZlibTest, ReaderNeverWritesPastTheDestination) {
+  const size_t n = 3000;
+  ByteWriter w;
+  for (size_t i = 0; i < n * 8; ++i) w.PutU8(static_cast<uint8_t>(i * 31));
+  std::vector<uint8_t> blob;
+  blob.reserve(MaxZlibBlobBytes(n * 8));
+  ASSERT_TRUE(AppendZlibBlob({}, w.data().data(), n, 8, true, &blob).ok());
+  // Declare one element fewer than the stream holds, then ask for them
+  // all: the read must fail without touching the guard bytes.
+  uint64_t declared = (n - 1) * 8;
+  ByteReader header(blob);
+  ASSERT_TRUE(header.GetVarint().ok());
+  std::memcpy(blob.data() + header.position(), &declared, sizeof(declared));
+  for (bool shuffled : {false, true}) {
+    ByteReader in(blob);
+    ZlibBlobReader reader;
+    ASSERT_TRUE(reader.Open(&in).ok());
+    std::vector<uint8_t> dst((n - 1) * 8 + 64, 0xCD);
+    const Status st = shuffled ? reader.GetShuffled(dst.data(), n, 8)
+                               : reader.GetRaw(dst.data(), n * 8);
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+    for (size_t i = (n - 1) * 8; i < dst.size(); ++i) {
+      ASSERT_EQ(dst[i], 0xCD) << i;
+    }
+  }
+}
+
+TEST(StreamingZlibTest, MutatedPayloadsNeverCrash) {
+  // The image CRCs keep damaged payloads away from the decoders, so this
+  // leans on the decoders' own bounds: every outcome but a crash is fine,
+  // and an accepted payload still has the right row count.
+  const size_t n = 3000;
+  for (DataType type : {DataType::kInt64, DataType::kDouble,
+                        DataType::kString, DataType::kBool}) {
+    const Column c = MixedColumn(type, n, 9, 77);
+    const Field field{"x", type, true};
+    for (ColumnEncoding e : kAllEncodings) {
+      auto cc = CompressColumn(c, e);
+      if (!cc.ok()) continue;
+      Rng rng(static_cast<uint64_t>(e) * 31 + static_cast<uint64_t>(type));
+      for (int trial = 0; trial < 200; ++trial) {
+        CompressedColumn bad = *cc;
+        const size_t flips = 1 + rng.NextU64() % 4;
+        for (size_t f = 0; f < flips; ++f) {
+          const size_t bit = rng.NextU64() % (bad.payload.size() * 8);
+          bad.payload[bit >> 3] ^= static_cast<uint8_t>(1u << (bit & 7));
+        }
+        if (trial % 5 == 0) {
+          bad.payload.resize(rng.NextU64() % bad.payload.size());
+        }
+        auto back = DecompressColumn(bad, field, n);
+        if (back.ok()) {
+          EXPECT_EQ(back->size(), n);
+        }
+      }
     }
   }
 }

@@ -152,6 +152,31 @@ TEST(Crc32cTest, DetectsSingleBitFlips) {
   }
 }
 
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  if (!Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "this CPU has no SSE4.2 crc32 instruction";
+  }
+  std::vector<uint8_t> buf((size_t{1} << 20) + 8);
+  Rng rng(11);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  // Every length 0..64 at every alignment 0..7 covers the byte head, the
+  // 8-byte body and the byte tail of both loops; a seed exercises the
+  // incremental form.
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = buf.data() + align;
+      ASSERT_EQ(Crc32cHardware(p, len), Crc32cPortable(p, len))
+          << "align " << align << " len " << len;
+      ASSERT_EQ(Crc32cHardware(p, len, 0xDEADBEEFu),
+                Crc32cPortable(p, len, 0xDEADBEEFu))
+          << "align " << align << " len " << len;
+    }
+  }
+  EXPECT_EQ(Crc32cHardware(buf.data(), size_t{1} << 20),
+            Crc32cPortable(buf.data(), size_t{1} << 20));
+  EXPECT_EQ(Crc32cHardware("123456789", 9), 0xE3069283u);
+}
+
 // --- Fault injector ----------------------------------------------------------
 
 TEST(FaultInjectorTest, ParseClause) {
