@@ -32,7 +32,6 @@
 #include "query/executor.h"
 #include "query/expr_eval.h"
 #include "query/parser.h"
-#include "query/vector_eval.h"
 #include "storage/table.h"
 
 namespace {
@@ -145,7 +144,6 @@ int main(int argc, char** argv) {
               rows, ScanBlockRows());
   const TablePtr table = MakeSensorTable(rows);
   ThreadPool::SetGlobalThreadCount(1);
-  SetGlobalExprEngine(ExprEngine::kBytecode);  // strongest decode baseline
 
   Timer build_timer;
   SetGlobalScanEngine(ScanEngine::kCompressed);
@@ -187,7 +185,7 @@ int main(int argc, char** argv) {
     std::vector<uint32_t> dec_sel, comp_sel;
     SetGlobalScanEngine(ScanEngine::kDecode);
     const double dec = BestSeconds(reps, [&] {
-      dec_sel = Unwrap(FilterRowsAuto(pred, *table), "decode filter");
+      dec_sel = Unwrap(FilterRows(pred, *table), "decode filter");
     });
     SetGlobalScanEngine(ScanEngine::kCompressed);
     ScanStats stats;

@@ -7,10 +7,8 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "query/compressed_scan.h"
 #include "query/executor.h"
 #include "query/parser.h"
-#include "query/vector_eval.h"
 
 namespace laws {
 namespace {
@@ -209,55 +207,20 @@ Result<std::string> HybridQueryEngine::ExplainAnalyze(
     const std::string& sql) const {
   TraceSink sink;
   Timer total;
-  // Expression-tier accounting for this query (process-global counters,
-  // so report the delta) — same line ExplainAnalyzeQuery prints.
-  Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
-  Counter* fallback =
-      MetricsRegistry::Global().GetCounter("expr.fallback_treewalk");
-  Counter* batches = MetricsRegistry::Global().GetCounter("expr.batches");
-  Counter* blocks = MetricsRegistry::Global().GetCounter("scan.blocks_total");
-  Counter* pruned = MetricsRegistry::Global().GetCounter("scan.blocks_pruned");
-  Counter* run_skips =
-      MetricsRegistry::Global().GetCounter("scan.runs_skipped");
-  Counter* enc_agg = MetricsRegistry::Global().GetCounter("scan.encoded_agg");
+  const ExplainCounterLines counters;
   Counter* harvest_rows =
       MetricsRegistry::Global().GetCounter("learn.harvest.rows");
   Counter* drift_detected =
       MetricsRegistry::Global().GetCounter("learn.drift.detected");
   Counter* drift_rejected =
       MetricsRegistry::Global().GetCounter("learn.drift.rejected");
-  const uint64_t compiled0 = compiled->value();
-  const uint64_t fallback0 = fallback->value();
-  const uint64_t batches0 = batches->value();
-  const uint64_t blocks0 = blocks->value();
-  const uint64_t pruned0 = pruned->value();
-  const uint64_t run_skips0 = run_skips->value();
-  const uint64_t enc_agg0 = enc_agg->value();
   const uint64_t harvest_rows0 = harvest_rows->value();
   const uint64_t drift_detected0 = drift_detected->value();
   const uint64_t drift_rejected0 = drift_rejected->value();
   LAWS_ASSIGN_OR_RETURN(HybridAnswer answer, Execute(sql));
   std::string out = sink.Render();
+  out += counters.Render();
   char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "expr: engine=%s compiled=%llu fallback_treewalk=%llu "
-                "batches=%llu\n",
-                GlobalExprEngine() == ExprEngine::kBytecode ? "bytecode"
-                                                            : "treewalk",
-                static_cast<unsigned long long>(compiled->value() - compiled0),
-                static_cast<unsigned long long>(fallback->value() - fallback0),
-                static_cast<unsigned long long>(batches->value() - batches0));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "scan: engine=%s blocks=%llu pruned=%llu runs_skipped=%llu "
-      "encoded_agg=%llu\n",
-      GlobalScanEngine() == ScanEngine::kCompressed ? "compressed" : "decode",
-      static_cast<unsigned long long>(blocks->value() - blocks0),
-      static_cast<unsigned long long>(pruned->value() - pruned0),
-      static_cast<unsigned long long>(run_skips->value() - run_skips0),
-      static_cast<unsigned long long>(enc_agg->value() - enc_agg0));
-  out += buf;
   std::snprintf(
       buf, sizeof(buf),
       "learning: state=%s harvested_rows=%llu drift_flagged=%llu "

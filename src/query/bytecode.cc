@@ -5,15 +5,14 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "query/expr_eval.h"
+#include "query/vector_eval.h"
 
 namespace laws {
 namespace {
 
 /// The compiler's view of one evaluated subexpression: which register it
 /// lives in and its static type. Every node's type is fully determined by
-/// the schema (the tree-walker's EvalResult::type() is data-independent),
-/// which is what makes ahead-of-time specialization sound.
+/// the schema, which is what makes ahead-of-time specialization sound.
 struct NodeRes {
   uint16_t slot = 0;
   DataType type = DataType::kDouble;
@@ -21,10 +20,75 @@ struct NodeRes {
 
 bool IsNumeric(DataType t) { return t != DataType::kString; }
 
+/// One opcode per value type, for the families that exist at every type.
+struct TypedOps {
+  OpCode i64, f64, boolean, str;
+
+  OpCode For(DataType t) const {
+    switch (t) {
+      case DataType::kInt64:  return i64;
+      case DataType::kDouble: return f64;
+      case DataType::kBool:   return boolean;
+      case DataType::kString: return str;
+    }
+    return f64;
+  }
+};
+
+constexpr TypedOps kLoadColOps{OpCode::kLoadColI64, OpCode::kLoadColF64,
+                               OpCode::kLoadColBool, OpCode::kLoadColStr};
+constexpr TypedOps kConstOps{OpCode::kConstI64, OpCode::kConstF64,
+                             OpCode::kConstBool, OpCode::kConstStr};
+constexpr TypedOps kCoalesceOps{OpCode::kCoalesceI64, OpCode::kCoalesceF64,
+                                OpCode::kCoalesceBool, OpCode::kCoalesceStr};
+constexpr TypedOps kNullIfOps{OpCode::kNullIfI64, OpCode::kNullIfF64,
+                              OpCode::kNullIfBool, OpCode::kNullIfStr};
+constexpr TypedOps kCaseOps{OpCode::kCaseI64, OpCode::kCaseF64,
+                            OpCode::kCaseBool, OpCode::kCaseStr};
+
+DataType LiteralType(const Value& v) {
+  if (v.is_int64()) return DataType::kInt64;
+  if (v.is_string()) return DataType::kString;
+  if (v.is_bool()) return DataType::kBool;
+  return DataType::kDouble;  // doubles and the NULL literal
+}
+
+/// Comparison opcode for `op` over two doubles or two strings.
+OpCode CompareOp(BinaryOp op, bool strings) {
+  switch (op) {
+    case BinaryOp::kEqual:
+      return strings ? OpCode::kCmpEqStr : OpCode::kCmpEqF64;
+    case BinaryOp::kNotEqual:
+      return strings ? OpCode::kCmpNeStr : OpCode::kCmpNeF64;
+    case BinaryOp::kLess:
+      return strings ? OpCode::kCmpLtStr : OpCode::kCmpLtF64;
+    case BinaryOp::kLessEqual:
+      return strings ? OpCode::kCmpLeStr : OpCode::kCmpLeF64;
+    case BinaryOp::kGreater:
+      return strings ? OpCode::kCmpGtStr : OpCode::kCmpGtF64;
+    default:
+      return strings ? OpCode::kCmpGeStr : OpCode::kCmpGeF64;
+  }
+}
+
+/// The one-argument numeric functions and their double opcode (abs also
+/// has an INT64 form).
+bool UnaryMathOp(const std::string& f, OpCode* op) {
+  static const std::unordered_map<std::string, OpCode> kOps = {
+      {"abs", OpCode::kAbsF64},     {"ln", OpCode::kLnF64},
+      {"log", OpCode::kLnF64},      {"log10", OpCode::kLog10F64},
+      {"exp", OpCode::kExpF64},     {"sqrt", OpCode::kSqrtF64},
+      {"sin", OpCode::kSinF64},     {"cos", OpCode::kCosF64},
+      {"floor", OpCode::kFloorF64}, {"ceil", OpCode::kCeilF64},
+      {"round", OpCode::kRoundF64}};
+  auto it = kOps.find(f);
+  if (it == kOps.end()) return false;
+  *op = it->second;
+  return true;
+}
+
 /// True when the subtree references no column, aggregate or star — i.e.
-/// EvaluateConstant can fold it (modulo runtime errors, which veto the
-/// fold and leave the instruction sequence to error identically at run
-/// time).
+/// it can be folded (unless running it errors or yields NULL).
 bool IsConstSubtree(const Expr& e) {
   if (e.kind == ExprKind::kColumnRef || e.kind == ExprKind::kAggregate ||
       e.kind == ExprKind::kStar) {
@@ -111,17 +175,40 @@ std::string CseKey(const Expr& e) {
   return key;
 }
 
+/// CASE/COALESCE result type: a uniform STRING, INT64 or BOOL list keeps
+/// its type, any other numeric mix promotes to DOUBLE, and strings mixed
+/// with numbers are a TypeMismatch carrying `mix_error`.
+Result<DataType> UnifyTypes(const std::vector<NodeRes>& values,
+                            const char* mix_error) {
+  bool any_string = false, all_string = true, all_int = true,
+       all_bool = true;
+  for (const NodeRes& v : values) {
+    any_string |= v.type == DataType::kString;
+    all_string &= v.type == DataType::kString;
+    all_int &= v.type == DataType::kInt64;
+    all_bool &= v.type == DataType::kBool;
+  }
+  if (any_string && !all_string) return Status::TypeMismatch(mix_error);
+  return all_string ? DataType::kString
+         : all_int  ? DataType::kInt64
+         : all_bool ? DataType::kBool
+                    : DataType::kDouble;
+}
+
+/// Postorder lowering. Static checks run in evaluation order — operands
+/// first, left to right, an arity check before its call's operands — so
+/// a statement with several static errors reports the first one a
+/// row-at-a-time evaluation would reach.
 class Compiler {
  public:
   explicit Compiler(const Schema& schema) : schema_(schema) {}
 
-  std::optional<CompiledExpr> Compile(const Expr& expr) {
+  Result<CompiledExpr> Compile(const Expr& expr) {
     CountUses(expr);
-    auto root = CompileNode(expr);
-    if (!root.has_value()) return std::nullopt;
+    LAWS_ASSIGN_OR_RETURN(const NodeRes root, CompileNode(expr));
     program_.num_slots = next_slot_;
-    program_.result_slot = root->slot;
-    program_.result_type = root->type;
+    program_.result_slot = root.slot;
+    program_.result_type = root.type;
     return std::move(program_);
   }
 
@@ -164,16 +251,33 @@ class Compiler {
     return NodeRes{ins.out, out_type};
   }
 
+  /// Emits `op` over `a`, releasing its register.
+  NodeRes EmitUnary(OpCode op, DataType out_type, NodeRes a) {
+    ReleaseSlot(a.slot);
+    return Emit(op, out_type, a.slot);
+  }
+
+  /// Emits `op` over `a` and `b`, releasing both registers.
+  NodeRes EmitBinary(OpCode op, DataType out_type, NodeRes a, NodeRes b) {
+    ReleaseSlot(a.slot);
+    ReleaseSlot(b.slot);
+    return Emit(op, out_type, a.slot, b.slot);
+  }
+
+  /// Emits an n-ary `op` over the registers in `slots`, releasing them.
+  NodeRes EmitList(OpCode op, DataType out_type, std::vector<uint16_t> slots) {
+    for (uint16_t s : slots) ReleaseSlot(s);
+    const auto list = static_cast<uint32_t>(program_.arg_lists.size());
+    program_.arg_lists.push_back(std::move(slots));
+    return Emit(op, out_type, 0, 0, list);
+  }
+
   NodeRes EmitConst(const Value& v) {
-    if (v.is_null()) {
-      // The tree-walker types a NULL literal as DOUBLE.
-      return Emit(OpCode::kConstNull, DataType::kDouble);
-    }
+    if (v.is_null()) return Emit(OpCode::kConstNull, DataType::kDouble);
     const auto idx = static_cast<uint32_t>(program_.constants.size());
     program_.constants.push_back(v);
-    if (v.is_int64()) return Emit(OpCode::kConstI64, DataType::kInt64, 0, 0, idx);
-    if (v.is_double()) return Emit(OpCode::kConstF64, DataType::kDouble, 0, 0, idx);
-    return Emit(OpCode::kConstBool, DataType::kBool, 0, 0, idx);
+    const DataType t = LiteralType(v);
+    return Emit(kConstOps.For(t), t, 0, 0, idx);
   }
 
   /// Coerces a numeric value to double, releasing the source register.
@@ -182,45 +286,81 @@ class Compiler {
     if (r.type == DataType::kDouble) return r;
     const OpCode op = r.type == DataType::kInt64 ? OpCode::kCastI64F64
                                                  : OpCode::kCastBoolF64;
-    ReleaseSlot(r.slot);
-    return Emit(op, DataType::kDouble, r.slot);
+    return EmitUnary(op, DataType::kDouble, r);
   }
+
+  // --- Constant folding --------------------------------------------------
+
+  /// Compiler state a fold rolls back to.
+  struct Mark {
+    size_t code = 0;
+    size_t constants = 0;
+    size_t arg_lists = 0;
+    uint16_t next_slot = 0;
+    std::vector<uint16_t> free_slots;
+  };
+
+  Mark Snapshot() const {
+    return Mark{program_.code.size(), program_.constants.size(),
+                program_.arg_lists.size(), next_slot_, free_slots_};
+  }
+
+  void Restore(const Mark& mark) {
+    program_.code.resize(mark.code);
+    program_.constants.resize(mark.constants);
+    program_.arg_lists.resize(mark.arg_lists);
+    next_slot_ = mark.next_slot;
+    free_slots_ = mark.free_slots;
+  }
+
+  /// Constant folding on the VM: a column-free subtree compiles as usual,
+  /// then the instructions it emitted run once over one row of a table
+  /// with no columns, and a clean non-NULL result replaces them with one
+  /// load from the literal pool. Folding is bottom-up, so each run covers
+  /// one operator over operands that already folded. A run-time error
+  /// (1/0, overflow) vetoes the fold so the program errors exactly when
+  /// rows flow through it; so does a NULL result, which as a literal would
+  /// forget the operator's static type (nullif(1, 1) stays INT64, a NULL
+  /// comparison stays BOOL). Column-free subtrees bypass CSE, which keeps
+  /// the instructions they emit self-contained.
+  Result<NodeRes> CompileConstant(const Expr& e) {
+    if (e.kind == ExprKind::kLiteral) return EmitConst(e.literal);
+    const Mark mark = Snapshot();
+    LAWS_ASSIGN_OR_RETURN(const NodeRes res, CompileNodeUncached(e));
+    CompiledExpr folded;
+    folded.code.assign(program_.code.begin() + mark.code,
+                       program_.code.end());
+    folded.constants = program_.constants;
+    folded.arg_lists = program_.arg_lists;
+    folded.num_slots = next_slot_;
+    folded.result_slot = res.slot;
+    folded.result_type = res.type;
+    Result<Value> value = folder_.RunConstant(folded);
+    if (!value.ok() || value->is_null()) return res;
+    Restore(mark);
+    return EmitConst(*value);
+  }
+
+  // --- Lowering ----------------------------------------------------------
 
   /// Memoizing compile: shared subexpressions (by exact structural
   /// identity — see CseKey) compile once into a pinned register.
-  std::optional<NodeRes> CompileNode(const Expr& e) {
-    const std::string repr = CseKey(e);
-    auto hit = memo_.find(repr);
+  Result<NodeRes> CompileNode(const Expr& e) {
+    if (IsConstSubtree(e)) return CompileConstant(e);
+    const std::string key = CseKey(e);
+    auto hit = memo_.find(key);
     if (hit != memo_.end()) return hit->second;
-
-    std::optional<NodeRes> res = CompileNodeUncached(e);
-    if (res.has_value() && use_count_[repr] > 1) {
-      pinned_.insert(res->slot);
-      memo_.emplace(repr, *res);
+    LAWS_ASSIGN_OR_RETURN(const NodeRes res, CompileNodeUncached(e));
+    if (use_count_[key] > 1) {
+      pinned_.insert(res.slot);
+      memo_.emplace(key, res);
     }
     return res;
   }
 
-  std::optional<NodeRes> CompileNodeUncached(const Expr& e) {
-    // Constant folding: a column-free subtree that evaluates cleanly
-    // becomes one load from the literal pool. A fold-time error (1/0,
-    // overflow) vetoes the fold so the runtime errors exactly when the
-    // tree-walker would (i.e. only when rows actually flow through). A
-    // NULL fold result also vetoes: the folded value would forget the
-    // operator's static output type (nullif(c, c) stays INT64, a NULL
-    // comparison stays BOOL), so the subtree compiles normally and the
-    // type rules below reproduce the tree-walker's column type.
-    if (e.kind != ExprKind::kLiteral && IsConstSubtree(e)) {
-      Result<Value> folded = EvaluateConstant(e);
-      if (folded.ok() && !folded->is_null()) {
-        if (folded->is_string()) return std::nullopt;
-        return EmitConst(*folded);
-      }
-    }
-
+  Result<NodeRes> CompileNodeUncached(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kLiteral:
-        if (e.literal.is_string()) return std::nullopt;
         return EmitConst(e.literal);
       case ExprKind::kColumnRef:
         return CompileColumnRef(e);
@@ -233,62 +373,42 @@ class Compiler {
       case ExprKind::kCase:
         return CompileCase(e);
       case ExprKind::kAggregate:
+        return Status::InvalidArgument(
+            "aggregate in scalar context (missing GROUP BY handling?)");
       case ExprKind::kStar:
-        return std::nullopt;
+        return Status::InvalidArgument("* outside COUNT(*)");
     }
-    return std::nullopt;
+    return Status::Internal("bad expression kind");
   }
 
-  std::optional<NodeRes> CompileColumnRef(const Expr& e) {
-    Result<size_t> idx = schema_.FieldIndex(e.column_name);
-    if (!idx.ok()) return std::nullopt;  // tree-walker raises NotFound
-    const DataType t = schema_.field(*idx).type;
-    OpCode op;
-    switch (t) {
-      case DataType::kInt64:
-        op = OpCode::kLoadColI64;
-        break;
-      case DataType::kDouble:
-        op = OpCode::kLoadColF64;
-        break;
-      case DataType::kBool:
-        op = OpCode::kLoadColBool;
-        break;
-      case DataType::kString:
-        return std::nullopt;  // strings stay on the tree-walker tier
-      default:
-        return std::nullopt;
-    }
+  Result<NodeRes> CompileColumnRef(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(const size_t idx, schema_.FieldIndex(e.column_name));
+    const DataType t = schema_.field(idx).type;
     const auto ref = static_cast<uint32_t>(program_.columns.size());
-    program_.columns.push_back(
-        {static_cast<uint32_t>(*idx), e.column_name});
-    return Emit(op, t, 0, 0, ref);
+    program_.columns.push_back({static_cast<uint32_t>(idx), e.column_name});
+    return Emit(kLoadColOps.For(t), t, 0, 0, ref);
   }
 
-  std::optional<NodeRes> CompileUnary(const Expr& e) {
-    auto operand = CompileNode(*e.children[0]);
-    if (!operand.has_value()) return std::nullopt;
+  Result<NodeRes> CompileUnary(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(const NodeRes operand, CompileNode(*e.children[0]));
     if (e.unary_op == UnaryOp::kNegate) {
-      if (!IsNumeric(operand->type)) return std::nullopt;
-      if (operand->type == DataType::kInt64) {
-        ReleaseSlot(operand->slot);
-        return Emit(OpCode::kNegI64, DataType::kInt64, operand->slot);
+      if (!IsNumeric(operand.type)) {
+        return Status::TypeMismatch("cannot negate a string");
       }
-      NodeRes v = ToF64(*operand);
-      ReleaseSlot(v.slot);
-      return Emit(OpCode::kNegF64, DataType::kDouble, v.slot);
+      if (operand.type == DataType::kInt64) {
+        return EmitUnary(OpCode::kNegI64, DataType::kInt64, operand);
+      }
+      return EmitUnary(OpCode::kNegF64, DataType::kDouble, ToF64(operand));
     }
-    // NOT
-    if (operand->type != DataType::kBool) return std::nullopt;
-    ReleaseSlot(operand->slot);
-    return Emit(OpCode::kNotBool, DataType::kBool, operand->slot);
+    if (operand.type != DataType::kBool) {
+      return Status::TypeMismatch("NOT requires a boolean operand");
+    }
+    return EmitUnary(OpCode::kNotBool, DataType::kBool, operand);
   }
 
-  std::optional<NodeRes> CompileBinary(const Expr& e) {
-    auto lhs = CompileNode(*e.children[0]);
-    if (!lhs.has_value()) return std::nullopt;
-    auto rhs = CompileNode(*e.children[1]);
-    if (!rhs.has_value()) return std::nullopt;
+  Result<NodeRes> CompileBinary(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(const NodeRes lhs, CompileNode(*e.children[0]));
+    LAWS_ASSIGN_OR_RETURN(const NodeRes rhs, CompileNode(*e.children[1]));
 
     switch (e.binary_op) {
       case BinaryOp::kAdd:
@@ -296,11 +416,11 @@ class Compiler {
       case BinaryOp::kMultiply:
       case BinaryOp::kDivide:
       case BinaryOp::kModulo: {
-        if (!IsNumeric(lhs->type) || !IsNumeric(rhs->type)) {
-          return std::nullopt;
+        if (!IsNumeric(lhs.type) || !IsNumeric(rhs.type)) {
+          return Status::TypeMismatch("arithmetic on non-numeric operand");
         }
-        const bool int_result = lhs->type == DataType::kInt64 &&
-                                rhs->type == DataType::kInt64 &&
+        const bool int_result = lhs.type == DataType::kInt64 &&
+                                rhs.type == DataType::kInt64 &&
                                 e.binary_op != BinaryOp::kDivide;
         if (int_result) {
           OpCode op;
@@ -310,12 +430,10 @@ class Compiler {
             case BinaryOp::kMultiply: op = OpCode::kMulI64; break;
             default:                  op = OpCode::kModI64; break;
           }
-          ReleaseSlot(lhs->slot);
-          ReleaseSlot(rhs->slot);
-          return Emit(op, DataType::kInt64, lhs->slot, rhs->slot);
+          return EmitBinary(op, DataType::kInt64, lhs, rhs);
         }
-        NodeRes a = ToF64(*lhs);
-        NodeRes b = ToF64(*rhs);
+        const NodeRes a = ToF64(lhs);
+        const NodeRes b = ToF64(rhs);
         OpCode op;
         switch (e.binary_op) {
           case BinaryOp::kAdd:      op = OpCode::kAddF64; break;
@@ -324,9 +442,7 @@ class Compiler {
           case BinaryOp::kDivide:   op = OpCode::kDivF64; break;
           default:                  op = OpCode::kModF64; break;
         }
-        ReleaseSlot(a.slot);
-        ReleaseSlot(b.slot);
-        return Emit(op, DataType::kDouble, a.slot, b.slot);
+        return EmitBinary(op, DataType::kDouble, a, b);
       }
       case BinaryOp::kEqual:
       case BinaryOp::kNotEqual:
@@ -334,167 +450,126 @@ class Compiler {
       case BinaryOp::kLessEqual:
       case BinaryOp::kGreater:
       case BinaryOp::kGreaterEqual: {
-        // String comparison stays on the tree-walker; numeric pairs
-        // compare through double coercion (§11 comparison horizon).
-        if (!IsNumeric(lhs->type) || !IsNumeric(rhs->type)) {
-          return std::nullopt;
+        // Two strings compare bytewise; numeric pairs compare through
+        // double coercion (§11 comparison horizon).
+        const bool strings =
+            lhs.type == DataType::kString && rhs.type == DataType::kString;
+        if (strings) {
+          return EmitBinary(CompareOp(e.binary_op, true), DataType::kBool,
+                            lhs, rhs);
         }
-        NodeRes a = ToF64(*lhs);
-        NodeRes b = ToF64(*rhs);
-        OpCode op;
-        switch (e.binary_op) {
-          case BinaryOp::kEqual:        op = OpCode::kCmpEqF64; break;
-          case BinaryOp::kNotEqual:     op = OpCode::kCmpNeF64; break;
-          case BinaryOp::kLess:         op = OpCode::kCmpLtF64; break;
-          case BinaryOp::kLessEqual:    op = OpCode::kCmpLeF64; break;
-          case BinaryOp::kGreater:      op = OpCode::kCmpGtF64; break;
-          default:                      op = OpCode::kCmpGeF64; break;
+        if (!IsNumeric(lhs.type) || !IsNumeric(rhs.type)) {
+          return Status::TypeMismatch("cannot compare string with numeric");
         }
-        ReleaseSlot(a.slot);
-        ReleaseSlot(b.slot);
-        return Emit(op, DataType::kBool, a.slot, b.slot);
+        const NodeRes a = ToF64(lhs);
+        const NodeRes b = ToF64(rhs);
+        return EmitBinary(CompareOp(e.binary_op, false), DataType::kBool, a,
+                          b);
       }
       case BinaryOp::kAnd:
       case BinaryOp::kOr: {
-        if (lhs->type != DataType::kBool || rhs->type != DataType::kBool) {
-          return std::nullopt;
+        if (lhs.type != DataType::kBool || rhs.type != DataType::kBool) {
+          return Status::TypeMismatch("AND/OR require boolean operands");
         }
         const OpCode op = e.binary_op == BinaryOp::kAnd ? OpCode::kAnd3VL
                                                         : OpCode::kOr3VL;
-        ReleaseSlot(lhs->slot);
-        ReleaseSlot(rhs->slot);
-        return Emit(op, DataType::kBool, lhs->slot, rhs->slot);
+        return EmitBinary(op, DataType::kBool, lhs, rhs);
       }
     }
-    return std::nullopt;
+    return Status::Internal("bad binary op");
   }
 
-  std::optional<NodeRes> CompileFunction(const Expr& e) {
+  Result<NodeRes> CompileFunction(const Expr& e) {
     const std::string& f = e.function_name;
-
-    auto unary_f64 = [&](OpCode op) -> std::optional<NodeRes> {
-      if (e.children.size() != 1) return std::nullopt;
-      auto arg = CompileNode(*e.children[0]);
-      if (!arg.has_value() || !IsNumeric(arg->type)) return std::nullopt;
-      NodeRes a = ToF64(*arg);
-      ReleaseSlot(a.slot);
-      return Emit(op, DataType::kDouble, a.slot);
-    };
-
-    if (f == "abs") {
-      if (e.children.size() != 1) return std::nullopt;
-      auto arg = CompileNode(*e.children[0]);
-      if (!arg.has_value() || !IsNumeric(arg->type)) return std::nullopt;
-      if (arg->type == DataType::kInt64) {
-        ReleaseSlot(arg->slot);
-        return Emit(OpCode::kAbsI64, DataType::kInt64, arg->slot);
+    OpCode math_op;
+    if (UnaryMathOp(f, &math_op)) {
+      if (e.children.size() != 1) {
+        return Status::InvalidArgument(f + "() takes one argument");
       }
-      NodeRes a = ToF64(*arg);
-      ReleaseSlot(a.slot);
-      return Emit(OpCode::kAbsF64, DataType::kDouble, a.slot);
+      LAWS_ASSIGN_OR_RETURN(const NodeRes arg, CompileNode(*e.children[0]));
+      if (!IsNumeric(arg.type)) {
+        return Status::TypeMismatch(f + "() requires a numeric argument");
+      }
+      if (math_op == OpCode::kAbsF64 && arg.type == DataType::kInt64) {
+        return EmitUnary(OpCode::kAbsI64, DataType::kInt64, arg);
+      }
+      return EmitUnary(math_op, DataType::kDouble, ToF64(arg));
     }
-    if (f == "ln" || f == "log") return unary_f64(OpCode::kLnF64);
-    if (f == "log10") return unary_f64(OpCode::kLog10F64);
-    if (f == "exp") return unary_f64(OpCode::kExpF64);
-    if (f == "sqrt") return unary_f64(OpCode::kSqrtF64);
-    if (f == "sin") return unary_f64(OpCode::kSinF64);
-    if (f == "cos") return unary_f64(OpCode::kCosF64);
-    if (f == "floor") return unary_f64(OpCode::kFloorF64);
-    if (f == "ceil") return unary_f64(OpCode::kCeilF64);
-    if (f == "round") return unary_f64(OpCode::kRoundF64);
+    if (f == "coalesce") return CompileCoalesce(e);
+    if (f == "nullif") return CompileNullIf(e);
     if (f == "pow" || f == "power") {
-      if (e.children.size() != 2) return std::nullopt;
-      auto lhs = CompileNode(*e.children[0]);
-      if (!lhs.has_value() || !IsNumeric(lhs->type)) return std::nullopt;
-      auto rhs = CompileNode(*e.children[1]);
-      if (!rhs.has_value() || !IsNumeric(rhs->type)) return std::nullopt;
-      NodeRes a = ToF64(*lhs);
-      NodeRes b = ToF64(*rhs);
-      ReleaseSlot(a.slot);
-      ReleaseSlot(b.slot);
-      return Emit(OpCode::kPowF64, DataType::kDouble, a.slot, b.slot);
-    }
-    if (f == "coalesce") {
-      if (e.children.empty()) return std::nullopt;
-      std::vector<NodeRes> args;
-      bool all_int = true, all_bool = true;
-      for (const auto& child : e.children) {
-        auto a = CompileNode(*child);
-        if (!a.has_value() || !IsNumeric(a->type)) return std::nullopt;
-        all_int &= a->type == DataType::kInt64;
-        all_bool &= a->type == DataType::kBool;
-        args.push_back(*a);
+      if (e.children.size() != 2) {
+        return Status::InvalidArgument("pow() takes two arguments");
       }
-      // Numeric family unification, exactly as the tree-walker: a uniform
-      // INT64 or BOOL list keeps its type, any mix promotes to DOUBLE.
-      const DataType t = all_int    ? DataType::kInt64
-                         : all_bool ? DataType::kBool
-                                    : DataType::kDouble;
-      const OpCode op = all_int    ? OpCode::kCoalesceI64
-                        : all_bool ? OpCode::kCoalesceBool
-                                   : OpCode::kCoalesceF64;
-      std::vector<uint16_t> slots;
-      for (NodeRes& a : args) {
-        if (t == DataType::kDouble) a = ToF64(a);
-        slots.push_back(a.slot);
+      LAWS_ASSIGN_OR_RETURN(const NodeRes lhs, CompileNode(*e.children[0]));
+      LAWS_ASSIGN_OR_RETURN(const NodeRes rhs, CompileNode(*e.children[1]));
+      if (!IsNumeric(lhs.type) || !IsNumeric(rhs.type)) {
+        return Status::TypeMismatch("pow() requires numeric arguments");
       }
-      for (uint16_t s : slots) ReleaseSlot(s);
-      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
-      program_.arg_lists.push_back(std::move(slots));
-      return Emit(op, t, 0, 0, list);
+      const NodeRes a = ToF64(lhs);
+      const NodeRes b = ToF64(rhs);
+      return EmitBinary(OpCode::kPowF64, DataType::kDouble, a, b);
     }
-    if (f == "nullif") {
-      if (e.children.size() != 2) return std::nullopt;
-      auto lhs = CompileNode(*e.children[0]);
-      if (!lhs.has_value() || !IsNumeric(lhs->type)) return std::nullopt;
-      auto rhs = CompileNode(*e.children[1]);
-      if (!rhs.has_value() || !IsNumeric(rhs->type)) return std::nullopt;
-      OpCode op;
-      switch (lhs->type) {
-        case DataType::kInt64:  op = OpCode::kNullIfI64; break;
-        case DataType::kDouble: op = OpCode::kNullIfF64; break;
-        default:                op = OpCode::kNullIfBool; break;
-      }
-      ReleaseSlot(lhs->slot);
-      ReleaseSlot(rhs->slot);
-      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
-      // The third entry tags b's physical type so the evaluator can read
-      // it numerically without a cast instruction.
-      program_.arg_lists.push_back(
-          {lhs->slot, rhs->slot, static_cast<uint16_t>(rhs->type)});
-      return Emit(op, lhs->type, 0, 0, list);
-    }
-    return std::nullopt;  // unknown function: tree-walker diagnoses
+    return Status::InvalidArgument("unknown function: " + f);
   }
 
-  std::optional<NodeRes> CompileCase(const Expr& e) {
+  Result<NodeRes> CompileCoalesce(const Expr& e) {
+    if (e.children.empty()) {
+      return Status::InvalidArgument("coalesce() needs arguments");
+    }
+    std::vector<NodeRes> args;
+    for (const auto& child : e.children) {
+      LAWS_ASSIGN_OR_RETURN(const NodeRes a, CompileNode(*child));
+      args.push_back(a);
+    }
+    LAWS_ASSIGN_OR_RETURN(
+        const DataType t,
+        UnifyTypes(args, "coalesce() mixes strings and numerics"));
+    std::vector<uint16_t> slots;
+    for (NodeRes& a : args) {
+      if (t == DataType::kDouble) a = ToF64(a);
+      slots.push_back(a.slot);
+    }
+    return EmitList(kCoalesceOps.For(t), t, std::move(slots));
+  }
+
+  Result<NodeRes> CompileNullIf(const Expr& e) {
+    if (e.children.size() != 2) {
+      return Status::InvalidArgument("nullif() takes two arguments");
+    }
+    LAWS_ASSIGN_OR_RETURN(const NodeRes lhs, CompileNode(*e.children[0]));
+    LAWS_ASSIGN_OR_RETURN(const NodeRes rhs, CompileNode(*e.children[1]));
+    ReleaseSlot(lhs.slot);
+    ReleaseSlot(rhs.slot);
+    const auto list = static_cast<uint32_t>(program_.arg_lists.size());
+    // The third entry tags b's physical type so the evaluator can read
+    // it without a cast instruction, and so a string against a number
+    // errors only on the rows where both are non-NULL.
+    program_.arg_lists.push_back(
+        {lhs.slot, rhs.slot, static_cast<uint16_t>(rhs.type)});
+    return Emit(kNullIfOps.For(lhs.type), lhs.type, 0, 0, list);
+  }
+
+  Result<NodeRes> CompileCase(const Expr& e) {
     const bool has_else = e.case_has_else;
     const size_t pairs = (e.children.size() - (has_else ? 1 : 0)) / 2;
     std::vector<NodeRes> whens, thens;
     for (size_t i = 0; i < pairs; ++i) {
-      auto w = CompileNode(*e.children[2 * i]);
-      if (!w.has_value() || w->type != DataType::kBool) return std::nullopt;
-      auto t = CompileNode(*e.children[2 * i + 1]);
-      if (!t.has_value() || !IsNumeric(t->type)) return std::nullopt;
-      whens.push_back(*w);
-      thens.push_back(*t);
+      LAWS_ASSIGN_OR_RETURN(const NodeRes w, CompileNode(*e.children[2 * i]));
+      if (w.type != DataType::kBool) {
+        return Status::TypeMismatch("CASE WHEN condition is not boolean");
+      }
+      LAWS_ASSIGN_OR_RETURN(const NodeRes t,
+                            CompileNode(*e.children[2 * i + 1]));
+      whens.push_back(w);
+      thens.push_back(t);
     }
     if (has_else) {
-      auto t = CompileNode(*e.children.back());
-      if (!t.has_value() || !IsNumeric(t->type)) return std::nullopt;
-      thens.push_back(*t);
+      LAWS_ASSIGN_OR_RETURN(const NodeRes t, CompileNode(*e.children.back()));
+      thens.push_back(t);
     }
-    bool all_int = true, all_bool = true;
-    for (const NodeRes& t : thens) {
-      all_int &= t.type == DataType::kInt64;
-      all_bool &= t.type == DataType::kBool;
-    }
-    const DataType t = all_int    ? DataType::kInt64
-                       : all_bool ? DataType::kBool
-                                  : DataType::kDouble;
-    const OpCode op = all_int    ? OpCode::kCaseI64
-                      : all_bool ? OpCode::kCaseBool
-                                 : OpCode::kCaseF64;
+    LAWS_ASSIGN_OR_RETURN(const DataType t,
+                          UnifyTypes(thens, "CASE mixes strings and numerics"));
     if (t == DataType::kDouble) {
       for (NodeRes& b : thens) b = ToF64(b);
     }
@@ -505,10 +580,7 @@ class Compiler {
       slots.push_back(thens[i].slot);
     }
     if (has_else) slots.push_back(thens.back().slot);
-    for (uint16_t s : slots) ReleaseSlot(s);
-    const auto list = static_cast<uint32_t>(program_.arg_lists.size());
-    program_.arg_lists.push_back(std::move(slots));
-    return Emit(op, t, 0, 0, list);
+    return EmitList(kCaseOps.For(t), t, std::move(slots));
   }
 
   const Schema& schema_;
@@ -518,6 +590,7 @@ class Compiler {
   std::unordered_map<std::string, size_t> use_count_;
   std::unordered_map<std::string, NodeRes> memo_;
   std::unordered_set<uint16_t> pinned_;
+  BatchEvaluator folder_{1};
 };
 
 }  // namespace
@@ -527,9 +600,11 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kLoadColI64:  return "loadcol.i64";
     case OpCode::kLoadColF64:  return "loadcol.f64";
     case OpCode::kLoadColBool: return "loadcol.bool";
+    case OpCode::kLoadColStr:  return "loadcol.str";
     case OpCode::kConstI64:    return "const.i64";
     case OpCode::kConstF64:    return "const.f64";
     case OpCode::kConstBool:   return "const.bool";
+    case OpCode::kConstStr:    return "const.str";
     case OpCode::kConstNull:   return "const.null";
     case OpCode::kCastI64F64:  return "cast.i64.f64";
     case OpCode::kCastBoolF64: return "cast.bool.f64";
@@ -563,17 +638,26 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kCmpLeF64:    return "cmple.f64";
     case OpCode::kCmpGtF64:    return "cmpgt.f64";
     case OpCode::kCmpGeF64:    return "cmpge.f64";
+    case OpCode::kCmpEqStr:    return "cmpeq.str";
+    case OpCode::kCmpNeStr:    return "cmpne.str";
+    case OpCode::kCmpLtStr:    return "cmplt.str";
+    case OpCode::kCmpLeStr:    return "cmple.str";
+    case OpCode::kCmpGtStr:    return "cmpgt.str";
+    case OpCode::kCmpGeStr:    return "cmpge.str";
     case OpCode::kAnd3VL:      return "and.3vl";
     case OpCode::kOr3VL:       return "or.3vl";
     case OpCode::kCoalesceI64: return "coalesce.i64";
     case OpCode::kCoalesceF64: return "coalesce.f64";
     case OpCode::kCoalesceBool:return "coalesce.bool";
+    case OpCode::kCoalesceStr: return "coalesce.str";
     case OpCode::kNullIfI64:   return "nullif.i64";
     case OpCode::kNullIfF64:   return "nullif.f64";
     case OpCode::kNullIfBool:  return "nullif.bool";
+    case OpCode::kNullIfStr:   return "nullif.str";
     case OpCode::kCaseI64:     return "case.i64";
     case OpCode::kCaseF64:     return "case.f64";
     case OpCode::kCaseBool:    return "case.bool";
+    case OpCode::kCaseStr:     return "case.str";
   }
   return "?";
 }
@@ -588,6 +672,7 @@ std::string CompiledExpr::ToString() const {
       case OpCode::kLoadColI64:
       case OpCode::kLoadColF64:
       case OpCode::kLoadColBool:
+      case OpCode::kLoadColStr:
         out += "(" + columns[ins.aux].name + ")";
         break;
       case OpCode::kConstI64:
@@ -595,15 +680,20 @@ std::string CompiledExpr::ToString() const {
       case OpCode::kConstBool:
         out += "(" + constants[ins.aux].ToString() + ")";
         break;
+      case OpCode::kConstStr:
+        out += "('" + constants[ins.aux].str() + "')";
+        break;
       case OpCode::kConstNull:
         out += "()";
         break;
       case OpCode::kCoalesceI64:
       case OpCode::kCoalesceF64:
       case OpCode::kCoalesceBool:
+      case OpCode::kCoalesceStr:
       case OpCode::kCaseI64:
       case OpCode::kCaseF64:
-      case OpCode::kCaseBool: {
+      case OpCode::kCaseBool:
+      case OpCode::kCaseStr: {
         out += "(";
         const auto& list = arg_lists[ins.aux];
         for (size_t i = 0; i < list.size(); ++i) {
@@ -615,7 +705,8 @@ std::string CompiledExpr::ToString() const {
       }
       case OpCode::kNullIfI64:
       case OpCode::kNullIfF64:
-      case OpCode::kNullIfBool: {
+      case OpCode::kNullIfBool:
+      case OpCode::kNullIfStr: {
         const auto& list = arg_lists[ins.aux];
         out += "(s" + std::to_string(list[0]) + ",s" +
                std::to_string(list[1]) + ")";
@@ -648,8 +739,7 @@ std::string CompiledExpr::ToString() const {
   return out;
 }
 
-std::optional<CompiledExpr> CompileExpr(const Expr& expr,
-                                        const Schema& schema) {
+Result<CompiledExpr> CompileExpr(const Expr& expr, const Schema& schema) {
   Compiler compiler(schema);
   return compiler.Compile(expr);
 }

@@ -2,47 +2,49 @@
 #define LAWSDB_QUERY_BYTECODE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "query/ast.h"
 #include "storage/schema.h"
 
 namespace laws {
 
-/// Compile-once expression tier: an `Expr` tree is lowered to a flat
-/// postfix program of typed opcodes executed by a stack machine over
+/// The expression engine's compiler: an `Expr` tree is lowered to a flat
+/// postfix program of typed opcodes executed by a register machine over
 /// column batches (vector_eval.h). The compiler performs constant folding
-/// (through the tree-walker's own EvaluateConstant, so folded values carry
-/// identical semantics), common-subexpression elimination by expression
-/// identity, and int64/double/bool type specialization. Register slots are
+/// (by running the folded subtree on the VM itself over one row, so a
+/// folded value carries the runtime's semantics bit for bit),
+/// common-subexpression elimination by expression identity, and
+/// int64/double/bool/string type specialization. Register slots are
 /// assigned statically — the stack depth at every instruction is known at
 /// compile time — so the runtime never manages a dynamic stack and CSE
 /// reuses a pinned slot instead of recomputing or copying.
 ///
-/// Anything outside the compilable subset (string-typed values anywhere in
-/// the tree, aggregates, unknown functions, arity or type errors) makes
-/// CompileExpr return nullopt and the caller falls back to the row-proven
-/// tree-walker, which raises exactly the diagnostics it always raised.
-/// Compiled programs therefore fail only on data-dependent numeric errors
-/// (division by zero, checked-int64 overflow), with the tree-walker's
-/// exact messages. DESIGN.md §13 documents the ISA and the invariants
-/// against the §11 NaN/NULL semantics.
+/// CompileExpr is total: every expression the parser accepts either
+/// compiles or fails with its static diagnostic (type, arity, unknown
+/// function or column, aggregate in scalar context) before any row is
+/// evaluated. A compiled program fails only on data-dependent errors:
+/// division/modulo by zero, checked-int64 overflow, and NULLIF over a
+/// string and a number on a row where both are non-NULL. DESIGN.md §13
+/// documents the ISA and the invariants against the §11 NaN/NULL
+/// semantics.
 
-/// Typed opcodes. Naming: suffix is the *output* type family; comparison
-/// inputs are always doubles (the tree-walker compares every numeric pair
-/// through double coercion — the §11 2^53 horizon — so the compiled tier
-/// must too).
+/// Typed opcodes. Naming: suffix is the *output* type family; numeric
+/// comparison inputs are always doubles (every numeric pair compares
+/// through double coercion — the §11 2^53 horizon).
 enum class OpCode : uint8_t {
   // Loads. aux = column index (schema position) or constant-pool index.
   kLoadColI64,
   kLoadColF64,
   kLoadColBool,
+  kLoadColStr,
   kConstI64,
   kConstF64,
   kConstBool,
-  kConstNull,  // typed as F64, every lane NULL (the tree-walker's NULL type)
+  kConstStr,
+  kConstNull,  // typed as F64, every lane NULL (the NULL literal's type)
 
   // Numeric coercions (int64/bool -> double, NULLs pass through).
   kCastI64F64,
@@ -78,15 +80,22 @@ enum class OpCode : uint8_t {
   kModF64,
   kPowF64,
 
-  // Comparisons: double inputs, bool output, NULL-propagating. Lane
-  // semantics replicate the tree-walker's three-way compare (NaN sorts as
-  // "greater": NaN > x is true, NaN == x and NaN < x are false).
+  // Comparisons: bool output, NULL-propagating. F64 lanes use the
+  // three-way compare c = a < b ? -1 : (a == b ? 0 : 1), so NaN sorts as
+  // "greater": NaN > x is true, NaN == x and NaN < x are false. Str lanes
+  // compare bytewise, as std::string_view does.
   kCmpEqF64,
   kCmpNeF64,
   kCmpLtF64,
   kCmpLeF64,
   kCmpGtF64,
   kCmpGeF64,
+  kCmpEqStr,
+  kCmpNeStr,
+  kCmpLtStr,
+  kCmpLeStr,
+  kCmpGtStr,
+  kCmpGeStr,
 
   // Three-valued logic over bool inputs.
   kAnd3VL,
@@ -98,17 +107,22 @@ enum class OpCode : uint8_t {
   kCoalesceI64,
   kCoalesceF64,
   kCoalesceBool,
+  kCoalesceStr,
   // NULLIF(a, b): output = a's type; lanes where both are non-NULL and
-  // numerically equal (double compare) become NULL. arg_list = {a, b,
-  // b_type_tag} where the tag says how to read b's slot numerically.
+  // equal become NULL — numerically (double compare) for two numbers,
+  // bytewise for two strings. arg_list = {a, b, b_type_tag} where the tag
+  // says how to read b's slot. A string against a number is a TypeMismatch
+  // on every lane where both are non-NULL.
   kNullIfI64,
   kNullIfF64,
   kNullIfBool,
-  // Searched CASE: arg_list = {w1, t1, w2, t2, ..., [else]}; aux's low bit
-  // of the *list length* disambiguates the ELSE (odd length = has ELSE).
+  kNullIfStr,
+  // Searched CASE: arg_list = {w1, t1, w2, t2, ..., [else]}; an odd list
+  // length means the trailing ELSE is present.
   kCaseI64,
   kCaseF64,
   kCaseBool,
+  kCaseStr,
 };
 
 std::string_view OpCodeName(OpCode op);
@@ -128,7 +142,8 @@ struct Instruction {
 /// number of times over any table with the schema it was compiled for.
 struct CompiledExpr {
   std::vector<Instruction> code;
-  /// Literal pool, indexed by Const* instructions' aux.
+  /// Literal pool, indexed by Const* instructions' aux. String lanes of
+  /// kConstStr point into it, so it must outlive every run.
   std::vector<Value> constants;
   /// Column references, indexed by LoadCol* instructions' aux. `index` is
   /// the schema position; `name` is kept for the disassembly.
@@ -151,11 +166,10 @@ struct CompiledExpr {
   std::string ToString() const;
 };
 
-/// Lowers `expr` against `schema`. Returns nullopt when the expression is
-/// outside the compilable subset (see file comment); never raises — every
-/// error case is the tree-walker's to diagnose.
-std::optional<CompiledExpr> CompileExpr(const Expr& expr,
-                                        const Schema& schema);
+/// Lowers `expr` against `schema`, or returns the expression's static
+/// error (see file comment) with the code and message DESIGN.md §13
+/// lists. Bumps no counters: the metered entry points are in expr_eval.h.
+Result<CompiledExpr> CompileExpr(const Expr& expr, const Schema& schema);
 
 }  // namespace laws
 

@@ -251,10 +251,10 @@ void CollectCols(const ScanPred& p, std::vector<int>* cols) {
 
 // --- Scalar evaluation ------------------------------------------------------
 //
-// Replicates EvaluateComparison/EvaluateLogical (expr_eval.cc) exactly
-// for the classified shapes: either side NULL -> NULL; three-way compare
-// c in the coerced double space with NaN landing in c = 1 regardless of
-// which side it is on; Kleene 3VL for AND/OR/NOT.
+// Replicates the VM's comparison and logic opcodes (vector_eval.cc)
+// exactly for the classified shapes: either side NULL -> NULL; three-way
+// compare c in the coerced double space with NaN landing in c = 1
+// regardless of which side it is on; Kleene 3VL for AND/OR/NOT.
 
 bool CmpToBool(BinaryOp op, int c) {
   switch (op) {

@@ -17,7 +17,6 @@
 #include "query/agg_state.h"
 #include "query/compressed_scan.h"
 #include "query/expr_eval.h"
-#include "query/vector_eval.h"
 #include "query/parser.h"
 #include "storage/grouping.h"
 
@@ -129,7 +128,7 @@ Result<const Column*> ResolveColumn(const Expr& expr, const Table& table,
   if (expr.kind == ExprKind::kColumnRef) {
     return table.ColumnByName(expr.column_name);
   }
-  LAWS_ASSIGN_OR_RETURN(*evaluated, EvaluateExprAuto(expr, table));
+  LAWS_ASSIGN_OR_RETURN(*evaluated, EvaluateExpr(expr, table));
   return evaluated;
 }
 
@@ -767,13 +766,10 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
     } else {
       std::string disasm;
       LAWS_ASSIGN_OR_RETURN(
-          selection,
-          FilterRowsAuto(*stmt.where, source,
-                         span.active() ? &disasm : nullptr));
+          selection, FilterRows(*stmt.where, source,
+                                span.active() ? &disasm : nullptr));
       if (span.active()) {
-        span.SetDetail(disasm.empty() ? stmt.where->ToString()
-                                      : stmt.where->ToString() +
-                                            " | bytecode: " + disasm);
+        span.SetDetail(stmt.where->ToString() + " | bytecode: " + disasm);
       }
     }
     filtered = source.GatherRows(selection);
@@ -885,12 +881,9 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
     std::string disasm;
     LAWS_ASSIGN_OR_RETURN(
         std::vector<uint32_t> selection,
-        FilterRowsAuto(*having, *current,
-                       span.active() ? &disasm : nullptr));
+        FilterRows(*having, *current, span.active() ? &disasm : nullptr));
     if (span.active()) {
-      span.SetDetail(disasm.empty()
-                         ? having->ToString()
-                         : having->ToString() + " | bytecode: " + disasm);
+      span.SetDetail(having->ToString() + " | bytecode: " + disasm);
     }
     post_having = current->GatherRows(selection);
     LAWS_RETURN_IF_ERROR(
@@ -947,12 +940,12 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
       LAWS_GOVERNOR_POLL();
       std::string disasm;
       LAWS_ASSIGN_OR_RETURN(
-          Column c, EvaluateExprAuto(*item.expr, *current,
-                                     span.active() ? &disasm : nullptr));
+          Column c, EvaluateExpr(*item.expr, *current,
+                                 span.active() ? &disasm : nullptr));
       if (span.active()) {
         if (!detail.empty()) detail += ", ";
         detail += item.alias;
-        if (!disasm.empty()) detail += " | bytecode: " + disasm;
+        detail += " | bytecode: " + disasm;
       }
       LAWS_RETURN_IF_ERROR(
           pipeline_charge.Acquire(c.MemoryBytes(), "projection output"));
@@ -1106,28 +1099,48 @@ Result<std::string> ExplainQuery(const Catalog& catalog,
   return ExplainSelect(catalog, stmt);
 }
 
+namespace {
+
+/// The counters behind EXPLAIN ANALYZE's `expr:` and `scan:` lines, in
+/// print order.
+constexpr const char* kExplainCounters[] = {
+    "expr.compiled",      "expr.batches",      "scan.blocks_total",
+    "scan.blocks_pruned", "scan.runs_skipped", "scan.encoded_agg"};
+static_assert(std::size(kExplainCounters) == 6,
+              "ExplainCounterLines keeps one start value per counter");
+
+}  // namespace
+
+ExplainCounterLines::ExplainCounterLines() {
+  for (size_t i = 0; i < start_.size(); ++i) {
+    start_[i] =
+        MetricsRegistry::Global().GetCounter(kExplainCounters[i])->value();
+  }
+}
+
+std::string ExplainCounterLines::Render() const {
+  unsigned long long d[std::size(kExplainCounters)];
+  for (size_t i = 0; i < start_.size(); ++i) {
+    d[i] = MetricsRegistry::Global().GetCounter(kExplainCounters[i])->value() -
+           start_[i];
+  }
+  char buf[192];
+  std::snprintf(
+      buf, sizeof(buf),
+      "expr: compiled=%llu batches=%llu\n"
+      "scan: engine=%s blocks=%llu pruned=%llu runs_skipped=%llu "
+      "encoded_agg=%llu\n",
+      d[0], d[1],
+      GlobalScanEngine() == ScanEngine::kCompressed ? "compressed" : "decode",
+      d[2], d[3], d[4], d[5]);
+  return buf;
+}
+
 Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
                                         const std::string& sql) {
   TraceSink sink;
   Timer total;
-  // Expression-tier accounting for this query: the counters are process-
-  // global, so snapshot before and report the delta.
-  Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
-  Counter* fallback =
-      MetricsRegistry::Global().GetCounter("expr.fallback_treewalk");
-  Counter* batches = MetricsRegistry::Global().GetCounter("expr.batches");
-  Counter* blocks = MetricsRegistry::Global().GetCounter("scan.blocks_total");
-  Counter* pruned = MetricsRegistry::Global().GetCounter("scan.blocks_pruned");
-  Counter* run_skips =
-      MetricsRegistry::Global().GetCounter("scan.runs_skipped");
-  Counter* enc_agg = MetricsRegistry::Global().GetCounter("scan.encoded_agg");
-  const uint64_t compiled0 = compiled->value();
-  const uint64_t fallback0 = fallback->value();
-  const uint64_t batches0 = batches->value();
-  const uint64_t blocks0 = blocks->value();
-  const uint64_t pruned0 = pruned->value();
-  const uint64_t run_skips0 = run_skips->value();
-  const uint64_t enc_agg0 = enc_agg->value();
+  const ExplainCounterLines counters;
   size_t result_rows = 0;
   // A governed query may be stopped mid-plan; that is a legitimate
   // outcome worth explaining, so the partial trace is still rendered
@@ -1150,26 +1163,7 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
     }
   }
   std::string out = sink.Render();
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "expr: engine=%s compiled=%llu fallback_treewalk=%llu "
-                "batches=%llu\n",
-                GlobalExprEngine() == ExprEngine::kBytecode ? "bytecode"
-                                                            : "treewalk",
-                static_cast<unsigned long long>(compiled->value() - compiled0),
-                static_cast<unsigned long long>(fallback->value() - fallback0),
-                static_cast<unsigned long long>(batches->value() - batches0));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "scan: engine=%s blocks=%llu pruned=%llu runs_skipped=%llu "
-      "encoded_agg=%llu\n",
-      GlobalScanEngine() == ScanEngine::kCompressed ? "compressed" : "decode",
-      static_cast<unsigned long long>(blocks->value() - blocks0),
-      static_cast<unsigned long long>(pruned->value() - pruned0),
-      static_cast<unsigned long long>(run_skips->value() - run_skips0),
-      static_cast<unsigned long long>(enc_agg->value() - enc_agg0));
-  out += buf;
+  out += counters.Render();
   if (QueryGovernor* gov = QueryGovernor::Current()) {
     out += gov->DescribeLine();
   }
@@ -1177,6 +1171,7 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
     out += "query stopped: " + stopped.ToString() + "\n";
     return out;
   }
+  char buf[64];
   std::snprintf(buf, sizeof(buf), "%zu row%s in %.3f ms\n", result_rows,
                 result_rows == 1 ? "" : "s", total.ElapsedMillis());
   out += buf;

@@ -1,6 +1,8 @@
 #ifndef LAWSDB_QUERY_EXECUTOR_H_
 #define LAWSDB_QUERY_EXECUTOR_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -61,6 +63,19 @@ Result<std::string> ExplainQuery(const Catalog& catalog,
 /// decision to the tree.
 Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
                                         const std::string& sql);
+
+/// EXPLAIN ANALYZE's `expr:` and `scan:` lines, shared by the exact and
+/// hybrid engines: construction snapshots the process-global expr.* and
+/// scan.* counters, and Render() prints their deltas since then as
+/// "expr: compiled=N batches=N" and "scan: engine=... blocks=N ...".
+class ExplainCounterLines {
+ public:
+  ExplainCounterLines();
+  std::string Render() const;
+
+ private:
+  std::array<uint64_t, 6> start_{};
+};
 
 }  // namespace laws
 

@@ -1,628 +1,57 @@
 #include "query/expr_eval.h"
 
-#include <cmath>
-#include <functional>
-#include <limits>
-
-#include "common/governor.h"
-#include "common/string_util.h"
+#include "common/metrics.h"
+#include "common/timer.h"
+#include "query/bytecode.h"
+#include "query/vector_eval.h"
 
 namespace laws {
 namespace {
 
-/// Internal value carrier for vectorized evaluation: either a whole column
-/// or a broadcast scalar. Broadcasting literals avoids materializing
-/// constant columns over large tables.
-struct EvalResult {
-  bool is_scalar = false;
-  Value scalar;      // when is_scalar
-  Column column{DataType::kDouble};  // when !is_scalar
-
-  size_t size(size_t table_rows) const {
-    return is_scalar ? table_rows : column.size();
-  }
-  bool IsNullAt(size_t i) const {
-    return is_scalar ? scalar.is_null() : column.IsNull(i);
-  }
-  Value At(size_t i) const {
-    return is_scalar ? scalar : column.GetValue(i);
-  }
-  DataType type() const {
-    if (!is_scalar) return column.type();
-    if (scalar.is_int64()) return DataType::kInt64;
-    if (scalar.is_double()) return DataType::kDouble;
-    if (scalar.is_string()) return DataType::kString;
-    if (scalar.is_bool()) return DataType::kBool;
-    return DataType::kDouble;  // NULL literal: treated as double
-  }
-  double NumAt(size_t i) const {
-    if (is_scalar) {
-      if (scalar.is_int64()) return static_cast<double>(scalar.int64());
-      if (scalar.is_bool()) return scalar.boolean() ? 1.0 : 0.0;
-      return scalar.dbl();
-    }
-    switch (column.type()) {
-      case DataType::kInt64:
-        return static_cast<double>(column.Int64At(i));
-      case DataType::kDouble:
-        return column.DoubleAt(i);
-      case DataType::kBool:
-        return column.BoolAt(i) ? 1.0 : 0.0;
-      case DataType::kString:
-        return 0.0;  // guarded by type checks before use
-    }
-    return 0.0;
-  }
-  int64_t IntAt(size_t i) const {
-    if (is_scalar) return scalar.int64();
-    return column.Int64At(i);
-  }
-  bool BoolValAt(size_t i) const {
-    if (is_scalar) return scalar.boolean();
-    return column.BoolAt(i);
-  }
-  std::string_view StrAt(size_t i) const {
-    if (is_scalar) return scalar.str();
-    return column.StringAt(i);
-  }
-};
-
-bool IsNumeric(DataType t) { return t != DataType::kString; }
-
-Result<EvalResult> Evaluate(const Expr& expr, const Table& table);
-
-Result<EvalResult> EvaluateUnary(const Expr& expr, const Table& table) {
-  LAWS_ASSIGN_OR_RETURN(EvalResult operand, Evaluate(*expr.children[0], table));
-  const size_t n = operand.size(table.num_rows());
-  if (expr.unary_op == UnaryOp::kNegate) {
-    if (!IsNumeric(operand.type())) {
-      return Status::TypeMismatch("cannot negate a string");
-    }
-    EvalResult out;
-    if (operand.type() == DataType::kInt64) {
-      out.column = Column(DataType::kInt64);
-      for (size_t i = 0; i < n; ++i) {
-        if (operand.IsNullAt(i)) {
-          LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-        } else {
-          int64_t v = 0;
-          if (__builtin_sub_overflow(int64_t{0}, operand.IntAt(i), &v)) {
-            return Status::NumericError("integer overflow in negation");
-          }
-          out.column.AppendInt64(v);
-        }
-      }
-    } else {
-      out.column = Column(DataType::kDouble);
-      for (size_t i = 0; i < n; ++i) {
-        if (operand.IsNullAt(i)) {
-          LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-        } else {
-          out.column.AppendDouble(-operand.NumAt(i));
-        }
-      }
-    }
-    return out;
-  }
-  // NOT
-  if (operand.type() != DataType::kBool) {
-    return Status::TypeMismatch("NOT requires a boolean operand");
-  }
-  EvalResult out;
-  out.column = Column(DataType::kBool);
-  for (size_t i = 0; i < n; ++i) {
-    if (operand.IsNullAt(i)) {
-      LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-    } else {
-      out.column.AppendBool(!operand.BoolValAt(i));
-    }
-  }
-  return out;
+Result<CompiledExpr> CompileWithMetrics(const Expr& expr, const Table& table,
+                                        std::string* disassembly) {
+  static Counter* compiled =
+      MetricsRegistry::Global().GetCounter("expr.compiled");
+  static MetricHistogram* compile_micros =
+      MetricsRegistry::Global().GetHistogram("expr.compile_micros");
+  Timer timer;
+  Result<CompiledExpr> program = CompileExpr(expr, table.schema());
+  compile_micros->Record(timer.ElapsedMicros());
+  if (!program.ok()) return program.status();
+  compiled->Add(1);
+  if (disassembly != nullptr) *disassembly = program->ToString();
+  return program;
 }
 
-Result<EvalResult> EvaluateArithmetic(const Expr& expr, EvalResult lhs,
-                                      EvalResult rhs, size_t n) {
-  if (!IsNumeric(lhs.type()) || !IsNumeric(rhs.type())) {
-    return Status::TypeMismatch("arithmetic on non-numeric operand");
-  }
-  const bool int_result = lhs.type() == DataType::kInt64 &&
-                          rhs.type() == DataType::kInt64 &&
-                          expr.binary_op != BinaryOp::kDivide;
-  EvalResult out;
-  if (int_result) {
-    out.column = Column(DataType::kInt64);
-    for (size_t i = 0; i < n; ++i) {
-      if (lhs.IsNullAt(i) || rhs.IsNullAt(i)) {
-        LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-        continue;
-      }
-      const int64_t a = lhs.IntAt(i);
-      const int64_t b = rhs.IntAt(i);
-      int64_t v = 0;
-      bool overflow = false;
-      switch (expr.binary_op) {
-        case BinaryOp::kAdd:
-          overflow = __builtin_add_overflow(a, b, &v);
-          break;
-        case BinaryOp::kSubtract:
-          overflow = __builtin_sub_overflow(a, b, &v);
-          break;
-        case BinaryOp::kMultiply:
-          overflow = __builtin_mul_overflow(a, b, &v);
-          break;
-        case BinaryOp::kModulo:
-          if (b == 0) return Status::NumericError("modulo by zero");
-          // INT64_MIN % -1 overflows in hardware even though the
-          // mathematical remainder is 0.
-          v = b == -1 ? 0 : a % b;
-          break;
-        default:
-          return Status::Internal("bad int arithmetic op");
-      }
-      if (overflow) {
-        return Status::NumericError("integer overflow in arithmetic");
-      }
-      out.column.AppendInt64(v);
-    }
-    return out;
-  }
-  out.column = Column(DataType::kDouble);
-  for (size_t i = 0; i < n; ++i) {
-    if (lhs.IsNullAt(i) || rhs.IsNullAt(i)) {
-      LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      continue;
-    }
-    const double a = lhs.NumAt(i);
-    const double b = rhs.NumAt(i);
-    double v = 0.0;
-    switch (expr.binary_op) {
-      case BinaryOp::kAdd:
-        v = a + b;
-        break;
-      case BinaryOp::kSubtract:
-        v = a - b;
-        break;
-      case BinaryOp::kMultiply:
-        v = a * b;
-        break;
-      case BinaryOp::kDivide:
-        if (b == 0.0) return Status::NumericError("division by zero");
-        v = a / b;
-        break;
-      case BinaryOp::kModulo:
-        if (b == 0.0) return Status::NumericError("modulo by zero");
-        v = std::fmod(a, b);
-        break;
-      default:
-        return Status::Internal("bad arithmetic op");
-    }
-    out.column.AppendDouble(v);
-  }
-  return out;
-}
-
-Result<EvalResult> EvaluateComparison(const Expr& expr, EvalResult lhs,
-                                      EvalResult rhs, size_t n) {
-  const bool strings =
-      lhs.type() == DataType::kString && rhs.type() == DataType::kString;
-  if (!strings && (!IsNumeric(lhs.type()) || !IsNumeric(rhs.type()))) {
-    return Status::TypeMismatch("cannot compare string with numeric");
-  }
-  EvalResult out;
-  out.column = Column(DataType::kBool);
-  auto cmp_to_bool = [&](int c) {
-    switch (expr.binary_op) {
-      case BinaryOp::kEqual:
-        return c == 0;
-      case BinaryOp::kNotEqual:
-        return c != 0;
-      case BinaryOp::kLess:
-        return c < 0;
-      case BinaryOp::kLessEqual:
-        return c <= 0;
-      case BinaryOp::kGreater:
-        return c > 0;
-      case BinaryOp::kGreaterEqual:
-        return c >= 0;
-      default:
-        return false;
-    }
-  };
-  for (size_t i = 0; i < n; ++i) {
-    if (lhs.IsNullAt(i) || rhs.IsNullAt(i)) {
-      LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      continue;
-    }
-    int c;
-    if (strings) {
-      const auto a = lhs.StrAt(i);
-      const auto b = rhs.StrAt(i);
-      c = a < b ? -1 : (a == b ? 0 : 1);
-    } else {
-      const double a = lhs.NumAt(i);
-      const double b = rhs.NumAt(i);
-      c = a < b ? -1 : (a == b ? 0 : 1);
-    }
-    out.column.AppendBool(cmp_to_bool(c));
-  }
-  return out;
-}
-
-Result<EvalResult> EvaluateLogical(const Expr& expr, EvalResult lhs,
-                                   EvalResult rhs, size_t n) {
-  if (lhs.type() != DataType::kBool || rhs.type() != DataType::kBool) {
-    return Status::TypeMismatch("AND/OR require boolean operands");
-  }
-  const bool is_and = expr.binary_op == BinaryOp::kAnd;
-  EvalResult out;
-  out.column = Column(DataType::kBool);
-  for (size_t i = 0; i < n; ++i) {
-    const bool lnull = lhs.IsNullAt(i);
-    const bool rnull = rhs.IsNullAt(i);
-    const bool l = lnull ? false : lhs.BoolValAt(i);
-    const bool r = rnull ? false : rhs.BoolValAt(i);
-    // Three-valued logic.
-    if (is_and) {
-      if ((!lnull && !l) || (!rnull && !r)) {
-        out.column.AppendBool(false);
-      } else if (lnull || rnull) {
-        LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      } else {
-        out.column.AppendBool(true);
-      }
-    } else {
-      if ((!lnull && l) || (!rnull && r)) {
-        out.column.AppendBool(true);
-      } else if (lnull || rnull) {
-        LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      } else {
-        out.column.AppendBool(false);
-      }
-    }
-  }
-  return out;
-}
-
-Result<EvalResult> EvaluateFunction(const Expr& expr, const Table& table) {
-  const std::string& f = expr.function_name;
-  const size_t n = table.num_rows();
-
-  auto unary_math = [&](double (*fn)(double)) -> Result<EvalResult> {
-    if (expr.children.size() != 1) {
-      return Status::InvalidArgument(f + "() takes one argument");
-    }
-    LAWS_ASSIGN_OR_RETURN(EvalResult a, Evaluate(*expr.children[0], table));
-    if (!IsNumeric(a.type())) {
-      return Status::TypeMismatch(f + "() requires a numeric argument");
-    }
-    EvalResult out;
-    out.column = Column(DataType::kDouble);
-    const size_t rows = a.size(n);
-    for (size_t i = 0; i < rows; ++i) {
-      if (a.IsNullAt(i)) {
-        LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      } else {
-        out.column.AppendDouble(fn(a.NumAt(i)));
-      }
-    }
-    return out;
-  };
-
-  if (f == "abs") {
-    if (expr.children.size() != 1) {
-      return Status::InvalidArgument("abs() takes one argument");
-    }
-    LAWS_ASSIGN_OR_RETURN(EvalResult a, Evaluate(*expr.children[0], table));
-    if (!IsNumeric(a.type())) {
-      return Status::TypeMismatch("abs() requires a numeric argument");
-    }
-    EvalResult out;
-    const size_t rows = a.size(n);
-    if (a.type() == DataType::kInt64) {
-      out.column = Column(DataType::kInt64);
-      for (size_t i = 0; i < rows; ++i) {
-        if (a.IsNullAt(i)) {
-          LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-        } else {
-          const int64_t v = a.IntAt(i);
-          if (v == std::numeric_limits<int64_t>::min()) {
-            return Status::NumericError("integer overflow in abs()");
-          }
-          out.column.AppendInt64(v < 0 ? -v : v);
-        }
-      }
-    } else {
-      out.column = Column(DataType::kDouble);
-      for (size_t i = 0; i < rows; ++i) {
-        if (a.IsNullAt(i)) {
-          LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-        } else {
-          out.column.AppendDouble(std::fabs(a.NumAt(i)));
-        }
-      }
-    }
-    return out;
-  }
-  if (f == "ln" || f == "log") return unary_math([](double x) { return std::log(x); });
-  if (f == "log10") return unary_math([](double x) { return std::log10(x); });
-  if (f == "exp") return unary_math([](double x) { return std::exp(x); });
-  if (f == "sqrt") return unary_math([](double x) { return std::sqrt(x); });
-  if (f == "sin") return unary_math([](double x) { return std::sin(x); });
-  if (f == "cos") return unary_math([](double x) { return std::cos(x); });
-  if (f == "floor") return unary_math([](double x) { return std::floor(x); });
-  if (f == "ceil") return unary_math([](double x) { return std::ceil(x); });
-  if (f == "round") return unary_math([](double x) { return std::round(x); });
-  if (f == "coalesce") {
-    if (expr.children.empty()) {
-      return Status::InvalidArgument("coalesce() needs arguments");
-    }
-    std::vector<EvalResult> args;
-    args.reserve(expr.children.size());
-    bool any_string = false, all_string = true;
-    bool all_int = true, all_bool = true;
-    for (const auto& child : expr.children) {
-      LAWS_ASSIGN_OR_RETURN(EvalResult a, Evaluate(*child, table));
-      any_string |= a.type() == DataType::kString;
-      all_string &= a.type() == DataType::kString;
-      all_int &= a.type() == DataType::kInt64;
-      all_bool &= a.type() == DataType::kBool;
-      args.push_back(std::move(a));
-    }
-    if (any_string && !all_string) {
-      return Status::TypeMismatch("coalesce() mixes strings and numerics");
-    }
-    // Numeric family unification: only a uniform INT64 or BOOL argument
-    // list keeps its type; any mix promotes to DOUBLE. (Picking the first
-    // argument's type here would read the wrong backing vector for the
-    // other arguments.)
-    EvalResult out;
-    const DataType t = all_string ? DataType::kString
-                       : all_int  ? DataType::kInt64
-                       : all_bool ? DataType::kBool
-                                  : DataType::kDouble;
-    out.column = Column(t);
-    for (size_t i = 0; i < n; ++i) {
-      const EvalResult* hit = nullptr;
-      for (const EvalResult& a : args) {
-        if (!a.IsNullAt(i)) {
-          hit = &a;
-          break;
-        }
-      }
-      if (hit == nullptr) {
-        LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      } else if (t == DataType::kString) {
-        out.column.AppendString(hit->StrAt(i));
-      } else if (t == DataType::kDouble) {
-        out.column.AppendDouble(hit->NumAt(i));
-      } else if (t == DataType::kInt64) {
-        out.column.AppendInt64(hit->IntAt(i));
-      } else {
-        out.column.AppendBool(hit->BoolValAt(i));
-      }
-    }
-    return out;
-  }
-  if (f == "nullif") {
-    if (expr.children.size() != 2) {
-      return Status::InvalidArgument("nullif() takes two arguments");
-    }
-    LAWS_ASSIGN_OR_RETURN(EvalResult a, Evaluate(*expr.children[0], table));
-    LAWS_ASSIGN_OR_RETURN(EvalResult b, Evaluate(*expr.children[1], table));
-    EvalResult out;
-    out.column = Column(a.type());
-    const size_t rows = std::max(a.size(n), b.size(n));
-    for (size_t i = 0; i < rows; ++i) {
-      bool equal = false;
-      if (!a.IsNullAt(i) && !b.IsNullAt(i)) {
-        if (a.type() == DataType::kString && b.type() == DataType::kString) {
-          equal = a.StrAt(i) == b.StrAt(i);
-        } else if (IsNumeric(a.type()) && IsNumeric(b.type())) {
-          equal = a.NumAt(i) == b.NumAt(i);
-        } else {
-          return Status::TypeMismatch("nullif() type mismatch");
-        }
-      }
-      if (a.IsNullAt(i) || equal) {
-        LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      } else {
-        LAWS_RETURN_IF_ERROR(out.column.AppendValue(a.At(i)));
-      }
-    }
-    return out;
-  }
-  if (f == "pow" || f == "power") {
-    if (expr.children.size() != 2) {
-      return Status::InvalidArgument("pow() takes two arguments");
-    }
-    LAWS_ASSIGN_OR_RETURN(EvalResult a, Evaluate(*expr.children[0], table));
-    LAWS_ASSIGN_OR_RETURN(EvalResult b, Evaluate(*expr.children[1], table));
-    if (!IsNumeric(a.type()) || !IsNumeric(b.type())) {
-      return Status::TypeMismatch("pow() requires numeric arguments");
-    }
-    EvalResult out;
-    out.column = Column(DataType::kDouble);
-    const size_t rows = std::max(a.size(n), b.size(n));
-    for (size_t i = 0; i < rows; ++i) {
-      if (a.IsNullAt(i) || b.IsNullAt(i)) {
-        LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-      } else {
-        out.column.AppendDouble(std::pow(a.NumAt(i), b.NumAt(i)));
-      }
-    }
-    return out;
-  }
-  return Status::InvalidArgument("unknown function: " + f);
-}
-
-Result<EvalResult> Evaluate(const Expr& expr, const Table& table) {
-  // One cancellation point per expression node: each node's loops run
-  // the full table, so this bounds the treewalker's cancel latency to
-  // one column pass.
-  LAWS_GOVERNOR_POLL();
-  switch (expr.kind) {
-    case ExprKind::kLiteral: {
-      EvalResult out;
-      out.is_scalar = true;
-      out.scalar = expr.literal;
-      return out;
-    }
-    case ExprKind::kColumnRef: {
-      LAWS_ASSIGN_OR_RETURN(const Column* col,
-                            table.ColumnByName(expr.column_name));
-      EvalResult out;
-      out.column = *col;  // copy; acceptable at this scale
-      return out;
-    }
-    case ExprKind::kUnary:
-      return EvaluateUnary(expr, table);
-    case ExprKind::kBinary: {
-      LAWS_ASSIGN_OR_RETURN(EvalResult lhs,
-                            Evaluate(*expr.children[0], table));
-      LAWS_ASSIGN_OR_RETURN(EvalResult rhs,
-                            Evaluate(*expr.children[1], table));
-      const size_t n =
-          std::max(lhs.size(table.num_rows()), rhs.size(table.num_rows()));
-      switch (expr.binary_op) {
-        case BinaryOp::kAdd:
-        case BinaryOp::kSubtract:
-        case BinaryOp::kMultiply:
-        case BinaryOp::kDivide:
-        case BinaryOp::kModulo:
-          return EvaluateArithmetic(expr, std::move(lhs), std::move(rhs), n);
-        case BinaryOp::kEqual:
-        case BinaryOp::kNotEqual:
-        case BinaryOp::kLess:
-        case BinaryOp::kLessEqual:
-        case BinaryOp::kGreater:
-        case BinaryOp::kGreaterEqual:
-          return EvaluateComparison(expr, std::move(lhs), std::move(rhs), n);
-        case BinaryOp::kAnd:
-        case BinaryOp::kOr:
-          return EvaluateLogical(expr, std::move(lhs), std::move(rhs), n);
-      }
-      return Status::Internal("bad binary op");
-    }
-    case ExprKind::kFunctionCall:
-      return EvaluateFunction(expr, table);
-    case ExprKind::kCase: {
-      const size_t pairs =
-          (expr.children.size() - (expr.case_has_else ? 1 : 0)) / 2;
-      std::vector<EvalResult> whens, thens;
-      for (size_t i = 0; i < pairs; ++i) {
-        LAWS_ASSIGN_OR_RETURN(EvalResult w,
-                              Evaluate(*expr.children[2 * i], table));
-        if (w.type() != DataType::kBool) {
-          return Status::TypeMismatch("CASE WHEN condition is not boolean");
-        }
-        LAWS_ASSIGN_OR_RETURN(EvalResult t,
-                              Evaluate(*expr.children[2 * i + 1], table));
-        whens.push_back(std::move(w));
-        thens.push_back(std::move(t));
-      }
-      EvalResult else_r;
-      bool has_else = expr.case_has_else;
-      if (has_else) {
-        LAWS_ASSIGN_OR_RETURN(else_r, Evaluate(*expr.children.back(), table));
-        thens.push_back(std::move(else_r));
-      }
-      // Result type: all branch values must share a family; within the
-      // numeric family only a uniform INT64 or BOOL branch list keeps its
-      // type, any mix promotes to DOUBLE. (Falling back to the first
-      // branch's type would read the wrong backing vector for the others.)
-      bool any_string = false, all_string = true, all_int = true,
-           all_bool = true;
-      for (const EvalResult& t : thens) {
-        any_string |= t.type() == DataType::kString;
-        all_string &= t.type() == DataType::kString;
-        all_int &= t.type() == DataType::kInt64;
-        all_bool &= t.type() == DataType::kBool;
-      }
-      if (any_string && !all_string) {
-        return Status::TypeMismatch("CASE mixes strings and numerics");
-      }
-      const DataType out_type = all_string ? DataType::kString
-                                : all_int  ? DataType::kInt64
-                                : all_bool ? DataType::kBool
-                                           : DataType::kDouble;
-      EvalResult out;
-      out.column = Column(out_type);
-      const size_t n = table.num_rows();
-      for (size_t i = 0; i < n; ++i) {
-        const EvalResult* hit = nullptr;
-        for (size_t b = 0; b < pairs; ++b) {
-          if (!whens[b].IsNullAt(i) && whens[b].BoolValAt(i)) {
-            hit = &thens[b];
-            break;
-          }
-        }
-        if (hit == nullptr && has_else) hit = &thens.back();
-        if (hit == nullptr || hit->IsNullAt(i)) {
-          LAWS_RETURN_IF_ERROR(out.column.AppendNull());
-        } else if (out_type == DataType::kString) {
-          out.column.AppendString(hit->StrAt(i));
-        } else if (out_type == DataType::kInt64) {
-          out.column.AppendInt64(hit->IntAt(i));
-        } else if (out_type == DataType::kDouble) {
-          out.column.AppendDouble(hit->NumAt(i));
-        } else {
-          out.column.AppendBool(hit->BoolValAt(i));
-        }
-      }
-      return out;
-    }
-    case ExprKind::kAggregate:
-      return Status::InvalidArgument(
-          "aggregate in scalar context (missing GROUP BY handling?)");
-    case ExprKind::kStar:
-      return Status::InvalidArgument("* outside COUNT(*)");
-  }
-  return Status::Internal("bad expression kind");
+BatchEvaluator& ThreadEvaluator() {
+  // One evaluator per thread keeps scratch registers warm across queries
+  // without sharing mutable state between pool workers.
+  thread_local BatchEvaluator ev;
+  return ev;
 }
 
 }  // namespace
 
-Result<Column> EvaluateExpr(const Expr& expr, const Table& table) {
-  LAWS_ASSIGN_OR_RETURN(EvalResult r, Evaluate(expr, table));
-  if (!r.is_scalar) return std::move(r.column);
-  // Broadcast the scalar into a full column.
-  const size_t n = table.num_rows();
-  DataType t = r.type();
-  Column col(t);
-  for (size_t i = 0; i < n; ++i) {
-    if (r.scalar.is_null()) {
-      LAWS_RETURN_IF_ERROR(col.AppendNull());
-    } else {
-      LAWS_RETURN_IF_ERROR(col.AppendValue(r.scalar));
-    }
-  }
-  return col;
+Result<Column> EvaluateExpr(const Expr& expr, const Table& table,
+                            std::string* disassembly) {
+  LAWS_ASSIGN_OR_RETURN(const CompiledExpr program,
+                        CompileWithMetrics(expr, table, disassembly));
+  return ThreadEvaluator().Run(program, table);
 }
 
 Result<Value> EvaluateConstant(const Expr& expr) {
-  // A one-row, zero-column table lets composite constant expressions (e.g.
-  // -3, 1+2) evaluate through the vectorized path.
-  Table dummy{Schema{}};
-  LAWS_RETURN_IF_ERROR(dummy.AppendRow({}));
-  LAWS_ASSIGN_OR_RETURN(EvalResult r, Evaluate(expr, dummy));
-  if (r.is_scalar) return r.scalar;
-  if (r.column.size() == 1) return r.column.GetValue(0);
-  return Status::InvalidArgument("expression is not constant");
+  if (expr.kind == ExprKind::kLiteral) return expr.literal;
+  LAWS_ASSIGN_OR_RETURN(const CompiledExpr program,
+                        CompileExpr(expr, Schema{}));
+  return ThreadEvaluator().RunConstant(program);
 }
 
 Result<std::vector<uint32_t>> FilterRows(const Expr& predicate,
-                                         const Table& table) {
-  LAWS_ASSIGN_OR_RETURN(Column mask, EvaluateExpr(predicate, table));
-  if (mask.type() != DataType::kBool) {
-    return Status::TypeMismatch("WHERE predicate is not boolean");
-  }
-  std::vector<uint32_t> selected;
-  for (size_t i = 0; i < mask.size(); ++i) {
-    if (!mask.IsNull(i) && mask.BoolAt(i)) {
-      selected.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return selected;
+                                         const Table& table,
+                                         std::string* disassembly) {
+  LAWS_ASSIGN_OR_RETURN(const CompiledExpr program,
+                        CompileWithMetrics(predicate, table, disassembly));
+  return ThreadEvaluator().RunFilter(program, table);
 }
 
 }  // namespace laws

@@ -18,7 +18,6 @@
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/query_context.h"
-#include "query/vector_eval.h"
 #include "testing/reference_oracle.h"
 #include "testing/shrink.h"
 
@@ -136,22 +135,17 @@ CaseDiff DiffCase(const std::vector<GenTable>& tables,
 
   const OracleResult oracle = OracleExecuteSelect(*catalog, stmt);
 
-  // Per-tier matrix: the row-at-a-time tree-walker on the decode path is
-  // the semantic reference. The compiled bytecode tier must match it
-  // bit-for-bit at 1 thread and at the default pool width, and the
-  // compressed scan tier (zone-map pruning + run-aware evaluation +
-  // encoded aggregation) must match it under both expression engines.
-  // Every comparison is against treewalk@1 so a single diverging tier is
-  // named directly.
-  const ExprEngine prev_engine = GlobalExprEngine();
+  // Per-tier matrix: the executor at 1 thread on the decode path is the
+  // reference the oracle is checked against. It must also match itself
+  // bit-for-bit at the default pool width, and the compressed scan tier
+  // (zone-map pruning + run-aware evaluation + encoded aggregation) must
+  // match it at both widths. Every comparison is against bytecode@1 so a
+  // single diverging tier is named directly.
   const ScanEngine prev_scan = GlobalScanEngine();
   const size_t prev_block_rows = ScanBlockRows();
   ThreadPool::SetGlobalThreadCount(1);
   SetGlobalScanEngine(ScanEngine::kDecode);
-  SetGlobalExprEngine(ExprEngine::kTreewalk);
   const Result<Table> exec1 = ExecuteSelect(*catalog, stmt);
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  const Result<Table> byte1 = ExecuteSelect(*catalog, stmt);
   ThreadPool::SetGlobalThreadCount(0);
   const Result<Table> byten = ExecuteSelect(*catalog, stmt);
   // Compressed tiers run with a deliberately tiny block size so the
@@ -162,9 +156,6 @@ CaseDiff DiffCase(const std::vector<GenTable>& tables,
   const Result<Table> comp_byten = ExecuteSelect(*catalog, stmt);
   ThreadPool::SetGlobalThreadCount(1);
   const Result<Table> comp_byte1 = ExecuteSelect(*catalog, stmt);
-  SetGlobalExprEngine(ExprEngine::kTreewalk);
-  const Result<Table> comp_tree1 = ExecuteSelect(*catalog, stmt);
-  SetGlobalExprEngine(prev_engine);
   SetGlobalScanEngine(prev_scan);
   SetScanBlockRows(prev_block_rows);
   ThreadPool::SetGlobalThreadCount(0);
@@ -172,8 +163,8 @@ CaseDiff DiffCase(const std::vector<GenTable>& tables,
   const auto tier_divergence =
       [&](const char* name, const Result<Table>& other) -> std::string {
     if (exec1.ok() != other.ok()) {
-      return std::string("executor tier divergence (treewalk@1 vs ") + name +
-             "): treewalk@1 " +
+      return std::string("executor tier divergence (bytecode@1 vs ") + name +
+             "): bytecode@1 " +
              (exec1.ok() ? std::string("OK") : exec1.status().ToString()) +
              " vs " +
              (other.ok() ? std::string("OK") : other.status().ToString());
@@ -181,21 +172,17 @@ CaseDiff DiffCase(const std::vector<GenTable>& tables,
     if (exec1.ok()) {
       std::string why;
       if (!TablesEquivalent(*exec1, *other, /*order_sensitive=*/true, &why)) {
-        return std::string("executor tier divergence (treewalk@1 vs ") +
+        return std::string("executor tier divergence (bytecode@1 vs ") +
                name + "): " + why;
       }
     }
     return std::string();
   };
-  out.reason = tier_divergence("bytecode@1", byte1);
-  if (!out.reason.empty()) return out;
   out.reason = tier_divergence("bytecode@N", byten);
   if (!out.reason.empty()) return out;
   out.reason = tier_divergence("compressed+bytecode@1", comp_byte1);
   if (!out.reason.empty()) return out;
   out.reason = tier_divergence("compressed+bytecode@N", comp_byten);
-  if (!out.reason.empty()) return out;
-  out.reason = tier_divergence("compressed+treewalk@1", comp_tree1);
   if (!out.reason.empty()) return out;
 
   if (!oracle.status.ok() && !exec1.ok()) {
@@ -307,7 +294,6 @@ std::string ChaosReport::Summary() const {
 
 ChaosReport RunGovernorChaos(const ChaosOptions& opts) {
   ChaosReport report;
-  const ExprEngine prev_engine = GlobalExprEngine();
   const ScanEngine prev_scan = GlobalScanEngine();
   const size_t prev_block_rows = ScanBlockRows();
 
@@ -341,8 +327,6 @@ ChaosReport RunGovernorChaos(const ChaosOptions& opts) {
 
     // Random execution tier, shared by the reference and the governed run
     // so bit-identity is compared apples-to-apples.
-    SetGlobalExprEngine(rng.UniformInt(0, 1) == 1 ? ExprEngine::kBytecode
-                                                  : ExprEngine::kTreewalk);
     const bool compressed = rng.UniformInt(0, 1) == 1;
     SetGlobalScanEngine(compressed ? ScanEngine::kCompressed
                                    : ScanEngine::kDecode);
@@ -421,7 +405,6 @@ ChaosReport RunGovernorChaos(const ChaosOptions& opts) {
     if (report.violations.size() >= opts.max_reported) break;
   }
 
-  SetGlobalExprEngine(prev_engine);
   SetGlobalScanEngine(prev_scan);
   SetScanBlockRows(prev_block_rows);
   ThreadPool::SetGlobalThreadCount(0);

@@ -54,8 +54,10 @@ bool TablesEquivalent(const Table& a, const Table& b, bool order_sensitive,
                       std::string* why);
 
 /// Outcome of diffing one statement across the oracle and the executor
-/// tier matrix: tree-walker@1-thread, bytecode@1-thread and
-/// bytecode@default-threads, all bit-identical or the case fails.
+/// tier matrix: bytecode@1-thread on the decode path is the reference the
+/// oracle is compared with; bytecode@default-threads and the compressed
+/// scan tier at both widths must match it bit for bit, or the case
+/// fails.
 struct CaseDiff {
   /// Both sides raised an error (counted as agreement).
   bool agreed_error = false;
@@ -102,9 +104,9 @@ struct ChaosReport {
 /// armed up front, a cancel fired from another thread mid-flight, a tiny
 /// or generous deadline, a tiny or generous memory budget, or a fault
 /// armed at the governor/poll or governor/alloc site — on a randomly
-/// drawn engine/thread tier. Invariant: the governed run either matches
-/// the reference exactly (rows bit-identical, or both error) or fails
-/// with a clean governor error. Disarms all injected faults before
+/// drawn scan tier and thread count. Invariant: the governed run either
+/// matches the reference exactly (rows bit-identical, or both error) or
+/// fails with a clean governor error. Disarms all injected faults before
 /// returning.
 ChaosReport RunGovernorChaos(const ChaosOptions& opts);
 

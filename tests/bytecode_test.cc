@@ -1,22 +1,28 @@
-// Unit tests for the compiled expression tier (DESIGN.md §13): golden
-// programs out of the compiler, constant folding / CSE / type
-// specialization, §11 semantics parity against the tree-walker, and the
-// batch/scratch mechanics of the VM.
+// Unit tests for the expression engine (DESIGN.md §13): golden programs
+// out of the compiler, constant folding / CSE / type specialization, the
+// table of static errors, §11 semantics parity against the reference
+// oracle (numeric and string lanes), and the batch/scratch mechanics of
+// the VM.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "query/bytecode.h"
 #include "query/expr_eval.h"
 #include "query/parser.h"
 #include "query/vector_eval.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
+#include "testing/reference_oracle.h"
 
 namespace laws {
 namespace {
@@ -30,8 +36,8 @@ Schema TestSchema() {
                  Field{"sa", DataType::kString, true}});
 }
 
-// Parses the expression of `SELECT <expr> FROM t` (parser has no
-// standalone expression entry point).
+// Parses the expression of `SELECT <expr> FROM t` (the form the oracle
+// runs, so both sides see the same tree).
 std::unique_ptr<Expr> ParseExpr(const std::string& text) {
   auto stmt = ParseSelect("SELECT " + text + " FROM t");
   EXPECT_TRUE(stmt.ok()) << text << ": " << stmt.status().ToString();
@@ -39,61 +45,76 @@ std::unique_ptr<Expr> ParseExpr(const std::string& text) {
   return std::move(stmt->select_list[0].expr);
 }
 
-std::optional<CompiledExpr> Compile(const std::string& text) {
+Result<CompiledExpr> Compile(const std::string& text) {
   auto expr = ParseExpr(text);
-  if (expr == nullptr) return std::nullopt;
+  if (expr == nullptr) return Status::InvalidArgument("unparsable " + text);
   return CompileExpr(*expr, TestSchema());
 }
 
+/// Five rows salted with the §11 edge cases: NaN, -0.0, 2^53 + 1, NULLs,
+/// and for `sa` the empty string, the text 'NULL' and a real NULL.
 Table SmallTable() {
   Table t{TestSchema()};
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  auto row = [&](Value ia, Value ib, Value da, Value db, Value ba) {
-    EXPECT_TRUE(
-        t.AppendRow({std::move(ia), std::move(ib), std::move(da),
-                     std::move(db), std::move(ba), Value::String("s")})
-            .ok());
+  auto row = [&](Value ia, Value ib, Value da, Value db, Value ba,
+                 Value sa) {
+    EXPECT_TRUE(t.AppendRow({std::move(ia), std::move(ib), std::move(da),
+                             std::move(db), std::move(ba), std::move(sa)})
+                    .ok());
   };
   row(Value::Int64(1), Value::Int64(10), Value::Double(1.5),
-      Value::Double(2.0), Value::Bool(true));
+      Value::Double(2.0), Value::Bool(true), Value::String("b"));
   row(Value::Int64(-7), Value::Int64(3), Value::Double(-0.0),
-      Value::Double(0.5), Value::Bool(false));
+      Value::Double(0.5), Value::Bool(false), Value::String(""));
   row(Value::Null(), Value::Int64(5), Value::Double(nan),
-      Value::Double(-3.25), Value::Null());
+      Value::Double(-3.25), Value::Null(), Value::Null());
   row(Value::Int64(9007199254740993LL),  // 2^53 + 1: comparison horizon
       Value::Int64(9007199254740992LL), Value::Double(9007199254740992.0),
-      Value::Double(100.0), Value::Bool(true));
+      Value::Double(100.0), Value::Bool(true), Value::String("NULL"));
   row(Value::Int64(0), Value::Null(), Value::Null(), Value::Double(0.25),
-      Value::Bool(false));
+      Value::Bool(false), Value::String("ab"));
   return t;
 }
 
-// Both engines over the same expression and table must agree bit-for-bit
-// (NaNs one class) including NULL-ness, or raise errors with identical
-// messages.
-void ExpectParity(const std::string& text, const Table& table) {
+Result<Column> RunEngine(const std::string& text, const Table& table,
+                         BatchEvaluator& ev) {
   auto expr = ParseExpr(text);
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, table.schema());
-  ASSERT_TRUE(compiled.has_value()) << text << " did not compile";
-  Result<Column> tw = EvaluateExpr(*expr, table);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, table);
-  ASSERT_EQ(tw.ok(), bc.ok())
-      << text << ": treewalk " << (tw.ok() ? "ok" : tw.status().ToString())
-      << " vs bytecode " << (bc.ok() ? "ok" : bc.status().ToString());
-  if (!tw.ok()) {
-    EXPECT_EQ(tw.status().ToString(), bc.status().ToString()) << text;
-    return;
-  }
-  ASSERT_EQ(tw->size(), bc->size()) << text;
-  ASSERT_EQ(tw->type(), bc->type()) << text;
-  for (size_t i = 0; i < tw->size(); ++i) {
-    ASSERT_EQ(tw->IsNull(i), bc->IsNull(i)) << text << " row " << i;
-    if (tw->IsNull(i)) continue;
-    switch (tw->type()) {
+  if (expr == nullptr) return Status::InvalidArgument("unparsable " + text);
+  LAWS_ASSIGN_OR_RETURN(const CompiledExpr program,
+                        CompileExpr(*expr, table.schema()));
+  return ev.Run(program, table);
+}
+
+/// The reference: the oracle's answer to `SELECT <text> FROM t`.
+testing::OracleResult RunOracle(const std::string& text, const Table& table) {
+  Catalog catalog;
+  catalog.RegisterOrReplace("t", std::make_shared<Table>(table));
+  auto stmt = ParseSelect("SELECT " + text + " FROM t");
+  EXPECT_TRUE(stmt.ok()) << text;
+  return testing::OracleExecuteSelect(catalog, *stmt);
+}
+
+// The engine must match the oracle on whether the expression errors and,
+// when it does not, on the result type, NULLs and every value's bits
+// (NaNs one class).
+void ExpectParity(const std::string& text, const Table& table,
+                  BatchEvaluator& ev) {
+  const testing::OracleResult want = RunOracle(text, table);
+  const Result<Column> got = RunEngine(text, table, ev);
+  ASSERT_EQ(want.status.ok(), got.ok())
+      << text << ": oracle " << want.status.ToString() << " vs engine "
+      << (got.ok() ? "OK" : got.status().ToString());
+  if (!got.ok()) return;
+  ASSERT_EQ(want.table.num_columns(), 1u) << text;
+  const Column& ref = want.table.column(0);
+  ASSERT_EQ(ref.size(), got->size()) << text;
+  ASSERT_EQ(ref.type(), got->type()) << text;
+  for (size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(ref.IsNull(i), got->IsNull(i)) << text << " row " << i;
+    if (ref.IsNull(i)) continue;
+    switch (ref.type()) {
       case DataType::kDouble: {
-        const double a = tw->DoubleAt(i), b = bc->DoubleAt(i);
+        const double a = ref.DoubleAt(i), b = got->DoubleAt(i);
         if (std::isnan(a) || std::isnan(b)) {
           EXPECT_TRUE(std::isnan(a) && std::isnan(b)) << text << " row " << i;
         } else {
@@ -106,22 +127,28 @@ void ExpectParity(const std::string& text, const Table& table) {
         break;
       }
       case DataType::kInt64:
-        EXPECT_EQ(tw->Int64At(i), bc->Int64At(i)) << text << " row " << i;
+        EXPECT_EQ(ref.Int64At(i), got->Int64At(i)) << text << " row " << i;
         break;
       case DataType::kBool:
-        EXPECT_EQ(tw->BoolAt(i), bc->BoolAt(i)) << text << " row " << i;
+        EXPECT_EQ(ref.BoolAt(i), got->BoolAt(i)) << text << " row " << i;
         break;
-      default:
-        FAIL() << "unexpected result type for " << text;
+      case DataType::kString:
+        EXPECT_EQ(ref.StringAt(i), got->StringAt(i)) << text << " row " << i;
+        break;
     }
   }
+}
+
+void ExpectParity(const std::string& text, const Table& table) {
+  BatchEvaluator ev;
+  ExpectParity(text, table, ev);
 }
 
 // --- Golden programs ------------------------------------------------------
 
 TEST(BytecodeCompilerTest, GoldenIntAdd) {
   auto p = Compile("ia + 1");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=const.i64(1); s1=add.i64(s0,s1)");
   EXPECT_EQ(p->result_type, DataType::kInt64);
@@ -130,7 +157,7 @@ TEST(BytecodeCompilerTest, GoldenIntAdd) {
 
 TEST(BytecodeCompilerTest, GoldenMixedPromotesToDouble) {
   auto p = Compile("ia * da");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=loadcol.f64(da); s0=cast.i64.f64(s0); "
             "s1=mul.f64(s0,s1)");
@@ -141,10 +168,18 @@ TEST(BytecodeCompilerTest, GoldenComparisonIsDoubleTyped) {
   // §11: every numeric comparison goes through double coercion, even
   // int64-vs-int64 (the 2^53 horizon is intentional, shared semantics).
   auto p = Compile("ia < ib");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=loadcol.i64(ib); s0=cast.i64.f64(s0); "
             "s1=cast.i64.f64(s1); s1=cmplt.f64(s0,s1)");
+  EXPECT_EQ(p->result_type, DataType::kBool);
+}
+
+TEST(BytecodeCompilerTest, GoldenStringCompare) {
+  auto p = Compile("sa >= 'x'");
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p->ToString(),
+            "s0=loadcol.str(sa); s1=const.str('x'); s1=cmpge.str(s0,s1)");
   EXPECT_EQ(p->result_type, DataType::kBool);
 }
 
@@ -152,7 +187,7 @@ TEST(BytecodeCompilerTest, GoldenComparisonIsDoubleTyped) {
 
 TEST(BytecodeCompilerTest, ConstantSubtreeFoldsToOneLoad) {
   auto p = Compile("da + (1 + 2 * 3)");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   // The column-free subtree becomes a single constant instruction.
   size_t consts = 0;
   for (const auto& ins : p->code) {
@@ -164,20 +199,41 @@ TEST(BytecodeCompilerTest, ConstantSubtreeFoldsToOneLoad) {
   EXPECT_EQ(p->constants[0].int64(), 7);
 }
 
+TEST(BytecodeCompilerTest, ConstantStringSubtreeFolds) {
+  auto p = Compile("coalesce('x', 'y') = sa");
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p->ToString(),
+            "s0=const.str('x'); s1=loadcol.str(sa); s1=cmpeq.str(s0,s1)");
+}
+
 TEST(BytecodeCompilerTest, FoldTimeErrorVetoesTheFold) {
-  // 1/0 errors at evaluation time in the tree-walker. Folding it at
-  // compile time would move the error; the compiler must leave the
-  // division in the program instead.
+  // 1/0 errors at evaluation time. Folding it at compile time would move
+  // the error; the compiler must leave the division in the program.
   auto p = Compile("da + 1 / 0");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   bool has_div = false;
   for (const auto& ins : p->code) has_div |= ins.op == OpCode::kDivF64;
   EXPECT_TRUE(has_div) << p->ToString();
 }
 
+TEST(BytecodeCompilerTest, NullFoldKeepsTheOperatorsType) {
+  // nullif(1, 1) is NULL; folded to a NULL literal it would type as
+  // DOUBLE, so the program keeps the INT64 nullif instead.
+  auto p = Compile("nullif(1, 1)");
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p->result_type, DataType::kInt64) << p->ToString();
+  ExpectParity("nullif(1, 1)", SmallTable());
+  // A vetoed operand does not stop its parent from folding: NULL + 1
+  // stays in the program only until the coalesce over it folds to 2.0.
+  auto q = Compile("coalesce(NULL + 1, 2)");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(q->ToString(), "s0=const.f64(2)");
+  ExpectParity("coalesce(NULL + 1, 2)", SmallTable());
+}
+
 TEST(BytecodeCompilerTest, SharedSubexpressionCompilesOnce) {
   auto p = Compile("(da * db) + (da * db)");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   size_t muls = 0;
   for (const auto& ins : p->code) muls += ins.op == OpCode::kMulF64;
   EXPECT_EQ(muls, 1u) << p->ToString();
@@ -205,24 +261,121 @@ TEST(BytecodeCompilerTest, NearEqualLiteralsDoNotShareARegister) {
 TEST(BytecodeCompilerTest, LiteralTypeCollisionKeepsCaseInt64) {
   // int64 0 and double 0.0 both print "0"; under a text-keyed CSE the
   // ELSE 0 inherited the double constant's register and type, promoting
-  // the CASE to DOUBLE where the tree-walker stays INT64 (seed 21765).
+  // the CASE to DOUBLE where it must stay INT64 (seed 21765).
   const std::string text = "CASE WHEN da >= 0.0 THEN ia ELSE 0 END";
   auto p = Compile(text);
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->result_type, DataType::kInt64) << p->ToString();
   ExpectParity(text, SmallTable());
 }
 
-// --- Fallback boundary ----------------------------------------------------
+// --- Static errors ----------------------------------------------------------
 
-TEST(BytecodeCompilerTest, DeclinesNonCompilableShapes) {
-  EXPECT_FALSE(Compile("sa").has_value());              // string column
-  EXPECT_FALSE(Compile("'x'").has_value());             // string literal
-  EXPECT_FALSE(Compile("sa = 'x'").has_value());        // string compare
-  EXPECT_FALSE(Compile("SUM(ia)").has_value());         // aggregate
-  EXPECT_FALSE(Compile("frobnicate(da)").has_value());  // unknown function
-  EXPECT_FALSE(Compile("nosuchcol + 1").has_value());   // unknown column
-  EXPECT_FALSE(Compile("ia AND ba").has_value());       // type error
+TEST(BytecodeCompilerTest, StaticErrorsCarryTheirCodeAndMessage) {
+  struct Case {
+    const char* text;
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"-sa", StatusCode::kTypeMismatch, "cannot negate a string"},
+      {"NOT da", StatusCode::kTypeMismatch, "NOT requires a boolean operand"},
+      {"ia AND ba", StatusCode::kTypeMismatch,
+       "AND/OR require boolean operands"},
+      {"ba OR sa", StatusCode::kTypeMismatch,
+       "AND/OR require boolean operands"},
+      {"sa + 1", StatusCode::kTypeMismatch,
+       "arithmetic on non-numeric operand"},
+      {"sa = 1", StatusCode::kTypeMismatch,
+       "cannot compare string with numeric"},
+      {"sa < NULL", StatusCode::kTypeMismatch,
+       "cannot compare string with numeric"},
+      {"sqrt(da, db)", StatusCode::kInvalidArgument,
+       "sqrt() takes one argument"},
+      {"abs()", StatusCode::kInvalidArgument, "abs() takes one argument"},
+      {"ln(sa)", StatusCode::kTypeMismatch,
+       "ln() requires a numeric argument"},
+      {"pow(da)", StatusCode::kInvalidArgument, "pow() takes two arguments"},
+      {"power(sa, 2)", StatusCode::kTypeMismatch,
+       "pow() requires numeric arguments"},
+      {"nullif(ia)", StatusCode::kInvalidArgument,
+       "nullif() takes two arguments"},
+      {"coalesce()", StatusCode::kInvalidArgument,
+       "coalesce() needs arguments"},
+      {"coalesce(sa, 1)", StatusCode::kTypeMismatch,
+       "coalesce() mixes strings and numerics"},
+      {"frobnicate(da)", StatusCode::kInvalidArgument,
+       "unknown function: frobnicate"},
+      {"nosuchcol + 1", StatusCode::kNotFound,
+       "no field named 'nosuchcol'"},
+      {"CASE WHEN ia THEN 1 END", StatusCode::kTypeMismatch,
+       "CASE WHEN condition is not boolean"},
+      {"CASE WHEN ba THEN sa ELSE 1 END", StatusCode::kTypeMismatch,
+       "CASE mixes strings and numerics"},
+      {"COUNT(*) + 1", StatusCode::kInvalidArgument,
+       "aggregate in scalar context (missing GROUP BY handling?)"},
+  };
+  const Table t = SmallTable();
+  for (const Case& c : cases) {
+    Result<CompiledExpr> p = Compile(c.text);
+    ASSERT_FALSE(p.ok()) << c.text;
+    EXPECT_EQ(p.status().code(), c.code) << c.text;
+    EXPECT_EQ(p.status().message(), c.message) << c.text;
+    // The oracle agrees that the statement errors (an aggregate is only
+    // an error in scalar context; as a SELECT item it is a global
+    // aggregate).
+    if (!ParseExpr(c.text)->ContainsAggregate()) {
+      EXPECT_FALSE(RunOracle(c.text, t).status.ok()) << c.text;
+    }
+  }
+  Result<CompiledExpr> star = CompileExpr(*Expr::MakeStar(), TestSchema());
+  ASSERT_FALSE(star.ok());
+  EXPECT_EQ(star.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(star.status().message(), "* outside COUNT(*)");
+}
+
+TEST(BytecodeCompilerTest, StaticErrorWinsOverDataError) {
+  // da / (ia - ia) divides by zero on the first row; NOT of a double is
+  // a static error. The static one is reported, before any row runs.
+  const Table t = SmallTable();
+  Result<Column> data = EvaluateExpr(*ParseExpr("da / (ia - ia)"), t);
+  ASSERT_FALSE(data.ok());
+  EXPECT_EQ(data.status().code(), StatusCode::kNumericError);
+  Result<Column> both = EvaluateExpr(*ParseExpr("NOT (da / (ia - ia))"), t);
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ(both.status().message(), "NOT requires a boolean operand");
+}
+
+// --- EvaluateConstant -------------------------------------------------------
+
+TEST(EvaluateConstantTest, LiteralsSkipTheCompiler) {
+  Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
+  const uint64_t before = compiled->value();
+  Result<Value> lit = EvaluateConstant(*ParseExpr("'abc'"));
+  ASSERT_TRUE(lit.ok());
+  EXPECT_EQ(lit->str(), "abc");
+  Result<Value> folded = EvaluateConstant(*ParseExpr("-(1 + 2) * 4"));
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->int64(), -12);
+  // Neither the literal nor the composite counts as a compiled query
+  // expression.
+  EXPECT_EQ(compiled->value(), before);
+}
+
+TEST(EvaluateConstantTest, FoldVetoesSurfaceAtEvaluation) {
+  // 1/0 vetoes the fold; evaluating the constant then raises the error.
+  Result<Value> div = EvaluateConstant(*ParseExpr("1 / 0"));
+  ASSERT_FALSE(div.ok());
+  EXPECT_EQ(div.status().code(), StatusCode::kNumericError);
+  EXPECT_EQ(div.status().message(), "division by zero");
+  // A NULL result vetoes the fold too; the value is still NULL.
+  Result<Value> null = EvaluateConstant(*ParseExpr("nullif(1, 1)"));
+  ASSERT_TRUE(null.ok());
+  EXPECT_TRUE(null->is_null());
+  // Column references are not constant.
+  EXPECT_EQ(EvaluateConstant(*ParseExpr("ia + 1")).status().code(),
+            StatusCode::kNotFound);
 }
 
 // --- §11 semantics parity -------------------------------------------------
@@ -243,7 +396,7 @@ TEST(BytecodeSemanticsTest, ArithmeticParity) {
 }
 
 TEST(BytecodeSemanticsTest, NaNComparisonClasses) {
-  // The NaN row must land in the same truth bucket on both engines:
+  // The NaN row must land in the same truth bucket as the oracle's:
   // NaN > x and NaN >= x are TRUE, ==/</<= FALSE (three-way compare puts
   // NaN in the "greater" class).
   const Table t = SmallTable();
@@ -253,52 +406,39 @@ TEST(BytecodeSemanticsTest, NaNComparisonClasses) {
   }
 }
 
-TEST(BytecodeSemanticsTest, SignedZeroSurvivesBothEngines) {
+TEST(BytecodeSemanticsTest, SignedZeroSurvives) {
   const Table t = SmallTable();
-  // Row 1 has da = -0.0; the bit pattern must round-trip both engines
-  // (ExpectParity compares raw bits, not ==).
+  // Row 1 has da = -0.0; the bit pattern must round-trip (ExpectParity
+  // compares raw bits, not ==).
   ExpectParity("da", t);
   ExpectParity("da * 1.0", t);
   ExpectParity("-da", t);
 }
 
-TEST(BytecodeSemanticsTest, CheckedInt64OverflowParity) {
+TEST(BytecodeSemanticsTest, CheckedInt64Overflow) {
   Table t{Schema({Field{"ia", DataType::kInt64, true}})};
   ASSERT_TRUE(t.AppendRow({Value::Int64(INT64_MAX)}).ok());
-  auto expr = ParseExpr("ia + 1");
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
-  EXPECT_NE(bc.status().ToString().find("integer overflow in arithmetic"),
-            std::string::npos);
+  ExpectParity("ia + 1", t);
+  Result<Column> r = EvaluateExpr(*ParseExpr("ia + 1"), t);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNumericError);
+  EXPECT_EQ(r.status().message(), "integer overflow in arithmetic");
 }
 
-TEST(BytecodeSemanticsTest, Int64MinEdgeCasesParity) {
+TEST(BytecodeSemanticsTest, Int64MinEdgeCases) {
   Table t{Schema({Field{"ia", DataType::kInt64, true},
                   Field{"ib", DataType::kInt64, true}})};
   ASSERT_TRUE(
       t.AppendRow({Value::Int64(INT64_MIN), Value::Int64(-1)}).ok());
-  // INT64_MIN % -1 is defined as 0 (not a trap) on both engines.
+  // INT64_MIN % -1 is defined as 0 (not a trap).
   ExpectParity("ia % ib", t);
-  // -INT64_MIN and abs(INT64_MIN) must error identically.
-  for (const char* text : {"-ia", "abs(ia)"}) {
-    auto expr = ParseExpr(text);
-    ASSERT_NE(expr, nullptr);
-    auto compiled = CompileExpr(*expr, t.schema());
-    ASSERT_TRUE(compiled.has_value());
-    Result<Column> tw = EvaluateExpr(*expr, t);
-    BatchEvaluator eval;
-    Result<Column> bc = eval.Run(*compiled, t);
-    ASSERT_FALSE(tw.ok()) << text;
-    ASSERT_FALSE(bc.ok()) << text;
-    EXPECT_EQ(tw.status().ToString(), bc.status().ToString()) << text;
-  }
+  // -INT64_MIN and abs(INT64_MIN) error.
+  ExpectParity("-ia", t);
+  ExpectParity("abs(ia)", t);
+  EXPECT_EQ(EvaluateExpr(*ParseExpr("-ia"), t).status().message(),
+            "integer overflow in negation");
+  EXPECT_EQ(EvaluateExpr(*ParseExpr("abs(ia)"), t).status().message(),
+            "integer overflow in abs()");
 }
 
 TEST(BytecodeSemanticsTest, DivisionByZeroSkipsNullLanes) {
@@ -310,17 +450,11 @@ TEST(BytecodeSemanticsTest, DivisionByZeroSkipsNullLanes) {
   ASSERT_TRUE(t.AppendRow({Value::Double(1.0), Value::Null()}).ok());
   ExpectParity("da / db", t);
   ExpectParity("da % db", t);
-  // And a real 0.0 divisor on a non-NULL lane errors on both engines.
+  // And a real 0.0 divisor on a non-NULL lane errors.
   ASSERT_TRUE(t.AppendRow({Value::Double(1.0), Value::Double(0.0)}).ok());
-  auto expr = ParseExpr("da / db");
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
+  ExpectParity("da / db", t);
+  EXPECT_EQ(EvaluateExpr(*ParseExpr("da / db"), t).status().message(),
+            "division by zero");
 }
 
 TEST(BytecodeSemanticsTest, ThreeValuedLogicParity) {
@@ -344,51 +478,139 @@ TEST(BytecodeSemanticsTest, CaseCoalesceNullifParity) {
 }
 
 TEST(BytecodeSemanticsTest, ComparisonHorizonAt2Pow53) {
-  // 2^53 + 1 == 2^53 compares TRUE through double coercion on both
-  // engines — the shared (documented) horizon, not a divergence.
+  // 2^53 + 1 == 2^53 compares TRUE through double coercion — the shared
+  // (documented) horizon, not a divergence.
   const Table t = SmallTable();
   ExpectParity("ia = ib", t);
   ExpectParity("ia = da", t);
 }
 
-// --- VM mechanics ---------------------------------------------------------
+// --- String lanes ---------------------------------------------------------
 
-TEST(BytecodeVmTest, TinyBatchesCrossBoundariesCorrectly) {
-  // batch_size 3 over 5 rows: 2 batches, the second partial. Results must
-  // be identical to the default batch size and the tree-walker.
+/// Every string shape the VM runs: the six comparisons against the empty
+/// string, the text 'NULL' and another column value, IN lists, string
+/// COALESCE / CASE / NULLIF, and comparisons over their NULL-bearing
+/// results, over `sa`'s '', 'NULL' and real NULLs.
+std::vector<std::string> StringExpressions() {
+  std::vector<std::string> out = {"sa",
+                                  "'lit'",
+                                  "sa IN ('', 'NULL', 'ab')",
+                                  "NOT (sa IN ('b'))",
+                                  "sa BETWEEN 'a' AND 'b'",
+                                  "coalesce(sa, 'none')",
+                                  "coalesce(nullif(sa, ''), sa, 'x')",
+                                  "nullif(sa, 'NULL')",
+                                  "nullif(sa, sa)",
+                                  "CASE WHEN sa = '' THEN 'empty' "
+                                  "WHEN sa > 'a' THEN sa END",
+                                  "CASE WHEN ba THEN sa ELSE 'no' END",
+                                  "sa = 'NULL' OR sa = ''",
+                                  "nullif(sa, 'b') < 'c'",
+                                  "CASE WHEN ba THEN sa END >= ''"};
+  for (const char* cmp : {"=", "<>", "<", "<=", ">", ">="}) {
+    out.push_back(std::string("sa ") + cmp + " ''");
+    out.push_back(std::string("sa ") + cmp + " 'NULL'");
+    out.push_back(std::string("sa ") + cmp + " 'ab'");
+    out.push_back(std::string("'b' ") + cmp + " sa");
+  }
+  return out;
+}
+
+TEST(BytecodeStringTest, ParityAtEveryBatchWidth) {
   const Table t = SmallTable();
-  auto expr = ParseExpr("da * 2.0 + ia");
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  BatchEvaluator tiny(3);
-  Result<Column> small = tiny.Run(*compiled, t);
-  ASSERT_TRUE(small.ok()) << small.status().ToString();
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  ASSERT_TRUE(tw.ok());
-  ASSERT_EQ(small->size(), tw->size());
-  for (size_t i = 0; i < tw->size(); ++i) {
-    ASSERT_EQ(small->IsNull(i), tw->IsNull(i)) << i;
-    if (tw->IsNull(i)) continue;
-    const double a = small->DoubleAt(i), b = tw->DoubleAt(i);
-    if (std::isnan(b)) {
-      EXPECT_TRUE(std::isnan(a)) << i;
-    } else {
-      EXPECT_EQ(a, b) << i;
+  for (const size_t width : {size_t{1}, size_t{2}, size_t{3}, kExprBatchSize}) {
+    BatchEvaluator ev(width);
+    for (const std::string& text : StringExpressions()) {
+      SCOPED_TRACE("batch " + std::to_string(width));
+      ExpectParity(text, t, ev);
     }
   }
 }
 
+TEST(BytecodeStringTest, ScratchReuseAcrossProgramsAndTables) {
+  // One evaluator alternates string and numeric programs over tables
+  // whose dictionaries differ; no lane may leak from one run to the next,
+  // not even from a table destroyed while views into its dictionary may
+  // still sit in the scratch.
+  const Table t = SmallTable();
+  Table other = SmallTable();
+  ASSERT_TRUE(other
+                  .AppendRow({Value::Int64(2), Value::Int64(2),
+                              Value::Double(2.0), Value::Double(2.0),
+                              Value::Bool(true), Value::String("zz")})
+                  .ok());
+  BatchEvaluator ev(2);
+  {
+    const Table gone = other;
+    for (const std::string& text : StringExpressions()) {
+      ExpectParity(text, gone, ev);
+    }
+  }
+  for (const std::string& text : StringExpressions()) {
+    ExpectParity(text, t, ev);
+    ExpectParity("coalesce(da, ia, -1)", other, ev);
+    ExpectParity(text, other, ev);
+  }
+}
+
+TEST(BytecodeStringTest, BareColumnIsCopiedNotReinterned) {
+  const Table t = SmallTable();
+  Result<Column> c = EvaluateExpr(*ParseExpr("sa"), t);
+  ASSERT_TRUE(c.ok());
+  const Column& src = t.column(5);
+  EXPECT_EQ(c->dictionary(), src.dictionary());
+  EXPECT_EQ(c->string_codes(), src.string_codes());
+  EXPECT_EQ(c->null_count(), src.null_count());
+}
+
+TEST(BytecodeStringTest, NullifStringAgainstNumberErrorsPerRow) {
+  // nullif(sa, ia) is a type error only on rows where both sides are
+  // non-NULL: a table whose rows each have one side NULL evaluates.
+  Table t{TestSchema()};
+  ASSERT_TRUE(t.AppendRow({Value::Null(), Value::Null(), Value::Null(),
+                           Value::Null(), Value::Null(), Value::String("a")})
+                  .ok());
+  ASSERT_TRUE(t.AppendRow({Value::Int64(1), Value::Null(), Value::Null(),
+                           Value::Null(), Value::Null(), Value::Null()})
+                  .ok());
+  for (const char* text : {"nullif(sa, ia)", "nullif(ia, sa)"}) {
+    ExpectParity(text, t);
+    Result<Column> ok = EvaluateExpr(*ParseExpr(text), t);
+    ASSERT_TRUE(ok.ok()) << text << ": " << ok.status().ToString();
+  }
+  Result<Column> ok = EvaluateExpr(*ParseExpr("nullif(sa, ia)"), t);
+  EXPECT_EQ(ok->StringAt(0), "a");
+  EXPECT_TRUE(ok->IsNull(1));
+  // One row with both sides set makes the whole statement fail.
+  ASSERT_TRUE(t.AppendRow({Value::Int64(2), Value::Null(), Value::Null(),
+                           Value::Null(), Value::Null(), Value::String("b")})
+                  .ok());
+  for (const char* text : {"nullif(sa, ia)", "nullif(ia, sa)"}) {
+    ExpectParity(text, t);
+    Result<Column> bad = EvaluateExpr(*ParseExpr(text), t);
+    ASSERT_FALSE(bad.ok()) << text;
+    EXPECT_EQ(bad.status().code(), StatusCode::kTypeMismatch);
+    EXPECT_EQ(bad.status().message(), "nullif() type mismatch");
+  }
+}
+
+// --- VM mechanics ---------------------------------------------------------
+
+TEST(BytecodeVmTest, TinyBatchesCrossBoundariesCorrectly) {
+  // batch_size 3 over 5 rows: 2 batches, the second partial.
+  const Table t = SmallTable();
+  BatchEvaluator tiny(3);
+  ExpectParity("da * 2.0 + ia", t, tiny);
+  ExpectParity("coalesce(ia, ib) % 4", t, tiny);
+}
+
 TEST(BytecodeVmTest, ScratchReuseIsBitIdenticalAcrossRuns) {
-  // One evaluator, many runs over different programs and tables: stale
-  // scratch from run N must never leak into run N+1.
+  // One evaluator, many runs over different programs: stale scratch from
+  // run N must never leak into run N+1.
   const Table t = SmallTable();
   BatchEvaluator eval;
   auto run = [&](const std::string& text) {
-    auto expr = ParseExpr(text);
-    auto compiled = CompileExpr(*expr, t.schema());
-    EXPECT_TRUE(compiled.has_value()) << text;
-    Result<Column> c = eval.Run(*compiled, t);
+    Result<Column> c = RunEngine(text, t, eval);
     EXPECT_TRUE(c.ok()) << text;
     return std::move(c).value();
   };
@@ -408,45 +630,60 @@ TEST(BytecodeVmTest, ScratchReuseIsBitIdenticalAcrossRuns) {
   }
 }
 
-TEST(BytecodeVmTest, FilterMatchesTreewalkSelection) {
-  const Table t = SmallTable();
-  auto expr = ParseExpr("da > 0 AND ia < 100");
-  ASSERT_NE(expr, nullptr);
-  Result<std::vector<uint32_t>> tw = FilterRows(*expr, t);
-  ASSERT_TRUE(tw.ok());
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  Result<std::vector<uint32_t>> bc = FilterRowsAuto(*expr, t);
-  ASSERT_TRUE(bc.ok());
-  EXPECT_EQ(*tw, *bc);
+/// Row ids the oracle's `SELECT rid FROM t WHERE <pred>` selects, over
+/// `table` numbered with a `rid` column.
+Result<std::vector<uint32_t>> OracleSelection(const std::string& pred,
+                                              const Table& table) {
+  std::vector<Field> fields = table.schema().fields();
+  fields.push_back(Field{"rid", DataType::kInt64, false});
+  std::vector<Column> cols;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    cols.push_back(table.column(c));
+  }
+  std::vector<int64_t> ids(table.num_rows());
+  std::iota(ids.begin(), ids.end(), int64_t{0});
+  cols.push_back(Column::FromInt64Vector(std::move(ids)));
+  LAWS_ASSIGN_OR_RETURN(Table numbered,
+                        Table::FromColumns(Schema(fields), std::move(cols)));
+  Catalog catalog;
+  catalog.RegisterOrReplace("t", std::make_shared<Table>(std::move(numbered)));
+  LAWS_ASSIGN_OR_RETURN(SelectStatement stmt,
+                        ParseSelect("SELECT rid FROM t WHERE " + pred));
+  const testing::OracleResult r = testing::OracleExecuteSelect(catalog, stmt);
+  if (!r.status.ok()) return r.status;
+  std::vector<uint32_t> rows;
+  for (size_t i = 0; i < r.table.num_rows(); ++i) {
+    rows.push_back(static_cast<uint32_t>(r.table.column(0).Int64At(i)));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
-TEST(BytecodeVmTest, NonBooleanFilterDiagnosesLikeTreewalk) {
+TEST(BytecodeVmTest, FilterMatchesOracleSelection) {
   const Table t = SmallTable();
-  auto expr = ParseExpr("da + db");
-  ASSERT_NE(expr, nullptr);
-  Result<std::vector<uint32_t>> tw = FilterRows(*expr, t);
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  Result<std::vector<uint32_t>> bc = FilterRowsAuto(*expr, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
+  for (const char* pred :
+       {"da > 0 AND ia < 100", "sa >= 'NULL'", "sa IN ('', 'ab') OR ba",
+        "NOT (sa <> 'b')", "coalesce(sa, 'NULL') = 'NULL'"}) {
+    Result<std::vector<uint32_t>> want = OracleSelection(pred, t);
+    ASSERT_TRUE(want.ok()) << pred << ": " << want.status().ToString();
+    Result<std::vector<uint32_t>> got = FilterRows(*ParseExpr(pred), t);
+    ASSERT_TRUE(got.ok()) << pred << ": " << got.status().ToString();
+    EXPECT_EQ(*want, *got) << pred;
+  }
 }
 
-TEST(BytecodeVmTest, TreewalkToggleForcesFallback) {
+TEST(BytecodeVmTest, NonBooleanFilterFailsLikeOracle) {
+  // A predicate that is not boolean is a static error: it fails before
+  // any row is read, and the oracle rejects the statement too.
   const Table t = SmallTable();
-  auto expr = ParseExpr("da + 1.0");
-  ASSERT_NE(expr, nullptr);
-  SetGlobalExprEngine(ExprEngine::kTreewalk);
-  std::string disasm = "unset";
-  Result<Column> r = EvaluateExprAuto(*expr, t, &disasm);
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  ASSERT_TRUE(r.ok());
-  // Forced treewalk never compiles, so the disassembly stays empty.
-  EXPECT_EQ(disasm, "");
-  std::string disasm2;
-  Result<Column> r2 = EvaluateExprAuto(*expr, t, &disasm2);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_NE(disasm2.find("add.f64"), std::string::npos) << disasm2;
+  for (const char* pred : {"da + db", "sa", "coalesce(ia, 1)"}) {
+    EXPECT_FALSE(OracleSelection(pred, t).ok()) << pred;
+    Result<std::vector<uint32_t>> got = FilterRows(*ParseExpr(pred), t);
+    ASSERT_FALSE(got.ok()) << pred;
+    EXPECT_EQ(got.status().code(), StatusCode::kTypeMismatch) << pred;
+    EXPECT_EQ(got.status().message(), "WHERE predicate is not boolean")
+        << pred;
+  }
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ std::unique_ptr<Expr> ParsePred(const std::string& where) {
 }
 
 /// Runs `where` through the compressed tier and asserts the selection is
-/// identical to the reference tree-walk FilterRows. Returns the stats for
+/// identical to the decode path's FilterRows. Returns the stats for
 /// pruning assertions; fails the test if the compressed tier declined.
 ScanStats ExpectCompressedMatches(const TablePtr& table,
                                   const std::string& where) {

@@ -9,7 +9,9 @@
 #include "core/persistence.h"
 #include "core/session.h"
 #include "core/strawman.h"
+#include "query/parser.h"
 #include "storage/catalog.h"
+#include "testing/reference_oracle.h"
 
 namespace laws {
 namespace {
@@ -219,6 +221,57 @@ TEST(SessionTest, SubsetPredicateRestrictsFit) {
   EXPECT_EQ((*captured)->subset_predicate, "x < 5");
   EXPECT_LT((*captured)->rows_fitted, 100u);
   EXPECT_GT((*captured)->rows_fitted, 0u);
+}
+
+TEST(SessionTest, SubsetPredicateFitsTheRowsTheOracleSelects) {
+  // A partial-model fit filters through the expression engine; fitting
+  // the rows the reference oracle selects must give the same parameters,
+  // for a predicate over a string column and one over a numeric column.
+  Fixture f;
+  Rng rng(7);
+  auto tagged = std::make_shared<Table>(
+      Schema({Field{"tag", DataType::kString, true},
+              Field{"x", DataType::kDouble, false},
+              Field{"y", DataType::kDouble, false}}));
+  const Value tags[] = {Value::String("a"), Value::String(""),
+                        Value::String("NULL"), Value::Null(),
+                        Value::String("b")};
+  for (int i = 0; i < 200; ++i) {
+    const Value& tag = tags[i % 5];
+    const double x = rng.Uniform(0, 10);
+    const double y = (tag.is_string() && tag.str() == "a" ? 3.0 + 2.0 * x
+                                                          : -1.0 + 0.5 * x) +
+                     rng.Normal(0, 0.05);
+    ASSERT_TRUE(
+        tagged->AppendRow({tag, Value::Double(x), Value::Double(y)}).ok());
+  }
+  f.data.RegisterOrReplace("tagged", tagged);
+
+  for (const std::string where : {"tag = 'a'", "x < 5"}) {
+    FitRequest r = f.LinearRequest();
+    r.table = "tagged";
+    r.where = where;
+    auto engine = f.session->Fit(r);
+    ASSERT_TRUE(engine.ok()) << where << ": " << engine.status().ToString();
+
+    auto stmt = ParseSelect("SELECT * FROM tagged WHERE " + where);
+    ASSERT_TRUE(stmt.ok()) << where;
+    testing::OracleResult rows = testing::OracleExecuteSelect(f.data, *stmt);
+    ASSERT_TRUE(rows.status.ok()) << where << ": " << rows.status.ToString();
+    ASSERT_GT(rows.table.num_rows(), 0u) << where;
+    f.data.RegisterOrReplace("oracle_rows",
+                             std::make_shared<Table>(std::move(rows.table)));
+    FitRequest whole = f.LinearRequest();
+    whole.table = "oracle_rows";
+    auto oracle = f.session->Fit(whole);
+    ASSERT_TRUE(oracle.ok()) << where << ": " << oracle.status().ToString();
+
+    ASSERT_EQ(engine->parameters.size(), oracle->parameters.size()) << where;
+    for (size_t p = 0; p < engine->parameters.size(); ++p) {
+      EXPECT_EQ(engine->parameters[p], oracle->parameters[p])
+          << where << " parameter " << p;
+    }
+  }
 }
 
 TEST(SessionTest, FitValidatesRequest) {

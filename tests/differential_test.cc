@@ -229,10 +229,10 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedBug) {
       << "injected aggregate bug was not detected";
 }
 
-// The bytecode tier carries its own planted mutant (the compiled f64
-// adder drops the last lane of every batch), which only the tree-walk vs
-// bytecode leg of the matrix can see — proving the new tier is actually
-// under differential test, not shadowed by the tree-walker.
+// The expression VM carries its own planted mutant (the compiled f64
+// adder drops the last lane of every batch). Every tier runs the same VM,
+// so the tier legs agree with each other; the oracle leg catches it —
+// proving the one expression engine is under differential test.
 TEST(DifferentialTest, MutationSmokeCatchesInjectedBytecodeBug) {
   GenTable t;
   t.name = "t0";

@@ -934,9 +934,9 @@ TEST(ExplainAnalyzeTest, RendersStageTreeWithRowsAndTimings) {
   EXPECT_NE(text->find("Sort(__key0 ASC | full)  rows=4->4"),
             std::string::npos);
   EXPECT_NE(text->find("time="), std::string::npos);
-  // Expression-tier accounting rides below the tree.
-  EXPECT_NE(text->find("expr: engine=bytecode compiled="),
-            std::string::npos);
+  // Expression-engine accounting rides below the tree.
+  EXPECT_NE(text->find("expr: compiled="), std::string::npos);
+  EXPECT_NE(text->find(" batches="), std::string::npos);
   EXPECT_NE(text->find("4 rows in"), std::string::npos);
 }
 

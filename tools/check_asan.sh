@@ -6,10 +6,11 @@
 # script. The bench-only allocation counter is automatically stubbed out in
 # sanitizer builds (sanitizers own malloc).
 #
-# The compiled expression tier is covered here through bytecode_test (VM
-# slot/scratch reuse, batch-boundary reads) and differential_test (the
-# tree-walk/bytecode tier matrix runs inside the sweep), so out-of-bounds
-# lane access in the register VM fails this gate. The compressed scan
+# The expression engine is covered here through bytecode_test (VM
+# slot/scratch reuse, batch-boundary reads, string lanes at batch widths
+# 1-3) and differential_test (every sweep query runs on the VM across the
+# tier matrix), so out-of-bounds lane access in the register VM fails
+# this gate. The compressed scan
 # tier rides the same suite: compressed_scan_test walks zone maps and RLE
 # runs directly, and differential_test's matrix executes every sweep
 # query through the compressed tier at an 8-row block size, so overreads

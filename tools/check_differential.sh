@@ -3,14 +3,13 @@
 #
 #  1. Sweep: builds the suite under ASan+UBSan and runs the seeded
 #     generator sweep — every query executed across the executor tier
-#     matrix (tree-walking expressions @1 thread, compiled bytecode @1
-#     thread and @default width, plus the compressed scan tier under
-#     both expression engines at a tiny block size) and by the
-#     row-at-a-time reference oracle, diffed for bit identity, plus the
-#     AQP error-bound audit. Any divergence is shrunk and printed with
-#     its replay seed. The sweep then repeats with LAWS_EXPR_TREEWALK=1
-#     and LAWS_SCAN_DECODE=1 so both env toggles' forced-fallback paths
-#     are themselves exercised end to end.
+#     matrix (bytecode @1 thread on the decode path, the reference, then
+#     bytecode @default width and the compressed scan tier at both
+#     widths at a tiny block size) and by the row-at-a-time reference
+#     oracle, diffed for bit identity, plus the AQP error-bound audit.
+#     Any divergence is shrunk and printed with its replay seed. The
+#     sweep then repeats with LAWS_SCAN_DECODE=1 so the env toggle's
+#     forced-fallback path is itself exercised end to end.
 #  2. Mutation smoke: rebuilds with -DLAWS_TESTING_INJECT_BUG=ON (a
 #     guarded off-by-one in the hash-aggregate sweep, a dropped last
 #     lane in the bytecode f64 adder, a one-ulp shrink of every
@@ -45,10 +44,6 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 echo "== differential sweep: $QUERIES queries under ASan/UBSan =="
 LAWS_FUZZ_QUERIES="$QUERIES" "$BUILD_DIR/tests/differential_test"
 
-echo "== differential sweep again with LAWS_EXPR_TREEWALK=1 (forced fallback) =="
-LAWS_EXPR_TREEWALK=1 LAWS_FUZZ_QUERIES="$QUERIES" \
-  "$BUILD_DIR/tests/differential_test"
-
 echo "== differential sweep again with LAWS_SCAN_DECODE=1 (compressed tier off) =="
 LAWS_SCAN_DECODE=1 LAWS_FUZZ_QUERIES="$QUERIES" \
   "$BUILD_DIR/tests/differential_test"
@@ -61,6 +56,6 @@ cmake --build "$MUTANT_DIR" -j "$JOBS" --target differential_test
   --gtest_filter='DifferentialTest.MutationSmokeCatchesInjectedBug:DifferentialTest.MutationSmokeCatchesInjectedBytecodeBug:DifferentialTest.MutationSmokeCatchesInjectedZoneMapBug:DifferentialTest.MutationSmokeCatchesInjectedHarvestBug:DifferentialTest.MutationSmokeCatchesInjectedTopKBug:DifferentialTest.MutationSmokeCatchesInjectedGroupingBug'
 
 echo "Differential gate passed: $QUERIES queries agreed with the oracle" \
-     "across the tree-walk/bytecode/compressed tier matrix (zero" \
+     "across the bytecode/compressed tier matrix (zero" \
      "mismatches, zero AQP bound violations) and the harness detected all" \
      "six injected bugs."

@@ -8,7 +8,7 @@
 #  2. Chaos sweep (ASan+UBSan): generated queries under random governor
 #     regimes — pre/mid-flight cancels, tiny and generous deadlines and
 #     budgets, faults armed at governor/poll and governor/alloc — across
-#     random engine/thread tiers. Every case must finish bit-identical to
+#     random scan/thread tiers. Every case must finish bit-identical to
 #     its ungoverned reference or stop with a clean typed governor error.
 #  3. The same chaos sweep under TSan (concurrent Cancel() and pool
 #     resizes are the racy part of the design).

@@ -4,11 +4,10 @@
 # ThreadPool subsystem or the parallel fitting/compression/generation
 # paths fails this script.
 #
-# Expression-engine state under test here: the global engine toggle is an
-# atomic, per-thread VM scratch is thread_local, and the expr.* metrics
-# counters are the registry's atomics — differential_test flips the
-# toggle while the pool runs at LAWS_THREADS>1, so a race in any of them
-# surfaces in this gate. Compressed-scan state is exercised the same way:
+# Expression-engine state under test here: per-thread VM scratch is
+# thread_local and the expr.* metrics counters are the registry's
+# atomics — differential_test runs the VM on pool lanes at
+# LAWS_THREADS>1, so a race in either surfaces in this gate. Compressed-scan state is exercised the same way:
 # the scan-engine toggle and block-rows knob are atomics, the scan.*
 # counters are registry atomics, and the shared block-index cache is
 # mutex-guarded — differential_test flips engines and block sizes while
