@@ -1,19 +1,20 @@
 // Compressed-domain scan benchmark: block-partitioned columns with zone
-// maps and RLE runs (DESIGN.md §14) vs the decode-then-bytecode baseline
-// on a 1M-row table.
+// maps (DESIGN.md §14) vs the decode-then-bytecode baseline on a 1M-row
+// table.
 //
-// Three shapes, each one claim of the compressed tier:
+// Two shapes, each one claim of the compressed tier:
 //   zonemap_filter  selective predicate on a clustered column -> whole
-//                   blocks pruned by zone maps before any row is touched
-//   run_filter      predicate on a low-cardinality RLE column -> one
-//                   evaluation per merged run instead of per row
-//   encoded_agg     global SUM/COUNT/MIN/MAX/AVG folded run-weighted from
-//                   the encoded blocks, no decode at all
+//                   blocks pruned by zone maps before any row is touched;
+//                   the VM evaluates only the undecided blocks
+//   encoded_agg     global SUM/COUNT/MIN/MAX/AVG: COUNT/MIN/MAX folded
+//                   from zone maps, SUM/AVG summed block by block under
+//                   the exactness proof
 //
-// Results must be bit-identical to the decode path (checked here); the
-// compressed tier must then win by >= 3x on the zone-map filter and
-// >= 2x on the encoded aggregate at the default row count — the PR's
-// perf gates, enforced as shape checks like every other bench FATAL.
+// The decode legs run on an unindexed copy of the table. Results must be
+// bit-identical to the decode path (checked here); the compressed tier
+// must then win by >= 3x on the zone-map filter and >= 2x on the encoded
+// aggregate at the default row count — the perf gates, enforced as shape
+// checks like every other bench FATAL.
 
 #include <cinttypes>
 #include <cmath>
@@ -50,31 +51,25 @@ uint64_t Mix(uint64_t& state) {
 
 // A sensor-log shaped table (the paper's natural-data setting):
 //   ts   int64, clustered (append order) -> tight disjoint zone ranges
-//   dev  int64, device id in runs of 512 rows, 2 devices interleaved ->
-//        every 4096-row block keeps RLE runs but mixes both values
-//   v    int64, per-run reading in [0, 97) -> RLE + exact-sum guard holds
+//   v    int64, a reading in [0, 97) held for 512 rows -> exact-sum guard
+//        holds
 TablePtr MakeSensorTable(size_t rows) {
   uint64_t seed = 0x5CA1AB1Eull;
-  std::vector<int64_t> ts(rows), dev(rows), v(rows);
+  std::vector<int64_t> ts(rows), v(rows);
   int64_t reading = 0;
   for (size_t i = 0; i < rows; ++i) {
     ts[i] = static_cast<int64_t>(i);
     if (i % 512 == 0) reading = static_cast<int64_t>(Mix(seed) % 97);
-    dev[i] = static_cast<int64_t>((i / 512) % 2);
     v[i] = reading;
   }
   Column ts_c(DataType::kInt64, /*nullable=*/false);
-  Column dev_c(DataType::kInt64, /*nullable=*/false);
   Column v_c(DataType::kInt64, /*nullable=*/false);
   ts_c.AppendInt64Batch(ts.data(), nullptr, rows);
-  dev_c.AppendInt64Batch(dev.data(), nullptr, rows);
   v_c.AppendInt64Batch(v.data(), nullptr, rows);
   Schema schema({Field{"ts", DataType::kInt64, false},
-                 Field{"dev", DataType::kInt64, false},
                  Field{"v", DataType::kInt64, false}});
   std::vector<Column> cols;
   cols.push_back(std::move(ts_c));
-  cols.push_back(std::move(dev_c));
   cols.push_back(std::move(v_c));
   return std::make_shared<Table>(Unwrap(
       Table::FromColumns(std::move(schema), std::move(cols)), "build table"));
@@ -123,8 +118,8 @@ bool TablesIdentical(const Table& a, const Table& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Banner("Compressed-domain scans: zone-map pruning + run-aware filtering "
-         "+ encoded aggregation vs decode-then-bytecode",
+  Banner("Compressed-domain scans: zone-map pruning + encoded aggregation "
+         "vs decode-then-bytecode",
          "operating on the encoded form should beat decoding: >= 3x on a "
          "selective clustered filter, >= 2x on a global aggregate");
 
@@ -139,14 +134,14 @@ int main(int argc, char** argv) {
   // smoke) are dominated by setup overhead.
   const bool enforce_gate = rows >= 256 * 1024;
 
-  std::printf("sensor table: %zu rows (ts: clustered int64, dev: 2 ids in "
-              "512-row runs, v: per-run reading), block=%zu rows\n\n",
-              rows, ScanBlockRows());
+  std::printf("sensor table: %zu rows (ts: clustered int64, v: reading "
+              "held for 512 rows), block=%zu rows\n\n",
+              rows, kDefaultBlockRows);
   const TablePtr table = MakeSensorTable(rows);
+  const Table unindexed = *table;  // the decode legs' copy
   ThreadPool::SetGlobalThreadCount(1);
 
   Timer build_timer;
-  SetGlobalScanEngine(ScanEngine::kCompressed);
   EnsureBlockIndex(table);
   const double build_s = build_timer.ElapsedSeconds();
   std::printf("block index build (one-time, amortized across queries): "
@@ -175,53 +170,43 @@ int main(int argc, char** argv) {
     json.Field("min_speedup", min_speedup);
   };
 
-  // Timed filter legs share this harness: decode = compiled bytecode VM
-  // over every row; compressed = zone-map prune + run-merge walk. The
-  // selections must be identical index-for-index.
-  auto filter_case = [&](const char* name, const std::string& sql,
-                         double min_speedup, ScanStats* stats_out) {
+  // --- zonemap_filter: selective predicate on the clustered column ------
+  // Selects the last ~1% of rows; every other block's zone range excludes
+  // the cutoff, so pruning must discard ~99% of blocks untouched. Decode
+  // = the bytecode VM over every row; compressed = zone-map prune and take
+  // with the VM over the undecided block. The selections must be
+  // identical index-for-index.
+  {
+    char sql[128];
+    std::snprintf(sql, sizeof(sql),
+                  "SELECT ts FROM t WHERE ts >= %zu", rows - rows / 100 - 1);
     auto stmt = Unwrap(ParseSelect(sql), "parse filter");
     const Expr& pred = *stmt.where;
     std::vector<uint32_t> dec_sel, comp_sel;
-    SetGlobalScanEngine(ScanEngine::kDecode);
     const double dec = BestSeconds(reps, [&] {
-      dec_sel = Unwrap(FilterRows(pred, *table), "decode filter");
+      dec_sel = Unwrap(FilterRows(pred, unindexed), "decode filter");
     });
-    SetGlobalScanEngine(ScanEngine::kCompressed);
     ScanStats stats;
     const double comp = BestSeconds(reps, [&] {
-      auto sel = CompressedFilterRows(pred, *table, &stats);
+      auto sel = Unwrap(CompressedFilterRows(pred, *table, &stats),
+                        "compressed filter");
       if (!sel.has_value()) {
-        std::fprintf(stderr, "FATAL: compressed tier declined %s\n",
-                     sql.c_str());
+        std::fprintf(stderr, "FATAL: compressed tier declined %s\n", sql);
         std::exit(1);
       }
       comp_sel = std::move(*sel);
     });
     if (dec_sel != comp_sel) {
-      std::fprintf(stderr, "FATAL: %s selection diverged (decode %zu rows, "
-                   "compressed %zu rows)\n", name, dec_sel.size(),
-                   comp_sel.size());
-      std::exit(1);
+      std::fprintf(stderr, "FATAL: zonemap_filter selection diverged "
+                   "(decode %zu rows, compressed %zu rows)\n",
+                   dec_sel.size(), comp_sel.size());
+      return 1;
     }
     std::printf("%-14s %zu of %zu rows selected, identical on both paths "
-                "(blocks=%zu pruned=%zu taken=%zu runs_skipped=%zu)\n",
-                name, comp_sel.size(), rows, stats.blocks_total,
-                stats.blocks_pruned, stats.blocks_taken,
-                stats.rows_run_skipped);
-    if (stats_out != nullptr) *stats_out = stats;
-    record(name, dec, comp, min_speedup);
-  };
-
-  // --- zonemap_filter: selective predicate on the clustered column ------
-  // Selects the last ~1% of rows; every other block's zone range excludes
-  // the cutoff, so pruning must discard ~99% of blocks untouched.
-  {
-    char sql[128];
-    std::snprintf(sql, sizeof(sql),
-                  "SELECT ts FROM t WHERE ts >= %zu", rows - rows / 100 - 1);
-    ScanStats stats;
-    filter_case("zonemap_filter", sql, 3.0, &stats);
+                "(blocks=%zu pruned=%zu taken=%zu)\n",
+                "zonemap_filter", comp_sel.size(), rows, stats.blocks_total,
+                stats.blocks_pruned, stats.blocks_taken);
+    record("zonemap_filter", dec, comp, 3.0);
     if (enforce_gate && stats.blocks_pruned * 10 < stats.blocks_total * 9) {
       std::fprintf(stderr, "FATAL: zone maps pruned only %zu of %zu blocks "
                    "on a 1%% selective clustered predicate\n",
@@ -230,24 +215,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- run_filter: RLE column, every block mixed -> merged-run walk -----
-  // No block prunes (both device ids appear in every block); the win must
-  // come purely from evaluating once per 512-row run.
-  filter_case("run_filter", "SELECT ts FROM t WHERE dev = 1", 0.0, nullptr);
-
-  // --- encoded_agg: global aggregate folded from zone maps and runs -----
+  // --- encoded_agg: global aggregate folded from zone maps --------------
   {
     auto stmt = Unwrap(ParseSelect(
         "SELECT SUM(v), COUNT(v), MIN(v), MAX(v), AVG(v) FROM t"),
         "parse aggregate");
     Table dec_out{Schema{}}, comp_out{Schema{}};
-    SetGlobalScanEngine(ScanEngine::kDecode);
     const double dec = BestSeconds(reps, [&] {
-      dec_out = Unwrap(ExecuteSelectOnTable(*table, stmt), "decode agg");
+      dec_out = Unwrap(ExecuteSelectOnTable(unindexed, stmt), "decode agg");
     });
     Counter* encoded = MetricsRegistry::Global().GetCounter("scan.encoded_agg");
     const uint64_t encoded_before = encoded->value();
-    SetGlobalScanEngine(ScanEngine::kCompressed);
     const double comp = BestSeconds(reps, [&] {
       comp_out = Unwrap(ExecuteSelectOnTable(*table, stmt), "compressed agg");
     });
@@ -282,7 +260,6 @@ int main(int argc, char** argv) {
 
   MetricsFields(json);
   json.Flush();
-  SetGlobalScanEngine(ScanEngine::kCompressed);
   ThreadPool::SetGlobalThreadCount(0);
 
   if (gate_failed) {

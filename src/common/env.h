@@ -10,8 +10,8 @@ namespace laws {
 /// the rules are uniform everywhere:
 ///
 ///   - integers parse strictly: optional sign, decimal digits, nothing
-///     else. "4096abc" is malformed (the old atol in block_store.cc
-///     silently read it as 4096), as are "", " 42" and "0x10";
+///     else. "4096abc" is malformed (atol would silently read it as
+///     4096), as are "", " 42" and "0x10";
 ///   - a malformed or out-of-range value falls back to the default and
 ///     logs one warning per variable per process (warn-once, so a knob
 ///     typo'd in a driver script cannot flood stderr from a hot path);

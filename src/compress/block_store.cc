@@ -1,33 +1,15 @@
 #include "compress/block_store.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
-#include "common/env.h"
 #include "common/metrics.h"
 
 namespace laws {
 namespace {
 
-constexpr size_t kDefaultBlockRows = 4096;
 constexpr double kExactIntBound = 9007199254740992.0;  // 2^53
-
-size_t InitialBlockRows() {
-  // Strict parse (common/env.h): the old atol here silently read
-  // "4096abc" as 4096; now malformed values warn once and fall back.
-  const int64_t v = EnvInt64("LAWS_SCAN_BLOCK_ROWS",
-                             static_cast<int64_t>(kDefaultBlockRows), 1,
-                             int64_t{1} << 31);
-  return static_cast<size_t>(v);
-}
-
-std::atomic<size_t>& BlockRowsFlag() {
-  static std::atomic<size_t> rows{InitialBlockRows()};
-  return rows;
-}
 
 Counter* IndexBuildCounter() {
   static Counter* c =
@@ -39,13 +21,6 @@ Counter* IndexEvictionCounter() {
   static Counter* c =
       MetricsRegistry::Global().GetCounter("scan.index_evictions");
   return c;
-}
-
-bool SameBits(double a, double b) {
-  uint64_t ba, bb;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
 }
 
 /// Coerces row r of a numeric column to the comparison engine's double
@@ -69,49 +44,30 @@ ColumnBlockIndex BuildColumnIndex(const Column& col, size_t num_rows,
   if (col.type() == DataType::kString) return out;  // usable = false
   out.usable = true;
   out.zones.resize(num_blocks);
-  out.runs.resize(num_blocks);
 
   for (size_t b = 0; b < num_blocks; ++b) {
     const size_t start = b * block_rows;
     const size_t len = std::min(block_rows, num_rows - start);
     ZoneMap& zone = out.zones[b];
     zone.rows = static_cast<uint32_t>(len);
-
-    std::vector<EncodedRun> runs;
-    double prev_value = 0.0;
-    bool prev_null = false;
-    bool sorted = true;
-    double prev_comparable = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < len; ++i) {
-      const size_t r = start + i;
-      const bool is_null = col.IsNull(r);
-      const double v = is_null ? 0.0 : CoercedAt(col, r);
-      if (is_null) {
+    for (size_t r = start; r < start + len; ++r) {
+      if (col.IsNull(r)) {
         ++zone.null_count;
-      } else if (std::isnan(v)) {
-        ++zone.nan_count;
-      } else {
-        if (v < zone.min) zone.min = v;
-        if (v > zone.max) zone.max = v;
-        if (zone.all_integral &&
-            (std::trunc(v) != v || std::fabs(v) > kExactIntBound)) {
-          zone.all_integral = false;
-        }
-        if (v < prev_comparable) sorted = false;
-        prev_comparable = v;
+        continue;
       }
-      if (!runs.empty() && is_null == prev_null &&
-          (is_null || SameBits(v, prev_value))) {
-        ++runs.back().len;
-      } else {
-        runs.push_back({static_cast<uint32_t>(i), 1, v, is_null});
-        prev_value = v;
-        prev_null = is_null;
+      const double v = CoercedAt(col, r);
+      if (std::isnan(v)) {
+        ++zone.nan_count;
+        continue;
+      }
+      if (v < zone.min) zone.min = v;
+      if (v > zone.max) zone.max = v;
+      if (zone.all_integral &&
+          (std::trunc(v) != v || std::fabs(v) > kExactIntBound)) {
+        zone.all_integral = false;
       }
     }
     if (zone.comparable_count() == 0) zone.all_integral = false;
-    zone.is_constant = (len > 0 && runs.size() == 1);
-    zone.sorted_asc = sorted && zone.null_count == 0 && zone.nan_count == 0;
 #ifdef LAWS_TESTING_INJECT_BUG
     // Planted mutant for the mutation smoke test: shrink the zone max by
     // one ulp, so a predicate sitting exactly on the block maximum is
@@ -121,10 +77,6 @@ ColumnBlockIndex BuildColumnIndex(const Column& col, size_t num_rows,
                                 -std::numeric_limits<double>::infinity());
     }
 #endif
-    // Keep the run view only when it actually batches work: at least two
-    // rows per run on average. Otherwise the per-run bookkeeping costs
-    // more than per-row evaluation.
-    if (len > 0 && runs.size() * 2 <= len) out.runs[b] = std::move(runs);
   }
   return out;
 }
@@ -143,16 +95,9 @@ std::unordered_map<const Table*, CacheEntry>& Cache() {
   return *cache;
 }
 
-/// `block_rows` is the caller's single read of the block-size flag:
-/// validation and (on miss) the rebuild must both use the same value,
-/// otherwise a concurrent SetScanBlockRows between the two reads can
-/// register an index built at a different size than was validated
-/// (the EnsureBlockIndex TOCTOU).
-bool IndexCurrent(const BlockIndex& index, const Table& table,
-                  size_t block_rows) {
+bool IndexCurrent(const BlockIndex& index, const Table& table) {
   return index.data_version == table.data_version() &&
-         index.num_rows == table.num_rows() &&
-         index.block_rows == block_rows;
+         index.num_rows == table.num_rows();
 }
 
 void EvictExpiredLocked() {
@@ -169,8 +114,10 @@ void EvictExpiredLocked() {
   if (evicted > 0) IndexEvictionCounter()->Add(evicted);
 }
 
-std::shared_ptr<const BlockIndex> BuildBlockIndexAt(const Table& table,
-                                                    size_t block_rows) {
+}  // namespace
+
+std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table,
+                                                  size_t block_rows) {
   auto index = std::make_shared<BlockIndex>();
   index->block_rows = block_rows;
   index->num_rows = table.num_rows();
@@ -187,37 +134,20 @@ std::shared_ptr<const BlockIndex> BuildBlockIndexAt(const Table& table,
   return index;
 }
 
-}  // namespace
-
-size_t ScanBlockRows() {
-  return BlockRowsFlag().load(std::memory_order_relaxed);
-}
-
-void SetScanBlockRows(size_t rows) {
-  BlockRowsFlag().store(rows == 0 ? kDefaultBlockRows : rows,
-                        std::memory_order_relaxed);
-}
-
-std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table) {
-  return BuildBlockIndexAt(table, ScanBlockRows());
-}
-
-std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table) {
+std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table,
+                                                   size_t block_rows) {
   if (!table) return nullptr;
-  // One read of the flag for the whole operation (validate AND build).
-  const size_t block_rows = ScanBlockRows();
   {
     std::lock_guard<std::mutex> lock(g_cache_mutex);
     EvictExpiredLocked();
     auto it = Cache().find(table.get());
     if (it != Cache().end() && it->second.owner.lock() == table &&
-        IndexCurrent(*it->second.index, *table, block_rows)) {
+        IndexCurrent(*it->second.index, *table)) {
       return it->second.index;
     }
   }
   // Build outside the lock: index construction is a full column sweep.
-  std::shared_ptr<const BlockIndex> index =
-      BuildBlockIndexAt(*table, block_rows);
+  std::shared_ptr<const BlockIndex> index = BuildBlockIndex(*table, block_rows);
   {
     std::lock_guard<std::mutex> lock(g_cache_mutex);
     EvictExpiredLocked();
@@ -227,14 +157,13 @@ std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table) {
 }
 
 std::shared_ptr<const BlockIndex> FindBlockIndex(const Table& table) {
-  const size_t block_rows = ScanBlockRows();
   std::lock_guard<std::mutex> lock(g_cache_mutex);
   EvictExpiredLocked();
   auto it = Cache().find(&table);
   if (it == Cache().end()) return nullptr;
   auto owner = it->second.owner.lock();
   if (!owner || owner.get() != &table) return nullptr;
-  if (!IndexCurrent(*it->second.index, table, block_rows)) return nullptr;
+  if (!IndexCurrent(*it->second.index, table)) return nullptr;
   return it->second.index;
 }
 

@@ -13,11 +13,9 @@ namespace laws {
 /// (DESIGN.md §14). Columns are split into fixed-size row blocks; each
 /// block of each numeric column carries a zone map (min/max over the
 /// values *as the comparison engine sees them* — coerced to double —
-/// plus NULL/NaN tallies and shape flags) and, when beneficial, an RLE
-/// run view formed by bit-pattern equality. The plain `Table` columns
-/// remain the source of truth: the index only licenses skipping or
-/// batching work, so a stale or missing index is always just a slower
-/// scan, never a different answer.
+/// plus NULL/NaN tallies). The plain `Table` columns remain the source of
+/// truth: the index only licenses skipping whole blocks, so a stale or
+/// missing index is always just a slower scan, never a different answer.
 
 /// Per-block, per-column statistics. `min`/`max` cover the comparable
 /// values (non-NULL, non-NaN) after the engine's double coercion, which
@@ -36,41 +34,22 @@ struct ZoneMap {
   uint32_t null_count = 0;
   uint32_t nan_count = 0;
   /// Every comparable value is an integer with |v| <= 2^53 (exactly
-  /// representable). The license for run-weighted SUM/AVG: when all
+  /// representable). The license for the encoded SUM/AVG: when all
   /// blocks are integral and the summed magnitude bound stays under
   /// 2^53, floating-point summation is exact and therefore
   /// order-insensitive — any association is bit-identical to the
   /// row-order sweep.
   bool all_integral = true;
-  /// All rows share one bit pattern and null flag (constant block).
-  bool is_constant = false;
-  /// Comparable values are non-decreasing in row order (informational;
-  /// set only when the block has no NULLs/NaNs).
-  bool sorted_asc = false;
 
   uint32_t comparable_count() const { return rows - null_count - nan_count; }
 };
 
-/// One RLE run inside a block: rows [start, start+len) all carry the
-/// same coerced-double bit pattern (`value`) and null flag. Bit-pattern
-/// equality (not ==) keeps -0.0 vs +0.0 and distinct NaN payloads in
-/// separate runs, so a run value is a faithful representative of every
-/// row in the run under both comparison and output-identity semantics.
-struct EncodedRun {
-  uint32_t start = 0;  // row offset within the block
-  uint32_t len = 0;
-  double value = 0.0;  // coerced; unspecified when is_null
-  bool is_null = false;
-};
-
-/// Index data for one column: one zone map per block, plus an optional
-/// run view per block (empty vector = runs not beneficial, read the
-/// plain column). Strings are not indexed (`usable` = false) — string
-/// predicates are declined by the scan planner anyway.
+/// Index data for one column: one zone map per block. Strings are not
+/// indexed (`usable` = false) — string predicates are declined by the
+/// scan planner anyway.
 struct ColumnBlockIndex {
   bool usable = false;
   std::vector<ZoneMap> zones;
-  std::vector<std::vector<EncodedRun>> runs;
 };
 
 struct BlockIndex {
@@ -87,30 +66,26 @@ struct BlockIndex {
   }
 };
 
-/// Rows per block. Default 4096; LAWS_SCAN_BLOCK_ROWS overrides at
-/// process start, SetScanBlockRows overrides at runtime (test hook — the
-/// differential harness shrinks blocks to a handful of rows so tiny
-/// fuzzer tables still span multiple blocks).
-size_t ScanBlockRows();
-void SetScanBlockRows(size_t rows);
+/// Rows per block of the indexes production builds. Tests and the
+/// differential harness pass a few rows instead, so tiny tables still
+/// span several blocks.
+inline constexpr size_t kDefaultBlockRows = 4096;
 
-/// Builds a block index for `table` with the current block size
-/// (unconditionally; no caching).
-std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table);
+/// Builds a block index for `table` (unconditionally; no caching).
+std::shared_ptr<const BlockIndex> BuildBlockIndex(
+    const Table& table, size_t block_rows = kDefaultBlockRows);
 
-/// Returns the cached index for `table`, building and registering it if
-/// absent or stale. The cache is keyed by table identity (address,
-/// validated through the owning shared_ptr so a recycled address can
-/// never alias) and invalidated by data_version and block-size changes.
-/// The block-size flag is read exactly once per call and threaded
-/// through both the validation and the build, so a concurrent
-/// SetScanBlockRows can never cache an index whose `block_rows`
-/// disagrees with the size its zone maps were computed at.
-std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table);
+/// Returns the cached index for `table` when one is current, whatever
+/// its block size; otherwise builds one at `block_rows` and registers
+/// it. The cache is keyed by table identity (address, validated through
+/// the owning shared_ptr so a recycled address can never alias) and
+/// invalidated by data_version and row count.
+std::shared_ptr<const BlockIndex> EnsureBlockIndex(
+    const TablePtr& table, size_t block_rows = kDefaultBlockRows);
 
 /// Validated cache lookup by reference: returns the index only when a
-/// live registration matches this table's address, data version and the
-/// current block size; nullptr otherwise. Never builds.
+/// live registration matches this table's address and data version;
+/// nullptr otherwise. Never builds.
 std::shared_ptr<const BlockIndex> FindBlockIndex(const Table& table);
 
 /// Drops cache entries whose owning table has been destroyed (the

@@ -11,11 +11,11 @@
 namespace laws {
 
 /// Accumulator for one aggregate over one group, shared between the
-/// row-sweep aggregator in executor.cc and the encoded run-weighted
-/// aggregator in compressed_scan.cc — both paths must finalize through
-/// the same AggFinalValue so their results are bit-identical. SQL
-/// semantics: NULLs are ignored; COUNT(*) counts rows; empty groups
-/// cannot occur (hash groups exist only for seen keys).
+/// row-sweep aggregator in executor.cc and the encoded aggregator in
+/// compressed_scan.cc — both paths must finalize through the same
+/// AggFinalValue so their results are bit-identical. SQL semantics: NULLs
+/// are ignored; COUNT(*) counts rows; empty groups cannot occur (hash
+/// groups exist only for seen keys).
 struct AggState {
   size_t count = 0;       // non-null inputs (or rows for COUNT(*))
   double sum = 0.0;

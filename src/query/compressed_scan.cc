@@ -1,30 +1,17 @@
 #include "query/compressed_scan.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
 
-#include "common/env.h"
 #include "common/governor.h"
 #include "common/metrics.h"
 #include "compress/block_store.h"
+#include "query/expr_eval.h"
 
 namespace laws {
 namespace {
-
-// --- Engine toggle ---------------------------------------------------------
-
-ScanEngine InitialScanEngine() {
-  return EnvFlag("LAWS_SCAN_DECODE", false) ? ScanEngine::kDecode
-                                            : ScanEngine::kCompressed;
-}
-
-std::atomic<int>& ScanEngineFlag() {
-  static std::atomic<int> engine{static_cast<int>(InitialScanEngine())};
-  return engine;
-}
 
 // --- Counters --------------------------------------------------------------
 
@@ -39,10 +26,6 @@ Counter* BlocksPrunedCounter() {
 }
 Counter* BlocksTakenCounter() {
   static Counter* c = MetricsRegistry::Global().GetCounter("scan.blocks_taken");
-  return c;
-}
-Counter* RunsSkippedCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("scan.runs_skipped");
   return c;
 }
 Counter* EncodedAggCounter() {
@@ -220,41 +203,11 @@ std::unique_ptr<ScanPred> Classify(const Expr& e, const Table& t) {
   }
 }
 
-void CollectCols(const ScanPred& p, std::vector<int>* cols) {
-  auto add = [cols](int c) {
-    if (c < 0) return;
-    for (int existing : *cols) {
-      if (existing == c) return;
-    }
-    cols->push_back(c);
-  };
-  switch (p.kind) {
-    case ScanPred::Kind::kCmp:
-      add(p.lhs_col);
-      add(p.rhs_col);
-      break;
-    case ScanPred::Kind::kBoolCol:
-      add(p.col);
-      break;
-    case ScanPred::Kind::kAnd:
-    case ScanPred::Kind::kOr:
-      CollectCols(*p.a, cols);
-      CollectCols(*p.b, cols);
-      break;
-    case ScanPred::Kind::kNot:
-      CollectCols(*p.a, cols);
-      break;
-    case ScanPred::Kind::kConst:
-      break;
-  }
-}
-
-// --- Scalar evaluation ------------------------------------------------------
+// --- Comparison outcomes -----------------------------------------------------
 //
-// Replicates the VM's comparison and logic opcodes (vector_eval.cc)
-// exactly for the classified shapes: either side NULL -> NULL; three-way
-// compare c in the coerced double space with NaN landing in c = 1
-// regardless of which side it is on; Kleene 3VL for AND/OR/NOT.
+// The VM's comparison opcodes (vector_eval.cc) under §11: either side
+// NULL -> NULL; otherwise a three-way compare c in the coerced double
+// space, with a NaN landing in c = 1 whichever side it is on.
 
 bool CmpToBool(BinaryOp op, int c) {
   switch (op) {
@@ -271,47 +224,6 @@ bool CmpToBool(BinaryOp op, int c) {
 /// Result of `op` when the three-way compare lands in c = 1 — the slot
 /// every NaN comparison falls into, whichever side the NaN is on.
 bool OpAtC1(BinaryOp op) { return CmpToBool(op, 1); }
-
-/// `vals`/`nulls` are indexed by table column ordinal and populated for
-/// every column the predicate references.
-Tri EvalPred(const ScanPred& p, const double* vals, const uint8_t* nulls) {
-  switch (p.kind) {
-    case ScanPred::Kind::kCmp: {
-      const bool an = p.lhs_col >= 0 ? nulls[p.lhs_col] != 0 : p.lhs_null;
-      const bool bn = p.rhs_col >= 0 ? nulls[p.rhs_col] != 0 : p.rhs_null;
-      if (an || bn) return Tri::kNull;
-      const double a = p.lhs_col >= 0 ? vals[p.lhs_col] : p.lhs_val;
-      const double b = p.rhs_col >= 0 ? vals[p.rhs_col] : p.rhs_val;
-      const int c = a < b ? -1 : (a == b ? 0 : 1);
-      return CmpToBool(p.op, c) ? Tri::kTrue : Tri::kFalse;
-    }
-    case ScanPred::Kind::kBoolCol:
-      if (nulls[p.col] != 0) return Tri::kNull;
-      return vals[p.col] != 0.0 ? Tri::kTrue : Tri::kFalse;
-    case ScanPred::Kind::kConst:
-      return p.const_val;
-    case ScanPred::Kind::kNot: {
-      const Tri v = EvalPred(*p.a, vals, nulls);
-      if (v == Tri::kNull) return Tri::kNull;
-      return v == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
-    }
-    case ScanPred::Kind::kAnd: {
-      const Tri x = EvalPred(*p.a, vals, nulls);
-      const Tri y = EvalPred(*p.b, vals, nulls);
-      if (x == Tri::kFalse || y == Tri::kFalse) return Tri::kFalse;
-      if (x == Tri::kNull || y == Tri::kNull) return Tri::kNull;
-      return Tri::kTrue;
-    }
-    case ScanPred::Kind::kOr: {
-      const Tri x = EvalPred(*p.a, vals, nulls);
-      const Tri y = EvalPred(*p.b, vals, nulls);
-      if (x == Tri::kTrue || y == Tri::kTrue) return Tri::kTrue;
-      if (x == Tri::kNull || y == Tri::kNull) return Tri::kNull;
-      return Tri::kFalse;
-    }
-  }
-  return Tri::kNull;
-}
 
 // --- Zone-map analysis ------------------------------------------------------
 //
@@ -413,8 +325,8 @@ uint8_t PossibleSet(const ScanPred& p, const BlockIndex& index, size_t b) {
   switch (p.kind) {
     case ScanPred::Kind::kCmp: {
       if (p.lhs_col >= 0 && p.rhs_col >= 0) {
-        // Column vs column: no interval reasoning (yet); anything the row
-        // evaluator could produce is possible.
+        // Column vs column: no interval reasoning (yet); anything the VM
+        // could produce is possible.
         const ZoneMap& za = index.columns[p.lhs_col].zones[b];
         const ZoneMap& zb = index.columns[p.rhs_col].zones[b];
         uint8_t s = kT | kF;
@@ -430,7 +342,10 @@ uint8_t PossibleSet(const ScanPred& p, const BlockIndex& index, size_t b) {
                               MirrorOp(p.op), p.op, p.lhs_val, p.lhs_null);
       }
       // Constant comparison: evaluate it once.
-      return TriBit(EvalPred(p, nullptr, nullptr));
+      if (p.lhs_null || p.rhs_null) return kN;
+      const int c =
+          p.lhs_val < p.rhs_val ? -1 : (p.lhs_val == p.rhs_val ? 0 : 1);
+      return CmpToBool(p.op, c) ? kT : kF;
     }
     case ScanPred::Kind::kBoolCol: {
       const ZoneMap& z = index.columns[p.col].zones[b];
@@ -461,8 +376,6 @@ uint8_t PossibleSet(const ScanPred& p, const BlockIndex& index, size_t b) {
   return kT | kF | kN;
 }
 
-// --- Row access -------------------------------------------------------------
-
 double CoercedAt(const Column& col, size_t r) {
   switch (col.type()) {
     case DataType::kInt64:
@@ -472,152 +385,96 @@ double CoercedAt(const Column& col, size_t r) {
     case DataType::kBool:
       return col.bool_data()[r] ? 1.0 : 0.0;
     default:
-      return 0.0;  // unreachable: classification rejects strings
+      return 0.0;  // unreachable: strings are not indexed
   }
 }
 
 }  // namespace
 
-ScanEngine GlobalScanEngine() {
-  return static_cast<ScanEngine>(
-      ScanEngineFlag().load(std::memory_order_relaxed));
-}
-
-void SetGlobalScanEngine(ScanEngine engine) {
-  ScanEngineFlag().store(static_cast<int>(engine), std::memory_order_relaxed);
-}
-
 std::string ScanStats::Describe() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "zonescan: blocks=%zu pruned=%zu taken=%zu runs_skipped=%zu",
-                blocks_total, blocks_pruned, blocks_taken, rows_run_skipped);
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "zonescan: blocks=%zu pruned=%zu taken=%zu",
+                blocks_total, blocks_pruned, blocks_taken);
   return buf;
 }
 
-std::optional<std::vector<uint32_t>> CompressedFilterRows(
-    const Expr& pred, const Table& table, ScanStats* stats) {
-  if (GlobalScanEngine() != ScanEngine::kCompressed) return std::nullopt;
+Result<std::optional<std::vector<uint32_t>>> CompressedFilterRows(
+    const Expr& pred, const Table& table, ScanStats* stats,
+    std::string* disassembly) {
+  using Selection = std::optional<std::vector<uint32_t>>;
   const std::shared_ptr<const BlockIndex> index = FindBlockIndex(table);
-  if (index == nullptr) return std::nullopt;
+  if (index == nullptr) return Selection();
   const std::unique_ptr<ScanPred> plan = Classify(pred, table);
   if (plan == nullptr) {
     FallbackDecodeCounter()->Add();
-    return std::nullopt;
+    return Selection();
   }
-  std::vector<int> cols;
-  CollectCols(*plan, &cols);
 
   const size_t nb = index->num_blocks;
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
   *st = ScanStats{};  // fresh tally per scan, even when the caller reuses one
   st->blocks_total = nb;
-  if (nb == 0) return std::vector<uint32_t>{};  // empty table: empty selection
+  if (nb == 0) return Selection(std::vector<uint32_t>{});  // empty table
 
-  // Pass 1 (zone maps only): classify every block as NONE / ALL / SOME,
-  // and check whether the SOME blocks can at least be batched by runs.
-  std::vector<uint8_t> verdict(nb);  // 0 = prune, 1 = take all, 2 = evaluate
-  bool every_some_block_has_runs = true;
-  bool any_some = false;
+  // Zone maps only: prune the block, take it whole, or leave it to the
+  // VM. Adjacent undecided blocks form one range.
+  enum class Verdict : uint8_t { kPrune, kTake, kEvaluate };
+  std::vector<Verdict> verdict(nb);
+  std::vector<RowRange> undecided;
+  size_t taken_rows = 0;
   for (size_t b = 0; b < nb; ++b) {
     const uint8_t s = PossibleSet(*plan, *index, b);
+    const size_t start = index->BlockStart(b);
+    const size_t end = start + index->BlockLength(b);
     if ((s & kT) == 0) {
-      verdict[b] = 0;
+      verdict[b] = Verdict::kPrune;
       ++st->blocks_pruned;
     } else if (s == kT) {
-      verdict[b] = 1;
+      verdict[b] = Verdict::kTake;
       ++st->blocks_taken;
+      taken_rows += end - start;
     } else {
-      verdict[b] = 2;
-      any_some = true;
-      for (int c : cols) {
-        if (index->columns[c].runs[b].empty()) {
-          every_some_block_has_runs = false;
-          break;
-        }
+      verdict[b] = Verdict::kEvaluate;
+      if (!undecided.empty() && undecided.back().end == start) {
+        undecided.back().end = end;
+      } else {
+        undecided.push_back({start, end});
       }
     }
   }
 
-  // Bail to the decode path when the index buys nothing: no block pruned
-  // or fully taken, and the SOME blocks cannot be run-batched — a plain
-  // per-row walk here would just be a slower bytecode VM.
-  if (st->blocks_pruned == 0 && st->blocks_taken == 0 &&
-      !(any_some && every_some_block_has_runs && !cols.empty())) {
+  // Decline when the index buys nothing: the VM over every row is then
+  // the whole scan.
+  if (st->blocks_pruned == 0 && st->blocks_taken == 0) {
     FallbackDecodeCounter()->Add();
-    st->blocks_pruned = 0;
-    st->blocks_total = 0;
-    return std::nullopt;
+    *st = ScanStats{};
+    return Selection();
   }
 
-  // Pass 2: materialize the selection. This walk cannot return a Status
-  // (declining is the contract), so when the governor trips mid-walk the
-  // scan declines instead: the caller falls back to the decode path,
-  // whose first poll surfaces the same sticky typed error.
+  std::vector<uint32_t> evaluated;
+  if (!undecided.empty()) {
+    LAWS_ASSIGN_OR_RETURN(evaluated,
+                          FilterRows(pred, table, disassembly, &undecided));
+  }
+
+  // Merge in block order: a taken block contributes every row, an
+  // undecided one the rows the VM selected, so the selection stays
+  // ascending.
   std::vector<uint32_t> out;
-  std::vector<double> vals(table.num_columns(), 0.0);
-  std::vector<uint8_t> nulls(table.num_columns(), 0);
-  std::vector<size_t> run_pos(cols.size(), 0);
-  QueryGovernor* const governor = QueryGovernor::Current();
+  out.reserve(taken_rows + evaluated.size());
+  size_t next = 0;
   for (size_t b = 0; b < nb; ++b) {
-    if (governor != nullptr && !governor->Poll().ok()) {
-      FallbackDecodeCounter()->Add();
-      return std::nullopt;
-    }
-    if (verdict[b] == 0) continue;
+    LAWS_GOVERNOR_POLL();
     const size_t start = index->BlockStart(b);
-    const size_t len = index->BlockLength(b);
-    if (verdict[b] == 1) {
-      for (size_t i = 0; i < len; ++i) {
-        out.push_back(static_cast<uint32_t>(start + i));
+    const size_t end = start + index->BlockLength(b);
+    if (verdict[b] == Verdict::kTake) {
+      for (size_t r = start; r < end; ++r) {
+        out.push_back(static_cast<uint32_t>(r));
       }
-      continue;
-    }
-    bool runs_ok = !cols.empty();
-    for (int c : cols) {
-      if (index->columns[c].runs[b].empty()) {
-        runs_ok = false;
-        break;
-      }
-    }
-    if (runs_ok) {
-      // Merged-run walk: advance through the aligned run partitions of
-      // every referenced column, evaluating once per joint segment.
-      std::fill(run_pos.begin(), run_pos.end(), 0);
-      size_t pos = 0;
-      while (pos < len) {
-        size_t seg_end = len;
-        for (size_t i = 0; i < cols.size(); ++i) {
-          const EncodedRun& r = index->columns[cols[i]].runs[b][run_pos[i]];
-          vals[cols[i]] = r.value;
-          nulls[cols[i]] = r.is_null ? 1 : 0;
-          seg_end = std::min(seg_end, static_cast<size_t>(r.start) + r.len);
-        }
-        if (EvalPred(*plan, vals.data(), nulls.data()) == Tri::kTrue) {
-          for (size_t i = pos; i < seg_end; ++i) {
-            out.push_back(static_cast<uint32_t>(start + i));
-          }
-        }
-        st->rows_run_skipped += seg_end - pos - 1;
-        for (size_t i = 0; i < cols.size(); ++i) {
-          const EncodedRun& r = index->columns[cols[i]].runs[b][run_pos[i]];
-          if (static_cast<size_t>(r.start) + r.len == seg_end) ++run_pos[i];
-        }
-        pos = seg_end;
-      }
-    } else {
-      for (size_t i = 0; i < len; ++i) {
-        const size_t row = start + i;
-        for (int c : cols) {
-          const Column& column = table.column(c);
-          const bool is_null = column.IsNull(row);
-          nulls[c] = is_null ? 1 : 0;
-          vals[c] = is_null ? 0.0 : CoercedAt(column, row);
-        }
-        if (EvalPred(*plan, vals.data(), nulls.data()) == Tri::kTrue) {
-          out.push_back(static_cast<uint32_t>(row));
-        }
+    } else if (verdict[b] == Verdict::kEvaluate) {
+      while (next < evaluated.size() && evaluated[next] < end) {
+        out.push_back(evaluated[next++]);
       }
     }
   }
@@ -625,22 +482,22 @@ std::optional<std::vector<uint32_t>> CompressedFilterRows(
   BlocksTotalCounter()->Add(st->blocks_total);
   BlocksPrunedCounter()->Add(st->blocks_pruned);
   BlocksTakenCounter()->Add(st->blocks_taken);
-  RunsSkippedCounter()->Add(st->rows_run_skipped);
-  return out;
+  return Selection(std::move(out));
 }
 
 namespace {
 
-/// Folds the zone maps (and run views, for SUM) of one column into an
-/// AggState equivalent to the executor's row sweep. `need_sum` callers
-/// additionally require the exactness proof; when it fails, the fold
-/// still serves COUNT/MIN/MAX but `sum_exact` stays false.
+/// Folds the zone maps of one column into an AggState equivalent to the
+/// executor's row sweep, and with `need_sum` sums the rows when the
+/// exactness proof holds; when it fails, the fold still serves
+/// COUNT/MIN/MAX but `sum_exact` stays false.
 struct ColumnFold {
   AggState state;
   bool sum_exact = false;
 };
 
-ColumnFold FoldColumn(const Table& table, const BlockIndex& index, int col) {
+ColumnFold FoldColumn(const Table& table, const BlockIndex& index, int col,
+                      bool need_sum) {
   constexpr double kExactIntBound = 9007199254740992.0;  // 2^53
   ColumnFold fold;
   AggState& s = fold.state;
@@ -668,26 +525,26 @@ ColumnFold FoldColumn(const Table& table, const BlockIndex& index, int col) {
   // Exactness proof for SUM/AVG: no NaN can poison the total, every
   // addend is an exactly-representable integer, and every partial sum
   // stays within [-2^53, 2^53] where double addition is exact — so the
-  // run-weighted fold below is bit-identical to the row sweep in any
+  // block-by-block sum below is bit-identical to the row sweep in any
   // association order.
-  if (nan_total != 0 || !integral || magnitude_bound > kExactIntBound ||
-      std::isnan(magnitude_bound)) {
+  if (!need_sum || nan_total != 0 || !integral ||
+      magnitude_bound > kExactIntBound || std::isnan(magnitude_bound)) {
     return fold;
   }
+  const Column& column = table.column(col);
   for (size_t b = 0; b < index.num_blocks; ++b) {
     const ZoneMap& z = ci.zones[b];
-    if (z.rows == z.null_count) continue;
-    const std::vector<EncodedRun>& runs = ci.runs[b];
-    if (!runs.empty()) {
-      for (const EncodedRun& r : runs) {
-        if (!r.is_null) s.sum += r.value * static_cast<double>(r.len);
-      }
-    } else {
-      const Column& column = table.column(col);
-      const size_t start = index.BlockStart(b);
-      const size_t len = index.BlockLength(b);
-      for (size_t i = 0; i < len; ++i) {
-        if (!column.IsNull(start + i)) s.sum += CoercedAt(column, start + i);
+    const size_t start = index.BlockStart(b);
+    const size_t end = start + index.BlockLength(b);
+    if (z.null_count == 0 && column.type() == DataType::kInt64) {
+      const int64_t* v = column.int64_data().data();
+      for (size_t r = start; r < end; ++r) s.sum += static_cast<double>(v[r]);
+    } else if (z.null_count == 0 && column.type() == DataType::kDouble) {
+      const double* v = column.double_data().data();
+      for (size_t r = start; r < end; ++r) s.sum += v[r];
+    } else if (z.null_count < z.rows) {
+      for (size_t r = start; r < end; ++r) {
+        if (!column.IsNull(r)) s.sum += CoercedAt(column, r);
       }
     }
   }
@@ -699,7 +556,6 @@ ColumnFold FoldColumn(const Table& table, const BlockIndex& index, int col) {
 
 std::optional<std::vector<AggState>> EncodedGlobalAggregate(
     const Table& table, const std::vector<const Expr*>& slots) {
-  if (GlobalScanEngine() != ScanEngine::kCompressed) return std::nullopt;
   const std::shared_ptr<const BlockIndex> index = FindBlockIndex(table);
   if (index == nullptr) return std::nullopt;
 
@@ -728,11 +584,11 @@ std::optional<std::vector<AggState>> EncodedGlobalAggregate(
     const auto idx = table.schema().FieldIndex(arg.column_name);
     if (!idx.ok()) return std::nullopt;
     if (!index->columns[*idx].usable) return std::nullopt;  // string column
-    ColumnFold fold = FoldColumn(table, *index, static_cast<int>(*idx));
-    if ((func == AggregateFunc::kSum || func == AggregateFunc::kAvg) &&
-        !fold.sum_exact) {
-      return std::nullopt;
-    }
+    const bool need_sum =
+        func == AggregateFunc::kSum || func == AggregateFunc::kAvg;
+    ColumnFold fold =
+        FoldColumn(table, *index, static_cast<int>(*idx), need_sum);
+    if (need_sum && !fold.sum_exact) return std::nullopt;
     states.push_back(std::move(fold.state));
   }
   EncodedAggCounter()->Add();

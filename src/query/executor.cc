@@ -133,7 +133,7 @@ Result<const Column*> ResolveColumn(const Expr& expr, const Table& table,
 }
 
 // AggState and AggFinalValue live in query/agg_state.h, shared with the
-// encoded run-weighted aggregator (compressed_scan.cc).
+// encoded aggregator (compressed_scan.cc).
 
 /// Folds one partition's rows, in table order, into their groups' states
 /// ([group * num_slots + slot]). Every group lives in one partition, so
@@ -264,10 +264,9 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
   size_t partitions = 1;
 
   // Global aggregations over an indexed base table can often be folded
-  // from zone statistics and run views without touching rows (DESIGN.md
-  // §14). EncodedGlobalAggregate only answers when the fold is provably
-  // bit-identical to the sweep below, so the shortcut is invisible to
-  // everything downstream.
+  // from zone statistics (DESIGN.md §14). EncodedGlobalAggregate only
+  // answers when the fold is provably bit-identical to the sweep below,
+  // so the shortcut is invisible to everything downstream.
   bool encoded = false;
   LAWS_GOVERNOR_POLL();
   if (stmt.group_by.empty()) {
@@ -750,27 +749,30 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
   const Table* current = &source;
   if (stmt.where != nullptr) {
     ScopedSpan span("Filter");
-    std::vector<uint32_t> selection;
-    // Compressed-domain first: when the table carries a block index and
-    // the predicate is in the conservative class, zone maps prune whole
-    // blocks and RLE runs batch the rest (DESIGN.md §14) — bit-identical
-    // to the decode path or declined, never approximate.
+    std::string disasm;
+    std::string* const disasm_out = span.active() ? &disasm : nullptr;
+    // Zone maps first: when the table carries a block index and the
+    // predicate is in the conservative class, they prune and take whole
+    // blocks and the VM evaluates only the rest (DESIGN.md §14) —
+    // bit-identical to the VM over every row, which runs when they
+    // decline.
     ScanStats scan_stats;
-    if (auto compressed =
-            CompressedFilterRows(*stmt.where, source, &scan_stats)) {
-      selection = std::move(*compressed);
-      if (span.active()) {
-        span.SetDetail(stmt.where->ToString() + " | " +
-                       scan_stats.Describe());
-      }
+    LAWS_ASSIGN_OR_RETURN(
+        std::optional<std::vector<uint32_t>> zoned,
+        CompressedFilterRows(*stmt.where, source, &scan_stats, disasm_out));
+    std::vector<uint32_t> selection;
+    std::string detail;
+    if (zoned.has_value()) {
+      selection = std::move(*zoned);
+      detail = scan_stats.Describe();
+      if (!disasm.empty()) detail += " | bytecode: " + disasm;
     } else {
-      std::string disasm;
-      LAWS_ASSIGN_OR_RETURN(
-          selection, FilterRows(*stmt.where, source,
-                                span.active() ? &disasm : nullptr));
-      if (span.active()) {
-        span.SetDetail(stmt.where->ToString() + " | bytecode: " + disasm);
-      }
+      LAWS_ASSIGN_OR_RETURN(selection,
+                            FilterRows(*stmt.where, source, disasm_out));
+      detail = "bytecode: " + disasm;
+    }
+    if (span.active()) {
+      span.SetDetail(stmt.where->ToString() + " | " + detail);
     }
     filtered = source.GatherRows(selection);
     LAWS_RETURN_IF_ERROR(
@@ -987,10 +989,8 @@ Result<Table> ExecuteSelect(const Catalog& catalog,
   if (stmt.join_table.empty()) {
     // Register (or refresh) the block index for the base table so the
     // compressed scan tier can serve this and later queries. Joined and
-    // derived tables stay unindexed — they fall back to decode.
-    if (GlobalScanEngine() == ScanEngine::kCompressed) {
-      EnsureBlockIndex(table);
-    }
+    // derived tables stay unindexed — they take the decode path.
+    EnsureBlockIndex(table);
     return ExecuteSelectOnTable(*table, stmt);
   }
   LAWS_ASSIGN_OR_RETURN(TablePtr right, catalog.Get(stmt.join_table));
@@ -1104,9 +1104,9 @@ namespace {
 /// The counters behind EXPLAIN ANALYZE's `expr:` and `scan:` lines, in
 /// print order.
 constexpr const char* kExplainCounters[] = {
-    "expr.compiled",      "expr.batches",      "scan.blocks_total",
-    "scan.blocks_pruned", "scan.runs_skipped", "scan.encoded_agg"};
-static_assert(std::size(kExplainCounters) == 6,
+    "expr.compiled", "expr.batches", "scan.blocks_total",
+    "scan.blocks_pruned", "scan.encoded_agg"};
+static_assert(std::size(kExplainCounters) == 5,
               "ExplainCounterLines keeps one start value per counter");
 
 }  // namespace
@@ -1124,15 +1124,11 @@ std::string ExplainCounterLines::Render() const {
     d[i] = MetricsRegistry::Global().GetCounter(kExplainCounters[i])->value() -
            start_[i];
   }
-  char buf[192];
-  std::snprintf(
-      buf, sizeof(buf),
-      "expr: compiled=%llu batches=%llu\n"
-      "scan: engine=%s blocks=%llu pruned=%llu runs_skipped=%llu "
-      "encoded_agg=%llu\n",
-      d[0], d[1],
-      GlobalScanEngine() == ScanEngine::kCompressed ? "compressed" : "decode",
-      d[2], d[3], d[4], d[5]);
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "expr: compiled=%llu batches=%llu\n"
+                "scan: blocks=%llu pruned=%llu encoded_agg=%llu\n",
+                d[0], d[1], d[2], d[3], d[4]);
   return buf;
 }
 

@@ -67,14 +67,15 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
 /// EXPLAIN ANALYZE's `expr:` and `scan:` lines, shared by the exact and
 /// hybrid engines: construction snapshots the process-global expr.* and
 /// scan.* counters, and Render() prints their deltas since then as
-/// "expr: compiled=N batches=N" and "scan: engine=... blocks=N ...".
+/// "expr: compiled=N batches=N" and "scan: blocks=N pruned=N
+/// encoded_agg=N".
 class ExplainCounterLines {
  public:
   ExplainCounterLines();
   std::string Render() const;
 
  private:
-  std::array<uint64_t, 6> start_{};
+  std::array<uint64_t, 5> start_{};
 };
 
 }  // namespace laws

@@ -46,12 +46,12 @@ Result<Value> EvaluateConstant(const Expr& expr) {
   return ThreadEvaluator().RunConstant(program);
 }
 
-Result<std::vector<uint32_t>> FilterRows(const Expr& predicate,
-                                         const Table& table,
-                                         std::string* disassembly) {
+Result<std::vector<uint32_t>> FilterRows(
+    const Expr& predicate, const Table& table, std::string* disassembly,
+    const std::vector<RowRange>* ranges) {
   LAWS_ASSIGN_OR_RETURN(const CompiledExpr program,
                         CompileWithMetrics(predicate, table, disassembly));
-  return ThreadEvaluator().RunFilter(program, table);
+  return ThreadEvaluator().RunFilter(program, table, ranges);
 }
 
 }  // namespace laws

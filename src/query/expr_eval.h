@@ -34,11 +34,14 @@ Result<Column> EvaluateExpr(const Expr& expr, const Table& table,
 Result<Value> EvaluateConstant(const Expr& expr);
 
 /// Evaluates a boolean predicate over the table and returns the indices of
-/// rows where it is TRUE (NULL and FALSE rows are excluded). A predicate
-/// that is not boolean is a static TypeMismatch.
-Result<std::vector<uint32_t>> FilterRows(const Expr& predicate,
-                                         const Table& table,
-                                         std::string* disassembly = nullptr);
+/// rows where it is TRUE (NULL and FALSE rows are excluded), ascending.
+/// Only the rows of `ranges` (ascending, disjoint) are evaluated; nullptr
+/// means every row. A predicate that is not boolean is a static
+/// TypeMismatch.
+Result<std::vector<uint32_t>> FilterRows(
+    const Expr& predicate, const Table& table,
+    std::string* disassembly = nullptr,
+    const std::vector<RowRange>* ranges = nullptr);
 
 }  // namespace laws
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/governor.h"
 #include "common/metrics.h"
@@ -701,27 +702,33 @@ Result<Column> BatchEvaluator::Run(const CompiledExpr& program,
 }
 
 Result<std::vector<uint32_t>> BatchEvaluator::RunFilter(
-    const CompiledExpr& program, const Table& table) {
+    const CompiledExpr& program, const Table& table,
+    const std::vector<RowRange>* ranges) {
   // A non-boolean predicate is a static error: it fails before any row
   // is evaluated.
   if (program.result_type != DataType::kBool) {
     return Status::TypeMismatch("WHERE predicate is not boolean");
   }
   Provision(program);
-  const size_t rows = table.num_rows();
+  const RowRange whole{0, table.num_rows()};
+  const std::span<const RowRange> todo =
+      ranges != nullptr ? std::span<const RowRange>(*ranges)
+                        : std::span<const RowRange>(&whole, 1);
   std::vector<uint32_t> selected;
   const Slot& r = slots_[program.result_slot];
   uint64_t batches = 0;
-  for (size_t base = 0; base < rows; base += batch_size_) {
-    LAWS_GOVERNOR_POLL();
-    const size_t n = std::min(batch_size_, rows - base);
-    LAWS_RETURN_IF_ERROR(RunBatch(program, table, base, n));
-    ++batches;
-    const uint8_t* nulls = r.has_nulls ? r.null8.data() : nullptr;
-    const uint8_t* vals = r.b8.data();
-    for (size_t i = 0; i < n; ++i) {
-      if ((nulls == nullptr || nulls[i] == 0) && vals[i] != 0) {
-        selected.push_back(static_cast<uint32_t>(base + i));
+  for (const RowRange& range : todo) {
+    for (size_t base = range.begin; base < range.end; base += batch_size_) {
+      LAWS_GOVERNOR_POLL();
+      const size_t n = std::min(batch_size_, range.end - base);
+      LAWS_RETURN_IF_ERROR(RunBatch(program, table, base, n));
+      ++batches;
+      const uint8_t* nulls = r.has_nulls ? r.null8.data() : nullptr;
+      const uint8_t* vals = r.b8.data();
+      for (size_t i = 0; i < n; ++i) {
+        if ((nulls == nullptr || nulls[i] == 0) && vals[i] != 0) {
+          selected.push_back(static_cast<uint32_t>(base + i));
+        }
       }
     }
   }

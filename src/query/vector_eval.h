@@ -36,11 +36,13 @@ class BatchEvaluator {
   Result<Column> Run(const CompiledExpr& program, const Table& table);
 
   /// Filter fast path: returns the indices of rows where `program` is
-  /// TRUE (NULL/FALSE excluded) without ever materializing the mask
-  /// column. A program that is not BOOL fails with TypeMismatch before
-  /// any row is evaluated.
-  Result<std::vector<uint32_t>> RunFilter(const CompiledExpr& program,
-                                          const Table& table);
+  /// TRUE (NULL/FALSE excluded), ascending, without ever materializing
+  /// the mask column. Only the rows of `ranges` (ascending, disjoint) are
+  /// evaluated; nullptr means every row. A program that is not BOOL fails
+  /// with TypeMismatch before any row is evaluated.
+  Result<std::vector<uint32_t>> RunFilter(
+      const CompiledExpr& program, const Table& table,
+      const std::vector<RowRange>* ranges = nullptr);
 
   /// Runs a column-free `program` once, over one row of a table with no
   /// columns, and returns its value — the compiler's constant folder.

@@ -88,10 +88,11 @@ Result<std::shared_ptr<ClientSession>> Server::Connect(std::string label) {
         " open sessions)");
   }
   const uint64_t id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
+  const std::string metrics_label = label.empty() ? "anonymous" : label;
   if (label.empty()) label = "s" + std::to_string(id);
   ServeMetrics::Get().sessions_opened->Add();
   return std::shared_ptr<ClientSession>(
-      new ClientSession(this, id, std::move(label)));
+      new ClientSession(this, id, std::move(label), metrics_label));
 }
 
 size_t Server::inflight_queries() const {
@@ -144,13 +145,14 @@ void Server::SessionClosed() {
   ServeMetrics::Get().sessions_closed->Add();
 }
 
-ClientSession::ClientSession(Server* server, uint64_t id, std::string name)
+ClientSession::ClientSession(Server* server, uint64_t id, std::string name,
+                             const std::string& metrics_label)
     : server_(server),
       id_(id),
       name_(std::move(name)),
       limits_(server->options().default_limits) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  const std::string prefix = "session." + name_ + ".";
+  const std::string prefix = "session." + metrics_label + ".";
   queries_counter_ = reg.GetCounter(prefix + "queries");
   errors_counter_ = reg.GetCounter(prefix + "errors");
   rows_out_counter_ = reg.GetCounter(prefix + "rows_out");

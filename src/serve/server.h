@@ -74,9 +74,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Opens a session. `label` names the session in per-session metrics
-  /// (`session.<label>.*`); empty ⇒ `s<id>`. Fails with
-  /// kResourceExhausted at the session cap.
+  /// Opens a session. `label` names the session and its per-session
+  /// metrics (`session.<label>.*`). An empty label names the session
+  /// `s<id>` and shares `session.anonymous.*` with every other unlabelled
+  /// session, so connections do not grow the metrics registry. Fails
+  /// with kResourceExhausted at the session cap.
   Result<std::shared_ptr<ClientSession>> Connect(std::string label = "");
 
   SnapshotCatalog& snapshots() { return snapshots_; }
@@ -213,7 +215,8 @@ class ClientSession : public std::enable_shared_from_this<ClientSession> {
 
  private:
   friend class Server;
-  ClientSession(Server* server, uint64_t id, std::string name);
+  ClientSession(Server* server, uint64_t id, std::string name,
+                const std::string& metrics_label);
 
   /// Admission + snapshot pin + governed execution + metrics, shared by
   /// every read path.

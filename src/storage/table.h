@@ -68,6 +68,12 @@ class Table {
 
 using TablePtr = std::shared_ptr<Table>;
 
+/// The rows [begin, end) of a table.
+struct RowRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
 }  // namespace laws
 
 #endif  // LAWSDB_STORAGE_TABLE_H_

@@ -14,7 +14,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "compress/block_store.h"
-#include "query/compressed_scan.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/query_context.h"
@@ -75,6 +74,28 @@ std::string EncodeRow(const Table& t, size_t row) {
     }
   }
   return key;
+}
+
+/// Runs `stmt` on the decode path: a joinless statement goes straight to
+/// its table, which must carry no block index; a join's result is never
+/// indexed.
+Result<Table> ExecuteDecoded(const Catalog& catalog,
+                             const SelectStatement& stmt) {
+  if (!stmt.join_table.empty()) return ExecuteSelect(catalog, stmt);
+  LAWS_ASSIGN_OR_RETURN(TablePtr table, catalog.Get(stmt.from_table));
+  return ExecuteSelectOnTable(*table, stmt);
+}
+
+/// Indexes every table of `catalog` at a deliberately tiny block size, so
+/// the fuzzer's small tables span many blocks and the compressed tier's
+/// prune/take machinery genuinely engages instead of degenerating to one
+/// block. ExecuteSelect then finds these indexes current and keeps them.
+void IndexForCompressedLegs(const Catalog& catalog) {
+  for (const std::string& name : catalog.ListTables()) {
+    if (Result<TablePtr> t = catalog.Get(name); t.ok()) {
+      EnsureBlockIndex(*t, 8);
+    }
+  }
 }
 
 }  // namespace
@@ -138,26 +159,18 @@ CaseDiff DiffCase(const std::vector<GenTable>& tables,
   // Per-tier matrix: the executor at 1 thread on the decode path is the
   // reference the oracle is checked against. It must also match itself
   // bit-for-bit at the default pool width, and the compressed scan tier
-  // (zone-map pruning + run-aware evaluation + encoded aggregation) must
-  // match it at both widths. Every comparison is against bytecode@1 so a
-  // single diverging tier is named directly.
-  const ScanEngine prev_scan = GlobalScanEngine();
-  const size_t prev_block_rows = ScanBlockRows();
+  // (zone-map pruning and taking in front of the VM + encoded
+  // aggregation) must match it at both widths. Every comparison is
+  // against bytecode@1 so a single diverging tier is named directly. The
+  // decode legs run while the fresh catalog's tables carry no index.
   ThreadPool::SetGlobalThreadCount(1);
-  SetGlobalScanEngine(ScanEngine::kDecode);
-  const Result<Table> exec1 = ExecuteSelect(*catalog, stmt);
+  const Result<Table> exec1 = ExecuteDecoded(*catalog, stmt);
   ThreadPool::SetGlobalThreadCount(0);
-  const Result<Table> byten = ExecuteSelect(*catalog, stmt);
-  // Compressed tiers run with a deliberately tiny block size so the
-  // fuzzer's small tables span many blocks and the prune/take/run-merge
-  // machinery genuinely engages instead of degenerating to one block.
-  SetGlobalScanEngine(ScanEngine::kCompressed);
-  SetScanBlockRows(8);
+  const Result<Table> byten = ExecuteDecoded(*catalog, stmt);
+  IndexForCompressedLegs(*catalog);
   const Result<Table> comp_byten = ExecuteSelect(*catalog, stmt);
   ThreadPool::SetGlobalThreadCount(1);
   const Result<Table> comp_byte1 = ExecuteSelect(*catalog, stmt);
-  SetGlobalScanEngine(prev_scan);
-  SetScanBlockRows(prev_block_rows);
   ThreadPool::SetGlobalThreadCount(0);
 
   const auto tier_divergence =
@@ -294,8 +307,6 @@ std::string ChaosReport::Summary() const {
 
 ChaosReport RunGovernorChaos(const ChaosOptions& opts) {
   ChaosReport report;
-  const ScanEngine prev_scan = GlobalScanEngine();
-  const size_t prev_block_rows = ScanBlockRows();
 
   for (size_t i = 0; i < opts.num_queries; ++i) {
     const uint64_t case_seed = opts.seed + i;
@@ -328,12 +339,14 @@ ChaosReport RunGovernorChaos(const ChaosOptions& opts) {
     // Random execution tier, shared by the reference and the governed run
     // so bit-identity is compared apples-to-apples.
     const bool compressed = rng.UniformInt(0, 1) == 1;
-    SetGlobalScanEngine(compressed ? ScanEngine::kCompressed
-                                   : ScanEngine::kDecode);
-    if (compressed) SetScanBlockRows(8);
+    if (compressed) IndexForCompressedLegs(*catalog);
+    const auto execute = [&] {
+      return compressed ? ExecuteSelect(*catalog, *stmt)
+                        : ExecuteDecoded(*catalog, *stmt);
+    };
     ThreadPool::SetGlobalThreadCount(rng.UniformInt(0, 1) == 1 ? 1 : 0);
 
-    const Result<Table> reference = ExecuteSelect(*catalog, *stmt);
+    const Result<Table> reference = execute();
 
     // Draw a governor regime.
     enum Regime {
@@ -374,11 +387,9 @@ ChaosReport RunGovernorChaos(const ChaosOptions& opts) {
         ctx.Cancel();
       });
     }
-    const Result<Table> governed =
-        ctx.Run([&] { return ExecuteSelect(*catalog, *stmt); });
+    const Result<Table> governed = ctx.Run(execute);
     if (canceler.joinable()) canceler.join();
     FaultInjector::Instance().DisarmAll();
-    SetScanBlockRows(prev_block_rows);
 
     // The invariant: a clean governor stop, a bit-identical completion,
     // or an error both runs agree on. Anything else is a bug.
@@ -405,8 +416,6 @@ ChaosReport RunGovernorChaos(const ChaosOptions& opts) {
     if (report.violations.size() >= opts.max_reported) break;
   }
 
-  SetGlobalScanEngine(prev_scan);
-  SetScanBlockRows(prev_block_rows);
   ThreadPool::SetGlobalThreadCount(0);
   return report;
 }

@@ -54,10 +54,11 @@ bool TablesEquivalent(const Table& a, const Table& b, bool order_sensitive,
                       std::string* why);
 
 /// Outcome of diffing one statement across the oracle and the executor
-/// tier matrix: bytecode@1-thread on the decode path is the reference the
-/// oracle is compared with; bytecode@default-threads and the compressed
-/// scan tier at both widths must match it bit for bit, or the case
-/// fails.
+/// tier matrix: bytecode@1-thread on the decode path (tables without a
+/// block index) is the reference the oracle is compared with;
+/// bytecode@default-threads and the compressed scan tier (every table
+/// indexed at 8-row blocks) at both widths must match it bit for bit, or
+/// the case fails.
 struct CaseDiff {
   /// Both sides raised an error (counted as agreement).
   bool agreed_error = false;

@@ -6,11 +6,14 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/random.h"
 #include "compress/block_store.h"
 #include "query/compressed_scan.h"
 #include "query/executor.h"
 #include "query/expr_eval.h"
 #include "query/parser.h"
+#include "query/query_context.h"
 #include "storage/catalog.h"
 
 namespace laws {
@@ -18,41 +21,63 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// Pins the scan block size for a test and restores it afterwards, so the
-/// fixed small tables here span several blocks.
-class BlockRowsGuard {
- public:
-  explicit BlockRowsGuard(size_t rows) : prev_(ScanBlockRows()) {
-    SetScanBlockRows(rows);
-  }
-  ~BlockRowsGuard() { SetScanBlockRows(prev_); }
-
- private:
-  size_t prev_;
-};
-
 std::unique_ptr<Expr> ParsePred(const std::string& where) {
   auto stmt = ParseSelect("SELECT 1 FROM t WHERE " + where);
   EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
   return std::move(stmt->where);
 }
 
-/// Runs `where` through the compressed tier and asserts the selection is
-/// identical to the decode path's FilterRows. Returns the stats for
-/// pruning assertions; fails the test if the compressed tier declined.
-ScanStats ExpectCompressedMatches(const TablePtr& table,
+/// Indexes `table` at `block_rows`, runs `where` through the compressed
+/// tier and asserts the selection is identical to FilterRows over every
+/// row. Returns the stats for pruning assertions; fails the test if the
+/// compressed tier declined.
+ScanStats ExpectCompressedMatches(const TablePtr& table, size_t block_rows,
                                   const std::string& where) {
-  EnsureBlockIndex(table);
+  EnsureBlockIndex(table, block_rows);
   auto pred = ParsePred(where);
   ScanStats stats;
   auto compressed = CompressedFilterRows(*pred, *table, &stats);
-  EXPECT_TRUE(compressed.has_value()) << where << " declined";
+  EXPECT_TRUE(compressed.ok()) << compressed.status().ToString();
+  EXPECT_TRUE(compressed.ok() && compressed->has_value())
+      << where << " declined";
   auto reference = FilterRows(*pred, *table);
   EXPECT_TRUE(reference.ok()) << reference.status().ToString();
-  if (compressed.has_value() && reference.ok()) {
-    EXPECT_EQ(*compressed, *reference) << where;
+  if (compressed.ok() && compressed->has_value() && reference.ok()) {
+    EXPECT_EQ(**compressed, *reference) << where;
   }
   return stats;
+}
+
+/// True when the compressed tier declines `where` over `table` (no
+/// error, no selection).
+bool Declines(const Table& table, const std::string& where) {
+  ScanStats stats;
+  auto compressed = CompressedFilterRows(*ParsePred(where), table, &stats);
+  EXPECT_TRUE(compressed.ok()) << compressed.status().ToString();
+  return compressed.ok() && !compressed->has_value();
+}
+
+/// Runs `sql` through the catalog, whose table `table` is indexed at
+/// `block_rows`, and through an unindexed copy of the table (the decode
+/// path); asserts the two results are identical cell for cell.
+void ExpectTiersAgree(const Catalog& cat, const TablePtr& table,
+                      size_t block_rows, const std::string& sql) {
+  EnsureBlockIndex(table, block_rows);
+  auto compressed = ExecuteQuery(cat, sql);
+  const Table unindexed = *table;
+  auto stmt = ParseSelect(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto decode = ExecuteSelectOnTable(unindexed, *stmt);
+  ASSERT_TRUE(compressed.ok()) << sql << ": " << compressed.status().ToString();
+  ASSERT_TRUE(decode.ok()) << sql << ": " << decode.status().ToString();
+  ASSERT_EQ(compressed->num_rows(), decode->num_rows()) << sql;
+  for (size_t r = 0; r < compressed->num_rows(); ++r) {
+    for (size_t c = 0; c < compressed->num_columns(); ++c) {
+      EXPECT_EQ(compressed->GetValue(r, c).ToString(),
+                decode->GetValue(r, c).ToString())
+          << sql << " row " << r << " col " << c;
+    }
+  }
 }
 
 TablePtr MakeDoubleTable(const std::vector<Value>& values) {
@@ -65,20 +90,18 @@ TablePtr MakeDoubleTable(const std::vector<Value>& values) {
 }
 
 TEST(CompressedScanTest, PrunesBlocksOutsideThePredicateRange) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
   }
-  const ScanStats stats = ExpectCompressedMatches(t, "ia >= 13");
+  const ScanStats stats = ExpectCompressedMatches(t, 4, "ia >= 13");
   EXPECT_EQ(stats.blocks_total, 4u);
   // Blocks [0,4), [4,8), [8,12) prune; [12,16) is SOME (13..15 of 12..15).
   EXPECT_EQ(stats.blocks_pruned, 3u);
 }
 
 TEST(CompressedScanTest, PredicateExactlyAtBlockMinAndMax) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 8; ++i) {
@@ -86,105 +109,105 @@ TEST(CompressedScanTest, PredicateExactlyAtBlockMinAndMax) {
   }
   // Block 0 holds 0..3, block 1 holds 4..7. Each predicate sits exactly
   // on a zone boundary; off-by-one pruning would drop the boundary row.
-  ExpectCompressedMatches(t, "ia = 3");   // block-0 max
-  ExpectCompressedMatches(t, "ia = 4");   // block-1 min
-  ExpectCompressedMatches(t, "ia >= 7");  // global max
-  ExpectCompressedMatches(t, "ia <= 0");  // global min
-  ExpectCompressedMatches(t, "ia > 3");
-  ExpectCompressedMatches(t, "ia < 4");
+  ExpectCompressedMatches(t, 4, "ia = 3");   // block-0 max
+  ExpectCompressedMatches(t, 4, "ia = 4");   // block-1 min
+  ExpectCompressedMatches(t, 4, "ia >= 7");  // global max
+  ExpectCompressedMatches(t, 4, "ia <= 0");  // global min
+  ExpectCompressedMatches(t, 4, "ia > 3");
+  ExpectCompressedMatches(t, 4, "ia < 4");
 }
 
 TEST(CompressedScanTest, AllNullBlocksNeverMatchButCountNulls) {
-  BlockRowsGuard guard(2);
   auto t = MakeDoubleTable({Value::Null(), Value::Null(), Value::Null(),
                             Value::Null(), Value::Double(1.0),
                             Value::Double(2.0)});
-  const ScanStats stats = ExpectCompressedMatches(t, "da >= 0.0");
+  const ScanStats stats = ExpectCompressedMatches(t, 2, "da >= 0.0");
   // The two all-NULL blocks can only produce NULL: both prune.
   EXPECT_EQ(stats.blocks_total, 3u);
   EXPECT_GE(stats.blocks_pruned, 2u);
   // NOT over NULL stays NULL, so all-NULL blocks prune here too.
-  ExpectCompressedMatches(t, "NOT (da >= 0.0)");
+  ExpectCompressedMatches(t, 2, "NOT (da >= 0.0)");
 }
 
 TEST(CompressedScanTest, AllNaNBlocksFollowComparisonSemantics) {
-  BlockRowsGuard guard(2);
   auto t = MakeDoubleTable({Value::Double(kNaN), Value::Double(kNaN),
                             Value::Double(1.0), Value::Double(2.0)});
   // NaN lands in the "greater" slot of the three-way compare: it
   // satisfies != / > / >= and fails = / < / <= (DESIGN.md §11).
-  ExpectCompressedMatches(t, "da > 100.0");
-  ExpectCompressedMatches(t, "da != 1.0");
-  ExpectCompressedMatches(t, "da = 1.0");
-  const ScanStats stats = ExpectCompressedMatches(t, "da < 0.5");
+  ExpectCompressedMatches(t, 2, "da > 100.0");
+  ExpectCompressedMatches(t, 2, "da != 1.0");
+  ExpectCompressedMatches(t, 2, "da = 1.0");
+  const ScanStats stats = ExpectCompressedMatches(t, 2, "da < 0.5");
   // The all-NaN block can only produce FALSE for `<`: pruned.
   EXPECT_GE(stats.blocks_pruned, 1u);
 }
 
 TEST(CompressedScanTest, SignedZeroStraddlingBlockBoundary) {
-  BlockRowsGuard guard(2);
   // -0.0 and +0.0 compare equal, so either sign is a valid zone
   // endpoint; block 0 is all -0.0, block 1 mixes signs.
   auto t = MakeDoubleTable({Value::Double(-0.0), Value::Double(-0.0),
                             Value::Double(0.0), Value::Double(-0.0),
                             Value::Double(1.0), Value::Double(2.0)});
-  ExpectCompressedMatches(t, "da = 0.0");
-  ExpectCompressedMatches(t, "da <= 0.0");
-  ExpectCompressedMatches(t, "da < 0.0");   // nothing: -0.0 < 0.0 is false
-  ExpectCompressedMatches(t, "da >= 0.0");
-  ExpectCompressedMatches(t, "da = -0.0");  // same as = 0.0
+  ExpectCompressedMatches(t, 2, "da = 0.0");
+  ExpectCompressedMatches(t, 2, "da <= 0.0");
+  ExpectCompressedMatches(t, 2, "da < 0.0");   // nothing: -0.0 < 0.0 is false
+  ExpectCompressedMatches(t, 2, "da >= 0.0");
+  ExpectCompressedMatches(t, 2, "da = -0.0");  // same as = 0.0
 }
 
 TEST(CompressedScanTest, EmptyTableYieldsEmptySelection) {
-  BlockRowsGuard guard(4);
   auto t = MakeDoubleTable({});
-  EnsureBlockIndex(t);
+  EnsureBlockIndex(t, 4);
   auto pred = ParsePred("da > 1.0");
   ScanStats stats;
   auto compressed = CompressedFilterRows(*pred, *t, &stats);
-  ASSERT_TRUE(compressed.has_value());
-  EXPECT_TRUE(compressed->empty());
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_TRUE(compressed->has_value());
+  EXPECT_TRUE((*compressed)->empty());
   EXPECT_EQ(stats.blocks_total, 0u);
 }
 
 TEST(CompressedScanTest, ShortTailBlockIsCoveredExactly) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 10; ++i) {  // 4 + 4 + 2: tail block is short
     ASSERT_TRUE(t->AppendRow({Value::Int64(i % 3)}).ok());
   }
-  const ScanStats stats = ExpectCompressedMatches(t, "ia <= 2");
+  const ScanStats stats = ExpectCompressedMatches(t, 4, "ia <= 2");
   EXPECT_EQ(stats.blocks_total, 3u);
   // Every value satisfies the predicate: whole-block takes, tail included.
   EXPECT_EQ(stats.blocks_taken, 3u);
 }
 
-TEST(CompressedScanTest, RunAwareFilteringMatchesRowEvaluation) {
-  BlockRowsGuard guard(8);
+TEST(CompressedScanTest, UndecidedBlocksRunOnTheVm) {
   auto t = std::make_shared<Table>(
       Schema({Field{"seg", DataType::kInt64, false},
               Field{"flag", DataType::kBool, true}}));
   for (int i = 0; i < 64; ++i) {
-    // seg runs in strides of 4, flag in strides of 6: both columns keep
-    // RLE runs inside every 8-row block, but the run boundaries are
-    // misaligned, so the merged-run walk has to split segments. Every
-    // block mixes values, so blocks are SOME (not constant-take/prune).
-    const int g = i / 6;
+    // seg runs in strides of 4, flag (with NULL stretches) in strides of
+    // 5: neither lines up with the 8-row blocks or with the other, so the
+    // blocks the zone maps leave undecided mix values and NULLs, and the
+    // VM's picks are merged with pruned and taken blocks.
+    const int g = i / 5;
     ASSERT_TRUE(t->AppendRow({Value::Int64((i / 4) % 3),
                               g % 4 == 0 ? Value::Null()
                                          : Value::Bool(g % 2 == 0)})
                     .ok());
   }
-  const ScanStats stats = ExpectCompressedMatches(t, "seg = 2");
-  EXPECT_GT(stats.rows_run_skipped, 0u);
-  ExpectCompressedMatches(t, "seg >= 1 AND seg < 3");
-  ExpectCompressedMatches(t, "seg = 1 OR flag");
-  ExpectCompressedMatches(t, "NOT (seg = 1) AND flag");
+  for (const char* where :
+       {"seg = 2", "seg = 2 OR flag", "NOT (seg = 1) AND flag",
+        "seg < 1 AND NOT flag"}) {
+    const ScanStats stats = ExpectCompressedMatches(t, 8, where);
+    EXPECT_GT(stats.blocks_pruned, 0u) << where;
+    EXPECT_LT(stats.blocks_pruned + stats.blocks_taken, stats.blocks_total)
+        << where << ": no block ran on the VM";
+  }
+  const ScanStats stats = ExpectCompressedMatches(t, 8, "seg >= 1 AND seg < 3");
+  EXPECT_GT(stats.blocks_taken, 0u);
+  EXPECT_LT(stats.blocks_taken, stats.blocks_total);
 }
 
 TEST(CompressedScanTest, DeclinesShapesOutsideTheConservativeClass) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false},
               Field{"s", DataType::kString, false}}));
@@ -193,46 +216,118 @@ TEST(CompressedScanTest, DeclinesShapesOutsideTheConservativeClass) {
         t->AppendRow({Value::Int64(i), Value::String(i % 2 ? "a" : "b")})
             .ok());
   }
-  EnsureBlockIndex(t);
-  ScanStats stats;
+  EnsureBlockIndex(t, 4);
   // Arithmetic over a column, string comparisons and string columns all
   // decline — the decode path keeps its error/evaluation behavior.
-  EXPECT_FALSE(
-      CompressedFilterRows(*ParsePred("ia + 1 > 3"), *t, &stats).has_value());
-  EXPECT_FALSE(
-      CompressedFilterRows(*ParsePred("s = 'a'"), *t, &stats).has_value());
-  EXPECT_FALSE(
-      CompressedFilterRows(*ParsePred("s = 3"), *t, &stats).has_value());
+  EXPECT_TRUE(Declines(*t, "ia + 1 > 3"));
+  EXPECT_TRUE(Declines(*t, "s = 'a'"));
+  EXPECT_TRUE(Declines(*t, "s = 3"));
+  // A predicate the zone maps cannot decide for any block declines too:
+  // the VM over every row is then the whole scan.
+  EXPECT_TRUE(Declines(*t, "ia = 1 OR ia = 5"));
 }
 
 TEST(CompressedScanTest, DeclinesWithoutARegisteredIndex) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
   }
-  ScanStats stats;
-  EXPECT_FALSE(
-      CompressedFilterRows(*ParsePred("ia > 3"), *t, &stats).has_value());
+  EXPECT_TRUE(Declines(*t, "ia > 3"));
   // After registration it engages; after mutation the index is stale and
   // it declines again until re-registered.
-  EnsureBlockIndex(t);
-  EXPECT_TRUE(
-      CompressedFilterRows(*ParsePred("ia > 3"), *t, &stats).has_value());
+  EnsureBlockIndex(t, 4);
+  EXPECT_FALSE(Declines(*t, "ia > 3"));
   ASSERT_TRUE(t->AppendRow({Value::Int64(99)}).ok());
-  EXPECT_FALSE(
-      CompressedFilterRows(*ParsePred("ia > 3"), *t, &stats).has_value());
+  EXPECT_TRUE(Declines(*t, "ia > 3"));
+}
+
+TEST(CompressedScanTest, EnsureKeepsACurrentIndexWhateverItsBlockSize) {
+  auto t = std::make_shared<Table>(
+      Schema({Field{"ia", DataType::kInt64, false}}));
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
+  }
+  const auto small = EnsureBlockIndex(t, 8);
+  ASSERT_NE(small, nullptr);
+  EXPECT_EQ(small->num_blocks, 4u);
+  // The executor asks at the production size and is served the current
+  // index; only a data change forces a rebuild, at the size asked for.
+  EXPECT_EQ(EnsureBlockIndex(t), small);
+  ASSERT_TRUE(t->AppendRow({Value::Int64(32)}).ok());
+  const auto rebuilt = EnsureBlockIndex(t);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(rebuilt->block_rows, kDefaultBlockRows);
+  EXPECT_EQ(rebuilt->num_blocks, 1u);
+}
+
+/// A LOFAR-shaped table: a prefix sorted by source, then a tail of
+/// random sources, as after appends to an archive. A point read on
+/// (source, wavelength) prunes the prefix blocks that cannot hold the
+/// source and runs the rest on the VM.
+TEST(CompressedScanTest, LofarShapedPointReadPrunesAndRunsTheRestOnTheVm) {
+  constexpr int kSources = 100;
+  constexpr int kPrefixRows = 20000;
+  constexpr int kTailRows = 10000;
+  const double kBands[] = {0.12, 0.15, 0.16, 0.18};
+  auto t = std::make_shared<Table>(
+      Schema({Field{"source", DataType::kInt64, false},
+              Field{"wavelength", DataType::kDouble, false},
+              Field{"intensity", DataType::kDouble, false}}));
+  Rng rng(20150104);
+  for (int i = 0; i < kPrefixRows + kTailRows; ++i) {
+    const int64_t source = i < kPrefixRows
+                               ? int64_t{i} * kSources / kPrefixRows
+                               : rng.UniformInt(0, kSources - 1);
+    ASSERT_TRUE(t->AppendRow({Value::Int64(source),
+                              Value::Double(kBands[rng.UniformInt(0, 3)]),
+                              Value::Double(rng.Uniform(0.0, 10.0))})
+                    .ok());
+  }
+  EnsureBlockIndex(t);
+  auto pred = ParsePred("source = 42 AND wavelength = 0.15");
+  Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
+  const uint64_t compiled_before = compiled->value();
+  ScanStats stats;
+  std::string disassembly;
+  auto compressed = CompressedFilterRows(*pred, *t, &stats, &disassembly);
+  EXPECT_EQ(compiled->value(), compiled_before + 1);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_TRUE(compressed->has_value());
+  auto reference = FilterRows(*pred, *t);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(**compressed, *reference);
+  EXPECT_FALSE(reference->empty());
+  EXPECT_GT(stats.blocks_pruned, 0u);
+  EXPECT_LT(stats.blocks_pruned, stats.blocks_total);
+  EXPECT_EQ(stats.blocks_taken, 0u);
+  EXPECT_NE(disassembly.find("cmpeq.f64"), std::string::npos) << disassembly;
+}
+
+TEST(CompressedScanTest, PreCanceledQueryReturnsCanceledInsteadOfDeclining) {
+  auto t = std::make_shared<Table>(
+      Schema({Field{"ia", DataType::kInt64, false}}));
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
+  }
+  EnsureBlockIndex(t, 4);
+  auto pred = ParsePred("ia >= 13");
+  QueryContext ctx{ResourceLimits{}};
+  ctx.Cancel();
+  ScanStats stats;
+  const auto result =
+      ctx.Run([&] { return CompressedFilterRows(*pred, *t, &stats); });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCanceled);
 }
 
 TEST(CompressedScanTest, NullLiteralComparisonSelectsNothing) {
-  BlockRowsGuard guard(4);
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false}}));
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
   }
-  const ScanStats stats = ExpectCompressedMatches(t, "ia = NULL");
+  const ScanStats stats = ExpectCompressedMatches(t, 4, "ia = NULL");
   // Every block's result set is {NULL}: all pruned.
   EXPECT_EQ(stats.blocks_pruned, stats.blocks_total);
 }
@@ -248,7 +343,6 @@ std::vector<const Expr*> AggNodes(const SelectStatement& stmt) {
 }
 
 TEST(CompressedScanTest, EncodedAggregateMatchesRowSweep) {
-  BlockRowsGuard guard(8);
   Catalog cat;
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false},
@@ -260,35 +354,24 @@ TEST(CompressedScanTest, EncodedAggregateMatchesRowSweep) {
                     .ok());
   }
   cat.RegisterOrReplace("t", t);
-  const std::string sql =
-      "SELECT COUNT(*), COUNT(da), SUM(ia), AVG(da), MIN(da), MAX(ia) "
-      "FROM t";
-  SetGlobalScanEngine(ScanEngine::kCompressed);
-  auto compressed = ExecuteQuery(cat, sql);
-  SetGlobalScanEngine(ScanEngine::kDecode);
-  auto decode = ExecuteQuery(cat, sql);
-  SetGlobalScanEngine(ScanEngine::kCompressed);
-  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
-  ASSERT_TRUE(decode.ok()) << decode.status().ToString();
-  ASSERT_EQ(compressed->num_rows(), 1u);
-  for (size_t c = 0; c < compressed->num_columns(); ++c) {
-    EXPECT_EQ(compressed->GetValue(0, c).ToString(),
-              decode->GetValue(0, c).ToString())
-        << "column " << c;
-  }
+  Counter* encoded = MetricsRegistry::Global().GetCounter("scan.encoded_agg");
+  const uint64_t encoded_before = encoded->value();
+  ExpectTiersAgree(cat, t, 8,
+                   "SELECT COUNT(*), COUNT(da), SUM(ia), AVG(da), MIN(da), "
+                   "MAX(ia) FROM t");
+  EXPECT_EQ(encoded->value(), encoded_before + 1);
 }
 
 TEST(CompressedScanTest, EncodedAggregateGuardsAndDeclines) {
-  BlockRowsGuard guard(8);
   auto fractional = MakeDoubleTable(
       {Value::Double(0.5), Value::Double(1.5), Value::Double(2.0)});
   auto nan_holding = MakeDoubleTable(
       {Value::Double(1.0), Value::Double(kNaN), Value::Double(2.0)});
   auto huge = MakeDoubleTable(
       {Value::Double(9.1e15), Value::Double(9.2e15)});  // > 2^53 magnitude
-  EnsureBlockIndex(fractional);
-  EnsureBlockIndex(nan_holding);
-  EnsureBlockIndex(huge);
+  EnsureBlockIndex(fractional, 8);
+  EnsureBlockIndex(nan_holding, 8);
+  EnsureBlockIndex(huge, 8);
 
   auto stmt = ParseSelect("SELECT SUM(da) FROM t");
   ASSERT_TRUE(stmt.ok());
@@ -314,7 +397,6 @@ TEST(CompressedScanTest, EncodedAggregateGuardsAndDeclines) {
 }
 
 TEST(CompressedScanTest, EndToEndMatchesDecodeOnMixedQueries) {
-  BlockRowsGuard guard(8);
   Catalog cat;
   auto t = std::make_shared<Table>(
       Schema({Field{"ia", DataType::kInt64, false},
@@ -339,21 +421,7 @@ TEST(CompressedScanTest, EndToEndMatchesDecodeOnMixedQueries) {
       "SELECT COUNT(*), SUM(ia), MIN(ia), MAX(ia) FROM t",
   };
   for (const std::string& sql : queries) {
-    SetGlobalScanEngine(ScanEngine::kCompressed);
-    auto compressed = ExecuteQuery(cat, sql);
-    SetGlobalScanEngine(ScanEngine::kDecode);
-    auto decode = ExecuteQuery(cat, sql);
-    SetGlobalScanEngine(ScanEngine::kCompressed);
-    ASSERT_TRUE(compressed.ok()) << sql << ": " << compressed.status().ToString();
-    ASSERT_TRUE(decode.ok()) << sql << ": " << decode.status().ToString();
-    ASSERT_EQ(compressed->num_rows(), decode->num_rows()) << sql;
-    for (size_t r = 0; r < compressed->num_rows(); ++r) {
-      for (size_t c = 0; c < compressed->num_columns(); ++c) {
-        EXPECT_EQ(compressed->GetValue(r, c).ToString(),
-                  decode->GetValue(r, c).ToString())
-            << sql << " row " << r << " col " << c;
-      }
-    }
+    ExpectTiersAgree(cat, t, 8, sql);
   }
 }
 

@@ -64,8 +64,8 @@ TEST(EnvTest, ParseFlagValueSemantics) {
 /// Every integer LAWS_* knob must survive a malformed value by falling
 /// back to its default instead of silently misreading it.
 TEST(EnvTest, MalformedIntegerKnobsFallBackToDefault) {
-  const char* knobs[] = {"LAWS_THREADS", "LAWS_SCAN_BLOCK_ROWS",
-                         "LAWS_QUERY_TIMEOUT_MS", "LAWS_QUERY_MEMBUDGET_MB"};
+  const char* knobs[] = {"LAWS_THREADS", "LAWS_QUERY_TIMEOUT_MS",
+                         "LAWS_QUERY_MEMBUDGET_MB"};
   const char* malformed[] = {"junk", "4096abc", " 8", "1e3", "0x10",
                              "99999999999999999999"};
   for (const char* knob : knobs) {
@@ -89,7 +89,7 @@ TEST(EnvTest, MalformedIntegerKnobsFallBackToDefault) {
 /// Flag knobs: "0"/"false"/"off" disable, anything else non-empty
 /// enables, unset keeps the default.
 TEST(EnvTest, FlagKnobSemanticsPerKnob) {
-  const char* knobs[] = {"LAWS_SCAN_DECODE", "LAWS_TRACE"};
+  const char* knobs[] = {"LAWS_TRACE"};
   for (const char* knob : knobs) {
     ASSERT_EQ(setenv(knob, "0", 1), 0);
     EXPECT_FALSE(EnvFlag(knob, true)) << knob;

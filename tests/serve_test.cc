@@ -46,18 +46,6 @@ bool TablesEqual(const Table& a, const Table& b) {
   return true;
 }
 
-/// Pins the scan block size for a test and restores it afterwards.
-class BlockRowsGuard {
- public:
-  explicit BlockRowsGuard(size_t rows) : prev_(ScanBlockRows()) {
-    SetScanBlockRows(rows);
-  }
-  ~BlockRowsGuard() { SetScanBlockRows(prev_); }
-
- private:
-  size_t prev_;
-};
-
 ServerOptions QuietOptions() {
   ServerOptions options;
   options.max_inflight_queries = 64;
@@ -201,6 +189,34 @@ TEST(ServerTest, SessionLifecycleAndPerSessionMetrics) {
   EXPECT_EQ(server.open_sessions(), 0u);
   auto closed = session->ExecuteSql("SELECT COUNT(*) FROM t");
   EXPECT_EQ(closed.status().code(), StatusCode::kAborted);
+}
+
+/// Unlabelled sessions share `session.anonymous.*`, so connect/close
+/// churn leaves the metrics registry the size it had after the first
+/// cycle instead of registering three counters and a histogram per
+/// connection.
+TEST(ServerTest, AnonymousSessionsDoNotGrowTheMetricsRegistry) {
+  Server server(QuietOptions());
+  auto admin = *server.Connect("admin");
+  ASSERT_TRUE(admin->CreateTable("t", MakeNumericTable(16)).ok());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto registry_size = [&] {
+    return registry.CounterSamples().size() +
+           registry.HistogramSamples().size();
+  };
+  Counter* queries = registry.GetCounter("session.anonymous.queries");
+  const uint64_t queries_before = queries->value();
+  constexpr int kCycles = 10000;
+  size_t after_first = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    auto session = *server.Connect();
+    ASSERT_EQ(session->name(), "s" + std::to_string(session->id()));
+    ASSERT_TRUE(session->ExecuteSql("SELECT COUNT(*) FROM t").ok());
+    session->Close();
+    if (i == 0) after_first = registry_size();
+  }
+  EXPECT_EQ(registry_size(), after_first);
+  EXPECT_EQ(queries->value() - queries_before, uint64_t{kCycles});
 }
 
 TEST(ServerTest, SessionCapIsExact) {
@@ -492,13 +508,12 @@ TEST(ServerTest, ConcurrentSessionsMatchSerialReplay) {
 // tools/check_serving.sh and tools/check_tsan.sh) ------------------------
 
 TEST(BlockIndexCacheTest, DroppedTablesAreEvictedAndCounted) {
-  BlockRowsGuard guard(32);
   Counter* evictions =
       MetricsRegistry::Global().GetCounter("scan.index_evictions");
   auto keep = std::make_shared<Table>(MakeNumericTable(128));
   auto dead = std::make_shared<Table>(MakeNumericTable(128));
-  ASSERT_NE(EnsureBlockIndex(keep), nullptr);
-  ASSERT_NE(EnsureBlockIndex(dead), nullptr);
+  ASSERT_NE(EnsureBlockIndex(keep, 32), nullptr);
+  ASSERT_NE(EnsureBlockIndex(dead, 32), nullptr);
   const size_t size_before = BlockIndexCacheSize();
   ASSERT_GE(size_before, 2u);
   const uint64_t evicted_before = evictions->value();
@@ -513,24 +528,21 @@ TEST(BlockIndexCacheTest, DroppedTablesAreEvictedAndCounted) {
 }
 
 TEST(BlockIndexCacheTest, LookupsEvictExpiredEntriesEagerly) {
-  BlockRowsGuard guard(32);
   auto dead = std::make_shared<Table>(MakeNumericTable(64));
-  ASSERT_NE(EnsureBlockIndex(dead), nullptr);
+  ASSERT_NE(EnsureBlockIndex(dead, 32), nullptr);
   dead.reset();
   // Any subsequent lookup purges expired entries as a side effect, so a
   // long-lived server that dropped a table cannot pin its index.
   auto live = std::make_shared<Table>(MakeNumericTable(64));
-  ASSERT_NE(EnsureBlockIndex(live), nullptr);
+  ASSERT_NE(EnsureBlockIndex(live, 32), nullptr);
   EXPECT_EQ(BlockIndexCacheSize(), 1u);
 }
 
-/// The TOCTOU regression: EnsureBlockIndex must read the block-size flag
-/// once — every index it returns has internally consistent geometry even
-/// while another thread flips SetScanBlockRows, and concurrent drops /
-/// purges never leave a dangling entry. Run under TSan for the memory
-/// model half of the claim.
+/// Concurrent builders asking for different block sizes, table churn
+/// and purges: every index EnsureBlockIndex or FindBlockIndex returns has
+/// internally consistent geometry, and drops never leave a dangling
+/// entry. Run under TSan for the memory model half of the claim.
 TEST(BlockIndexCacheTest, ConcurrentEnsureResizeDropPurgeStaysConsistent) {
-  BlockRowsGuard guard(64);
   auto stable = std::make_shared<Table>(MakeNumericTable(1000));
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
@@ -547,29 +559,21 @@ TEST(BlockIndexCacheTest, ConcurrentEnsureResizeDropPurgeStaysConsistent) {
   };
 
   std::vector<std::thread> threads;
-  // Builders/lookups on the shared table.
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&] {
+  // Builders/lookups on the shared table, each asking for its own block
+  // size; whichever builds first serves both.
+  for (size_t block_rows : {64, 128}) {
+    threads.emplace_back([&, block_rows] {
       while (!stop.load()) {
-        check_geometry(EnsureBlockIndex(stable));
+        check_geometry(EnsureBlockIndex(stable, block_rows));
         check_geometry(FindBlockIndex(*stable));
       }
     });
   }
-  // The block-size flipper (the racing SetScanBlockRows of the issue).
-  threads.emplace_back([&] {
-    size_t rows = 64;
-    while (!stop.load()) {
-      rows = (rows == 64) ? 128 : 64;
-      SetScanBlockRows(rows);
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
   // Table churn: create, index, destroy — racing the purger below.
   threads.emplace_back([&] {
     while (!stop.load()) {
       auto t = std::make_shared<Table>(MakeNumericTable(300));
-      check_geometry(EnsureBlockIndex(t));
+      check_geometry(EnsureBlockIndex(t, 64));
       t.reset();
     }
   });

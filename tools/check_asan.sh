@@ -11,11 +11,13 @@
 # 1-3) and differential_test (every sweep query runs on the VM across the
 # tier matrix), so out-of-bounds lane access in the register VM fails
 # this gate. The compressed scan
-# tier rides the same suite: compressed_scan_test walks zone maps and RLE
-# runs directly, and differential_test's matrix executes every sweep
-# query through the compressed tier at an 8-row block size, so overreads
-# in block slicing, run merging, or the encoded aggregate folds fail
-# sanitized here too.
+# tier rides the same suite: compressed_scan_test drives zone maps and the
+# VM over the blocks they leave undecided directly, and
+# differential_test's matrix executes every sweep query through the
+# compressed tier over tables indexed at 8-row blocks, so overreads in
+# block slicing, the range-limited VM pass, the merge of taken and
+# evaluated blocks, or the encoded aggregate folds fail sanitized here
+# too.
 #
 # Usage: tools/check_asan.sh [ctest-args...]
 #   LAWS_ASAN_BUILD_DIR  override the build tree (default: build-asan)

@@ -10,7 +10,8 @@
 #   LAWS_COV_JOBS       parallel build jobs (default: nproc)
 #   LAWS_COV_MIN        fail if total line coverage (%) falls below this
 #   LAWS_COV_BYTECODE_MIN  per-file floor (%) for the correctness-critical
-#                          scan/expression tiers (src/query/bytecode* +
+#                          expression engine and zone-map scan
+#                          (src/query/bytecode* +
 #                          vector_eval* + compressed_scan* +
 #                          query_context*, src/compress/block_store*,
 #                          src/common/governor*, src/storage/grouping*,
@@ -84,9 +85,9 @@ for d in sorted(by_dir):
 pct = 100.0 * tot_cov / tot_all
 print(f"{'TOTAL':<24} {tot_cov:>9} {tot_all:>9} {pct:>6.1f}%")
 
-# Per-file floor for the compiled expression tier and the compressed scan
-# tier: wrong bytecode or wrong pruning means silently wrong query
-# answers, so their sources carry their own gate.
+# Per-file floor for the bytecode VM and the zone maps in front of it:
+# wrong bytecode or wrong pruning means silently wrong query answers, so
+# their sources carry their own gate.
 failed = False
 for rel in sorted(lines):
     base = os.path.basename(rel)

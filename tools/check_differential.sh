@@ -3,13 +3,12 @@
 #
 #  1. Sweep: builds the suite under ASan+UBSan and runs the seeded
 #     generator sweep — every query executed across the executor tier
-#     matrix (bytecode @1 thread on the decode path, the reference, then
-#     bytecode @default width and the compressed scan tier at both
-#     widths at a tiny block size) and by the row-at-a-time reference
-#     oracle, diffed for bit identity, plus the AQP error-bound audit.
-#     Any divergence is shrunk and printed with its replay seed. The
-#     sweep then repeats with LAWS_SCAN_DECODE=1 so the env toggle's
-#     forced-fallback path is itself exercised end to end.
+#     matrix (bytecode @1 thread on the decode path over unindexed
+#     tables, the reference, then bytecode @default width and the
+#     compressed scan tier at both widths over tables indexed at a tiny
+#     block size) and by the row-at-a-time reference oracle, diffed for
+#     bit identity, plus the AQP error-bound audit. Any divergence is
+#     shrunk and printed with its replay seed.
 #  2. Mutation smoke: rebuilds with -DLAWS_TESTING_INJECT_BUG=ON (a
 #     guarded off-by-one in the hash-aggregate sweep, a dropped last
 #     lane in the bytecode f64 adder, a one-ulp shrink of every
@@ -43,10 +42,6 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
 echo "== differential sweep: $QUERIES queries under ASan/UBSan =="
 LAWS_FUZZ_QUERIES="$QUERIES" "$BUILD_DIR/tests/differential_test"
-
-echo "== differential sweep again with LAWS_SCAN_DECODE=1 (compressed tier off) =="
-LAWS_SCAN_DECODE=1 LAWS_FUZZ_QUERIES="$QUERIES" \
-  "$BUILD_DIR/tests/differential_test"
 
 echo "== mutation smoke: injected aggregate + bytecode + zone-map + harvest + top-k + grouping bugs must be caught =="
 cmake -B "$MUTANT_DIR" -S . -DLAWS_TESTING_INJECT_BUG=ON \

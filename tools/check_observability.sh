@@ -13,12 +13,12 @@
 #     query (with an arithmetic predicate the compressed tier declines)
 #     renders the compiled bytecode program and the `expr:` counter
 #     line;
-#  5. the compressed scan tier (DESIGN.md §14) is visible: with a small
-#     block size a selective filter on the clustered source column shows
-#     a `zonescan:` Filter detail with pruned blocks, the `scan:` line
-#     reports engine=compressed with nonzero pruning, the scan.* counters
-#     appear in `metrics`, and LAWS_SCAN_DECODE=1 flips the surface back
-#     to engine=decode with no zonescan details.
+#  5. the compressed scan tier (DESIGN.md §14) is visible: on a table of
+#     several 4096-row blocks whose prefix is sorted by source, a
+#     selective filter on source shows a `zonescan:` Filter detail with
+#     pruned blocks followed by the program the VM ran over the rest, the
+#     `scan:` line reports nonzero pruning, and the scan.* counters
+#     appear in `metrics`.
 #
 # Usage: tools/check_observability.sh
 #   LAWS_OBS_BUILD_DIR  override the build tree (default: build)
@@ -98,35 +98,27 @@ grep -q 'cmpgt.f64' <<<"$out" || fail "predicate program missing cmpgt.f64"
 grep -Eq 'expr: compiled=[1-9][0-9]* batches=[0-9]+' <<<"$out" \
   || fail "no expr: compiled=N batches=N accounting line"
 
-# 5a. Compressed scan tier: force many small blocks so the clustered
-#     `source` column actually gets pruned, and assert the whole surface:
-#     per-span zonescan detail, the scan: summary line, and the counters.
+# 5. Compressed scan tier: `gen lofar 5000 60000` puts a 40,000-row
+#    prefix sorted by source in front of an interleaved tail, so the
+#    source column's zone maps prune most prefix blocks, and the VM runs
+#    over the blocks they leave undecided. Assert the whole surface:
+#    per-span zonescan detail and its program, the scan: summary line, and
+#    the counters.
 scan_out="$(printf '%s\n' \
-  'gen lofar 100 4000' \
+  'gen lofar 5000 60000' \
   'explain analyze SELECT COUNT(*) FROM measurements WHERE source = 1' \
   'metrics' \
-  'quit' | LAWS_SCAN_BLOCK_ROWS=64 "$BUILD_DIR/examples/lawsdb_shell")"
-grep -Eq 'zonescan: blocks=[0-9]+ pruned=[1-9]' <<<"$scan_out" \
-  || { out="$scan_out"; fail "no zonescan Filter detail with pruned blocks"; }
-grep -Eq 'scan: engine=compressed blocks=[0-9]+ pruned=[1-9]' <<<"$scan_out" \
+  'quit' | "$BUILD_DIR/examples/lawsdb_shell")"
+grep -Eq 'zonescan: blocks=[0-9]+ pruned=[1-9][0-9]* taken=[0-9]+ \| bytecode: ' \
+  <<<"$scan_out" \
+  || { out="$scan_out"; fail "no zonescan Filter detail with pruned blocks and the VM's program"; }
+grep -Eq 'scan: blocks=[0-9]+ pruned=[1-9][0-9]* encoded_agg=[0-9]+' \
+  <<<"$scan_out" \
   || { out="$scan_out"; fail "scan: line missing or reports zero pruning"; }
 grep -Eq 'scan\.blocks_pruned +[1-9]' <<<"$scan_out" \
   || { out="$scan_out"; fail "scan.blocks_pruned counter not reported"; }
 grep -Eq 'scan\.index_builds +[1-9]' <<<"$scan_out" \
   || { out="$scan_out"; fail "scan.index_builds counter not reported"; }
-
-# 5b. The escape hatch: LAWS_SCAN_DECODE=1 must force the decode path —
-#     engine=decode on the scan: line and no zonescan span details.
-dec_out="$(printf '%s\n' \
-  'gen lofar 100 4000' \
-  'explain analyze SELECT COUNT(*) FROM measurements WHERE source = 1' \
-  'quit' | LAWS_SCAN_DECODE=1 LAWS_SCAN_BLOCK_ROWS=64 \
-  "$BUILD_DIR/examples/lawsdb_shell")"
-grep -q 'scan: engine=decode' <<<"$dec_out" \
-  || { out="$dec_out"; fail "LAWS_SCAN_DECODE=1 did not force decode"; }
-if grep -q 'zonescan: ' <<<"$dec_out"; then
-  out="$dec_out"; fail "decode mode still produced zonescan details"
-fi
 
 echo "Observability gate passed: EXPLAIN ANALYZE (model + exact + bytecode" \
      "tier + compressed scans) and metrics OK."

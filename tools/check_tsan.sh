@@ -7,17 +7,17 @@
 # Expression-engine state under test here: per-thread VM scratch is
 # thread_local and the expr.* metrics counters are the registry's
 # atomics — differential_test runs the VM on pool lanes at
-# LAWS_THREADS>1, so a race in either surfaces in this gate. Compressed-scan state is exercised the same way:
-# the scan-engine toggle and block-rows knob are atomics, the scan.*
-# counters are registry atomics, and the shared block-index cache is
-# mutex-guarded — differential_test flips engines and block sizes while
-# registering indexes, so a race in the cache or counters surfaces here.
+# LAWS_THREADS>1, so a race in either surfaces in this gate. Compressed-scan
+# state is exercised the same way: the scan.* counters are registry
+# atomics and the shared block-index cache is mutex-guarded —
+# differential_test registers indexes and runs the compressed tier on
+# pool lanes, so a race in the cache or counters surfaces here.
 #
 # The serving layer rides in serve_test: concurrent sessions pin
 # snapshots while writers copy-and-swap commits, the admission gate's
 # condvar hands slots across threads, session interrupts land from
-# foreign threads, and the block-index cache races builds, lookups,
-# SetScanBlockRows flips and purges — all instrumented here.
+# foreign threads, and the block-index cache races builds at two block
+# sizes, lookups, table drops and purges — all instrumented here.
 #
 # Usage: tools/check_tsan.sh [ctest-args...]
 #   LAWS_TSAN_BUILD_DIR  override the build tree (default: build-tsan)
