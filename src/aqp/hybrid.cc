@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "common/governor.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -207,48 +206,33 @@ Result<std::string> HybridQueryEngine::ExplainAnalyze(
     const std::string& sql) const {
   TraceSink sink;
   Timer total;
-  const ExplainCounterLines counters;
-  Counter* harvest_rows =
-      MetricsRegistry::Global().GetCounter("learn.harvest.rows");
-  Counter* drift_detected =
-      MetricsRegistry::Global().GetCounter("learn.drift.detected");
-  Counter* drift_rejected =
-      MetricsRegistry::Global().GetCounter("learn.drift.rejected");
-  const uint64_t harvest_rows0 = harvest_rows->value();
-  const uint64_t drift_detected0 = drift_detected->value();
-  const uint64_t drift_rejected0 = drift_rejected->value();
-  LAWS_ASSIGN_OR_RETURN(HybridAnswer answer, Execute(sql));
-  std::string out = sink.Render();
-  out += counters.Render();
-  char buf[160];
+  Result<HybridAnswer> answer = Execute(sql);
+  const double millis = total.ElapsedMillis();
+  char learning[160];
   std::snprintf(
-      buf, sizeof(buf),
+      learning, sizeof(learning),
       "learning: state=%s harvested_rows=%llu drift_flagged=%llu "
       "drift_rejected=%llu\n",
       options_.learner != nullptr && options_.learner->enabled() ? "on"
                                                                  : "off",
-      static_cast<unsigned long long>(harvest_rows->value() - harvest_rows0),
-      static_cast<unsigned long long>(drift_detected->value() -
-                                      drift_detected0),
-      static_cast<unsigned long long>(drift_rejected->value() -
-                                      drift_rejected0));
-  out += buf;
-  if (QueryGovernor* gov = QueryGovernor::Current()) {
-    out += gov->DescribeLine();
-  }
-  std::snprintf(buf, sizeof(buf), "%zu row%s in %.3f ms\n",
-                answer.table.num_rows(),
-                answer.table.num_rows() == 1 ? "" : "s", total.ElapsedMillis());
-  out += buf;
-  out += "answered by: " + answer.method;
-  if (answer.degraded) {
-    out += " (degraded: exact path stopped by " + answer.fallback_reason +
-           ", error bound +/-" + FormatDouble(answer.error_bound, 6) + ")";
-  } else if (answer.approximate) {
+      static_cast<unsigned long long>(sink.Credited("learn.harvest.rows")),
+      static_cast<unsigned long long>(sink.Credited("learn.drift.detected")),
+      static_cast<unsigned long long>(sink.Credited("learn.drift.rejected")));
+  LAWS_ASSIGN_OR_RETURN(
+      std::string out,
+      RenderExplainAnalyze(sink, answer.status(),
+                           answer.ok() ? answer->table.num_rows() : 0, millis,
+                           learning));
+  if (!answer.ok()) return out;
+  out += "answered by: " + answer->method;
+  if (answer->degraded) {
+    out += " (degraded: exact path stopped by " + answer->fallback_reason +
+           ", error bound +/-" + FormatDouble(answer->error_bound, 6) + ")";
+  } else if (answer->approximate) {
     out += " (approximate, error bound +/-" +
-           FormatDouble(answer.error_bound, 6) + ")";
-  } else if (!answer.fallback_reason.empty()) {
-    out += " (" + answer.fallback_reason + ")";
+           FormatDouble(answer->error_bound, 6) + ")";
+  } else if (!answer->fallback_reason.empty()) {
+    out += " (" + answer->fallback_reason + ")";
   }
   out += '\n';
   return out;

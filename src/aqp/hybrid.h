@@ -61,10 +61,12 @@ class HybridQueryEngine {
   Result<HybridAnswer> Execute(const std::string& sql) const;
 
   /// EXPLAIN ANALYZE through the hybrid engine: executes the statement
-  /// under a TraceSink and renders the measured per-stage tree — the
+  /// under a TraceSink and renders it with RenderExplainAnalyze — the
   /// HybridDecision span carries the arbitration outcome (model id,
   /// quality and error bound on a hit; the fallback reason otherwise) —
-  /// followed by total time and an "answered by:" decision line.
+  /// adding a "learning:" line of the query's own harvest and drift
+  /// counts and, when the query finished, an "answered by:" decision
+  /// line. A query a governor limit stopped renders its partial tree.
   Result<std::string> ExplainAnalyze(const std::string& sql) const;
 
  private:

@@ -16,16 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void CollectColumns(const Expr& expr, std::vector<std::string>* out) {
-  if (expr.kind == ExprKind::kColumnRef) {
-    for (const auto& c : *out) {
-      if (EqualsIgnoreCase(c, expr.column_name)) return;
-    }
-    out->push_back(expr.column_name);
-  }
-  for (const auto& c : expr.children) CollectColumns(*c, out);
-}
-
 void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
   if (e == nullptr) return;
   if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
@@ -123,18 +113,6 @@ std::map<std::string, std::pair<double, double>> ExtractRangeConstraints(
   return ranges;
 }
 
-std::vector<std::string> ReferencedColumns(const SelectStatement& stmt) {
-  std::vector<std::string> out;
-  for (const SelectItem& item : stmt.select_list) {
-    if (!item.is_star) CollectColumns(*item.expr, &out);
-  }
-  if (stmt.where != nullptr) CollectColumns(*stmt.where, &out);
-  for (const auto& g : stmt.group_by) CollectColumns(*g, &out);
-  if (stmt.having != nullptr) CollectColumns(*stmt.having, &out);
-  for (const auto& k : stmt.order_by) CollectColumns(*k.expr, &out);
-  return out;
-}
-
 void ModelQueryEngine::AttachLegalFilter(uint64_t model_id,
                                          LegalCombinationFilter filter) {
   legal_filters_.emplace(model_id, std::move(filter));
@@ -197,28 +175,7 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
     Vector params;
     double half_width;  // 95% prediction-interval half-width
   };
-  // t-based half-width for a group with n observations and p parameters;
-  // degrades to the raw RSE when the t machinery does not apply. The
-  // t-quantile is memoized by degrees of freedom — groups share a handful
-  // of df values, and the quantile inversion is far too slow to repeat
-  // tens of thousands of times.
   const size_t p = fn->num_parameters();
-  std::map<size_t, double> t_cache;
-  auto pi_half_width = [&](double rse, size_t n_obs) {
-    if (n_obs <= p) return rse;
-    const size_t df = n_obs - p;
-    // The t distribution is within half a percent of normal by df ~ 200;
-    // skip the quantile inversion there.
-    if (df >= 200) return 1.96 * rse;
-    auto it = t_cache.find(df);
-    if (it == t_cache.end()) {
-      it = t_cache
-               .emplace(df, StudentTQuantile(0.975,
-                                             static_cast<double>(df)))
-               .first;
-    }
-    return it->second * rse;
-  };
   std::vector<GroupEntry> groups;
   if (model.grouped) {
     const Table& pt = model.parameter_table;
@@ -234,16 +191,16 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
       e.key = key;
       e.params.resize(p);
       for (size_t j = 0; j < p; ++j) e.params[j] = pt.column(j + 1).DoubleAt(r);
-      e.half_width =
-          pi_half_width(pt.column(rse_idx).DoubleAt(r),
-                        static_cast<size_t>(pt.column(n_idx).Int64At(r)));
+      e.half_width = PredictionHalfWidth95(
+          pt.column(rse_idx).DoubleAt(r),
+          static_cast<size_t>(pt.column(n_idx).Int64At(r)), p);
       groups.push_back(std::move(e));
     }
   } else {
-    groups.push_back(
-        GroupEntry{0, model.parameters,
-                   pi_half_width(model.quality.residual_standard_error,
-                                 model.quality.n_observations)});
+    groups.push_back(GroupEntry{
+        0, model.parameters,
+        PredictionHalfWidth95(model.quality.residual_standard_error,
+                              model.quality.n_observations, p)});
   }
 
   // --- Input axes ----------------------------------------------------------

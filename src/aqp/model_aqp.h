@@ -95,9 +95,6 @@ class ModelQueryEngine {
 std::map<std::string, std::pair<double, double>> ExtractRangeConstraints(
     const Expr* where);
 
-/// Collects the column names referenced anywhere in a statement.
-std::vector<std::string> ReferencedColumns(const SelectStatement& stmt);
-
 }  // namespace laws
 
 #endif  // LAWSDB_AQP_MODEL_AQP_H_

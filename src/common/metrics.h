@@ -10,6 +10,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/trace.h"
+
 namespace laws {
 
 /// Process-wide observability registry: named monotonic counters and
@@ -19,21 +21,28 @@ namespace laws {
 /// the shell's `metrics` command, EXPLAIN ANALYZE, and the BENCH_*.json
 /// counter fields.
 ///
-/// Cost model: counters are always on (one relaxed fetch_add; hot loops
-/// batch into locals and add once per phase). Histograms take a per-
-/// histogram mutex and are recorded only on low-frequency paths (per
-/// query, per save/load, per ParallelFor) or inside trace-gated spans —
-/// see trace.h for the LAWS_TRACE gate that keeps per-stage timing at
-/// near-zero cost when disabled.
+/// Cost model: counters are always on (one relaxed fetch_add and one
+/// thread-local load; hot loops batch into locals and add once per
+/// phase). Histograms take a per-histogram mutex and are recorded only on
+/// low-frequency paths (per query, per save/load, per ParallelFor) or
+/// inside trace-gated spans — see trace.h for the LAWS_TRACE gate that
+/// keeps per-stage timing at near-zero cost when disabled.
 ///
 /// Lookup discipline: GetCounter/GetHistogram return stable pointers
 /// (entries are never erased; ResetAll zeroes values in place), so hot
 /// call sites cache the pointer in a function-local static.
 
-/// A monotonically increasing counter. Thread-safe, relaxed ordering.
+/// A monotonically increasing counter. Thread-safe, relaxed ordering. An
+/// Add made on a thread with an installed TraceSink (trace.h) also credits
+/// that sink, which is how EXPLAIN ANALYZE reports one query's counts
+/// while other sessions run; without a sink that costs one thread-local
+/// load.
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    if (TraceSink* sink = TraceSink::Current()) sink->Credit(this, n);
+  }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 

@@ -13,8 +13,6 @@ bool TraceEnabledFromEnv() { return EnvFlag("LAWS_TRACE", false); }
 
 std::atomic<bool> g_trace_enabled{TraceEnabledFromEnv()};
 
-thread_local TraceSink* t_current_sink = nullptr;
-
 }  // namespace
 
 bool TraceEnabled() {
@@ -25,11 +23,18 @@ void SetTraceEnabled(bool enabled) {
   g_trace_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-TraceSink::TraceSink() : prev_(t_current_sink) { t_current_sink = this; }
+TraceSink::TraceSink() : prev_(current_) { current_ = this; }
 
-TraceSink::~TraceSink() { t_current_sink = prev_; }
+TraceSink::~TraceSink() { current_ = prev_; }
 
-TraceSink* TraceSink::Current() { return t_current_sink; }
+void TraceSink::Credit(const Counter* counter, uint64_t n) {
+  credits_[counter] += n;
+}
+
+uint64_t TraceSink::Credited(std::string_view counter) const {
+  const auto it = credits_.find(MetricsRegistry::Global().GetCounter(counter));
+  return it == credits_.end() ? 0 : it->second;
+}
 
 std::string TraceSink::Render() const {
   std::string out;
@@ -56,7 +61,7 @@ std::string TraceSink::Render() const {
 }
 
 ScopedSpan::ScopedSpan(const char* name) : name_(name) {
-  sink_ = t_current_sink;
+  sink_ = TraceSink::current_;
   active_ = sink_ != nullptr || TraceEnabled();
   if (!active_) return;
   if (sink_ != nullptr) {

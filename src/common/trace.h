@@ -4,9 +4,13 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace laws {
+
+class Counter;
 
 /// Scoped-span tracing: RAII timers over the engine's pipeline stages
 /// (executor operators, hybrid AQP arbitration, grouped fitting phases,
@@ -17,7 +21,8 @@ namespace laws {
 ///     MetricsRegistry::Global().
 ///  2. A thread-local TraceSink, installed per operation by EXPLAIN
 ///     ANALYZE: spans append name/detail/rows/time records that render as
-///     the per-stage plan tree.
+///     the per-stage plan tree, and every Counter::Add made on the thread
+///     is credited to the sink as well (metrics.h).
 ///
 /// When neither is active a ScopedSpan costs one relaxed atomic load and
 /// one thread-local read — no clock call, no allocation — which is what
@@ -39,12 +44,16 @@ struct SpanRecord {
   size_t sequence = 0;  // entry order
 };
 
-/// Collects the spans of one traced operation. Construction installs the
-/// sink as the calling thread's current sink (stacking over any previous
-/// one); destruction restores the previous sink. Not thread-safe: one
-/// sink belongs to one thread. Spans opened on *other* threads (e.g.
-/// inside ParallelFor workers) do not reach the sink — per-phase spans
-/// around parallel regions are opened on the calling thread instead.
+/// Collects the spans of one traced operation and the counts Counter::Add
+/// makes on its thread while it is installed — the operation's own counts,
+/// whatever other threads add to the same counters. Construction installs
+/// the sink as the calling thread's current sink (stacking over any
+/// previous one, which sees nothing until restored); destruction restores
+/// the previous sink. Not thread-safe: one sink belongs to one thread.
+/// Spans opened and counts added on *other* threads (e.g. inside
+/// ParallelFor workers) do not reach the sink — per-phase spans around
+/// parallel regions are opened on the calling thread instead, and lanes'
+/// counts are summed and added there once.
 class TraceSink {
  public:
   TraceSink();
@@ -59,12 +68,21 @@ class TraceSink {
   /// rows in/out (when set) and wall time.
   std::string Render() const;
 
+  /// The sum of what Counter::Add credited to this sink for the counter
+  /// registered as `counter`.
+  uint64_t Credited(std::string_view counter) const;
+
   /// The calling thread's innermost sink, or nullptr.
-  static TraceSink* Current();
+  static TraceSink* Current() { return current_; }
 
  private:
+  friend class Counter;
   friend class ScopedSpan;
+  void Credit(const Counter* counter, uint64_t n);
+
+  static constinit inline thread_local TraceSink* current_ = nullptr;
   std::vector<SpanRecord> spans_;
+  std::unordered_map<const Counter*, uint64_t> credits_;
   int depth_ = 0;
   TraceSink* prev_ = nullptr;
 };

@@ -77,52 +77,9 @@ bool IsNumericColumn(const Column* c) {
          (c->type() == DataType::kInt64 || c->type() == DataType::kDouble);
 }
 
-void CollectColumnRefs(const Expr& e, std::vector<std::string>* out) {
-  if (e.kind == ExprKind::kColumnRef) out->push_back(e.column_name);
-  for (const auto& child : e.children) {
-    if (child != nullptr) CollectColumnRefs(*child, out);
-  }
-}
-
-/// Columns the statement references, in first-mention order, deduped.
-/// Local on purpose: aqp/model_aqp.cc has an equivalent walker, but using
-/// it from here would invert the aqp -> learn-header layering.
-std::vector<std::string> ReferencedColumnsOf(const SelectStatement& stmt) {
-  std::vector<std::string> cols;
-  for (const auto& item : stmt.select_list) {
-    if (!item.is_star && item.expr != nullptr) {
-      CollectColumnRefs(*item.expr, &cols);
-    }
-  }
-  if (stmt.where != nullptr) CollectColumnRefs(*stmt.where, &cols);
-  for (const auto& g : stmt.group_by) CollectColumnRefs(*g, &cols);
-  if (stmt.having != nullptr) CollectColumnRefs(*stmt.having, &cols);
-  for (const auto& k : stmt.order_by) {
-    if (k.expr != nullptr) CollectColumnRefs(*k.expr, &cols);
-  }
-  std::vector<std::string> unique;
-  for (auto& name : cols) {
-    if (std::find(unique.begin(), unique.end(), name) == unique.end()) {
-      unique.push_back(std::move(name));
-    }
-  }
-  return unique;
-}
-
 std::string CandidateKey(const std::string& table, const std::string& x,
                          const std::string& y, const std::string& source) {
   return table + "|" + x + "|" + y + "|" + source;
-}
-
-/// 95% prediction-interval half-width from a fit quality — the same
-/// formula the model AQP path serves as its error bound, so "refine only
-/// if tighter" compares exactly what users see.
-double ServedHalfWidth(const FitQuality& q) {
-  const double rse = q.residual_standard_error;
-  if (q.n_observations <= q.n_parameters) return rse;
-  const size_t df = q.n_observations - q.n_parameters;
-  if (df >= 200) return 1.96 * rse;
-  return StudentTQuantile(0.975, static_cast<double>(df)) * rse;
 }
 
 /// Gathers the usable (x, y) observations a candidate accumulator is
@@ -214,7 +171,7 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
   // Referenced numeric columns, in query order.
   std::vector<std::string> names;
   std::vector<const Column*> cols;
-  for (auto& name : ReferencedColumnsOf(stmt)) {
+  for (auto& name : ReferencedColumns(stmt)) {
     auto col = table.ColumnByName(name);
     if (!col.ok() || !IsNumericColumn(*col)) continue;
     names.push_back(std::move(name));
@@ -499,8 +456,14 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
       if (!existing.ok()) {
         cand.model_id = 0;  // evicted or dropped; back to candidacy
       } else {
-        const double old_hw = ServedHalfWidth((*existing)->quality);
-        const double new_hw = ServedHalfWidth(fit->quality);
+        // The half-width the model AQP path serves as its error bound, so
+        // "refine only if tighter" compares exactly what users see.
+        const FitQuality& was = (*existing)->quality;
+        const double old_hw = PredictionHalfWidth95(
+            was.residual_standard_error, was.n_observations, was.n_parameters);
+        const FitQuality& now = fit->quality;
+        const double new_hw = PredictionHalfWidth95(
+            now.residual_standard_error, now.n_observations, now.n_parameters);
         if (new_hw <= old_hw &&
             fit->quality.n_observations >= (*existing)->quality.n_observations) {
           CapturedModel updated = **existing;  // metadata carries over

@@ -358,12 +358,9 @@ Result<FitOutput> FitModel(const Model& model, const Matrix& inputs,
 
   switch (options.algorithm) {
     case FitAlgorithm::kAuto: {
-      if (options.closed_form_fast_path) {
-        Result<FitOutput> fast = FitOutput{};
-        if (TryClosedFormFit(model, inputs, outputs, options, scratch,
-                             &fast)) {
-          return fast;
-        }
+      Result<FitOutput> fast = FitOutput{};
+      if (TryClosedFormFit(model, inputs, outputs, options, scratch, &fast)) {
+        return fast;
       }
       if (model.IsLinearInParameters()) {
         return FitLinear(model, inputs, outputs, options, /*use_qr=*/true,

@@ -15,8 +15,11 @@ namespace laws {
 /// linear in their parameters, iterative optimization (Gauss-Newton /
 /// Levenberg-Marquardt) otherwise.
 enum class FitAlgorithm {
-  /// OLS for linear models; log-linear warm start + Levenberg-Marquardt
-  /// otherwise.
+  /// Closed form over running sums for models with an exact
+  /// Linearization() (power law, exponential, log law, simple linear) —
+  /// no design matrix, no solver, no iteration — when the data lies in the
+  /// transform's domain; otherwise OLS for linear models and log-linear
+  /// warm start + Levenberg-Marquardt for the rest.
   kAuto,
   /// OLS via Householder QR (requires IsLinearInParameters()).
   kOls,
@@ -49,12 +52,6 @@ struct FitOptions {
   double initial_lambda = 1e-3;
   /// Compute per-parameter standard errors from sigma^2 (J^T J)^{-1}.
   bool compute_standard_errors = true;
-  /// Under kAuto, models that expose an exact Linearization() (power law,
-  /// exponential, log law, simple linear) are solved closed-form over
-  /// running sums — no design matrix, no solver, no iteration. Data that
-  /// violates the transform domain falls back to the iterative path
-  /// automatically. Disable to force the pre-kernel dispatch (ablation).
-  bool closed_form_fast_path = true;
 };
 
 /// The outcome of a fit: estimated parameters plus the quality metadata the

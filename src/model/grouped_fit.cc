@@ -144,8 +144,7 @@ Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
                             model.num_inputs() == 1 &&
                             model.Linearization(&lin);
   const bool fast_closed = linearizable &&
-                           spec.fit_options.algorithm == FitAlgorithm::kAuto &&
-                           spec.fit_options.closed_form_fast_path;
+                           spec.fit_options.algorithm == FitAlgorithm::kAuto;
   const bool fast_loglinear =
       linearizable && spec.fit_options.algorithm == FitAlgorithm::kLogLinear;
 

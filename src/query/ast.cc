@@ -1,5 +1,7 @@
 #include "query/ast.h"
 
+#include "common/string_util.h"
+
 namespace laws {
 
 std::string_view BinaryOpToString(BinaryOp op) {
@@ -236,6 +238,32 @@ std::string SelectStatement::ToString() const {
     }
   }
   if (limit >= 0) out += " LIMIT " + std::to_string(limit);
+  return out;
+}
+
+namespace {
+
+void CollectColumns(const Expr& expr, std::vector<std::string>* out) {
+  if (expr.kind == ExprKind::kColumnRef) {
+    for (const auto& c : *out) {
+      if (EqualsIgnoreCase(c, expr.column_name)) return;
+    }
+    out->push_back(expr.column_name);
+  }
+  for (const auto& c : expr.children) CollectColumns(*c, out);
+}
+
+}  // namespace
+
+std::vector<std::string> ReferencedColumns(const SelectStatement& stmt) {
+  std::vector<std::string> out;
+  for (const SelectItem& item : stmt.select_list) {
+    if (!item.is_star) CollectColumns(*item.expr, &out);
+  }
+  if (stmt.where != nullptr) CollectColumns(*stmt.where, &out);
+  for (const auto& g : stmt.group_by) CollectColumns(*g, &out);
+  if (stmt.having != nullptr) CollectColumns(*stmt.having, &out);
+  for (const auto& k : stmt.order_by) CollectColumns(*k.expr, &out);
   return out;
 }
 

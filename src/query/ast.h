@@ -143,6 +143,10 @@ struct SelectStatement {
   std::string ToString() const;
 };
 
+/// The columns a statement references anywhere, in first-mention order,
+/// each once: names compare case-insensitively, as column lookup does.
+std::vector<std::string> ReferencedColumns(const SelectStatement& stmt);
+
 }  // namespace laws
 
 #endif  // LAWSDB_QUERY_AST_H_

@@ -25,21 +25,24 @@ namespace {
 
 /// A unique aggregate call discovered in the statement.
 struct AggSlot {
-  const Expr* node;       // canonical instance
-  std::string key;        // ToString identity
+  std::unique_ptr<Expr> node;  // canonical instance
+  std::string key;             // ToString identity
   std::string hidden_name;
   bool is_star = false;
 };
 
+/// The aggregated table's column for GROUP BY key `k`.
+std::string KeyColumnName(size_t k) { return "__key" + std::to_string(k); }
+
 void CollectAggregates(const Expr& expr, std::vector<AggSlot>* slots) {
   if (expr.kind == ExprKind::kAggregate) {
-    const std::string key = expr.ToString();
+    std::string key = expr.ToString();
     for (const AggSlot& s : *slots) {
       if (s.key == key) return;
     }
     AggSlot slot;
-    slot.node = &expr;
-    slot.key = key;
+    slot.node = expr.Clone();
+    slot.key = std::move(key);
     slot.hidden_name = "__agg" + std::to_string(slots->size());
     slot.is_star = expr.children[0]->kind == ExprKind::kStar;
     slots->push_back(std::move(slot));
@@ -52,11 +55,10 @@ void CollectAggregates(const Expr& expr, std::vector<AggSlot>* slots) {
 /// the intermediate aggregated table.
 std::unique_ptr<Expr> RewriteForAggregated(
     const Expr& expr, const std::vector<AggSlot>& slots,
-    const std::vector<std::string>& key_exprs,
-    const std::vector<std::string>& key_names) {
+    const std::vector<std::string>& key_exprs) {
   const std::string repr = expr.ToString();
   for (size_t i = 0; i < key_exprs.size(); ++i) {
-    if (repr == key_exprs[i]) return Expr::MakeColumnRef(key_names[i]);
+    if (repr == key_exprs[i]) return Expr::MakeColumnRef(KeyColumnName(i));
   }
   if (expr.kind == ExprKind::kAggregate) {
     for (const AggSlot& s : slots) {
@@ -64,9 +66,7 @@ std::unique_ptr<Expr> RewriteForAggregated(
     }
   }
   auto out = expr.Clone();
-  for (auto& c : out->children) {
-    c = RewriteForAggregated(*c, slots, key_exprs, key_names);
-  }
+  for (auto& c : out->children) c = RewriteForAggregated(*c, slots, key_exprs);
   return out;
 }
 
@@ -234,25 +234,23 @@ Status SweepPartition(const Grouping& grouping, size_t begin, size_t end,
   return Status::OK();
 }
 
-/// Groups `input` (GroupRows), folds every aggregate slot into per-group
-/// states, and emits one row per group in first-seen order: key columns
-/// `__key<k>`, then the slots' hidden columns. `*detail` names the
-/// grouping that ran, for the HashAggregate span.
-Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
-                        const std::vector<AggSlot>& slots,
-                        std::vector<std::string>* key_names,
-                        std::string* detail) {
+/// Groups `input` by `group_by` (GroupRows), folds every aggregate slot
+/// into per-group states, and emits one row per group in first-seen
+/// order: key columns `__key<k>`, then the slots' hidden columns. `*note`
+/// (when non-null) gets the grouping that ran, for the HashAggregate span.
+Result<Table> Aggregate(const Table& input,
+                        const std::vector<std::unique_ptr<Expr>>& group_by,
+                        const std::vector<AggSlot>& slots, std::string* note) {
   // Resolve group-key expressions. Evaluated key and argument columns are
   // the aggregation's big materializations; charge them as they appear.
   ScopedCharge charge;
-  std::vector<Column> evaluated(stmt.group_by.size() + slots.size(),
+  std::vector<Column> evaluated(group_by.size() + slots.size(),
                                 Column(DataType::kInt64));
   std::vector<const Column*> keys;
-  for (size_t k = 0; k < stmt.group_by.size(); ++k) {
+  for (size_t k = 0; k < group_by.size(); ++k) {
     LAWS_GOVERNOR_POLL();
-    LAWS_ASSIGN_OR_RETURN(
-        const Column* c,
-        ResolveColumn(*stmt.group_by[k], input, &evaluated[k]));
+    LAWS_ASSIGN_OR_RETURN(const Column* c,
+                          ResolveColumn(*group_by[k], input, &evaluated[k]));
     LAWS_RETURN_IF_ERROR(
         charge.Acquire(evaluated[k].MemoryBytes(), "group keys"));
     keys.push_back(c);
@@ -269,10 +267,10 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
   // so the shortcut is invisible to everything downstream.
   bool encoded = false;
   LAWS_GOVERNOR_POLL();
-  if (stmt.group_by.empty()) {
+  if (group_by.empty()) {
     std::vector<const Expr*> nodes;
     nodes.reserve(slots.size());
-    for (const AggSlot& s : slots) nodes.push_back(s.node);
+    for (const AggSlot& s : slots) nodes.push_back(s.node.get());
     if (auto enc = EncodedGlobalAggregate(input, nodes)) {
       states = std::move(*enc);
       representative_row.push_back(0);
@@ -289,7 +287,7 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
         continue;
       }
       LAWS_GOVERNOR_POLL();
-      Column* owned = &evaluated[stmt.group_by.size() + a];
+      Column* owned = &evaluated[group_by.size() + a];
       LAWS_ASSIGN_OR_RETURN(
           const Column* c, ResolveColumn(*s.node->children[0], input, owned));
       // SUM/AVG/VARIANCE/STDDEV over a string argument is a planning-time
@@ -326,23 +324,22 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
 
   // Global aggregation with no GROUP BY and zero rows still yields one row
   // (COUNT(*) = 0, SUM = NULL, ...).
-  if (stmt.group_by.empty() && representative_row.empty()) {
+  if (group_by.empty() && representative_row.empty()) {
     representative_row.push_back(0);
     states.resize(num_slots);
   }
   const size_t num_groups = representative_row.size();
-  *detail = stmt.group_by.empty()
-                ? std::string("one group")
-                : std::to_string(num_groups) + " groups in " +
-                      std::to_string(partitions) + " partitions";
+  if (note != nullptr) {
+    *note = group_by.empty() ? std::string(" | one group")
+                             : " | " + std::to_string(num_groups) +
+                                   " groups in " + std::to_string(partitions) +
+                                   " partitions";
+  }
 
   // Build the intermediate table: key columns then aggregate columns.
   std::vector<Field> fields;
-  key_names->clear();
   for (size_t k = 0; k < keys.size(); ++k) {
-    const std::string name = "__key" + std::to_string(k);
-    key_names->push_back(name);
-    fields.push_back(Field{name, keys[k]->type(), true});
+    fields.push_back(Field{KeyColumnName(k), keys[k]->type(), true});
   }
   for (size_t a = 0; a < slots.size(); ++a) {
     const DataType t =
@@ -458,8 +455,8 @@ Result<std::vector<uint32_t>> SelectTopK(const OrderKeys& keys, size_t n,
   return heap;
 }
 
-/// ORDER BY over normalized keys. With `top_k` >= 0 only the first top_k
-/// rows are selected and gathered; otherwise every row is sorted.
+/// ORDER BY over normalized keys. With 0 <= `top_k` < rows only the first
+/// top_k rows are selected and gathered; otherwise every row is sorted.
 Result<Table> SortRows(const Table& table, const SelectStatement& stmt,
                        const std::vector<std::unique_ptr<Expr>>& keys,
                        int64_t top_k) {
@@ -476,7 +473,7 @@ Result<Table> SortRows(const Table& table, const SelectStatement& stmt,
                           OrderCodes(*col, stmt.order_by[k].ascending));
     order.codes.push_back(std::move(codes));
   }
-  if (top_k >= 0) {
+  if (top_k >= 0 && static_cast<size_t>(top_k) < n) {
     const size_t k = static_cast<size_t>(top_k);
     LAWS_RETURN_IF_ERROR(
         charge.Acquire(k * sizeof(uint32_t), "sort permutation"));
@@ -504,25 +501,49 @@ Result<Table> SortRows(const Table& table, const SelectStatement& stmt,
   return table.GatherRows(perm);
 }
 
-/// INNER equi-join: hash-builds on the right side, probes with the left.
-/// Right-side columns whose names collide with left ones are exposed as
-/// "<right_table>_<name>". NULL keys never match (SQL semantics).
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::vector<JoinKey>& keys,
-                       const std::string& right_name) {
-  if (keys.empty()) {
+/// The schema of `left ⋈ right` for the statement's JOIN: left fields,
+/// then right fields, a right name that collides with a left one exposed
+/// as "<right_table>_<name>". Fails unless every ON key names a column on
+/// its side and both sides share its type.
+Result<Schema> JoinSchema(const Schema& left, const Schema& right,
+                          const SelectStatement& stmt) {
+  if (stmt.join_keys.empty()) {
     return Status::InvalidArgument("JOIN requires at least one ON key");
   }
+  for (const JoinKey& k : stmt.join_keys) {
+    LAWS_ASSIGN_OR_RETURN(const size_t l, left.FieldIndex(k.left_column));
+    LAWS_ASSIGN_OR_RETURN(const size_t r, right.FieldIndex(k.right_column));
+    if (left.field(l).type != right.field(r).type) {
+      return Status::TypeMismatch("join key type mismatch on " +
+                                  k.left_column + " = " + k.right_column);
+    }
+  }
+  std::vector<Field> fields = left.fields();
+  for (const Field& f : right.fields()) {
+    Field out = f;
+    if (left.HasField(f.name)) {
+      out.name = stmt.join_table + "_" + f.name;
+      if (left.HasField(out.name)) {
+        return Status::InvalidArgument("cannot disambiguate join column " +
+                                       f.name);
+      }
+    }
+    fields.push_back(std::move(out));
+  }
+  return Schema(std::move(fields));
+}
+
+/// INNER equi-join on `keys` into `schema` (JoinSchema's): hash-builds on
+/// the right side, probes with the left. NULL keys never match (SQL
+/// semantics).
+Result<Table> HashJoin(const Table& left, const Table& right,
+                       const std::vector<JoinKey>& keys, Schema schema) {
   std::vector<const Column*> left_keys, right_keys;
   for (const JoinKey& k : keys) {
     LAWS_ASSIGN_OR_RETURN(const Column* lc,
                           left.ColumnByName(k.left_column));
     LAWS_ASSIGN_OR_RETURN(const Column* rc,
                           right.ColumnByName(k.right_column));
-    if (lc->type() != rc->type()) {
-      return Status::TypeMismatch("join key type mismatch on " +
-                                  k.left_column + " = " + k.right_column);
-    }
     left_keys.push_back(lc);
     right_keys.push_back(rc);
   }
@@ -581,32 +602,15 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     }
   }
 
-  // Assemble the output schema: left fields, then right fields with
-  // collision-avoiding names.
-  std::vector<Field> fields = left.schema().fields();
-  std::vector<std::string> right_out_names;
-  for (const Field& f : right.schema().fields()) {
-    Field out = f;
-    if (left.schema().HasField(f.name)) {
-      out.name = right_name + "_" + f.name;
-      if (left.schema().HasField(out.name)) {
-        return Status::InvalidArgument("cannot disambiguate join column " +
-                                       f.name);
-      }
-    }
-    right_out_names.push_back(out.name);
-    fields.push_back(std::move(out));
-  }
-
   std::vector<Column> columns;
-  columns.reserve(fields.size());
+  columns.reserve(schema.num_fields());
   for (size_t c = 0; c < left.num_columns(); ++c) {
     columns.push_back(left.column(c).Gather(left_rows));
   }
   for (size_t c = 0; c < right.num_columns(); ++c) {
     columns.push_back(right.column(c).Gather(right_rows));
   }
-  return Table::FromColumns(Schema(std::move(fields)), std::move(columns));
+  return Table::FromColumns(std::move(schema), std::move(columns));
 }
 
 /// Keeps the first occurrence of each distinct row (order-preserving).
@@ -650,6 +654,301 @@ std::unique_ptr<Expr> SubstituteAliases(const Expr& expr,
   auto out = expr.Clone();
   for (auto& c : out->children) c = SubstituteAliases(*c, stmt);
   return out;
+}
+
+/// The operators a SELECT runs, in the order they run.
+enum class PlanOp {
+  kScan, kHashJoin, kFilter, kHashAggregate, kHaving,
+  kSort, kProject, kDistinct, kLimit
+};
+
+/// The operator's span name, which EXPLAIN prints too.
+const char* OpName(PlanOp op) {
+  static constexpr const char* kNames[] = {
+      "Scan", "HashJoin", "Filter",   "HashAggregate", "Filter[having]",
+      "Sort", "Project",  "Distinct", "Limit"};
+  return kNames[static_cast<size_t>(op)];
+}
+
+/// A SELECT planned once for both execution and EXPLAIN: the operators,
+/// innermost (Scan) first, and the rewritten expressions they evaluate.
+struct SelectPlan {
+  const SelectStatement* stmt = nullptr;
+  std::vector<PlanOp> ops;
+  Schema joined;                // HashJoin's output
+  std::vector<AggSlot> slots;   // HashAggregate's aggregate calls
+  std::unique_ptr<Expr> having;               // over the aggregated table
+  std::vector<std::unique_ptr<Expr>> order;   // over Sort's input
+  std::vector<SelectItem> projection;         // output name in `alias`
+  bool top_k = false;  // Sort selects only the first LIMIT rows
+};
+
+/// Plans `stmt` over a source with schema `source`, joined with `right`
+/// when that is non-null. Finds and slots the aggregates, substitutes
+/// select-list aliases in HAVING and ORDER BY, rewrites them and the
+/// projection onto the aggregated table's `__key<k>`/`__agg<n>` columns,
+/// expands `*`, and decides top-k: without DISTINCT, and when every
+/// projected item is a column reference, ORDER BY … LIMIT selects only the
+/// first LIMIT rows, since projecting a column cannot fail and so no error
+/// can hide in the rows past the limit (DESIGN.md §11).
+Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
+                              const Schema& source, const Schema* right) {
+  SelectPlan plan;
+  plan.stmt = &stmt;
+  plan.ops.push_back(PlanOp::kScan);
+  if (right != nullptr) {
+    LAWS_ASSIGN_OR_RETURN(plan.joined, JoinSchema(source, *right, stmt));
+    plan.ops.push_back(PlanOp::kHashJoin);
+  }
+  if (stmt.where != nullptr) plan.ops.push_back(PlanOp::kFilter);
+
+  std::unique_ptr<Expr> having =
+      stmt.having == nullptr ? nullptr : SubstituteAliases(*stmt.having, stmt);
+  std::vector<std::unique_ptr<Expr>> order;
+  for (const OrderKey& k : stmt.order_by) {
+    order.push_back(SubstituteAliases(*k.expr, stmt));
+  }
+  bool has_aggregate = !stmt.group_by.empty() || having != nullptr;
+  for (const SelectItem& item : stmt.select_list) {
+    if (!item.is_star && item.expr->ContainsAggregate()) has_aggregate = true;
+  }
+  std::vector<std::string> key_reprs;
+  if (has_aggregate) {
+    for (const SelectItem& item : stmt.select_list) {
+      if (item.is_star) {
+        return Status::InvalidArgument("SELECT * is invalid with GROUP BY");
+      }
+      CollectAggregates(*item.expr, &plan.slots);
+    }
+    if (having != nullptr) CollectAggregates(*having, &plan.slots);
+    for (const auto& k : order) CollectAggregates(*k, &plan.slots);
+    for (const auto& g : stmt.group_by) key_reprs.push_back(g->ToString());
+    plan.ops.push_back(PlanOp::kHashAggregate);
+    if (having != nullptr) plan.ops.push_back(PlanOp::kHaving);
+  }
+  const auto rewrite = [&](const Expr& e) {
+    return has_aggregate ? RewriteForAggregated(e, plan.slots, key_reprs)
+                         : e.Clone();
+  };
+  if (having != nullptr) plan.having = rewrite(*having);
+  for (const auto& k : order) plan.order.push_back(rewrite(*k));
+  const Schema& input = right != nullptr ? plan.joined : source;
+  for (const SelectItem& item : stmt.select_list) {
+    if (item.is_star) {
+      for (const Field& f : input.fields()) {
+        SelectItem out;
+        out.alias = f.name;
+        out.expr = Expr::MakeColumnRef(f.name);
+        plan.projection.push_back(std::move(out));
+      }
+      continue;
+    }
+    SelectItem out;
+    out.alias = item.alias.empty() ? item.expr->ToString() : item.alias;
+    out.expr = rewrite(*item.expr);
+    plan.projection.push_back(std::move(out));
+  }
+
+  // ORDER BY runs before the projection (it may reference non-projected
+  // columns); LIMIT waits until after DISTINCT.
+  if (!plan.order.empty()) {
+    plan.ops.push_back(PlanOp::kSort);
+    plan.top_k = stmt.limit >= 0 && !stmt.distinct &&
+                 std::all_of(plan.projection.begin(), plan.projection.end(),
+                             [](const SelectItem& item) {
+                               return item.expr->kind == ExprKind::kColumnRef;
+                             });
+  }
+  plan.ops.push_back(PlanOp::kProject);
+  if (stmt.distinct) plan.ops.push_back(PlanOp::kDistinct);
+  if (stmt.limit >= 0) plan.ops.push_back(PlanOp::kLimit);
+  return plan;
+}
+
+/// An operator's static detail, the one text its span and EXPLAIN both
+/// print: the statement's own expressions, never the `__key`/`__agg`
+/// columns of the rewrite. The span appends what only running tells.
+std::string OpDetail(const SelectPlan& plan, PlanOp op) {
+  const SelectStatement& stmt = *plan.stmt;
+  std::string out;
+  const auto append = [&out](const std::string& item) {
+    if (!out.empty()) out += ", ";
+    out += item;
+  };
+  switch (op) {
+    case PlanOp::kScan:
+    case PlanOp::kDistinct:
+      break;
+    case PlanOp::kHashJoin:
+      out = stmt.from_table + " \xE2\x8B\x88 " + stmt.join_table + " on ";
+      for (size_t i = 0; i < stmt.join_keys.size(); ++i) {
+        if (i > 0) out += " AND ";
+        out += stmt.join_keys[i].left_column + " = " +
+               stmt.join_keys[i].right_column;
+      }
+      break;
+    case PlanOp::kFilter:
+      out = stmt.where->ToString();
+      break;
+    case PlanOp::kHashAggregate:
+      for (const auto& g : stmt.group_by) append(g->ToString());
+      if (out.empty()) out = "<global>";
+      break;
+    case PlanOp::kHaving:
+      out = stmt.having->ToString();
+      break;
+    case PlanOp::kSort:
+      for (const OrderKey& k : stmt.order_by) {
+        append(k.expr->ToString() + (k.ascending ? " ASC" : " DESC"));
+      }
+      out += plan.top_k ? " | top " + std::to_string(stmt.limit) : " | full";
+      break;
+    case PlanOp::kProject:
+      for (const SelectItem& item : plan.projection) append(item.alias);
+      break;
+    case PlanOp::kLimit:
+      out = std::to_string(stmt.limit);
+      break;
+  }
+  return out;
+}
+
+/// WHERE over `input`. Zone maps first: when the table carries a block
+/// index and the predicate is in the conservative class, they prune and
+/// take whole blocks and the VM evaluates only the rest (DESIGN.md §14) —
+/// bit-identical to the VM over every row, which runs when they decline.
+/// `*note` (when non-null) gets the scan and the program that ran.
+Result<Table> FilterWhere(const Expr& where, const Table& input,
+                          std::string* note) {
+  std::string disasm;
+  std::string* const disasm_out = note != nullptr ? &disasm : nullptr;
+  ScanStats scan_stats;
+  LAWS_ASSIGN_OR_RETURN(
+      std::optional<std::vector<uint32_t>> selection,
+      CompressedFilterRows(where, input, &scan_stats, disasm_out));
+  if (selection.has_value()) {
+    if (note != nullptr) {
+      *note = " | " + scan_stats.Describe();
+      if (!disasm.empty()) *note += " | bytecode: " + disasm;
+    }
+  } else {
+    LAWS_ASSIGN_OR_RETURN(selection, FilterRows(where, input, disasm_out));
+    if (note != nullptr) *note = " | bytecode: " + disasm;
+  }
+  return input.GatherRows(*selection);
+}
+
+/// Evaluates `items` over `input`, charging each output column as it
+/// appears. `*note` (when non-null) gets each item's program.
+Result<Table> Project(const std::vector<SelectItem>& items,
+                      const Table& input, ScopedCharge* charge,
+                      std::string* note) {
+  std::vector<Field> fields;
+  std::vector<Column> columns;
+  for (const SelectItem& item : items) {
+    LAWS_GOVERNOR_POLL();
+    std::string disasm;
+    LAWS_ASSIGN_OR_RETURN(
+        Column c,
+        EvaluateExpr(*item.expr, input, note != nullptr ? &disasm : nullptr));
+    if (note != nullptr) *note += " | bytecode: " + disasm;
+    LAWS_RETURN_IF_ERROR(
+        charge->Acquire(c.MemoryBytes(), "projection output"));
+    fields.push_back(Field{item.alias, c.type(), true});
+    columns.push_back(std::move(c));
+  }
+  return Table::FromColumns(Schema(std::move(fields)), std::move(columns));
+}
+
+/// Runs `plan`'s operators in order over `source` (and `right`, the
+/// JOIN's right table), each under its span.
+Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
+                      const Table* right) {
+  const SelectStatement& stmt = *plan.stmt;
+  // Operator outputs are the pipeline's big materializations; each is
+  // charged against the current governor (if any) and held until the
+  // query finishes, which models the executor's true high-water mark
+  // closely enough for a coarse budget.
+  ScopedCharge charge;
+  const Table* current = &source;
+  Table owned{Schema{}};  // the last operator's output
+  for (const PlanOp op : plan.ops) {
+    ScopedSpan span(OpName(op));
+    const size_t rows_in = op == PlanOp::kHashJoin
+                               ? source.num_rows() + right->num_rows()
+                               : current->num_rows();
+    std::string runtime;  // the span detail only running tells
+    std::string* const note = span.active() ? &runtime : nullptr;
+    Table out{Schema{}};
+    const char* charged_as = nullptr;  // set when `out` is charged below
+    switch (op) {
+      case PlanOp::kScan:
+        // Synthetic and free: records the source cardinality, so the
+        // EXPLAIN ANALYZE tree starts at the scan like EXPLAIN does.
+        span.SetRows(rows_in, rows_in);
+        span.End();
+        LAWS_GOVERNOR_POLL();
+        continue;
+      case PlanOp::kHashJoin: {
+        LAWS_ASSIGN_OR_RETURN(
+            out, HashJoin(source, *right, stmt.join_keys, plan.joined));
+        charged_as = "join output";
+        break;
+      }
+      case PlanOp::kFilter: {
+        LAWS_ASSIGN_OR_RETURN(out, FilterWhere(*stmt.where, *current, note));
+        charged_as = "filter output";
+        break;
+      }
+      case PlanOp::kHashAggregate: {
+        LAWS_ASSIGN_OR_RETURN(
+            out, Aggregate(*current, stmt.group_by, plan.slots, note));
+        charged_as = "aggregate output";
+        break;
+      }
+      case PlanOp::kHaving: {
+        std::string disasm;
+        LAWS_ASSIGN_OR_RETURN(
+            std::vector<uint32_t> selection,
+            FilterRows(*plan.having, *current,
+                       note != nullptr ? &disasm : nullptr));
+        if (note != nullptr) runtime = " | bytecode: " + disasm;
+        out = current->GatherRows(selection);
+        charged_as = "having output";
+        break;
+      }
+      case PlanOp::kSort: {
+        LAWS_ASSIGN_OR_RETURN(out, SortRows(*current, stmt, plan.order,
+                                            plan.top_k ? stmt.limit : -1));
+        if (plan.top_k && note != nullptr) {
+          runtime = " of " + std::to_string(rows_in);
+        }
+        charged_as = "sort output";
+        break;
+      }
+      case PlanOp::kProject: {  // charges each column as it appears
+        LAWS_ASSIGN_OR_RETURN(
+            out, Project(plan.projection, *current, &charge, note));
+        break;
+      }
+      // Distinct and Limit follow Project, whose output `owned` holds.
+      case PlanOp::kDistinct: {
+        LAWS_ASSIGN_OR_RETURN(out, DistinctRows(std::move(owned)));
+        break;
+      }
+      case PlanOp::kLimit:
+        out = LimitRows(std::move(owned), stmt.limit);
+        break;
+    }
+    if (span.active()) span.SetDetail(OpDetail(plan, op) + runtime);
+    span.SetRows(rows_in, out.num_rows());
+    if (charged_as != nullptr) {
+      LAWS_RETURN_IF_ERROR(charge.Acquire(out.MemoryBytes(), charged_as));
+    }
+    owned = std::move(out);
+    current = &owned;
+  }
+  return owned;
 }
 
 }  // namespace
@@ -725,259 +1024,11 @@ Result<std::vector<uint64_t>> OrderCodes(const Column& col, bool ascending) {
   return codes;
 }
 
-// Note: `source` must already incorporate the statement's JOIN when one is
-// present — ExecuteSelect materializes it; callers passing explicit tables
-// (the AQP layer) use joinless statements.
 Result<Table> ExecuteSelectOnTable(const Table& source,
                                    const SelectStatement& stmt) {
-  {
-    // Synthetic zero-cost span recording the source cardinality, so the
-    // EXPLAIN ANALYZE tree starts at the scan like the static plan does.
-    ScopedSpan scan("Scan");
-    scan.SetRows(source.num_rows(), source.num_rows());
-  }
-
-  // Stage outputs are the pipeline's big materializations; each is
-  // charged against the current governor (if any) and held until the
-  // query finishes, which models the executor's true high-water mark
-  // closely enough for a coarse budget.
-  ScopedCharge pipeline_charge;
-  LAWS_GOVERNOR_POLL();
-
-  // 1. WHERE.
-  Table filtered{Schema{}};
-  const Table* current = &source;
-  if (stmt.where != nullptr) {
-    ScopedSpan span("Filter");
-    std::string disasm;
-    std::string* const disasm_out = span.active() ? &disasm : nullptr;
-    // Zone maps first: when the table carries a block index and the
-    // predicate is in the conservative class, they prune and take whole
-    // blocks and the VM evaluates only the rest (DESIGN.md §14) —
-    // bit-identical to the VM over every row, which runs when they
-    // decline.
-    ScanStats scan_stats;
-    LAWS_ASSIGN_OR_RETURN(
-        std::optional<std::vector<uint32_t>> zoned,
-        CompressedFilterRows(*stmt.where, source, &scan_stats, disasm_out));
-    std::vector<uint32_t> selection;
-    std::string detail;
-    if (zoned.has_value()) {
-      selection = std::move(*zoned);
-      detail = scan_stats.Describe();
-      if (!disasm.empty()) detail += " | bytecode: " + disasm;
-    } else {
-      LAWS_ASSIGN_OR_RETURN(selection,
-                            FilterRows(*stmt.where, source, disasm_out));
-      detail = "bytecode: " + disasm;
-    }
-    if (span.active()) {
-      span.SetDetail(stmt.where->ToString() + " | " + detail);
-    }
-    filtered = source.GatherRows(selection);
-    LAWS_RETURN_IF_ERROR(
-        pipeline_charge.Acquire(filtered.MemoryBytes(), "filter output"));
-    current = &filtered;
-    span.SetRows(source.num_rows(), filtered.num_rows());
-  }
-
-  // 2. Aggregation if needed.
-  bool has_aggregate = !stmt.group_by.empty();
-  for (const SelectItem& item : stmt.select_list) {
-    if (!item.is_star && item.expr->ContainsAggregate()) has_aggregate = true;
-  }
-  if (stmt.having != nullptr) has_aggregate = true;
-
-  std::vector<SelectItem> projected_items;
-  std::unique_ptr<Expr> having;
-  std::vector<std::unique_ptr<Expr>> order_exprs;
-  Table aggregated{Schema{}};
-
-  if (has_aggregate) {
-    // Collect aggregates across all clauses (aliases resolved first).
-    std::vector<AggSlot> slots;
-    std::vector<std::unique_ptr<Expr>> resolved_order;
-    std::unique_ptr<Expr> resolved_having;
-    for (const SelectItem& item : stmt.select_list) {
-      if (item.is_star) {
-        return Status::InvalidArgument("SELECT * is invalid with GROUP BY");
-      }
-      CollectAggregates(*item.expr, &slots);
-    }
-    if (stmt.having != nullptr) {
-      resolved_having = SubstituteAliases(*stmt.having, stmt);
-      CollectAggregates(*resolved_having, &slots);
-    }
-    for (const OrderKey& k : stmt.order_by) {
-      resolved_order.push_back(SubstituteAliases(*k.expr, stmt));
-      CollectAggregates(*resolved_order.back(), &slots);
-    }
-
-    std::vector<std::string> key_names;
-    {
-      ScopedSpan span("HashAggregate");
-      const size_t rows_in = current->num_rows();
-      std::string grouping;
-      LAWS_ASSIGN_OR_RETURN(
-          aggregated, Aggregate(*current, stmt, slots, &key_names, &grouping));
-      if (span.active()) {
-        std::string keys;
-        for (const auto& g : stmt.group_by) {
-          if (!keys.empty()) keys += ", ";
-          keys += g->ToString();
-        }
-        span.SetDetail((keys.empty() ? "<global>" : keys) + " | " + grouping);
-      }
-      span.SetRows(rows_in, aggregated.num_rows());
-    }
-    LAWS_RETURN_IF_ERROR(pipeline_charge.Acquire(aggregated.MemoryBytes(),
-                                                 "aggregate output"));
-    current = &aggregated;
-
-    std::vector<std::string> key_reprs;
-    for (const auto& g : stmt.group_by) key_reprs.push_back(g->ToString());
-
-    for (const SelectItem& item : stmt.select_list) {
-      SelectItem out;
-      out.alias = item.alias.empty() ? item.expr->ToString() : item.alias;
-      out.expr =
-          RewriteForAggregated(*item.expr, slots, key_reprs, key_names);
-      // Validate: after rewriting, plain column refs must resolve to key or
-      // aggregate columns.
-      projected_items.push_back(std::move(out));
-    }
-    if (resolved_having != nullptr) {
-      having =
-          RewriteForAggregated(*resolved_having, slots, key_reprs, key_names);
-    }
-    for (auto& k : resolved_order) {
-      order_exprs.push_back(
-          RewriteForAggregated(*k, slots, key_reprs, key_names));
-    }
-  } else {
-    for (const SelectItem& item : stmt.select_list) {
-      if (item.is_star) {
-        for (const Field& f : source.schema().fields()) {
-          SelectItem out;
-          out.alias = f.name;
-          out.expr = Expr::MakeColumnRef(f.name);
-          projected_items.push_back(std::move(out));
-        }
-        continue;
-      }
-      SelectItem out;
-      out.alias = item.alias.empty() ? item.expr->ToString() : item.alias;
-      out.expr = item.expr->Clone();
-      projected_items.push_back(std::move(out));
-    }
-    for (const OrderKey& k : stmt.order_by) {
-      order_exprs.push_back(SubstituteAliases(*k.expr, stmt));
-    }
-  }
-
-  // 3. HAVING.
-  Table post_having{Schema{}};
-  if (having != nullptr) {
-    ScopedSpan span("Filter[having]");
-    const size_t rows_in = current->num_rows();
-    std::string disasm;
-    LAWS_ASSIGN_OR_RETURN(
-        std::vector<uint32_t> selection,
-        FilterRows(*having, *current, span.active() ? &disasm : nullptr));
-    if (span.active()) {
-      span.SetDetail(having->ToString() + " | bytecode: " + disasm);
-    }
-    post_having = current->GatherRows(selection);
-    LAWS_RETURN_IF_ERROR(
-        pipeline_charge.Acquire(post_having.MemoryBytes(), "having output"));
-    current = &post_having;
-    span.SetRows(rows_in, post_having.num_rows());
-  }
-
-  // 4. ORDER BY is applied before projection (it may reference
-  // non-projected columns); LIMIT waits until after DISTINCT. Without
-  // DISTINCT, and when every projected item is a column reference, only
-  // the first LIMIT rows are selected: projecting a column cannot fail,
-  // so no error can hide in the rows past the limit (DESIGN.md §11).
-  Table sorted{Schema{}};
-  if (!order_exprs.empty()) {
-    ScopedSpan span("Sort");
-    const size_t rows_in = current->num_rows();
-    const bool top_k =
-        stmt.limit >= 0 && static_cast<size_t>(stmt.limit) < rows_in &&
-        !stmt.distinct &&
-        std::all_of(projected_items.begin(), projected_items.end(),
-                    [](const SelectItem& item) {
-                      return item.expr->kind == ExprKind::kColumnRef;
-                    });
-    if (span.active()) {
-      std::string keys;
-      for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-        if (k > 0) keys += ", ";
-        keys += order_exprs[k]->ToString();
-        keys += stmt.order_by[k].ascending ? " ASC" : " DESC";
-      }
-      keys += top_k ? " | top " + std::to_string(stmt.limit) + " of " +
-                          std::to_string(rows_in)
-                    : " | full";
-      span.SetDetail(keys);
-    }
-    LAWS_ASSIGN_OR_RETURN(sorted, SortRows(*current, stmt, order_exprs,
-                                           top_k ? stmt.limit : -1));
-    LAWS_RETURN_IF_ERROR(
-        pipeline_charge.Acquire(sorted.MemoryBytes(), "sort output"));
-    current = &sorted;
-    span.SetRows(rows_in, sorted.num_rows());
-  }
-
-  // 5. Projection.
-  Table projected{Schema{}};
-  {
-    ScopedSpan span("Project");
-    const size_t rows_in = current->num_rows();
-    std::vector<Field> out_fields;
-    std::vector<Column> out_cols;
-    std::string detail;
-    for (const SelectItem& item : projected_items) {
-      LAWS_GOVERNOR_POLL();
-      std::string disasm;
-      LAWS_ASSIGN_OR_RETURN(
-          Column c, EvaluateExpr(*item.expr, *current,
-                                 span.active() ? &disasm : nullptr));
-      if (span.active()) {
-        if (!detail.empty()) detail += ", ";
-        detail += item.alias;
-        detail += " | bytecode: " + disasm;
-      }
-      LAWS_RETURN_IF_ERROR(
-          pipeline_charge.Acquire(c.MemoryBytes(), "projection output"));
-      out_fields.push_back(Field{item.alias, c.type(), true});
-      out_cols.push_back(std::move(c));
-    }
-    if (span.active()) span.SetDetail(detail);
-    auto built =
-        Table::FromColumns(Schema(std::move(out_fields)), std::move(out_cols));
-    if (!built.ok()) return built.status();
-    projected = std::move(*built);
-    span.SetRows(rows_in, projected.num_rows());
-  }
-
-  // 6. DISTINCT, then LIMIT.
-  if (stmt.distinct) {
-    ScopedSpan span("Distinct");
-    const size_t rows_in = projected.num_rows();
-    LAWS_ASSIGN_OR_RETURN(projected, DistinctRows(std::move(projected)));
-    span.SetRows(rows_in, projected.num_rows());
-  }
-  if (stmt.limit >= 0) {
-    ScopedSpan span("Limit");
-    if (span.active()) span.SetDetail(std::to_string(stmt.limit));
-    const size_t rows_in = projected.num_rows();
-    projected = LimitRows(std::move(projected), stmt.limit);
-    span.SetRows(rows_in, projected.num_rows());
-    return projected;
-  }
-  return projected;
+  LAWS_ASSIGN_OR_RETURN(const SelectPlan plan,
+                        PlanSelect(stmt, source.schema(), nullptr));
+  return RunPlan(plan, source, nullptr);
 }
 
 Result<Table> ExecuteSelect(const Catalog& catalog,
@@ -986,32 +1037,19 @@ Result<Table> ExecuteSelect(const Catalog& catalog,
       MetricsRegistry::Global().GetCounter("query.executed");
   executed->Add();
   LAWS_ASSIGN_OR_RETURN(TablePtr table, catalog.Get(stmt.from_table));
+  TablePtr right;
   if (stmt.join_table.empty()) {
     // Register (or refresh) the block index for the base table so the
     // compressed scan tier can serve this and later queries. Joined and
     // derived tables stay unindexed — they take the decode path.
     EnsureBlockIndex(table);
-    return ExecuteSelectOnTable(*table, stmt);
+  } else {
+    LAWS_ASSIGN_OR_RETURN(right, catalog.Get(stmt.join_table));
   }
-  LAWS_ASSIGN_OR_RETURN(TablePtr right, catalog.Get(stmt.join_table));
-  Table joined{Schema{}};
-  {
-    ScopedSpan span("HashJoin");
-    if (span.active()) {
-      std::string keys = stmt.from_table + " \xE2\x8B\x88 " + stmt.join_table;
-      for (const JoinKey& k : stmt.join_keys) {
-        keys += " on " + k.left_column + " = " + k.right_column;
-      }
-      span.SetDetail(keys);
-    }
-    LAWS_ASSIGN_OR_RETURN(
-        joined, HashJoin(*table, *right, stmt.join_keys, stmt.join_table));
-    span.SetRows(table->num_rows() + right->num_rows(), joined.num_rows());
-  }
-  ScopedCharge joined_charge;
-  LAWS_RETURN_IF_ERROR(
-      joined_charge.Acquire(joined.MemoryBytes(), "join output"));
-  return ExecuteSelectOnTable(joined, stmt);
+  LAWS_ASSIGN_OR_RETURN(
+      const SelectPlan plan,
+      PlanSelect(stmt, table->schema(), right ? &right->schema() : nullptr));
+  return RunPlan(plan, *table, right.get());
 }
 
 Result<Table> ExecuteQuery(const Catalog& catalog, const std::string& sql) {
@@ -1026,68 +1064,24 @@ Result<Table> ExecuteQuery(const Catalog& catalog, const std::string& sql) {
 Result<std::string> ExplainSelect(const Catalog& catalog,
                                   const SelectStatement& stmt) {
   LAWS_ASSIGN_OR_RETURN(TablePtr table, catalog.Get(stmt.from_table));
-  // Assemble the pipeline outside-in, then print outermost first.
-  std::vector<std::string> ops;
-  if (stmt.limit >= 0) ops.push_back("Limit(" + std::to_string(stmt.limit) + ")");
-  if (stmt.distinct) ops.push_back("Distinct");
-  {
-    std::string proj = "Project(";
-    for (size_t i = 0; i < stmt.select_list.size(); ++i) {
-      if (i > 0) proj += ", ";
-      proj += stmt.select_list[i].is_star
-                  ? "*"
-                  : stmt.select_list[i].expr->ToString();
-    }
-    ops.push_back(proj + ")");
-  }
-  if (!stmt.order_by.empty()) {
-    std::string sort = "Sort(";
-    for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-      if (i > 0) sort += ", ";
-      sort += stmt.order_by[i].expr->ToString();
-      sort += stmt.order_by[i].ascending ? " ASC" : " DESC";
-    }
-    ops.push_back(sort + ")");
-  }
-  if (stmt.having != nullptr) {
-    ops.push_back("Filter[having](" + stmt.having->ToString() + ")");
-  }
-  bool has_aggregate = !stmt.group_by.empty() || stmt.having != nullptr;
-  for (const SelectItem& item : stmt.select_list) {
-    if (!item.is_star && item.expr->ContainsAggregate()) has_aggregate = true;
-  }
-  if (has_aggregate) {
-    std::string agg = "HashAggregate(keys: ";
-    if (stmt.group_by.empty()) {
-      agg += "<global>";
-    } else {
-      for (size_t i = 0; i < stmt.group_by.size(); ++i) {
-        if (i > 0) agg += ", ";
-        agg += stmt.group_by[i]->ToString();
-      }
-    }
-    ops.push_back(agg + ")");
-  }
-  if (stmt.where != nullptr) {
-    ops.push_back("Filter(" + stmt.where->ToString() + ")");
-  }
+  TablePtr right;
   if (!stmt.join_table.empty()) {
-    std::string join = "HashJoin(" + stmt.from_table + " ⋈ " +
-                       stmt.join_table + " on ";
-    for (size_t i = 0; i < stmt.join_keys.size(); ++i) {
-      if (i > 0) join += " AND ";
-      join += stmt.join_keys[i].left_column + " = " +
-              stmt.join_keys[i].right_column;
-    }
-    ops.push_back(join + ")");
+    LAWS_ASSIGN_OR_RETURN(right, catalog.Get(stmt.join_table));
   }
-  ops.push_back("Scan(" + stmt.from_table + ", " +
-                std::to_string(table->num_rows()) + " rows)");
-
+  LAWS_ASSIGN_OR_RETURN(
+      const SelectPlan plan,
+      PlanSelect(stmt, table->schema(), right ? &right->schema() : nullptr));
+  // The plan runs innermost first; print it outermost first.
   std::string out;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    out.append(i * 2, ' ');
-    out += ops[i];
+  for (size_t depth = 0; depth < plan.ops.size(); ++depth) {
+    const PlanOp op = plan.ops[plan.ops.size() - 1 - depth];
+    const std::string detail =
+        op == PlanOp::kScan ? stmt.from_table + ", " +
+                                  std::to_string(table->num_rows()) + " rows"
+                            : OpDetail(plan, op);
+    out.append(depth * 2, ' ');
+    out += OpName(op);
+    if (!detail.empty()) out += "(" + detail + ")";
     out += '\n';
   }
   return out;
@@ -1099,79 +1093,56 @@ Result<std::string> ExplainQuery(const Catalog& catalog,
   return ExplainSelect(catalog, stmt);
 }
 
-namespace {
-
-/// The counters behind EXPLAIN ANALYZE's `expr:` and `scan:` lines, in
-/// print order.
-constexpr const char* kExplainCounters[] = {
-    "expr.compiled", "expr.batches", "scan.blocks_total",
-    "scan.blocks_pruned", "scan.encoded_agg"};
-static_assert(std::size(kExplainCounters) == 5,
-              "ExplainCounterLines keeps one start value per counter");
-
-}  // namespace
-
-ExplainCounterLines::ExplainCounterLines() {
-  for (size_t i = 0; i < start_.size(); ++i) {
-    start_[i] =
-        MetricsRegistry::Global().GetCounter(kExplainCounters[i])->value();
+Result<std::string> RenderExplainAnalyze(const TraceSink& sink,
+                                         const Status& outcome, size_t rows,
+                                         double millis,
+                                         std::string_view engine_lines) {
+  // A governed query may be stopped mid-plan; that is a legitimate
+  // outcome worth explaining, so the partial trace is still rendered with
+  // the stop reason. Any other error propagates as usual.
+  if (!outcome.ok() && !IsGovernorStatusCode(outcome.code())) return outcome;
+  std::string out = sink.Render();
+  char buf[192];
+  std::snprintf(
+      buf, sizeof(buf),
+      "expr: compiled=%llu batches=%llu\n"
+      "scan: blocks=%llu pruned=%llu encoded_agg=%llu\n",
+      static_cast<unsigned long long>(sink.Credited("expr.compiled")),
+      static_cast<unsigned long long>(sink.Credited("expr.batches")),
+      static_cast<unsigned long long>(sink.Credited("scan.blocks_total")),
+      static_cast<unsigned long long>(sink.Credited("scan.blocks_pruned")),
+      static_cast<unsigned long long>(sink.Credited("scan.encoded_agg")));
+  out += buf;
+  out += engine_lines;
+  if (QueryGovernor* gov = QueryGovernor::Current()) {
+    out += gov->DescribeLine();
   }
-}
-
-std::string ExplainCounterLines::Render() const {
-  unsigned long long d[std::size(kExplainCounters)];
-  for (size_t i = 0; i < start_.size(); ++i) {
-    d[i] = MetricsRegistry::Global().GetCounter(kExplainCounters[i])->value() -
-           start_[i];
+  if (!outcome.ok()) {
+    out += "query stopped: " + outcome.ToString() + "\n";
+    return out;
   }
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "expr: compiled=%llu batches=%llu\n"
-                "scan: blocks=%llu pruned=%llu encoded_agg=%llu\n",
-                d[0], d[1], d[2], d[3], d[4]);
-  return buf;
+  std::snprintf(buf, sizeof(buf), "%zu row%s in %.3f ms\n", rows,
+                rows == 1 ? "" : "s", millis);
+  out += buf;
+  return out;
 }
 
 Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
                                         const std::string& sql) {
   TraceSink sink;
   Timer total;
-  const ExplainCounterLines counters;
-  size_t result_rows = 0;
-  // A governed query may be stopped mid-plan; that is a legitimate
-  // outcome worth explaining, so the partial trace is still rendered
-  // with the stop reason. Any other error propagates as usual.
-  Status stopped;
-  {
+  Result<Table> result = [&]() -> Result<Table> {
     ScopedSpan span("Query");
     SelectStatement stmt;
     {
       ScopedSpan parse_span("Parse");
       LAWS_ASSIGN_OR_RETURN(stmt, ParseSelect(sql));
     }
-    Result<Table> result = ExecuteSelect(catalog, stmt);
-    if (result.ok()) {
-      result_rows = result->num_rows();
-    } else if (IsGovernorStatusCode(result.status().code())) {
-      stopped = result.status();
-    } else {
-      return result.status();
-    }
-  }
-  std::string out = sink.Render();
-  out += counters.Render();
-  if (QueryGovernor* gov = QueryGovernor::Current()) {
-    out += gov->DescribeLine();
-  }
-  if (!stopped.ok()) {
-    out += "query stopped: " + stopped.ToString() + "\n";
-    return out;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%zu row%s in %.3f ms\n", result_rows,
-                result_rows == 1 ? "" : "s", total.ElapsedMillis());
-  out += buf;
-  return out;
+    return ExecuteSelect(catalog, stmt);
+  }();
+  return RenderExplainAnalyze(sink, result.status(),
+                              result.ok() ? result->num_rows() : 0,
+                              total.ElapsedMillis());
 }
 
 }  // namespace laws

@@ -1,11 +1,12 @@
 #ifndef LAWSDB_QUERY_EXECUTOR_H_
 #define LAWSDB_QUERY_EXECUTOR_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
+#include "common/trace.h"
 #include "query/ast.h"
 #include "storage/catalog.h"
 
@@ -20,8 +21,9 @@ Result<Table> ExecuteSelect(const Catalog& catalog,
 /// Parses and executes SQL text.
 Result<Table> ExecuteQuery(const Catalog& catalog, const std::string& sql);
 
-/// Executes a SELECT against an explicit table (ignores the FROM name).
-/// Used by the AQP layer to run rewritten plans over reconstructed data.
+/// Executes a SELECT against an explicit table (ignores the FROM name and
+/// any JOIN). Used by the AQP layer to run statements over reconstructed
+/// data.
 Result<Table> ExecuteSelectOnTable(const Table& table,
                                    const SelectStatement& stmt);
 
@@ -47,36 +49,34 @@ int CompareOrderValues(const Value& a, const Value& b);
 /// within one column. Polls the current governor.
 Result<std::vector<uint64_t>> OrderCodes(const Column& col, bool ascending);
 
-/// Renders the execution plan for a statement as indented text, one
-/// operator per line, innermost (scan) last — a minimal EXPLAIN for
-/// diagnostics and tests.
+/// EXPLAIN: renders the plan the executor runs for a statement, one
+/// operator per line, outermost first and the scan last, each with the
+/// detail its EXPLAIN ANALYZE span starts with (the scan adds the table's
+/// row count). A statement the planner rejects fails with the executor's
+/// error.
 Result<std::string> ExplainSelect(const Catalog& catalog,
                                   const SelectStatement& stmt);
 Result<std::string> ExplainQuery(const Catalog& catalog,
                                  const std::string& sql);
 
 /// EXPLAIN ANALYZE over the exact engine: actually executes the query
-/// under a TraceSink and renders the measured per-stage plan tree — each
-/// operator with rows in/out and wall time — followed by a result-
-/// cardinality/total-time line. The hybrid (model-vs-exact) variant lives
-/// on HybridQueryEngine::ExplainAnalyze, which adds the arbitration
-/// decision to the tree.
+/// under a TraceSink and renders it with RenderExplainAnalyze. The hybrid
+/// (model-vs-exact) variant lives on HybridQueryEngine::ExplainAnalyze,
+/// which adds the arbitration decision to the tree.
 Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
                                         const std::string& sql);
 
-/// EXPLAIN ANALYZE's `expr:` and `scan:` lines, shared by the exact and
-/// hybrid engines: construction snapshots the process-global expr.* and
-/// scan.* counters, and Render() prints their deltas since then as
-/// "expr: compiled=N batches=N" and "scan: blocks=N pruned=N
-/// encoded_agg=N".
-class ExplainCounterLines {
- public:
-  ExplainCounterLines();
-  std::string Render() const;
-
- private:
-  std::array<uint64_t, 5> start_{};
-};
+/// EXPLAIN ANALYZE's text for a query that ran under `sink`, shared by the
+/// exact and hybrid engines: the span tree (each operator with rows in/out
+/// and wall time), the counts credited to the sink as "expr: compiled=N
+/// batches=N" and "scan: blocks=N pruned=N encoded_agg=N", `engine_lines`
+/// verbatim, the current governor's line, and then "query stopped:
+/// <status>" when a governor limit stopped the query or "N rows in T ms"
+/// when it finished. Any other error in `outcome` is returned as is.
+Result<std::string> RenderExplainAnalyze(const TraceSink& sink,
+                                         const Status& outcome, size_t rows,
+                                         double millis,
+                                         std::string_view engine_lines = {});
 
 }  // namespace laws
 

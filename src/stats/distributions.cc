@@ -1,5 +1,7 @@
 #include "stats/distributions.h"
 
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -190,6 +192,23 @@ double StudentTQuantile(double p, double df) {
     if (hi - lo < 1e-12 * (1.0 + std::fabs(hi))) break;
   }
   return 0.5 * (lo + hi);
+}
+
+double PredictionHalfWidth95(double rse, size_t n_observations,
+                             size_t n_parameters) {
+  if (n_observations <= n_parameters) return rse;
+  const size_t df = n_observations - n_parameters;
+  if (df >= 200) return 1.96 * rse;
+  // One quantile inversion takes tens of microseconds and a grouped
+  // reconstruction asks once per group, so each df's quantile is kept (0 =
+  // not yet; threads that race store the same value).
+  static std::array<std::atomic<double>, 200> quantiles{};
+  double t = quantiles[df].load(std::memory_order_relaxed);
+  if (t == 0.0) {
+    t = StudentTQuantile(0.975, static_cast<double>(df));
+    quantiles[df].store(t, std::memory_order_relaxed);
+  }
+  return t * rse;
 }
 
 double FCdf(double f, double d1, double d2) {

@@ -1,6 +1,8 @@
 #ifndef LAWSDB_STATS_DISTRIBUTIONS_H_
 #define LAWSDB_STATS_DISTRIBUTIONS_H_
 
+#include <cstddef>
+
 namespace laws {
 
 /// Standard normal density.
@@ -28,6 +30,15 @@ double StudentTCdf(double t, double df);
 /// Student-t two-sided critical value: smallest c with
 /// P(|T| <= c) >= 1 - alpha. Used for confidence/prediction intervals.
 double StudentTQuantile(double p, double df);
+
+/// The 95% prediction-interval half-width of a fit with residual standard
+/// error `rse` over `n_observations` points and `n_parameters` parameters:
+/// StudentTQuantile(0.975, n - p) * rse, with 1.96 for the quantile from
+/// 200 degrees of freedom on (within half a percent of normal), and the
+/// raw rse when n <= p. Model answers serve it as their error bound. Each
+/// df's quantile is computed once per process; safe on any thread.
+double PredictionHalfWidth95(double rse, size_t n_observations,
+                             size_t n_parameters);
 
 /// F-distribution CDF with (d1, d2) degrees of freedom.
 double FCdf(double f, double d1, double d2);

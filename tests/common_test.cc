@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "common/bytes.h"
 #include "common/metrics.h"
@@ -521,6 +522,22 @@ TEST(TraceTest, SinkStackRestoresPreviousSink) {
     EXPECT_EQ(TraceSink::Current(), &outer_sink);
   }
   EXPECT_EQ(TraceSink::Current(), nullptr);
+}
+
+TEST(TraceTest, CounterAddsCreditTheThreadsInnermostSink) {
+  Counter* c = MetricsRegistry::Global().GetCounter("test.trace.credited");
+  const uint64_t before = c->value();
+  TraceSink outer;
+  c->Add(2);
+  {
+    TraceSink inner;
+    c->Add(3);
+    EXPECT_EQ(inner.Credited("test.trace.credited"), 3u);
+  }
+  std::thread([c] { c->Add(5); }).join();  // no sink on that thread
+  EXPECT_EQ(outer.Credited("test.trace.credited"), 2u);
+  EXPECT_EQ(outer.Credited("test.trace.never_added"), 0u);
+  EXPECT_EQ(c->value(), before + 10);  // the global count sees every add
 }
 
 TEST(TraceTest, InactiveSpanIsANoOp) {

@@ -315,9 +315,9 @@ TEST(ClosedFormWarmStartTest, DeclinesModelsWithoutLinearization) {
       ClosedFormWarmStart(logistic, ColumnMatrix(x), y, &scratch, &warm));
 }
 
-// --- Fast-path toggle ----------------------------------------------------
+// --- Closed form vs iterative ---------------------------------------------
 
-TEST(ClosedFormToggleTest, DisablingFastPathRestoresIterativeDispatch) {
+TEST(ClosedFormDispatchTest, AutoSolvesClosedFormWhereLmIterates) {
   Rng rng(13);
   PowerLawModel model;
   const size_t n = 30;
@@ -327,9 +327,9 @@ TEST(ClosedFormToggleTest, DisablingFastPathRestoresIterativeDispatch) {
     y[i] = 1.8 * std::pow(x[i], -0.6) * rng.LogNormal(0.0, 0.03);
   }
   const Matrix inputs = ColumnMatrix(x);
-  FitOptions off;
-  off.closed_form_fast_path = false;
-  const auto iter = FitModel(model, inputs, y, off);
+  FitOptions lm;
+  lm.algorithm = FitAlgorithm::kLevenbergMarquardt;
+  const auto iter = FitModel(model, inputs, y, lm);
   ASSERT_TRUE(iter.ok());
   EXPECT_EQ(iter->algorithm_used, FitAlgorithm::kLevenbergMarquardt);
   const auto fast = FitModel(model, inputs, y, FitOptions{});

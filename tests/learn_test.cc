@@ -128,6 +128,25 @@ TEST(LearnerTest, RepeatedScansHarvestNothingTwice) {
   EXPECT_EQ(learner.VerifyCandidatesAgainstBatch(data, 1e-6), "");
 }
 
+// Column names are case-insensitive, so a statement that spells one
+// column two ways references one column: it pairs nothing, and no model
+// fits a column against itself.
+TEST(LearnerTest, MixedCaseSpellingsOfOneColumnPairNothing) {
+  Catalog data;
+  TablePtr t = MakeXY();
+  ASSERT_TRUE(AppendLinear(t, 0, 64, 3.0, 2.0, 0.05).ok());
+  data.RegisterOrReplace("t", t);
+  ModelCatalog models;
+
+  Learner learner(EnabledOptions());
+  auto stmt = ParseSelect("SELECT AVG(Y) FROM t WHERE y > 0");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  learner.OnExactScan(*stmt, data, models);
+  EXPECT_EQ(learner.num_candidates(), 0u);
+  EXPECT_EQ(learner.Apply(data, &models).promoted, 0u);
+  EXPECT_EQ(models.size(), 0u);
+}
+
 TEST(LearnerTest, IngestedRowsHarvestIncrementally) {
   Catalog data;
   TablePtr t = MakeXY();

@@ -5,9 +5,11 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "query/executor.h"
 #include "query/expr_eval.h"
 #include "query/lexer.h"
@@ -677,21 +679,16 @@ TEST(ExplainTest, ShowsPipelineOutsideIn) {
       "SELECT tag, COUNT(*) FROM t WHERE score > 5 GROUP BY tag "
       "HAVING COUNT(*) > 1 ORDER BY tag LIMIT 3");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  // Outermost first, scan last; each operator present once.
-  const std::string& p = *plan;
-  const size_t limit_pos = p.find("Limit(3)");
-  const size_t sort_pos = p.find("Sort(");
-  const size_t agg_pos = p.find("HashAggregate");
-  const size_t filter_pos = p.find("Filter((score > 5))");
-  const size_t scan_pos = p.find("Scan(t, 5 rows)");
-  EXPECT_NE(limit_pos, std::string::npos);
-  EXPECT_NE(sort_pos, std::string::npos);
-  EXPECT_NE(agg_pos, std::string::npos);
-  EXPECT_NE(filter_pos, std::string::npos);
-  EXPECT_NE(scan_pos, std::string::npos);
-  EXPECT_LT(limit_pos, sort_pos);
-  EXPECT_LT(agg_pos, filter_pos);
-  EXPECT_LT(filter_pos, scan_pos);
+  // Outermost first, scan last; each operator once, in the statement's
+  // own text.
+  EXPECT_EQ(*plan,
+            "Limit(3)\n"
+            "  Project(tag, COUNT(*))\n"
+            "    Sort(tag ASC | top 3)\n"
+            "      Filter[having]((COUNT(*) > 1))\n"
+            "        HashAggregate(tag)\n"
+            "          Filter((score > 5))\n"
+            "            Scan(t, 5 rows)\n");
 }
 
 TEST(ExplainTest, JoinAndDistinctAppear) {
@@ -704,6 +701,88 @@ TEST(ExplainTest, JoinAndDistinctAppear) {
   EXPECT_NE(plan->find("HashJoin"), std::string::npos);
   EXPECT_NE(plan->find("tag = tag"), std::string::npos);
   EXPECT_FALSE(ExplainQuery(cat, "SELECT x FROM missing").ok());
+}
+
+/// One operator of an EXPLAIN text or of a trace: its name and detail.
+struct PlanLine {
+  std::string name;
+  std::string detail;
+};
+
+/// EXPLAIN's lines, outermost first: `name` or `name(detail)`, indented.
+std::vector<PlanLine> ParseExplain(const std::string& text) {
+  std::vector<PlanLine> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    line.erase(0, line.find_first_not_of(' '));
+    const size_t open = line.find('(');
+    if (open == std::string::npos) {
+      out.push_back({line, ""});
+    } else {
+      out.push_back(
+          {line.substr(0, open), line.substr(open + 1, line.size() - open - 2)});
+    }
+  }
+  return out;
+}
+
+// EXPLAIN prints the plan the executor runs: the operators EXPLAIN
+// ANALYZE's spans record, outermost first where the spans run innermost
+// first, and each EXPLAIN detail starts the span's detail (the scan's
+// EXPLAIN line carries the table's row count instead).
+TEST(ExplainTest, PrintsTheOperatorsTheExecutorRuns) {
+  Catalog cat = MakeCatalog();
+  auto pairs = std::make_shared<Table>(
+      Schema({Field{"tag", DataType::kString, false},
+              Field{"id", DataType::kInt64, false},
+              Field{"weight", DataType::kDouble, false}}));
+  ASSERT_TRUE(pairs->AppendRow({Value::String("red"), Value::Int64(1),
+                                Value::Double(1.5)})
+                  .ok());
+  ASSERT_TRUE(pairs->AppendRow({Value::String("blue"), Value::Int64(2),
+                                Value::Double(2.0)})
+                  .ok());
+  cat.RegisterOrReplace("pairs", pairs);
+  const char* kStatements[] = {
+      "SELECT id, score FROM t WHERE score > 15",
+      "SELECT id, weight FROM t JOIN pairs ON tag = tag AND id = id",
+      "SELECT tag, COUNT(*) AS n FROM t WHERE ok GROUP BY tag "
+      "HAVING n > 1 ORDER BY n DESC LIMIT 5",
+      "SELECT id, score FROM t ORDER BY score DESC LIMIT 2",
+      "SELECT id + 1 AS next FROM t ORDER BY score DESC LIMIT 2",
+      "SELECT DISTINCT tag FROM t",
+      "SELECT * FROM t",
+      "SELECT COUNT(*), AVG(score) FROM t",
+  };
+  for (const char* sql : kStatements) {
+    SCOPED_TRACE(sql);
+    auto stmt = ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto plan = ExplainSelect(cat, *stmt);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->find("__"), std::string::npos) << *plan;
+    TraceSink sink;
+    auto result = ExecuteSelect(cat, *stmt);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<PlanLine> lines = ParseExplain(*plan);
+    const std::vector<SpanRecord>& spans = sink.spans();
+    ASSERT_EQ(lines.size(), spans.size()) << *plan << sink.Render();
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const PlanLine& line = lines[lines.size() - 1 - i];
+      EXPECT_EQ(line.name, spans[i].name) << *plan << sink.Render();
+      if (line.name == "Scan") continue;
+      EXPECT_EQ(spans[i].detail.rfind(line.detail, 0), 0u)
+          << "EXPLAIN: " << line.detail << "\nspan: " << spans[i].detail;
+    }
+  }
+  // A statement the planner rejects fails EXPLAIN with the same error.
+  const std::string bad = "SELECT * FROM t GROUP BY tag";
+  auto explained = ExplainQuery(cat, bad);
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(explained.status().ToString(),
+            ExecuteQuery(cat, bad).status().ToString());
 }
 
 TEST(ExecutorTest, CountStarOnEmptyGroupedInputYieldsNoRows) {
@@ -931,8 +1010,7 @@ TEST(ExplainAnalyzeTest, RendersStageTreeWithRowsAndTimings) {
                        "rows=5->4"),
             std::string::npos)
       << *text;
-  EXPECT_NE(text->find("Sort(__key0 ASC | full)  rows=4->4"),
-            std::string::npos);
+  EXPECT_NE(text->find("Sort(v ASC | full)  rows=4->4"), std::string::npos);
   EXPECT_NE(text->find("time="), std::string::npos);
   // Expression-engine accounting rides below the tree.
   EXPECT_NE(text->find("expr: compiled="), std::string::npos);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -343,6 +344,83 @@ TEST(ServerTest, CancelTargetsOnlyItsOwnSession) {
   // ...and is consumed by it: the query after runs normally.
   auto after = victim->ExecuteSql("SELECT COUNT(*) FROM t");
   EXPECT_TRUE(after.ok()) << after.status().ToString();
+}
+
+/// The `expr:` and `scan:` lines of an EXPLAIN ANALYZE text.
+std::string CounterLines(const std::string& text) {
+  std::string out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("expr: ", 0) == 0 || line.rfind("scan: ", 0) == 0) {
+      out += line + "\n";
+    }
+  }
+  return out;
+}
+
+// EXPLAIN ANALYZE counts only its own query: two sessions run it at the
+// same time — one compiles a computed predicate over many batches, the
+// other prunes blocks — and every run prints that session's solo lines.
+TEST(ServerTest, ConcurrentExplainAnalyzeCountsOnlyItsOwnQuery) {
+  Server server(QuietOptions());
+  auto computed = *server.Connect("computed");
+  auto pruned = *server.Connect("pruned");
+  ASSERT_TRUE(computed->CreateTable("wide", MakeNumericTable(100000)).ok());
+  // x ascends, so zone maps prune every 4096-row block but the first.
+  ASSERT_TRUE(pruned->CreateTable("sorted", MakeNumericTable(40960)).ok());
+  const std::string kComputed =
+      "SELECT COUNT(*) FROM wide WHERE x * 2.0 > 10.0";
+  const std::string kPruned = "SELECT COUNT(*) FROM sorted WHERE x < 100.0";
+
+  auto solo_computed = computed->ExplainAnalyze(kComputed);
+  ASSERT_TRUE(solo_computed.ok()) << solo_computed.status().ToString();
+  auto solo_pruned = pruned->ExplainAnalyze(kPruned);
+  ASSERT_TRUE(solo_pruned.ok()) << solo_pruned.status().ToString();
+  const std::string computed_lines = CounterLines(*solo_computed);
+  const std::string pruned_lines = CounterLines(*solo_pruned);
+  EXPECT_NE(computed_lines.find("scan: blocks=0 "), std::string::npos)
+      << computed_lines;
+  EXPECT_NE(pruned_lines.find("scan: blocks=10 pruned=9 "),
+            std::string::npos)
+      << pruned_lines;
+
+  std::atomic<int> ready{0};
+  auto run = [&](ClientSession* session, const std::string& sql,
+                 const std::string& solo) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int i = 0; i < 50; ++i) {
+      auto text = session->ExplainAnalyze(sql);
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      EXPECT_EQ(CounterLines(*text), solo) << "iteration " << i;
+    }
+  };
+  std::thread a(run, computed.get(), kComputed, computed_lines);
+  std::thread b(run, pruned.get(), kPruned, pruned_lines);
+  a.join();
+  b.join();
+}
+
+// A stopped query still explains itself: after CancelCurrent(), the
+// session's next EXPLAIN ANALYZE renders the partial tree, the governor
+// line and the stop instead of returning the error.
+TEST(ServerTest, ExplainAnalyzeRendersACanceledQuery) {
+  Server server(QuietOptions());
+  auto session = *server.Connect("explained");
+  ASSERT_TRUE(session->CreateTable("t", MakeNumericTable(64)).ok());
+  session->CancelCurrent();
+  auto text = session->ExplainAnalyze("SELECT COUNT(*) FROM t WHERE x > 1.0");
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("HybridDecision(exact: "), std::string::npos) << *text;
+  EXPECT_NE(text->find("  ExactScan"), std::string::npos) << *text;
+  EXPECT_NE(text->find("tripped=canceled"), std::string::npos) << *text;
+  EXPECT_NE(text->find("query stopped: "), std::string::npos) << *text;
+  EXPECT_EQ(text->find("answered by:"), std::string::npos) << *text;
+  // The stop consumed the interrupt: the next query runs.
+  auto after = session->ExplainAnalyze("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_NE(after->find("1 row in "), std::string::npos) << *after;
 }
 
 TEST(ServerTest, IngestIsTypeCheckedAndAtomic) {

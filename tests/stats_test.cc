@@ -148,6 +148,22 @@ TEST(DistributionsTest, StudentTKnownCriticalValues) {
   EXPECT_NEAR(StudentTCdf(-1.5, 7.0) + StudentTCdf(1.5, 7.0), 1.0, 1e-10);
 }
 
+TEST(DistributionsTest, PredictionHalfWidth95) {
+  const double rse = 0.25;
+  // df = n - p: the t quantile below 200, 1.96 from 200 on.
+  EXPECT_EQ(PredictionHalfWidth95(rse, 3, 2),
+            StudentTQuantile(0.975, 1.0) * rse);
+  EXPECT_EQ(PredictionHalfWidth95(rse, 201, 2),
+            StudentTQuantile(0.975, 199.0) * rse);
+  EXPECT_EQ(PredictionHalfWidth95(rse, 202, 2), 1.96 * rse);
+  // Asked again (the quantile is now remembered), the same bits.
+  EXPECT_EQ(PredictionHalfWidth95(rse, 3, 2),
+            StudentTQuantile(0.975, 1.0) * rse);
+  // n <= p: no degrees of freedom, the raw residual standard error.
+  EXPECT_EQ(PredictionHalfWidth95(rse, 2, 2), rse);
+  EXPECT_EQ(PredictionHalfWidth95(rse, 1, 2), rse);
+}
+
 TEST(DistributionsTest, FDistributionKnownValues) {
   // F(1, n) = T(n)^2: P(F <= t^2) = P(|T| <= t).
   const double t = 2.0;

@@ -18,7 +18,11 @@
 #     selective filter on source shows a `zonescan:` Filter detail with
 #     pruned blocks followed by the program the VM ran over the rest, the
 #     `scan:` line reports nonzero pruning, and the scan.* counters
-#     appear in `metrics`.
+#     appear in `metrics`;
+#  6. one plan: `explain` and `explain analyze` of one exact-fallback
+#     statement (COUNT(*), WHERE, GROUP BY, HAVING, ORDER BY, LIMIT) name
+#     the same operators, `explain` outermost first and the analyzed
+#     spans innermost first, each `explain` detail starting its span's.
 #
 # Usage: tools/check_observability.sh
 #   LAWS_OBS_BUILD_DIR  override the build tree (default: build)
@@ -120,5 +124,35 @@ grep -Eq 'scan\.blocks_pruned +[1-9]' <<<"$scan_out" \
 grep -Eq 'scan\.index_builds +[1-9]' <<<"$scan_out" \
   || { out="$scan_out"; fail "scan.index_builds counter not reported"; }
 
+# 6. One plan: EXPLAIN prints the operators the executor runs. Each line
+#    reduces to "name<TAB>detail"; the analyzed operators are the
+#    ExactScan's children (depth 2), innermost first. Every EXPLAIN detail
+#    but the scan's starts its span's detail.
+plan_sql='SELECT source, COUNT(*) AS n FROM measurements WHERE wavelength > 0.1 GROUP BY source HAVING COUNT(*) > 2 ORDER BY n DESC LIMIT 5'
+run_shell() {
+  printf '%s\n' 'gen lofar 100 4000' "$1" 'quit' | "$BUILD_DIR/examples/lawsdb_shell"
+}
+op_fields() {
+  sed -E 's/^(lawsdb> )?[ ]*//; s/  rows=.*//; s/^([A-Za-z]+(\[[a-z]+\])?)(\((.*)\))?.*$/\1\t\4/'
+}
+explained="$(run_shell "explain $plan_sql")"
+analyzed="$(run_shell "explain analyze $plan_sql")"
+mapfile -t explain_ops < <(grep -v -e '^LawsDB shell' -e 'registered ' \
+  -e '^lawsdb> *$' <<<"$explained" | op_fields)
+mapfile -t analyze_ops < <(grep -E '^    [A-Za-z]' <<<"$analyzed" | op_fields | tac)
+names="$(printf '%s\n' "${explain_ops[@]}" | cut -f1 | tr '\n' ' ')"
+[ "$names" = 'Limit Project Sort Filter[having] HashAggregate Filter Scan ' ] \
+  || { out="$explained"; fail "explain printed operators [$names]"; }
+[ "${#analyze_ops[@]}" -eq "${#explain_ops[@]}" ] \
+  || { out="$explained$analyzed"; fail "explain and explain analyze differ in operator count"; }
+for i in "${!explain_ops[@]}"; do
+  IFS=$'\t' read -r e_name e_detail <<<"${explain_ops[$i]}"
+  IFS=$'\t' read -r a_name a_detail <<<"${analyze_ops[$i]}"
+  [ "$e_name" = "$a_name" ] \
+    || { out="$explained$analyzed"; fail "explain's $e_name is explain analyze's $a_name"; }
+  [ "$e_name" = Scan ] || [[ "$a_detail" == "$e_detail"* ]] \
+    || { out="$explained$analyzed"; fail "$e_name detail [$e_detail] does not start [$a_detail]"; }
+done
+
 echo "Observability gate passed: EXPLAIN ANALYZE (model + exact + bytecode" \
-     "tier + compressed scans) and metrics OK."
+     "tier + compressed scans), EXPLAIN's plan and metrics OK."

@@ -18,6 +18,10 @@
 # condvar hands slots across threads, session interrupts land from
 # foreign threads, and the block-index cache races builds at two block
 # sizes, lookups, table drops and purges — all instrumented here.
+# ServerTest.ConcurrentExplainAnalyzeCountsOnlyItsOwnQuery runs two
+# sessions' EXPLAIN ANALYZE at once: every Counter::Add also credits the
+# TraceSink installed on its thread, so a sink shared across threads
+# would race here.
 #
 # Usage: tools/check_tsan.sh [ctest-args...]
 #   LAWS_TSAN_BUILD_DIR  override the build tree (default: build-tsan)
