@@ -1,8 +1,6 @@
 #include "compress/block_store.h"
 
 #include <cmath>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/metrics.h"
 
@@ -14,12 +12,6 @@ constexpr double kExactIntBound = 9007199254740992.0;  // 2^53
 Counter* IndexBuildCounter() {
   static Counter* c =
       MetricsRegistry::Global().GetCounter("scan.index_builds");
-  return c;
-}
-
-Counter* IndexEvictionCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("scan.index_evictions");
   return c;
 }
 
@@ -81,39 +73,6 @@ ColumnBlockIndex BuildColumnIndex(const Column& col, size_t num_rows,
   return out;
 }
 
-/// Process-wide index cache. Keyed by table address but validated through
-/// a weak_ptr to the owning shared_ptr, so a freed-and-recycled address
-/// can never serve another table's index.
-struct CacheEntry {
-  std::weak_ptr<Table> owner;
-  std::shared_ptr<const BlockIndex> index;
-};
-
-std::mutex g_cache_mutex;
-std::unordered_map<const Table*, CacheEntry>& Cache() {
-  static auto* cache = new std::unordered_map<const Table*, CacheEntry>();
-  return *cache;
-}
-
-bool IndexCurrent(const BlockIndex& index, const Table& table) {
-  return index.data_version == table.data_version() &&
-         index.num_rows == table.num_rows();
-}
-
-void EvictExpiredLocked() {
-  auto& cache = Cache();
-  size_t evicted = 0;
-  for (auto it = cache.begin(); it != cache.end();) {
-    if (it->second.owner.expired()) {
-      it = cache.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  if (evicted > 0) IndexEvictionCounter()->Add(evicted);
-}
-
 }  // namespace
 
 std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table,
@@ -123,7 +82,6 @@ std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table,
   index->num_rows = table.num_rows();
   index->num_blocks =
       (index->num_rows + index->block_rows - 1) / index->block_rows;
-  index->data_version = table.data_version();
   index->columns.reserve(table.num_columns());
   for (size_t c = 0; c < table.num_columns(); ++c) {
     index->columns.push_back(BuildColumnIndex(
@@ -137,45 +95,10 @@ std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table,
 std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table,
                                                    size_t block_rows) {
   if (!table) return nullptr;
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mutex);
-    EvictExpiredLocked();
-    auto it = Cache().find(table.get());
-    if (it != Cache().end() && it->second.owner.lock() == table &&
-        IndexCurrent(*it->second.index, *table)) {
-      return it->second.index;
-    }
-  }
-  // Build outside the lock: index construction is a full column sweep.
-  std::shared_ptr<const BlockIndex> index = BuildBlockIndex(*table, block_rows);
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mutex);
-    EvictExpiredLocked();
-    Cache()[table.get()] = CacheEntry{table, index};
-  }
-  return index;
-}
-
-std::shared_ptr<const BlockIndex> FindBlockIndex(const Table& table) {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  EvictExpiredLocked();
-  auto it = Cache().find(&table);
-  if (it == Cache().end()) return nullptr;
-  auto owner = it->second.owner.lock();
-  if (!owner || owner.get() != &table) return nullptr;
-  if (!IndexCurrent(*it->second.index, table)) return nullptr;
-  return it->second.index;
-}
-
-void PurgeExpiredBlockIndexes() {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  EvictExpiredLocked();
-}
-
-size_t BlockIndexCacheSize() {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  EvictExpiredLocked();
-  return Cache().size();
+  if (auto index = table->block_index()) return index;
+  // Build outside any lock: index construction is a full column sweep. A
+  // racing builder that installs first wins and this build is dropped.
+  return table->InstallBlockIndex(BuildBlockIndex(*table, block_rows));
 }
 
 }  // namespace laws

@@ -14,8 +14,10 @@ namespace laws {
 /// block of each numeric column carries a zone map (min/max over the
 /// values *as the comparison engine sees them* — coerced to double —
 /// plus NULL/NaN tallies). The plain `Table` columns remain the source of
-/// truth: the index only licenses skipping whole blocks, so a stale or
-/// missing index is always just a slower scan, never a different answer.
+/// truth: the index only licenses skipping whole blocks, so a missing
+/// index is always just a slower scan, never a different answer. The
+/// table owns its index (`Table::block_index()`), and every mutation of
+/// the table drops it.
 
 /// Per-block, per-column statistics. `min`/`max` cover the comparable
 /// values (non-NULL, non-NaN) after the engine's double coercion, which
@@ -56,7 +58,6 @@ struct BlockIndex {
   size_t block_rows = 0;
   size_t num_rows = 0;
   size_t num_blocks = 0;
-  uint64_t data_version = 0;
   std::vector<ColumnBlockIndex> columns;
 
   size_t BlockStart(size_t b) const { return b * block_rows; }
@@ -71,33 +72,16 @@ struct BlockIndex {
 /// span several blocks.
 inline constexpr size_t kDefaultBlockRows = 4096;
 
-/// Builds a block index for `table` (unconditionally; no caching).
+/// Builds a block index for `table` (unconditionally; nothing installed).
 std::shared_ptr<const BlockIndex> BuildBlockIndex(
     const Table& table, size_t block_rows = kDefaultBlockRows);
 
-/// Returns the cached index for `table` when one is current, whatever
-/// its block size; otherwise builds one at `block_rows` and registers
-/// it. The cache is keyed by table identity (address, validated through
-/// the owning shared_ptr so a recycled address can never alias) and
-/// invalidated by data_version and row count.
+/// Returns the index installed in `table` whatever its block size;
+/// otherwise builds one at `block_rows` and installs it. When builders
+/// race, the first install wins and every caller gets that index. The
+/// index lives as long as its table (or a caller's copy of the pointer).
 std::shared_ptr<const BlockIndex> EnsureBlockIndex(
     const TablePtr& table, size_t block_rows = kDefaultBlockRows);
-
-/// Validated cache lookup by reference: returns the index only when a
-/// live registration matches this table's address and data version;
-/// nullptr otherwise. Never builds.
-std::shared_ptr<const BlockIndex> FindBlockIndex(const Table& table);
-
-/// Drops cache entries whose owning table has been destroyed (the
-/// weak_ptr expired). Every eviction bumps the `scan.index_evictions`
-/// counter. Lookups already purge opportunistically, so a long-running
-/// server that drops or replaces tables cannot pin dead indexes
-/// indefinitely; call this explicitly after a catalog commit to free
-/// the memory immediately rather than at the next scan.
-void PurgeExpiredBlockIndexes();
-
-/// Number of live cache entries (post-purge); test/diagnostic hook.
-size_t BlockIndexCacheSize();
 
 }  // namespace laws
 

@@ -18,6 +18,17 @@ double MedianOf(std::vector<double> values) {
   return 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
+FitRequest RefitRequest(const CapturedModel& model) {
+  FitRequest request;
+  request.table = model.table_name;
+  request.model_source = model.model_source;
+  request.input_columns = model.input_columns;
+  request.output_column = model.output_column;
+  request.group_column = model.group_column;
+  request.where = model.subset_predicate;
+  return request;
+}
+
 namespace {
 
 /// Applies the optional subset predicate, returning either the original
@@ -182,16 +193,9 @@ Result<FitReport> Session::Fit(const FitRequest& request) {
 
 Result<FitReport> Session::Refit(uint64_t model_id) {
   LAWS_ASSIGN_OR_RETURN(const CapturedModel* existing, models_->Get(model_id));
-  FitRequest request;
-  request.table = existing->table_name;
-  request.model_source = existing->model_source;
-  request.input_columns = existing->input_columns;
-  request.output_column = existing->output_column;
-  request.group_column = existing->group_column;
-  request.where = existing->subset_predicate;
-
   CapturedModel refreshed;
-  LAWS_ASSIGN_OR_RETURN(FitReport report, FitInternal(request, &refreshed));
+  LAWS_ASSIGN_OR_RETURN(FitReport report,
+                        FitInternal(RefitRequest(*existing), &refreshed));
   // Replace in place, keeping the id stable — holders of the old id (the
   // learning loop's hit-rate stats, anomaly fixtures, shell history) keep
   // addressing the same model after the refit.
@@ -219,8 +223,9 @@ Result<RefitReport> Session::RefitStale() {
       continue;
     }
     ++report.refitted;
-    const double new_quality = refit->grouped ? refit->median_r_squared
-                                              : refit->quality.r_squared;
+    auto refreshed = models_->Get(id);
+    if (!refreshed.ok()) continue;
+    const double new_quality = (*refreshed)->ArbitrationQuality();
     if (std::fabs(new_quality - old_quality) > 0.05) {
       report.quality_shifted.push_back(refit->model_id);
     }

@@ -55,7 +55,8 @@ struct RefitReport {
   size_t stale = 0;
   size_t refitted = 0;
   size_t failed = 0;
-  /// Models whose refreshed quality changed by more than 0.05 R².
+  /// Models whose ArbitrationQuality() moved by more than 0.05 in the
+  /// refit.
   std::vector<uint64_t> quality_shifted;
 };
 
@@ -90,6 +91,11 @@ class Session {
   Catalog* data_;
   ModelCatalog* models_;
 };
+
+/// The request that re-fits `model` on its table's current rows: the
+/// same table, model source, columns, grouping and subset, with default
+/// fit options.
+FitRequest RefitRequest(const CapturedModel& model);
 
 /// Computes the median of `values` (by copy); 0 for empty input.
 double MedianOf(std::vector<double> values);

@@ -561,16 +561,9 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
     if (QueryGovernor* gov = QueryGovernor::Current()) {
       if (!gov->Poll().ok()) break;  // retry on the next tick
     }
-    FitRequest request;
-    request.table = (*existing)->table_name;
-    request.model_source = (*existing)->model_source;
-    request.input_columns = (*existing)->input_columns;
-    request.output_column = (*existing)->output_column;
-    request.group_column = (*existing)->group_column;
-    request.where = (*existing)->subset_predicate;
     CapturedModel refreshed;
-    FitReport fit_report;
-    auto status = ComputeCapturedFit(data, request, &refreshed, &fit_report);
+    auto status = ComputeCapturedFit(data, RefitRequest(**existing),
+                                     &refreshed, /*report=*/nullptr);
     if (!status.ok()) {
       // Keep the flag: the model stays rejected at arbitration (serving
       // exact answers) rather than serving a law the data contradicts.

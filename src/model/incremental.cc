@@ -101,26 +101,12 @@ Result<FitOutput> IncrementalOls::Solve() const {
   const double mean = sum_y_ / nd;
   const double tss = std::max(sum_y2_ - nd * mean * mean, 0.0);
 
-  FitQuality q;
-  q.n_observations = n_;
-  q.n_parameters = p;
-  q.residual_sum_of_squares = rss;
-  q.total_sum_of_squares = tss;
-  q.r_squared = tss > 0.0 ? 1.0 - rss / tss : (rss == 0.0 ? 1.0 : 0.0);
-  const double pd = static_cast<double>(p);
-  q.adjusted_r_squared =
-      tss > 0.0 ? 1.0 - (rss / (nd - pd)) / (tss / (nd - 1.0)) : q.r_squared;
-  q.residual_standard_error = std::sqrt(rss / (nd - pd));
-  const double sigma2 = std::max(rss / nd, 1e-300);
-  const double log_lik = -0.5 * nd * (std::log(2.0 * M_PI * sigma2) + 1.0);
-  q.aic = 2.0 * (pd + 1.0) - 2.0 * log_lik;
-  q.bic = std::log(nd) * (pd + 1.0) - 2.0 * log_lik;
-  out.quality = q;
+  out.quality = FitQualityFromSums(rss, tss, n_, p);
 
   // Standard errors from sigma^2 (X'X)^{-1}.
   auto inv = Invert(xtx_);
   if (inv.ok()) {
-    const double s2 = rss / (nd - pd);
+    const double s2 = rss / (nd - static_cast<double>(p));
     out.standard_errors.assign(p, 0.0);
     for (size_t i = 0; i < p; ++i) {
       const double v = s2 * (*inv)(i, i);

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/string_util.h"
-#include "linalg/solve.h"
 
 namespace laws {
 namespace {
@@ -204,27 +203,6 @@ void PowerLawModel::InputGradient(const Vector& inputs, const Vector& params,
   (*grad)[0] = params[0] * params[1] * std::pow(inputs[0], params[1] - 1.0);
 }
 
-bool PowerLawModel::LogLinearEstimate(const Matrix& inputs,
-                                      const Vector& outputs,
-                                      Vector* params) const {
-  const size_t n = outputs.size();
-  if (n < 2 || inputs.cols() < 1) return false;
-  Matrix design(n, 2);
-  Vector logy(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (inputs(i, 0) <= 0.0 || outputs[i] <= 0.0) return false;
-    design(i, 0) = 1.0;
-    design(i, 1) = std::log(inputs(i, 0));
-    logy[i] = std::log(outputs[i]);
-  }
-  auto beta = LeastSquaresQr(design, logy);
-  if (!beta.ok()) return false;
-  params->assign(2, 0.0);
-  (*params)[0] = std::exp((*beta)[0]);
-  (*params)[1] = (*beta)[1];
-  return true;
-}
-
 bool PowerLawModel::Linearization(ModelLinearization* out) const {
   out->x_transform = NumericTransform::kLog;
   out->y_transform = NumericTransform::kLog;
@@ -253,27 +231,6 @@ void ExponentialModel::InputGradient(const Vector& inputs,
                                      Vector* grad) const {
   grad->assign(1, 0.0);
   (*grad)[0] = params[0] * params[1] * std::exp(params[1] * inputs[0]);
-}
-
-bool ExponentialModel::LogLinearEstimate(const Matrix& inputs,
-                                         const Vector& outputs,
-                                         Vector* params) const {
-  const size_t n = outputs.size();
-  if (n < 2 || inputs.cols() < 1) return false;
-  Matrix design(n, 2);
-  Vector logy(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (outputs[i] <= 0.0) return false;
-    design(i, 0) = 1.0;
-    design(i, 1) = inputs(i, 0);
-    logy[i] = std::log(outputs[i]);
-  }
-  auto beta = LeastSquaresQr(design, logy);
-  if (!beta.ok()) return false;
-  params->assign(2, 0.0);
-  (*params)[0] = std::exp((*beta)[0]);
-  (*params)[1] = (*beta)[1];
-  return true;
 }
 
 bool ExponentialModel::Linearization(ModelLinearization* out) const {

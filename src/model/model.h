@@ -80,10 +80,10 @@ class Model {
   /// otherwise.
   virtual Status BasisFunctions(const Vector& inputs, Vector* phi) const;
 
-  /// Optional closed-form parameter estimate via transformation (e.g.
-  /// power law / exponential fit by OLS in log space). Returns false when
-  /// the model has no such transformation or the data violates its domain;
-  /// fitters use it to obtain starting values.
+  /// Optional heuristic starting values (the Gaussian peak's moment
+  /// estimate) for the iterative fitters, which try ClosedFormWarmStart
+  /// first: a model with a Linearization() gets its start there. Returns
+  /// false when the model has none or the data violates its domain.
   virtual bool LogLinearEstimate(const Matrix& inputs, const Vector& outputs,
                                  Vector* params) const;
 
@@ -189,8 +189,6 @@ class PowerLawModel : public Model {
                          Vector* grad) const override;
   void InputGradient(const Vector& inputs, const Vector& params,
                      Vector* grad) const override;
-  bool LogLinearEstimate(const Matrix& inputs, const Vector& outputs,
-                         Vector* params) const override;
   /// log y = log p + alpha * log x: exact log-log OLS.
   bool Linearization(ModelLinearization* out) const override;
   Vector InitialParameters() const override { return {1.0, -1.0}; }
@@ -218,8 +216,6 @@ class ExponentialModel : public Model {
                          Vector* grad) const override;
   void InputGradient(const Vector& inputs, const Vector& params,
                      Vector* grad) const override;
-  bool LogLinearEstimate(const Matrix& inputs, const Vector& outputs,
-                         Vector* params) const override;
   /// log y = log a + b * x: exact semilog OLS.
   bool Linearization(ModelLinearization* out) const override;
   Vector InitialParameters() const override { return {1.0, 0.1}; }

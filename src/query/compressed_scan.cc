@@ -402,7 +402,7 @@ Result<std::optional<std::vector<uint32_t>>> CompressedFilterRows(
     const Expr& pred, const Table& table, ScanStats* stats,
     std::string* disassembly) {
   using Selection = std::optional<std::vector<uint32_t>>;
-  const std::shared_ptr<const BlockIndex> index = FindBlockIndex(table);
+  const std::shared_ptr<const BlockIndex> index = table.block_index();
   if (index == nullptr) return Selection();
   const std::unique_ptr<ScanPred> plan = Classify(pred, table);
   if (plan == nullptr) {
@@ -556,7 +556,7 @@ ColumnFold FoldColumn(const Table& table, const BlockIndex& index, int col,
 
 std::optional<std::vector<AggState>> EncodedGlobalAggregate(
     const Table& table, const std::vector<const Expr*>& slots) {
-  const std::shared_ptr<const BlockIndex> index = FindBlockIndex(table);
+  const std::shared_ptr<const BlockIndex> index = table.block_index();
   if (index == nullptr) return std::nullopt;
 
   std::vector<AggState> states;

@@ -34,8 +34,8 @@ struct ScanStats {
 /// Attempts to evaluate WHERE predicate `pred` over `table` block by
 /// block. Returns the selected row indices (ascending) — bit-identical to
 /// FilterRows on the same inputs — or nullopt when:
-///  - the table has no current block index registered (EnsureBlockIndex
-///    was never called / data moved);
+///  - the table holds no block index (EnsureBlockIndex was never called
+///    on it, or it changed since);
 ///  - the predicate falls outside the conservative class (anything that
 ///    could raise a column-level type error, touch strings, or evaluate
 ///    arithmetic: those shapes keep their existing error behavior on the

@@ -1039,7 +1039,7 @@ Result<Table> ExecuteSelect(const Catalog& catalog,
   LAWS_ASSIGN_OR_RETURN(TablePtr table, catalog.Get(stmt.from_table));
   TablePtr right;
   if (stmt.join_table.empty()) {
-    // Register (or refresh) the block index for the base table so the
+    // Give the base table a block index, if it has none yet, so the
     // compressed scan tier can serve this and later queries. Joined and
     // derived tables stay unindexed — they take the decode path.
     EnsureBlockIndex(table);

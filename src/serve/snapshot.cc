@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include "common/metrics.h"
-#include "compress/block_store.h"
 
 namespace laws {
 namespace {
@@ -36,11 +35,6 @@ Status SnapshotCatalog::Commit(
     current_ = std::move(next);
   }
   CommitCounter()->Add();
-  // Tables dropped or replaced by this commit lose their last strong
-  // reference once the old snapshots drain; purge whatever has already
-  // expired so the block-index cache cannot hoard dead tables between
-  // scans on a long-running server.
-  PurgeExpiredBlockIndexes();
   return Status::OK();
 }
 

@@ -39,17 +39,20 @@ Result<FitQuality> ComputeFitQuality(const std::vector<double>& observed,
     rss += r * r;
     tss += d * d;
   }
+  return FitQualityFromSums(rss, tss, n, n_parameters);
+}
 
+FitQuality FitQualityFromSums(double rss, double tss, size_t n, size_t p) {
   FitQuality q;
   q.n_observations = n;
-  q.n_parameters = n_parameters;
+  q.n_parameters = p;
   q.residual_sum_of_squares = rss;
   q.total_sum_of_squares = tss;
   // A constant response fitted exactly has R2 = 1 by convention; otherwise
   // R2 = 1 - RSS/TSS (can be negative for models worse than the mean).
   q.r_squared = tss > 0.0 ? 1.0 - rss / tss : (rss == 0.0 ? 1.0 : 0.0);
   const double nd = static_cast<double>(n);
-  const double pd = static_cast<double>(n_parameters);
+  const double pd = static_cast<double>(p);
   q.adjusted_r_squared =
       tss > 0.0 ? 1.0 - (rss / (nd - pd)) / (tss / (nd - 1.0))
                 : q.r_squared;
@@ -62,20 +65,6 @@ Result<FitQuality> ComputeFitQuality(const std::vector<double>& observed,
   q.aic = 2.0 * (pd + 1.0) - 2.0 * log_lik;
   q.bic = std::log(nd) * (pd + 1.0) - 2.0 * log_lik;
   return q;
-}
-
-Result<double> PredictionHalfWidth(const FitQuality& quality,
-                                   double confidence) {
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    return Status::InvalidArgument("confidence must be in (0, 1)");
-  }
-  if (quality.n_observations <= quality.n_parameters) {
-    return Status::InvalidArgument("need n > p for prediction intervals");
-  }
-  const double df = static_cast<double>(quality.n_observations -
-                                        quality.n_parameters);
-  const double t = StudentTQuantile(0.5 * (1.0 + confidence), df);
-  return t * quality.residual_standard_error;
 }
 
 Result<FTestResult> NestedFTest(double rss_reduced, size_t p_reduced,

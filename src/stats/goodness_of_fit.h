@@ -29,6 +29,12 @@ struct FitQuality {
   std::string ToString() const;
 };
 
+/// The quality summary of a fit with residual sum of squares `rss` and
+/// total sum of squares `tss` over `n` observations and `p` parameters;
+/// requires n > p. Every fit path derives R², adjusted R², RSE, AIC and
+/// BIC here, so the same sums give bit-identical qualities.
+FitQuality FitQualityFromSums(double rss, double tss, size_t n, size_t p);
+
 /// Computes the full quality summary from observed and predicted outputs.
 /// Returns InvalidArgument on size mismatch or n <= p.
 Result<FitQuality> ComputeFitQuality(const std::vector<double>& observed,
@@ -53,14 +59,6 @@ struct FTestResult {
 Result<FTestResult> NestedFTest(double rss_reduced, size_t p_reduced,
                                 double rss_full, size_t p_full, size_t n,
                                 double alpha = 0.05);
-
-/// Half-width of a `confidence`-level prediction interval for a new
-/// observation under the fitted model's Gaussian error assumption:
-/// t_{(1+c)/2, n-p} * RSE. (Ignores the small parameter-uncertainty
-/// inflation term, which vanishes for n >> p — the AQP regime.) Returns
-/// InvalidArgument for confidence outside (0, 1) or n <= p.
-Result<double> PredictionHalfWidth(const FitQuality& quality,
-                                   double confidence = 0.95);
 
 }  // namespace laws
 

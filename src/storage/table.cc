@@ -62,6 +62,7 @@ Status Table::AppendRow(const std::vector<Value>& values) {
                                   schema_.field(i).name + "'");
     }
   }
+  block_index_.index.reset();
   for (size_t i = 0; i < values.size(); ++i) {
     LAWS_RETURN_IF_ERROR(columns_[i].AppendValue(values[i]));
   }
@@ -77,9 +78,27 @@ Status Table::SyncRowCount() {
       return Status::Internal("ragged columns after bulk load");
     }
   }
+  block_index_.index.reset();
   num_rows_ = rows;
   ++data_version_;
   return Status::OK();
+}
+
+std::shared_ptr<const BlockIndex> Table::block_index() const {
+  return std::atomic_load(&block_index_.index);
+}
+
+std::shared_ptr<const BlockIndex> Table::InstallBlockIndex(
+    std::shared_ptr<const BlockIndex> index) const {
+  // The free functions, not std::atomic<std::shared_ptr>: libstdc++ 12's
+  // atomic<shared_ptr>::load releases its lock bit with a relaxed store,
+  // which ThreadSanitizer reports as a race with a concurrent install.
+  std::shared_ptr<const BlockIndex> installed;
+  if (std::atomic_compare_exchange_strong(&block_index_.index, &installed,
+                                          index)) {
+    return index;
+  }
+  return installed;
 }
 
 Table Table::GatherRows(const std::vector<uint32_t>& indices) const {

@@ -11,9 +11,15 @@
 
 namespace laws {
 
+struct BlockIndex;  // compress/block_store.h
+
 /// An in-memory columnar table. Mutations bump a data version counter that
 /// the model-capture layer (laws::core) uses to detect stale fits — the
 /// paper's "Data or model changes" challenge.
+///
+/// The table also owns the block index built over its rows (DESIGN.md
+/// §14). Every mutation empties that slot, and a copy or move of a table
+/// starts without an index.
 class Table {
  public:
   explicit Table(Schema schema);
@@ -30,7 +36,10 @@ class Table {
 
   /// Direct mutable access for bulk loaders; call SyncRowCount() afterwards
   /// to re-validate lengths and publish the new row count.
-  Column* mutable_column(size_t i) { return &columns_[i]; }
+  Column* mutable_column(size_t i) {
+    block_index_.index.reset();
+    return &columns_[i];
+  }
 
   /// Column lookup by (case-insensitive) name.
   Result<const Column*> ColumnByName(std::string_view name) const;
@@ -53,6 +62,16 @@ class Table {
   /// Monotonic counter incremented by every mutation.
   uint64_t data_version() const { return data_version_; }
 
+  /// The block index over the current rows, or nullptr when none has been
+  /// installed since the last mutation. Safe on any thread.
+  std::shared_ptr<const BlockIndex> block_index() const;
+
+  /// Installs `index`, built over the current rows, when the slot is
+  /// empty, and returns the installed index: `index`, or the one a racing
+  /// builder installed first. Safe on any thread; mutations are not.
+  std::shared_ptr<const BlockIndex> InstallBlockIndex(
+      std::shared_ptr<const BlockIndex> index) const;
+
   /// Total columnar heap footprint in bytes.
   size_t MemoryBytes() const;
 
@@ -64,6 +83,28 @@ class Table {
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
   uint64_t data_version_ = 0;
+
+  /// Describes the rows of this object only, so it copies and moves as
+  /// empty (a moved-from table loses it with its rows). Readers and
+  /// installers go through std::atomic_load / atomic_compare_exchange;
+  /// mutations, which need exclusive access anyway, reset it directly.
+  struct IndexSlot {
+    std::shared_ptr<const BlockIndex> index;
+
+    IndexSlot() = default;
+    IndexSlot(const IndexSlot&) {}
+    IndexSlot(IndexSlot&& other) noexcept { other.index.reset(); }
+    IndexSlot& operator=(const IndexSlot&) {
+      index.reset();
+      return *this;
+    }
+    IndexSlot& operator=(IndexSlot&& other) noexcept {
+      index.reset();
+      other.index.reset();
+      return *this;
+    }
+  };
+  mutable IndexSlot block_index_;
 };
 
 using TablePtr = std::shared_ptr<Table>;

@@ -89,7 +89,7 @@ Result<Table> ExecuteDecoded(const Catalog& catalog,
 /// Indexes every table of `catalog` at a deliberately tiny block size, so
 /// the fuzzer's small tables span many blocks and the compressed tier's
 /// prune/take machinery genuinely engages instead of degenerating to one
-/// block. ExecuteSelect then finds these indexes current and keeps them.
+/// block. ExecuteSelect then finds these indexes installed and keeps them.
 void IndexForCompressedLegs(const Catalog& catalog) {
   for (const std::string& name : catalog.ListTables()) {
     if (Result<TablePtr> t = catalog.Get(name); t.ok()) {

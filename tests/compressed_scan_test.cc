@@ -234,8 +234,8 @@ TEST(CompressedScanTest, DeclinesWithoutARegisteredIndex) {
     ASSERT_TRUE(t->AppendRow({Value::Int64(i)}).ok());
   }
   EXPECT_TRUE(Declines(*t, "ia > 3"));
-  // After registration it engages; after mutation the index is stale and
-  // it declines again until re-registered.
+  // Once indexed it engages; a mutation drops the index and it declines
+  // again until the table is indexed anew.
   EnsureBlockIndex(t, 4);
   EXPECT_FALSE(Declines(*t, "ia > 3"));
   ASSERT_TRUE(t->AppendRow({Value::Int64(99)}).ok());
@@ -251,7 +251,7 @@ TEST(CompressedScanTest, EnsureKeepsACurrentIndexWhateverItsBlockSize) {
   const auto small = EnsureBlockIndex(t, 8);
   ASSERT_NE(small, nullptr);
   EXPECT_EQ(small->num_blocks, 4u);
-  // The executor asks at the production size and is served the current
+  // The executor asks at the production size and is served the installed
   // index; only a data change forces a rebuild, at the size asked for.
   EXPECT_EQ(EnsureBlockIndex(t), small);
   ASSERT_TRUE(t->AppendRow({Value::Int64(32)}).ok());

@@ -9,6 +9,7 @@
 #include "core/persistence.h"
 #include "core/session.h"
 #include "core/strawman.h"
+#include "model/model.h"
 #include "query/parser.h"
 #include "storage/catalog.h"
 #include "testing/reference_oracle.h"
@@ -334,6 +335,58 @@ TEST(SessionTest, RefitStaleFlagsQualityShift) {
   ASSERT_TRUE(sweep.ok());
   EXPECT_EQ(sweep->refitted, 1u);
   EXPECT_EQ(sweep->quality_shifted.size(), 1u);
+}
+
+/// The shift is measured in the quality arbitration ranks by (adjusted
+/// R² for an ungrouped model) on both sides. A noisy poly(2) fit has R²
+/// well above its adjusted R²; one new row on the fitted curve leaves the
+/// fit as it was, so the refit must not be reported as a quality shift.
+TEST(SessionTest, RefitStaleComparesLikeQualities) {
+  Catalog data;
+  ModelCatalog models;
+  Session session(&data, &models);
+  auto table = std::make_shared<Table>(
+      Schema({Field{"x", DataType::kDouble, false},
+              Field{"y", DataType::kDouble, false}}));
+  Rng rng(7);
+  for (int i = 0; i < 20; ++i) {
+    const double x = 0.5 * i;
+    ASSERT_TRUE(table
+                    ->AppendRow({Value::Double(x),
+                                 Value::Double(1.0 + 0.3 * x +
+                                               rng.Normal(0, 1.5))})
+                    .ok());
+  }
+  data.RegisterOrReplace("noisy", table);
+  FitRequest request;
+  request.table = "noisy";
+  request.model_source = "poly(2)";
+  request.input_columns = {"x"};
+  request.output_column = "y";
+  auto report = session.Fit(request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const FitQuality before = report->quality;
+  ASSERT_GT(before.r_squared - before.adjusted_r_squared, 0.05);
+
+  auto model = ModelFromSource("poly(2)");
+  ASSERT_TRUE(model.ok());
+  const double x_new = 4.0;
+  ASSERT_TRUE(table
+                  ->AppendRow({Value::Double(x_new),
+                               Value::Double((*model)->Evaluate(
+                                   {x_new}, report->parameters))})
+                  .ok());
+  auto sweep = session.RefitStale();
+  ASSERT_TRUE(sweep.ok());
+  EXPECT_EQ(sweep->refitted, 1u);
+  auto refreshed = models.Get(report->model_id);
+  ASSERT_TRUE(refreshed.ok());
+  EXPECT_LT(std::fabs((*refreshed)->ArbitrationQuality() -
+                      before.adjusted_r_squared),
+            0.05);
+  EXPECT_TRUE(sweep->quality_shifted.empty())
+      << "adjusted R2 " << before.adjusted_r_squared << " -> "
+      << (*refreshed)->ArbitrationQuality();
 }
 
 TEST(SessionTest, RefitUnknownModelFails) {

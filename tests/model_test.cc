@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "model/fit.h"
+#include "model/fit_kernels.h"
 #include "model/grouped_fit.h"
 #include "model/incremental.h"
 #include "model/model.h"
@@ -78,7 +79,7 @@ TEST(PowerLawModelTest, EvaluateAndGradients) {
   EXPECT_NEAR(grad[0], 2.0 * -0.7 * std::pow(0.15, -1.7), 1e-6);
 }
 
-TEST(PowerLawModelTest, LogLinearEstimateRecoversParams) {
+TEST(PowerLawModelTest, ClosedFormWarmStartRecoversParams) {
   Rng rng(1);
   const double p_true = 1.5, a_true = -0.8;
   Matrix x(100, 1);
@@ -88,23 +89,27 @@ TEST(PowerLawModelTest, LogLinearEstimateRecoversParams) {
     y[i] = p_true * std::pow(x(i, 0), a_true);
   }
   PowerLawModel m;
+  FitScratch scratch;
   Vector params;
-  ASSERT_TRUE(m.LogLinearEstimate(x, y, &params));
+  ASSERT_TRUE(ClosedFormWarmStart(m, x, y, &scratch, &params));
   EXPECT_NEAR(params[0], p_true, 1e-9);
   EXPECT_NEAR(params[1], a_true, 1e-9);
 }
 
-TEST(PowerLawModelTest, LogLinearRejectsNonPositive) {
+TEST(PowerLawModelTest, ClosedFormWarmStartRejectsNonPositive) {
   Matrix x(3, 1);
   x(0, 0) = 0.1;
   x(1, 0) = 0.2;
   x(2, 0) = 0.3;
   PowerLawModel m;
+  FitScratch scratch;
   Vector params;
-  EXPECT_FALSE(m.LogLinearEstimate(x, {1.0, -1.0, 2.0}, &params));
+  EXPECT_FALSE(ClosedFormWarmStart(m, x, {1.0, -1.0, 2.0}, &scratch, &params));
+  x(1, 0) = 0.0;
+  EXPECT_FALSE(ClosedFormWarmStart(m, x, {1.0, 1.0, 2.0}, &scratch, &params));
 }
 
-TEST(ExponentialModelTest, EvaluateGradientsAndLogLinear) {
+TEST(ExponentialModelTest, EvaluateGradientsAndClosedFormWarmStart) {
   ExponentialModel m;
   const Vector params = {3.0, -0.5};
   EXPECT_NEAR(m.Evaluate({2.0}, params), 3.0 * std::exp(-1.0), 1e-12);
@@ -116,8 +121,9 @@ TEST(ExponentialModelTest, EvaluateGradientsAndLogLinear) {
     x(i, 0) = rng.Uniform(0.0, 5.0);
     y[i] = 3.0 * std::exp(-0.5 * x(i, 0));
   }
+  FitScratch scratch;
   Vector est;
-  ASSERT_TRUE(m.LogLinearEstimate(x, y, &est));
+  ASSERT_TRUE(ClosedFormWarmStart(m, x, y, &scratch, &est));
   EXPECT_NEAR(est[0], 3.0, 1e-9);
   EXPECT_NEAR(est[1], -0.5, 1e-9);
 }

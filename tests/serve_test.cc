@@ -12,6 +12,8 @@
 #include "common/governor.h"
 #include "common/metrics.h"
 #include "compress/block_store.h"
+#include "query/executor.h"
+#include "query/parser.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "storage/catalog.h"
@@ -582,91 +584,180 @@ TEST(ServerTest, ConcurrentSessionsMatchSerialReplay) {
             kHotBase + kBatches * kBatch);
 }
 
-// --- block-index cache: eviction + races (run under TSan by
+// --- the table's block index: ownership + races (run under TSan by
 // tools/check_serving.sh and tools/check_tsan.sh) ------------------------
 
-TEST(BlockIndexCacheTest, DroppedTablesAreEvictedAndCounted) {
-  Counter* evictions =
-      MetricsRegistry::Global().GetCounter("scan.index_evictions");
-  auto keep = std::make_shared<Table>(MakeNumericTable(128));
-  auto dead = std::make_shared<Table>(MakeNumericTable(128));
-  ASSERT_NE(EnsureBlockIndex(keep, 32), nullptr);
-  ASSERT_NE(EnsureBlockIndex(dead, 32), nullptr);
-  const size_t size_before = BlockIndexCacheSize();
-  ASSERT_GE(size_before, 2u);
-  const uint64_t evicted_before = evictions->value();
-
-  dead.reset();  // the owner dies; the cache entry is now expired
-  PurgeExpiredBlockIndexes();
-  EXPECT_EQ(BlockIndexCacheSize(), size_before - 1);
-  EXPECT_GT(evictions->value(), evicted_before);
-
-  // The survivor is still served from cache.
-  EXPECT_NE(FindBlockIndex(*keep), nullptr);
+/// True when `index` describes `table`'s rows at one of the block sizes
+/// the callers below ask for, with every column's zones matching.
+bool GeometryConsistent(const Table& table, const BlockIndex& index) {
+  if (index.block_rows != 64 && index.block_rows != 128 &&
+      index.block_rows != kDefaultBlockRows) {
+    return false;
+  }
+  if (index.num_rows != table.num_rows() ||
+      index.num_blocks !=
+          (index.num_rows + index.block_rows - 1) / index.block_rows ||
+      index.columns.size() != table.num_columns()) {
+    return false;
+  }
+  for (const ColumnBlockIndex& column : index.columns) {
+    if (column.usable && column.zones.size() != index.num_blocks) return false;
+  }
+  return true;
 }
 
-TEST(BlockIndexCacheTest, LookupsEvictExpiredEntriesEagerly) {
-  auto dead = std::make_shared<Table>(MakeNumericTable(64));
-  ASSERT_NE(EnsureBlockIndex(dead, 32), nullptr);
-  dead.reset();
-  // Any subsequent lookup purges expired entries as a side effect, so a
-  // long-lived server that dropped a table cannot pin its index.
-  auto live = std::make_shared<Table>(MakeNumericTable(64));
-  ASSERT_NE(EnsureBlockIndex(live, 32), nullptr);
-  EXPECT_EQ(BlockIndexCacheSize(), 1u);
+TEST(TableBlockIndexTest, IndexDiesWithTheLastTablePtr) {
+  auto table = std::make_shared<Table>(MakeNumericTable(128));
+  std::weak_ptr<const BlockIndex> index = EnsureBlockIndex(table, 32);
+  ASSERT_FALSE(index.expired());
+  EXPECT_EQ(table->block_index(), index.lock());
+  table.reset();
+  EXPECT_TRUE(index.expired());
+
+  // Through the serving layer: a query indexes the table; dropping it
+  // in a commit leaves the index to the snapshot still pinned, and
+  // releasing that pin frees it.
+  SnapshotCatalog sc;
+  ASSERT_TRUE(sc.Commit([](DatabaseSnapshot* db) {
+                  db->tables.RegisterOrReplace(
+                      "t", std::make_shared<Table>(MakeNumericTable(128)));
+                  return Status::OK();
+                })
+                  .ok());
+  SnapshotPtr pinned = sc.Pin();
+  ASSERT_TRUE(ExecuteQuery(pinned->tables, "SELECT COUNT(*) FROM t WHERE x < 9")
+                  .ok());
+  index = (*pinned->tables.Get("t"))->block_index();
+  ASSERT_FALSE(index.expired());
+  ASSERT_TRUE(sc.Commit([](DatabaseSnapshot* db) {
+                  return db->tables.Drop("t");
+                })
+                  .ok());
+  EXPECT_FALSE(index.expired());
+  pinned.reset();
+  EXPECT_TRUE(index.expired());
 }
 
-/// Concurrent builders asking for different block sizes, table churn
-/// and purges: every index EnsureBlockIndex or FindBlockIndex returns has
-/// internally consistent geometry, and drops never leave a dangling
-/// entry. Run under TSan for the memory model half of the claim.
-TEST(BlockIndexCacheTest, ConcurrentEnsureResizeDropPurgeStaysConsistent) {
-  auto stable = std::make_shared<Table>(MakeNumericTable(1000));
-  std::atomic<bool> stop{false};
+/// Rounds of one fresh catalog table that two builders (64- and 128-row
+/// blocks) and a query thread race to index, while another thread keeps
+/// creating, indexing and dropping tables of its own. Each racer must
+/// see one installed index for the round, the table's, with consistent
+/// geometry. Run under TSan for the memory model half of the claim.
+TEST(TableBlockIndexTest, RacingBuildersAndQueriesShareOneInstalledIndex) {
+  constexpr int kRounds = 40;
+  constexpr int kRacers = 3;
+  auto stmt = ParseSelect("SELECT COUNT(*) FROM t WHERE x < 100");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  std::atomic<bool> stop_churn{false};
   std::atomic<bool> violation{false};
 
-  auto check_geometry = [&](const std::shared_ptr<const BlockIndex>& idx) {
-    if (idx == nullptr) return;
-    if (idx->block_rows != 64 && idx->block_rows != 128) {
-      violation.store(true);
-      return;
-    }
-    const size_t expect_blocks =
-        (idx->num_rows + idx->block_rows - 1) / idx->block_rows;
-    if (idx->num_blocks != expect_blocks) violation.store(true);
-  };
-
-  std::vector<std::thread> threads;
-  // Builders/lookups on the shared table, each asking for its own block
-  // size; whichever builds first serves both.
-  for (size_t block_rows : {64, 128}) {
-    threads.emplace_back([&, block_rows] {
-      while (!stop.load()) {
-        check_geometry(EnsureBlockIndex(stable, block_rows));
-        check_geometry(FindBlockIndex(*stable));
-      }
-    });
-  }
-  // Table churn: create, index, destroy — racing the purger below.
-  threads.emplace_back([&] {
-    while (!stop.load()) {
+  std::thread churn([&] {
+    while (!stop_churn.load()) {
+      Catalog scratch;
       auto t = std::make_shared<Table>(MakeNumericTable(300));
-      check_geometry(EnsureBlockIndex(t, 64));
-      t.reset();
-    }
-  });
-  threads.emplace_back([&] {
-    while (!stop.load()) {
-      PurgeExpiredBlockIndexes();
-      (void)BlockIndexCacheSize();
+      if (!scratch.Register("s", t).ok()) violation.store(true);
+      const auto index = EnsureBlockIndex(t, 64);
+      if (index == nullptr || !GeometryConsistent(*t, *index)) {
+        violation.store(true);
+      }
+      if (!scratch.Drop("s").ok()) violation.store(true);
     }
   });
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  stop.store(true);
-  for (auto& t : threads) t.join();
+  for (int round = 0; round < kRounds; ++round) {
+    Catalog catalog;
+    auto table = std::make_shared<Table>(MakeNumericTable(1000));
+    ASSERT_TRUE(catalog.Register("t", table).ok());
+    std::atomic<int> ready{0};
+    std::vector<const BlockIndex*> seen(kRacers, nullptr);
+    auto note = [&](int racer, const std::shared_ptr<const BlockIndex>& idx) {
+      if (idx == nullptr || !GeometryConsistent(*table, *idx)) {
+        violation.store(true);
+      } else if (seen[racer] == nullptr) {
+        seen[racer] = idx.get();
+      } else if (seen[racer] != idx.get()) {
+        violation.store(true);
+      }
+    };
+    std::vector<std::thread> racers;
+    for (int racer = 0; racer < kRacers; ++racer) {
+      racers.emplace_back([&, racer] {
+        ready.fetch_add(1);
+        while (ready.load() < kRacers) {
+        }
+        for (int i = 0; i < 5; ++i) {
+          if (racer < 2) {
+            note(racer, EnsureBlockIndex(table, racer == 0 ? 64 : 128));
+            continue;
+          }
+          auto result = ExecuteSelect(catalog, *stmt);
+          if (!result.ok() || result->GetValue(0, 0) != Value::Int64(200)) {
+            violation.store(true);
+          }
+          note(racer, table->block_index());
+        }
+      });
+    }
+    for (auto& t : racers) t.join();
+    const auto installed = table->block_index();
+    ASSERT_NE(installed, nullptr);
+    for (const BlockIndex* s : seen) EXPECT_EQ(s, installed.get());
+  }
+  stop_churn.store(true);
+  churn.join();
   EXPECT_FALSE(violation.load())
-      << "an index with torn geometry escaped EnsureBlockIndex";
+      << "a racer saw no index, a second index or torn geometry";
+}
+
+/// The index describes one object's rows: copies, copy-on-write clones
+/// and moves start without one, and every mutation drops it.
+TEST(TableBlockIndexTest, CopiesClonesAndMutationsHaveNoIndex) {
+  auto table = std::make_shared<Table>(MakeNumericTable(100));
+  ASSERT_NE(EnsureBlockIndex(table, 16), nullptr);
+  const Table copy = *table;
+  EXPECT_EQ(copy.block_index(), nullptr);
+  Table assigned = MakeNumericTable(1);
+  assigned = *table;
+  EXPECT_EQ(assigned.block_index(), nullptr);
+  EXPECT_NE(table->block_index(), nullptr);
+
+  SnapshotCatalog sc;
+  ASSERT_TRUE(sc.Commit([&](DatabaseSnapshot* db) {
+                  db->tables.RegisterOrReplace("t", table);
+                  return Status::OK();
+                })
+                  .ok());
+  ASSERT_TRUE(sc.Commit([&](DatabaseSnapshot* db) {
+                  LAWS_ASSIGN_OR_RETURN(
+                      TablePtr clone,
+                      SnapshotCatalog::MutableTableForWrite(db, "t"));
+                  EXPECT_NE(clone, table);
+                  EXPECT_EQ(clone->block_index(), nullptr);
+                  return Status::OK();
+                })
+                  .ok());
+  // The pinned original keeps its index for the readers still on it.
+  EXPECT_NE(table->block_index(), nullptr);
+
+  auto moved_from = std::make_shared<Table>(MakeNumericTable(100));
+  ASSERT_NE(EnsureBlockIndex(moved_from, 16), nullptr);
+  const Table moved = std::move(*moved_from);
+  EXPECT_EQ(moved.block_index(), nullptr);
+  EXPECT_EQ(moved_from->block_index(), nullptr);
+
+  ASSERT_TRUE(table->AppendRow({Value::Int64(1), Value::Double(2.0)}).ok());
+  EXPECT_EQ(table->block_index(), nullptr);
+  // A rejected append leaves the table, and its index, as they were.
+  const auto rebuilt = EnsureBlockIndex(table, 16);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(rebuilt->num_rows, 101u);
+  EXPECT_FALSE(table->AppendRow({Value::Int64(1)}).ok());
+  EXPECT_EQ(table->block_index(), rebuilt);
+  (void)table->mutable_column(1);
+  EXPECT_EQ(table->block_index(), nullptr);
+  ASSERT_NE(EnsureBlockIndex(table, 16), nullptr);
+  ASSERT_TRUE(table->SyncRowCount().ok());
+  EXPECT_EQ(table->block_index(), nullptr);
 }
 
 }  // namespace

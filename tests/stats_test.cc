@@ -209,6 +209,23 @@ TEST(GofTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(ComputeFitQuality(y, y, 2).ok());  // n <= p
 }
 
+TEST(GofTest, QualityFromSumsCoversAConstantResponse) {
+  // What ComputeFitQuality and the incremental solver both derive from
+  // (RSS, TSS): a constant response fitted exactly has R2 = 1, one fitted
+  // with residuals R2 = 0, and adjusted R2 follows R2 when TSS = 0.
+  const FitQuality exact = FitQualityFromSums(0.0, 0.0, 5, 2);
+  EXPECT_EQ(exact.r_squared, 1.0);
+  EXPECT_EQ(exact.adjusted_r_squared, 1.0);
+  const FitQuality off = FitQualityFromSums(0.5, 0.0, 5, 2);
+  EXPECT_EQ(off.r_squared, 0.0);
+  EXPECT_EQ(off.adjusted_r_squared, 0.0);
+  EXPECT_EQ(off.residual_standard_error, std::sqrt(0.5 / 3.0));
+  // RSS 1, TSS 4 over n = 5, p = 2: R2 = 0.75, adjusted 1 - (1/3)/(4/4).
+  const FitQuality q = FitQualityFromSums(1.0, 4.0, 5, 2);
+  EXPECT_EQ(q.r_squared, 0.75);
+  EXPECT_NEAR(q.adjusted_r_squared, 1.0 - 1.0 / 3.0, 1e-15);
+}
+
 TEST(GofTest, BicPenalizesMoreThanAicForLargeN) {
   std::vector<double> y(200), pred(200);
   Rng rng(3);
@@ -257,33 +274,10 @@ TEST(FTestTest, InvalidInputs) {
 }
 
 TEST(PredictionIntervalTest, HalfWidthMatchesTQuantile) {
-  FitQuality q;
-  q.n_observations = 102;
-  q.n_parameters = 2;
-  q.residual_standard_error = 2.0;
-  auto hw = PredictionHalfWidth(q, 0.95);
-  ASSERT_TRUE(hw.ok());
-  EXPECT_NEAR(*hw, 2.0 * StudentTQuantile(0.975, 100.0), 1e-10);
-  // Higher confidence widens the interval.
-  auto hw99 = PredictionHalfWidth(q, 0.99);
-  ASSERT_TRUE(hw99.ok());
-  EXPECT_GT(*hw99, *hw);
+  EXPECT_NEAR(PredictionHalfWidth95(2.0, 102, 2),
+              2.0 * StudentTQuantile(0.975, 100.0), 1e-10);
   // Small-sample intervals are wider than the normal approximation.
-  FitQuality small = q;
-  small.n_observations = 5;
-  auto hw_small = PredictionHalfWidth(small, 0.95);
-  ASSERT_TRUE(hw_small.ok());
-  EXPECT_GT(*hw_small, 2.0 * 1.96);
-}
-
-TEST(PredictionIntervalTest, Validation) {
-  FitQuality q;
-  q.n_observations = 10;
-  q.n_parameters = 2;
-  EXPECT_FALSE(PredictionHalfWidth(q, 0.0).ok());
-  EXPECT_FALSE(PredictionHalfWidth(q, 1.0).ok());
-  q.n_parameters = 10;
-  EXPECT_FALSE(PredictionHalfWidth(q, 0.95).ok());
+  EXPECT_GT(PredictionHalfWidth95(2.0, 5, 2), 2.0 * 1.96);
 }
 
 TEST(PredictionIntervalTest, EmpiricalCoverage) {
@@ -303,10 +297,10 @@ TEST(PredictionIntervalTest, EmpiricalCoverage) {
     std::vector<double> pred(sample.size(), mean);
     auto q = ComputeFitQuality(sample, pred, 1);
     ASSERT_TRUE(q.ok());
-    auto hw = PredictionHalfWidth(*q, 0.95);
-    ASSERT_TRUE(hw.ok());
+    const double hw = PredictionHalfWidth95(
+        q->residual_standard_error, q->n_observations, q->n_parameters);
     const double fresh = rng.Normal(10.0, 3.0);
-    if (std::fabs(fresh - mean) <= *hw) ++covered;
+    if (std::fabs(fresh - mean) <= hw) ++covered;
   }
   const double coverage = static_cast<double>(covered) / trials;
   EXPECT_GT(coverage, 0.90);

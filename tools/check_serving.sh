@@ -9,8 +9,9 @@
 #     sessions-vs-serial-replay equivalence check.
 #  2. The same suite under TSan: snapshot pin/commit races, the admission
 #     condvar handing slots across threads, foreign-thread interrupts,
-#     and the block-index cache racing builds, lookups, block-size flips
-#     and purges are the racy parts of the design.
+#     and builders at two block sizes racing queries to install one
+#     table's block index while other tables come and go are the racy
+#     parts of the design.
 #  3. End-to-end shell check: the `concurrent` command fans one query out
 #     over N real sessions through the lawsdb_shell binary and every one
 #     must succeed; `cancel` and the epoch counter must keep working with

@@ -9,15 +9,17 @@
 # atomics — differential_test runs the VM on pool lanes at
 # LAWS_THREADS>1, so a race in either surfaces in this gate. Compressed-scan
 # state is exercised the same way: the scan.* counters are registry
-# atomics and the shared block-index cache is mutex-guarded —
-# differential_test registers indexes and runs the compressed tier on
-# pool lanes, so a race in the cache or counters surfaces here.
+# atomics and each table's block-index slot is read and filled through
+# the atomic shared_ptr functions — differential_test indexes tables and
+# runs the compressed tier on pool lanes, so a race in the slot or the
+# counters surfaces here.
 #
 # The serving layer rides in serve_test: concurrent sessions pin
 # snapshots while writers copy-and-swap commits, the admission gate's
 # condvar hands slots across threads, session interrupts land from
-# foreign threads, and the block-index cache races builds at two block
-# sizes, lookups, table drops and purges — all instrumented here.
+# foreign threads, and builders at two block sizes race queries to
+# install one table's block index while other tables are created,
+# indexed and dropped — all instrumented here.
 # ServerTest.ConcurrentExplainAnalyzeCountsOnlyItsOwnQuery runs two
 # sessions' EXPLAIN ANALYZE at once: every Counter::Add also credits the
 # TraceSink installed on its thread, so a sink shared across threads
