@@ -73,7 +73,7 @@ int main() {
                    ColumnDomain::IntegerRange(
                        0, static_cast<int64_t>(cfg.num_days) - 1, 1));
   ModelQueryEngine model_engine(&catalog, &models, &domains);
-  SamplingEngine sampler(*table, 0.01);
+  auto sampler = Unwrap(SamplingEngine::Build(*table, 0.01), "uniform sample");
   auto stratified = Unwrap(
       StratifiedSamplingEngine::Build(*table, "sku", /*per_group_cap=*/4),
       "stratified");

@@ -62,7 +62,8 @@ int main() {
   // Even 5% uniform samples struggle with selective predicates (one SKU x
   // one quarter keeps ~5 sample rows) — the weakness stratified-sampling
   // systems like BlinkDB exist to patch.
-  SamplingEngine sampler(*table, 0.05);
+  auto sampler = SamplingEngine::Build(*table, 0.05);
+  if (!sampler.ok()) return 1;
   auto hist = HistogramEngine::Build(*table, 64);
   if (!hist.ok()) return 1;
 
@@ -70,7 +71,7 @@ int main() {
   std::printf("  model parameters: %s\n",
               HumanBytes((*captured)->StorageBytes()).c_str());
   std::printf("  5%% sample:        %s\n",
-              HumanBytes(sampler.SampleBytes()).c_str());
+              HumanBytes(sampler->SampleBytes()).c_str());
   std::printf("  histograms:       %s\n", HumanBytes(hist->SizeBytes()).c_str());
 
   // The benchmark query: total units for one SKU over a quarter.
@@ -84,7 +85,7 @@ int main() {
   auto model_ans = model_engine.Execute(q);
   auto pred = ParseExpression("sku = 101 AND day >= 90 AND day <= 180");
   auto sample_ans =
-      sampler.EstimateAggregate(AggregateFunc::kSum, "units", pred->get());
+      sampler->EstimateAggregate(AggregateFunc::kSum, "units", pred->get());
 
   std::printf("\n%s\n", q.c_str());
   std::printf("  %-12s %14s %12s\n", "method", "answer", "error");

@@ -9,21 +9,21 @@
 
 namespace laws {
 
-SamplingEngine::SamplingEngine(const Table& table, double fraction,
-                               uint64_t seed)
-    : sample_{table.schema()}, population_rows_(table.num_rows()) {
+Result<SamplingEngine> SamplingEngine::Build(const Table& table,
+                                             double fraction, uint64_t seed) {
   fraction = std::clamp(fraction, 0.0, 1.0);
   Rng rng(seed);
   std::vector<uint32_t> picked;
   for (size_t i = 0; i < table.num_rows(); ++i) {
     if (rng.Bernoulli(fraction)) picked.push_back(static_cast<uint32_t>(i));
   }
-  sample_ = table.GatherRows(picked);
-  actual_fraction_ =
-      population_rows_ > 0
-          ? static_cast<double>(picked.size()) /
-                static_cast<double>(population_rows_)
-          : 0.0;
+  LAWS_ASSIGN_OR_RETURN(Table sample, table.GatherRows(picked));
+  const size_t population = table.num_rows();
+  const double actual_fraction =
+      population > 0 ? static_cast<double>(picked.size()) /
+                           static_cast<double>(population)
+                     : 0.0;
+  return SamplingEngine(std::move(sample), actual_fraction, population);
 }
 
 Result<SampleEstimate> SamplingEngine::EstimateAggregate(
@@ -33,7 +33,7 @@ Result<SampleEstimate> SamplingEngine::EstimateAggregate(
   if (where != nullptr) {
     LAWS_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
                           FilterRows(*where, sample_));
-    filtered = sample_.GatherRows(rows);
+    LAWS_ASSIGN_OR_RETURN(filtered, sample_.GatherRows(rows));
     current = &filtered;
   }
   SampleEstimate est;
@@ -132,8 +132,9 @@ Result<StratifiedSamplingEngine> StratifiedSamplingEngine::Build(
       weights.push_back(w);
     }
   }
-  return StratifiedSamplingEngine(table.GatherRows(picked),
-                                  std::move(weights), strata.size());
+  LAWS_ASSIGN_OR_RETURN(Table sample, table.GatherRows(picked));
+  return StratifiedSamplingEngine(std::move(sample), std::move(weights),
+                                  strata.size());
 }
 
 Result<SampleEstimate> StratifiedSamplingEngine::EstimateAggregate(

@@ -24,7 +24,8 @@ struct SampleEstimate {
 class SamplingEngine {
  public:
   /// Draws a uniform sample of ~`fraction` of the table's rows.
-  SamplingEngine(const Table& table, double fraction, uint64_t seed = 42);
+  static Result<SamplingEngine> Build(const Table& table, double fraction,
+                                      uint64_t seed = 42);
 
   const Table& sample() const { return sample_; }
   size_t sample_rows() const { return sample_.num_rows(); }
@@ -39,6 +40,11 @@ class SamplingEngine {
                                            const Expr* where) const;
 
  private:
+  SamplingEngine(Table sample, double actual_fraction, size_t population_rows)
+      : sample_(std::move(sample)),
+        actual_fraction_(actual_fraction),
+        population_rows_(population_rows) {}
+
   Table sample_;
   double actual_fraction_;
   size_t population_rows_;

@@ -95,10 +95,10 @@ std::shared_ptr<const BlockIndex> BuildBlockIndex(const Table& table,
 std::shared_ptr<const BlockIndex> EnsureBlockIndex(const TablePtr& table,
                                                    size_t block_rows) {
   if (!table) return nullptr;
-  if (auto index = table->block_index()) return index;
-  // Build outside any lock: index construction is a full column sweep. A
-  // racing builder that installs first wins and this build is dropped.
-  return table->InstallBlockIndex(BuildBlockIndex(*table, block_rows));
+  // Serial on purpose: callers that race for the slot wait on this build,
+  // and one of them may be a pool worker.
+  return table->BlockIndexOrBuild(
+      [&] { return BuildBlockIndex(*table, block_rows); });
 }
 
 }  // namespace laws

@@ -77,9 +77,10 @@ std::shared_ptr<const BlockIndex> BuildBlockIndex(
     const Table& table, size_t block_rows = kDefaultBlockRows);
 
 /// Returns the index installed in `table` whatever its block size;
-/// otherwise builds one at `block_rows` and installs it. When builders
-/// race, the first install wins and every caller gets that index. The
-/// index lives as long as its table (or a caller's copy of the pointer).
+/// otherwise builds one at `block_rows` and installs it. Racing callers
+/// wait for the one build in flight on the table and get its index
+/// (Table::BlockIndexOrBuild). The index lives as long as its table (or
+/// a caller's copy of the pointer).
 std::shared_ptr<const BlockIndex> EnsureBlockIndex(
     const TablePtr& table, size_t block_rows = kDefaultBlockRows);
 

@@ -212,9 +212,11 @@ Result<CompressedColumn> CompressSmallest(const Column& column) {
   return best;
 }
 
-/// kAuto's sample of a column longer than kSampleRows: the first window
-/// starts at row 0, the last ends at the last row.
-Column SampleOf(const Column& column) {
+/// kAuto's trial: the smallest encoding of the column itself up to
+/// kSampleRows, else of its sample, whose first window starts at row 0
+/// and whose last ends at the last row.
+Result<CompressedColumn> SampleTrial(const Column& column) {
+  if (column.size() <= kSampleRows) return CompressSmallest(column);
   const size_t span = column.size() - kSampleWindowRows;
   std::vector<uint32_t> rows;
   rows.reserve(kSampleRows);
@@ -224,7 +226,8 @@ Column SampleOf(const Column& column) {
       rows.push_back(static_cast<uint32_t>(begin + i));
     }
   }
-  return column.Gather(rows);
+  LAWS_ASSIGN_OR_RETURN(const Column sample, column.Gather(rows));
+  return CompressSmallest(sample);
 }
 
 /// One column's decode in three steps, so that DecompressTable can size
@@ -473,9 +476,8 @@ Result<CompressedColumn> CompressColumn(const Column& column,
   if (encoding != ColumnEncoding::kAuto) {
     return CompressWith(column, encoding);
   }
-  if (column.size() <= kSampleRows) return CompressSmallest(column);
-  LAWS_ASSIGN_OR_RETURN(CompressedColumn trial,
-                        CompressSmallest(SampleOf(column)));
+  LAWS_ASSIGN_OR_RETURN(CompressedColumn trial, SampleTrial(column));
+  if (column.size() <= kSampleRows) return trial;
   return CompressWith(column, trial.encoding);
 }
 
@@ -502,9 +504,7 @@ Result<CompressedTable> CompressTable(const Table& table,
   if (encoding == ColumnEncoding::kAuto) {
     ParallelFor(0, k, [&](size_t c) {
       const Column& column = table.column(c);
-      auto trial = column.size() <= kSampleRows
-                       ? CompressSmallest(column)
-                       : CompressSmallest(SampleOf(column));
+      auto trial = SampleTrial(column);
       if (!trial.ok()) {
         status[c] = trial.status();
       } else if (column.size() <= kSampleRows) {

@@ -605,10 +605,13 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   std::vector<Column> columns;
   columns.reserve(schema.num_fields());
   for (size_t c = 0; c < left.num_columns(); ++c) {
-    columns.push_back(left.column(c).Gather(left_rows));
+    LAWS_ASSIGN_OR_RETURN(Column gathered, left.column(c).Gather(left_rows));
+    columns.push_back(std::move(gathered));
   }
   for (size_t c = 0; c < right.num_columns(); ++c) {
-    columns.push_back(right.column(c).Gather(right_rows));
+    LAWS_ASSIGN_OR_RETURN(Column gathered,
+                          right.column(c).Gather(right_rows));
+    columns.push_back(std::move(gathered));
   }
   return Table::FromColumns(std::move(schema), std::move(columns));
 }
@@ -630,7 +633,7 @@ Result<Table> DistinctRows(Table table) {
   return table.GatherRows(grouping.first_row);
 }
 
-Table LimitRows(Table table, int64_t limit) {
+Result<Table> LimitRows(Table table, int64_t limit) {
   if (limit < 0 || static_cast<size_t>(limit) >= table.num_rows()) {
     return table;
   }
@@ -913,7 +916,7 @@ Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
             FilterRows(*plan.having, *current,
                        note != nullptr ? &disasm : nullptr));
         if (note != nullptr) runtime = " | bytecode: " + disasm;
-        out = current->GatherRows(selection);
+        LAWS_ASSIGN_OR_RETURN(out, current->GatherRows(selection));
         charged_as = "having output";
         break;
       }
@@ -937,7 +940,7 @@ Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
         break;
       }
       case PlanOp::kLimit:
-        out = LimitRows(std::move(owned), stmt.limit);
+        LAWS_ASSIGN_OR_RETURN(out, LimitRows(std::move(owned), stmt.limit));
         break;
     }
     if (span.active()) span.SetDetail(OpDetail(plan, op) + runtime);

@@ -37,7 +37,11 @@ Result<Value> EvaluateConstant(const Expr& expr);
 /// rows where it is TRUE (NULL and FALSE rows are excluded), ascending.
 /// Only the rows of `ranges` (ascending, disjoint) are evaluated; nullptr
 /// means every row. A predicate that is not boolean is a static
-/// TypeMismatch.
+/// TypeMismatch. The program is compiled once on the calling thread; the
+/// rows run as 16,384-row morsels on the pool's lanes, each into its own
+/// slice of one buffer the caller sizes, compacted in morsel order — so
+/// the selection, the `expr.batches` count and a data error are the
+/// same at every lane count (DESIGN.md §6, §13).
 Result<std::vector<uint32_t>> FilterRows(
     const Expr& predicate, const Table& table,
     std::string* disassembly = nullptr,

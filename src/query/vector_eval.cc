@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <span>
 
 #include "common/governor.h"
 #include "common/metrics.h"
@@ -555,9 +554,23 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
         const uint8_t* pa = a.b8.data();
         const uint8_t* pb = b.b8.data();
         uint8_t* po = o.b8.data();
+        const bool is_and = ins.op == OpCode::kAnd3VL;
+        if (na == nullptr && nb == nullptr) {
+          // No NULL on either side: plain two-valued logic, branch-free.
+          if (is_and) {
+            for (size_t i = 0; i < n; ++i) {
+              po[i] = static_cast<uint8_t>((pa[i] != 0) & (pb[i] != 0));
+            }
+          } else {
+            for (size_t i = 0; i < n; ++i) {
+              po[i] = static_cast<uint8_t>((pa[i] != 0) | (pb[i] != 0));
+            }
+          }
+          o.has_nulls = false;
+          break;
+        }
         uint8_t* no = o.null8.data();
         uint8_t any = 0;
-        const bool is_and = ins.op == OpCode::kAnd3VL;
         for (size_t i = 0; i < n; ++i) {
           const bool ln = na != nullptr && na[i] != 0;
           const bool rn = nb != nullptr && nb[i] != 0;
@@ -701,38 +714,36 @@ Result<Column> BatchEvaluator::Run(const CompiledExpr& program,
   return out;
 }
 
-Result<std::vector<uint32_t>> BatchEvaluator::RunFilter(
-    const CompiledExpr& program, const Table& table,
-    const std::vector<RowRange>* ranges) {
-  // A non-boolean predicate is a static error: it fails before any row
-  // is evaluated.
-  if (program.result_type != DataType::kBool) {
-    return Status::TypeMismatch("WHERE predicate is not boolean");
-  }
+Result<size_t> BatchEvaluator::FilterMorsel(const CompiledExpr& program,
+                                            const Table& table, size_t begin,
+                                            size_t end, uint32_t* out,
+                                            uint64_t* batches) {
   Provision(program);
-  const RowRange whole{0, table.num_rows()};
-  const std::span<const RowRange> todo =
-      ranges != nullptr ? std::span<const RowRange>(*ranges)
-                        : std::span<const RowRange>(&whole, 1);
-  std::vector<uint32_t> selected;
   const Slot& r = slots_[program.result_slot];
-  uint64_t batches = 0;
-  for (const RowRange& range : todo) {
-    for (size_t base = range.begin; base < range.end; base += batch_size_) {
-      LAWS_GOVERNOR_POLL();
-      const size_t n = std::min(batch_size_, range.end - base);
-      LAWS_RETURN_IF_ERROR(RunBatch(program, table, base, n));
-      ++batches;
-      const uint8_t* nulls = r.has_nulls ? r.null8.data() : nullptr;
-      const uint8_t* vals = r.b8.data();
+  size_t selected = 0;
+  for (size_t base = begin; base < end; base += batch_size_) {
+    LAWS_GOVERNOR_POLL();
+    const size_t n = std::min(batch_size_, end - base);
+    LAWS_RETURN_IF_ERROR(RunBatch(program, table, base, n));
+    ++*batches;
+    // Branch-free selection: store every row id, advance past the TRUE
+    // ones. The write index never passes the row index, so `out` needs
+    // no more room than the morsel's rows.
+    const uint8_t* vals = r.b8.data();
+    const auto id = static_cast<uint32_t>(base);
+    if (r.has_nulls) {
+      const uint8_t* nulls = r.null8.data();
       for (size_t i = 0; i < n; ++i) {
-        if ((nulls == nullptr || nulls[i] == 0) && vals[i] != 0) {
-          selected.push_back(static_cast<uint32_t>(base + i));
-        }
+        out[selected] = id + static_cast<uint32_t>(i);
+        selected += static_cast<size_t>((vals[i] != 0) & (nulls[i] == 0));
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        out[selected] = id + static_cast<uint32_t>(i);
+        selected += static_cast<size_t>(vals[i] != 0);
       }
     }
   }
-  BatchesCounter()->Add(batches);
   return selected;
 }
 

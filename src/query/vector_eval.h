@@ -18,7 +18,8 @@ namespace laws {
 ///
 /// This is the expression engine's only interpreter. Callers reach it
 /// through EvaluateExpr / FilterRows / EvaluateConstant (expr_eval.h),
-/// which compile, meter and run on a per-thread evaluator.
+/// which compile, meter and run on a per-thread evaluator (FilterRows on
+/// one per lane).
 
 /// Batch width. 1–4K is the classic vectorized-execution sweet spot
 /// (registers stay in L1/L2, amortizes dispatch ~1000×); tests use small
@@ -35,14 +36,16 @@ class BatchEvaluator {
   /// only loads a string column returns a copy of that column.
   Result<Column> Run(const CompiledExpr& program, const Table& table);
 
-  /// Filter fast path: returns the indices of rows where `program` is
-  /// TRUE (NULL/FALSE excluded), ascending, without ever materializing
-  /// the mask column. Only the rows of `ranges` (ascending, disjoint) are
-  /// evaluated; nullptr means every row. A program that is not BOOL fails
-  /// with TypeMismatch before any row is evaluated.
-  Result<std::vector<uint32_t>> RunFilter(
-      const CompiledExpr& program, const Table& table,
-      const std::vector<RowRange>* ranges = nullptr);
+  /// The filter kernel for one morsel: evaluates the BOOL `program` over
+  /// the rows [begin, end) in batches starting at `begin`, and writes the
+  /// ids of the rows where it is TRUE (NULL/FALSE excluded), ascending,
+  /// to `out`, which has room for end - begin ids. Returns how many it
+  /// wrote and adds the batches it ran to `*batches`; counts nothing
+  /// itself. FilterRows (expr_eval.h) checks the type and runs the
+  /// morsels.
+  Result<size_t> FilterMorsel(const CompiledExpr& program, const Table& table,
+                              size_t begin, size_t end, uint32_t* out,
+                              uint64_t* batches);
 
   /// Runs a column-free `program` once, over one row of a table with no
   /// columns, and returns its value — the compiler's constant folder.

@@ -47,10 +47,6 @@ size_t RowsOf(const Table& t) { return t.num_rows(); }
 size_t RowsOf(const HybridAnswer& a) { return a.table.num_rows(); }
 size_t RowsOf(const ApproxAnswer& a) { return a.table.num_rows(); }
 size_t RowsOf(const std::string&) { return 0; }
-size_t RowsOf(const FitReport&) { return 0; }
-size_t RowsOf(const RefitReport&) { return 0; }
-size_t RowsOf(size_t) { return 0; }
-size_t RowsOf(bool) { return 0; }
 
 }  // namespace
 

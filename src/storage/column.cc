@@ -5,6 +5,9 @@
 #include <cmath>
 #include <limits>
 
+#include "common/governor.h"
+#include "common/thread_pool.h"
+
 namespace laws {
 
 Column::Column(DataType type, bool nullable)
@@ -368,28 +371,91 @@ void Column::SetValidity(std::vector<uint8_t> validity) {
   }
 }
 
-Column Column::Gather(const std::vector<uint32_t>& indices) const {
-  Column out(type_, nullable_);
-  for (uint32_t i : indices) {
-    if (IsNull(i)) {
-      (void)out.AppendNull();
-      continue;
-    }
-    switch (type_) {
-      case DataType::kInt64:
-        out.AppendInt64(int64_data_[i]);
-        break;
-      case DataType::kDouble:
-        out.AppendDouble(double_data_[i]);
-        break;
-      case DataType::kString:
+namespace {
+
+/// Gather rows per chunk at least: inputs under 128K rows run on the
+/// calling thread.
+constexpr size_t kGatherGrainRows = 65536;
+
+}  // namespace
+
+Result<Column> Column::Gather(const std::vector<uint32_t>& indices) const {
+  const size_t n = indices.size();
+  if (type_ == DataType::kString) {
+    // Per row, so the dictionary is re-interned in first-seen order.
+    Column out(type_, nullable_);
+    for (size_t k = 0; k < n; ++k) {
+      if (k % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
+      const uint32_t i = indices[k];
+      if (IsNull(i)) {
+        (void)out.AppendNull();
+      } else {
         out.AppendString(StringAt(i));
-        break;
-      case DataType::kBool:
-        out.AppendBool(bool_data_[i] != 0);
-        break;
+      }
     }
+    return out;
   }
+
+  // The caller sizes every buffer (DESIGN.md §6); lanes fill eight rows
+  // per validity byte, so no two lanes share a byte.
+  const size_t bytes = (n + 7) / 8;
+  const bool masked = nullable_ && !validity_.empty();
+  std::vector<uint8_t> validity(masked ? bytes : 0);
+  std::vector<int64_t> i64(type_ == DataType::kInt64 ? n : 0);
+  std::vector<double> f64(type_ == DataType::kDouble ? n : 0);
+  std::vector<uint8_t> b8(type_ == DataType::kBool ? n : 0);
+  ParallelForChunks(
+      0, bytes,
+      [&](size_t lo, size_t hi) {
+        const size_t begin = lo * 8;
+        const size_t end = std::min(n, hi * 8);
+        const uint32_t* idx = indices.data();
+        switch (type_) {
+          case DataType::kInt64:
+            for (size_t k = begin; k < end; ++k) {
+              i64[k] = int64_data_[idx[k]];
+            }
+            break;
+          case DataType::kDouble:
+            for (size_t k = begin; k < end; ++k) {
+              f64[k] = double_data_[idx[k]];
+            }
+            break;
+          case DataType::kBool:
+            for (size_t k = begin; k < end; ++k) {
+              b8[k] = static_cast<uint8_t>(bool_data_[idx[k]] != 0);
+            }
+            break;
+          case DataType::kString:
+            break;
+        }
+        if (!masked) return;
+        for (size_t k = begin; k < end; ++k) {
+          validity[k >> 3] |= static_cast<uint8_t>(
+              static_cast<unsigned>(ValidAt(idx[k])) << (k & 7));
+        }
+      },
+      {.grain = kGatherGrainRows / 8});
+  // A tripped governor skips chunk bodies, leaving rows unwritten.
+  LAWS_GOVERNOR_POLL();
+
+  Column out(type_);
+  switch (type_) {
+    case DataType::kInt64:
+      out = FromInt64Vector(std::move(i64));
+      break;
+    case DataType::kDouble:
+      out = FromDoubleVector(std::move(f64));
+      break;
+    case DataType::kBool:
+      out = FromBoolVector(std::move(b8));
+      break;
+    case DataType::kString:
+      break;
+  }
+  // SetValidity zeroes NULL rows, sets the padding bits and counts the
+  // NULLs, so the column equals one built by per-row appends.
+  if (nullable_) out.SetValidity(std::move(validity));
   return out;
 }
 

@@ -129,8 +129,13 @@ class Column {
   /// the bulk path for decoders. Not for STRING columns.
   void SetValidity(std::vector<uint8_t> validity);
 
-  /// New column containing rows at `indices` (in that order).
-  Column Gather(const std::vector<uint32_t>& indices) const;
+  /// New column containing rows at `indices` (in that order), equal byte
+  /// for byte to one built by appending those rows one by one. INT64,
+  /// DOUBLE and BOOL fill by index on the pool's lanes (at least 64K
+  /// rows per chunk); STRING appends per row, re-interning the
+  /// dictionary in first-seen order. Fails only with the governor's
+  /// error when the query it runs under is canceled or out of time.
+  Result<Column> Gather(const std::vector<uint32_t>& indices) const;
 
   /// Approximate heap footprint in bytes, the basis of all storage-size
   /// accounting in the experiments.

@@ -88,23 +88,24 @@ std::shared_ptr<const BlockIndex> Table::block_index() const {
   return std::atomic_load(&block_index_.index);
 }
 
-std::shared_ptr<const BlockIndex> Table::InstallBlockIndex(
-    std::shared_ptr<const BlockIndex> index) const {
+std::shared_ptr<const BlockIndex> Table::BlockIndexOrBuild(
+    const std::function<std::shared_ptr<const BlockIndex>()>& build) const {
+  if (auto index = block_index()) return index;
+  std::lock_guard<std::mutex> lock(block_index_.build_mutex);
+  // A build that finished while this caller waited installed its index.
+  if (auto index = block_index()) return index;
+  std::shared_ptr<const BlockIndex> index = build();
   // The free functions, not std::atomic<std::shared_ptr>: libstdc++ 12's
   // atomic<shared_ptr>::load releases its lock bit with a relaxed store,
-  // which ThreadSanitizer reports as a race with a concurrent install.
-  std::shared_ptr<const BlockIndex> installed;
-  if (std::atomic_compare_exchange_strong(&block_index_.index, &installed,
-                                          index)) {
-    return index;
-  }
-  return installed;
+  // which ThreadSanitizer reports as a race with a concurrent store.
+  std::atomic_store(&block_index_.index, index);
+  return index;
 }
 
-Table Table::GatherRows(const std::vector<uint32_t>& indices) const {
+Result<Table> Table::GatherRows(const std::vector<uint32_t>& indices) const {
   Table out(schema_);
   for (size_t c = 0; c < columns_.size(); ++c) {
-    out.columns_[c] = columns_[c].Gather(indices);
+    LAWS_ASSIGN_OR_RETURN(out.columns_[c], columns_[c].Gather(indices));
   }
   out.num_rows_ = indices.size();
   out.data_version_ = 1;

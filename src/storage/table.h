@@ -1,7 +1,9 @@
 #ifndef LAWSDB_STORAGE_TABLE_H_
 #define LAWSDB_STORAGE_TABLE_H_
 
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -56,8 +58,9 @@ class Table {
     return columns_[col].GetValue(row);
   }
 
-  /// New table with the rows at `indices`, in order.
-  Table GatherRows(const std::vector<uint32_t>& indices) const;
+  /// New table with the rows at `indices`, in order (Column::Gather per
+  /// column). Fails only with the governor's error.
+  Result<Table> GatherRows(const std::vector<uint32_t>& indices) const;
 
   /// Monotonic counter incremented by every mutation.
   uint64_t data_version() const { return data_version_; }
@@ -66,11 +69,14 @@ class Table {
   /// installed since the last mutation. Safe on any thread.
   std::shared_ptr<const BlockIndex> block_index() const;
 
-  /// Installs `index`, built over the current rows, when the slot is
-  /// empty, and returns the installed index: `index`, or the one a racing
-  /// builder installed first. Safe on any thread; mutations are not.
-  std::shared_ptr<const BlockIndex> InstallBlockIndex(
-      std::shared_ptr<const BlockIndex> index) const;
+  /// Returns the installed block index; when there is none, runs `build`
+  /// over the current rows and installs its index. One build runs per
+  /// table at a time: a caller that finds the slot empty while another
+  /// builds waits for that build and takes its index. `build` runs on the
+  /// calling thread and must not wait on pool tasks, since a waiter may
+  /// be a pool worker. Safe on any thread; mutations are not.
+  std::shared_ptr<const BlockIndex> BlockIndexOrBuild(
+      const std::function<std::shared_ptr<const BlockIndex>()>& build) const;
 
   /// Total columnar heap footprint in bytes.
   size_t MemoryBytes() const;
@@ -85,11 +91,13 @@ class Table {
   uint64_t data_version_ = 0;
 
   /// Describes the rows of this object only, so it copies and moves as
-  /// empty (a moved-from table loses it with its rows). Readers and
-  /// installers go through std::atomic_load / atomic_compare_exchange;
-  /// mutations, which need exclusive access anyway, reset it directly.
+  /// empty (a moved-from table loses it with its rows), and with a build
+  /// lock of its own. Readers and the builder go through std::atomic_load
+  /// / atomic_store; mutations, which need exclusive access anyway, reset
+  /// it directly.
   struct IndexSlot {
     std::shared_ptr<const BlockIndex> index;
+    std::mutex build_mutex;  // held by the one build in flight
 
     IndexSlot() = default;
     IndexSlot(const IndexSlot&) {}

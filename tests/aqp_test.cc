@@ -414,7 +414,9 @@ TEST(SamplingTest, EstimatesNearTruth) {
     exact_sum += v;
     ASSERT_TRUE(t.AppendRow({Value::Double(v)}).ok());
   }
-  SamplingEngine engine(t, 0.01);
+  auto built = SamplingEngine::Build(t, 0.01);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const SamplingEngine& engine = *built;
   EXPECT_NEAR(engine.fraction(), 0.01, 0.003);
   auto count = engine.EstimateAggregate(AggregateFunc::kCount, "x", nullptr);
   ASSERT_TRUE(count.ok());
@@ -434,7 +436,9 @@ TEST(SamplingTest, FilteredEstimates) {
     ASSERT_TRUE(
         t.AppendRow({Value::Double(rng.Uniform(0.0, 1.0))}).ok());
   }
-  SamplingEngine engine(t, 0.05);
+  auto built = SamplingEngine::Build(t, 0.05);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const SamplingEngine& engine = *built;
   auto pred = ParseExpression("x < 0.25");
   ASSERT_TRUE(pred.ok());
   auto count =
@@ -449,7 +453,9 @@ TEST(SamplingTest, SampleIsSmallerThanTable) {
   for (int i = 0; i < 10000; ++i) {
     ASSERT_TRUE(t.AppendRow({Value::Double(rng.Normal())}).ok());
   }
-  SamplingEngine engine(t, 0.02);
+  auto built = SamplingEngine::Build(t, 0.02);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const SamplingEngine& engine = *built;
   EXPECT_LT(engine.SampleBytes(), t.MemoryBytes() / 10);
 }
 
@@ -597,10 +603,12 @@ TEST(StratifiedSamplingTest, SelectivePredicateStillAnswered) {
   EXPECT_NEAR(count->value, 50.0, 1e-9);  // 20 rows * weight 2.5
 
   // The uniform sample at comparable size usually misses it badly.
-  SamplingEngine uniform(t, static_cast<double>(strat->sample_rows()) /
-                                static_cast<double>(t.num_rows()));
+  auto uniform =
+      SamplingEngine::Build(t, static_cast<double>(strat->sample_rows()) /
+                                   static_cast<double>(t.num_rows()));
+  ASSERT_TRUE(uniform.ok()) << uniform.status().ToString();
   auto ucount =
-      uniform.EstimateAggregate(AggregateFunc::kCount, "v", pred->get());
+      uniform->EstimateAggregate(AggregateFunc::kCount, "v", pred->get());
   ASSERT_TRUE(ucount.ok());
   EXPECT_GT(std::fabs(count->value - 50.0) + 1.0,
             0.0);  // stratified is exact here; uniform is noisy

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "query/bytecode.h"
 #include "query/expr_eval.h"
 #include "query/parser.h"
@@ -683,6 +684,167 @@ TEST(BytecodeVmTest, NonBooleanFilterFailsLikeOracle) {
     EXPECT_EQ(got.status().code(), StatusCode::kTypeMismatch) << pred;
     EXPECT_EQ(got.status().message(), "WHERE predicate is not boolean")
         << pred;
+  }
+}
+
+// --- FilterRows on lanes ---------------------------------------------------
+
+/// `rows` rows over TestSchema: ia cycles through 0..96 with every 7th row
+/// NULL, da through [0, 1) with every 11th row NaN and every 13th NULL,
+/// ba TRUE on every third row.
+Table LaneTable(size_t rows) {
+  std::vector<int64_t> ia(rows), ib(rows);
+  std::vector<double> da(rows), db(rows);
+  std::vector<uint8_t> ba(rows);
+  std::vector<uint8_t> ia_valid((rows + 7) / 8, 0xFF);
+  std::vector<uint8_t> da_valid((rows + 7) / 8, 0xFF);
+  for (size_t i = 0; i < rows; ++i) {
+    ia[i] = static_cast<int64_t>(i % 97);
+    ib[i] = static_cast<int64_t>(i % 5) - 2;
+    da[i] = i % 11 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                        : static_cast<double>((i * 7919) % 1000) / 1000.0;
+    db[i] = static_cast<double>(i % 3) + 0.5;
+    ba[i] = i % 3 == 0 ? 1 : 0;
+    if (i % 7 == 3) ia_valid[i / 8] &= static_cast<uint8_t>(~(1u << (i % 8)));
+    if (i % 13 == 5) da_valid[i / 8] &= static_cast<uint8_t>(~(1u << (i % 8)));
+  }
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64Vector(std::move(ia)));
+  cols.back().SetValidity(std::move(ia_valid));
+  cols.push_back(Column::FromInt64Vector(std::move(ib)));
+  cols.back().SetValidity({});
+  cols.push_back(Column::FromDoubleVector(std::move(da)));
+  cols.back().SetValidity(std::move(da_valid));
+  cols.push_back(Column::FromDoubleVector(std::move(db)));
+  cols.back().SetValidity({});
+  cols.push_back(Column::FromBoolVector(std::move(ba)));
+  cols.back().SetValidity({});
+  Column sa(DataType::kString);
+  for (size_t i = 0; i < rows; ++i) sa.AppendString(i % 2 == 0 ? "x" : "y");
+  cols.push_back(std::move(sa));
+  Result<Table> t = Table::FromColumns(TestSchema(), std::move(cols));
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return std::move(t).value();
+}
+
+/// FilterRows at `lanes` lanes; restores the default pool.
+Result<std::vector<uint32_t>> FilterAt(size_t lanes, const Expr& pred,
+                                       const Table& t,
+                                       const std::vector<RowRange>* ranges) {
+  ThreadPool::SetGlobalThreadCount(lanes);
+  Result<std::vector<uint32_t>> rows = FilterRows(pred, t, nullptr, ranges);
+  ThreadPool::SetGlobalThreadCount(0);
+  return rows;
+}
+
+// Morsels run on lanes and compact in morsel order, so the selection is
+// the 1-lane one at every lane count, on every size around the batch and
+// morsel edges, over all rows and over ranges that start off a batch
+// boundary, for predicates that see NULLs and NaNs. The 1-lane run must
+// itself agree with the evaluated mask.
+TEST(FilterLanesTest, SameIdsAtOneTwoAndFourLanes) {
+  const char* preds[] = {
+      "da > 0.5",                            // NaN > x is TRUE (§11)
+      "da BETWEEN 0.25 AND 0.75",            // two compares + and.3vl
+      "ia % 3 = 0 AND da < 0.9",             // NULLs on both sides
+      "coalesce(ia, -1) < 0 OR NOT (da <> da)",
+      "ba OR ib > 1"};
+  for (const size_t rows :
+       {0, 1, 1023, 1024, 16383, 16384, 16385, 200000}) {
+    const Table t = LaneTable(rows);
+    const std::vector<RowRange> off_batch = {
+        {std::min<size_t>(5, rows), std::min<size_t>(1500, rows)},
+        {std::min<size_t>(1501, rows), std::min<size_t>(40001, rows)},
+        {std::min<size_t>(50003, rows), rows}};
+    for (const char* text : preds) {
+      const std::unique_ptr<Expr> pred = ParseExpr(text);
+      ASSERT_NE(pred, nullptr);
+      Result<Column> mask = EvaluateExpr(*pred, t);
+      ASSERT_TRUE(mask.ok()) << text << ": " << mask.status().ToString();
+      for (const std::vector<RowRange>* ranges :
+           {static_cast<const std::vector<RowRange>*>(nullptr), &off_batch}) {
+        std::vector<uint32_t> want;
+        const std::vector<RowRange> whole = {{0, rows}};
+        for (const RowRange& r : ranges != nullptr ? *ranges : whole) {
+          for (size_t i = r.begin; i < r.end; ++i) {
+            if (!mask->IsNull(i) && mask->BoolAt(i)) {
+              want.push_back(static_cast<uint32_t>(i));
+            }
+          }
+        }
+        const Result<std::vector<uint32_t>> one = FilterAt(1, *pred, t, ranges);
+        ASSERT_TRUE(one.ok()) << text << ": " << one.status().ToString();
+        EXPECT_EQ(*one, want) << text << " rows=" << rows;
+        for (const size_t lanes : {2, 4}) {
+          const Result<std::vector<uint32_t>> got =
+              FilterAt(lanes, *pred, t, ranges);
+          ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+          EXPECT_EQ(*got, *one)
+              << text << " rows=" << rows << " lanes=" << lanes
+              << (ranges != nullptr ? " ranges" : " all rows");
+        }
+      }
+    }
+  }
+}
+
+// A data error is the one a serial sweep raises first: the lowest failing
+// morsel's. `1 / da` fails on a zero, `1.0 % db` on a zero; with both
+// planted the earlier row decides, whichever morsel the lanes reach first.
+TEST(FilterLanesTest, SameErrorAtOneTwoAndFourLanes) {
+  constexpr size_t kRows = 200000;  // 13 morsels
+  constexpr size_t kMorsel = 16384;
+  struct Plant {
+    const char* name;
+    std::vector<size_t> da_zero;
+    std::vector<size_t> db_zero;
+    const char* message;
+  };
+  const std::vector<Plant> plants = {
+      {"first morsel", {5}, {}, "division by zero"},
+      {"last morsel", {kRows - 1}, {}, "division by zero"},
+      {"two morsels, division first",
+       {3 * kMorsel + 100},
+       {9 * kMorsel + 7},
+       "division by zero"},
+      {"two morsels, modulo first",
+       {9 * kMorsel + 7},
+       {3 * kMorsel + 100},
+       "modulo by zero"},
+  };
+  const std::unique_ptr<Expr> pred = ParseExpr("1 / da + 1.0 % db > 0");
+  ASSERT_NE(pred, nullptr);
+  for (const Plant& plant : plants) {
+    Table base = LaneTable(kRows);
+    std::vector<double> da = base.column(2).double_data();
+    std::vector<double> db = base.column(3).double_data();
+    for (double& v : da) v = std::isnan(v) || v == 0.0 ? 0.5 : v;
+    for (const size_t r : plant.da_zero) da[r] = 0.0;
+    for (const size_t r : plant.db_zero) db[r] = 0.0;
+    std::vector<Column> cols;
+    for (size_t c = 0; c < base.num_columns(); ++c) {
+      cols.push_back(base.column(c));
+    }
+    cols[2] = Column::FromDoubleVector(std::move(da));
+    cols[3] = Column::FromDoubleVector(std::move(db));
+    std::vector<Field> fields = TestSchema().fields();
+    fields[2].nullable = false;
+    fields[3].nullable = false;
+    Result<Table> t = Table::FromColumns(Schema(fields), std::move(cols));
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+
+    const Result<std::vector<uint32_t>> one = FilterAt(1, *pred, *t, nullptr);
+    ASSERT_FALSE(one.ok()) << plant.name;
+    EXPECT_EQ(one.status().code(), StatusCode::kNumericError) << plant.name;
+    EXPECT_EQ(one.status().message(), plant.message) << plant.name;
+    for (const size_t lanes : {2, 4}) {
+      const Result<std::vector<uint32_t>> got =
+          FilterAt(lanes, *pred, *t, nullptr);
+      ASSERT_FALSE(got.ok()) << plant.name << " lanes=" << lanes;
+      EXPECT_EQ(got.status().code(), one.status().code()) << plant.name;
+      EXPECT_EQ(got.status().message(), one.status().message())
+          << plant.name << " lanes=" << lanes;
+    }
   }
 }
 

@@ -209,6 +209,23 @@ SelectStatement DistinctStatement() {
   return std::move(*stmt);
 }
 
+/// 50,000 rows, four of FilterRows' 16,384-row morsels, under a WHERE the
+/// zone maps decline, so every leg sweeps every row on the VM. The
+/// generated sweep's tables stay within one morsel.
+GenTable MorselCase() {
+  GenTable t;
+  t.name = "t0";
+  t.columns = {GenColumn{"ia", DataType::kInt64, false}};
+  for (int64_t i = 0; i < 50000; ++i) t.rows.push_back({Value::Int64(i)});
+  return t;
+}
+
+SelectStatement MorselStatement() {
+  Result<SelectStatement> stmt =
+      ParseSelect("SELECT ia FROM t0 WHERE ia % 3 = 0");
+  return std::move(*stmt);
+}
+
 #ifdef LAWS_TESTING_INJECT_BUG
 // Self-test of the harness: with the planted hash-aggregate off-by-one
 // (the numeric sweep drops the last input row), this exact case must be
@@ -282,6 +299,16 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedGroupingBug) {
       << "injected grouping row-order bug was not detected";
 }
 
+// The filter's planted mutant drops the first selected row of every
+// morsel after the first when it compacts the slices. Morsel bounds do
+// not depend on the lane count, so every tier drops the same rows and
+// only the oracle leg sees the divergence.
+TEST(DifferentialTest, MutationSmokeCatchesInjectedMorselBug) {
+  const CaseDiff diff = DiffCase({MorselCase()}, MorselStatement());
+  EXPECT_FALSE(diff.reason.empty())
+      << "injected morsel compaction bug was not detected";
+}
+
 // The learning loop's planted mutant corrupts one merged sufficient
 // statistic in IncrementalOls::Merge — the exact class of bug (a subtly
 // wrong harvest accumulator) the learning leg exists to catch. Only the
@@ -338,6 +365,11 @@ TEST(DifferentialTest, TopKMutationSmokeCaseAgreesWhenHealthy) {
 
 TEST(DifferentialTest, GroupingMutationSmokeCaseAgreesWhenHealthy) {
   const CaseDiff diff = DiffCase({SignedZeroCase()}, DistinctStatement());
+  EXPECT_TRUE(diff.reason.empty()) << diff.reason;
+}
+
+TEST(DifferentialTest, MorselMutationSmokeCaseAgreesWhenHealthy) {
+  const CaseDiff diff = DiffCase({MorselCase()}, MorselStatement());
   EXPECT_TRUE(diff.reason.empty()) << diff.reason;
 }
 

@@ -17,6 +17,8 @@
 #include "common/thread_pool.h"
 #include "core/session.h"
 #include "query/executor.h"
+#include "query/expr_eval.h"
+#include "query/parser.h"
 #include "query/query_context.h"
 #include "storage/catalog.h"
 
@@ -450,6 +452,71 @@ TEST(GovernedQueryTest, TopKSortHonorsCancelAndDeadline) {
   auto late = timed.Run([&] { return ExecuteQuery(cat, sql); });
   EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GT(timed.governor().polls(), 0u);
+}
+
+// A million-row WHERE at 4 lanes runs its morsels on the pool. A canceled
+// or expired governor stops it with its own typed error — never OK, never
+// an internal status, never a selection with unwritten slices — and so
+// does a 200,000-row gather under a canceled governor. The catalog then
+// answers the same query.
+TEST(GovernedQueryTest, LaneFilterAndGatherHonorCancelAndDeadline) {
+  constexpr size_t kRows = size_t{1} << 20;
+  std::vector<int64_t> ids(kRows);
+  std::vector<double> values(kRows);
+  Rng rng(31);
+  for (size_t i = 0; i < kRows; ++i) {
+    ids[i] = static_cast<int64_t>(i);
+    values[i] = rng.NextDouble();
+  }
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64Vector(std::move(ids)));
+  cols.push_back(Column::FromDoubleVector(std::move(values)));
+  auto table = Table::FromColumns(
+      Schema({Field{"id", DataType::kInt64, false},
+              Field{"v", DataType::kDouble, false}}),
+      std::move(cols));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto shared = std::make_shared<Table>(std::move(*table));
+  Catalog cat;
+  cat.RegisterOrReplace("lanes", shared);
+  // Transcendentals keep the filter far above the 1 ms deadline at 4
+  // lanes, and the zone maps decline the predicate.
+  const char* where = "sin(v) + cos(v) * ln(v + 1) + exp(v) > 1.5";
+  auto pred = ParseExpression(where);
+  ASSERT_TRUE(pred.ok()) << pred.status().ToString();
+  const std::string sql = std::string("SELECT COUNT(*) FROM lanes WHERE ") +
+                          where;
+
+  ThreadPool::SetGlobalThreadCount(4);
+  QueryContext canceled{ResourceLimits{}};
+  canceled.Cancel();
+  auto stopped = canceled.Run([&] { return FilterRows(**pred, *shared); });
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCanceled);
+  auto stopped_query = canceled.Run([&] { return ExecuteQuery(cat, sql); });
+  EXPECT_EQ(stopped_query.status().code(), StatusCode::kCanceled);
+  std::vector<uint32_t> rows(200000);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<uint32_t>(i * 5);
+  }
+  auto gathered = canceled.Run([&] { return shared->GatherRows(rows); });
+  EXPECT_EQ(gathered.status().code(), StatusCode::kCanceled);
+
+  ResourceLimits limits;
+  limits.timeout_micros = 1000;
+  QueryContext timed(limits);
+  auto late = timed.Run([&] { return FilterRows(**pred, *shared); });
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(timed.governor().polls(), 0u);
+
+  auto selected = FilterRows(**pred, *shared);
+  ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+  auto plain = ExecuteQuery(cat, sql);
+  ThreadPool::SetGlobalThreadCount(0);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->GetValue(0, 0),
+            Value::Int64(static_cast<int64_t>(selected->size())));
+  EXPECT_GT(selected->size(), 0u);
+  EXPECT_LT(selected->size(), kRows);
 }
 
 // GROUP BY over a million interleaved keys at 4 lanes: every grouping

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "query/executor.h"
 #include "query/expr_eval.h"
@@ -1031,6 +1032,39 @@ TEST(ExplainAnalyzeTest, AggregateNamesTheGroupingThatRan) {
   ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
   EXPECT_NE(distinct->find("Distinct  rows=6->5"), std::string::npos)
       << *distinct;
+}
+
+// The filter's morsels count their batches and the calling thread adds
+// the sum once, so EXPLAIN ANALYZE prints the serial count at any lane
+// count: 200,000 rows are 196 batches of 1,024, and the projection over
+// the aggregate's one row compiles a second program and runs one more.
+TEST(ExplainAnalyzeTest, FilterBatchCountIsTheSameAtOneAndFourLanes) {
+  constexpr size_t kRows = 200000;
+  std::vector<int64_t> ids(kRows);
+  for (size_t i = 0; i < kRows; ++i) ids[i] = static_cast<int64_t>(i);
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64Vector(std::move(ids)));
+  auto table = Table::FromColumns(
+      Schema({Field{"id", DataType::kInt64, false}}), std::move(cols));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Catalog cat;
+  cat.RegisterOrReplace("m", std::make_shared<Table>(std::move(*table)));
+  // The zone maps decline `%`, so the VM evaluates every row.
+  const char* sql = "SELECT COUNT(*) FROM m WHERE id % 7 = 3";
+  auto expr_line = [&](size_t lanes) {
+    ThreadPool::SetGlobalThreadCount(lanes);
+    auto text = ExplainAnalyzeQuery(cat, sql);
+    ThreadPool::SetGlobalThreadCount(0);
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    if (!text.ok()) return std::string();
+    const size_t at = text->find("expr: compiled=");
+    EXPECT_NE(at, std::string::npos) << *text;
+    if (at == std::string::npos) return std::string();
+    return text->substr(at, text->find('\n', at) - at);
+  };
+  const std::string one = expr_line(1);
+  EXPECT_EQ(one, "expr: compiled=2 batches=197");
+  EXPECT_EQ(expr_line(4), one);
 }
 
 TEST(ExplainAnalyzeTest, ReportsErrorsInsteadOfATree) {

@@ -709,6 +709,47 @@ TEST(TableBlockIndexTest, RacingBuildersAndQueriesShareOneInstalledIndex) {
       << "a racer saw no index, a second index or torn geometry";
 }
 
+/// Eight threads reach one fresh million-row table's empty slot at once.
+/// One builds; the rest wait for that build and take its index, so the
+/// table is swept once. Run under TSan for the lock half of the claim.
+TEST(TableBlockIndexTest, RacingCallersShareOneBuild) {
+  constexpr size_t kRows = 1000000;
+  constexpr int kThreads = 8;
+  std::vector<int64_t> g(kRows);
+  std::vector<double> x(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    g[i] = static_cast<int64_t>(i % 8);
+    x[i] = static_cast<double>(i) * 0.5;
+  }
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64Vector(std::move(g)));
+  cols.push_back(Column::FromDoubleVector(std::move(x)));
+  auto built = Table::FromColumns(
+      Schema({Field{"g", DataType::kInt64, false},
+              Field{"x", DataType::kDouble, false}}),
+      std::move(cols));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto table = std::make_shared<Table>(std::move(*built));
+
+  Counter* builds = MetricsRegistry::Global().GetCounter("scan.index_builds");
+  const uint64_t before = builds->value();
+  std::atomic<int> ready{0};
+  std::vector<std::shared_ptr<const BlockIndex>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[i] = EnsureBlockIndex(table);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(builds->value() - before, 1u);
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& index : got) EXPECT_EQ(index, got[0]);
+  EXPECT_EQ(table->block_index(), got[0]);
+}
+
 /// The index describes one object's rows: copies, copy-on-write clones
 /// and moves start without one, and every mutation drops it.
 TEST(TableBlockIndexTest, CopiesClonesAndMutationsHaveNoIndex) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "storage/catalog.h"
 #include "storage/column.h"
 #include "storage/csv.h"
@@ -166,7 +171,9 @@ TEST(ColumnTest, GatherPreservesValuesAndNulls) {
       c.AppendInt64(i);
     }
   }
-  Column g = c.Gather({9, 5, 0});
+  Result<Column> gathered = c.Gather({9, 5, 0});
+  ASSERT_TRUE(gathered.ok());
+  const Column& g = *gathered;
   EXPECT_EQ(g.size(), 3u);
   EXPECT_EQ(g.Int64At(0), 9);
   EXPECT_TRUE(g.IsNull(1));
@@ -389,7 +396,9 @@ TEST(TableTest, ColumnByName) {
 
 TEST(TableTest, GatherRowsReordersAndSubsets) {
   Table t = MakeTestTable(10);
-  Table g = t.GatherRows({7, 2, 2});
+  Result<Table> gathered = t.GatherRows({7, 2, 2});
+  ASSERT_TRUE(gathered.ok());
+  const Table& g = *gathered;
   EXPECT_EQ(g.num_rows(), 3u);
   EXPECT_EQ(g.GetValue(0, 0).int64(), 7);
   EXPECT_EQ(g.GetValue(1, 0).int64(), 2);
@@ -588,6 +597,139 @@ TEST(SerializeTest, RejectsTruncated) {
   auto bytes = SerializeTableToBytes(t);
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(DeserializeTableFromBytes(bytes).ok());
+}
+
+// --- Typed gather on lanes ---------------------------------------------------
+
+/// The reference Column::Gather: per-row appends.
+Column AppendGather(const Column& src, const std::vector<uint32_t>& rows) {
+  Column out(src.type(), src.nullable());
+  for (const uint32_t r : rows) {
+    if (src.IsNull(r)) {
+      EXPECT_TRUE(out.AppendNull().ok());
+      continue;
+    }
+    switch (src.type()) {
+      case DataType::kInt64:
+        out.AppendInt64(src.Int64At(r));
+        break;
+      case DataType::kDouble:
+        out.AppendDouble(src.DoubleAt(r));
+        break;
+      case DataType::kString:
+        out.AppendString(src.StringAt(r));
+        break;
+      case DataType::kBool:
+        out.AppendBool(src.BoolAt(r));
+        break;
+    }
+  }
+  return out;
+}
+
+/// Byte-for-byte equality: type, nullability, NULL count, validity bytes
+/// (padding included), backing vectors (doubles by bits) and dictionary.
+void ExpectSameColumn(const Column& got, const Column& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.type(), want.type()) << what;
+  EXPECT_EQ(got.nullable(), want.nullable()) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(got.null_count(), want.null_count()) << what;
+  EXPECT_EQ(got.validity(), want.validity()) << what;
+  EXPECT_EQ(got.int64_data(), want.int64_data()) << what;
+  ASSERT_EQ(got.double_data().size(), want.double_data().size()) << what;
+  if (!got.double_data().empty()) {
+    EXPECT_EQ(0, std::memcmp(got.double_data().data(),
+                             want.double_data().data(),
+                             got.double_data().size() * sizeof(double)))
+        << what;
+  }
+  EXPECT_EQ(got.bool_data(), want.bool_data()) << what;
+  EXPECT_EQ(got.string_codes(), want.string_codes()) << what;
+  EXPECT_EQ(got.dictionary(), want.dictionary()) << what;
+}
+
+/// 300,000 rows of each type, nullable (every 5th row NULL) and not; the
+/// doubles include NaN and -0.0.
+Table GatherSource() {
+  constexpr size_t kRows = 300000;
+  std::vector<Field> fields;
+  std::vector<Column> cols;
+  for (const bool nullable : {false, true}) {
+    const std::string suffix = nullable ? "_n" : "";
+    Column i64(DataType::kInt64, nullable);
+    Column f64(DataType::kDouble, nullable);
+    Column b8(DataType::kBool, nullable);
+    Column str(DataType::kString, nullable);
+    for (size_t i = 0; i < kRows; ++i) {
+      if (nullable && i % 5 == 2) {
+        EXPECT_TRUE(i64.AppendNull().ok());
+        EXPECT_TRUE(f64.AppendNull().ok());
+        EXPECT_TRUE(b8.AppendNull().ok());
+        EXPECT_TRUE(str.AppendNull().ok());
+        continue;
+      }
+      i64.AppendInt64(static_cast<int64_t>(i * 2654435761u) - 7);
+      f64.AppendDouble(i % 97 == 0   ? std::nan("")
+                       : i % 89 == 0 ? -0.0
+                                     : static_cast<double>(i) / 3.0);
+      b8.AppendBool(i % 3 == 0);
+      str.AppendString("s" + std::to_string(i % 41));
+    }
+    fields.push_back(Field{"i" + suffix, DataType::kInt64, nullable});
+    fields.push_back(Field{"d" + suffix, DataType::kDouble, nullable});
+    fields.push_back(Field{"b" + suffix, DataType::kBool, nullable});
+    fields.push_back(Field{"s" + suffix, DataType::kString, nullable});
+    cols.push_back(std::move(i64));
+    cols.push_back(std::move(f64));
+    cols.push_back(std::move(b8));
+    cols.push_back(std::move(str));
+  }
+  Result<Table> t = Table::FromColumns(Schema(fields), std::move(cols));
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return std::move(t).value();
+}
+
+TEST(GatherLanesTest, EqualsPerRowAppendsAtOneTwoAndFourLanes) {
+  const Table source = GatherSource();
+  const uint32_t n = static_cast<uint32_t>(source.num_rows());
+  std::vector<std::pair<std::string, std::vector<uint32_t>>> cases;
+  cases.push_back({"none", {}});
+  cases.push_back({"one", {n - 3}});
+  std::vector<uint32_t> scattered(200000);
+  for (size_t i = 0; i < scattered.size(); ++i) {
+    scattered[i] = static_cast<uint32_t>((i * 7919) % n);
+  }
+  cases.push_back({"scattered", scattered});
+  std::vector<uint32_t> repeated(200000);
+  for (size_t i = 0; i < repeated.size(); ++i) {
+    repeated[i] = static_cast<uint32_t>((i / 3) % 1000);
+  }
+  cases.push_back({"repeated", repeated});
+  std::vector<uint32_t> descending(200000);
+  for (size_t i = 0; i < descending.size(); ++i) {
+    descending[i] = static_cast<uint32_t>(n - 1 - i);
+  }
+  cases.push_back({"descending", descending});
+
+  for (const size_t lanes : {1, 2, 4}) {
+    ThreadPool::SetGlobalThreadCount(lanes);
+    for (const auto& [name, rows] : cases) {
+      Result<Table> table = source.GatherRows(rows);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ASSERT_EQ(table->num_rows(), rows.size());
+      for (size_t c = 0; c < source.num_columns(); ++c) {
+        const std::string what = name + " " + source.schema().field(c).name +
+                                 " lanes=" + std::to_string(lanes);
+        const Column want = AppendGather(source.column(c), rows);
+        Result<Column> got = source.column(c).Gather(rows);
+        ASSERT_TRUE(got.ok()) << what;
+        ExpectSameColumn(*got, want, what);
+        ExpectSameColumn(table->column(c), want, what + " (GatherRows)");
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreadCount(0);
 }
 
 }  // namespace

@@ -23,7 +23,20 @@
 # ServerTest.ConcurrentExplainAnalyzeCountsOnlyItsOwnQuery runs two
 # sessions' EXPLAIN ANALYZE at once: every Counter::Add also credits the
 # TraceSink installed on its thread, so a sink shared across threads
-# would race here.
+# would race here. TableBlockIndexTest.RacingCallersShareOneBuild sends
+# eight threads at one table's empty index slot: one builds under the
+# table's build lock while the others wait on it.
+#
+# WHERE and the row gather run on lanes: FilterRows' morsels write into
+# disjoint slices of one caller-sized buffer, each on its lane's
+# thread-local evaluator, and Column::Gather's chunks own whole validity
+# bytes. FilterLanesTest.SameIdsAtOneTwoAndFourLanes,
+# FilterLanesTest.SameErrorAtOneTwoAndFourLanes (bytecode_test),
+# GatherLanesTest.EqualsPerRowAppendsAtOneTwoAndFourLanes (storage_test),
+# ExplainAnalyzeTest.FilterBatchCountIsTheSameAtOneAndFourLanes
+# (query_test) and GovernedQueryTest.LaneFilterAndGatherHonorCancelAndDeadline
+# (governor_test) run them on 2 and 4 lanes, so a shared byte or
+# scratch register surfaces here.
 #
 # Usage: tools/check_tsan.sh [ctest-args...]
 #   LAWS_TSAN_BUILD_DIR  override the build tree (default: build-tsan)
