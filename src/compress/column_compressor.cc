@@ -1,6 +1,10 @@
 #include "compress/column_compressor.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 
 #include "common/bytes.h"
 #include "common/governor.h"
@@ -36,7 +40,8 @@ bool Applicable(DataType type, ColumnEncoding e) {
   return false;
 }
 
-/// kAuto's trial order; a tie goes to the earlier encoding.
+/// kAuto's candidates in ColumnEncoding order; a tie goes to the earlier
+/// encoding.
 constexpr ColumnEncoding kCandidates[] = {
     ColumnEncoding::kPlain,   ColumnEncoding::kRle,
     ColumnEncoding::kDeltaVarint, ColumnEncoding::kBitPack,
@@ -109,13 +114,20 @@ size_t DictionaryBytes(const Column& column) {
   return bytes;
 }
 
-/// What the plain body puts before its fixed-width rows: the dictionary
-/// (STRING), then the row count. Byte shuffling keeps the row count.
-std::vector<uint8_t> PlainHeader(const Column& column) {
-  ByteWriter w;
-  WriteDictionary(column, &w);
-  w.PutVarint(column.size());
-  return w.TakeData();
+/// The DEFLATE input of a zlib codec: what the plain body puts before its
+/// fixed-width rows (the dictionary for STRING, then the row count), then
+/// the rows, byte plane by byte plane under kShuffleZlib.
+ZlibInput ZlibInputOf(const Column& column, ColumnEncoding encoding) {
+  ByteWriter header;
+  WriteDictionary(column, &header);
+  header.PutVarint(column.size());
+  ZlibInput in;
+  in.header = header.TakeData();
+  in.data = ElementData(column);
+  in.n = column.size();
+  in.width = ElementWidth(column.type());
+  in.shuffle = encoding == ColumnEncoding::kShuffleZlib;
+  return in;
 }
 
 /// Upper bound on EncodeColumn's payload, so the buffer can be reserved
@@ -143,8 +155,13 @@ size_t MaxPayloadBytes(const Column& column, ColumnEncoding encoding) {
   }
 }
 
+bool IsZlib(ColumnEncoding e) {
+  return e == ColumnEncoding::kZlib || e == ColumnEncoding::kShuffleZlib;
+}
+
 /// Appends `column` encoded with `encoding` (applicable, not kAuto) to
-/// `payload`; with MaxPayloadBytes spare capacity it never reallocates.
+/// `payload` on the calling thread; with MaxPayloadBytes spare capacity it
+/// never reallocates.
 Status EncodeColumn(const Column& column, ColumnEncoding encoding,
                     std::vector<uint8_t>* payload) {
   ByteWriter w(std::move(*payload));
@@ -154,9 +171,7 @@ Status EncodeColumn(const Column& column, ColumnEncoding encoding,
     case ColumnEncoding::kZlib:
     case ColumnEncoding::kShuffleZlib:
       *payload = w.TakeData();
-      return AppendZlibBlob(PlainHeader(column), ElementData(column), n,
-                            ElementWidth(column.type()),
-                            encoding == ColumnEncoding::kShuffleZlib, payload);
+      return AppendZlibBlob(ZlibInputOf(column, encoding), payload);
     case ColumnEncoding::kPlain:
       WriteDictionary(column, &w);
       w.PutVarint(n);
@@ -198,25 +213,10 @@ Result<CompressedColumn> CompressWith(const Column& column,
   return out;
 }
 
-/// The smallest payload over every applicable encoding.
-Result<CompressedColumn> CompressSmallest(const Column& column) {
-  Result<CompressedColumn> best = Status::Internal("no applicable encoding");
-  for (ColumnEncoding cand : kCandidates) {
-    if (!Applicable(column.type(), cand)) continue;
-    auto c = CompressWith(column, cand);
-    if (!c.ok()) return c.status();
-    if (!best.ok() || c->payload.size() < best->payload.size()) {
-      best = std::move(c);
-    }
-  }
-  return best;
-}
-
-/// kAuto's trial: the smallest encoding of the column itself up to
-/// kSampleRows, else of its sample, whose first window starts at row 0
-/// and whose last ends at the last row.
-Result<CompressedColumn> SampleTrial(const Column& column) {
-  if (column.size() <= kSampleRows) return CompressSmallest(column);
+/// kAuto's sample of a column longer than kSampleRows: kSampleWindows
+/// windows, the first starting at row 0 and the last ending at the last
+/// row.
+Result<Column> SampleOf(const Column& column) {
   const size_t span = column.size() - kSampleWindowRows;
   std::vector<uint32_t> rows;
   rows.reserve(kSampleRows);
@@ -226,8 +226,255 @@ Result<CompressedColumn> SampleTrial(const Column& column) {
       rows.push_back(static_cast<uint32_t>(begin + i));
     }
   }
-  LAWS_ASSIGN_OR_RETURN(const Column sample, column.Gather(rows));
-  return CompressSmallest(sample);
+  return column.Gather(rows);
+}
+
+/// Runs units [0, count) in one region over the pool's lanes: each lane
+/// claims the next unit from one cursor until none is left, polling the
+/// governor before each and stopping once it has tripped. The caller
+/// re-polls after the region.
+void RunClaimed(size_t count, const std::function<void(size_t)>& run) {
+  std::atomic<size_t> cursor{0};
+  const size_t lanes = std::min(ThreadPool::Global().num_threads(), count);
+  ParallelForChunks(0, lanes, [&](size_t, size_t) {
+    QueryGovernor* governor = QueryGovernor::Current();
+    while (governor == nullptr || governor->Poll().ok()) {
+      const size_t u = cursor++;
+      if (u >= count) return;
+      run(u);
+    }
+  });
+}
+
+/// kAuto's choice for every column. Each applicable candidate encodes the
+/// column's sample as its own (column, codec) unit, so one column's trials
+/// spread over the lanes; the smallest wins, a tie going to the earlier
+/// candidate. A column that is its own sample keeps its winning trial's
+/// payload and is marked `encoded`.
+Status ChooseEncodings(const std::vector<const Column*>& columns,
+                       std::vector<CompressedColumn>* out,
+                       std::vector<uint8_t>* encoded) {
+  const size_t k = columns.size();
+  std::vector<Column> samples;
+  samples.reserve(k);
+  std::vector<const Column*> sample_of(k);
+  struct Trial {
+    size_t column;
+    ColumnEncoding encoding;
+  };
+  std::vector<Trial> trials;
+  for (size_t c = 0; c < k; ++c) {
+    sample_of[c] = columns[c];
+    if (columns[c]->size() > kSampleRows) {
+      LAWS_ASSIGN_OR_RETURN(Column sample, SampleOf(*columns[c]));
+      samples.push_back(std::move(sample));
+      sample_of[c] = &samples.back();
+    }
+    for (ColumnEncoding cand : kCandidates) {
+      if (Applicable(columns[c]->type(), cand)) trials.push_back({c, cand});
+    }
+  }
+  // The DEFLATE trials cost the most: claimed first, they do not finish
+  // the region alone on one lane.
+  std::stable_partition(trials.begin(), trials.end(),
+                        [](const Trial& t) { return IsZlib(t.encoding); });
+  std::vector<Status> status(trials.size());
+  std::vector<size_t> sizes(trials.size());
+  // Only a column that is its own sample keeps its trials' payloads.
+  std::vector<CompressedColumn> kept(trials.size());
+  RunClaimed(trials.size(), [&](size_t u) {
+    const Trial& t = trials[u];
+    auto trial = CompressWith(*sample_of[t.column], t.encoding);
+    if (!trial.ok()) {
+      status[u] = trial.status();
+      return;
+    }
+    sizes[u] = trial->payload.size();
+    if (sample_of[t.column] == columns[t.column]) kept[u] = std::move(*trial);
+  });
+  LAWS_GOVERNOR_POLL();
+  for (const Status& st : status) LAWS_RETURN_IF_ERROR(st);
+  // kCandidates lists the encodings in ColumnEncoding order.
+  std::vector<size_t> best(k, trials.size());
+  for (size_t u = 0; u < trials.size(); ++u) {
+    size_t& b = best[trials[u].column];
+    if (b == trials.size() || sizes[u] < sizes[b] ||
+        (sizes[u] == sizes[b] && trials[u].encoding < trials[b].encoding)) {
+      b = u;
+    }
+  }
+  for (size_t c = 0; c < k; ++c) {
+    if (sample_of[c] == columns[c]) {
+      (*out)[c] = std::move(kept[best[c]]);
+      (*encoded)[c] = 1;
+    } else {
+      (*out)[c].encoding = trials[best[c]].encoding;
+    }
+  }
+  return Status::OK();
+}
+
+/// One zlib column being encoded: its DEFLATE input, its blob's writer,
+/// and the blocks deflated before their turn, each in a staging buffer.
+struct ZlibJob {
+  ZlibInput input;
+  ZlibBlobWriter writer;
+  std::vector<std::pair<uint8_t*, ZlibBlock>> parked;  // by block
+};
+
+/// Encodes every column not yet `encoded` with its chosen encoding. A zlib
+/// column is one unit per DEFLATE block; any other column is one unit.
+/// The units, in column order, are claimed from one cursor by every lane.
+/// A block deflates into a staging buffer, and blocks join their payload
+/// in block order: the lane whose block is next appends it and every
+/// block parked behind it, then frees their buffers (pigz's writer).
+Status EncodeColumns(const std::vector<const Column*>& columns,
+                     std::vector<CompressedColumn>* out,
+                     const std::vector<uint8_t>& encoded) {
+  // Every column-sized buffer is allocated here, before the lanes run: a
+  // buffer a lane allocates is freed into that lane's malloc arena, which
+  // keeps it resident (DESIGN.md §6). Each payload is reserved at its
+  // bound, and a zlib payload gets its validity bitmap and blob head now.
+  constexpr size_t kWholeColumn = SIZE_MAX;
+  struct Unit {
+    size_t column;
+    size_t job;  // kWholeColumn, or the column's ZlibJob
+    size_t block;
+  };
+  std::vector<Unit> units;
+  std::vector<ZlibJob> jobs;
+  jobs.reserve(columns.size());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (encoded[c]) continue;
+    const Column& column = *columns[c];
+    CompressedColumn& cc = (*out)[c];
+    if (!Applicable(column.type(), cc.encoding)) {
+      return Status::Unimplemented("encoding not applicable to column type");
+    }
+    cc.uncompressed_bytes = column.MemoryBytes();
+    cc.payload.reserve(MaxPayloadBytes(column, cc.encoding));
+    if (!IsZlib(cc.encoding)) {
+      units.push_back({c, kWholeColumn, 0});
+      continue;
+    }
+    ByteWriter w(std::move(cc.payload));
+    WriteValidity(column, &w);
+    cc.payload = w.TakeData();
+    ZlibInput input = ZlibInputOf(column, cc.encoding);
+    const uint64_t decoded = input.size();
+    const size_t blocks = input.blocks();
+    jobs.push_back(ZlibJob{std::move(input),
+                           ZlibBlobWriter(decoded, &cc.payload),
+                           std::vector<std::pair<uint8_t*, ZlibBlock>>(
+                               blocks, {nullptr, ZlibBlock{}})});
+    for (size_t b = 0; b < blocks; ++b) {
+      units.push_back({c, jobs.size() - 1, b});
+    }
+  }
+  if (units.empty()) return Status::OK();
+
+  // Two staging buffers per lane, so a lane whose block waits for its turn
+  // can deflate another. A lane takes a buffer before it claims a unit, so
+  // every claimed block has one and the lowest unjoined block of every
+  // column is always being deflated: the join cannot stall.
+  const size_t lanes = std::min(ThreadPool::Global().num_threads(),
+                                units.size());
+  const size_t room = MaxZlibBlockBytes(kZlibBlockBytes);
+  std::vector<std::unique_ptr<uint8_t[]>> staging(
+      jobs.empty() ? 0 : 2 * lanes);
+  // Guarded by `mutex`: the free buffers, and every job's parked blocks,
+  // writer and payload.
+  std::mutex mutex;
+  std::condition_variable freed;
+  std::vector<uint8_t*> free_buffers;
+  for (auto& buffer : staging) {
+    buffer = std::make_unique_for_overwrite<uint8_t[]>(room);
+    free_buffers.push_back(buffer.get());
+  }
+  std::atomic<bool> stop{false};  // a unit failed: lanes stop claiming
+  std::vector<Status> status(units.size());
+  std::atomic<size_t> cursor{0};
+
+  // Parks block `b` of `job` in `buffer`, then appends to the payload every
+  // block whose turn has come and frees its buffer.
+  const auto join = [&](const Unit& unit, uint8_t* buffer,
+                        const ZlibBlock& block) {
+    ZlibJob& job = jobs[unit.job];
+    std::vector<uint8_t>& payload = (*out)[unit.column].payload;
+    std::lock_guard<std::mutex> lock(mutex);
+    job.parked[unit.block] = {buffer, block};
+    for (size_t b = job.writer.next_block();
+         b < job.parked.size() && job.parked[b].first != nullptr;
+         b = job.writer.next_block()) {
+      const auto [bytes, next] = job.parked[b];
+      payload.insert(payload.end(), bytes, bytes + next.bytes);
+      job.writer.Add(next);
+      free_buffers.push_back(bytes);
+    }
+    freed.notify_all();
+  };
+
+  ParallelForChunks(0, lanes, [&](size_t, size_t) {
+    QueryGovernor* governor = QueryGovernor::Current();
+    uint8_t* buffer = nullptr;
+    while (!stop) {
+      if (buffer == nullptr && !jobs.empty()) {
+        std::unique_lock<std::mutex> lock(mutex);
+        freed.wait(lock, [&] { return stop || !free_buffers.empty(); });
+        if (stop) break;
+        buffer = free_buffers.back();
+        free_buffers.pop_back();
+      }
+      if (governor != nullptr && !governor->Poll().ok()) break;
+      const size_t u = cursor++;
+      if (u >= units.size()) break;
+      const Unit& unit = units[u];
+      if (unit.job == kWholeColumn) {
+        status[u] = EncodeColumn(*columns[unit.column],
+                                 (*out)[unit.column].encoding,
+                                 &(*out)[unit.column].payload);
+      } else if (auto block = DeflateZlibBlock(jobs[unit.job].input,
+                                               unit.block, buffer, room);
+                 block.ok()) {
+        join(unit, buffer, *block);
+        buffer = nullptr;
+      } else {
+        status[u] = block.status();
+      }
+      if (!status[u].ok()) {
+        std::lock_guard<std::mutex> lock(mutex);
+        stop = true;
+        freed.notify_all();
+      }
+    }
+    if (buffer != nullptr) {
+      std::lock_guard<std::mutex> lock(mutex);
+      free_buffers.push_back(buffer);
+      freed.notify_one();
+    }
+  });
+  LAWS_GOVERNOR_POLL();
+  for (const Status& st : status) LAWS_RETURN_IF_ERROR(st);
+  for (const ZlibJob& job : jobs) {
+    if (job.writer.next_block() != job.parked.size()) {
+      return Status::Internal("zlib blob left unjoined");
+    }
+  }
+  return Status::OK();
+}
+
+/// CompressTable and CompressColumn: every column encoded with `encoding`,
+/// or under kAuto with its sample's choice.
+Result<std::vector<CompressedColumn>> CompressColumns(
+    const std::vector<const Column*>& columns, ColumnEncoding encoding) {
+  std::vector<CompressedColumn> out(columns.size());
+  std::vector<uint8_t> encoded(columns.size(), 0);
+  for (CompressedColumn& c : out) c.encoding = encoding;
+  if (encoding == ColumnEncoding::kAuto) {
+    LAWS_RETURN_IF_ERROR(ChooseEncodings(columns, &out, &encoded));
+  }
+  LAWS_RETURN_IF_ERROR(EncodeColumns(columns, &out, encoded));
+  return out;
 }
 
 /// One column's decode in three steps, so that DecompressTable can size
@@ -295,9 +542,7 @@ Status PrepareDecode(const CompressedColumn& compressed, const Field& field,
     return Status::ParseError(
         "bad " + std::string(DataTypeToString(field.type)) + " encoding tag");
   }
-  const bool zlib = compressed.encoding == ColumnEncoding::kZlib ||
-                    compressed.encoding == ColumnEncoding::kShuffleZlib;
-  if (field.type == DataType::kString && !zlib) {
+  if (field.type == DataType::kString && !IsZlib(compressed.encoding)) {
     LAWS_RETURN_IF_ERROR(ReadDictionary(&d->in, &d->dictionary));
   }
   const size_t width = ElementWidth(field.type);
@@ -473,12 +718,9 @@ double CompressedTable::CompressionRatio() const {
 
 Result<CompressedColumn> CompressColumn(const Column& column,
                                         ColumnEncoding encoding) {
-  if (encoding != ColumnEncoding::kAuto) {
-    return CompressWith(column, encoding);
-  }
-  LAWS_ASSIGN_OR_RETURN(CompressedColumn trial, SampleTrial(column));
-  if (column.size() <= kSampleRows) return trial;
-  return CompressWith(column, trial.encoding);
+  LAWS_ASSIGN_OR_RETURN(std::vector<CompressedColumn> out,
+                        CompressColumns({&column}, encoding));
+  return std::move(out[0]);
 }
 
 Result<Column> DecompressColumn(const CompressedColumn& compressed,
@@ -491,52 +733,14 @@ Result<Column> DecompressColumn(const CompressedColumn& compressed,
 
 Result<CompressedTable> CompressTable(const Table& table,
                                       ColumnEncoding encoding) {
-  const size_t k = table.num_columns();
+  std::vector<const Column*> columns;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    columns.push_back(&table.column(c));
+  }
   CompressedTable out;
   out.schema = table.schema();
   out.num_rows = table.num_rows();
-  out.columns.resize(k);
-  std::vector<Status> status(k);
-  // kAuto picks each column's encoding from its sample, one column per
-  // lane. A column that is its own sample comes out encoded.
-  std::vector<uint8_t> encoded(k, 0);
-  for (CompressedColumn& c : out.columns) c.encoding = encoding;
-  if (encoding == ColumnEncoding::kAuto) {
-    ParallelFor(0, k, [&](size_t c) {
-      const Column& column = table.column(c);
-      auto trial = SampleTrial(column);
-      if (!trial.ok()) {
-        status[c] = trial.status();
-      } else if (column.size() <= kSampleRows) {
-        out.columns[c] = std::move(*trial);
-        encoded[c] = 1;
-      } else {
-        out.columns[c].encoding = trial->encoding;
-      }
-    });
-    LAWS_GOVERNOR_POLL();
-    for (const Status& s : status) LAWS_RETURN_IF_ERROR(s);
-  }
-  // Every column-sized buffer is allocated here, before the lanes run: a
-  // buffer a lane allocates is freed into that lane's malloc arena, which
-  // keeps it resident (DESIGN.md §6).
-  for (size_t c = 0; c < k; ++c) {
-    if (encoded[c]) continue;
-    const Column& column = table.column(c);
-    CompressedColumn& cc = out.columns[c];
-    if (!Applicable(column.type(), cc.encoding)) {
-      return Status::Unimplemented("encoding not applicable to column type");
-    }
-    cc.uncompressed_bytes = column.MemoryBytes();
-    cc.payload.reserve(MaxPayloadBytes(column, cc.encoding));
-  }
-  ParallelFor(0, k, [&](size_t c) {
-    if (encoded[c]) return;
-    status[c] = EncodeColumn(table.column(c), out.columns[c].encoding,
-                             &out.columns[c].payload);
-  });
-  LAWS_GOVERNOR_POLL();
-  for (const Status& s : status) LAWS_RETURN_IF_ERROR(s);
+  LAWS_ASSIGN_OR_RETURN(out.columns, CompressColumns(columns, encoding));
   return out;
 }
 

@@ -54,7 +54,7 @@ struct CompressedTable {
 /// sample, a tie going to the lower ColumnEncoding value, and the column
 /// is then encoded once with the smallest; a column that is its own
 /// sample keeps that trial's payload, so short columns get the exhaustive
-/// choice.
+/// choice. Runs on the pool's lanes the way CompressTable does.
 Result<CompressedColumn> CompressColumn(const Column& column,
                                         ColumnEncoding encoding);
 
@@ -67,10 +67,13 @@ Result<CompressedColumn> CompressColumn(const Column& column,
 Result<Column> DecompressColumn(const CompressedColumn& compressed,
                                 const Field& field, size_t rows);
 
-/// Compresses all columns of a table (kAuto per column by default), one
-/// column per lane of the global pool. Every column-sized buffer is
-/// allocated on the calling thread; the output is the same at every lane
-/// count.
+/// Compresses all columns of a table (kAuto per column by default) on the
+/// global pool's lanes: kAuto's trials run as (column, codec) units, then
+/// each zlib column as one unit per 1 MiB DEFLATE block and any other
+/// column as one unit, every lane claiming the next unit from one cursor.
+/// Every column-sized buffer is allocated on the calling thread; the
+/// output is the same at every lane count. Polls the governor before each
+/// unit and returns its typed error once it trips.
 Result<CompressedTable> CompressTable(
     const Table& table, ColumnEncoding encoding = ColumnEncoding::kAuto);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 namespace laws {
 
@@ -167,119 +168,187 @@ namespace {
 /// zlib counts in uInt; feed it at most this much per call.
 constexpr uint64_t kMaxZlibStep = uint64_t{1} << 30;
 
-/// One DEFLATE stream (level 6, the defaults compress2 uses) appending its
-/// output to a byte vector through a fixed-size staging chunk.
-class Deflater {
- public:
-  explicit Deflater(std::vector<uint8_t>* out) : out_(out) {}
-  ~Deflater() {
-    if (open_) deflateEnd(&zs_);
+/// DEFLATE's window: a block after the first is primed with this much of
+/// the input before it.
+constexpr size_t kZlibWindowBytes = size_t{32} * 1024;
+
+/// A sync flush ends the current DEFLATE block and adds an empty stored
+/// block: 3 bits, up to 7 bits of padding and 4 bytes of length.
+constexpr size_t kSyncFlushBytes = 6;
+
+/// Copies input bytes [from, from + len) to dst.
+void GatherInput(const ZlibInput& in, uint64_t from, size_t len,
+                 uint8_t* dst) {
+  const size_t header = in.header.size();
+  if (from < header) {
+    const size_t take =
+        std::min<size_t>(len, header - static_cast<size_t>(from));
+    std::memcpy(dst, in.header.data() + from, take);
+    dst += take;
+    from += take;
+    len -= take;
   }
-  Deflater(const Deflater&) = delete;
-  Deflater& operator=(const Deflater&) = delete;
-
-  Status Init() {
-    const int rc = deflateInit(&zs_, /*level=*/6);
-    if (rc != Z_OK) {
-      return Status::Internal("zlib deflateInit failed rc=" +
-                              std::to_string(rc));
-    }
-    open_ = true;
-    return Status::OK();
+  if (len == 0) return;
+  const auto* src = static_cast<const uint8_t*>(in.data);
+  uint64_t at = from - header;
+  if (!in.shuffle) {
+    std::memcpy(dst, src + at, len);
+    return;
   }
-
-  Status Feed(const uint8_t* data, size_t n) {
-    while (n > 0) {
-      const auto step =
-          static_cast<size_t>(std::min<uint64_t>(n, kMaxZlibStep));
-      zs_.next_in = const_cast<Bytef*>(data);
-      zs_.avail_in = static_cast<uInt>(step);
-      LAWS_RETURN_IF_ERROR(Pump(Z_NO_FLUSH));
-      data += step;
-      n -= step;
-    }
-    return Status::OK();
+  // Byte `plane` of element `row` sits at input offset plane * n + row.
+  while (len > 0) {
+    const size_t plane = static_cast<size_t>(at / in.n);
+    const size_t row = static_cast<size_t>(at % in.n);
+    const size_t rows = std::min(len, in.n - row);
+    const uint8_t* p = src + row * in.width + plane;
+    for (size_t i = 0; i < rows; ++i) dst[i] = p[i * in.width];
+    dst += rows;
+    at += rows;
+    len -= rows;
   }
+}
 
-  Status Finish() { return Pump(Z_FINISH); }
+/// Blocks of an input of `bytes` bytes, and the input bytes of block `b`.
+size_t BlockCount(uint64_t bytes) {
+  return bytes == 0 ? 1
+                    : static_cast<size_t>((bytes + kZlibBlockBytes - 1) /
+                                          kZlibBlockBytes);
+}
 
- private:
-  /// Runs deflate until it has taken all input (Z_NO_FLUSH) or ended the
-  /// stream (Z_FINISH), appending each filled staging chunk.
-  Status Pump(int flush) {
-    while (true) {
-      zs_.next_out = chunk_;
-      zs_.avail_out = sizeof(chunk_);
-      const int rc = deflate(&zs_, flush);
-      if (rc != Z_OK && rc != Z_STREAM_END && rc != Z_BUF_ERROR) {
-        return Status::Internal("zlib deflate failed rc=" +
-                                std::to_string(rc));
-      }
-      out_->insert(out_->end(), chunk_,
-                   chunk_ + (sizeof(chunk_) - zs_.avail_out));
-      if (flush == Z_FINISH ? rc == Z_STREAM_END
-                            : zs_.avail_in == 0 && zs_.avail_out != 0) {
-        return Status::OK();
-      }
-    }
-  }
+size_t BlockBytes(uint64_t bytes, size_t b) {
+  return static_cast<size_t>(std::min<uint64_t>(
+      bytes - uint64_t{b} * kZlibBlockBytes, kZlibBlockBytes));
+}
 
-  std::vector<uint8_t>* out_;
-  z_stream zs_{};
-  bool open_ = false;
-  uint8_t chunk_[kZlibChunkBytes];
+struct DeflateEnd {
+  void operator()(z_stream* zs) const { deflateEnd(zs); }
 };
 
 }  // namespace
 
+size_t ZlibInput::blocks() const { return BlockCount(size()); }
+
+size_t ZlibInput::block_bytes(size_t b) const { return BlockBytes(size(), b); }
+
+size_t MaxZlibBlockBytes(size_t input_bytes) {
+  // deflateBound's tight bound for the default window and memory level is
+  // compressBound less the zlib wrapper's 2-byte header and 4-byte trailer.
+  return compressBound(static_cast<uLong>(input_bytes)) - 6 + kSyncFlushBytes;
+}
+
 size_t MaxZlibBlobBytes(uint64_t decoded_bytes) {
-  const uint64_t blob = sizeof(uint64_t) + compressBound(decoded_bytes);
+  const size_t blocks = BlockCount(decoded_bytes);
+  const uint64_t blob =
+      sizeof(uint64_t) + 2 +
+      (blocks - 1) * MaxZlibBlockBytes(kZlibBlockBytes) +
+      MaxZlibBlockBytes(BlockBytes(decoded_bytes, blocks - 1)) + 4;
   return VarintSize(blob) + blob;
 }
 
-Status AppendZlibBlob(const std::vector<uint8_t>& header, const void* data,
-                      size_t n, size_t width, bool shuffle,
-                      std::vector<uint8_t>* out) {
-  const uint64_t decoded = header.size() + static_cast<uint64_t>(n) * width;
-  // The blob's size varint comes first but is known only at the end:
-  // reserve its widest form, then close the gap if the blob came out
-  // shorter.
-  const size_t varint_at = out->size();
-  const size_t varint_room = VarintSize(MaxZlibBlobBytes(decoded));
-  out->resize(varint_at + varint_room);
-  ByteWriter length;
-  length.PutU64(decoded);
-  out->insert(out->end(), length.data().begin(), length.data().end());
-
-  // The staging chunks live on the heap: lanes run with default stacks.
-  auto deflater = std::make_unique<Deflater>(out);
-  LAWS_RETURN_IF_ERROR(deflater->Init());
-  LAWS_RETURN_IF_ERROR(deflater->Feed(header.data(), header.size()));
-  const auto* src = static_cast<const uint8_t*>(data);
-  if (!shuffle) {
-    LAWS_RETURN_IF_ERROR(deflater->Feed(src, n * width));
-  } else {
-    std::vector<uint8_t> plane(std::min(n, kZlibChunkBytes));
-    for (size_t byte = 0; byte < width; ++byte) {
-      for (size_t begin = 0; begin < n; begin += plane.size()) {
-        const size_t rows = std::min(plane.size(), n - begin);
-        const uint8_t* p = src + begin * width + byte;
-        for (size_t i = 0; i < rows; ++i) plane[i] = p[i * width];
-        LAWS_RETURN_IF_ERROR(deflater->Feed(plane.data(), rows));
-      }
+Result<ZlibBlock> DeflateZlibBlock(const ZlibInput& input, size_t b,
+                                   uint8_t* out, size_t room) {
+  const uint64_t lo = uint64_t{b} * kZlibBlockBytes;
+  const uint64_t hi = lo + input.block_bytes(b);
+  const bool last = b + 1 == input.blocks();
+  z_stream zs{};
+  int rc = deflateInit2(&zs, /*level=*/6, Z_DEFLATED, /*windowBits=*/-15,
+                        /*memLevel=*/8, Z_DEFAULT_STRATEGY);
+  if (rc != Z_OK) {
+    return Status::Internal("zlib deflateInit2 failed rc=" +
+                            std::to_string(rc));
+  }
+  const std::unique_ptr<z_stream, DeflateEnd> end_stream(&zs);
+  // The staging chunk lives on the heap: lanes run with default stacks.
+  auto chunk = std::make_unique_for_overwrite<uint8_t[]>(kZlibChunkBytes);
+  if (b > 0) {
+    GatherInput(input, lo - kZlibWindowBytes, kZlibWindowBytes, chunk.get());
+    rc = deflateSetDictionary(&zs, chunk.get(), kZlibWindowBytes);
+    if (rc != Z_OK) {
+      return Status::Internal("zlib deflateSetDictionary failed rc=" +
+                              std::to_string(rc));
     }
   }
-  LAWS_RETURN_IF_ERROR(deflater->Finish());
-  deflater.reset();
+  const auto overflow = [&] {
+    return Status::Internal("zlib block " + std::to_string(b) +
+                            " overflows its " + std::to_string(room) +
+                            "-byte room");
+  };
+  zs.next_out = out;
+  zs.avail_out = static_cast<uInt>(std::min<uint64_t>(room, kMaxZlibStep));
+  uLong adler = adler32(0L, Z_NULL, 0);
+  for (uint64_t at = lo; at < hi; at += kZlibChunkBytes) {
+    const auto len = static_cast<size_t>(
+        std::min<uint64_t>(hi - at, kZlibChunkBytes));
+    GatherInput(input, at, len, chunk.get());
+    adler = adler32(adler, chunk.get(), static_cast<uInt>(len));
+    zs.next_in = chunk.get();
+    zs.avail_in = static_cast<uInt>(len);
+    rc = deflate(&zs, Z_NO_FLUSH);
+    if (rc != Z_OK && rc != Z_BUF_ERROR) {
+      return Status::Internal("zlib deflate failed rc=" + std::to_string(rc));
+    }
+    // Input is left over only when the output ran out of room.
+    if (zs.avail_in != 0) return overflow();
+  }
+  rc = deflate(&zs, last ? Z_FINISH : Z_SYNC_FLUSH);
+  // A sync flush that filled the room exactly may not have completed.
+  if (last ? rc != Z_STREAM_END : rc != Z_OK || zs.avail_out == 0) {
+    return overflow();
+  }
+  return ZlibBlock{static_cast<size_t>(zs.next_out - out),
+                   static_cast<uint32_t>(adler)};
+}
 
-  const uint64_t blob = out->size() - varint_at - varint_room;
+// The blob's size varint comes first but is known only at the end: the
+// writer reserves its widest form, then closes the gap if the blob came
+// out shorter.
+ZlibBlobWriter::ZlibBlobWriter(uint64_t decoded_bytes,
+                               std::vector<uint8_t>* out)
+    : out_(out),
+      decoded_(decoded_bytes),
+      blocks_(BlockCount(decoded_bytes)),
+      varint_at_(out->size()),
+      varint_room_(VarintSize(MaxZlibBlobBytes(decoded_bytes))) {
+  out->resize(varint_at_ + varint_room_);
+  ByteWriter head;
+  head.PutU64(decoded_bytes);
+  head.PutU8(0x78);  // the zlib header compress2 writes at level 6
+  head.PutU8(0x9C);
+  out->insert(out->end(), head.data().begin(), head.data().end());
+}
+
+void ZlibBlobWriter::Add(const ZlibBlock& block) {
+  adler_ = next_ == 0
+               ? block.adler
+               : static_cast<uint32_t>(adler32_combine(
+                     adler_, block.adler,
+                     static_cast<z_off_t>(BlockBytes(decoded_, next_))));
+  if (++next_ < blocks_) return;
+  // The trailer is the Adler-32 of the whole input, big-endian.
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out_->push_back(static_cast<uint8_t>(adler_ >> shift));
+  }
+  const uint64_t blob = out_->size() - varint_at_ - varint_room_;
   ByteWriter blob_size;
   blob_size.PutVarint(blob);
-  const size_t gap = varint_room - blob_size.size();
+  const size_t gap = varint_room_ - blob_size.size();
   std::copy(blob_size.data().begin(), blob_size.data().end(),
-            out->begin() + static_cast<std::ptrdiff_t>(varint_at + gap));
-  out->erase(out->begin() + static_cast<std::ptrdiff_t>(varint_at),
-             out->begin() + static_cast<std::ptrdiff_t>(varint_at + gap));
+            out_->begin() + static_cast<std::ptrdiff_t>(varint_at_ + gap));
+  out_->erase(out_->begin() + static_cast<std::ptrdiff_t>(varint_at_),
+              out_->begin() + static_cast<std::ptrdiff_t>(varint_at_ + gap));
+}
+
+Status AppendZlibBlob(const ZlibInput& input, std::vector<uint8_t>* out) {
+  ZlibBlobWriter writer(input.size(), out);
+  for (size_t b = 0; b < input.blocks(); ++b) {
+    const size_t at = out->size();
+    const size_t room = MaxZlibBlockBytes(input.block_bytes(b));
+    out->resize(at + room);
+    LAWS_ASSIGN_OR_RETURN(ZlibBlock block,
+                          DeflateZlibBlock(input, b, out->data() + at, room));
+    out->resize(at + block.bytes);
+    writer.Add(block);
+  }
   return Status::OK();
 }
 

@@ -45,37 +45,99 @@ void BitPackEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out);
 Status BitPackDecodeInt64(ByteReader* in, int64_t* out, uint64_t n);
 
 /// One-shot DEFLATE via zlib (level 6) behind the uncompressed size as a
-/// u64. The column codecs stream instead (AppendZlibBlob); this stays as
-/// the reference their bytes are checked against.
+/// u64. The column codecs deflate in blocks instead (DeflateZlibBlock);
+/// this stays as the reference their bytes are checked against, and its
+/// blobs are what images written before the block encoder hold.
 Result<std::vector<uint8_t>> ZlibCompress(const uint8_t* data, size_t size);
 
-/// Bytes the streaming zlib codec gathers, deflates or inflates per step.
+/// Bytes the zlib codecs gather, deflate or inflate per step.
 inline constexpr size_t kZlibChunkBytes = size_t{64} * 1024;
 
+/// The zlib codecs deflate their input in blocks of this many bytes,
+/// counted from its first byte; the last block holds the rest. Block
+/// bounds depend only on the input's size.
+inline constexpr size_t kZlibBlockBytes = size_t{1} << 20;
+
+/// The DEFLATE input of one zlib blob: `header`, then the `n` elements of
+/// `width` bytes at `data`. With `shuffle` the elements go byte plane by
+/// byte plane (byte 0 of every element, then byte 1, ...), gathered
+/// kZlibChunkBytes at a time, so no transposed copy of the column is made.
+struct ZlibInput {
+  std::vector<uint8_t> header;
+  const void* data = nullptr;
+  size_t n = 0;
+  size_t width = 1;
+  bool shuffle = false;
+
+  uint64_t size() const { return header.size() + uint64_t{n} * width; }
+  /// ceil(size() / kZlibBlockBytes), and one block for an empty input.
+  size_t blocks() const;
+  /// Input bytes of block `b`.
+  size_t block_bytes(size_t b) const;
+};
+
+/// Room one block of `input_bytes` needs: deflateBound of a raw stream at
+/// level 6 with the default window and memory level, plus a sync flush.
+size_t MaxZlibBlockBytes(size_t input_bytes);
+
 /// Upper bound on what AppendZlibBlob adds for `decoded_bytes` of input:
-/// the size varint, the u64 length and deflateBound at level 6 with the
-/// default window and memory level (which equals compressBound).
+/// the size varint, the u64 length, the zlib header and trailer and every
+/// block's room.
 size_t MaxZlibBlobBytes(uint64_t decoded_bytes);
 
-/// Streams `header` and then the `n` elements of `width` bytes at `data`
-/// through one DEFLATE pass (zlib format, level 6), appending
-/// [varint blob bytes][u64 decoded bytes][zlib stream] to `out`. With
-/// `shuffle` the elements go byte plane by byte plane (byte 0 of every
-/// element, then byte 1, ...), gathered kZlibChunkBytes rows at a time, so
-/// no transposed copy of the column is made. The blob is byte-identical to
-/// ZlibCompress over the same bytes laid out in one buffer. `out` is not
-/// reallocated when it has MaxZlibBlobBytes(header.size() + n * width)
-/// spare capacity.
-Status AppendZlibBlob(const std::vector<uint8_t>& header, const void* data,
-                      size_t n, size_t width, bool shuffle,
-                      std::vector<uint8_t>* out);
+/// One deflated block: its size and the Adler-32 of its input.
+struct ZlibBlock {
+  size_t bytes = 0;
+  uint32_t adler = 1;
+};
 
-/// Reads a blob written by AppendZlibBlob, inflating on demand straight
-/// into the caller's memory. Every read is bounded by the blob's declared
-/// decoded size, and every failure (a truncated or corrupt stream, a stream
-/// that inflates to more or fewer bytes than declared, input left after
-/// the stream) is a kParseError; nothing is written past the destination a
-/// read names.
+/// Deflates block `b` of `input` into out[0..room): raw DEFLATE at level
+/// 6, window 15, memLevel 8 and the default strategy, primed for b > 0
+/// with the 32 KiB of input before the block, and ended with a sync flush
+/// (every block but the last) or Z_FINISH (the last). Blocks joined in
+/// order by ZlibBlobWriter make one standard zlib stream, and a one-block
+/// input comes out byte-identical to compress2. Output that does not fit
+/// in `room` is a kInternal error; nothing is written past it.
+Result<ZlibBlock> DeflateZlibBlock(const ZlibInput& input, size_t b,
+                                   uint8_t* out, size_t room);
+
+/// Joins one blob's blocks into [varint blob bytes][u64 decoded bytes]
+/// [78 9C][blocks in order][Adler-32 of the whole input] at the end of a
+/// byte vector. The caller appends each block's bytes, in block order, and
+/// then records the block with Add. `out` is not reallocated when it had
+/// MaxZlibBlobBytes(decoded_bytes) spare capacity at construction.
+class ZlibBlobWriter {
+ public:
+  /// Appends the blob's head to `out`.
+  ZlibBlobWriter(uint64_t decoded_bytes, std::vector<uint8_t>* out);
+
+  /// Records the block just appended; after the last block, appends the
+  /// trailer and writes the blob's size.
+  void Add(const ZlibBlock& block);
+
+  /// The block to append next; blocks() once the blob is complete.
+  size_t next_block() const { return next_; }
+
+ private:
+  std::vector<uint8_t>* out_;
+  uint64_t decoded_;
+  size_t blocks_;
+  size_t varint_at_;
+  size_t varint_room_;
+  size_t next_ = 0;
+  uint32_t adler_ = 1;
+};
+
+/// Deflates every block of `input` in order on the calling thread straight
+/// into `out` and joins them: the serial run of the one block encoder.
+Status AppendZlibBlob(const ZlibInput& input, std::vector<uint8_t>* out);
+
+/// Reads a zlib blob (ZlibBlobWriter's or ZlibCompress's: both hold one
+/// standard zlib stream), inflating on demand straight into the caller's
+/// memory. Every read is bounded by the blob's declared decoded size, and
+/// every failure (a truncated or corrupt stream, a stream that inflates to
+/// more or fewer bytes than declared, input left after the stream) is a
+/// kParseError; nothing is written past the destination a read names.
 class ZlibBlobReader {
  public:
   /// Consumes [varint blob bytes][blob] from `in` and starts inflating.
@@ -94,7 +156,7 @@ class ZlibBlobReader {
   Status GetRaw(void* out, size_t n);
 
   /// Reads `n` elements of `width` bytes stored plane by plane (see
-  /// AppendZlibBlob) into out[0..n * width) in element order.
+  /// ZlibInput) into out[0..n * width) in element order.
   Status GetShuffled(void* out, size_t n, size_t width);
 
   /// Succeeds only at the exact end: every declared byte was read, the

@@ -85,22 +85,38 @@ Result<FitQuality> DeserializeQuality(ByteReader* in) {
   return q;
 }
 
-/// Compressed-table image: schema + per-column (encoding, payload).
-Status SerializeTableCompressed(const Table& table, ByteWriter* out) {
+/// A table section's payload: the table's data version, then its
+/// compressed image: schema + per-column (encoding, payload). The buffer is
+/// sized once, to exactly the bytes written.
+Result<std::vector<uint8_t>> TableSectionPayload(const Table& table) {
   LAWS_ASSIGN_OR_RETURN(CompressedTable ct, CompressTable(table));
-  out->PutVarint(ct.schema.num_fields());
+  size_t bytes = sizeof(uint64_t) + VarintSize(ct.schema.num_fields()) +
+                 VarintSize(ct.num_rows);
   for (const Field& f : ct.schema.fields()) {
-    out->PutString(f.name);
-    out->PutU8(static_cast<uint8_t>(f.type));
-    out->PutU8(f.nullable ? 1 : 0);
+    bytes += VarintSize(f.name.size()) + f.name.size() + 2;
   }
-  out->PutVarint(ct.num_rows);
   for (const CompressedColumn& c : ct.columns) {
-    out->PutU8(static_cast<uint8_t>(c.encoding));
-    out->PutVarint(c.payload.size());
-    out->PutRaw(c.payload.data(), c.payload.size());
+    bytes += 1 + VarintSize(c.payload.size()) + c.payload.size();
   }
-  return Status::OK();
+  std::vector<uint8_t> buffer;
+  buffer.reserve(bytes);
+  ByteWriter out(std::move(buffer));
+  // Freshness of every model fitted on this table, so staleness semantics
+  // survive the round trip (loaded tables restart their version counters).
+  out.PutU64(table.data_version());
+  out.PutVarint(ct.schema.num_fields());
+  for (const Field& f : ct.schema.fields()) {
+    out.PutString(f.name);
+    out.PutU8(static_cast<uint8_t>(f.type));
+    out.PutU8(f.nullable ? 1 : 0);
+  }
+  out.PutVarint(ct.num_rows);
+  for (const CompressedColumn& c : ct.columns) {
+    out.PutU8(static_cast<uint8_t>(c.encoding));
+    out.PutVarint(c.payload.size());
+    out.PutRaw(c.payload.data(), c.payload.size());
+  }
+  return out.TakeData();
 }
 
 Result<Table> DeserializeTableCompressed(ByteReader* in) {
@@ -456,14 +472,9 @@ Result<std::vector<uint8_t>> SaveDatabaseToBytes(const Catalog& data,
   for (const auto& name : data.ListTables()) {
     LAWS_FAULT_POINT("persist/serialize_table");
     LAWS_ASSIGN_OR_RETURN(TablePtr table, data.Get(name));
-    ByteWriter w;
-    // Freshness of every model fitted on this table, so staleness
-    // semantics survive the round trip (loaded tables restart their
-    // version counters).
-    w.PutU64(table->data_version());
-    LAWS_RETURN_IF_ERROR(SerializeTableCompressed(*table, &w));
-    sections.push_back(
-        {ImageSectionKind::kTable, name, w.TakeData()});
+    LAWS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                          TableSectionPayload(*table));
+    sections.push_back({ImageSectionKind::kTable, name, std::move(payload)});
   }
 
   // The catalog manifest lists every model id the image must contain, so
@@ -504,6 +515,11 @@ Result<std::vector<uint8_t>> SaveDatabaseToBytes(const Catalog& data,
     running += sections[i].payload.size();
   }
 
+  // The image writer grows by doubling, though its size is known here. An
+  // image sized exactly returns with a smaller capacity, which lowers
+  // glibc's dynamic mmap and trim thresholds; the heap the save freed is
+  // then given back to the OS, and a load that follows faults in every
+  // page of its columns again (EXPERIMENTS.md, block-parallel save).
   ByteWriter out;
   const std::vector<uint8_t> header = BuildHeader(sections, offsets, crcs);
   out.PutRaw(header.data(), header.size());

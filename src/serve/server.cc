@@ -286,7 +286,8 @@ Status ClientSession::CreateTable(const std::string& name, Table table) {
 Status ClientSession::Ingest(const std::string& name, const Table& rows) {
   auto r = RunWrite<bool>([&](DatabaseSnapshot* db) -> Result<bool> {
     LAWS_ASSIGN_OR_RETURN(
-        TablePtr dst, SnapshotCatalog::MutableTableForWrite(db, name));
+        TablePtr dst,
+        SnapshotCatalog::MutableTableForWrite(db, name, rows.num_rows()));
     if (dst->num_columns() != rows.num_columns()) {
       return Status::InvalidArgument(
           "ingest batch has " + std::to_string(rows.num_columns()) +

@@ -39,9 +39,9 @@ Status SnapshotCatalog::Commit(
 }
 
 Result<TablePtr> SnapshotCatalog::MutableTableForWrite(
-    DatabaseSnapshot* db, const std::string& name) {
+    DatabaseSnapshot* db, const std::string& name, size_t extra_rows) {
   LAWS_ASSIGN_OR_RETURN(TablePtr shared, db->tables.Get(name));
-  auto writable = std::make_shared<Table>(*shared);
+  auto writable = std::make_shared<Table>(shared->CopyWithRoom(extra_rows));
   db->tables.RegisterOrReplace(name, writable);
   return writable;
 }

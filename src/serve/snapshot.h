@@ -65,10 +65,13 @@ class SnapshotCatalog {
 
   /// Copy-on-write helper for mutators: returns a freshly cloned Table
   /// bound to `name` inside `db`, safe to mutate (the shared payload the
-  /// binding previously pointed at is left untouched for readers).
+  /// binding previously pointed at is left untouched for readers). The
+  /// clone is allocated once, with room for `extra_rows` appended rows, so
+  /// a writer that appends that many copies the table only here.
   /// NotFound when the table does not exist.
   static Result<TablePtr> MutableTableForWrite(DatabaseSnapshot* db,
-                                               const std::string& name);
+                                               const std::string& name,
+                                               size_t extra_rows = 0);
 
  private:
   /// Serializes writers (held across clone + mutate + publish).

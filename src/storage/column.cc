@@ -459,6 +459,44 @@ Result<Column> Column::Gather(const std::vector<uint32_t>& indices) const {
   return out;
 }
 
+namespace {
+
+/// A copy of `v` with capacity for `capacity` elements.
+template <typename T>
+std::vector<T> CopyWithCapacity(const std::vector<T>& v, size_t capacity) {
+  std::vector<T> copy;
+  copy.reserve(std::max(capacity, v.size()));
+  copy.insert(copy.end(), v.begin(), v.end());
+  return copy;
+}
+
+}  // namespace
+
+Column Column::CopyWithRoom(size_t extra_rows) const {
+  const size_t rows = size_ + extra_rows;
+  Column copy(type_, nullable_);
+  copy.size_ = size_;
+  copy.null_count_ = null_count_;
+  switch (type_) {
+    case DataType::kInt64:
+      copy.int64_data_ = CopyWithCapacity(int64_data_, rows);
+      break;
+    case DataType::kDouble:
+      copy.double_data_ = CopyWithCapacity(double_data_, rows);
+      break;
+    case DataType::kString:
+      copy.string_codes_ = CopyWithCapacity(string_codes_, rows);
+      copy.dictionary_ = dictionary_;
+      copy.dictionary_index_ = dictionary_index_;
+      break;
+    case DataType::kBool:
+      copy.bool_data_ = CopyWithCapacity(bool_data_, rows);
+      break;
+  }
+  copy.validity_ = CopyWithCapacity(validity_, nullable_ ? (rows + 7) / 8 : 0);
+  return copy;
+}
+
 size_t Column::MemoryBytes() const {
   size_t bytes = validity_.size();
   switch (type_) {

@@ -137,6 +137,10 @@ class Column {
   /// error when the query it runs under is canceled or out of time.
   Result<Column> Gather(const std::vector<uint32_t>& indices) const;
 
+  /// A copy with capacity for `extra_rows` more rows: appending that many
+  /// moves neither the values nor the validity bitmap.
+  Column CopyWithRoom(size_t extra_rows) const;
+
   /// Approximate heap footprint in bytes, the basis of all storage-size
   /// accounting in the experiments.
   size_t MemoryBytes() const;

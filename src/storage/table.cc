@@ -32,6 +32,16 @@ Result<Table> Table::FromColumns(Schema schema, std::vector<Column> columns) {
   return t;
 }
 
+Table Table::CopyWithRoom(size_t extra_rows) const {
+  Table copy(schema_);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    copy.columns_[c] = columns_[c].CopyWithRoom(extra_rows);
+  }
+  copy.num_rows_ = num_rows_;
+  copy.data_version_ = data_version_;
+  return copy;
+}
+
 Result<const Column*> Table::ColumnByName(std::string_view name) const {
   LAWS_ASSIGN_OR_RETURN(size_t idx, schema_.FieldIndex(name));
   return &columns_[idx];

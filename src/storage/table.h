@@ -62,6 +62,11 @@ class Table {
   /// column). Fails only with the governor's error.
   Result<Table> GatherRows(const std::vector<uint32_t>& indices) const;
 
+  /// A copy whose columns have room for `extra_rows` more rows, so that
+  /// appending that many moves no column's data. Like every copy, it
+  /// starts without a block index.
+  Table CopyWithRoom(size_t extra_rows) const;
+
   /// Monotonic counter incremented by every mutation.
   uint64_t data_version() const { return data_version_; }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <thread>
 
+#include "common/governor.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "compress/column_compressor.h"
@@ -423,11 +427,15 @@ TEST(AutoChoiceTest, SampleChoiceMatchesExhaustiveOnLofarTables) {
     }
     if (jitter == 0.0) {
       // The end-to-end benchmark's table (band_jitter 0) at the
-      // generator's default seed: its image bytes must not move.
+      // generator's default seed. Its codecs are pinned, and so is its
+      // size, so any change to the block encoder's bytes shows here. The
+      // one-stream-per-column encoder wrote 12,744,003 bytes; deflating
+      // in 1 MiB blocks, each primed with the 32 KiB before it, writes
+      // 2,466 fewer.
       EXPECT_EQ(ct->columns[0].encoding, ColumnEncoding::kShuffleZlib);
       EXPECT_EQ(ct->columns[1].encoding, ColumnEncoding::kZlib);
       EXPECT_EQ(ct->columns[2].encoding, ColumnEncoding::kShuffleZlib);
-      EXPECT_EQ(ct->TotalCompressedBytes(), 12'744'003u);
+      EXPECT_EQ(ct->TotalCompressedBytes(), 12'741'537u);
     }
   }
 }
@@ -437,14 +445,15 @@ struct LaneGuard {
   ~LaneGuard() { ThreadPool::SetGlobalThreadCount(0); }
 };
 
-TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneAndFourLanes) {
+TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneTwoAndFourLanes) {
   LaneGuard guard;
   Table t(Schema({Field{"k", DataType::kInt64, true},
                   Field{"x", DataType::kDouble, false},
                   Field{"tag", DataType::kString, true},
                   Field{"flag", DataType::kBool, false},
                   Field{"small", DataType::kInt64, false}}));
-  const size_t n = 200'000;
+  // 400,000 rows: "x" deflates in 4 blocks of 1 MiB.
+  const size_t n = 400'000;
   std::vector<Column> cols;
   cols.push_back(MixedColumn(DataType::kInt64, n, 11, 1));
   cols.push_back(MixedColumn(DataType::kDouble, n, 0, 2));
@@ -453,14 +462,14 @@ TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneAndFourLanes) {
   cols.push_back(MixedColumn(DataType::kInt64, n, 0, 5));
   auto table = Table::FromColumns(t.schema(), std::move(cols));
   ASSERT_TRUE(table.ok());
-  std::vector<std::vector<uint8_t>> payloads[2];
-  for (size_t lanes : {size_t{1}, size_t{4}}) {
-    ThreadPool::SetGlobalThreadCount(lanes);
+  std::vector<std::vector<uint8_t>> payloads[3];
+  const size_t lane_counts[] = {1, 2, 4};
+  for (size_t i = 0; i < 3; ++i) {
+    ThreadPool::SetGlobalThreadCount(lane_counts[i]);
     auto ct = CompressTable(*table);
     ASSERT_TRUE(ct.ok()) << ct.status().ToString();
-    for (const auto& c : ct->columns) {
-      payloads[lanes == 1 ? 0 : 1].push_back(c.payload);
-    }
+    EXPECT_EQ(ct->columns[1].encoding, ColumnEncoding::kZlib);
+    for (const auto& c : ct->columns) payloads[i].push_back(c.payload);
     auto back = DecompressTable(*ct);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     for (size_t r = 0; r < n; r += 997) {
@@ -470,13 +479,137 @@ TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneAndFourLanes) {
     }
   }
   EXPECT_EQ(payloads[0], payloads[1]);
+  EXPECT_EQ(payloads[0], payloads[2]);
 }
 
-// --- Streaming zlib codecs -----------------------------------------------
+TEST(AutoChoiceTest, CompressTableStopsWithinABlockOfACancel) {
+  LofarConfig cfg;
+  auto data = GenerateLofar(cfg);
+  ASSERT_TRUE(data.ok());
+  const Table& t = data->observations;
+  {
+    QueryGovernor canceled;
+    canceled.Cancel();
+    ScopedGovernor install(&canceled);
+    EXPECT_EQ(CompressTable(t).status().code(), StatusCode::kCanceled);
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  const auto whole_ms = [&] {
+    const Clock::time_point start = Clock::now();
+    EXPECT_TRUE(CompressTable(t).ok());
+    return ms(Clock::now() - start);
+  };
+  const double before_ms = whole_ms();
+  QueryGovernor governor;
+  Clock::time_point canceled_at;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    canceled_at = Clock::now();
+    governor.Cancel();
+  });
+  Result<CompressedTable> stopped = Status::Internal("not run");
+  {
+    ScopedGovernor install(&governor);
+    stopped = CompressTable(t);
+  }
+  const Clock::time_point returned = Clock::now();
+  canceller.join();
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCanceled);
+  // A canceled save stops within a block of the cancel (~30 ms of DEFLATE
+  // on the 4-core box, where the whole table takes ~300 ms); the bound
+  // grows with builds and loads that run the whole table slower, timed on
+  // both sides of the canceled run.
+  const double slowest_ms = std::max(before_ms, whole_ms());
+  EXPECT_LT(ms(returned - canceled_at), std::max(100.0, slowest_ms / 3))
+      << "the whole table took " << slowest_ms << " ms";
+}
 
-/// The one-shot reference for a kZlib/kShuffleZlib payload: the validity
-/// bitmap, then the body (row count and rows, byte planes when shuffled)
-/// staged in one buffer and deflated by ZlibCompress.
+// --- Block-parallel zlib codecs ------------------------------------------
+
+/// The block rule applied serially to a staged body with zlib directly:
+/// ZlibCompress for a one-block body; otherwise [u64 size][78 9C], then
+/// each 1 MiB block as raw DEFLATE (level 6, window 15, memLevel 8),
+/// primed with the 32 KiB before it and ended with a sync flush (the last
+/// with Z_FINISH), then the Adler-32 of the whole body.
+std::vector<uint8_t> BlockRuleBlob(const std::vector<uint8_t>& body) {
+  if (body.size() <= kZlibBlockBytes) {
+    auto z = ZlibCompress(body.data(), body.size());
+    EXPECT_TRUE(z.ok());
+    return *z;
+  }
+  ByteWriter out;
+  out.PutU64(body.size());
+  out.PutU8(0x78);
+  out.PutU8(0x9C);
+  for (size_t lo = 0; lo < body.size(); lo += kZlibBlockBytes) {
+    const size_t len = std::min(kZlibBlockBytes, body.size() - lo);
+    const bool last = lo + len == body.size();
+    z_stream zs{};
+    EXPECT_EQ(deflateInit2(&zs, 6, Z_DEFLATED, -15, 8, Z_DEFAULT_STRATEGY),
+              Z_OK);
+    if (lo > 0) {
+      EXPECT_EQ(deflateSetDictionary(&zs, body.data() + lo - 32768, 32768),
+                Z_OK);
+    }
+    std::vector<uint8_t> block(len * 2 + 64);
+    zs.next_in = const_cast<uint8_t*>(body.data() + lo);
+    zs.avail_in = static_cast<uInt>(len);
+    zs.next_out = block.data();
+    zs.avail_out = static_cast<uInt>(block.size());
+    EXPECT_EQ(deflate(&zs, last ? Z_FINISH : Z_SYNC_FLUSH),
+              last ? Z_STREAM_END : Z_OK);
+    out.PutRaw(block.data(), block.size() - zs.avail_out);
+    deflateEnd(&zs);
+  }
+  const auto adler = static_cast<uint32_t>(
+      adler32(adler32(0L, Z_NULL, 0), body.data(),
+              static_cast<uInt>(body.size())));
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.PutU8(static_cast<uint8_t>(adler >> shift));
+  }
+  return out.TakeData();
+}
+
+/// zlib's own decoder, independent of ZlibBlobReader: inflates the stream
+/// of a [u64 size][zlib stream] blob.
+std::vector<uint8_t> Uncompressed(const std::vector<uint8_t>& blob) {
+  uint64_t declared = 0;
+  std::memcpy(&declared, blob.data(), sizeof(declared));
+  std::vector<uint8_t> back(declared + 1);
+  uLongf got = back.size();
+  EXPECT_EQ(uncompress(back.data(), &got, blob.data() + sizeof(declared),
+                       blob.size() - sizeof(declared)),
+            Z_OK);
+  back.resize(got);
+  return back;
+}
+
+/// The deflate input of a kZlib/kShuffleZlib payload staged in one
+/// buffer: the row count and the rows, byte planes when shuffled.
+std::vector<uint8_t> StagedBody(const Column& c, bool shuffle) {
+  const size_t n = c.size();
+  const size_t width = c.type() == DataType::kBool ? 1 : 8;
+  const auto* src =
+      c.type() == DataType::kInt64
+          ? reinterpret_cast<const uint8_t*>(c.int64_data().data())
+      : c.type() == DataType::kDouble
+          ? reinterpret_cast<const uint8_t*>(c.double_data().data())
+          : c.bool_data().data();
+  ByteWriter body;
+  body.PutVarint(n);
+  std::vector<uint8_t> rows(n * width);
+  for (size_t i = 0; i < n * width; ++i) {
+    rows[i] = shuffle ? src[(i % n) * width + i / n] : src[i];
+  }
+  body.PutRaw(rows.data(), rows.size());
+  return body.TakeData();
+}
+
+/// The reference for a kZlib/kShuffleZlib payload: the validity bitmap,
+/// then the block rule over the staged body.
 std::vector<uint8_t> OneShotPayload(const Column& c, bool shuffle) {
   ByteWriter out;
   out.PutU8(c.null_count() > 0 ? 1 : 0);
@@ -484,51 +617,189 @@ std::vector<uint8_t> OneShotPayload(const Column& c, bool shuffle) {
     out.PutVarint(c.validity().size());
     out.PutRaw(c.validity().data(), c.validity().size());
   }
-  const size_t n = c.size();
-  const auto* src =
-      c.type() == DataType::kInt64
-          ? reinterpret_cast<const uint8_t*>(c.int64_data().data())
-          : reinterpret_cast<const uint8_t*>(c.double_data().data());
-  ByteWriter body;
-  body.PutVarint(n);
-  std::vector<uint8_t> rows(n * 8);
-  for (size_t i = 0; i < n * 8; ++i) {
-    rows[i] = shuffle ? src[(i % n) * 8 + i / n] : src[i];
-  }
-  body.PutRaw(rows.data(), rows.size());
-  auto z = ZlibCompress(body.data().data(), body.size());
-  EXPECT_TRUE(z.ok());
-  out.PutVarint(z->size());
-  out.PutRaw(z->data(), z->size());
+  const std::vector<uint8_t> z = BlockRuleBlob(StagedBody(c, shuffle));
+  out.PutVarint(z.size());
+  out.PutRaw(z.data(), z.size());
   return out.TakeData();
 }
 
+/// Rows of a BOOL column whose staged body is `body_bytes` long.
+size_t BoolRowsForBody(size_t body_bytes) {
+  size_t n = body_bytes - 1;
+  while (n + VarintSize(n) > body_bytes) --n;
+  return n;
+}
+
 TEST(StreamingZlibTest, PayloadsEqualOneShotReference) {
+  LaneGuard guard;
   const size_t chunk = kZlibChunkBytes;
+  const size_t mib = kZlibBlockBytes;
+  // 8-byte rows: bodies of 3 + 8n bytes around one chunk, on both sides
+  // of the first block edge and past the third. BOOL rows: bodies of
+  // exactly 1 MiB - 1, 1 MiB, 1 MiB + 1 and 3 MiB + 1 bytes. A body of
+  // more than one block is encoded at 1, 2 and 4 lanes.
+  struct Shape {
+    DataType type;
+    size_t n;
+    size_t null_every;
+  };
+  std::vector<Shape> shapes;
   for (DataType type : {DataType::kInt64, DataType::kDouble}) {
-    for (size_t n : {size_t{0}, size_t{1}, chunk - 1, chunk, chunk + 1,
-                     size_t{200'000}}) {
-      for (size_t null_every : {size_t{0}, size_t{5}}) {
-        const Column c = MixedColumn(type, n, null_every, n * 3 + 1);
-        for (ColumnEncoding e :
-             {ColumnEncoding::kZlib, ColumnEncoding::kShuffleZlib}) {
-          SCOPED_TRACE(std::string(DataTypeToString(type)) + " n=" +
-                       std::to_string(n) + " nulls=" +
-                       std::to_string(null_every) + " " +
-                       std::string(ColumnEncodingToString(e)));
-          auto cc = CompressColumn(c, e);
-          ASSERT_TRUE(cc.ok()) << cc.status().ToString();
-          EXPECT_EQ(cc->payload,
-                    OneShotPayload(c, e == ColumnEncoding::kShuffleZlib));
-          auto back =
-              DecompressColumn(*cc, Field{"x", type, null_every != 0}, n);
-          ASSERT_TRUE(back.ok()) << back.status().ToString();
-          EXPECT_EQ(back->int64_data(), c.int64_data());
-          EXPECT_EQ(back->double_data(), c.double_data());
-          EXPECT_EQ(back->validity(), c.validity());
-          EXPECT_EQ(back->null_count(), c.null_count());
-        }
+    for (size_t n : {size_t{0}, size_t{1}, chunk - 1, chunk, chunk + 1}) {
+      shapes.push_back({type, n, 0});
+      shapes.push_back({type, n, 5});
+    }
+  }
+  shapes.push_back({DataType::kInt64, mib / 8 - 1, 0});
+  shapes.push_back({DataType::kInt64, mib / 8, 5});
+  shapes.push_back({DataType::kDouble, mib / 8, 0});
+  shapes.push_back({DataType::kInt64, 3 * mib / 8 + 1, 5});
+  for (size_t body : {mib - 1, mib, mib + 1, 3 * mib + 1}) {
+    shapes.push_back({DataType::kBool, BoolRowsForBody(body), 0});
+  }
+  for (const Shape& shape : shapes) {
+    const DataType type = shape.type;
+    const size_t n = shape.n;
+    const Column c = MixedColumn(type, n, shape.null_every, n * 3 + 1);
+    const size_t width = type == DataType::kBool ? 1 : 8;
+    const bool blocks = VarintSize(n) + n * width > mib;
+    for (ColumnEncoding e :
+         {ColumnEncoding::kZlib, ColumnEncoding::kShuffleZlib}) {
+      if (type == DataType::kBool && e == ColumnEncoding::kShuffleZlib) {
+        continue;
       }
+      const std::vector<uint8_t> reference =
+          OneShotPayload(c, e == ColumnEncoding::kShuffleZlib);
+      for (size_t lanes : blocks ? std::vector<size_t>{1, 2, 4}
+                                 : std::vector<size_t>{4}) {
+        SCOPED_TRACE(std::string(DataTypeToString(type)) + " n=" +
+                     std::to_string(n) + " nulls=" +
+                     std::to_string(shape.null_every) + " " +
+                     std::string(ColumnEncodingToString(e)) + " lanes=" +
+                     std::to_string(lanes));
+        ThreadPool::SetGlobalThreadCount(lanes);
+        auto cc = CompressColumn(c, e);
+        ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+        EXPECT_EQ(cc->payload, reference);
+        auto back = DecompressColumn(
+            *cc, Field{"x", type, shape.null_every != 0}, n);
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        EXPECT_EQ(back->int64_data(), c.int64_data());
+        EXPECT_EQ(back->double_data(), c.double_data());
+        EXPECT_EQ(back->bool_data(), c.bool_data());
+        EXPECT_EQ(back->validity(), c.validity());
+        EXPECT_EQ(back->null_count(), c.null_count());
+      }
+    }
+  }
+}
+
+TEST(StreamingZlibTest, BlockEdgesDecodeWithZlibItself) {
+  const size_t mib = kZlibBlockBytes;
+  // Runs with sparse noise: matches reach back across every block edge.
+  Rng rng(2015);
+  std::vector<uint8_t> rows(3 * mib + 64);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const int64_t noise = i % 61 == 0 ? rng.UniformInt(0, 9) : 0;
+    rows[i] = static_cast<uint8_t>(i / 4096 + noise);
+  }
+  for (size_t bytes : {mib - 1, mib, mib + 1, 3 * mib + 1}) {
+    for (bool shuffle : {false, true}) {
+      SCOPED_TRACE(std::to_string(bytes) + (shuffle ? " shuffled" : ""));
+      // A 13-byte header, then 8-byte elements (and a ragged tail of
+      // header bytes when `bytes` is not 13 + 8n).
+      ZlibInput in;
+      in.n = (bytes - 13) / 8;
+      in.width = 8;
+      in.shuffle = shuffle;
+      in.data = rows.data();
+      in.header.assign(bytes - in.n * 8, 0x42);
+      ASSERT_EQ(in.size(), bytes);
+      std::vector<uint8_t> staged = in.header;
+      for (size_t i = 0; i < in.n * 8; ++i) {
+        staged.push_back(shuffle ? rows[(i % in.n) * 8 + i / in.n] : rows[i]);
+      }
+      std::vector<uint8_t> framed;
+      ASSERT_TRUE(AppendZlibBlob(in, &framed).ok());
+      ByteReader r(framed);
+      ASSERT_TRUE(r.GetVarint().ok());
+      const std::vector<uint8_t> blob(framed.begin() + r.position(),
+                                      framed.end());
+      EXPECT_EQ(blob, BlockRuleBlob(staged));
+      EXPECT_EQ(Uncompressed(blob), staged);
+    }
+  }
+}
+
+TEST(StreamingZlibTest, RandomBlocksFitTheirRoom) {
+  // Incompressible input is where a block's output comes closest to its
+  // room: every block must fit, and a room one byte short of what a block
+  // needs is an error that writes nothing past it.
+  Rng rng(99);
+  std::vector<uint8_t> rows(3 * kZlibBlockBytes + 12345);
+  for (uint8_t& b : rows) b = static_cast<uint8_t>(rng.NextU64());
+  for (bool shuffle : {false, true}) {
+    ZlibInput in;
+    in.data = rows.data();
+    in.n = rows.size() / 8;
+    in.width = 8;
+    in.shuffle = shuffle;
+    in.header = {1, 2, 3};
+    ASSERT_EQ(in.blocks(), 4u);
+    for (size_t b = 0; b < in.blocks(); ++b) {
+      const size_t room = MaxZlibBlockBytes(in.block_bytes(b));
+      std::vector<uint8_t> out(room + 16, 0xCD);
+      auto block = DeflateZlibBlock(in, b, out.data(), room);
+      ASSERT_TRUE(block.ok()) << block.status().ToString();
+      EXPECT_LE(block->bytes, room);
+      EXPECT_GT(block->bytes, in.block_bytes(b));
+      for (size_t i = room; i < out.size(); ++i) ASSERT_EQ(out[i], 0xCD);
+      std::vector<uint8_t> short_room(block->bytes - 1 + 16, 0xCD);
+      auto tight = DeflateZlibBlock(in, b, short_room.data(), block->bytes - 1);
+      EXPECT_EQ(tight.status().code(), StatusCode::kInternal);
+      for (size_t i = block->bytes - 1; i < short_room.size(); ++i) {
+        ASSERT_EQ(short_room[i], 0xCD);
+      }
+    }
+    std::vector<uint8_t> framed;
+    framed.reserve(MaxZlibBlobBytes(in.size()));
+    const uint8_t* before = framed.data();
+    ASSERT_TRUE(AppendZlibBlob(in, &framed).ok());
+    EXPECT_EQ(framed.data(), before);  // fits its bound: no reallocation
+    ByteReader r(framed);
+    ASSERT_TRUE(r.GetVarint().ok());
+    const std::vector<uint8_t> back = Uncompressed(
+        std::vector<uint8_t>(framed.begin() + r.position(), framed.end()));
+    ASSERT_EQ(back.size(), in.size());
+    EXPECT_TRUE(std::equal(in.header.begin(), in.header.end(), back.begin()));
+  }
+}
+
+TEST(StreamingZlibTest, SingleStreamPayloadsStillDecode) {
+  // Images written before the block encoder hold one compress2 stream per
+  // column, however long: they decode unchanged.
+  for (DataType type : {DataType::kInt64, DataType::kDouble}) {
+    const Column c = MixedColumn(type, 400'000, 7, 21);
+    for (bool shuffle : {false, true}) {
+      const std::vector<uint8_t> body = StagedBody(c, shuffle);
+      ASSERT_GT(body.size(), 3 * kZlibBlockBytes);
+      auto z = ZlibCompress(body.data(), body.size());
+      ASSERT_TRUE(z.ok());
+      ByteWriter w;
+      w.PutU8(1);
+      w.PutVarint(c.validity().size());
+      w.PutRaw(c.validity().data(), c.validity().size());
+      w.PutVarint(z->size());
+      w.PutRaw(z->data(), z->size());
+      CompressedColumn cc;
+      cc.encoding =
+          shuffle ? ColumnEncoding::kShuffleZlib : ColumnEncoding::kZlib;
+      cc.payload = w.TakeData();
+      auto back = DecompressColumn(cc, Field{"x", type, true}, c.size());
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(back->int64_data(), c.int64_data());
+      EXPECT_EQ(back->double_data(), c.double_data());
+      EXPECT_EQ(back->validity(), c.validity());
     }
   }
 }
@@ -614,9 +885,13 @@ TEST(StreamingZlibTest, ReaderNeverWritesPastTheDestination) {
   const size_t n = 3000;
   ByteWriter w;
   for (size_t i = 0; i < n * 8; ++i) w.PutU8(static_cast<uint8_t>(i * 31));
+  ZlibInput input;
+  input.data = w.data().data();
+  input.n = n;
+  input.width = 8;
+  input.shuffle = true;
   std::vector<uint8_t> blob;
-  blob.reserve(MaxZlibBlobBytes(n * 8));
-  ASSERT_TRUE(AppendZlibBlob({}, w.data().data(), n, 8, true, &blob).ok());
+  ASSERT_TRUE(AppendZlibBlob(input, &blob).ok());
   // Declare one element fewer than the stream holds, then ask for them
   // all: the read must fail without touching the guard bytes.
   uint64_t declared = (n - 1) * 8;

@@ -120,6 +120,77 @@ TEST(SnapshotCatalogTest, PinnedSnapshotIsFrozenWhileCommitsAdvance) {
   EXPECT_EQ((*sc.Pin()->tables.Get("t"))->num_rows(), 18u);
 }
 
+/// Where a column keeps its rows and its validity bitmap.
+std::vector<const void*> ColumnBuffers(const Table& t) {
+  std::vector<const void*> buffers;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const Column& col = t.column(c);
+    switch (col.type()) {
+      case DataType::kInt64:
+        buffers.push_back(col.int64_data().data());
+        break;
+      case DataType::kDouble:
+        buffers.push_back(col.double_data().data());
+        break;
+      case DataType::kString:
+        buffers.push_back(col.string_codes().data());
+        break;
+      case DataType::kBool:
+        buffers.push_back(col.bool_data().data());
+        break;
+    }
+    buffers.push_back(col.validity().data());
+  }
+  return buffers;
+}
+
+TEST(SnapshotCatalogTest, WriterCloneHasRoomForTheRowsItAppends) {
+  Table base(Schema({Field{"g", DataType::kInt64, true},
+                     Field{"x", DataType::kDouble, false},
+                     Field{"tag", DataType::kString, true},
+                     Field{"flag", DataType::kBool, true}}));
+  const auto row = [](size_t i) -> std::vector<Value> {
+    const bool null = i % 7 == 0;
+    return {null ? Value::Null() : Value::Int64(static_cast<int64_t>(i)),
+            Value::Double(static_cast<double>(i) * 0.25),
+            null ? Value::Null() : Value::String(i % 2 ? "odd" : "even"),
+            null ? Value::Null() : Value::Bool(i % 3 == 0)};
+  };
+  for (size_t i = 0; i < 1000; ++i) ASSERT_TRUE(base.AppendRow(row(i)).ok());
+  const Table original = base;
+  SnapshotCatalog sc;
+  ASSERT_TRUE(sc.Commit([&](DatabaseSnapshot* db) {
+                  db->tables.RegisterOrReplace(
+                      "t", std::make_shared<Table>(std::move(base)));
+                  return Status::OK();
+                })
+                  .ok());
+  const SnapshotPtr pinned = sc.Pin();
+  const size_t k = 100;
+  ASSERT_TRUE(sc.Commit([&](DatabaseSnapshot* db) -> Status {
+                  LAWS_ASSIGN_OR_RETURN(
+                      TablePtr clone,
+                      SnapshotCatalog::MutableTableForWrite(db, "t", k));
+                  EXPECT_TRUE(TablesEqual(*clone, original));
+                  const std::vector<const void*> before = ColumnBuffers(*clone);
+                  for (size_t i = 1000; i < 1000 + k; ++i) {
+                    LAWS_RETURN_IF_ERROR(clone->AppendRow(row(i)));
+                  }
+                  EXPECT_EQ(ColumnBuffers(*clone), before);
+                  return Status::OK();
+                })
+                  .ok());
+  EXPECT_TRUE(TablesEqual(**pinned->tables.Get("t"), original));
+  const TablePtr now = *sc.Pin()->tables.Get("t");
+  ASSERT_EQ(now->num_rows(), 1000 + k);
+  for (size_t i = 0; i < 1000 + k; ++i) {
+    const std::vector<Value> want = row(i);
+    for (size_t c = 0; c < want.size(); ++c) {
+      ASSERT_EQ(now->GetValue(i, c), want[c]) << i << " " << c;
+    }
+  }
+}
+
 /// The snapshot-isolation invariant under concurrency: every pinned
 /// snapshot is internally consistent — here, two tables committed in
 /// lockstep never diverge, and epochs only move forward — while a writer

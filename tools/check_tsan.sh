@@ -38,6 +38,17 @@
 # (governor_test) run them on 2 and 4 lanes, so a shared byte or
 # scratch register surfaces here.
 #
+# The image save's encoder runs on lanes: CompressTable's (column, codec)
+# trials and (column, block) DEFLATE units are claimed from one atomic
+# cursor, blocks deflate into staging buffers handed out under one mutex,
+# and the lane whose block is next in its column appends it, and every
+# block parked behind it, to the column's payload.
+# AutoChoiceTest.CompressTableIsByteIdenticalAtOneTwoAndFourLanes,
+# AutoChoiceTest.CompressTableStopsWithinABlockOfACancel and
+# StreamingZlibTest.PayloadsEqualOneShotReference (compress_test) run it
+# on 2 and 4 lanes, so a buffer handed to two lanes or a join outside the
+# lock surfaces here.
+#
 # Usage: tools/check_tsan.sh [ctest-args...]
 #   LAWS_TSAN_BUILD_DIR  override the build tree (default: build-tsan)
 #   LAWS_TSAN_JOBS       parallel build jobs (default: nproc)
