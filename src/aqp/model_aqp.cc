@@ -1,5 +1,6 @@
 #include "aqp/model_aqp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -169,38 +170,25 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
 
   // --- Group axis ---------------------------------------------------------
   // Grouped models enumerate group keys from the parameter table (already
-  // captured — zero IO); each key carries its parameter vector and RSE.
-  struct GroupEntry {
-    int64_t key;
-    Vector params;
-    double half_width;  // 95% prediction-interval half-width
-  };
+  // captured — zero IO): the rows whose key is in range, each carrying its
+  // parameter vector and RSE.
   const size_t p = fn->num_parameters();
-  std::vector<GroupEntry> groups;
+  const Table& pt = model.parameter_table;
+  std::vector<size_t> groups;  // parameter-table rows; {0} when ungrouped
+  size_t rse_idx = 0;
+  size_t n_idx = 0;
   if (model.grouped) {
-    const Table& pt = model.parameter_table;
-    LAWS_ASSIGN_OR_RETURN(size_t rse_idx,
-                          pt.schema().FieldIndex("residual_se"));
-    LAWS_ASSIGN_OR_RETURN(size_t n_idx, pt.schema().FieldIndex("n_obs"));
+    LAWS_ASSIGN_OR_RETURN(rse_idx, pt.schema().FieldIndex("residual_se"));
+    LAWS_ASSIGN_OR_RETURN(n_idx, pt.schema().FieldIndex("n_obs"));
     const auto [glo, ghi] = range_for(model.group_column);
+    const Column& keys = pt.column(0);
     for (size_t r = 0; r < pt.num_rows(); ++r) {
-      const int64_t key = pt.column(0).Int64At(r);
-      const auto dkey = static_cast<double>(key);
+      const auto dkey = static_cast<double>(keys.Int64At(r));
       if (dkey < glo || dkey > ghi) continue;
-      GroupEntry e;
-      e.key = key;
-      e.params.resize(p);
-      for (size_t j = 0; j < p; ++j) e.params[j] = pt.column(j + 1).DoubleAt(r);
-      e.half_width = PredictionHalfWidth95(
-          pt.column(rse_idx).DoubleAt(r),
-          static_cast<size_t>(pt.column(n_idx).Int64At(r)), p);
-      groups.push_back(std::move(e));
+      groups.push_back(r);
     }
   } else {
-    groups.push_back(GroupEntry{
-        0, model.parameters,
-        PredictionHalfWidth95(model.quality.residual_standard_error,
-                              model.quality.n_observations, p)});
+    groups.push_back(0);
   }
 
   // --- Input axes ----------------------------------------------------------
@@ -237,16 +225,8 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   }
 
   // --- Materialize ---------------------------------------------------------
-  std::vector<Field> fields;
-  if (model.grouped) {
-    fields.push_back(Field{model.group_column, DataType::kInt64, false});
-  }
-  for (const auto& col : model.input_columns) {
-    fields.push_back(Field{col, DataType::kDouble, false});
-  }
-  fields.push_back(Field{model.output_column, DataType::kDouble, false});
-  Table out{Schema(std::move(fields))};
-
+  // Typed columns, filled tuple by tuple: the group key, each input, then
+  // the output.
   const auto legal_it = legal_filters_.find(model.id);
   const LegalCombinationFilter* legal =
       legal_it == legal_filters_.end() ? nullptr : &legal_it->second;
@@ -255,25 +235,40 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   double rse_max = 0.0;
   size_t touched_groups = 0;
 
-  std::vector<double> x(model.input_columns.size());
-  std::vector<Value> row;
-  for (const GroupEntry& g : groups) {
+  std::vector<int64_t> key_out;
+  std::vector<std::vector<double>> input_out(input_values.size());
+  std::vector<double> output_out;
+  Vector x(input_values.size());
+  Vector params = model.grouped ? Vector(p) : model.parameters;
+  std::vector<size_t> idx(input_values.size());
+  const bool any_empty =
+      std::any_of(input_values.begin(), input_values.end(),
+                  [](const std::vector<double>& v) { return v.empty(); });
+  for (const size_t r : groups) {
+    int64_t key = 0;
+    double half_width = 0.0;  // 95% prediction-interval half-width
+    if (model.grouped) {
+      key = pt.column(0).Int64At(r);
+      for (size_t j = 0; j < p; ++j) params[j] = pt.column(j + 1).DoubleAt(r);
+      half_width =
+          PredictionHalfWidth95(pt.column(rse_idx).DoubleAt(r),
+                                static_cast<size_t>(pt.column(n_idx).Int64At(r)),
+                                p);
+    } else {
+      half_width =
+          PredictionHalfWidth95(model.quality.residual_standard_error,
+                                model.quality.n_observations, p);
+    }
     bool group_touched = false;
     // Odometer over input dimensions.
-    std::vector<size_t> idx(input_values.size(), 0);
-    bool more = true;
-    for (auto& vals : input_values) {
-      if (vals.empty()) more = false;
-    }
+    std::fill(idx.begin(), idx.end(), size_t{0});
+    bool more = !any_empty;
     while (more) {
       for (size_t d = 0; d < idx.size(); ++d) x[d] = input_values[d][idx[d]];
-      if (legal == nullptr || legal->MayContain(g.key, x)) {
-        const double y = fn->Evaluate(x, g.params);
-        row.clear();
-        if (model.grouped) row.push_back(Value::Int64(g.key));
-        for (double v : x) row.push_back(Value::Double(v));
-        row.push_back(Value::Double(y));
-        LAWS_RETURN_IF_ERROR(out.AppendRow(row));
+      if (legal == nullptr || legal->MayContain(key, x)) {
+        if (model.grouped) key_out.push_back(key);
+        for (size_t d = 0; d < x.size(); ++d) input_out[d].push_back(x[d]);
+        output_out.push_back(fn->Evaluate(x, params));
         group_touched = true;
       }
       // Advance odometer; zero input dimensions means exactly one tuple.
@@ -287,10 +282,25 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
     }
     if (group_touched) {
       ++touched_groups;
-      rse_sum += g.half_width;
-      rse_max = std::max(rse_max, g.half_width);
+      rse_sum += half_width;
+      rse_max = std::max(rse_max, half_width);
     }
   }
+
+  std::vector<Field> fields;
+  std::vector<Column> columns;
+  if (model.grouped) {
+    fields.push_back(Field{model.group_column, DataType::kInt64, false});
+    columns.push_back(Column::FromInt64Vector(std::move(key_out)));
+  }
+  for (size_t d = 0; d < model.input_columns.size(); ++d) {
+    fields.push_back(Field{model.input_columns[d], DataType::kDouble, false});
+    columns.push_back(Column::FromDoubleVector(std::move(input_out[d])));
+  }
+  fields.push_back(Field{model.output_column, DataType::kDouble, false});
+  columns.push_back(Column::FromDoubleVector(std::move(output_out)));
+  LAWS_ASSIGN_OR_RETURN(
+      Table out, Table::FromColumns(Schema(std::move(fields)), std::move(columns)));
 
   ApproxAnswer answer;
   answer.tuples_reconstructed = out.num_rows();

@@ -6,11 +6,13 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <unordered_map>
 
 #include "common/governor.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "compress/block_store.h"
@@ -132,89 +134,184 @@ Result<const Column*> ResolveColumn(const Expr& expr, const Table& table,
   return evaluated;
 }
 
+/// Adds the schema positions of the columns `expr` reads to `*columns`.
+/// A name the schema lacks is left for the compiler to report.
+void CollectReadColumns(const Expr& expr, const Schema& schema,
+                        std::vector<size_t>* columns) {
+  if (expr.kind == ExprKind::kColumnRef) {
+    if (Result<size_t> c = schema.FieldIndex(expr.column_name); c.ok()) {
+      columns->push_back(*c);
+    }
+  }
+  for (const auto& c : expr.children) CollectReadColumns(*c, schema, columns);
+}
+
+/// The rows `selection` of `table` with only the columns `exprs` read,
+/// charged to `charge`. An operator that evaluates a computed expression
+/// under a WHERE or HAVING runs the VM over this table, so the VM sees
+/// the selected rows only and no other column is copied (DESIGN.md §13).
+Result<Table> GatherForEvaluation(const Table& table,
+                                  const std::vector<uint32_t>& selection,
+                                  const std::vector<const Expr*>& exprs,
+                                  ScopedCharge* charge) {
+  std::vector<size_t> columns;
+  for (const Expr* e : exprs) CollectReadColumns(*e, table.schema(), &columns);
+  std::sort(columns.begin(), columns.end());
+  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  LAWS_ASSIGN_OR_RETURN(Table narrow, table.GatherRows(selection, columns));
+  LAWS_RETURN_IF_ERROR(
+      charge->Acquire(narrow.MemoryBytes(), "selected columns"));
+  return narrow;
+}
+
 // AggState and AggFinalValue live in query/agg_state.h, shared with the
 // encoded aggregator (compressed_scan.cc).
 
-/// Folds one partition's rows, in table order, into their groups' states
-/// ([group * num_slots + slot]). Every group lives in one partition, so
-/// partitions write disjoint states, and each group's SUM and Welford
-/// recurrences see its rows in exactly the serial order.
-Status SweepPartition(const Grouping& grouping, size_t begin, size_t end,
-                      const std::vector<AggSlot>& slots,
-                      const std::vector<const Column*>& args,
-                      std::vector<AggState>* states) {
+/// The rows one aggregate sweep folds, in table order: rows[i] (row i
+/// when `rows` is null) into group group[i] (group 0 when `group` is
+/// null).
+struct SweepRows {
+  const uint32_t* rows = nullptr;
+  const uint32_t* group = nullptr;
+  size_t len = 0;
+  /// The aggregate input's last row: the last selected row under a
+  /// selection. Only the planted mutant of tools/check_differential.sh
+  /// reads it.
+  size_t last_row = 0;
+};
+
+/// One group's numeric recurrences held in locals while a stride folds
+/// into that group alone, so they stay in registers.
+struct LocalState {
+  explicit LocalState(const AggState& s)
+      : count(s.count), sum(s.sum), min(s.min), max(s.max), mean(s.mean),
+        m2(s.m2), any(s.any), saw_comparable(s.saw_comparable) {}
+  void StoreTo(AggState* s) const {
+    s->count = count;
+    s->sum = sum;
+    s->min = min;
+    s->max = max;
+    s->mean = mean;
+    s->m2 = m2;
+    s->any = any;
+    s->saw_comparable = saw_comparable;
+  }
+
+  size_t count;
+  double sum, min, max, mean, m2;
+  bool any, saw_comparable;
+};
+
+/// Folds the rows `in` into their groups' states ([group * num_slots +
+/// slot]), slot by slot, each in table order. Every group lives in one
+/// partition, so partitions write disjoint states, and each group's SUM
+/// and Welford recurrences see its rows in exactly the serial order.
+/// Numeric arguments are read one kGovernorPollStride-row stride at a
+/// time into one stride-sized buffer: one type dispatch per stride, and
+/// each function runs only the recurrences its final value reads.
+Status Sweep(const SweepRows& in, const std::vector<AggSlot>& slots,
+             const std::vector<const Column*>& args, AggState* states) {
   const size_t num_slots = slots.size();
-  const uint32_t* rows = grouping.rows.data() + begin;
-  const uint32_t* group = grouping.group.data() + begin;
-  const size_t len = end - begin;
+  const size_t stride = std::min(in.len, kGovernorPollStride);
+  std::vector<uint32_t> ids(in.rows == nullptr ? stride : 0);
   std::vector<double> values;
   std::vector<uint8_t> nulls;
+  const auto row = [&](size_t i) -> size_t {
+    return in.rows != nullptr ? in.rows[i] : i;
+  };
   for (size_t a = 0; a < num_slots; ++a) {
-    LAWS_GOVERNOR_POLL();
     const auto state = [&](size_t i) -> AggState& {
-      return (*states)[group[i] * num_slots + a];
+      return states[(in.group != nullptr ? in.group[i] : 0) * num_slots + a];
+    };
+    // Runs fold(lo, hi) over the rows in polled strides.
+    const auto strides = [&](auto fold) -> Status {
+      for (size_t lo = 0; lo < in.len; lo += kGovernorPollStride) {
+        LAWS_GOVERNOR_POLL();
+        LAWS_RETURN_IF_ERROR(fold(lo, std::min(in.len, lo + kGovernorPollStride)));
+      }
+      return Status::OK();
     };
     if (args[a] == nullptr) {  // COUNT(*)
-      for (size_t i = 0; i < len; ++i) {
-        if (i % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
-        AggState& s = state(i);
-        ++s.count;
-        s.any = true;
-      }
+      LAWS_RETURN_IF_ERROR(strides([&](size_t lo, size_t hi) {
+        if (in.group == nullptr) {
+          states[a].count += hi - lo;
+          states[a].any = true;
+          return Status::OK();
+        }
+        for (size_t i = lo; i < hi; ++i) {
+          AggState& s = state(i);
+          ++s.count;
+          s.any = true;
+        }
+        return Status::OK();
+      }));
       continue;
     }
     const Column& arg = *args[a];
     if (arg.type() == DataType::kString) {
       // Strings keep the element-wise path (dictionary lookups, ordering).
-      for (size_t i = 0; i < len; ++i) {
-        if (i % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
-        if (arg.IsNull(rows[i])) continue;
-        AggState& s = state(i);
-        ++s.count;
-        s.any = true;
-        s.is_string = true;
-        const std::string_view v = arg.StringAt(rows[i]);
-        if (s.count == 1 || v < s.smin) s.smin = v;
-        if (s.count == 1 || v > s.smax) s.smax = v;
-      }
+      LAWS_RETURN_IF_ERROR(strides([&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) {
+          if (arg.IsNull(row(i))) continue;
+          AggState& s = state(i);
+          ++s.count;
+          s.any = true;
+          s.is_string = true;
+          const std::string_view v = arg.StringAt(row(i));
+          if (s.count == 1 || v < s.smin) s.smin = v;
+          if (s.count == 1 || v > s.smax) s.smax = v;
+        }
+        return Status::OK();
+      }));
       continue;
     }
-    // Numeric arguments are gathered in bulk: one type dispatch per
-    // partition instead of a Result-wrapped NumericAt per cell. Each
-    // function runs only the recurrences its final value reads.
-    values.resize(len);
-    nulls.resize(len);
-    LAWS_RETURN_IF_ERROR(
-        arg.GatherNumericMasked(rows, len, values.data(), nulls.data())
-            .status());
-    const auto sweep = [&](auto update) -> Status {
-      for (size_t i = 0; i < len; ++i) {
-        if (i % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
+    values.resize(stride);
+    nulls.resize(stride);
+    const auto sweep = [&](auto update) {
+      return strides([&](size_t lo, size_t hi) -> Status {
+        const uint32_t* at = in.rows + lo;
+        if (in.rows == nullptr) {
+          std::iota(ids.begin(), ids.begin() + (hi - lo),
+                    static_cast<uint32_t>(lo));
+          at = ids.data();
+        }
+        LAWS_RETURN_IF_ERROR(
+            arg.GatherNumericMasked(at, hi - lo, values.data(), nulls.data())
+                .status());
+        // Folds position i of the stride into `s`.
+        const auto fold = [&](auto& s, size_t i) {
 #ifdef LAWS_TESTING_INJECT_BUG
-        // Deliberate off-by-one for the mutation smoke check in
-        // tools/check_differential.sh: the sweep drops the last input row.
-        // Never defined in production builds.
-        if (rows[i] + size_t{1} == grouping.rows.size()) continue;
+          // Deliberate off-by-one for the mutation smoke check in
+          // tools/check_differential.sh: the sweep drops the input's last
+          // row. Never defined in production builds.
+          if (at[i] == in.last_row) return;
 #endif
-        if (nulls[i]) continue;
-        AggState& s = state(i);
-        ++s.count;
-        s.any = true;
-        update(s, values[i]);
-      }
-      return Status::OK();
+          if (nulls[i]) return;
+          ++s.count;
+          s.any = true;
+          update(s, values[i]);
+        };
+        if (in.group == nullptr) {
+          LocalState s(states[a]);
+          for (size_t i = 0; i < hi - lo; ++i) fold(s, i);
+          s.StoreTo(&states[a]);
+          return Status::OK();
+        }
+        for (size_t i = 0; i < hi - lo; ++i) fold(state(lo + i), i);
+        return Status::OK();
+      });
     };
     switch (slots[a].node->aggregate_func) {
       case AggregateFunc::kCount:
-        LAWS_RETURN_IF_ERROR(sweep([](AggState&, double) {}));
+        LAWS_RETURN_IF_ERROR(sweep([](auto&, double) {}));
         break;
       case AggregateFunc::kSum:
       case AggregateFunc::kAvg:
-        LAWS_RETURN_IF_ERROR(sweep([](AggState& s, double v) { s.sum += v; }));
+        LAWS_RETURN_IF_ERROR(sweep([](auto& s, double v) { s.sum += v; }));
         break;
       case AggregateFunc::kMin:
       case AggregateFunc::kMax:
-        LAWS_RETURN_IF_ERROR(sweep([](AggState& s, double v) {
+        LAWS_RETURN_IF_ERROR(sweep([](auto& s, double v) {
           if (!std::isnan(v)) s.saw_comparable = true;
           s.min = std::min(s.min, v);
           s.max = std::max(s.max, v);
@@ -223,7 +320,7 @@ Status SweepPartition(const Grouping& grouping, size_t begin, size_t end,
       case AggregateFunc::kVariance:
       case AggregateFunc::kStddev:
         // Welford, in the group's table order.
-        LAWS_RETURN_IF_ERROR(sweep([](AggState& s, double v) {
+        LAWS_RETURN_IF_ERROR(sweep([](auto& s, double v) {
           const double delta = v - s.mean;
           s.mean += delta / static_cast<double>(s.count);
           s.m2 += delta * (v - s.mean);
@@ -234,16 +331,39 @@ Status SweepPartition(const Grouping& grouping, size_t begin, size_t end,
   return Status::OK();
 }
 
-/// Groups `input` by `group_by` (GroupRows), folds every aggregate slot
-/// into per-group states, and emits one row per group in first-seen
-/// order: key columns `__key<k>`, then the slots' hidden columns. `*note`
-/// (when non-null) gets the grouping that ran, for the HashAggregate span.
+/// Aggregates the rows of `input` — those of `selection` when it is not
+/// null — and emits one row per group in first-seen order: key columns
+/// `__key<k>`, then the slots' hidden columns. Column-reference keys and
+/// arguments are read in place at the selected rows. When a key or an
+/// argument is computed, the selected rows are first gathered with only
+/// the columns the keys and arguments read, and the VM runs on those. A
+/// statement with GROUP BY groups the rows (GroupRows) and sweeps each
+/// partition on its lane; one without is one group, folded in table
+/// order with no grouping. `*note` (when non-null) gets the grouping that
+/// ran, for the HashAggregate span.
 Result<Table> Aggregate(const Table& input,
+                        const std::vector<uint32_t>* selection,
                         const std::vector<std::unique_ptr<Expr>>& group_by,
                         const std::vector<AggSlot>& slots, std::string* note) {
-  // Resolve group-key expressions. Evaluated key and argument columns are
-  // the aggregation's big materializations; charge them as they appear.
+  // Evaluated key and argument columns are the aggregation's big
+  // materializations; charge them as they appear.
   ScopedCharge charge;
+  if (selection != nullptr) {
+    std::vector<const Expr*> exprs;
+    for (const auto& g : group_by) exprs.push_back(g.get());
+    for (const AggSlot& s : slots) {
+      if (!s.is_star) exprs.push_back(s.node->children[0].get());
+    }
+    if (std::any_of(exprs.begin(), exprs.end(), [](const Expr* e) {
+          return e->kind != ExprKind::kColumnRef;
+        })) {
+      LAWS_ASSIGN_OR_RETURN(
+          const Table selected,
+          GatherForEvaluation(input, *selection, exprs, &charge));
+      return Aggregate(selected, nullptr, group_by, slots, note);
+    }
+  }
+
   std::vector<Column> evaluated(group_by.size() + slots.size(),
                                 Column(DataType::kInt64));
   std::vector<const Column*> keys;
@@ -256,24 +376,25 @@ Result<Table> Aggregate(const Table& input,
     keys.push_back(c);
   }
   const size_t num_slots = slots.size();
-  std::vector<uint32_t> representative_row;  // first row of each group
-  std::vector<AggState> states;              // [group * num_slots + slot]
-  std::vector<const Column*> args;           // nullptr for COUNT(*)
+  std::vector<uint32_t> first_row{0};  // first row of each group
+  std::vector<AggState> states;        // [group * num_slots + slot]
+  std::vector<const Column*> args;     // nullptr for COUNT(*)
   size_t partitions = 1;
 
-  // Global aggregations over an indexed base table can often be folded
-  // from zone statistics (DESIGN.md §14). EncodedGlobalAggregate only
-  // answers when the fold is provably bit-identical to the sweep below,
-  // so the shortcut is invisible to everything downstream.
+  // A global aggregation over a whole indexed base table can often be
+  // folded from zone statistics (DESIGN.md §14). EncodedGlobalAggregate
+  // only answers when the fold is provably bit-identical to the sweep
+  // below, so the shortcut is invisible to everything downstream. Zone
+  // statistics describe every row of a block, so a selection rules it
+  // out.
   bool encoded = false;
   LAWS_GOVERNOR_POLL();
-  if (group_by.empty()) {
+  if (group_by.empty() && selection == nullptr) {
     std::vector<const Expr*> nodes;
     nodes.reserve(slots.size());
     for (const AggSlot& s : slots) nodes.push_back(s.node.get());
     if (auto enc = EncodedGlobalAggregate(input, nodes)) {
       states = std::move(*enc);
-      representative_row.push_back(0);
       encoded = true;
     }
   }
@@ -307,28 +428,38 @@ Result<Table> Aggregate(const Table& input,
     }
 
     const size_t n = input.num_rows();
-    LAWS_ASSIGN_OR_RETURN(Grouping grouping,
-                          GroupRows(keys, n, nullptr, &charge));
-    partitions = grouping.num_partitions();
-    LAWS_RETURN_IF_ERROR(charge.Acquire(
-        grouping.num_groups() * num_slots * sizeof(AggState) +
-            n * (sizeof(double) + sizeof(uint8_t)),
-        "aggregate states"));
-    states.resize(grouping.num_groups() * num_slots);
-    LAWS_RETURN_IF_ERROR(
-        ForEachPartition(grouping, [&](size_t begin, size_t end) {
-          return SweepPartition(grouping, begin, end, slots, args, &states);
-        }));
-    representative_row = std::move(grouping.first_row);
+    SweepRows all;
+    all.rows = selection != nullptr ? selection->data() : nullptr;
+    all.len = selection != nullptr ? selection->size() : n;
+    all.last_row = selection != nullptr
+                       ? (selection->empty() ? 0 : selection->back())
+                       : n - 1;
+    if (group_by.empty()) {
+      LAWS_RETURN_IF_ERROR(
+          charge.Acquire(num_slots * sizeof(AggState), "aggregate states"));
+      states.resize(num_slots);
+      LAWS_RETURN_IF_ERROR(Sweep(all, slots, args, states.data()));
+    } else {
+      LAWS_ASSIGN_OR_RETURN(Grouping grouping,
+                            GroupRows(keys, n, selection, &charge));
+      partitions = grouping.num_partitions();
+      LAWS_RETURN_IF_ERROR(charge.Acquire(
+          grouping.num_groups() * num_slots * sizeof(AggState),
+          "aggregate states"));
+      states.resize(grouping.num_groups() * num_slots);
+      LAWS_RETURN_IF_ERROR(
+          ForEachPartition(grouping, [&](size_t begin, size_t end) {
+            SweepRows part = all;
+            part.rows = grouping.rows.data() + begin;
+            part.group = grouping.group.data() + begin;
+            part.len = end - begin;
+            return Sweep(part, slots, args, states.data());
+          }));
+      first_row = std::move(grouping.first_row);
+    }
   }
 
-  // Global aggregation with no GROUP BY and zero rows still yields one row
-  // (COUNT(*) = 0, SUM = NULL, ...).
-  if (group_by.empty() && representative_row.empty()) {
-    representative_row.push_back(0);
-    states.resize(num_slots);
-  }
-  const size_t num_groups = representative_row.size();
+  const size_t num_groups = first_row.size();
   if (note != nullptr) {
     *note = group_by.empty() ? std::string(" | one group")
                              : " | " + std::to_string(num_groups) +
@@ -360,7 +491,7 @@ Result<Table> Aggregate(const Table& input,
       // codes, so a group whose first row held -0.0 (or a sign-flipped
       // NaN) emits the canonical key, not a first-seen artifact.
       row_values.push_back(
-          CanonicalGroupValue(keys[k]->GetValue(representative_row[g])));
+          CanonicalGroupValue(keys[k]->GetValue(first_row[g])));
     }
     for (size_t a = 0; a < slots.size(); ++a) {
       row_values.push_back(
@@ -387,25 +518,100 @@ uint64_t NumberOrderCode(double d) {
   return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
-/// Fills `codes[row]` with `code_of(row)`, or the NULL code, XOR `flip`.
-template <typename CodeOf>
-Status FillOrderCodes(const Column& col, CodeOf code_of, uint64_t flip,
-                      std::vector<uint64_t>* codes) {
-  const size_t n = col.size();
-  for (size_t begin = 0; begin < n; begin += kGovernorPollStride) {
-    LAWS_GOVERNOR_POLL();
-    const size_t end = std::min(n, begin + kGovernorPollStride);
-    for (size_t r = begin; r < end; ++r) {
-      (*codes)[r] = (col.IsNull(r) ? kNullCode : code_of(r)) ^ flip;
+/// The codes of one ORDER BY key, read in place: code(i) is the code of
+/// the key's value at position i, which is row sel[i] when the key reads
+/// at a selection and row i otherwise. A string's code is its rank in
+/// the column's dictionary sorted by text (dictionary ids follow
+/// insertion order), ranked once, at construction; equal texts share a
+/// rank.
+class OrderCoder {
+ public:
+  OrderCoder(const Column& col, bool ascending, const uint32_t* sel)
+      : col_(&col), sel_(sel), flip_(ascending ? 0 : ~uint64_t{0}) {
+    if (col.type() != DataType::kString) return;
+    const std::vector<std::string>& dict = col.dictionary();
+    std::vector<uint32_t> by_text(dict.size());
+    std::iota(by_text.begin(), by_text.end(), uint32_t{0});
+    std::sort(by_text.begin(), by_text.end(),
+              [&](uint32_t a, uint32_t b) { return dict[a] < dict[b]; });
+    rank_.resize(dict.size());
+    uint64_t code = kNanCode;
+    for (size_t i = 0; i < by_text.size(); ++i) {
+      if (i == 0 || dict[by_text[i]] != dict[by_text[i - 1]]) ++code;
+      rank_[by_text[i]] = code;
     }
   }
-  return Status::OK();
+
+  /// Returns f(code) with `code` typed to the column, so a loop that
+  /// codes row after row dispatches on the type once.
+  template <typename F>
+  decltype(auto) Visit(F&& f) const {
+    const Column& col = *col_;
+    const uint32_t* sel = sel_;
+    const uint64_t flip = flip_;
+    // The validity bitmap (1 = valid), or null when no row is NULL.
+    const uint8_t* valid = col.nullable() && !col.validity().empty()
+                               ? col.validity().data()
+                               : nullptr;
+    const auto coded = [&](auto value_code) -> decltype(auto) {
+      return f([sel, valid, flip, value_code](size_t i) {
+        const size_t r = sel != nullptr ? sel[i] : i;
+        const bool null = valid != nullptr && ((valid[r >> 3] >> (r & 7)) & 1) == 0;
+        return (null ? kNullCode : value_code(r)) ^ flip;
+      });
+    };
+    switch (col.type()) {
+      case DataType::kInt64: {
+        const int64_t* v = col.int64_data().data();
+        return coded([v](size_t r) {
+          return NumberOrderCode(static_cast<double>(v[r]));
+        });
+      }
+      case DataType::kDouble: {
+        const double* v = col.double_data().data();
+        return coded([v](size_t r) { return NumberOrderCode(v[r]); });
+      }
+      case DataType::kBool: {
+        const uint8_t* v = col.bool_data().data();
+        return coded(
+            [v](size_t r) { return NumberOrderCode(v[r] != 0 ? 1.0 : 0.0); });
+      }
+      case DataType::kString:
+        break;
+    }
+    const uint32_t* ids = col.string_codes().data();
+    const uint64_t* rank = rank_.data();
+    return coded([ids, rank](size_t r) { return rank[ids[r]]; });
+  }
+
+  uint64_t operator()(size_t i) const {
+    return Visit([i](auto code) { return code(i); });
+  }
+
+ private:
+  const Column* col_;
+  const uint32_t* sel_;
+  uint64_t flip_;
+  std::vector<uint64_t> rank_;  // string dictionary id -> code
+};
+
+/// codes[i] = code(i) for every position i, polling the governor between
+/// strides.
+Status FillOrderCodes(const OrderCoder& coder, std::vector<uint64_t>* codes) {
+  return coder.Visit([codes](auto code) -> Status {
+    const size_t n = codes->size();
+    for (size_t begin = 0; begin < n; begin += kGovernorPollStride) {
+      LAWS_GOVERNOR_POLL();
+      const size_t end = std::min(n, begin + kGovernorPollStride);
+      for (size_t i = begin; i < end; ++i) (*codes)[i] = code(i);
+    }
+    return Status::OK();
+  });
 }
 
-/// ORDER BY keys as order codes, [key][row]. Less() compares them key by
-/// key and breaks ties on row id. The order is therefore total: std::sort
-/// reproduces a stable sort exactly, and a top-k selection keeps exactly
-/// the first k rows of it.
+/// ORDER BY keys as order codes, [key][position]. Less() compares them
+/// key by key and breaks ties on position, which is row order. The order
+/// is therefore total: std::sort reproduces a stable sort exactly.
 struct OrderKeys {
   std::vector<std::vector<uint64_t>> codes;
 
@@ -421,83 +627,215 @@ struct OrderKeys {
   }
 };
 
-/// The first `k` of `n` rows under `keys`, in order: a bounded max-heap
-/// over row ids, O(n log k), polling the governor between strides.
-Result<std::vector<uint32_t>> SelectTopK(const OrderKeys& keys, size_t n,
-                                         size_t k) {
-  const auto less = [&](uint32_t x, uint32_t y) {
+/// A top-k candidate: its first key's code and its position.
+struct Candidate {
+  uint64_t code;
+  uint32_t pos;
+};
+
+/// OrderKeys' order over candidates: the first key's code, the later
+/// keys' codes computed from the key columns, then position.
+struct CandidateOrder {
+  const std::vector<OrderCoder>* keys;
+
+  int Compare(const Candidate& x, const Candidate& y) const {
+    if (x.code != y.code) return x.code < y.code ? -1 : 1;
+    for (size_t k = 1; k < keys->size(); ++k) {
+      const uint64_t cx = (*keys)[k](x.pos);
+      const uint64_t cy = (*keys)[k](y.pos);
+      if (cx != cy) return cx < cy ? -1 : 1;
+    }
+    return 0;
+  }
+  bool operator()(const Candidate& x, const Candidate& y) const {
+    const int c = Compare(x, y);
+    return c != 0 ? c < 0 : x.pos < y.pos;
+  }
+};
+
+/// Positions per top-k chunk at least: inputs under two chunks (128K
+/// rows) stay on the caller (DESIGN.md §6).
+constexpr size_t kTopKGrainRows = size_t{1} << 16;
+
+/// The first `k` (0 < k) of `m` positions under `keys`, in order.
+/// Contiguous chunks run on the pool's lanes, each keeping its k best
+/// candidates in a bounded max-heap whose worst first-key code sits in a
+/// register, so most rows cost one code and one compare; the caller
+/// merges the chunks' sorted candidates under the same total order, so
+/// the result is the serial heap's at every lane count.
+Result<std::vector<uint32_t>> SelectTopK(const std::vector<OrderCoder>& keys,
+                                         size_t m, size_t k,
+                                         ScopedCharge* charge) {
+  LAWS_RETURN_IF_ERROR(charge->Acquire(
+      std::min(m, k * ThreadPool::Global().num_threads()) * sizeof(Candidate),
+      "sort candidates"));
+  const CandidateOrder less{&keys};
+  const auto admit = [&less](const Candidate& x, const Candidate& worst) {
 #ifdef LAWS_TESTING_INJECT_BUG
     // Deliberate tie-break inversion for the mutation smoke check in
-    // tools/check_differential.sh: of two tied rows the later one wins.
-    // Never defined in production builds.
-    if (keys.Compare(x, y) == 0) return x > y;
+    // tools/check_differential.sh: a row tied with its lane's k-th
+    // candidate on every key replaces it. Never defined in production
+    // builds.
+    if (less.Compare(x, worst) == 0) return true;
 #endif
-    return keys.Less(x, y);
+    return less(x, worst);
   };
-  std::vector<uint32_t> heap;
-  heap.reserve(k);
-  for (size_t begin = 0; begin < n; begin += kGovernorPollStride) {
-    LAWS_GOVERNOR_POLL();
-    const size_t end = std::min(n, begin + kGovernorPollStride);
-    for (size_t r = begin; r < end; ++r) {
-      const uint32_t row = static_cast<uint32_t>(r);
-      if (heap.size() < k) {
-        heap.push_back(row);
-        std::push_heap(heap.begin(), heap.end(), less);
-      } else if (k > 0 && less(row, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), less);
-        heap.back() = row;
-        std::push_heap(heap.begin(), heap.end(), less);
+  struct Chunk {
+    size_t begin;
+    std::vector<Candidate> best;  // sorted
+  };
+  std::mutex mutex;
+  std::vector<Chunk> chunks;
+  ParallelForChunks(
+      0, m,
+      [&](size_t lo, size_t hi) {
+        std::vector<Candidate> heap;
+        heap.reserve(std::min(k, hi - lo));
+        // A governor trip stops the chunk; the caller re-polls.
+        (void)keys[0].Visit([&](auto code) -> Status {
+          uint64_t worst = 0;  // heap.front().code once the heap is full
+          for (size_t begin = lo; begin < hi; begin += kGovernorPollStride) {
+            LAWS_GOVERNOR_POLL();
+            const size_t end = std::min(hi, begin + kGovernorPollStride);
+            size_t i = begin;
+            for (; i < end && heap.size() < k; ++i) {
+              heap.push_back(Candidate{code(i), static_cast<uint32_t>(i)});
+              std::push_heap(heap.begin(), heap.end(), less);
+              worst = heap.front().code;
+            }
+            for (; i < end; ++i) {
+              const Candidate x{code(i), static_cast<uint32_t>(i)};
+              if (x.code > worst) continue;
+              if (x.code == worst && !admit(x, heap.front())) continue;
+              std::pop_heap(heap.begin(), heap.end(), less);
+              heap.back() = x;
+              std::push_heap(heap.begin(), heap.end(), less);
+              worst = heap.front().code;
+            }
+          }
+          return Status::OK();
+        });
+        std::sort_heap(heap.begin(), heap.end(), less);
+        std::lock_guard<std::mutex> lock(mutex);
+        chunks.push_back(Chunk{lo, std::move(heap)});
+      },
+      {.grain = kTopKGrainRows});
+  // A tripped governor skips or stops chunks, leaving candidates out.
+  LAWS_GOVERNOR_POLL();
+
+  // Every chunk kept min(k, its rows) candidates, so together they hold
+  // at least k. Merge them in chunk order.
+  std::sort(chunks.begin(), chunks.end(),
+            [](const Chunk& x, const Chunk& y) { return x.begin < y.begin; });
+  std::vector<size_t> next(chunks.size(), 0);
+  std::vector<uint32_t> top;
+  top.reserve(k);
+  while (top.size() < k) {
+    if (top.size() % kGovernorPollStride == 0) LAWS_GOVERNOR_POLL();
+    size_t best = chunks.size();
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      if (next[c] == chunks[c].best.size()) continue;
+      if (best == chunks.size()) {
+        best = c;
+        continue;
       }
+      const Candidate& x = chunks[c].best[next[c]];
+      const Candidate& y = chunks[best].best[next[best]];
+#ifdef LAWS_TESTING_INJECT_BUG
+      // Deliberate merge-order break for the mutation smoke check in
+      // tools/check_differential.sh: of two tied candidates, the later
+      // chunk's wins. Never defined in production builds.
+      if (less.Compare(x, y) == 0) {
+        best = c;
+        continue;
+      }
+#endif
+      if (less(x, y)) best = c;
     }
+    top.push_back(chunks[best].best[next[best]++].pos);
   }
-  std::sort_heap(heap.begin(), heap.end(), less);
-  return heap;
+  return top;
 }
 
-/// ORDER BY over normalized keys. With 0 <= `top_k` < rows only the first
-/// top_k rows are selected and gathered; otherwise every row is sorted.
-Result<Table> SortRows(const Table& table, const SelectStatement& stmt,
+/// ORDER BY over the rows of `table` — those of `selection` when it is
+/// not null — coded at those rows only: a column reference in place, a
+/// computed key once into a column, evaluated over the selected rows.
+/// With 0 <= `top_k` < rows only the first top_k rows are selected;
+/// otherwise every row is sorted. Only the output rows are gathered.
+Result<Table> SortRows(const Table& table,
+                       const std::vector<uint32_t>* selection,
+                       const SelectStatement& stmt,
                        const std::vector<std::unique_ptr<Expr>>& keys,
                        int64_t top_k) {
   ScopedCharge charge;
-  const size_t n = table.num_rows();
-  OrderKeys order;
+  const size_t m = selection != nullptr ? selection->size() : table.num_rows();
+  Table selected{Schema{}};
+  if (selection != nullptr) {
+    std::vector<const Expr*> computed;
+    for (const auto& key : keys) {
+      if (key->kind != ExprKind::kColumnRef) computed.push_back(key.get());
+    }
+    if (!computed.empty()) {
+      LAWS_ASSIGN_OR_RETURN(
+          selected, GatherForEvaluation(table, *selection, computed, &charge));
+    }
+  }
+  std::vector<Column> evaluated(keys.size(), Column(DataType::kInt64));
+  std::vector<OrderCoder> coders;
+  coders.reserve(keys.size());
   for (size_t k = 0; k < keys.size(); ++k) {
     LAWS_GOVERNOR_POLL();
-    Column evaluated(DataType::kInt64);
-    LAWS_ASSIGN_OR_RETURN(const Column* col,
-                          ResolveColumn(*keys[k], table, &evaluated));
-    LAWS_RETURN_IF_ERROR(charge.Acquire(n * sizeof(uint64_t), "sort keys"));
-    LAWS_ASSIGN_OR_RETURN(std::vector<uint64_t> codes,
-                          OrderCodes(*col, stmt.order_by[k].ascending));
-    order.codes.push_back(std::move(codes));
-  }
-  if (top_k >= 0 && static_cast<size_t>(top_k) < n) {
-    const size_t k = static_cast<size_t>(top_k);
-    LAWS_RETURN_IF_ERROR(
-        charge.Acquire(k * sizeof(uint32_t), "sort permutation"));
-    LAWS_ASSIGN_OR_RETURN(std::vector<uint32_t> top,
-                          SelectTopK(order, n, k));
-    return table.GatherRows(top);
-  }
-  LAWS_RETURN_IF_ERROR(
-      charge.Acquire(n * sizeof(uint32_t), "sort permutation"));
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), uint32_t{0});
-  // The comparator cannot return an error, so deadline/cancel are
-  // observed between comparisons and surfaced after the sort.
-  size_t comparisons = 0;
-  Status tripped;
-  std::sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
-    if (tripped.ok() && ++comparisons % kGovernorPollStride == 0) {
-      if (QueryGovernor* gov = QueryGovernor::Current()) {
-        tripped = gov->Poll();
-      }
+    const bool ascending = stmt.order_by[k].ascending;
+    if (keys[k]->kind == ExprKind::kColumnRef) {
+      LAWS_ASSIGN_OR_RETURN(const Column* col,
+                            table.ColumnByName(keys[k]->column_name));
+      coders.emplace_back(*col, ascending,
+                          selection != nullptr ? selection->data() : nullptr);
+      continue;
     }
-    return order.Less(x, y);
-  });
-  if (!tripped.ok()) return tripped;
+    LAWS_ASSIGN_OR_RETURN(
+        evaluated[k],
+        EvaluateExpr(*keys[k], selection != nullptr ? selected : table));
+    LAWS_RETURN_IF_ERROR(
+        charge.Acquire(evaluated[k].MemoryBytes(), "sort keys"));
+    coders.emplace_back(evaluated[k], ascending, nullptr);
+  }
+
+  std::vector<uint32_t> perm;
+  if (top_k >= 0 && static_cast<size_t>(top_k) < m) {
+    if (top_k > 0) {
+      LAWS_ASSIGN_OR_RETURN(
+          perm, SelectTopK(coders, m, static_cast<size_t>(top_k), &charge));
+    }
+  } else {
+    OrderKeys order;
+    for (const OrderCoder& coder : coders) {
+      LAWS_RETURN_IF_ERROR(charge.Acquire(m * sizeof(uint64_t), "sort keys"));
+      std::vector<uint64_t> codes(m);
+      LAWS_RETURN_IF_ERROR(FillOrderCodes(coder, &codes));
+      order.codes.push_back(std::move(codes));
+    }
+    LAWS_RETURN_IF_ERROR(
+        charge.Acquire(m * sizeof(uint32_t), "sort permutation"));
+    perm.resize(m);
+    std::iota(perm.begin(), perm.end(), uint32_t{0});
+    // The comparator cannot return an error, so deadline/cancel are
+    // observed between comparisons and surfaced after the sort.
+    size_t comparisons = 0;
+    Status tripped;
+    std::sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
+      if (tripped.ok() && ++comparisons % kGovernorPollStride == 0) {
+        if (QueryGovernor* gov = QueryGovernor::Current()) {
+          tripped = gov->Poll();
+        }
+      }
+      return order.Less(x, y);
+    });
+    if (!tripped.ok()) return tripped;
+  }
+  if (selection != nullptr) {
+    for (uint32_t& p : perm) p = (*selection)[p];
+  }
   return table.GatherRows(perm);
 }
 
@@ -816,13 +1154,15 @@ std::string OpDetail(const SelectPlan& plan, PlanOp op) {
   return out;
 }
 
-/// WHERE over `input`. Zone maps first: when the table carries a block
-/// index and the predicate is in the conservative class, they prune and
-/// take whole blocks and the VM evaluates only the rest (DESIGN.md §14) —
-/// bit-identical to the VM over every row, which runs when they decline.
-/// `*note` (when non-null) gets the scan and the program that ran.
-Result<Table> FilterWhere(const Expr& where, const Table& input,
-                          std::string* note) {
+/// WHERE over `input`: the rows it keeps, ascending. Zone maps first:
+/// when the table carries a block index and the predicate is in the
+/// conservative class, they prune and take whole blocks and the VM
+/// evaluates only the rest (DESIGN.md §14) — bit-identical to the VM over
+/// every row, which runs when they decline. `*note` (when non-null) gets
+/// the scan and the program that ran.
+Result<std::vector<uint32_t>> FilterWhere(const Expr& where,
+                                          const Table& input,
+                                          std::string* note) {
   std::string disasm;
   std::string* const disasm_out = note != nullptr ? &disasm : nullptr;
   ScanStats scan_stats;
@@ -834,18 +1174,30 @@ Result<Table> FilterWhere(const Expr& where, const Table& input,
       *note = " | " + scan_stats.Describe();
       if (!disasm.empty()) *note += " | bytecode: " + disasm;
     }
-  } else {
-    LAWS_ASSIGN_OR_RETURN(selection, FilterRows(where, input, disasm_out));
-    if (note != nullptr) *note = " | bytecode: " + disasm;
+    return std::move(*selection);
   }
-  return input.GatherRows(*selection);
+  LAWS_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                        FilterRows(where, input, disasm_out));
+  if (note != nullptr) *note = " | bytecode: " + disasm;
+  return rows;
 }
 
-/// Evaluates `items` over `input`, charging each output column as it
-/// appears. `*note` (when non-null) gets each item's program.
+/// Evaluates `items` over the rows of `input` — those of `selection`,
+/// gathered with only the columns the items read, when it is not null —
+/// charging each output column as it appears. `*note` (when non-null)
+/// gets each item's program.
 Result<Table> Project(const std::vector<SelectItem>& items,
-                      const Table& input, ScopedCharge* charge,
-                      std::string* note) {
+                      const Table& input,
+                      const std::vector<uint32_t>* selection,
+                      ScopedCharge* charge, std::string* note) {
+  Table selected{Schema{}};
+  if (selection != nullptr) {
+    std::vector<const Expr*> exprs;
+    for (const SelectItem& item : items) exprs.push_back(item.expr.get());
+    LAWS_ASSIGN_OR_RETURN(
+        selected, GatherForEvaluation(input, *selection, exprs, charge));
+  }
+  const Table& rows = selection != nullptr ? selected : input;
   std::vector<Field> fields;
   std::vector<Column> columns;
   for (const SelectItem& item : items) {
@@ -853,7 +1205,7 @@ Result<Table> Project(const std::vector<SelectItem>& items,
     std::string disasm;
     LAWS_ASSIGN_OR_RETURN(
         Column c,
-        EvaluateExpr(*item.expr, input, note != nullptr ? &disasm : nullptr));
+        EvaluateExpr(*item.expr, rows, note != nullptr ? &disasm : nullptr));
     if (note != nullptr) *note += " | bytecode: " + disasm;
     LAWS_RETURN_IF_ERROR(
         charge->Acquire(c.MemoryBytes(), "projection output"));
@@ -864,7 +1216,9 @@ Result<Table> Project(const std::vector<SelectItem>& items,
 }
 
 /// Runs `plan`'s operators in order over `source` (and `right`, the
-/// JOIN's right table), each under its span.
+/// JOIN's right table), each under its span. A WHERE or HAVING hands the
+/// operator above it a selection of its input, which stays alive until
+/// that operator has read it.
 Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
                       const Table* right) {
   const SelectStatement& stmt = *plan.stmt;
@@ -875,15 +1229,20 @@ Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
   ScopedCharge charge;
   const Table* current = &source;
   Table owned{Schema{}};  // the last operator's output
+  std::optional<std::vector<uint32_t>> selection;  // of *current, ascending
   for (const PlanOp op : plan.ops) {
     ScopedSpan span(OpName(op));
+    const std::vector<uint32_t>* const sel =
+        selection.has_value() ? &*selection : nullptr;
     const size_t rows_in = op == PlanOp::kHashJoin
                                ? source.num_rows() + right->num_rows()
-                               : current->num_rows();
+                           : sel != nullptr ? sel->size()
+                                            : current->num_rows();
     std::string runtime;  // the span detail only running tells
     std::string* const note = span.active() ? &runtime : nullptr;
     Table out{Schema{}};
-    const char* charged_as = nullptr;  // set when `out` is charged below
+    std::optional<std::vector<uint32_t>> kept;  // set by WHERE and HAVING
+    const char* charged_as = nullptr;  // set when the output is charged
     switch (op) {
       case PlanOp::kScan:
         // Synthetic and free: records the source cardinality, so the
@@ -899,29 +1258,27 @@ Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
         break;
       }
       case PlanOp::kFilter: {
-        LAWS_ASSIGN_OR_RETURN(out, FilterWhere(*stmt.where, *current, note));
+        LAWS_ASSIGN_OR_RETURN(kept, FilterWhere(*stmt.where, *current, note));
         charged_as = "filter output";
         break;
       }
       case PlanOp::kHashAggregate: {
         LAWS_ASSIGN_OR_RETURN(
-            out, Aggregate(*current, stmt.group_by, plan.slots, note));
+            out, Aggregate(*current, sel, stmt.group_by, plan.slots, note));
         charged_as = "aggregate output";
         break;
       }
       case PlanOp::kHaving: {
         std::string disasm;
         LAWS_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> selection,
-            FilterRows(*plan.having, *current,
-                       note != nullptr ? &disasm : nullptr));
+            kept, FilterRows(*plan.having, *current,
+                             note != nullptr ? &disasm : nullptr));
         if (note != nullptr) runtime = " | bytecode: " + disasm;
-        LAWS_ASSIGN_OR_RETURN(out, current->GatherRows(selection));
         charged_as = "having output";
         break;
       }
       case PlanOp::kSort: {
-        LAWS_ASSIGN_OR_RETURN(out, SortRows(*current, stmt, plan.order,
+        LAWS_ASSIGN_OR_RETURN(out, SortRows(*current, sel, stmt, plan.order,
                                             plan.top_k ? stmt.limit : -1));
         if (plan.top_k && note != nullptr) {
           runtime = " of " + std::to_string(rows_in);
@@ -931,7 +1288,7 @@ Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
       }
       case PlanOp::kProject: {  // charges each column as it appears
         LAWS_ASSIGN_OR_RETURN(
-            out, Project(plan.projection, *current, &charge, note));
+            out, Project(plan.projection, *current, sel, &charge, note));
         break;
       }
       // Distinct and Limit follow Project, whose output `owned` holds.
@@ -944,10 +1301,18 @@ Result<Table> RunPlan(const SelectPlan& plan, const Table& source,
         break;
     }
     if (span.active()) span.SetDetail(OpDetail(plan, op) + runtime);
-    span.SetRows(rows_in, out.num_rows());
+    span.SetRows(rows_in, kept.has_value() ? kept->size() : out.num_rows());
+    if (kept.has_value()) {
+      // A selection: 4 bytes a row, and `*current` stays the input.
+      LAWS_RETURN_IF_ERROR(
+          charge.Acquire(kept->size() * sizeof(uint32_t), charged_as));
+      selection = std::move(kept);
+      continue;
+    }
     if (charged_as != nullptr) {
       LAWS_RETURN_IF_ERROR(charge.Acquire(out.MemoryBytes(), charged_as));
     }
+    selection.reset();
     owned = std::move(out);
     current = &owned;
   }
@@ -983,47 +1348,8 @@ int CompareOrderValues(const Value& a, const Value& b) {
 
 Result<std::vector<uint64_t>> OrderCodes(const Column& col, bool ascending) {
   std::vector<uint64_t> codes(col.size());
-  const uint64_t flip = ascending ? 0 : ~uint64_t{0};
-  switch (col.type()) {
-    case DataType::kInt64:
-      LAWS_RETURN_IF_ERROR(FillOrderCodes(
-          col,
-          [&](size_t r) {
-            return NumberOrderCode(static_cast<double>(col.Int64At(r)));
-          },
-          flip, &codes));
-      break;
-    case DataType::kDouble:
-      LAWS_RETURN_IF_ERROR(FillOrderCodes(
-          col, [&](size_t r) { return NumberOrderCode(col.DoubleAt(r)); },
-          flip, &codes));
-      break;
-    case DataType::kBool:
-      LAWS_RETURN_IF_ERROR(FillOrderCodes(
-          col,
-          [&](size_t r) { return NumberOrderCode(col.BoolAt(r) ? 1.0 : 0.0); },
-          flip, &codes));
-      break;
-    case DataType::kString: {
-      // Dictionary codes follow insertion order, so rank the dictionary by
-      // text once; equal texts share a rank.
-      const std::vector<std::string>& dict = col.dictionary();
-      std::vector<uint32_t> by_text(dict.size());
-      std::iota(by_text.begin(), by_text.end(), uint32_t{0});
-      std::sort(by_text.begin(), by_text.end(),
-                [&](uint32_t a, uint32_t b) { return dict[a] < dict[b]; });
-      std::vector<uint64_t> rank(dict.size());
-      uint64_t code = kNanCode;
-      for (size_t i = 0; i < by_text.size(); ++i) {
-        if (i == 0 || dict[by_text[i]] != dict[by_text[i - 1]]) ++code;
-        rank[by_text[i]] = code;
-      }
-      const std::vector<uint32_t>& ids = col.string_codes();
-      LAWS_RETURN_IF_ERROR(FillOrderCodes(
-          col, [&](size_t r) { return rank[ids[r]]; }, flip, &codes));
-      break;
-    }
-  }
+  LAWS_RETURN_IF_ERROR(
+      FillOrderCodes(OrderCoder(col, ascending, nullptr), &codes));
   return codes;
 }
 

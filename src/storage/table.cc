@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace laws {
 
@@ -113,9 +114,18 @@ std::shared_ptr<const BlockIndex> Table::BlockIndexOrBuild(
 }
 
 Result<Table> Table::GatherRows(const std::vector<uint32_t>& indices) const {
-  Table out(schema_);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    LAWS_ASSIGN_OR_RETURN(out.columns_[c], columns_[c].Gather(indices));
+  std::vector<size_t> all(columns_.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  return GatherRows(indices, all);
+}
+
+Result<Table> Table::GatherRows(const std::vector<uint32_t>& indices,
+                                const std::vector<size_t>& columns) const {
+  std::vector<Field> fields;
+  for (const size_t c : columns) fields.push_back(schema_.field(c));
+  Table out{Schema(std::move(fields))};
+  for (size_t k = 0; k < columns.size(); ++k) {
+    LAWS_ASSIGN_OR_RETURN(out.columns_[k], columns_[columns[k]].Gather(indices));
   }
   out.num_rows_ = indices.size();
   out.data_version_ = 1;

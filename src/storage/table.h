@@ -62,6 +62,11 @@ class Table {
   /// column). Fails only with the governor's error.
   Result<Table> GatherRows(const std::vector<uint32_t>& indices) const;
 
+  /// The same for only the columns at schema positions `columns`, in that
+  /// order: a table of indices.size() rows, even with no column.
+  Result<Table> GatherRows(const std::vector<uint32_t>& indices,
+                           const std::vector<size_t>& columns) const;
+
   /// A copy whose columns have room for `extra_rows` more rows, so that
   /// appending that many moves no column's data. Like every copy, it
   /// starts without a block index.

@@ -226,6 +226,45 @@ SelectStatement MorselStatement() {
   return std::move(*stmt);
 }
 
+/// 200,000 rows whose ORDER BY key g is 0 at rows 0 and 100,000 and
+/// distinct elsewhere. At two or more lanes the lane top-k cuts the rows
+/// into chunks of at least 65,536, so the two tied rows lead different
+/// chunks and only the caller's merge compares them; within a chunk no
+/// two rows near the top tie. ORDER BY g LIMIT 2 keeps both, row 0 first.
+GenTable LaneTopKTieCase() {
+  GenTable t;
+  t.name = "t0";
+  t.columns = {GenColumn{"g", DataType::kInt64, false},
+               GenColumn{"v", DataType::kInt64, false}};
+  for (int64_t r = 0; r < 200000; ++r) {
+    const int64_t g = r % 100000 == 0 ? 0 : r + 1;
+    t.rows.push_back({Value::Int64(g), Value::Int64(r)});
+  }
+  return t;
+}
+
+SelectStatement LaneTopKTieStatement() {
+  Result<SelectStatement> stmt =
+      ParseSelect("SELECT g, v FROM t0 ORDER BY g LIMIT 2");
+  return std::move(*stmt);
+}
+
+/// Runs the differential legs with a default pool of four lanes (the
+/// bytecode@N and compressed@N legs), whatever the machine's core count.
+CaseDiff DiffCaseAtFourLanes(const GenTable& table,
+                             const SelectStatement& stmt) {
+  const char* saved = std::getenv("LAWS_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  setenv("LAWS_THREADS", "4", 1);
+  const CaseDiff diff = DiffCase({table}, stmt);
+  if (saved != nullptr) {
+    setenv("LAWS_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("LAWS_THREADS");
+  }
+  return diff;
+}
+
 #ifdef LAWS_TESTING_INJECT_BUG
 // Self-test of the harness: with the planted hash-aggregate off-by-one
 // (the numeric sweep drops the last input row), this exact case must be
@@ -244,6 +283,12 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedBug) {
   const CaseDiff diff = DiffCase({t}, *stmt);
   EXPECT_FALSE(diff.reason.empty())
       << "injected aggregate bug was not detected";
+  // Under a WHERE the input is the selection, so the sweep drops the last
+  // selected row (v = 2), not the table's last row, which it never reads.
+  auto where = ParseSelect("SELECT SUM(v) FROM t0 WHERE v < 5");
+  ASSERT_TRUE(where.ok());
+  EXPECT_FALSE(DiffCase({t}, *where).reason.empty())
+      << "injected aggregate bug was not detected under a selection";
 }
 
 // The expression VM carries its own planted mutant (the compiled f64
@@ -309,6 +354,18 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedMorselBug) {
       << "injected morsel compaction bug was not detected";
 }
 
+// The lane top-k's planted mutant breaks the caller's merge: of two
+// candidates tied on every key, the later chunk's wins. The two tied rows
+// lead different chunks at four lanes, so bytecode@N puts row 100,000
+// before row 0 while bytecode@1, whose one chunk keeps both in row
+// order, and the oracle agree.
+TEST(DifferentialTest, MutationSmokeCatchesInjectedLaneTopKBug) {
+  const CaseDiff diff =
+      DiffCaseAtFourLanes(LaneTopKTieCase(), LaneTopKTieStatement());
+  EXPECT_FALSE(diff.reason.empty())
+      << "injected lane top-k merge bug was not detected";
+}
+
 // The learning loop's planted mutant corrupts one merged sufficient
 // statistic in IncrementalOls::Merge — the exact class of bug (a subtly
 // wrong harvest accumulator) the learning leg exists to catch. Only the
@@ -334,6 +391,10 @@ TEST(DifferentialTest, MutationSmokeCaseAgreesWhenHealthy) {
   ASSERT_TRUE(stmt.ok());
   const CaseDiff diff = DiffCase({t}, *stmt);
   EXPECT_TRUE(diff.reason.empty()) << diff.reason;
+  auto where = ParseSelect("SELECT SUM(v) FROM t0 WHERE v < 5");
+  ASSERT_TRUE(where.ok());
+  const CaseDiff where_diff = DiffCase({t}, *where);
+  EXPECT_TRUE(where_diff.reason.empty()) << where_diff.reason;
 }
 
 TEST(DifferentialTest, BytecodeMutationSmokeCaseAgreesWhenHealthy) {
@@ -370,6 +431,12 @@ TEST(DifferentialTest, GroupingMutationSmokeCaseAgreesWhenHealthy) {
 
 TEST(DifferentialTest, MorselMutationSmokeCaseAgreesWhenHealthy) {
   const CaseDiff diff = DiffCase({MorselCase()}, MorselStatement());
+  EXPECT_TRUE(diff.reason.empty()) << diff.reason;
+}
+
+TEST(DifferentialTest, LaneTopKMutationSmokeCaseAgreesWhenHealthy) {
+  const CaseDiff diff =
+      DiffCaseAtFourLanes(LaneTopKTieCase(), LaneTopKTieStatement());
   EXPECT_TRUE(diff.reason.empty()) << diff.reason;
 }
 

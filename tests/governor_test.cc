@@ -414,16 +414,19 @@ TEST(GovernedQueryTest, SortAndDistinctHonorCancellation) {
   EXPECT_EQ(distinct.status().code(), StatusCode::kCanceled);
 }
 
-// ORDER BY ... LIMIT over a million rows takes the top-k path, whose key
-// normalization and selection loops poll the governor every stride.
+// ORDER BY ... LIMIT over a million rows takes the lane top-k, whose
+// chunks poll the governor every stride and whose caller polls after the
+// region. The values ascend, so under DESC every row displaces its lane's
+// worst candidate: at LIMIT 4096 the top-k runs for tens of milliseconds
+// even at four lanes, far past a 1 ms deadline and past a cancel another
+// thread sends once the query has started polling.
 TEST(GovernedQueryTest, TopKSortHonorsCancelAndDeadline) {
   constexpr size_t kRows = size_t{1} << 20;
   std::vector<int64_t> ids(kRows);
   std::vector<double> values(kRows);
-  Rng rng(29);
   for (size_t i = 0; i < kRows; ++i) {
     ids[i] = static_cast<int64_t>(i);
-    values[i] = rng.NextDouble();
+    values[i] = static_cast<double>(i) * 0.5;
   }
   std::vector<Column> cols;
   cols.push_back(Column::FromInt64Vector(std::move(ids)));
@@ -435,10 +438,13 @@ TEST(GovernedQueryTest, TopKSortHonorsCancelAndDeadline) {
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   Catalog cat;
   cat.RegisterOrReplace("big", std::make_shared<Table>(std::move(*table)));
-  const char* sql = "SELECT id, v FROM big ORDER BY v DESC LIMIT 10";
+  const char* sql = "SELECT id, v FROM big ORDER BY v DESC LIMIT 4096";
+  ThreadPool::SetGlobalThreadCount(4);
   auto plain = ExecuteQuery(cat, sql);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ(plain->num_rows(), 10u);
+  ASSERT_EQ(plain->num_rows(), 4096u);
+  EXPECT_EQ(plain->GetValue(0, 0), Value::Int64(kRows - 1));
+  EXPECT_EQ(plain->GetValue(4095, 0), Value::Int64(kRows - 4096));
 
   QueryContext canceled{ResourceLimits{}};
   canceled.Cancel();
@@ -452,6 +458,17 @@ TEST(GovernedQueryTest, TopKSortHonorsCancelAndDeadline) {
   auto late = timed.Run([&] { return ExecuteQuery(cat, sql); });
   EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GT(timed.governor().polls(), 0u);
+
+  QueryContext interrupted{ResourceLimits{}};
+  std::thread canceller([&interrupted] {
+    while (interrupted.governor().polls() == 0) std::this_thread::yield();
+    interrupted.Cancel();
+  });
+  auto cut = interrupted.Run([&] { return ExecuteQuery(cat, sql); });
+  canceller.join();
+  EXPECT_EQ(cut.status().code(), StatusCode::kCanceled)
+      << cut.status().ToString();
+  ThreadPool::SetGlobalThreadCount(0);
 }
 
 // A million-row WHERE at 4 lanes runs its morsels on the pool. A canceled
@@ -718,12 +735,13 @@ struct DegradeFixture {
 };
 
 /// Enumerates all 20 groups at a pinned wavelength: the model path
-/// reconstructs ~20 tuples while the exact path materializes a ~2000-row
-/// filtered table, so kDegradeBudget (16 KiB) lets the model answer
-/// through and stops the exact scan.
+/// reconstructs ~20 tuples and charges ~200 bytes, while the exact path
+/// holds the selection of ~2000 rows its WHERE keeps (4 bytes a row,
+/// ~8 KB), so kDegradeBudget (2 KiB) lets the model answer through and
+/// stops the exact scan.
 const char kEnumSql[] =
     "SELECT AVG(intensity) FROM measurements WHERE wavelength = 0.12";
-constexpr uint64_t kDegradeBudget = 16 * 1024;
+constexpr uint64_t kDegradeBudget = 2 * 1024;
 
 TEST(DegradationTest, BudgetOverloadDegradesToModelAnswer) {
   DegradeFixture f;
@@ -770,7 +788,7 @@ TEST(DegradationTest, NoModelAnswerMeansNoDegradation) {
   DegradeFixture f;
   // No domains and an unpinned wavelength: the model path cannot answer,
   // so overload propagates as the typed governor error instead of
-  // degrading.
+  // degrading. The WHERE keeps all 8000 rows, a 32 KB selection.
   DomainRegistry empty;
   ModelQueryEngine no_domains(&f.data, &f.models, &empty);
   HybridQueryEngine hybrid(&f.data, &no_domains);
@@ -778,8 +796,10 @@ TEST(DegradationTest, NoModelAnswerMeansNoDegradation) {
   ResourceLimits limits;
   limits.memory_budget_bytes = kDegradeBudget;
   QueryContext ctx(limits);
-  auto answer = ctx.Run(
-      [&] { return hybrid.Execute("SELECT AVG(intensity) FROM measurements"); });
+  auto answer = ctx.Run([&] {
+    return hybrid.Execute(
+        "SELECT AVG(intensity) FROM measurements WHERE intensity > 0");
+  });
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted);
 }

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "compress/block_store.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "storage/catalog.h"
@@ -270,6 +271,61 @@ TEST(GroupedQueryTest, GroupByAndDistinctMatchOracleAtOneAndFourLanes) {
           << sql << " at " << lanes << " lanes: " << why;
     }
   }
+}
+
+// Aggregates under a WHERE read the selection in place: global ones fold
+// it in table order without grouping, grouped ones hand it to GroupRows.
+// Over a 200k-row salted table they equal the reference oracle at 1 and 4
+// lanes, on an unindexed copy and on an indexed one. On the indexed copy
+// the zone-statistics fold (EncodedGlobalAggregate) would answer COUNT,
+// MIN, MAX and the integral SUM(w) from every row, so it must not run
+// under a selection.
+TEST(GroupedQueryTest, AggregatesUnderWhereMatchOracleIndexedAndNot) {
+  LaneGuard guard;
+  const auto plain = std::make_shared<Table>(SaltedTable(200000, 11));
+  const auto indexed = std::make_shared<Table>(SaltedTable(200000, 11));
+  EnsureBlockIndex(indexed);
+  ASSERT_NE(indexed->block_index(), nullptr);
+  Catalog cat;
+  cat.RegisterOrReplace("t", indexed);
+  const std::string aggs =
+      "COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v), VARIANCE(v), "
+      "STDDEV(v), COUNT(w), SUM(w), AVG(w), MIN(w), MAX(w), VARIANCE(w), "
+      "MIN(s), MAX(s)";
+  // The calls the zone-statistics fold answers (w is integral and small).
+  const std::string encodable =
+      "COUNT(*), COUNT(w), SUM(w), AVG(w), MIN(w), MAX(w), MIN(v), MAX(v)";
+  std::vector<std::string> queries = {
+      "SELECT s, i, " + aggs +
+      " FROM t WHERE w BETWEEN -200 AND 300 GROUP BY s, i"};
+  for (const char* where :
+       {"i > 2500", "w BETWEEN -200 AND 300", "s = 'alpha'", "d > 0",
+        "w > 5000"}) {
+    queries.push_back("SELECT " + encodable + " FROM t WHERE " + where);
+    queries.push_back("SELECT " + aggs + " FROM t WHERE " + where);
+    queries.push_back("SELECT b, " + aggs + " FROM t WHERE " + where +
+                      " GROUP BY b");
+  }
+  for (const std::string& sql : queries) {
+    auto stmt = ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    const testing::OracleResult want = testing::OracleExecuteSelect(cat, *stmt);
+    ASSERT_TRUE(want.status.ok()) << sql << ": " << want.status.ToString();
+    for (size_t lanes : {size_t{1}, size_t{4}}) {
+      ThreadPool::SetGlobalThreadCount(lanes);
+      for (const Table* table : {plain.get(), indexed.get()}) {
+        auto got = ExecuteSelectOnTable(*table, *stmt);
+        ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+        std::string why;
+        EXPECT_TRUE(testing::TablesEquivalent(want.table, *got,
+                                              /*order_sensitive=*/true, &why))
+            << sql << " at " << lanes << " lanes on the "
+            << (table == plain.get() ? "unindexed" : "indexed")
+            << " copy: " << why;
+      }
+    }
+  }
+  EXPECT_EQ(plain->block_index(), nullptr);
 }
 
 }  // namespace
