@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <memory>
 
+#include "aqp/model_aqp.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/session.h"
+#include "query/parser.h"
 #include "storage/catalog.h"
 
 int main() {
@@ -56,8 +58,13 @@ int main() {
   exp_fit.model_source = "exponential";
   FitReport exp_report = Unwrap(session.Fit(exp_fit), "exp fit");
 
-  auto best0 = Unwrap(
-      models.BestModelFor("series", "y", table->data_version()), "best");
+  // Arbitration is the model path's own: FindModelFor on a statement
+  // pinned to one x.
+  DomainRegistry domains;
+  const ModelQueryEngine engine(&catalog, &models, &domains);
+  const SelectStatement pinned =
+      Unwrap(ParseSelect("SELECT y FROM series WHERE x = 2"), "parse");
+  const CapturedModel* best0 = Unwrap(engine.FindModelFor(pinned), "best");
   std::printf("phase 1 (power-law regime): power_law R2=%.4f, exponential "
               "R2=%.4f -> arbitration picks '%s'\n",
               plaw_report.quality.r_squared, exp_report.quality.r_squared,
@@ -95,8 +102,7 @@ int main() {
 
   // After refresh, arbitration should switch: the appended majority is
   // exponential, so the previously-inferior exponential model takes over.
-  auto best1 = Unwrap(
-      models.BestModelFor("series", "y", table->data_version()), "best");
+  const CapturedModel* best1 = Unwrap(engine.FindModelFor(pinned), "best");
   double exp_r2 = 0.0, plaw_r2 = 0.0;
   for (uint64_t id : models.ListIds()) {
     const CapturedModel* m = Unwrap(models.Get(id), "get");

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "aqp/model_aqp.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "core/session.h"
@@ -54,8 +55,13 @@ int main() {
   FitRequest lin_fit = poly_fit;
   lin_fit.model_source = "linear(1)";
   FitReport lin_report = Unwrap(session.Fit(lin_fit), "lin");
-  auto best = Unwrap(models.BestModelFor("t", "y", table->data_version()),
-                     "best");
+  // Arbitration is the model path's own: FindModelFor on a statement
+  // pinned to one x.
+  DomainRegistry domains;
+  const ModelQueryEngine engine(&catalog, &models, &domains);
+  const SelectStatement pinned =
+      Unwrap(ParseSelect("SELECT y FROM t WHERE x = 2.5"), "parse");
+  const CapturedModel* best = Unwrap(engine.FindModelFor(pinned), "best");
   std::printf("(a) full-table models: poly(2) R2=%.4f vs linear R2=%.4f -> "
               "arbitration: %s\n",
               poly_report.quality.r_squared, lin_report.quality.r_squared,
@@ -94,8 +100,8 @@ int main() {
               rows.size(), table->num_rows());
 
   // (c) Overlap resolution: with all four models stored, the best
-  // *full-coverage* model is still chosen by BestModelFor, while subset
-  // models keep their predicates for a coverage-aware planner.
+  // *full-coverage* model is still chosen, although both subset models
+  // fit better; they keep their predicates for a coverage-aware planner.
   size_t full_models = 0, partial_models = 0;
   for (uint64_t id : models.ListIds()) {
     const CapturedModel* m = Unwrap(models.Get(id), "get");
@@ -106,6 +112,16 @@ int main() {
               full_models, partial_models);
   if (full_models != 2 || partial_models != 2) {
     std::fprintf(stderr, "FATAL: unexpected catalog contents\n");
+    return 1;
+  }
+  const CapturedModel* chosen = Unwrap(engine.FindModelFor(pinned), "chosen");
+  const bool full = chosen->subset_predicate.empty();
+  std::printf("    arbitration with all four stored: %s (%s)\n",
+              chosen->model_source.c_str(),
+              full ? "full table" : chosen->subset_predicate.c_str());
+  if (chosen->model_source != "poly(2)" || !full) {
+    std::fprintf(stderr,
+                 "FATAL: arbitration must pick the full-table poly(2)\n");
     return 1;
   }
 

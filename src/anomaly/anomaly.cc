@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <optional>
 
 #include "core/session.h"
 #include "model/model.h"
@@ -14,15 +14,15 @@ Result<GroupAnomalyReport> ScoreGroups(const CapturedModel& model,
   if (!model.grouped) {
     return Status::InvalidArgument("group screening needs a grouped model");
   }
-  const Table& pt = model.parameter_table;
-  LAWS_ASSIGN_OR_RETURN(size_t rse_idx, pt.schema().FieldIndex("residual_se"));
-  LAWS_ASSIGN_OR_RETURN(size_t r2_idx, pt.schema().FieldIndex("r_squared"));
+  LAWS_ASSIGN_OR_RETURN(ModelPtr fn, ModelFromSource(model.model_source));
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters groups,
+                        ParametersOf(model, *fn));
 
-  std::vector<double> rses, r2s;
-  rses.reserve(pt.num_rows());
-  for (size_t r = 0; r < pt.num_rows(); ++r) {
-    rses.push_back(pt.column(rse_idx).DoubleAt(r));
-    r2s.push_back(pt.column(r2_idx).DoubleAt(r));
+  const size_t n = groups.num_groups();
+  std::vector<double> rses(n), r2s(n);
+  for (size_t g = 0; g < n; ++g) {
+    rses[g] = groups.residual_se(g);
+    r2s[g] = groups.r_squared(g);
   }
   GroupAnomalyReport report;
   report.median_residual_se = MedianOf(rses);
@@ -30,10 +30,10 @@ Result<GroupAnomalyReport> ScoreGroups(const CapturedModel& model,
   const double rse_cut =
       options.rse_factor * std::max(report.median_residual_se, 1e-300);
 
-  report.ranked.reserve(pt.num_rows());
-  for (size_t r = 0; r < pt.num_rows(); ++r) {
+  report.ranked.reserve(n);
+  for (size_t r = 0; r < n; ++r) {
     GroupAnomalyScore s;
-    s.group_key = pt.column(0).Int64At(r);
+    s.group_key = groups.key(r);
     s.residual_se = rses[r];
     s.r_squared = r2s[r];
     const double rse_ratio =
@@ -58,26 +58,14 @@ Result<std::vector<TupleOutlier>> DetectOutlierTuples(
     return Status::InvalidArgument("tuple screening needs a grouped model");
   }
   LAWS_ASSIGN_OR_RETURN(ModelPtr fn, ModelFromSource(model.model_source));
-  const Table& pt = model.parameter_table;
-  const size_t p = fn->num_parameters();
-  LAWS_ASSIGN_OR_RETURN(size_t rse_idx, pt.schema().FieldIndex("residual_se"));
-
-  struct GroupInfo {
-    Vector params;
-    double rse;
-  };
-  std::unordered_map<int64_t, GroupInfo> lookup;
-  lookup.reserve(pt.num_rows());
-  for (size_t r = 0; r < pt.num_rows(); ++r) {
-    GroupInfo info;
-    info.params.resize(p);
-    for (size_t j = 0; j < p; ++j) info.params[j] = pt.column(j + 1).DoubleAt(r);
-    info.rse = pt.column(rse_idx).DoubleAt(r);
-    lookup.emplace(pt.column(0).Int64At(r), std::move(info));
-  }
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters groups,
+                        ParametersOf(model, *fn));
 
   LAWS_ASSIGN_OR_RETURN(const Column* group,
                         table.ColumnByName(model.group_column));
+  if (group->type() != DataType::kInt64) {
+    return Status::TypeMismatch("group column must be INT64");
+  }
   std::vector<const Column*> inputs;
   for (const auto& name : model.input_columns) {
     LAWS_ASSIGN_OR_RETURN(const Column* c, table.ColumnByName(name));
@@ -87,11 +75,12 @@ Result<std::vector<TupleOutlier>> DetectOutlierTuples(
                         table.ColumnByName(model.output_column));
 
   std::vector<TupleOutlier> outliers;
-  Vector x(inputs.size());
+  Vector x(inputs.size()), params;
   for (size_t i = 0; i < table.num_rows(); ++i) {
     if (group->IsNull(i) || output->IsNull(i)) continue;
-    const auto it = lookup.find(group->Int64At(i));
-    if (it == lookup.end()) continue;
+    const int64_t key = group->Int64At(i);
+    const std::optional<size_t> g = groups.Find(key);
+    if (!g) continue;
     bool ok = true;
     for (size_t c = 0; c < inputs.size(); ++c) {
       if (inputs[c]->IsNull(i)) {
@@ -103,12 +92,13 @@ Result<std::vector<TupleOutlier>> DetectOutlierTuples(
       x[c] = *v;
     }
     if (!ok) continue;
-    const double predicted = fn->Evaluate(x, it->second.params);
+    groups.Params(*g, &params);
+    const double predicted = fn->Evaluate(x, params);
     LAWS_ASSIGN_OR_RETURN(double observed, output->NumericAt(i));
-    const double denom = std::max(it->second.rse, 1e-300);
+    const double denom = std::max(groups.residual_se(*g), 1e-300);
     const double z = (observed - predicted) / denom;
     if (std::fabs(z) >= z_threshold) {
-      outliers.push_back(TupleOutlier{i, it->first, observed, predicted, z});
+      outliers.push_back(TupleOutlier{i, key, observed, predicted, z});
     }
   }
   std::sort(outliers.begin(), outliers.end(),

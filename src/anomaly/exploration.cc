@@ -15,35 +15,19 @@ Result<std::vector<GradientPoint>> FindHighGradientRegions(
         "gradient sweep implemented for single-input models");
   }
 
-  struct GroupParams {
-    int64_t key;
-    Vector params;
-  };
-  std::vector<GroupParams> groups;
-  if (model.grouped) {
-    const Table& pt = model.parameter_table;
-    const size_t p = fn->num_parameters();
-    groups.reserve(pt.num_rows());
-    for (size_t r = 0; r < pt.num_rows(); ++r) {
-      GroupParams g;
-      g.key = pt.column(0).Int64At(r);
-      g.params.resize(p);
-      for (size_t j = 0; j < p; ++j) g.params[j] = pt.column(j + 1).DoubleAt(r);
-      groups.push_back(std::move(g));
-    }
-  } else {
-    groups.push_back(GroupParams{0, model.parameters});
-  }
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters groups,
+                        ParametersOf(model, *fn));
 
   std::vector<GradientPoint> points;
-  Vector x(1), grad;
+  Vector x(1), params, grad;
   const size_t n = domain.Cardinality();
-  for (const GroupParams& g : groups) {
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    groups.Params(g, &params);
     for (size_t i = 0; i < n; ++i) {
       x[0] = domain.ValueAt(i);
-      fn->InputGradient(x, g.params, &grad);
+      fn->InputGradient(x, params, &grad);
       if (!std::isfinite(grad[0])) continue;
-      points.push_back(GradientPoint{g.key, x[0], grad[0]});
+      points.push_back(GradientPoint{groups.key(g), x[0], grad[0]});
     }
   }
   const size_t keep = std::min(top_k, points.size());

@@ -18,38 +18,22 @@ Result<std::vector<InverseRegion>> InversePredict(const CapturedModel& model,
         "inverse prediction implemented for single-input models");
   }
 
-  struct GroupParams {
-    int64_t key;
-    Vector params;
-  };
-  std::vector<GroupParams> groups;
-  if (model.grouped) {
-    const Table& pt = model.parameter_table;
-    const size_t p = fn->num_parameters();
-    groups.reserve(pt.num_rows());
-    for (size_t r = 0; r < pt.num_rows(); ++r) {
-      GroupParams g;
-      g.key = pt.column(0).Int64At(r);
-      g.params.resize(p);
-      for (size_t j = 0; j < p; ++j) g.params[j] = pt.column(j + 1).DoubleAt(r);
-      groups.push_back(std::move(g));
-    }
-  } else {
-    groups.push_back(GroupParams{0, model.parameters});
-  }
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters groups,
+                        ParametersOf(model, *fn));
 
   std::vector<InverseRegion> regions;
   const size_t n = domain.Cardinality();
-  Vector x(1);
-  for (const GroupParams& g : groups) {
+  Vector x(1), params;
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    groups.Params(g, &params);
     bool in_run = false;
     InverseRegion current;
     for (size_t i = 0; i < n; ++i) {
       x[0] = domain.ValueAt(i);
-      const double y = fn->Evaluate(x, g.params);
+      const double y = fn->Evaluate(x, params);
       const bool hit = std::isfinite(y) && y >= y_lo && y <= y_hi;
       if (hit && !in_run) {
-        current = InverseRegion{g.key, x[0], x[0], 1};
+        current = InverseRegion{groups.key(g), x[0], x[0], 1};
         in_run = true;
       } else if (hit) {
         current.input_hi = x[0];

@@ -128,6 +128,7 @@ Result<const CapturedModel*> ModelQueryEngine::FindModelFor(
       models_->ModelsForTable(stmt.from_table);
   const CapturedModel* best = nullptr;
   for (const CapturedModel* m : candidates) {
+    if (!m->subset_predicate.empty()) continue;
     bool covers = true;
     for (const std::string& col : referenced) {
       bool known = EqualsIgnoreCase(col, m->output_column) ||
@@ -161,6 +162,8 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
     const CapturedModel& model,
     const std::map<std::string, std::pair<double, double>>& ranges) const {
   LAWS_ASSIGN_OR_RETURN(ModelPtr fn, ModelFromSource(model.model_source));
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters groups,
+                        ParametersOf(model, *fn));
 
   auto range_for = [&](const std::string& column) {
     auto it = ranges.find(ToLower(column));
@@ -169,27 +172,12 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   };
 
   // --- Group axis ---------------------------------------------------------
-  // Grouped models enumerate group keys from the parameter table (already
-  // captured — zero IO): the rows whose key is in range, each carrying its
-  // parameter vector and RSE.
+  // Groups come from the captured parameters (zero IO): the run of keys
+  // inside the group column's range, each group carrying its parameter
+  // vector and RSE. An ungrouped model has no group column and one group.
   const size_t p = fn->num_parameters();
-  const Table& pt = model.parameter_table;
-  std::vector<size_t> groups;  // parameter-table rows; {0} when ungrouped
-  size_t rse_idx = 0;
-  size_t n_idx = 0;
-  if (model.grouped) {
-    LAWS_ASSIGN_OR_RETURN(rse_idx, pt.schema().FieldIndex("residual_se"));
-    LAWS_ASSIGN_OR_RETURN(n_idx, pt.schema().FieldIndex("n_obs"));
-    const auto [glo, ghi] = range_for(model.group_column);
-    const Column& keys = pt.column(0);
-    for (size_t r = 0; r < pt.num_rows(); ++r) {
-      const auto dkey = static_cast<double>(keys.Int64At(r));
-      if (dkey < glo || dkey > ghi) continue;
-      groups.push_back(r);
-    }
-  } else {
-    groups.push_back(0);
-  }
+  const auto [glo, ghi] = range_for(model.group_column);
+  const auto [first_group, last_group] = groups.KeysIn(glo, ghi);
 
   // --- Input axes ----------------------------------------------------------
   // Each input dimension needs either an enumerable domain or an equality
@@ -215,7 +203,7 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   }
 
   // Enumeration size check.
-  size_t total = groups.size();
+  size_t total = last_group - first_group;
   for (const auto& vals : input_values) {
     if (vals.empty()) total = 0;
     if (total > 0 && vals.size() > max_tuples_ / total) {
@@ -239,26 +227,17 @@ Result<ApproxAnswer> ModelQueryEngine::ReconstructTable(
   std::vector<std::vector<double>> input_out(input_values.size());
   std::vector<double> output_out;
   Vector x(input_values.size());
-  Vector params = model.grouped ? Vector(p) : model.parameters;
+  Vector params;
   std::vector<size_t> idx(input_values.size());
   const bool any_empty =
       std::any_of(input_values.begin(), input_values.end(),
                   [](const std::vector<double>& v) { return v.empty(); });
-  for (const size_t r : groups) {
-    int64_t key = 0;
-    double half_width = 0.0;  // 95% prediction-interval half-width
-    if (model.grouped) {
-      key = pt.column(0).Int64At(r);
-      for (size_t j = 0; j < p; ++j) params[j] = pt.column(j + 1).DoubleAt(r);
-      half_width =
-          PredictionHalfWidth95(pt.column(rse_idx).DoubleAt(r),
-                                static_cast<size_t>(pt.column(n_idx).Int64At(r)),
-                                p);
-    } else {
-      half_width =
-          PredictionHalfWidth95(model.quality.residual_standard_error,
-                                model.quality.n_observations, p);
-    }
+  for (size_t g = first_group; g < last_group; ++g) {
+    const int64_t key = groups.key(g);
+    groups.Params(g, &params);
+    // The 95% prediction-interval half-width of the group's tuples.
+    const double half_width =
+        PredictionHalfWidth95(groups.residual_se(g), groups.n_obs(g), p);
     bool group_touched = false;
     // Odometer over input dimensions.
     std::fill(idx.begin(), idx.end(), size_t{0});

@@ -79,9 +79,14 @@ class ModelQueryEngine {
 
   const ModelCatalog* model_catalog() const { return models_; }
 
- private:
+  /// Arbitration (paper §4.1 "Multiple, partial or grouped models"): among
+  /// the fresh full-table models of the statement's table that cover every
+  /// column it references, the one with the best arbitration quality.
+  /// Partial models (a non-empty subset_predicate) never answer: they
+  /// describe only their subset. NotFound when no model qualifies.
   Result<const CapturedModel*> FindModelFor(const SelectStatement& stmt) const;
 
+ private:
   const Catalog* data_;
   const ModelCatalog* models_;
   const DomainRegistry* domains_;

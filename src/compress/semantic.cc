@@ -1,8 +1,8 @@
 #include "compress/semantic.h"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
-#include <unordered_map>
+#include <optional>
 
 #include "common/thread_pool.h"
 #include "model/model.h"
@@ -26,31 +26,10 @@ double CoerceNumeric(const Column& c, size_t i) {
   return 0.0;
 }
 
-/// Builds group -> parameter vector lookup from the parameter table layout
-/// produced by GroupedFitToTable (group, params..., residual_se, r_squared,
-/// n_obs).
-Result<std::unordered_map<int64_t, Vector>> ParameterLookup(
-    const Table& params, size_t num_parameters) {
-  if (params.num_columns() < num_parameters + 1) {
-    return Status::InvalidArgument("parameter table too narrow");
-  }
-  std::unordered_map<int64_t, Vector> lookup;
-  lookup.reserve(params.num_rows());
-  const Column& group = params.column(0);
-  for (size_t r = 0; r < params.num_rows(); ++r) {
-    Vector beta(num_parameters);
-    for (size_t p = 0; p < num_parameters; ++p) {
-      beta[p] = params.column(p + 1).DoubleAt(r);
-    }
-    lookup.emplace(group.Int64At(r), std::move(beta));
-  }
-  return lookup;
-}
-
 /// Per-row model prediction; rows without parameters (unfitted groups) or
 /// with NULL inputs predict 0 so residuals degrade to the raw values.
 Result<Vector> PredictRows(const Table& table, const Model& model,
-                           const std::unordered_map<int64_t, Vector>& params,
+                           const GroupParameters& params,
                            const std::string& group_column,
                            const std::vector<std::string>& input_columns) {
   LAWS_ASSIGN_OR_RETURN(const Column* group, table.ColumnByName(group_column));
@@ -71,11 +50,11 @@ Result<Vector> PredictRows(const Table& table, const Model& model,
   ParallelForOptions opts;
   opts.grain = 4096;
   ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
-    Vector x(inputs.size());
+    Vector x(inputs.size()), beta;
     for (size_t i = lo; i < hi; ++i) {
       if (group->IsNull(i)) continue;
-      const auto it = params.find(group->Int64At(i));
-      if (it == params.end()) continue;
+      const std::optional<size_t> g = params.Find(group->Int64At(i));
+      if (!g) continue;
       bool ok = true;
       for (size_t c = 0; c < inputs.size(); ++c) {
         if (inputs[c]->IsNull(i)) {
@@ -85,7 +64,8 @@ Result<Vector> PredictRows(const Table& table, const Model& model,
         x[c] = CoerceNumeric(*inputs[c], i);
       }
       if (!ok) continue;
-      const double y = model.Evaluate(x, it->second);
+      params.Params(*g, &beta);
+      const double y = model.Evaluate(x, beta);
       pred[i] = std::isfinite(y) ? y : 0.0;
     }
   }, opts);
@@ -132,9 +112,8 @@ Result<SemanticCompressedTable> SemanticCompress(
 
   LAWS_ASSIGN_OR_RETURN(out.parameter_table,
                         GroupedFitToTable(model, fits, spec.group_column));
-  LAWS_ASSIGN_OR_RETURN(
-      auto lookup, ParameterLookup(out.parameter_table,
-                                   model.num_parameters()));
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters params,
+                        GroupParameters::Of(model, out.parameter_table));
 
   LAWS_ASSIGN_OR_RETURN(const Column* output_col,
                         table.ColumnByName(spec.output_column));
@@ -143,45 +122,32 @@ Result<SemanticCompressedTable> SemanticCompress(
         "semantic compression models a DOUBLE output column");
   }
   LAWS_ASSIGN_OR_RETURN(
-      Vector pred, PredictRows(table, model, lookup, spec.group_column,
+      Vector pred, PredictRows(table, model, params, spec.group_column,
                                spec.input_columns));
 
-  // Residual column, preserving nullability.
-  const size_t n = table.num_rows();
-  if (options.lossless) {
-    // Bit-exact reconstruction requires an exactly invertible transform:
-    // floating-point `pred + (y - pred)` can be off by an ulp, so lossless
-    // mode stores the XOR of the IEEE bit patterns instead. Good
-    // predictions zero the sign/exponent/leading-mantissa bytes, which the
-    // byte-shuffled DEFLATE encoding then squeezes out.
-    Column residuals(DataType::kInt64, output_col->nullable());
-    for (size_t i = 0; i < n; ++i) {
-      if (output_col->IsNull(i)) {
-        LAWS_RETURN_IF_ERROR(residuals.AppendNull());
-      } else {
-        uint64_t ybits, pbits;
-        const double y = output_col->DoubleAt(i);
-        std::memcpy(&ybits, &y, sizeof(ybits));
-        std::memcpy(&pbits, &pred[i], sizeof(pbits));
-        residuals.AppendInt64(static_cast<int64_t>(ybits ^ pbits));
-      }
+  // Residual column, preserving nullability. Bit-exact reconstruction
+  // requires an exactly invertible transform: floating-point
+  // `pred + (y - pred)` can be off by an ulp, so lossless mode stores the
+  // XOR of the IEEE bit patterns instead. Good predictions zero the
+  // sign/exponent/leading-mantissa bytes, which the byte-shuffled DEFLATE
+  // encoding then squeezes out. Lossy mode stores the residual in whole
+  // quantization steps.
+  Column residuals(DataType::kInt64, output_col->nullable());
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    if (output_col->IsNull(i)) {
+      LAWS_RETURN_IF_ERROR(residuals.AppendNull());
+      continue;
     }
-    LAWS_ASSIGN_OR_RETURN(out.residual_column,
-                          CompressColumn(residuals, ColumnEncoding::kAuto));
-  } else {
-    const double q = options.quantization_step;
-    Column residuals(DataType::kInt64, output_col->nullable());
-    for (size_t i = 0; i < n; ++i) {
-      if (output_col->IsNull(i)) {
-        LAWS_RETURN_IF_ERROR(residuals.AppendNull());
-      } else {
-        const double r = output_col->DoubleAt(i) - pred[i];
-        residuals.AppendInt64(static_cast<int64_t>(std::llround(r / q)));
-      }
-    }
-    LAWS_ASSIGN_OR_RETURN(out.residual_column,
-                          CompressColumn(residuals, ColumnEncoding::kAuto));
+    const double y = output_col->DoubleAt(i);
+    residuals.AppendInt64(
+        options.lossless
+            ? static_cast<int64_t>(std::bit_cast<uint64_t>(y) ^
+                                   std::bit_cast<uint64_t>(pred[i]))
+            : static_cast<int64_t>(
+                  std::llround((y - pred[i]) / options.quantization_step)));
   }
+  LAWS_ASSIGN_OR_RETURN(out.residual_column,
+                        CompressColumn(residuals, ColumnEncoding::kAuto));
 
   // Remaining columns, generically compressed — one independent encoding
   // search per column, fanned out across lanes. Slots are indexed by the
@@ -254,55 +220,34 @@ Result<Table> SemanticDecompress(const SemanticCompressedTable& compressed) {
       Table tmp, Table::FromColumns(Schema(tmp_fields), std::move(tmp_cols)));
 
   LAWS_ASSIGN_OR_RETURN(
-      auto lookup,
-      ParameterLookup(compressed.parameter_table, model->num_parameters()));
+      const GroupParameters params,
+      GroupParameters::Of(*model, compressed.parameter_table));
   LAWS_ASSIGN_OR_RETURN(
-      Vector pred, PredictRows(tmp, *model, lookup, compressed.group_column,
+      Vector pred, PredictRows(tmp, *model, params, compressed.group_column,
                                compressed.input_columns));
 
   // Reconstruct the output column from residuals.
   const Field& out_field = compressed.schema.field(output_idx);
+  LAWS_ASSIGN_OR_RETURN(
+      Column residuals,
+      DecompressColumn(compressed.residual_column,
+                       Field{"residual", DataType::kInt64, out_field.nullable},
+                       compressed.num_rows));
+  if (residuals.size() != compressed.num_rows) {
+    return Status::ParseError("residual row count mismatch");
+  }
   Column output(DataType::kDouble, out_field.nullable);
-  if (compressed.lossless) {
-    Field residual_field{"residual", DataType::kInt64, out_field.nullable};
-    LAWS_ASSIGN_OR_RETURN(
-        Column residuals,
-        DecompressColumn(compressed.residual_column, residual_field,
-                         compressed.num_rows));
-    if (residuals.size() != compressed.num_rows) {
-      return Status::ParseError("residual row count mismatch");
+  for (size_t i = 0; i < residuals.size(); ++i) {
+    if (residuals.IsNull(i)) {
+      LAWS_RETURN_IF_ERROR(output.AppendNull());
+      continue;
     }
-    for (size_t i = 0; i < residuals.size(); ++i) {
-      if (residuals.IsNull(i)) {
-        LAWS_RETURN_IF_ERROR(output.AppendNull());
-      } else {
-        uint64_t pbits;
-        std::memcpy(&pbits, &pred[i], sizeof(pbits));
-        const uint64_t ybits =
-            pbits ^ static_cast<uint64_t>(residuals.Int64At(i));
-        double y;
-        std::memcpy(&y, &ybits, sizeof(y));
-        output.AppendDouble(y);
-      }
-    }
-  } else {
-    Field residual_field{"residual", DataType::kInt64, out_field.nullable};
-    LAWS_ASSIGN_OR_RETURN(
-        Column residuals,
-        DecompressColumn(compressed.residual_column, residual_field,
-                         compressed.num_rows));
-    if (residuals.size() != compressed.num_rows) {
-      return Status::ParseError("residual row count mismatch");
-    }
-    for (size_t i = 0; i < residuals.size(); ++i) {
-      if (residuals.IsNull(i)) {
-        LAWS_RETURN_IF_ERROR(output.AppendNull());
-      } else {
-        output.AppendDouble(pred[i] + static_cast<double>(residuals.Int64At(
-                                          i)) *
-                                          compressed.quantization_step);
-      }
-    }
+    const int64_t r = residuals.Int64At(i);
+    output.AppendDouble(
+        compressed.lossless
+            ? std::bit_cast<double>(std::bit_cast<uint64_t>(pred[i]) ^
+                                    static_cast<uint64_t>(r))
+            : pred[i] + static_cast<double>(r) * compressed.quantization_step);
   }
   columns[output_idx] = std::move(output);
   return Table::FromColumns(compressed.schema, std::move(columns));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "model/model.h"
 
@@ -16,32 +17,24 @@ Result<ModelDiagnostics> DiagnoseModel(const Table& table,
   }
 
   // Resolve the parameter vector: the model's own (ungrouped) or the
-  // requested group's row of the parameter table.
-  Vector params;
-  if (!model.grouped) {
-    params = model.parameters;
-  } else {
-    const Table& pt = model.parameter_table;
-    bool found = false;
-    for (size_t r = 0; r < pt.num_rows(); ++r) {
-      if (pt.column(0).Int64At(r) == group_key) {
-        params.resize(fn->num_parameters());
-        for (size_t j = 0; j < params.size(); ++j) {
-          params[j] = pt.column(j + 1).DoubleAt(r);
-        }
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::NotFound("group " + std::to_string(group_key) +
-                              " has no captured parameters");
-    }
+  // requested group's.
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters groups,
+                        ParametersOf(model, *fn));
+  const std::optional<size_t> g =
+      model.grouped ? groups.Find(group_key) : std::optional<size_t>(0);
+  if (!g) {
+    return Status::NotFound("group " + std::to_string(group_key) +
+                            " has no captured parameters");
   }
+  Vector params;
+  groups.Params(*g, &params);
 
   const Column* group_col = nullptr;
   if (model.grouped) {
     LAWS_ASSIGN_OR_RETURN(group_col, table.ColumnByName(model.group_column));
+    if (group_col->type() != DataType::kInt64) {
+      return Status::TypeMismatch("group column must be INT64");
+    }
   }
   std::vector<const Column*> inputs;
   for (const auto& name : model.input_columns) {

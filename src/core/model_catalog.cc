@@ -45,6 +45,14 @@ std::string CapturedModel::Summary() const {
   return buf;
 }
 
+Result<GroupParameters> ParametersOf(const CapturedModel& model,
+                                     const Model& law) {
+  return model.grouped
+             ? GroupParameters::Of(law, model.parameter_table)
+             : GroupParameters::Ungrouped(law, model.parameters,
+                                          model.quality);
+}
+
 ModelCatalog ModelCatalog::Clone() const {
   ModelCatalog copy;
   copy.models_ = models_;
@@ -109,42 +117,9 @@ std::vector<const CapturedModel*> ModelCatalog::ModelsForTable(
   return out;
 }
 
-std::vector<const CapturedModel*> ModelCatalog::ModelsFor(
-    const std::string& table_name, const std::string& output_column) const {
-  std::vector<const CapturedModel*> out;
-  for (const auto& [id, m] : models_) {
-    if (m.table_name == table_name && m.output_column == output_column) {
-      out.push_back(&m);
-    }
-  }
-  return out;
-}
-
 bool ModelCatalog::IsStale(const CapturedModel& model,
                            uint64_t current_data_version) {
   return model.fitted_data_version != current_data_version;
-}
-
-Result<const CapturedModel*> ModelCatalog::BestModelFor(
-    const std::string& table_name, const std::string& output_column,
-    uint64_t current_data_version) const {
-  const CapturedModel* best = nullptr;
-  bool best_fresh = false;
-  for (const CapturedModel* m : ModelsFor(table_name, output_column)) {
-    const bool fresh = !IsStale(*m, current_data_version);
-    // Freshness dominates; quality breaks ties within a freshness class.
-    if (best == nullptr || (fresh && !best_fresh) ||
-        (fresh == best_fresh &&
-         m->ArbitrationQuality() > best->ArbitrationQuality())) {
-      best = m;
-      best_fresh = fresh;
-    }
-  }
-  if (best == nullptr) {
-    return Status::NotFound("no captured model for " + table_name + "." +
-                            output_column);
-  }
-  return best;
 }
 
 std::vector<uint64_t> ModelCatalog::ListIds() const {

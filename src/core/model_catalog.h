@@ -63,9 +63,17 @@ struct CapturedModel {
   std::string Summary() const;
 };
 
+/// The captured parameters of `model` through the one checked view: its
+/// parameter table when grouped, else its parameter vector as one group
+/// with key 0. `law` is the model parsed from model.model_source.
+/// InvalidArgument when the parameters contradict the law.
+Result<GroupParameters> ParametersOf(const CapturedModel& model,
+                                     const Model& law);
+
 /// The model catalog: the database-side registry of harvested models. The
-/// paper's lifecycle challenges land here — staleness on data change,
-/// arbitration among multiple/overlapping models, partial coverage.
+/// paper's lifecycle challenges land here — staleness on data change and
+/// partial coverage; ModelQueryEngine::FindModelFor arbitrates among the
+/// models it holds.
 class ModelCatalog {
  public:
   ModelCatalog() = default;
@@ -100,19 +108,6 @@ class ModelCatalog {
   /// All models fitted over `table_name` (any output).
   std::vector<const CapturedModel*> ModelsForTable(
       const std::string& table_name) const;
-
-  /// All models predicting `output_column` of `table_name`.
-  std::vector<const CapturedModel*> ModelsFor(
-      const std::string& table_name, const std::string& output_column) const;
-
-  /// Arbitration (paper §4.1 "Multiple, partial or grouped models"): among
-  /// the candidate models for (table, output), returns the one with the
-  /// best arbitration quality, preferring fresh (non-stale) models.
-  /// `current_data_version` marks models stale when they were fitted on an
-  /// older version. NotFound when no model exists.
-  Result<const CapturedModel*> BestModelFor(const std::string& table_name,
-                                            const std::string& output_column,
-                                            uint64_t current_data_version) const;
 
   /// True when the model was fitted on an older data version than
   /// `current_data_version` (paper §4.1 "Data or model changes").

@@ -16,6 +16,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "compress/column_compressor.h"
+#include "model/model.h"
 #include "storage/serialize.h"
 
 namespace laws {
@@ -448,6 +449,25 @@ Result<CapturedModel> DeserializeCapturedModel(ByteReader* in) {
   LAWS_ASSIGN_OR_RETURN(m.fitted_data_version, in->GetU64());
   LAWS_ASSIGN_OR_RETURN(uint64_t rows, in->GetVarint());
   m.rows_fitted = rows;
+
+  // The model must agree with its law before anything serves from it: a
+  // parameter table or vector the law reads out of bounds is a load
+  // error here, not a crash at the first query.
+  LAWS_ASSIGN_OR_RETURN(ModelPtr law, ModelFromSource(m.model_source));
+  if (m.input_columns.size() != law->num_inputs()) {
+    return Status::InvalidArgument(
+        "model has " + std::to_string(m.input_columns.size()) +
+        " input columns; " + m.model_source + " needs " +
+        std::to_string(law->num_inputs()));
+  }
+  LAWS_ASSIGN_OR_RETURN(const GroupParameters groups, ParametersOf(m, *law));
+  for (size_t g = 1; g < groups.num_groups(); ++g) {
+    if (groups.key(g - 1) >= groups.key(g)) {
+      return Status::InvalidArgument(
+          "parameter table keys are not strictly ascending at row " +
+          std::to_string(g));
+    }
+  }
   return m;
 }
 

@@ -106,6 +106,10 @@ struct LoadReport {
 
 /// Serializes one captured model, including the grouped parameter table.
 void SerializeCapturedModel(const CapturedModel& model, ByteWriter* out);
+/// Reads one captured model and checks it against its law: model_source
+/// parses, the input columns match its arity, the parameters read through
+/// ParametersOf, and a grouped model's keys strictly ascend. A model that
+/// fails is a typed error, so a load fails or quarantines its section.
 Result<CapturedModel> DeserializeCapturedModel(ByteReader* in);
 
 /// Writes data catalog + model catalog into one checksummed image. Tables

@@ -22,6 +22,26 @@ namespace {
 /// promotion pass keeps only the best-fitting family per pair.
 constexpr const char* kFamilies[] = {"linear(1)", "log_law", "poly(2)"};
 
+/// Harvest and promotion thresholds: at most kMaxPairsPerScan (x, y)
+/// column pairs per scan (the first referenced numeric columns win) and
+/// kMaxCandidates candidates at once; a candidate is solved once it holds
+/// kMinObservations rows and promoted at adjusted R² >= kMinPromoteQuality
+/// (stricter than Fit's gate: nobody asked for these models); an adopted
+/// model is re-solved only after kRefineMinNewRows more rows, so a hot
+/// query loop does not re-solve per query.
+constexpr size_t kMaxPairsPerScan = 4;
+constexpr size_t kMaxCandidates = 64;
+constexpr size_t kMinObservations = 48;
+constexpr double kMinPromoteQuality = 0.90;
+constexpr size_t kRefineMinNewRows = 64;
+/// Drift gate, once kDriftMinRows fresh rows exist: the mean residual sits
+/// more than kDriftZ standard errors from zero, the KS normality p-value
+/// drops below kDriftKsP, or Durbin-Watson shows extreme serial
+/// correlation.
+constexpr double kDriftZ = 4.0;
+constexpr double kDriftKsP = 1e-4;
+constexpr size_t kDriftMinRows = 32;
+
 /// Loop accounting (cached pointers; see metrics.h).
 struct LearnCounters {
   Counter* harvest_scans;
@@ -107,17 +127,6 @@ bool NeedsPositiveX(const std::string& source) { return source == "log_law"; }
 LearnerOptions LearnerOptions::FromEnv() {
   LearnerOptions o;
   o.enabled = EnvFlag("LAWS_LEARNING", false);
-  o.max_rows_per_scan = static_cast<size_t>(
-      EnvInt64("LAWS_LEARN_SCAN_ROWS", 4096, 1, int64_t{1} << 22));
-  o.max_pairs_per_scan = static_cast<size_t>(
-      EnvInt64("LAWS_LEARN_SCAN_PAIRS", 4, 1, 64));
-  o.max_candidates = static_cast<size_t>(
-      EnvInt64("LAWS_LEARN_MAX_CANDIDATES", 64, 1, 1 << 16));
-  o.min_observations = static_cast<size_t>(
-      EnvInt64("LAWS_LEARN_MIN_OBS", 48, 8, int64_t{1} << 20));
-  o.drift_z = static_cast<double>(EnvInt64("LAWS_LEARN_DRIFT_Z", 4, 1, 64));
-  o.max_models = static_cast<size_t>(
-      EnvInt64("LAWS_LEARN_MAX_MODELS", 0, 0, 1 << 20));
   return o;
 }
 
@@ -183,8 +192,8 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
     size_t x, y;
   };
   std::vector<Pair> pairs;
-  for (size_t i = 0; i < names.size() && pairs.size() < options_.max_pairs_per_scan; ++i) {
-    for (size_t j = 0; j < names.size() && pairs.size() < options_.max_pairs_per_scan; ++j) {
+  for (size_t i = 0; i < names.size() && pairs.size() < kMaxPairsPerScan; ++i) {
+    for (size_t j = 0; j < names.size() && pairs.size() < kMaxPairsPerScan; ++j) {
       if (i != j) pairs.push_back(Pair{i, j});
     }
   }
@@ -204,7 +213,7 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = candidates_.find(key);
         if (it == candidates_.end()) {
-          if (candidates_.size() >= options_.max_candidates) continue;
+          if (candidates_.size() >= kMaxCandidates) continue;
           auto model = ModelFromSource(family);
           if (!model.ok()) continue;
           auto acc = IncrementalOls::Create(**model);
@@ -315,7 +324,7 @@ void Learner::CheckDrift(const Table& table, const ModelCatalog& models,
     const size_t fresh_begin = m->rows_fitted;
     if (table.num_rows() <= fresh_begin) continue;
     if (table.data_version() <= m->fitted_data_version) continue;
-    if (table.num_rows() - fresh_begin < options_.drift_min_rows) continue;
+    if (table.num_rows() - fresh_begin < kDriftMinRows) continue;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ModelStats& st = model_stats_[m->id];
@@ -348,7 +357,7 @@ void Learner::CheckDrift(const Table& table, const ModelCatalog& models,
       if (!std::isfinite(pred)) continue;
       residuals.push_back(y - pred);
     }
-    if (residuals.size() < options_.drift_min_rows) continue;
+    if (residuals.size() < kDriftMinRows) continue;
     counters.drift_checks->Add();
 
     const double n = static_cast<double>(residuals.size());
@@ -364,10 +373,10 @@ void Learner::CheckDrift(const Table& table, const ModelCatalog& models,
 
     // Mean-shift z-test against the model's own residual scale, then the
     // stats/diagnostics residual tests for shape and serial structure.
-    bool drifted = std::fabs(mean) * std::sqrt(n) / rse > options_.drift_z;
+    bool drifted = std::fabs(mean) * std::sqrt(n) / rse > kDriftZ;
     if (!drifted) {
       auto ks = KolmogorovSmirnovNormalTest(residuals);
-      if (ks.ok() && ks->p_value < options_.drift_ks_p) drifted = true;
+      if (ks.ok() && ks->p_value < kDriftKsP) drifted = true;
     }
     if (!drifted) {
       auto dw = DurbinWatson(residuals);
@@ -415,8 +424,8 @@ bool Learner::HasPendingWork() const {
   for (const auto& [key, cand] : candidates_) {
     (void)key;
     const size_t need = cand.solved_count == 0
-                            ? options_.min_observations
-                            : cand.solved_count + options_.refine_min_new_rows;
+                            ? kMinObservations
+                            : cand.solved_count + kRefineMinNewRows;
     if (cand.acc.count() >= need) return true;
   }
   for (const auto& [id, st] : model_stats_) {
@@ -441,8 +450,8 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
   for (auto& [key, cand] : candidates_) {
     (void)key;
     const size_t need = cand.solved_count == 0
-                            ? options_.min_observations
-                            : cand.solved_count + options_.refine_min_new_rows;
+                            ? kMinObservations
+                            : cand.solved_count + kRefineMinNewRows;
     if (cand.acc.count() < need) continue;
     cand.solved_count = cand.acc.count();  // rate-limit re-solves either way
     auto fit = cand.acc.Solve();
@@ -489,7 +498,7 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
       }
     }
 
-    if (fit->quality.adjusted_r_squared < options_.min_promote_quality) {
+    if (fit->quality.adjusted_r_squared < kMinPromoteQuality) {
       continue;
     }
     // Adopt an exactly matching catalog model instead of duplicating it
@@ -521,9 +530,12 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
     Candidate& cand = *nm.cand;
     // Don't promote below an existing model over the same (table, x, y):
     // arbitration would never pick ours, it would only bloat the catalog.
+    // A partial model never answers outside its subset, so it cannot
+    // dominate a full-table candidate.
     bool dominated = false;
     for (const CapturedModel* m : models->ModelsForTable(cand.table)) {
-      if (!m->grouped && m->input_columns.size() == 1 &&
+      if (!m->grouped && m->subset_predicate.empty() &&
+          m->input_columns.size() == 1 &&
           m->input_columns[0] == cand.x_column &&
           m->output_column == cand.y_column &&
           m->ArbitrationQuality() >= nm.fit.quality.adjusted_r_squared) {

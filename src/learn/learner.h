@@ -20,11 +20,9 @@
 namespace laws {
 
 /// Knobs for the database-learning loop (Park et al.'s "Database
-/// Learning" direction, ROADMAP item 4): how aggressively exact-scan
-/// traffic is converted into model candidates, when candidates graduate
-/// into the catalog, and when served models are drift-flagged or evicted.
-/// Every field has a LAWS_LEARN_* env override (see FromEnv and the
-/// README knob table).
+/// Learning" direction): whether exact-scan traffic is harvested, how much
+/// of it per scan, and when served models are evicted. The promotion,
+/// refinement and drift thresholds are constants in learner.cc.
 struct LearnerOptions {
   /// Master switch (LAWS_LEARNING). Off ⇒ every hook is a no-op and the
   /// hybrid engine pays one virtual call per exact fallback, nothing
@@ -32,48 +30,17 @@ struct LearnerOptions {
   bool enabled = false;
 
   /// Harvest budget per exact scan: at most this many new rows are
-  /// folded per candidate per query (LAWS_LEARN_SCAN_ROWS). Keeps the
-  /// by-product cost of one query bounded regardless of table size.
+  /// folded per candidate per query. Keeps the by-product cost of one
+  /// query bounded regardless of table size.
   size_t max_rows_per_scan = 4096;
 
-  /// At most this many (x, y) column pairs are tracked per scan — the
-  /// first referenced numeric columns win (LAWS_LEARN_SCAN_PAIRS).
-  size_t max_pairs_per_scan = 4;
-
-  /// Cap on concurrently tracked candidates; new pairs beyond it are
-  /// ignored until candidates graduate or reset
-  /// (LAWS_LEARN_MAX_CANDIDATES).
-  size_t max_candidates = 64;
-
-  /// A candidate needs at least this many folded observations before
-  /// promotion is attempted (LAWS_LEARN_MIN_OBS).
-  size_t min_observations = 48;
-
-  /// Minimum adjusted R² for a harvested candidate to enter the catalog
-  /// — the same "judge the quality" gate Fit applies, tightened because
-  /// harvested models were never explicitly requested.
-  double min_promote_quality = 0.90;
-
-  /// A promoted/adopted model is re-solved (refined) only after this
-  /// many additional harvested rows, so a hot query loop does not
-  /// re-solve per query.
-  size_t refine_min_new_rows = 64;
-
-  /// Drift gate: flag a model when the mean residual of fresh rows sits
-  /// more than drift_z standard errors from zero (LAWS_LEARN_DRIFT_Z),
-  /// or the KS normality p-value of fresh residuals drops below
-  /// drift_ks_p, or Durbin-Watson shows extreme serial correlation.
-  double drift_z = 4.0;
-  double drift_ks_p = 1e-4;
-  /// Fresh rows needed before a drift verdict is attempted.
-  size_t drift_min_rows = 32;
-
-  /// Catalog cap for eviction; 0 = never evict (LAWS_LEARN_MAX_MODELS).
+  /// Catalog cap for eviction; 0 = never evict.
   size_t max_models = 0;
   /// A model must have been arbitrated at least this often before its
   /// hit rate can evict it — fresh models get a grace period.
   size_t evict_min_opportunities = 32;
 
+  /// The defaults, with `enabled` read from LAWS_LEARNING.
   static LearnerOptions FromEnv();
 };
 
@@ -155,7 +122,6 @@ class Learner : public LearningObserver {
 
   size_t num_candidates() const;
   size_t num_drifted() const;
-  const LearnerOptions& options() const { return options_; }
 
  private:
   struct Candidate {

@@ -302,19 +302,111 @@ Result<Table> GroupedFitToTable(const Model& model,
   fields.push_back(Field{"r_squared", DataType::kDouble, false});
   fields.push_back(Field{"n_obs", DataType::kInt64, false});
 
-  Table table{Schema(std::move(fields))};
-  std::vector<Value> row;
-  for (const GroupFitResult& g : fits.groups) {
-    row.clear();
-    row.push_back(Value::Int64(g.group_key));
-    for (double p : g.fit.parameters) row.push_back(Value::Double(p));
-    row.push_back(Value::Double(g.fit.quality.residual_standard_error));
-    row.push_back(Value::Double(g.fit.quality.r_squared));
-    row.push_back(
-        Value::Int64(static_cast<int64_t>(g.fit.quality.n_observations)));
-    LAWS_RETURN_IF_ERROR(table.AppendRow(row));
+  // Typed columns, non-nullable like the fields, so the table equals one
+  // appended row by row: doubles[j] holds parameter j, then residual_se
+  // and r_squared.
+  const size_t p = model.num_parameters();
+  const size_t n = fits.groups.size();
+  std::vector<int64_t> keys(n), n_obs(n);
+  std::vector<std::vector<double>> doubles(p + 2, std::vector<double>(n));
+  for (size_t g = 0; g < n; ++g) {
+    const GroupFitResult& fit = fits.groups[g];
+    if (fit.fit.parameters.size() != p) {
+      return Status::InvalidArgument("row arity does not match table");
+    }
+    keys[g] = fit.group_key;
+    for (size_t j = 0; j < p; ++j) doubles[j][g] = fit.fit.parameters[j];
+    doubles[p][g] = fit.fit.quality.residual_standard_error;
+    doubles[p + 1][g] = fit.fit.quality.r_squared;
+    n_obs[g] = static_cast<int64_t>(fit.fit.quality.n_observations);
   }
-  return table;
+  std::vector<Column> columns;
+  columns.push_back(Column::FromInt64Vector(std::move(keys)));
+  for (std::vector<double>& column : doubles) {
+    columns.push_back(Column::FromDoubleVector(std::move(column)));
+  }
+  columns.push_back(Column::FromInt64Vector(std::move(n_obs)));
+  return Table::FromColumns(Schema(std::move(fields)), std::move(columns));
+}
+
+Result<GroupParameters> GroupParameters::Of(const Model& model,
+                                            const Table& table) {
+  // GroupedFitToTable's layout: INT64 key, p DOUBLE parameters, DOUBLE
+  // residual_se and r_squared, INT64 n_obs, no NULLs.
+  const size_t p = model.num_parameters();
+  const Schema& schema = table.schema();
+  bool laid_out = table.num_columns() == p + 4;
+  for (size_t c = 0; laid_out && c < p + 4; ++c) {
+    const bool int64 = c == 0 || c == p + 3;
+    laid_out = schema.field(c).type ==
+                   (int64 ? DataType::kInt64 : DataType::kDouble) &&
+               table.column(c).null_count() == 0;
+  }
+  if (!laid_out || schema.field(p + 1).name != "residual_se" ||
+      schema.field(p + 2).name != "r_squared" ||
+      schema.field(p + 3).name != "n_obs") {
+    return Status::InvalidArgument("parameter table " + schema.ToString() +
+                                   " is not the layout of " +
+                                   model.ToSource());
+  }
+  GroupParameters view;
+  view.num_groups_ = table.num_rows();
+  view.keys_ = table.column(0).int64_data().data();
+  for (size_t j = 0; j < p; ++j) {
+    view.params_.push_back(table.column(j + 1).double_data().data());
+  }
+  view.residual_se_ = table.column(p + 1).double_data().data();
+  view.r_squared_ = table.column(p + 2).double_data().data();
+  view.n_obs_ = table.column(p + 3).int64_data().data();
+  return view;
+}
+
+Result<GroupParameters> GroupParameters::Ungrouped(const Model& model,
+                                                   const Vector& parameters,
+                                                   const FitQuality& quality) {
+  if (parameters.size() != model.num_parameters()) {
+    return Status::InvalidArgument(
+        model.ToSource() + " needs " + std::to_string(model.num_parameters()) +
+        " parameters, not " + std::to_string(parameters.size()));
+  }
+  static constexpr int64_t kKey = 0;
+  GroupParameters view;
+  view.num_groups_ = 1;
+  view.keys_ = &kKey;
+  for (const double& param : parameters) view.params_.push_back(&param);
+  view.residual_se_ = &quality.residual_standard_error;
+  view.r_squared_ = &quality.r_squared;
+  view.single_n_obs_ = quality.n_observations;
+  return view;
+}
+
+void GroupParameters::Params(size_t g, Vector* out) const {
+#ifdef LAWS_TESTING_INJECT_BUG
+  // Planted mutant (tools/check_differential.sh): group g reads the
+  // parameters of group g + 1, the last group its own.
+  g = std::min(g + 1, num_groups_ - 1);
+#endif
+  out->resize(params_.size());
+  for (size_t j = 0; j < params_.size(); ++j) (*out)[j] = params_[j][g];
+}
+
+std::optional<size_t> GroupParameters::Find(int64_t key) const {
+  const int64_t* it = std::lower_bound(keys_, keys_ + num_groups_, key);
+  if (it == keys_ + num_groups_ || *it != key) return std::nullopt;
+  return static_cast<size_t>(it - keys_);
+}
+
+std::pair<size_t, size_t> GroupParameters::KeysIn(double lo,
+                                                  double hi) const {
+  // The double comparisons a scan of the keys would make, so the run
+  // holds exactly the keys it would keep.
+  const int64_t* end = keys_ + num_groups_;
+  const int64_t* first = std::partition_point(
+      keys_, end, [lo](int64_t k) { return static_cast<double>(k) < lo; });
+  const int64_t* last = std::partition_point(
+      first, end, [hi](int64_t k) { return !(static_cast<double>(k) > hi); });
+  return {static_cast<size_t>(first - keys_),
+          static_cast<size_t>(last - keys_)};
 }
 
 }  // namespace laws

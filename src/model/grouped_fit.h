@@ -1,7 +1,9 @@
 #ifndef LAWSDB_MODEL_GROUPED_FIT_H_
 #define LAWSDB_MODEL_GROUPED_FIT_H_
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -52,6 +54,54 @@ Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
 Result<Table> GroupedFitToTable(const Model& model,
                                 const GroupedFitOutput& fits,
                                 const std::string& group_name);
+
+/// The one read view of a fit's parameters: a table laid out as
+/// GroupedFitToTable writes it, or an ungrouped fit as one group with key
+/// 0. Building it checks the layout against the model in O(parameters)
+/// and never walks the groups. Groups are numbered in table order; lookups
+/// binary-search the keys, which FitGrouped returns ascending and the
+/// image loader checks. It points into the table or vector it views,
+/// which must outlive it.
+class GroupParameters {
+ public:
+  /// InvalidArgument unless `table` has p + 4 columns (p =
+  /// model.num_parameters()): an INT64 key, p DOUBLE parameters, DOUBLE
+  /// residual_se and r_squared, INT64 n_obs, and no NULLs.
+  static Result<GroupParameters> Of(const Model& model, const Table& table);
+  /// InvalidArgument unless `parameters` holds p values.
+  static Result<GroupParameters> Ungrouped(const Model& model,
+                                           const Vector& parameters,
+                                           const FitQuality& quality);
+
+  size_t num_groups() const { return num_groups_; }
+  int64_t key(size_t g) const { return keys_[g]; }
+  /// Group g's parameters, in parameter_names() order.
+  void Params(size_t g, Vector* out) const;
+  double residual_se(size_t g) const { return residual_se_[g]; }
+  double r_squared(size_t g) const { return r_squared_[g]; }
+  size_t n_obs(size_t g) const {
+    return n_obs_ != nullptr ? static_cast<size_t>(n_obs_[g]) : single_n_obs_;
+  }
+  /// The group whose key is `key`, if any.
+  std::optional<size_t> Find(int64_t key) const;
+  /// The run of groups [first, last) whose key, as a double, is in
+  /// [lo, hi].
+  std::pair<size_t, size_t> KeysIn(double lo, double hi) const;
+
+ private:
+  GroupParameters() = default;
+
+  size_t num_groups_ = 0;
+  const int64_t* keys_ = nullptr;
+  /// params_[j][g] is parameter j of group g.
+  std::vector<const double*> params_;
+  const double* residual_se_ = nullptr;
+  const double* r_squared_ = nullptr;
+  /// The n_obs column; null for an ungrouped fit, whose count is
+  /// single_n_obs_.
+  const int64_t* n_obs_ = nullptr;
+  size_t single_n_obs_ = 0;
+};
 
 }  // namespace laws
 

@@ -212,18 +212,6 @@ Result<Grouping> GroupRows(const std::vector<const Column*>& keys,
   LAWS_RETURN_IF_ERROR(ResizePolled(&out.rows, n));
   LAWS_RETURN_IF_ERROR(ResizePolled(&out.group, n));
 
-  // No key: one group in one partition, and nothing to hash.
-  if (keys.empty()) {
-    LAWS_RETURN_IF_ERROR(Strided(0, n, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        out.rows[i] = sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
-      }
-    }));
-    out.partition_begin = {0, n};
-    if (n > 0) out.first_row.push_back(out.rows[0]);
-    return out;
-  }
-
   // Buffers that die with this call: the key codes in partition order and
   // the per-morsel histogram and cursors.
   ScopedCharge scratch;

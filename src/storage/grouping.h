@@ -40,10 +40,12 @@ struct Grouping {
 };
 
 /// Groups the rows of the equal-length `keys` columns, or only the
-/// ascending row ids in `selection` when it is not null. Codes, histogram
-/// and scatter run in parallel over fixed-size morsels, and each partition
-/// builds its own open-addressing table on its own lane. With no key
-/// columns every row is in one group and nothing is hashed. Buffers that
+/// ascending row ids in `selection` when it is not null. Callers pass at
+/// least one key column: GROUP BY its keys, DISTINCT its select list
+/// (which the parser never leaves empty) and FitGrouped its group column;
+/// a global aggregate folds without grouping. Codes, histogram and
+/// scatter run in parallel over fixed-size morsels, and each partition
+/// builds its own open-addressing table on its own lane. Buffers that
 /// outlive the call are charged to `charge`; the governor is polled every
 /// kGovernorPollStride rows in every phase.
 Result<Grouping> GroupRows(const std::vector<const Column*>& keys,

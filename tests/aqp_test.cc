@@ -519,6 +519,56 @@ TEST(HybridTest, NoFallbackModeFails) {
       hybrid.Execute("SELECT AVG(intensity) FROM measurements").ok());
 }
 
+// A model fitted on a subset describes only that subset. Here y is
+// quadratic below x = 5 and linear from there; linear(1) fits the upper
+// regime near-perfectly and the whole table poorly. A query over x < 3 must
+// not be answered from the subset model, however well it fits: the full
+// model is below the quality gate, so the answer is the exact one.
+TEST(HybridTest, PartialModelNeverAnswersOutsideItsSubset) {
+  Catalog data;
+  ModelCatalog models;
+  Session session(&data, &models);
+  Rng rng(6000);
+  auto t = std::make_shared<Table>(
+      Schema({Field{"x", DataType::kDouble, false},
+              Field{"y", DataType::kDouble, false}}));
+  for (int i = 0; i < 6000; ++i) {
+    const double x = static_cast<double>(rng.UniformInt(0, 9));
+    const double y = x < 5.0 ? 1.0 + 0.3 * x * x : 12.0 - 0.9 * x;
+    ASSERT_TRUE(t->AppendRow({Value::Double(x),
+                              Value::Double(y + rng.Normal(0.0, 0.05))})
+                    .ok());
+  }
+  data.RegisterOrReplace("t", t);
+  FitRequest full;
+  full.table = "t";
+  full.model_source = "linear(1)";
+  full.input_columns = {"x"};
+  full.output_column = "y";
+  auto full_fit = session.Fit(full);
+  ASSERT_TRUE(full_fit.ok()) << full_fit.status().ToString();
+  FitRequest upper = full;
+  upper.where = "x >= 5";
+  auto upper_fit = session.Fit(upper);
+  ASSERT_TRUE(upper_fit.ok()) << upper_fit.status().ToString();
+  EXPECT_LT(full_fit->quality.adjusted_r_squared, 0.8);
+  EXPECT_GT(upper_fit->quality.adjusted_r_squared, 0.99);
+
+  DomainRegistry domains;
+  domains.Register("t", "x", ColumnDomain::IntegerRange(0, 9, 1));
+  ModelQueryEngine engine(&data, &models, &domains);
+  HybridQueryEngine hybrid(&data, &engine);
+  const std::string sql = "SELECT AVG(y) FROM t WHERE x < 3";
+  auto answer = hybrid.Execute(sql);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->method, "exact");
+  EXPECT_FALSE(answer->approximate);
+  auto exact = ExecuteQuery(data, sql);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_EQ(answer->table.num_rows(), 1u);
+  EXPECT_EQ(answer->table.GetValue(0, 0), exact->GetValue(0, 0));
+}
+
 // --- Multi-input enumeration --------------------------------------------------
 
 TEST(ModelAqpTest, TwoInputDimensionsEnumerate) {

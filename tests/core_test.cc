@@ -115,33 +115,6 @@ TEST(ModelCatalogTest, ModelsForTableAndOutputFiltering) {
   c.output_column = "y";
   mc.Store(c);
   EXPECT_EQ(mc.ModelsForTable("t1").size(), 2u);
-  EXPECT_EQ(mc.ModelsFor("t1", "y").size(), 1u);
-  EXPECT_EQ(mc.ModelsFor("t2", "y").size(), 1u);
-  EXPECT_TRUE(mc.ModelsFor("t3", "y").empty());
-}
-
-TEST(ModelCatalogTest, BestModelPrefersFreshThenQuality) {
-  ModelCatalog mc;
-  CapturedModel stale_good;
-  stale_good.table_name = "t";
-  stale_good.output_column = "y";
-  stale_good.quality.adjusted_r_squared = 0.99;
-  stale_good.fitted_data_version = 1;
-  mc.Store(stale_good);
-  CapturedModel fresh_ok;
-  fresh_ok.table_name = "t";
-  fresh_ok.output_column = "y";
-  fresh_ok.quality.adjusted_r_squared = 0.8;
-  fresh_ok.fitted_data_version = 2;
-  const uint64_t fresh_id = mc.Store(fresh_ok);
-  auto best = mc.BestModelFor("t", "y", /*current_data_version=*/2);
-  ASSERT_TRUE(best.ok());
-  EXPECT_EQ((*best)->id, fresh_id);
-  // When both are stale, quality wins.
-  auto best_v3 = mc.BestModelFor("t", "y", 3);
-  ASSERT_TRUE(best_v3.ok());
-  EXPECT_NEAR((*best_v3)->quality.adjusted_r_squared, 0.99, 1e-12);
-  EXPECT_FALSE(mc.BestModelFor("t", "zzz", 1).ok());
 }
 
 TEST(ModelCatalogTest, RemoveForTable) {

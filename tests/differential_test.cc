@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -364,6 +365,28 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedLaneTopKBug) {
       DiffCaseAtFourLanes(LaneTopKTieCase(), LaneTopKTieStatement());
   EXPECT_FALSE(diff.reason.empty())
       << "injected lane top-k merge bug was not detected";
+}
+
+// The parameter view's planted mutant hands group g the parameters of
+// group g + 1 (the last group keeps its own), so the audit fixture's
+// model answers read a neighbouring source's law. Exact answers never read
+// the view, so only the AQP audit's bound check can see it; its healthy
+// twin is AqpErrorBoundAudit. The other mutants break exact AVG and MAX
+// answers too, so MIN is the witness: the smallest source is never the
+// last selected row the aggregate mutant drops, and no audited band but
+// the largest sits on a zone-map maximum, while the parameter mutant moves
+// MIN to the second source's law.
+TEST(DifferentialTest, MutationSmokeCatchesInjectedParameterBug) {
+  auto report = RunAqpAudit(0x5EED, 60);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const bool min_bound_violated = std::any_of(
+      report->violations.begin(), report->violations.end(),
+      [](const std::string& v) {
+        return v.rfind("bound violated for: SELECT MIN(", 0) == 0;
+      });
+  EXPECT_TRUE(min_bound_violated)
+      << "injected parameter-view bug was not detected: "
+      << report->Summary();
 }
 
 // The learning loop's planted mutant corrupts one merged sufficient

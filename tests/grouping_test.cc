@@ -164,7 +164,7 @@ TEST(GroupRowsTest, MatchesNaiveMapAtEverySizeAndLaneCount) {
     const Column* b = &t.column(2);
     const Column* s = &t.column(3);
     const std::vector<std::vector<const Column*>> key_sets = {
-        {}, {i}, {d}, {b}, {s}, {b, s}, {i, d, s}, {s, b, d, i}};
+        {i}, {d}, {b}, {s}, {b, s}, {i, d, s}, {s, b, d, i}};
     // Every third row, to exercise a selection.
     std::vector<uint32_t> thirds;
     for (size_t r = 0; r < n; r += 3) thirds.push_back(static_cast<uint32_t>(r));
@@ -190,17 +190,12 @@ TEST(GroupRowsTest, MatchesNaiveMapAtEverySizeAndLaneCount) {
   }
 }
 
-TEST(GroupRowsTest, KeyedGroupingUsesEveryPartitionAndNoKeyHashesNothing) {
+TEST(GroupRowsTest, KeyedGroupingUsesEveryPartition) {
   const Table t = SaltedTable(4097, 5);
   ScopedCharge charge;
   auto keyed = GroupRows({&t.column(5)}, t.num_rows(), nullptr, &charge);
   ASSERT_TRUE(keyed.ok());
   EXPECT_EQ(keyed->num_partitions(), Grouping::kPartitions);
-  auto global = GroupRows({}, t.num_rows(), nullptr, &charge);
-  ASSERT_TRUE(global.ok());
-  EXPECT_EQ(global->num_partitions(), 1u);
-  EXPECT_EQ(global->num_groups(), 1u);
-  EXPECT_EQ(global->rows, AllRows(t.num_rows()));
 }
 
 TEST(GroupRowsTest, IdentityEdgesStayApartOrTogether) {

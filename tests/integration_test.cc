@@ -15,6 +15,7 @@
 #include "model/grouped_fit.h"
 #include "model/model.h"
 #include "query/executor.h"
+#include "query/parser.h"
 #include "workload/retail.h"
 
 namespace laws {
@@ -167,7 +168,7 @@ TEST(IntegrationTest, DataChangeInvalidatesThenRefreshesAqp) {
 
 TEST(IntegrationTest, CompetingModelsArbitratedByQuality) {
   // Fit both a power law (right) and a global linear model (wrong) to the
-  // same output; the catalog must prefer the power law.
+  // same output; arbitration must prefer the power law.
   Catalog data;
   ModelCatalog models;
   Session session(&data, &models);
@@ -186,9 +187,13 @@ TEST(IntegrationTest, CompetingModelsArbitratedByQuality) {
   auto linear_report = session.Fit(linear);
   ASSERT_TRUE(linear_report.ok());
 
-  auto table = *data.Get("m");
-  auto best = models.BestModelFor("m", "intensity", table->data_version());
-  ASSERT_TRUE(best.ok());
+  // Both models cover a statement over wavelength and intensity.
+  DomainRegistry domains;
+  const ModelQueryEngine engine(&data, &models, &domains);
+  auto stmt = ParseSelect("SELECT intensity FROM m WHERE wavelength = 0.15");
+  ASSERT_TRUE(stmt.ok());
+  auto best = engine.FindModelFor(*stmt);
+  ASSERT_TRUE(best.ok()) << best.status().ToString();
   EXPECT_EQ((*best)->model_source, "power_law");
 }
 

@@ -63,27 +63,10 @@ LearnerOptions EnabledOptions() {
 
 TEST(LearnerOptionsTest, FromEnvParsesKnobs) {
   ::setenv("LAWS_LEARNING", "1", 1);
-  ::setenv("LAWS_LEARN_SCAN_ROWS", "1024", 1);
-  ::setenv("LAWS_LEARN_SCAN_PAIRS", "2", 1);
-  ::setenv("LAWS_LEARN_MAX_CANDIDATES", "16", 1);
-  ::setenv("LAWS_LEARN_MIN_OBS", "32", 1);
-  ::setenv("LAWS_LEARN_DRIFT_Z", "8", 1);
-  ::setenv("LAWS_LEARN_MAX_MODELS", "12", 1);
   const LearnerOptions o = LearnerOptions::FromEnv();
   EXPECT_TRUE(o.enabled);
-  EXPECT_EQ(o.max_rows_per_scan, 1024u);
-  EXPECT_EQ(o.max_pairs_per_scan, 2u);
-  EXPECT_EQ(o.max_candidates, 16u);
-  EXPECT_EQ(o.min_observations, 32u);
-  EXPECT_DOUBLE_EQ(o.drift_z, 8.0);
-  EXPECT_EQ(o.max_models, 12u);
+  EXPECT_EQ(o.max_rows_per_scan, 4096u);
   ::unsetenv("LAWS_LEARNING");
-  ::unsetenv("LAWS_LEARN_SCAN_ROWS");
-  ::unsetenv("LAWS_LEARN_SCAN_PAIRS");
-  ::unsetenv("LAWS_LEARN_MAX_CANDIDATES");
-  ::unsetenv("LAWS_LEARN_MIN_OBS");
-  ::unsetenv("LAWS_LEARN_DRIFT_Z");
-  ::unsetenv("LAWS_LEARN_MAX_MODELS");
 
   const LearnerOptions d = LearnerOptions::FromEnv();
   EXPECT_FALSE(d.enabled);
@@ -217,6 +200,40 @@ TEST(LearnerTest, ApplyPromotesBestFamilyPerPair) {
   // Nothing new: a second pass must be a no-op (no epoch churn upstream).
   EXPECT_FALSE(learner.HasPendingWork());
   EXPECT_FALSE(learner.Apply(data, &models).did_work());
+}
+
+// A partial model answers only inside its subset, so however well it fits
+// it must not stop the learner from promoting a full-table model over the
+// same columns.
+TEST(LearnerTest, PartialModelDoesNotBlockPromotion) {
+  Catalog data;
+  TablePtr t = MakeXY();
+  ASSERT_TRUE(AppendLinear(t, 0, 64, 3.0, 2.0, 0.05).ok());
+  data.RegisterOrReplace("t", t);
+  ModelCatalog models;
+  CapturedModel partial;
+  partial.table_name = "t";
+  partial.input_columns = {"x"};
+  partial.output_column = "y";
+  partial.subset_predicate = "x > 32";
+  partial.model_source = "linear(1)";
+  partial.parameters = {3.0, 2.0};
+  partial.quality.r_squared = 1.0;
+  partial.quality.adjusted_r_squared = 1.0;
+  partial.fitted_data_version = t->data_version();
+  const uint64_t partial_id = models.Store(partial);
+
+  Learner learner(EnabledOptions());
+  Scan(&learner, data, models);
+  learner.Apply(data, &models);
+  bool promoted = false;
+  for (const CapturedModel* m : models.ModelsForTable("t")) {
+    promoted = promoted ||
+               (m->id != partial_id && m->subset_predicate.empty() &&
+                m->input_columns == std::vector<std::string>{"x"} &&
+                m->output_column == "y");
+  }
+  EXPECT_TRUE(promoted) << "the partial model blocked (t, x -> y)";
 }
 
 TEST(LearnerTest, RefineTightensIntervalAndKeepsId) {

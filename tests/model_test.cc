@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -12,6 +15,7 @@
 #include "model/incremental.h"
 #include "model/model.h"
 #include "model/robust.h"
+#include "storage/serialize.h"
 
 namespace laws {
 namespace {
@@ -527,6 +531,122 @@ TEST(GroupedFitTest, ParameterTableLayout) {
   EXPECT_TRUE(pt->schema().HasField("intercept"));
   EXPECT_EQ(pt->GetValue(0, 0).int64(), 1);
   EXPECT_EQ(pt->GetValue(2, 5).int64(), 20);
+}
+
+// The one read view of a fit's parameters, against what FitGrouped and
+// GroupedFitToTable produce.
+TEST(GroupParametersTest, ReadsWhatFitGroupedWrites) {
+  Rng rng(29);
+  Table t(Schema({Field{"g", DataType::kInt64, false},
+                  Field{"x", DataType::kDouble, false},
+                  Field{"y", DataType::kDouble, false}}));
+  // Keys with gaps, appended out of order.
+  for (int64_t g : {11, 3, 7}) {
+    for (int i = 0; i < 12 + g; ++i) {
+      const double x = rng.Uniform(0, 1);
+      ASSERT_TRUE(t.AppendRow({Value::Int64(g), Value::Double(x),
+                               Value::Double(static_cast<double>(g) +
+                                             0.1 * static_cast<double>(g) * x +
+                                             rng.Normal(0, 0.01))})
+                      .ok());
+    }
+  }
+  LinearModel model(1);
+  GroupedFitSpec spec;
+  spec.group_column = "g";
+  spec.input_columns = {"x"};
+  spec.output_column = "y";
+  auto fits = FitGrouped(model, t, spec);
+  ASSERT_TRUE(fits.ok());
+  auto pt = GroupedFitToTable(model, *fits, "g");
+  ASSERT_TRUE(pt.ok());
+
+  // The typed columns equal a table appended row by row, byte for byte.
+  Table appended(pt->schema());
+  for (const GroupFitResult& g : fits->groups) {
+    std::vector<Value> row = {Value::Int64(g.group_key)};
+    for (double p : g.fit.parameters) row.push_back(Value::Double(p));
+    row.push_back(Value::Double(g.fit.quality.residual_standard_error));
+    row.push_back(Value::Double(g.fit.quality.r_squared));
+    row.push_back(Value::Int64(
+        static_cast<int64_t>(g.fit.quality.n_observations)));
+    ASSERT_TRUE(appended.AppendRow(row).ok());
+  }
+  EXPECT_EQ(SerializeTableToBytes(*pt), SerializeTableToBytes(appended));
+  EXPECT_EQ(pt->MemoryBytes(), appended.MemoryBytes());
+
+  auto view = GroupParameters::Of(model, *pt);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  ASSERT_EQ(view->num_groups(), 3u);
+  Vector params;
+  for (size_t g = 0; g < 3; ++g) {
+    const GroupFitResult& want = fits->groups[g];
+    EXPECT_EQ(view->key(g), want.group_key);
+    view->Params(g, &params);
+    EXPECT_EQ(params, want.fit.parameters);
+    EXPECT_EQ(view->residual_se(g), want.fit.quality.residual_standard_error);
+    EXPECT_EQ(view->r_squared(g), want.fit.quality.r_squared);
+    EXPECT_EQ(view->n_obs(g), want.fit.quality.n_observations);
+  }
+  EXPECT_EQ(view->key(0), 3);
+  EXPECT_EQ(view->key(2), 11);
+  EXPECT_EQ(view->n_obs(2), 23u);
+
+  // Find: every key, and misses below, between and above them.
+  EXPECT_EQ(view->Find(3), std::optional<size_t>(0));
+  EXPECT_EQ(view->Find(7), std::optional<size_t>(1));
+  EXPECT_EQ(view->Find(11), std::optional<size_t>(2));
+  for (int64_t miss : {int64_t{-1}, int64_t{2}, int64_t{5}, int64_t{12},
+                       std::numeric_limits<int64_t>::max()}) {
+    EXPECT_FALSE(view->Find(miss).has_value()) << miss;
+  }
+
+  // KeysIn: the run of keys inside [lo, hi], at both ends and beyond.
+  using Run = std::pair<size_t, size_t>;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(view->KeysIn(-inf, inf), Run(0, 3));
+  EXPECT_EQ(view->KeysIn(3, 3), Run(0, 1));
+  EXPECT_EQ(view->KeysIn(11, 11), Run(2, 3));
+  EXPECT_EQ(view->KeysIn(3, 11), Run(0, 3));
+  EXPECT_EQ(view->KeysIn(3.5, 10.5), Run(1, 2));
+  EXPECT_EQ(view->KeysIn(-inf, 2.9), Run(0, 0));
+  EXPECT_EQ(view->KeysIn(11.1, inf), Run(3, 3));
+  EXPECT_EQ(view->KeysIn(4, 6), Run(1, 1));
+  EXPECT_EQ(view->KeysIn(8, 4), Run(2, 2));
+
+  // The layout must be the model's: poly(2) has three parameters.
+  EXPECT_EQ(GroupParameters::Of(PolynomialModel(2), *pt).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // No groups: nothing to find.
+  auto none_table = GroupedFitToTable(model, GroupedFitOutput{}, "g");
+  ASSERT_TRUE(none_table.ok());
+  auto none = GroupParameters::Of(model, *none_table);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->num_groups(), 0u);
+  EXPECT_FALSE(none->Find(0).has_value());
+  EXPECT_EQ(none->KeysIn(-inf, inf), Run(0, 0));
+
+  // An ungrouped fit reads as one group with key 0.
+  const Vector single = {1.5, 2.5};
+  FitQuality quality;
+  quality.residual_standard_error = 0.125;
+  quality.r_squared = 0.875;
+  quality.n_observations = 40;
+  auto one = GroupParameters::Ungrouped(model, single, quality);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_EQ(one->num_groups(), 1u);
+  EXPECT_EQ(one->key(0), 0);
+  one->Params(0, &params);
+  EXPECT_EQ(params, single);
+  EXPECT_EQ(one->residual_se(0), 0.125);
+  EXPECT_EQ(one->r_squared(0), 0.875);
+  EXPECT_EQ(one->n_obs(0), 40u);
+  EXPECT_EQ(one->Find(0), std::optional<size_t>(0));
+  EXPECT_FALSE(one->Find(1).has_value());
+  EXPECT_EQ(one->KeysIn(-inf, inf), Run(0, 1));
+  EXPECT_EQ(GroupParameters::Ungrouped(model, {1.5}, quality).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- New model classes --------------------------------------------------

@@ -14,15 +14,20 @@
 #include <string>
 #include <vector>
 
+#include "anomaly/anomaly.h"
+#include "anomaly/exploration.h"
 #include "aqp/domain.h"
 #include "aqp/hybrid.h"
+#include "aqp/inverse.h"
 #include "aqp/model_aqp.h"
 #include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "core/diagnose.h"
 #include "core/persistence.h"
 #include "core/session.h"
+#include "query/executor.h"
 #include "storage/catalog.h"
 #include "storage/serialize.h"
 
@@ -475,6 +480,207 @@ TEST(QuarantineTest, CorruptManifestStillLoadsModels) {
   EXPECT_EQ(report.quarantined[0].name, "model_catalog");
 }
 
+// --- Models that contradict their law ----------------------------------------
+
+const std::vector<double> kBands = {0.12, 0.15, 0.16, 0.18};
+
+/// t(g, x, y): three power-law groups observed four times in each band.
+TablePtr PowerLawGroups() {
+  auto t = std::make_shared<Table>(
+      Schema({Field{"g", DataType::kInt64, false},
+              Field{"x", DataType::kDouble, false},
+              Field{"y", DataType::kDouble, false}}));
+  for (int g = 1; g <= 3; ++g) {
+    for (double nu : kBands) {
+      for (int rep = 0; rep < 4; ++rep) {
+        EXPECT_TRUE(t->AppendRow({Value::Int64(g), Value::Double(nu),
+                                  Value::Double((0.5 + 0.1 * g) *
+                                                std::pow(nu, -0.7) *
+                                                (1.0 + 0.001 * rep))})
+                        .ok());
+      }
+    }
+  }
+  return t;
+}
+
+Table ParameterTable(std::vector<Field> fields,
+                     const std::vector<std::vector<Value>>& rows) {
+  Table pt{Schema(std::move(fields))};
+  for (const std::vector<Value>& row : rows) {
+    EXPECT_TRUE(pt.AppendRow(row).ok());
+  }
+  return pt;
+}
+
+/// One hand-built power-law model over t whose parameters contradict its
+/// law, and a query the model path would answer from it.
+struct MalformedModelCase {
+  std::string what;
+  CapturedModel model;
+  std::string sql;
+};
+
+std::vector<MalformedModelCase> MalformedModelCases(uint64_t data_version) {
+  const Field key{"g", DataType::kInt64, false};
+  const Field p{"p", DataType::kDouble, false};
+  const Field alpha{"alpha", DataType::kDouble, false};
+  const Field rse{"residual_se", DataType::kDouble, false};
+  const Field r2{"r_squared", DataType::kDouble, false};
+  const Field n_obs{"n_obs", DataType::kInt64, false};
+  const std::vector<Field> layout = {key, p, alpha, rse, r2, n_obs};
+  // A well-formed row of that layout.
+  const auto row = [](Value k, Value pv) {
+    return std::vector<Value>{k,
+                              pv,
+                              Value::Double(-0.7),
+                              Value::Double(0.01),
+                              Value::Double(0.99),
+                              Value::Int64(16)};
+  };
+
+  CapturedModel ungrouped;
+  ungrouped.table_name = "t";
+  ungrouped.input_columns = {"x"};
+  ungrouped.output_column = "y";
+  ungrouped.model_source = "power_law";
+  ungrouped.fitted_data_version = data_version;
+  ungrouped.quality.r_squared = 0.99;
+  ungrouped.quality.adjusted_r_squared = 0.99;
+  ungrouped.quality.residual_standard_error = 0.01;
+  ungrouped.quality.n_observations = 48;
+  CapturedModel grouped = ungrouped;
+  grouped.group_column = "g";
+  grouped.grouped = true;
+  grouped.num_groups = 3;
+  grouped.median_r_squared = 0.99;
+  grouped.median_residual_se = 0.01;
+  grouped.parameter_table =
+      ParameterTable(layout, {row(Value::Int64(1), Value::Double(0.6)),
+                              row(Value::Int64(2), Value::Double(0.7)),
+                              row(Value::Int64(3), Value::Double(0.8))});
+  const std::string grouped_sql = "SELECT AVG(y) FROM t WHERE g = 1";
+
+  std::vector<MalformedModelCase> cases;
+  const auto add = [&](std::string what, CapturedModel m, std::string sql) {
+    cases.push_back(
+        MalformedModelCase{std::move(what), std::move(m), std::move(sql)});
+  };
+  {
+    CapturedModel m = grouped;
+    m.parameter_table = ParameterTable(
+        {key, p}, {{Value::Int64(1), Value::Double(0.6)},
+                   {Value::Int64(2), Value::Double(0.7)}});
+    add("grouped power_law with table [g, p]", std::move(m), grouped_sql);
+  }
+  {
+    CapturedModel m = grouped;
+    m.parameter_table = ParameterTable(
+        {key, rse, n_obs},
+        {{Value::Int64(1), Value::Double(0.01), Value::Int64(16)},
+         {Value::Int64(2), Value::Double(0.01), Value::Int64(16)}});
+    add("grouped power_law with table [g, residual_se, n_obs]", std::move(m),
+        grouped_sql);
+  }
+  {
+    CapturedModel m = ungrouped;
+    m.parameters = {0.6};
+    add("ungrouped power_law with one parameter", std::move(m),
+        "SELECT AVG(y) FROM t WHERE x > 0");
+  }
+  {
+    CapturedModel m = ungrouped;
+    m.input_columns.clear();
+    m.parameters = {0.6, -0.7};
+    add("ungrouped power_law with no input column", std::move(m),
+        "SELECT AVG(y) FROM t");
+  }
+  {
+    CapturedModel m = grouped;
+    std::vector<Field> fields = layout;
+    fields[0].type = DataType::kDouble;
+    m.parameter_table =
+        ParameterTable(fields, {row(Value::Double(1.0), Value::Double(0.6)),
+                                row(Value::Double(2.0), Value::Double(0.7))});
+    add("grouped power_law with a DOUBLE key column", std::move(m),
+        grouped_sql);
+  }
+  {
+    CapturedModel m = grouped;
+    std::vector<Field> fields = layout;
+    fields[1].nullable = true;
+    m.parameter_table =
+        ParameterTable(fields, {row(Value::Int64(1), Value::Null()),
+                                row(Value::Int64(2), Value::Double(0.7))});
+    add("grouped power_law with a NULL parameter", std::move(m), grouped_sql);
+  }
+  {
+    CapturedModel m = grouped;
+    m.parameter_table =
+        ParameterTable(layout, {row(Value::Int64(2), Value::Double(0.7)),
+                                row(Value::Int64(1), Value::Double(0.6)),
+                                row(Value::Int64(3), Value::Double(0.8))});
+    add("grouped power_law with unsorted keys", std::move(m), grouped_sql);
+  }
+  {
+    CapturedModel m = grouped;
+    m.model_source = "warp_drive";
+    add("grouped model with an unknown model_source", std::move(m),
+        grouped_sql);
+  }
+  return cases;
+}
+
+// Each model is saved with valid checksums, so only the check against its
+// law can refuse it: a strict load fails naming its section, and a
+// tolerant load quarantines it and the hybrid engine answers exactly.
+TEST(MalformedModelTest, LoaderRefusesModelsThatContradictTheirLaw) {
+  const TablePtr table = PowerLawGroups();
+  Catalog data;
+  data.RegisterOrReplace("t", table);
+  for (MalformedModelCase& c : MalformedModelCases(table->data_version())) {
+    SCOPED_TRACE(c.what);
+    ModelCatalog models;
+    const std::string section =
+        "model/" + std::to_string(models.Store(std::move(c.model)));
+    auto bytes = SaveDatabaseToBytes(data, models);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+
+    Catalog strict_data;
+    ModelCatalog strict_models;
+    const Status strict =
+        LoadDatabaseFromBytes(*bytes, &strict_data, &strict_models);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_NE(strict.message().find(section), std::string::npos)
+        << strict.ToString();
+    EXPECT_EQ(strict_models.size(), 0u);
+
+    LoadOptions tolerant;
+    tolerant.tolerate_corruption = true;
+    Catalog d;
+    ModelCatalog m;
+    LoadReport report;
+    ASSERT_TRUE(LoadDatabaseFromBytes(*bytes, &d, &m, tolerant, &report).ok());
+    ASSERT_EQ(report.quarantined.size(), 1u);
+    EXPECT_EQ(report.quarantined[0].name, section);
+    EXPECT_EQ(report.tables_loaded, 1u);
+    EXPECT_EQ(report.models_loaded, 0u);
+
+    DomainRegistry domains;
+    domains.Register("t", "x", ColumnDomain::Explicit(kBands));
+    ModelQueryEngine engine(&d, &m, &domains);
+    HybridQueryEngine hybrid(&d, &engine);
+    auto answer = hybrid.Execute(c.sql);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->method, "exact");
+    EXPECT_FALSE(answer->approximate);
+    auto expected = ExecuteQuery(data, c.sql);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(answer->table.num_rows(), 1u);
+    EXPECT_EQ(answer->table.GetValue(0, 0), expected->GetValue(0, 0));
+  }
+}
+
 // --- Atomic save / fault matrix ----------------------------------------------
 
 TEST(AtomicSaveTest, EverySavePathFaultLeavesPreviousImageIntact) {
@@ -659,17 +865,39 @@ TEST(CorruptionSweepTest, MutatedRawTablesNeverCrash) {
   }
 }
 
+// Every model the loader accepts is safe to serve from: each reader of
+// its parameters returns an answer or a typed error, never a crash.
 TEST(CorruptionSweepTest, MutatedRawModelsNeverCrash) {
   Fixture f;
-  const CapturedModel* model = *f.models.Get(f.plaw_model_id);
-  ByteWriter w;
-  SerializeCapturedModel(*model, &w);
-  const std::vector<uint8_t> bytes = w.data();
-  for (uint64_t seed = 0; seed < 600; ++seed) {
-    const std::vector<uint8_t> mutated = Mutate(bytes, seed);
-    ByteReader r(mutated);
-    (void)DeserializeCapturedModel(&r);
+  const ColumnDomain x_domain = ColumnDomain::Explicit({0.1, 0.15, 0.2});
+  DomainRegistry domains;
+  domains.Register("lin", "x", x_domain);
+  domains.Register("plaw", "x", x_domain);
+  const ModelQueryEngine engine(&f.data, &f.models, &domains);
+  size_t accepted = 0;
+  for (const uint64_t id : {f.lin_model_id, f.plaw_model_id}) {
+    const CapturedModel* model = *f.models.Get(id);
+    const TablePtr table = *f.data.Get(model->table_name);
+    ByteWriter w;
+    SerializeCapturedModel(*model, &w);
+    const std::vector<uint8_t> bytes = w.data();
+    for (uint64_t seed = 0; seed < 600; ++seed) {
+      const std::vector<uint8_t> mutated = Mutate(bytes, seed);
+      ByteReader r(mutated);
+      auto m = DeserializeCapturedModel(&r);
+      if (!m.ok()) continue;
+      ++accepted;
+      (void)engine.ReconstructTable(*m, {});
+      (void)InversePredict(*m, x_domain, 0.0, 10.0);
+      (void)FindHighGradientRegions(*m, x_domain, 5);
+      (void)DiagnoseModel(*table, *m, /*group_key=*/1);
+      if (m->grouped) {
+        (void)ScoreGroups(*m);
+        (void)DetectOutlierTuples(*table, *m, 3.0);
+      }
+    }
   }
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

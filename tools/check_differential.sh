@@ -16,10 +16,12 @@
 #     statistics, an inverted row-id tie-break in the top-k ORDER BY
 #     ... LIMIT lanes' heaps, a lane top-k merge that keeps the later
 #     chunk's candidate of two tied ones, a grouping scatter that fills
-#     each partition back to front, AND a filter compaction that drops
-#     the first selected row of every morsel after the first) and asserts
-#     the harness flags all eight — proof the oracle comparison, the tier
-#     matrix, and the learning self-check can actually fail.
+#     each partition back to front, a filter compaction that drops the
+#     first selected row of every morsel after the first, AND a
+#     parameter view that hands each group its neighbour's parameters)
+#     and asserts the harness flags all nine — proof the oracle
+#     comparison, the tier matrix, the learning self-check and the AQP
+#     bound audit can actually fail.
 #
 # Usage: tools/check_differential.sh
 #   LAWS_FUZZ_QUERIES      queries in the sweep (default 2000)
@@ -45,14 +47,14 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 echo "== differential sweep: $QUERIES queries under ASan/UBSan =="
 LAWS_FUZZ_QUERIES="$QUERIES" "$BUILD_DIR/tests/differential_test"
 
-echo "== mutation smoke: injected aggregate + bytecode + zone-map + harvest + top-k + lane top-k merge + grouping + morsel bugs must be caught =="
+echo "== mutation smoke: injected aggregate + bytecode + zone-map + harvest + top-k + lane top-k merge + grouping + morsel + parameter-view bugs must be caught =="
 cmake -B "$MUTANT_DIR" -S . -DLAWS_TESTING_INJECT_BUG=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$MUTANT_DIR" -j "$JOBS" --target differential_test
 "$MUTANT_DIR/tests/differential_test" \
-  --gtest_filter='DifferentialTest.MutationSmokeCatchesInjectedBug:DifferentialTest.MutationSmokeCatchesInjectedBytecodeBug:DifferentialTest.MutationSmokeCatchesInjectedZoneMapBug:DifferentialTest.MutationSmokeCatchesInjectedHarvestBug:DifferentialTest.MutationSmokeCatchesInjectedTopKBug:DifferentialTest.MutationSmokeCatchesInjectedLaneTopKBug:DifferentialTest.MutationSmokeCatchesInjectedGroupingBug:DifferentialTest.MutationSmokeCatchesInjectedMorselBug'
+  --gtest_filter='DifferentialTest.MutationSmokeCatchesInjectedBug:DifferentialTest.MutationSmokeCatchesInjectedBytecodeBug:DifferentialTest.MutationSmokeCatchesInjectedZoneMapBug:DifferentialTest.MutationSmokeCatchesInjectedHarvestBug:DifferentialTest.MutationSmokeCatchesInjectedTopKBug:DifferentialTest.MutationSmokeCatchesInjectedLaneTopKBug:DifferentialTest.MutationSmokeCatchesInjectedGroupingBug:DifferentialTest.MutationSmokeCatchesInjectedMorselBug:DifferentialTest.MutationSmokeCatchesInjectedParameterBug'
 
 echo "Differential gate passed: $QUERIES queries agreed with the oracle" \
      "across the bytecode/compressed tier matrix (zero" \
      "mismatches, zero AQP bound violations) and the harness detected all" \
-     "eight injected bugs."
+     "nine injected bugs."
