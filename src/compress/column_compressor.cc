@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <tuple>
 
 #include "common/bytes.h"
 #include "common/governor.h"
@@ -29,8 +32,9 @@ bool Applicable(DataType type, ColumnEncoding e) {
              e == ColumnEncoding::kBitPack ||
              e == ColumnEncoding::kShuffleZlib || e == ColumnEncoding::kZlib;
     case DataType::kDouble:
-      return e == ColumnEncoding::kPlain || e == ColumnEncoding::kShuffleZlib ||
-             e == ColumnEncoding::kZlib;
+      return e == ColumnEncoding::kPlain || e == ColumnEncoding::kRle ||
+             e == ColumnEncoding::kBitPack ||
+             e == ColumnEncoding::kShuffleZlib || e == ColumnEncoding::kZlib;
     case DataType::kString:
       return e == ColumnEncoding::kPlain || e == ColumnEncoding::kRle ||
              e == ColumnEncoding::kBitPack || e == ColumnEncoding::kZlib;
@@ -40,12 +44,34 @@ bool Applicable(DataType type, ColumnEncoding e) {
   return false;
 }
 
+/// DOUBLE columns under kRle and kBitPack code their rows through a
+/// dictionary of distinct values.
+bool HasValueDictionary(DataType type, ColumnEncoding e) {
+  return type == DataType::kDouble &&
+         (e == ColumnEncoding::kRle || e == ColumnEncoding::kBitPack);
+}
+
+bool IsZlib(ColumnEncoding e) {
+  return e == ColumnEncoding::kZlib || e == ColumnEncoding::kShuffleZlib;
+}
+
 /// kAuto's candidates in ColumnEncoding order; a tie goes to the earlier
 /// encoding.
 constexpr ColumnEncoding kCandidates[] = {
     ColumnEncoding::kPlain,   ColumnEncoding::kRle,
     ColumnEncoding::kDeltaVarint, ColumnEncoding::kBitPack,
     ColumnEncoding::kShuffleZlib, ColumnEncoding::kZlib};
+
+/// An encoding and the deflate strategy its zlib codec runs with. kAuto's
+/// candidates order by encoding, then strategy, the default first.
+struct Codec {
+  ColumnEncoding encoding = ColumnEncoding::kPlain;
+  DeflateStrategy strategy = DeflateStrategy::kDefault;
+
+  bool operator<(const Codec& o) const {
+    return std::tie(encoding, strategy) < std::tie(o.encoding, o.strategy);
+  }
+};
 
 /// Bytes per row of the plain body (STRING: its uint32 dictionary code).
 size_t ElementWidth(DataType type) {
@@ -117,7 +143,7 @@ size_t DictionaryBytes(const Column& column) {
 /// The DEFLATE input of a zlib codec: what the plain body puts before its
 /// fixed-width rows (the dictionary for STRING, then the row count), then
 /// the rows, byte plane by byte plane under kShuffleZlib.
-ZlibInput ZlibInputOf(const Column& column, ColumnEncoding encoding) {
+ZlibInput ZlibInputOf(const Column& column, Codec codec) {
   ByteWriter header;
   WriteDictionary(column, &header);
   header.PutVarint(column.size());
@@ -126,7 +152,8 @@ ZlibInput ZlibInputOf(const Column& column, ColumnEncoding encoding) {
   in.data = ElementData(column);
   in.n = column.size();
   in.width = ElementWidth(column.type());
-  in.shuffle = encoding == ColumnEncoding::kShuffleZlib;
+  in.shuffle = codec.encoding == ColumnEncoding::kShuffleZlib;
+  in.strategy = codec.strategy;
   return in;
 }
 
@@ -136,6 +163,14 @@ size_t MaxPayloadBytes(const Column& column, ColumnEncoding encoding) {
   const size_t n = column.size();
   const size_t validity = 1 + 10 + column.validity().size();
   const size_t header = DictionaryBytes(column) + VarintSize(n);
+  if (HasValueDictionary(column.type(), encoding)) {
+    // A code below kMaxDoubleDictionary takes at most 2 varint bytes, or
+    // 12 packed bits, and a run of one row a 1-byte length.
+    const size_t dictionary =
+        VarintSize(kMaxDoubleDictionary) + 8 * kMaxDoubleDictionary;
+    return validity + dictionary + header +
+           (encoding == ColumnEncoding::kRle ? 3 * n : 2 + 2 * n);
+  }
   switch (encoding) {
     case ColumnEncoding::kRle:
       // A run of one row takes a value of at most 10 bytes and a 1-byte
@@ -155,63 +190,172 @@ size_t MaxPayloadBytes(const Column& column, ColumnEncoding encoding) {
   }
 }
 
-bool IsZlib(ColumnEncoding e) {
-  return e == ColumnEncoding::kZlib || e == ColumnEncoding::kShuffleZlib;
+/// The one code writer: the kRle or kBitPack body of `n` codes in
+/// [lo, hi], reading code(i) row by row and writing straight into `out`;
+/// polls the governor every kGovernorPollStride rows.
+template <typename CodeAt>
+Status WriteCodes(ColumnEncoding encoding, size_t n, int64_t lo, int64_t hi,
+                  CodeAt code, ByteWriter* out) {
+  const auto put_all = [&](auto& writer) -> Status {
+    for (size_t begin = 0; begin < n; begin += kGovernorPollStride) {
+      LAWS_GOVERNOR_POLL();
+      const size_t end = std::min(n, begin + kGovernorPollStride);
+      for (size_t i = begin; i < end; ++i) writer.Put(code(i));
+    }
+    writer.Finish();
+    return Status::OK();
+  };
+  if (encoding == ColumnEncoding::kRle) {
+    RleWriter writer(n, out);
+    return put_all(writer);
+  }
+  BitPackWriter writer(n, lo, hi, out);
+  return put_all(writer);
 }
 
-/// Appends `column` encoded with `encoding` (applicable, not kAuto) to
+/// The least and greatest element of `v`; 0 and 0 when it is empty.
+template <typename T>
+std::pair<int64_t, int64_t> RangeOf(const std::vector<T>& v) {
+  if (v.empty()) return {0, 0};
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  return {static_cast<int64_t>(*lo), static_cast<int64_t>(*hi)};
+}
+
+/// The distinct bit patterns of a DOUBLE column in first-seen order, at
+/// most kMaxDoubleDictionary of them, found through an open-addressing
+/// table of twice that many slots.
+class DoubleDictionary {
+ public:
+  DoubleDictionary() : slots_(kSlots, 0) {
+    values_.reserve(kMaxDoubleDictionary);
+  }
+
+  /// The code of `bits`, which is added if new; -1 when it is new and the
+  /// dictionary is full.
+  int64_t Intern(uint64_t bits) {
+    size_t s = static_cast<size_t>((bits * 0x9E3779B97F4A7C15ULL) >>
+                                   (64 - kSlotBits));
+    for (; slots_[s] != 0; s = (s + 1) & (kSlots - 1)) {
+      if (values_[slots_[s] - 1] == bits) return slots_[s] - 1;
+    }
+    if (values_.size() == kMaxDoubleDictionary) return -1;
+    values_.push_back(bits);
+    slots_[s] = static_cast<uint16_t>(values_.size());
+    return static_cast<int64_t>(values_.size()) - 1;
+  }
+
+  const std::vector<uint64_t>& values() const { return values_; }
+
+ private:
+  static constexpr int kSlotBits = 13;
+  static constexpr size_t kSlots = size_t{1} << kSlotBits;
+  static_assert(kSlots == 2 * kMaxDoubleDictionary);
+
+  std::vector<uint16_t> slots_;  // a value's code + 1; 0 is empty
+  std::vector<uint64_t> values_;
+};
+
+/// The kRle and kBitPack body: the STRING or DOUBLE dictionary, then every
+/// row's code through the one code writer (an INT64 column's values are
+/// its codes). A DOUBLE column with more than kMaxDoubleDictionary
+/// distinct values is a kOutOfRange error, found before its dictionary is
+/// written.
+Status WriteCodedBody(const Column& column, ColumnEncoding encoding,
+                      ByteWriter* out) {
+  const size_t n = column.size();
+  switch (column.type()) {
+    case DataType::kInt64: {
+      const int64_t* values = column.int64_data().data();
+      const auto [lo, hi] = RangeOf(column.int64_data());
+      return WriteCodes(encoding, n, lo, hi,
+                        [values](size_t i) { return values[i]; }, out);
+    }
+    case DataType::kString: {
+      WriteDictionary(column, out);
+      const uint32_t* codes = column.string_codes().data();
+      const auto [lo, hi] = RangeOf(column.string_codes());
+      return WriteCodes(encoding, n, lo, hi,
+                        [codes](size_t i) { return int64_t{codes[i]}; }, out);
+    }
+    case DataType::kDouble: {
+      const double* values = column.double_data().data();
+      DoubleDictionary dictionary;
+      for (size_t begin = 0; begin < n; begin += kGovernorPollStride) {
+        LAWS_GOVERNOR_POLL();
+        const size_t end = std::min(n, begin + kGovernorPollStride);
+        for (size_t i = begin; i < end; ++i) {
+          if (dictionary.Intern(std::bit_cast<uint64_t>(values[i])) < 0) {
+            return Status::OutOfRange(
+                "DOUBLE column holds more than " +
+                std::to_string(kMaxDoubleDictionary) + " distinct values");
+          }
+        }
+      }
+      const size_t size = dictionary.values().size();
+      out->PutVarint(size);
+      for (uint64_t bits : dictionary.values()) out->PutU64(bits);
+      return WriteCodes(
+          encoding, n, 0, size == 0 ? 0 : static_cast<int64_t>(size) - 1,
+          [&](size_t i) {
+            return dictionary.Intern(std::bit_cast<uint64_t>(values[i]));
+          },
+          out);
+    }
+    case DataType::kBool:
+      break;
+  }
+  return Status::Internal("BOOL columns have no coded body");
+}
+
+/// Appends `column` encoded with `codec` (applicable, not kAuto) to
 /// `payload` on the calling thread; with MaxPayloadBytes spare capacity it
 /// never reallocates.
-Status EncodeColumn(const Column& column, ColumnEncoding encoding,
+Status EncodeColumn(const Column& column, Codec codec,
                     std::vector<uint8_t>* payload) {
   ByteWriter w(std::move(*payload));
   WriteValidity(column, &w);
   const size_t n = column.size();
-  switch (encoding) {
+  Status status = Status::OK();
+  switch (codec.encoding) {
     case ColumnEncoding::kZlib:
     case ColumnEncoding::kShuffleZlib:
       *payload = w.TakeData();
-      return AppendZlibBlob(ZlibInputOf(column, encoding), payload);
+      return AppendZlibBlob(ZlibInputOf(column, codec), payload);
     case ColumnEncoding::kPlain:
       WriteDictionary(column, &w);
       w.PutVarint(n);
       w.PutRaw(ElementData(column), n * ElementWidth(column.type()));
       break;
-    default: {
-      WriteDictionary(column, &w);
-      std::vector<int64_t> codes;
-      if (column.type() == DataType::kString) {
-        codes.assign(column.string_codes().begin(),
-                     column.string_codes().end());
-      }
-      const std::vector<int64_t>& values =
-          column.type() == DataType::kString ? codes : column.int64_data();
-      if (encoding == ColumnEncoding::kRle) {
-        RleEncodeInt64(values, &w);
-      } else if (encoding == ColumnEncoding::kDeltaVarint) {
-        DeltaVarintEncodeInt64(values, &w);
-      } else {
-        BitPackEncodeInt64(values, &w);
-      }
+    case ColumnEncoding::kDeltaVarint:
+      DeltaVarintEncodeInt64(column.int64_data(), &w);
       break;
-    }
+    default:
+      status = WriteCodedBody(column, codec.encoding, &w);
+      break;
   }
   *payload = w.TakeData();
-  return Status::OK();
+  return status;
 }
 
-Result<CompressedColumn> CompressWith(const Column& column,
-                                      ColumnEncoding encoding) {
-  if (!Applicable(column.type(), encoding)) {
+Result<CompressedColumn> CompressWith(const Column& column, Codec codec) {
+  if (!Applicable(column.type(), codec.encoding)) {
     return Status::Unimplemented("encoding not applicable to column type");
   }
   CompressedColumn out;
-  out.encoding = encoding;
+  out.encoding = codec.encoding;
   out.uncompressed_bytes = column.MemoryBytes();
-  out.payload.reserve(MaxPayloadBytes(column, encoding));
-  LAWS_RETURN_IF_ERROR(EncodeColumn(column, encoding, &out.payload));
+  out.payload.reserve(MaxPayloadBytes(column, codec.encoding));
+  LAWS_RETURN_IF_ERROR(EncodeColumn(column, codec, &out.payload));
   return out;
 }
+
+/// A column's codec, and under kAuto its sample's smallest codec without a
+/// value dictionary: the one a DOUBLE column takes when its rows overflow
+/// the dictionary its sample fit.
+struct Choice {
+  Codec codec;
+  std::optional<Codec> fallback;
+};
 
 /// kAuto's sample of a column longer than kSampleRows: kSampleWindows
 /// windows, the first starting at row 0 and the last ending at the last
@@ -247,11 +391,13 @@ void RunClaimed(size_t count, const std::function<void(size_t)>& run) {
 }
 
 /// kAuto's choice for every column. Each applicable candidate encodes the
-/// column's sample as its own (column, codec) unit, so one column's trials
-/// spread over the lanes; the smallest wins, a tie going to the earlier
-/// candidate. A column that is its own sample keeps its winning trial's
-/// payload and is marked `encoded`.
+/// column's sample as its own (column, codec) unit, a zlib codec once under
+/// each deflate strategy, so one column's trials spread over the lanes;
+/// the smallest wins, a tie going to the earlier codec. A dictionary trial
+/// the sample overflows declines. A column that is its own sample keeps
+/// its winning trial's payload and is marked `encoded`.
 Status ChooseEncodings(const std::vector<const Column*>& columns,
+                       std::vector<Choice>* choices,
                        std::vector<CompressedColumn>* out,
                        std::vector<uint8_t>* encoded) {
   const size_t k = columns.size();
@@ -260,7 +406,7 @@ Status ChooseEncodings(const std::vector<const Column*>& columns,
   std::vector<const Column*> sample_of(k);
   struct Trial {
     size_t column;
-    ColumnEncoding encoding;
+    Codec codec;
   };
   std::vector<Trial> trials;
   for (size_t c = 0; c < k; ++c) {
@@ -271,22 +417,32 @@ Status ChooseEncodings(const std::vector<const Column*>& columns,
       sample_of[c] = &samples.back();
     }
     for (ColumnEncoding cand : kCandidates) {
-      if (Applicable(columns[c]->type(), cand)) trials.push_back({c, cand});
+      if (!Applicable(columns[c]->type(), cand)) continue;
+      trials.push_back({c, {cand, DeflateStrategy::kDefault}});
+      if (IsZlib(cand)) {
+        trials.push_back({c, {cand, DeflateStrategy::kRunLength}});
+      }
     }
   }
-  // The DEFLATE trials cost the most: claimed first, they do not finish
-  // the region alone on one lane.
-  std::stable_partition(trials.begin(), trials.end(),
-                        [](const Trial& t) { return IsZlib(t.encoding); });
+  // The default-strategy DEFLATE trials cost the most: claimed first, they
+  // do not finish the region alone on one lane.
+  std::stable_partition(trials.begin(), trials.end(), [](const Trial& t) {
+    return IsZlib(t.codec.encoding) &&
+           t.codec.strategy == DeflateStrategy::kDefault;
+  });
+  constexpr size_t kDeclined = SIZE_MAX;
   std::vector<Status> status(trials.size());
-  std::vector<size_t> sizes(trials.size());
+  std::vector<size_t> sizes(trials.size(), kDeclined);
   // Only a column that is its own sample keeps its trials' payloads.
   std::vector<CompressedColumn> kept(trials.size());
   RunClaimed(trials.size(), [&](size_t u) {
     const Trial& t = trials[u];
-    auto trial = CompressWith(*sample_of[t.column], t.encoding);
+    auto trial = CompressWith(*sample_of[t.column], t.codec);
     if (!trial.ok()) {
-      status[u] = trial.status();
+      if (!HasValueDictionary(columns[t.column]->type(), t.codec.encoding) ||
+          trial.status().code() != StatusCode::kOutOfRange) {
+        status[u] = trial.status();
+      }
       return;
     }
     sizes[u] = trial->payload.size();
@@ -294,13 +450,21 @@ Status ChooseEncodings(const std::vector<const Column*>& columns,
   });
   LAWS_GOVERNOR_POLL();
   for (const Status& st : status) LAWS_RETURN_IF_ERROR(st);
-  // kCandidates lists the encodings in ColumnEncoding order.
-  std::vector<size_t> best(k, trials.size());
+  const size_t none = trials.size();
+  std::vector<size_t> best(k, none);
+  std::vector<size_t> fallback(k, none);  // best without a value dictionary
+  const auto improve = [&](size_t* b, size_t u) {
+    if (*b == none || sizes[u] < sizes[*b] ||
+        (sizes[u] == sizes[*b] && trials[u].codec < trials[*b].codec)) {
+      *b = u;
+    }
+  };
   for (size_t u = 0; u < trials.size(); ++u) {
-    size_t& b = best[trials[u].column];
-    if (b == trials.size() || sizes[u] < sizes[b] ||
-        (sizes[u] == sizes[b] && trials[u].encoding < trials[b].encoding)) {
-      b = u;
+    if (sizes[u] == kDeclined) continue;
+    const size_t c = trials[u].column;
+    improve(&best[c], u);
+    if (!HasValueDictionary(columns[c]->type(), trials[u].codec.encoding)) {
+      improve(&fallback[c], u);
     }
   }
   for (size_t c = 0; c < k; ++c) {
@@ -308,7 +472,7 @@ Status ChooseEncodings(const std::vector<const Column*>& columns,
       (*out)[c] = std::move(kept[best[c]]);
       (*encoded)[c] = 1;
     } else {
-      (*out)[c].encoding = trials[best[c]].encoding;
+      (*choices)[c] = {trials[best[c]].codec, trials[fallback[c]].codec};
     }
   }
   return Status::OK();
@@ -322,15 +486,18 @@ struct ZlibJob {
   std::vector<std::pair<uint8_t*, ZlibBlock>> parked;  // by block
 };
 
-/// Encodes every column not yet `encoded` with its chosen encoding. A zlib
+/// Encodes every column not yet `encoded` with its chosen codec. A zlib
 /// column is one unit per DEFLATE block; any other column is one unit.
 /// The units, in column order, are claimed from one cursor by every lane.
 /// A block deflates into a staging buffer, and blocks join their payload
 /// in block order: the lane whose block is next appends it and every
-/// block parked behind it, then frees their buffers (pigz's writer).
+/// block parked behind it, then frees their buffers (pigz's writer). A
+/// column whose rows overflow the value dictionary its sample fit is then
+/// encoded again with its fallback.
 Status EncodeColumns(const std::vector<const Column*>& columns,
+                     std::vector<Choice>* choices,
                      std::vector<CompressedColumn>* out,
-                     const std::vector<uint8_t>& encoded) {
+                     std::vector<uint8_t>* encoded) {
   // Every column-sized buffer is allocated here, before the lanes run: a
   // buffer a lane allocates is freed into that lane's malloc arena, which
   // keeps it resident (DESIGN.md §6). Each payload is reserved at its
@@ -345,22 +512,24 @@ Status EncodeColumns(const std::vector<const Column*>& columns,
   std::vector<ZlibJob> jobs;
   jobs.reserve(columns.size());
   for (size_t c = 0; c < columns.size(); ++c) {
-    if (encoded[c]) continue;
+    if ((*encoded)[c]) continue;
     const Column& column = *columns[c];
+    const Codec codec = (*choices)[c].codec;
     CompressedColumn& cc = (*out)[c];
-    if (!Applicable(column.type(), cc.encoding)) {
+    if (!Applicable(column.type(), codec.encoding)) {
       return Status::Unimplemented("encoding not applicable to column type");
     }
+    cc.encoding = codec.encoding;
     cc.uncompressed_bytes = column.MemoryBytes();
-    cc.payload.reserve(MaxPayloadBytes(column, cc.encoding));
-    if (!IsZlib(cc.encoding)) {
+    cc.payload.reserve(MaxPayloadBytes(column, codec.encoding));
+    if (!IsZlib(codec.encoding)) {
       units.push_back({c, kWholeColumn, 0});
       continue;
     }
     ByteWriter w(std::move(cc.payload));
     WriteValidity(column, &w);
     cc.payload = w.TakeData();
-    ZlibInput input = ZlibInputOf(column, cc.encoding);
+    ZlibInput input = ZlibInputOf(column, codec);
     const uint64_t decoded = input.size();
     const size_t blocks = input.blocks();
     jobs.push_back(ZlibJob{std::move(input),
@@ -393,6 +562,7 @@ Status EncodeColumns(const std::vector<const Column*>& columns,
   }
   std::atomic<bool> stop{false};  // a unit failed: lanes stop claiming
   std::vector<Status> status(units.size());
+  std::vector<uint8_t> declined(columns.size(), 0);
   std::atomic<size_t> cursor{0};
 
   // Parks block `b` of `job` in `buffer`, then appends to the payload every
@@ -430,9 +600,14 @@ Status EncodeColumns(const std::vector<const Column*>& columns,
       if (u >= units.size()) break;
       const Unit& unit = units[u];
       if (unit.job == kWholeColumn) {
-        status[u] = EncodeColumn(*columns[unit.column],
-                                 (*out)[unit.column].encoding,
+        const Choice& choice = (*choices)[unit.column];
+        status[u] = EncodeColumn(*columns[unit.column], choice.codec,
                                  &(*out)[unit.column].payload);
+        if (status[u].code() == StatusCode::kOutOfRange &&
+            choice.fallback.has_value()) {
+          declined[unit.column] = 1;
+          status[u] = Status::OK();
+        }
       } else if (auto block = DeflateZlibBlock(jobs[unit.job].input,
                                                unit.block, buffer, room);
                  block.ok()) {
@@ -460,20 +635,33 @@ Status EncodeColumns(const std::vector<const Column*>& columns,
       return Status::Internal("zlib blob left unjoined");
     }
   }
-  return Status::OK();
+  if (std::find(declined.begin(), declined.end(), 1) == declined.end()) {
+    return Status::OK();
+  }
+  for (size_t c = 0; c < columns.size(); ++c) {
+    (*encoded)[c] = declined[c] == 0;
+    if (declined[c] != 0) {
+      Choice& choice = (*choices)[c];
+      choice = {*choice.fallback, std::nullopt};
+      (*out)[c].payload.clear();
+    }
+  }
+  return EncodeColumns(columns, choices, out, encoded);
 }
 
-/// CompressTable and CompressColumn: every column encoded with `encoding`,
-/// or under kAuto with its sample's choice.
+/// CompressTable and CompressColumn: every column encoded with `encoding`
+/// (and `strategy`), or under kAuto with its sample's choice.
 Result<std::vector<CompressedColumn>> CompressColumns(
-    const std::vector<const Column*>& columns, ColumnEncoding encoding) {
+    const std::vector<const Column*>& columns, ColumnEncoding encoding,
+    DeflateStrategy strategy) {
   std::vector<CompressedColumn> out(columns.size());
   std::vector<uint8_t> encoded(columns.size(), 0);
-  for (CompressedColumn& c : out) c.encoding = encoding;
+  std::vector<Choice> choices(columns.size(),
+                              Choice{Codec{encoding, strategy}, std::nullopt});
   if (encoding == ColumnEncoding::kAuto) {
-    LAWS_RETURN_IF_ERROR(ChooseEncodings(columns, &out, &encoded));
+    LAWS_RETURN_IF_ERROR(ChooseEncodings(columns, &choices, &out, &encoded));
   }
-  LAWS_RETURN_IF_ERROR(EncodeColumns(columns, &out, encoded));
+  LAWS_RETURN_IF_ERROR(EncodeColumns(columns, &choices, &out, &encoded));
   return out;
 }
 
@@ -486,14 +674,16 @@ struct ColumnDecode {
   ByteReader in{nullptr, 0};  // the payload, past the validity bitmap
   std::vector<uint8_t> validity;
   ZlibBlobReader zlib;  // open for kZlib and kShuffleZlib
-  // Destinations, sized to `rows` by PrepareDecode: `ints`, `doubles` or
-  // `bools` by type; STRING decodes `codes` (`ints` under kRle/kBitPack)
-  // and the dictionary.
+  // Destinations, sized to `rows` by PrepareDecode: `ints`, `doubles`,
+  // `bools` or (STRING) `codes` by type.
   std::vector<int64_t> ints;
   std::vector<double> doubles;
   std::vector<uint8_t> bools;
   std::vector<uint32_t> codes;
+  // A STRING column's dictionary, and a DOUBLE column's under kRle and
+  // kBitPack.
   std::vector<std::string> dictionary;
+  std::vector<double> values;
 };
 
 template <typename Reader>
@@ -505,6 +695,18 @@ Status ReadDictionary(Reader* in, std::vector<std::string>* dictionary) {
     LAWS_ASSIGN_OR_RETURN(s, in->GetString());
   }
   return Status::OK();
+}
+
+/// A DOUBLE column's dictionary: a count, then that many 64-bit patterns.
+Status ReadValueDictionary(ByteReader* in, std::vector<double>* values) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t size, in->GetCount(8, "DOUBLE dictionary"));
+  if (size > kMaxDoubleDictionary) {
+    return Status::ParseError("DOUBLE dictionary holds more than " +
+                              std::to_string(kMaxDoubleDictionary) +
+                              " values");
+  }
+  values->resize(size);
+  return in->GetRaw(values->data(), size * sizeof(double));
 }
 
 /// The plain body after the dictionary: the row count, then the rows
@@ -531,12 +733,12 @@ Status ReadPlainRows(Reader* in, ColumnDecode* d) {
 /// Checks everything that bounds the row count, then sizes the
 /// destination: nothing is allocated from `rows` until the payload could
 /// hold that many.
-Status PrepareDecode(const CompressedColumn& compressed, const Field& field,
+Status PrepareDecode(const ColumnPayloadView& compressed, const Field& field,
                      size_t rows, ColumnDecode* d) {
   d->field = &field;
   d->encoding = compressed.encoding;
   d->rows = rows;
-  d->in = ByteReader(compressed.payload);
+  d->in = ByteReader(compressed.payload.data(), compressed.payload.size());
   LAWS_ASSIGN_OR_RETURN(d->validity, ReadValidity(&d->in, rows));
   if (!Applicable(field.type, compressed.encoding)) {
     return Status::ParseError(
@@ -544,6 +746,9 @@ Status PrepareDecode(const CompressedColumn& compressed, const Field& field,
   }
   if (field.type == DataType::kString && !IsZlib(compressed.encoding)) {
     LAWS_RETURN_IF_ERROR(ReadDictionary(&d->in, &d->dictionary));
+  }
+  if (HasValueDictionary(field.type, compressed.encoding)) {
+    LAWS_RETURN_IF_ERROR(ReadValueDictionary(&d->in, &d->values));
   }
   const size_t width = ElementWidth(field.type);
   switch (compressed.encoding) {
@@ -583,15 +788,51 @@ Status PrepareDecode(const CompressedColumn& compressed, const Field& field,
       d->bools.resize(rows);
       break;
     case DataType::kString:
-      if (compressed.encoding == ColumnEncoding::kRle ||
-          compressed.encoding == ColumnEncoding::kBitPack) {
-        d->ints.resize(rows);
-      } else {
-        d->codes.resize(rows);
-      }
+      d->codes.resize(rows);
       break;
   }
   return Status::OK();
+}
+
+/// The kRle or kBitPack decoder, by the column's encoding.
+template <typename Put>
+Status DecodeCodesWith(ColumnDecode* d, Put put) {
+  return d->encoding == ColumnEncoding::kRle
+             ? RleDecode(&d->in, d->rows, put)
+             : BitPackDecode(&d->in, d->rows, put);
+}
+
+/// A kRle or kBitPack body, decoded straight into the destination: INT64
+/// values as they are, STRING codes as uint32 (FinishDecode checks those
+/// of valid rows against the dictionary) and DOUBLE codes through the
+/// column's dictionary, every one checked against it.
+Status DecodeCodes(ColumnDecode* d) {
+  switch (d->field->type) {
+    case DataType::kInt64:
+      return d->encoding == ColumnEncoding::kRle
+                 ? RleDecodeInt64(&d->in, d->ints.data(), d->rows)
+                 : BitPackDecodeInt64(&d->in, d->ints.data(), d->rows);
+    case DataType::kString:
+      return DecodeCodesWith(
+          d, [out = d->codes.data()](uint64_t at, uint64_t rows, int64_t v) {
+            if (v < 0 || v > int64_t{UINT32_MAX}) return false;
+            std::fill_n(out + at, rows, static_cast<uint32_t>(v));
+            return true;
+          });
+    case DataType::kDouble:
+      return DecodeCodesWith(
+          d, [out = d->doubles.data(), &values = d->values](
+                 uint64_t at, uint64_t rows, int64_t code) {
+            if (code < 0 || static_cast<uint64_t>(code) >= values.size()) {
+              return false;
+            }
+            std::fill_n(out + at, rows, values[static_cast<size_t>(code)]);
+            return true;
+          });
+    case DataType::kBool:
+      break;
+  }
+  return Status::ParseError("bad BOOL encoding tag");
 }
 
 /// Decodes the body into the destination PrepareDecode sized.
@@ -620,14 +861,12 @@ Status RunDecode(ColumnDecode* d) {
       break;
     }
     case ColumnEncoding::kRle:
-      LAWS_RETURN_IF_ERROR(RleDecodeInt64(&d->in, d->ints.data(), d->rows));
+    case ColumnEncoding::kBitPack:
+      LAWS_RETURN_IF_ERROR(DecodeCodes(d));
       break;
     case ColumnEncoding::kDeltaVarint:
       LAWS_RETURN_IF_ERROR(
           DeltaVarintDecodeInt64(&d->in, d->ints.data(), d->rows));
-      break;
-    case ColumnEncoding::kBitPack:
-      LAWS_RETURN_IF_ERROR(BitPackDecodeInt64(&d->in, d->ints.data(), d->rows));
       break;
     default:
       return Status::ParseError("bad encoding tag");
@@ -644,17 +883,16 @@ Result<Column> FinishDecode(ColumnDecode* d) {
   if (d->field->type == DataType::kString) {
     // Re-interning rebuilds the dictionary in first-seen order.
     Column col(DataType::kString, nullable);
-    const bool wide = !d->ints.empty();
     for (size_t i = 0; i < d->rows; ++i) {
       if (!d->validity.empty() && ((d->validity[i >> 3] >> (i & 7)) & 1) == 0) {
         LAWS_RETURN_IF_ERROR(col.AppendNull());
         continue;
       }
-      const int64_t code = wide ? d->ints[i] : d->codes[i];
-      if (code < 0 || static_cast<uint64_t>(code) >= d->dictionary.size()) {
+      const uint32_t code = d->codes[i];
+      if (code >= d->dictionary.size()) {
         return Status::ParseError("dictionary code out of range");
       }
-      col.AppendString(d->dictionary[static_cast<size_t>(code)]);
+      col.AppendString(d->dictionary[code]);
     }
     return col;
   }
@@ -717,16 +955,19 @@ double CompressedTable::CompressionRatio() const {
 }
 
 Result<CompressedColumn> CompressColumn(const Column& column,
-                                        ColumnEncoding encoding) {
+                                        ColumnEncoding encoding,
+                                        DeflateStrategy strategy) {
   LAWS_ASSIGN_OR_RETURN(std::vector<CompressedColumn> out,
-                        CompressColumns({&column}, encoding));
+                        CompressColumns({&column}, encoding, strategy));
   return std::move(out[0]);
 }
 
 Result<Column> DecompressColumn(const CompressedColumn& compressed,
                                 const Field& field, size_t rows) {
   ColumnDecode d;
-  LAWS_RETURN_IF_ERROR(PrepareDecode(compressed, field, rows, &d));
+  LAWS_RETURN_IF_ERROR(PrepareDecode(
+      ColumnPayloadView{compressed.encoding, compressed.payload}, field, rows,
+      &d));
   LAWS_RETURN_IF_ERROR(RunDecode(&d));
   return FinishDecode(&d);
 }
@@ -740,34 +981,45 @@ Result<CompressedTable> CompressTable(const Table& table,
   CompressedTable out;
   out.schema = table.schema();
   out.num_rows = table.num_rows();
-  LAWS_ASSIGN_OR_RETURN(out.columns, CompressColumns(columns, encoding));
+  LAWS_ASSIGN_OR_RETURN(
+      out.columns,
+      CompressColumns(columns, encoding, DeflateStrategy::kDefault));
   return out;
 }
 
 Result<Table> DecompressTable(const CompressedTable& compressed) {
-  const size_t k = compressed.columns.size();
-  if (k != compressed.schema.num_fields()) {
+  std::vector<ColumnPayloadView> columns;
+  columns.reserve(compressed.columns.size());
+  for (const CompressedColumn& c : compressed.columns) {
+    columns.push_back({c.encoding, c.payload});
+  }
+  return DecompressTable(compressed.schema, compressed.num_rows, columns);
+}
+
+Result<Table> DecompressTable(const Schema& schema, size_t num_rows,
+                              std::span<const ColumnPayloadView> columns) {
+  const size_t k = columns.size();
+  if (k != schema.num_fields()) {
     return Status::ParseError("column count does not match schema");
   }
   // Destinations are sized on this thread, for the same reason as in
   // CompressTable; the lanes only fill them.
   std::vector<ColumnDecode> decodes(k);
   for (size_t c = 0; c < k; ++c) {
-    LAWS_RETURN_IF_ERROR(PrepareDecode(compressed.columns[c],
-                                       compressed.schema.field(c),
-                                       compressed.num_rows, &decodes[c]));
+    LAWS_RETURN_IF_ERROR(PrepareDecode(columns[c], schema.field(c), num_rows,
+                                       &decodes[c]));
   }
   std::vector<Status> status(k);
   ParallelFor(0, k, [&](size_t c) { status[c] = RunDecode(&decodes[c]); });
   LAWS_GOVERNOR_POLL();
   for (const Status& s : status) LAWS_RETURN_IF_ERROR(s);
-  std::vector<Column> columns;
-  columns.reserve(k);
+  std::vector<Column> out;
+  out.reserve(k);
   for (ColumnDecode& d : decodes) {
     LAWS_ASSIGN_OR_RETURN(Column col, FinishDecode(&d));
-    columns.push_back(std::move(col));
+    out.push_back(std::move(col));
   }
-  return Table::FromColumns(compressed.schema, std::move(columns));
+  return Table::FromColumns(schema, std::move(out), num_rows);
 }
 
 }  // namespace laws

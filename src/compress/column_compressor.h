@@ -2,17 +2,22 @@
 #define LAWSDB_COMPRESS_COLUMN_COMPRESSOR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "compress/encoding.h"
 #include "storage/table.h"
 
 namespace laws {
 
 /// Per-column encoding schemes. kAuto encodes the column's sample with
 /// every applicable encoding and encodes the whole column once, with the
-/// encoding that was smallest on the sample (see CompressColumn).
+/// encoding that was smallest on the sample (see CompressColumn). STRING
+/// columns store their dictionary under every encoding; DOUBLE columns
+/// store one of distinct values under kRle and kBitPack (see
+/// kMaxDoubleDictionary), and the RLE or bit-pack body then codes each row.
 enum class ColumnEncoding : uint8_t {
   kPlain = 0,
   kRle = 1,
@@ -22,6 +27,13 @@ enum class ColumnEncoding : uint8_t {
   kZlib = 5,         // DEFLATE over the plain encoding
   kAuto = 255,
 };
+
+/// Most distinct values a DOUBLE column's dictionary holds, as 64-bit
+/// patterns, so -0.0, +0.0 and every NaN payload stay exact; codes take at
+/// most 12 bits. A column with more cannot take kRle or kBitPack: encoding
+/// it so is a kOutOfRange error, and a payload whose dictionary claims
+/// more is a kParseError. The bound also bounds kAuto's trial memory.
+inline constexpr size_t kMaxDoubleDictionary = 4096;
 
 std::string_view ColumnEncodingToString(ColumnEncoding e);
 
@@ -51,12 +63,21 @@ struct CompressedTable {
 /// column of at most 65,536 rows is its own sample, a longer one samples 8
 /// evenly spaced windows of 8,192 rows (the first at row 0, the last
 /// ending at the last row). Every applicable encoding is tried on the
-/// sample, a tie going to the lower ColumnEncoding value, and the column
-/// is then encoded once with the smallest; a column that is its own
-/// sample keeps that trial's payload, so short columns get the exhaustive
-/// choice. Runs on the pool's lanes the way CompressTable does.
-Result<CompressedColumn> CompressColumn(const Column& column,
-                                        ColumnEncoding encoding);
+/// sample, the zlib codecs under both deflate strategies, and the column
+/// is then encoded once with the smallest; a tie goes to the lower
+/// ColumnEncoding value, then to the default strategy. A column that is
+/// its own sample keeps that trial's payload, so short columns get the
+/// exhaustive choice. A DOUBLE column whose sample fits the dictionary but
+/// whose rows do not (see kMaxDoubleDictionary) takes its sample's
+/// smallest encoding without one. Runs on the pool's lanes the way
+/// CompressTable does.
+///
+/// `strategy` applies to an explicit kZlib or kShuffleZlib only, and lets
+/// a caller reproduce one of kAuto's candidates; the payload does not
+/// record it.
+Result<CompressedColumn> CompressColumn(
+    const Column& column, ColumnEncoding encoding,
+    DeflateStrategy strategy = DeflateStrategy::kDefault);
 
 /// Reconstructs a column of `rows` rows; `field` supplies type/nullability.
 /// `rows` bounds every allocation: a destination is sized only once the
@@ -80,6 +101,18 @@ Result<CompressedTable> CompressTable(
 /// Reconstructs the full table, one column per lane, decoding straight
 /// into column vectors sized on the calling thread; round-trips losslessly.
 Result<Table> DecompressTable(const CompressedTable& compressed);
+
+/// One column's encoding and payload, read in place from bytes (an
+/// image's, say) that outlive the decode.
+struct ColumnPayloadView {
+  ColumnEncoding encoding = ColumnEncoding::kPlain;
+  std::span<const uint8_t> payload;
+};
+
+/// DecompressTable over payloads read in place: one view per field of
+/// `schema`, each decoding to `num_rows` rows.
+Result<Table> DecompressTable(const Schema& schema, size_t num_rows,
+                              std::span<const ColumnPayloadView> columns);
 
 }  // namespace laws
 

@@ -8,35 +8,27 @@
 
 namespace laws {
 
-void RleEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out) {
-  out->PutVarint(values.size());
-  size_t i = 0;
-  while (i < values.size()) {
-    const int64_t v = values[i];
-    size_t run = 1;
-    while (i + run < values.size() && values[i + run] == v) ++run;
-    out->PutSignedVarint(v);
-    out->PutVarint(run);
-    i += run;
+namespace {
+
+/// The Put of the INT64 decoders: every value as it is.
+struct PutInt64 {
+  int64_t* out;
+  bool operator()(uint64_t at, uint64_t rows, int64_t v) const {
+    std::fill_n(out + at, rows, v);
+    return true;
   }
+};
+
+}  // namespace
+
+void RleEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out) {
+  RleWriter writer(values.size(), out);
+  for (int64_t v : values) writer.Put(v);
+  writer.Finish();
 }
 
 Status RleDecodeInt64(ByteReader* in, int64_t* out, uint64_t n) {
-  LAWS_ASSIGN_OR_RETURN(uint64_t count, in->GetVarint());
-  if (count != n) {
-    return Status::ParseError("RLE element count does not match row count");
-  }
-  uint64_t filled = 0;
-  while (filled < n) {
-    LAWS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
-    LAWS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
-    if (run == 0 || run > n - filled) {
-      return Status::ParseError("corrupt RLE run");
-    }
-    std::fill_n(out + filled, run, v);
-    filled += run;
-  }
-  return Status::OK();
+  return RleDecode(in, n, PutInt64{out});
 }
 
 void DeltaVarintEncodeInt64(const std::vector<int64_t>& values,
@@ -67,85 +59,28 @@ Status DeltaVarintDecodeInt64(ByteReader* in, int64_t* out, uint64_t n) {
   return Status::OK();
 }
 
-void BitPackEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out) {
-  out->PutVarint(values.size());
-  if (values.empty()) return;
-  int64_t lo = values[0], hi = values[0];
-  for (int64_t v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
+BitPackWriter::BitPackWriter(uint64_t n, int64_t lo, int64_t hi,
+                             ByteWriter* out)
+    : out_(out), lo_(lo) {
+  out->PutVarint(n);
+  if (n == 0) return;
   const uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  int width = 0;
-  while (width < 64 && (width == 64 ? 0 : (range >> width)) != 0) ++width;
+  while (width_ < 64 && (range >> width_) != 0) ++width_;
   out->PutSignedVarint(lo);
-  // Widths above 56 cannot be packed through a 64-bit accumulator with a
-  // partial byte pending; store raw values under a sentinel width instead.
-  if (width > 56) {
-    out->PutU8(255);
-    for (int64_t v : values) out->PutI64(v);
-    return;
-  }
-  out->PutU8(static_cast<uint8_t>(width));
-  if (width == 0) return;
-  // Pack offsets LSB-first into a bit buffer.
-  uint64_t acc = 0;
-  int bits = 0;
-  for (int64_t v : values) {
-    const uint64_t off = static_cast<uint64_t>(v) - static_cast<uint64_t>(lo);
-    acc |= off << bits;
-    bits += width;
-    while (bits >= 8) {
-      out->PutU8(static_cast<uint8_t>(acc & 0xFF));
-      acc >>= 8;
-      bits -= 8;
-    }
-  }
-  if (bits > 0) out->PutU8(static_cast<uint8_t>(acc & 0xFF));
+  if (width_ > 56) width_ = kRawWidth;
+  out->PutU8(static_cast<uint8_t>(width_));
+}
+
+void BitPackEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out) {
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  BitPackWriter writer(values.size(), values.empty() ? 0 : *lo,
+                       values.empty() ? 0 : *hi, out);
+  for (int64_t v : values) writer.Put(v);
+  writer.Finish();
 }
 
 Status BitPackDecodeInt64(ByteReader* in, int64_t* out, uint64_t n) {
-  LAWS_ASSIGN_OR_RETURN(uint64_t count, in->GetVarint());
-  if (count != n) {
-    return Status::ParseError(
-        "bit-pack element count does not match row count");
-  }
-  if (n == 0) return Status::OK();
-  LAWS_ASSIGN_OR_RETURN(int64_t lo, in->GetSignedVarint());
-  LAWS_ASSIGN_OR_RETURN(uint8_t width, in->GetU8());
-  if (width == 0) {
-    std::fill_n(out, n, lo);
-    return Status::OK();
-  }
-  if (width == 255) {
-    LAWS_RETURN_IF_ERROR(in->CheckAvailable(n, 8, "bit-pack raw values"));
-    for (uint64_t i = 0; i < n; ++i) {
-      LAWS_ASSIGN_OR_RETURN(out[i], in->GetI64());
-    }
-    return Status::OK();
-  }
-  if (width > 56) {
-    return Status::ParseError("corrupt bit width");
-  }
-  // Check the packed size before the loop, overflow-safely.
-  if (n > (static_cast<uint64_t>(in->remaining()) * 8) / width) {
-    return Status::ParseError("truncated bit-pack payload");
-  }
-  uint64_t acc = 0;
-  int bits = 0;
-  const uint64_t mask = (1ULL << width) - 1;
-  for (uint64_t i = 0; i < n; ++i) {
-    while (bits < width) {
-      LAWS_ASSIGN_OR_RETURN(uint8_t b, in->GetU8());
-      acc |= static_cast<uint64_t>(b) << bits;
-      bits += 8;
-    }
-    const uint64_t off = acc & mask;
-    acc >>= width;
-    bits -= width;
-    out[i] = static_cast<int64_t>(static_cast<uint64_t>(lo) + off);
-  }
-  return Status::OK();
+  return BitPackDecode(in, n, PutInt64{out});
 }
 
 Result<std::vector<uint8_t>> ZlibCompress(const uint8_t* data, size_t size) {
@@ -232,7 +167,8 @@ size_t ZlibInput::block_bytes(size_t b) const { return BlockBytes(size(), b); }
 
 size_t MaxZlibBlockBytes(size_t input_bytes) {
   // deflateBound's tight bound for the default window and memory level is
-  // compressBound less the zlib wrapper's 2-byte header and 4-byte trailer.
+  // compressBound less the zlib wrapper's 2-byte header and 4-byte trailer,
+  // whatever the strategy (its stored-block fallback bounds every one).
   return compressBound(static_cast<uLong>(input_bytes)) - 6 + kSyncFlushBytes;
 }
 
@@ -252,7 +188,10 @@ Result<ZlibBlock> DeflateZlibBlock(const ZlibInput& input, size_t b,
   const bool last = b + 1 == input.blocks();
   z_stream zs{};
   int rc = deflateInit2(&zs, /*level=*/6, Z_DEFLATED, /*windowBits=*/-15,
-                        /*memLevel=*/8, Z_DEFAULT_STRATEGY);
+                        /*memLevel=*/8,
+                        input.strategy == DeflateStrategy::kRunLength
+                            ? Z_RLE
+                            : Z_DEFAULT_STRATEGY);
   if (rc != Z_OK) {
     return Status::Internal("zlib deflateInit2 failed rc=" +
                             std::to_string(rc));

@@ -44,6 +44,152 @@ Status DeltaVarintDecodeInt64(ByteReader* in, int64_t* out, uint64_t n);
 void BitPackEncodeInt64(const std::vector<int64_t>& values, ByteWriter* out);
 Status BitPackDecodeInt64(ByteReader* in, int64_t* out, uint64_t n);
 
+/// RleEncodeInt64's bytes for `n` values handed over one Put at a time,
+/// written straight into `out`, so a caller that derives each value (a
+/// dictionary code, say) needs no row-sized copy. Call Finish after the
+/// n-th Put.
+class RleWriter {
+ public:
+  RleWriter(uint64_t n, ByteWriter* out) : out_(out) { out->PutVarint(n); }
+
+  void Put(int64_t v) {
+    if (run_ != 0 && v == value_) {
+      ++run_;
+      return;
+    }
+    Finish();
+    value_ = v;
+    run_ = 1;
+  }
+
+  /// Writes the pending run.
+  void Finish() {
+    if (run_ == 0) return;
+    out_->PutSignedVarint(value_);
+    out_->PutVarint(run_);
+    run_ = 0;
+  }
+
+ private:
+  ByteWriter* out_;
+  int64_t value_ = 0;
+  uint64_t run_ = 0;
+};
+
+/// BitPackEncodeInt64's bytes for `n` values in [lo, hi] handed over one
+/// Put at a time (see RleWriter). Call Finish after the n-th Put.
+class BitPackWriter {
+ public:
+  BitPackWriter(uint64_t n, int64_t lo, int64_t hi, ByteWriter* out);
+
+  void Put(int64_t v) {
+    if (width_ == kRawWidth) {
+      out_->PutI64(v);
+      return;
+    }
+    acc_ |= (static_cast<uint64_t>(v) - static_cast<uint64_t>(lo_)) << bits_;
+    bits_ += width_;
+    while (bits_ >= 8) {
+      out_->PutU8(static_cast<uint8_t>(acc_ & 0xFF));
+      acc_ >>= 8;
+      bits_ -= 8;
+    }
+  }
+
+  /// Writes the pending partial byte.
+  void Finish() {
+    if (bits_ > 0) out_->PutU8(static_cast<uint8_t>(acc_ & 0xFF));
+    bits_ = 0;
+  }
+
+ private:
+  /// Widths above 56 cannot be packed through a 64-bit accumulator with a
+  /// partial byte pending; such values are stored raw under this width.
+  static constexpr int kRawWidth = 255;
+
+  ByteWriter* out_;
+  int64_t lo_ = 0;
+  int width_ = 0;
+  uint64_t acc_ = 0;
+  int bits_ = 0;
+};
+
+/// The RLE and bit-pack decoders hand each decoded value to
+/// put(first row, rows, value), which writes it to rows [first, first +
+/// rows) of the caller's destination and returns false for a value the
+/// destination cannot hold (a dictionary code past its dictionary, say),
+/// failing the decode with kParseError.
+template <typename Put>
+Status RleDecode(ByteReader* in, uint64_t n, Put put) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t count, in->GetVarint());
+  if (count != n) {
+    return Status::ParseError("RLE element count does not match row count");
+  }
+  uint64_t filled = 0;
+  while (filled < n) {
+    LAWS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
+    LAWS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
+    if (run == 0 || run > n - filled) {
+      return Status::ParseError("corrupt RLE run");
+    }
+    if (!put(filled, run, v)) {
+      return Status::ParseError("dictionary code out of range");
+    }
+    filled += run;
+  }
+  return Status::OK();
+}
+
+template <typename Put>
+Status BitPackDecode(ByteReader* in, uint64_t n, Put put) {
+  LAWS_ASSIGN_OR_RETURN(uint64_t count, in->GetVarint());
+  if (count != n) {
+    return Status::ParseError(
+        "bit-pack element count does not match row count");
+  }
+  if (n == 0) return Status::OK();
+  const auto bad_code = [] {
+    return Status::ParseError("dictionary code out of range");
+  };
+  LAWS_ASSIGN_OR_RETURN(int64_t lo, in->GetSignedVarint());
+  LAWS_ASSIGN_OR_RETURN(uint8_t width, in->GetU8());
+  if (width == 0) {
+    return put(0, n, lo) ? Status::OK() : bad_code();
+  }
+  if (width == 255) {
+    LAWS_RETURN_IF_ERROR(in->CheckAvailable(n, 8, "bit-pack raw values"));
+    for (uint64_t i = 0; i < n; ++i) {
+      LAWS_ASSIGN_OR_RETURN(int64_t v, in->GetI64());
+      if (!put(i, 1, v)) return bad_code();
+    }
+    return Status::OK();
+  }
+  if (width > 56) {
+    return Status::ParseError("corrupt bit width");
+  }
+  // Check the packed size before the loop, overflow-safely.
+  if (n > (static_cast<uint64_t>(in->remaining()) * 8) / width) {
+    return Status::ParseError("truncated bit-pack payload");
+  }
+  uint64_t acc = 0;
+  int bits = 0;
+  const uint64_t mask = (1ULL << width) - 1;
+  for (uint64_t i = 0; i < n; ++i) {
+    while (bits < width) {
+      LAWS_ASSIGN_OR_RETURN(uint8_t b, in->GetU8());
+      acc |= static_cast<uint64_t>(b) << bits;
+      bits += 8;
+    }
+    const uint64_t off = acc & mask;
+    acc >>= width;
+    bits -= width;
+    if (!put(i, 1, static_cast<int64_t>(static_cast<uint64_t>(lo) + off))) {
+      return bad_code();
+    }
+  }
+  return Status::OK();
+}
+
 /// One-shot DEFLATE via zlib (level 6) behind the uncompressed size as a
 /// u64. The column codecs deflate in blocks instead (DeflateZlibBlock);
 /// this stays as the reference their bytes are checked against, and its
@@ -58,6 +204,15 @@ inline constexpr size_t kZlibChunkBytes = size_t{64} * 1024;
 /// bounds depend only on the input's size.
 inline constexpr size_t kZlibBlockBytes = size_t{1} << 20;
 
+/// zlib's match search for the zlib codecs. kRunLength (Z_RLE) looks for
+/// repeats of the previous byte only: far cheaper than the default, and
+/// no larger on noisy byte planes, which come out as stored blocks either
+/// way. Inflate reads both alike, so a payload does not record it.
+enum class DeflateStrategy : uint8_t {
+  kDefault = 0,
+  kRunLength = 1,
+};
+
 /// The DEFLATE input of one zlib blob: `header`, then the `n` elements of
 /// `width` bytes at `data`. With `shuffle` the elements go byte plane by
 /// byte plane (byte 0 of every element, then byte 1, ...), gathered
@@ -68,6 +223,7 @@ struct ZlibInput {
   size_t n = 0;
   size_t width = 1;
   bool shuffle = false;
+  DeflateStrategy strategy = DeflateStrategy::kDefault;
 
   uint64_t size() const { return header.size() + uint64_t{n} * width; }
   /// ceil(size() / kZlibBlockBytes), and one block for an empty input.
@@ -78,6 +234,8 @@ struct ZlibInput {
 
 /// Room one block of `input_bytes` needs: deflateBound of a raw stream at
 /// level 6 with the default window and memory level, plus a sync flush.
+/// The bound holds for every strategy: a block that would come out larger
+/// is written as stored blocks.
 size_t MaxZlibBlockBytes(size_t input_bytes);
 
 /// Upper bound on what AppendZlibBlob adds for `decoded_bytes` of input:
@@ -92,11 +250,12 @@ struct ZlibBlock {
 };
 
 /// Deflates block `b` of `input` into out[0..room): raw DEFLATE at level
-/// 6, window 15, memLevel 8 and the default strategy, primed for b > 0
+/// 6, window 15, memLevel 8 and the input's strategy, primed for b > 0
 /// with the 32 KiB of input before the block, and ended with a sync flush
 /// (every block but the last) or Z_FINISH (the last). Blocks joined in
 /// order by ZlibBlobWriter make one standard zlib stream, and a one-block
-/// input comes out byte-identical to compress2. Output that does not fit
+/// input under the default strategy comes out byte-identical to compress2.
+/// Output that does not fit
 /// in `room` is a kInternal error; nothing is written past it.
 Result<ZlibBlock> DeflateZlibBlock(const ZlibInput& input, size_t b,
                                    uint8_t* out, size_t room);

@@ -120,6 +120,8 @@ Result<std::vector<uint8_t>> TableSectionPayload(const Table& table) {
   return out.TakeData();
 }
 
+/// Reads a table's compressed image; the decoders read each column payload
+/// in place, so `in`'s bytes must outlive the call.
 Result<Table> DeserializeTableCompressed(ByteReader* in) {
   // A field encodes at least name length + type + nullable = 3 bytes.
   LAWS_ASSIGN_OR_RETURN(uint64_t nfields, in->GetCount(3, "field count"));
@@ -137,21 +139,17 @@ Result<Table> DeserializeTableCompressed(ByteReader* in) {
     f.nullable = nullable != 0;
     fields.push_back(std::move(f));
   }
-  CompressedTable ct;
-  ct.schema = Schema(std::move(fields));
+  const Schema schema(std::move(fields));
   LAWS_ASSIGN_OR_RETURN(uint64_t rows, in->GetVarint());
-  ct.num_rows = rows;
-  ct.columns.reserve(ct.schema.num_fields());
-  for (size_t c = 0; c < ct.schema.num_fields(); ++c) {
-    CompressedColumn col;
+  std::vector<ColumnPayloadView> columns(schema.num_fields());
+  for (ColumnPayloadView& col : columns) {
     LAWS_ASSIGN_OR_RETURN(uint8_t enc, in->GetU8());
     col.encoding = static_cast<ColumnEncoding>(enc);
     LAWS_ASSIGN_OR_RETURN(uint64_t psize, in->GetCount(1, "column payload"));
-    col.payload.resize(psize);
-    LAWS_RETURN_IF_ERROR(in->GetRaw(col.payload.data(), psize));
-    ct.columns.push_back(std::move(col));
+    LAWS_ASSIGN_OR_RETURN(const uint8_t* payload, in->GetView(psize));
+    col.payload = {payload, static_cast<size_t>(psize)};
   }
-  return DecompressTable(ct);
+  return DecompressTable(schema, rows, columns);
 }
 
 /// One section staged for assembly (save) or parsed for loading.

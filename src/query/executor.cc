@@ -1212,7 +1212,11 @@ Result<Table> Project(const std::vector<SelectItem>& items,
     fields.push_back(Field{item.alias, c.type(), true});
     columns.push_back(std::move(c));
   }
-  return Table::FromColumns(Schema(std::move(fields)), std::move(columns));
+  // `*` over a table without columns expands to no items but keeps its
+  // rows.
+  return Table::FromColumns(
+      Schema(std::move(fields)), std::move(columns),
+      selection != nullptr ? selection->size() : input.num_rows());
 }
 
 /// Runs `plan`'s operators in order over `source` (and `right`, the

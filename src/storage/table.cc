@@ -13,10 +13,15 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
 }
 
 Result<Table> Table::FromColumns(Schema schema, std::vector<Column> columns) {
+  const size_t rows = columns.empty() ? 0 : columns[0].size();
+  return FromColumns(std::move(schema), std::move(columns), rows);
+}
+
+Result<Table> Table::FromColumns(Schema schema, std::vector<Column> columns,
+                                 size_t rows) {
   if (schema.num_fields() != columns.size()) {
     return Status::InvalidArgument("schema/column count mismatch");
   }
-  size_t rows = columns.empty() ? 0 : columns[0].size();
   for (size_t i = 0; i < columns.size(); ++i) {
     if (columns[i].type() != schema.field(i).type) {
       return Status::TypeMismatch("column type does not match schema field '" +

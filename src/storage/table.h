@@ -30,6 +30,12 @@ class Table {
   /// schema types and have equal length.
   static Result<Table> FromColumns(Schema schema, std::vector<Column> columns);
 
+  /// The same with the row count given, so that a table without columns
+  /// (SELECT * over one, say) keeps its rows; every column must have
+  /// `num_rows` rows.
+  static Result<Table> FromColumns(Schema schema, std::vector<Column> columns,
+                                   size_t num_rows);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }

@@ -2,9 +2,11 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -270,10 +272,10 @@ TEST(ColumnCompressorTest, BoolColumnRoundTrip) {
 TEST(ColumnCompressorTest, InapplicableEncodingErrors) {
   Column dbl(DataType::kDouble);
   dbl.AppendDouble(1.0);
-  EXPECT_FALSE(CompressColumn(dbl, ColumnEncoding::kRle).ok());
   EXPECT_FALSE(CompressColumn(dbl, ColumnEncoding::kDeltaVarint).ok());
   Column b(DataType::kBool);
   b.AppendBool(true);
+  EXPECT_FALSE(CompressColumn(b, ColumnEncoding::kRle).ok());
   EXPECT_FALSE(CompressColumn(b, ColumnEncoding::kBitPack).ok());
 }
 
@@ -321,6 +323,18 @@ TEST(CompressedTableTest, FullTableRoundTripAndRatio) {
   }
 }
 
+TEST(CompressedTableTest, ZeroColumnTableKeepsItsRows) {
+  Table t{Schema{}};
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(t.AppendRow({}).ok());
+  auto ct = CompressTable(t);
+  ASSERT_TRUE(ct.ok());
+  EXPECT_EQ(ct->num_rows, 3u);
+  auto back = DecompressTable(*ct);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->num_columns(), 0u);
+  EXPECT_EQ(back->num_rows(), 3u);
+}
+
 // --- kAuto's sampled choice ----------------------------------------------
 
 constexpr ColumnEncoding kAllEncodings[] = {
@@ -328,12 +342,39 @@ constexpr ColumnEncoding kAllEncodings[] = {
     ColumnEncoding::kDeltaVarint, ColumnEncoding::kBitPack,
     ColumnEncoding::kShuffleZlib, ColumnEncoding::kZlib};
 
+bool IsZlib(ColumnEncoding e) {
+  return e == ColumnEncoding::kZlib || e == ColumnEncoding::kShuffleZlib;
+}
+
+/// One of kAuto's candidates: an encoding, and a deflate strategy for the
+/// zlib codecs.
+struct Candidate {
+  ColumnEncoding encoding;
+  DeflateStrategy strategy;
+};
+
+/// Every candidate in kAuto's tie order: by encoding, then the default
+/// strategy before run-length.
+std::vector<Candidate> AllCandidates() {
+  std::vector<Candidate> out;
+  for (ColumnEncoding e : kAllEncodings) {
+    out.push_back({e, DeflateStrategy::kDefault});
+    if (IsZlib(e)) out.push_back({e, DeflateStrategy::kRunLength});
+  }
+  return out;
+}
+
+std::string NameOf(const Candidate& c) {
+  return std::string(ColumnEncodingToString(c.encoding)) +
+         (c.strategy == DeflateStrategy::kRunLength ? "/rle" : "");
+}
+
 /// The exhaustive choice kAuto made before sampling: the smallest payload
-/// over every applicable encoding, a tie going to the earlier one.
+/// over every applicable candidate, a tie going to the earlier one.
 CompressedColumn ExhaustiveSmallest(const Column& c) {
   std::optional<CompressedColumn> best;
-  for (ColumnEncoding e : kAllEncodings) {
-    auto cc = CompressColumn(c, e);
+  for (const Candidate& cand : AllCandidates()) {
+    auto cc = CompressColumn(c, cand.encoding, cand.strategy);
     if (!cc.ok()) continue;
     if (!best || cc->payload.size() < best->payload.size()) best = *cc;
   }
@@ -397,17 +438,19 @@ TEST(AutoChoiceTest, ColumnThatIsItsOwnSampleGetsTheExhaustiveChoice) {
   }
 }
 
-/// Exhaustive reference over full LOFAR columns; the candidates run on
-/// pool lanes to keep the test short.
-ColumnEncoding ExhaustiveEncodingOnLanes(const Column& c) {
-  std::vector<size_t> sizes(std::size(kAllEncodings), SIZE_MAX);
+/// Exhaustive reference over full LOFAR columns: the smallest candidate,
+/// a tie going to the earlier one. The candidates run on pool lanes to
+/// keep the test short.
+Candidate ExhaustiveCandidateOnLanes(const Column& c) {
+  const std::vector<Candidate> cands = AllCandidates();
+  std::vector<size_t> sizes(cands.size(), SIZE_MAX);
   ParallelFor(0, sizes.size(), [&](size_t i) {
-    auto cc = CompressColumn(c, kAllEncodings[i]);
+    auto cc = CompressColumn(c, cands[i].encoding, cands[i].strategy);
     if (cc.ok()) sizes[i] = cc->payload.size();
   });
   const size_t best = static_cast<size_t>(
       std::min_element(sizes.begin(), sizes.end()) - sizes.begin());
-  return kAllEncodings[best];
+  return cands[best];
 }
 
 TEST(AutoChoiceTest, SampleChoiceMatchesExhaustiveOnLofarTables) {
@@ -421,21 +464,27 @@ TEST(AutoChoiceTest, SampleChoiceMatchesExhaustiveOnLofarTables) {
     auto ct = CompressTable(t);
     ASSERT_TRUE(ct.ok()) << ct.status().ToString();
     for (size_t c = 0; c < t.num_columns(); ++c) {
-      EXPECT_EQ(ct->columns[c].encoding,
-                ExhaustiveEncodingOnLanes(t.column(c)))
-          << "jitter " << jitter << " column " << t.schema().field(c).name;
+      const Candidate best = ExhaustiveCandidateOnLanes(t.column(c));
+      SCOPED_TRACE("jitter " + std::to_string(jitter) + " column " +
+                   t.schema().field(c).name + " exhaustive " + NameOf(best));
+      EXPECT_EQ(ct->columns[c].encoding, best.encoding);
+      auto ref = CompressColumn(t.column(c), best.encoding, best.strategy);
+      ASSERT_TRUE(ref.ok());
+      EXPECT_EQ(ct->columns[c].payload, ref->payload);
     }
     if (jitter == 0.0) {
       // The end-to-end benchmark's table (band_jitter 0) at the
       // generator's default seed. Its codecs are pinned, and so is its
-      // size, so any change to the block encoder's bytes shows here. The
+      // size, so any change to the encoders' bytes shows here. The
       // one-stream-per-column encoder wrote 12,744,003 bytes; deflating
-      // in 1 MiB blocks, each primed with the 32 KiB before it, writes
-      // 2,466 fewer.
+      // in 1 MiB blocks, each primed with the 32 KiB before it, wrote
+      // 12,741,537. The 4-valued wavelength now takes a dictionary with
+      // 2-bit codes (it deflated to 705 KB), and intensity's shuffled
+      // byte planes deflate under Z_RLE: 12,393,491.
       EXPECT_EQ(ct->columns[0].encoding, ColumnEncoding::kShuffleZlib);
-      EXPECT_EQ(ct->columns[1].encoding, ColumnEncoding::kZlib);
+      EXPECT_EQ(ct->columns[1].encoding, ColumnEncoding::kBitPack);
       EXPECT_EQ(ct->columns[2].encoding, ColumnEncoding::kShuffleZlib);
-      EXPECT_EQ(ct->TotalCompressedBytes(), 12'741'537u);
+      EXPECT_EQ(ct->TotalCompressedBytes(), 12'393'491u);
     }
   }
 }
@@ -445,14 +494,24 @@ struct LaneGuard {
   ~LaneGuard() { ThreadPool::SetGlobalThreadCount(0); }
 };
 
+/// `n` doubles with a full-width mantissa: noisy low byte planes.
+Column NoisyDoubles(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Column c(DataType::kDouble);
+  for (size_t i = 0; i < n; ++i) c.AppendDouble(rng.Normal(50.0, 5.0));
+  return c;
+}
+
 TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneTwoAndFourLanes) {
   LaneGuard guard;
   Table t(Schema({Field{"k", DataType::kInt64, true},
                   Field{"x", DataType::kDouble, false},
                   Field{"tag", DataType::kString, true},
                   Field{"flag", DataType::kBool, false},
-                  Field{"small", DataType::kInt64, false}}));
-  // 400,000 rows: "x" deflates in 4 blocks of 1 MiB.
+                  Field{"small", DataType::kInt64, false},
+                  Field{"noise", DataType::kDouble, false}}));
+  // 400,000 rows: "noise" deflates in 4 blocks of 1 MiB; "x" holds fewer
+  // distinct values than the dictionary bound and takes it.
   const size_t n = 400'000;
   std::vector<Column> cols;
   cols.push_back(MixedColumn(DataType::kInt64, n, 11, 1));
@@ -460,6 +519,7 @@ TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneTwoAndFourLanes) {
   cols.push_back(MixedColumn(DataType::kString, n, 13, 3));
   cols.push_back(MixedColumn(DataType::kBool, n, 0, 4));
   cols.push_back(MixedColumn(DataType::kInt64, n, 0, 5));
+  cols.push_back(NoisyDoubles(n, 6));
   auto table = Table::FromColumns(t.schema(), std::move(cols));
   ASSERT_TRUE(table.ok());
   std::vector<std::vector<uint8_t>> payloads[3];
@@ -468,7 +528,8 @@ TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneTwoAndFourLanes) {
     ThreadPool::SetGlobalThreadCount(lane_counts[i]);
     auto ct = CompressTable(*table);
     ASSERT_TRUE(ct.ok()) << ct.status().ToString();
-    EXPECT_EQ(ct->columns[1].encoding, ColumnEncoding::kZlib);
+    EXPECT_EQ(ct->columns[1].encoding, ColumnEncoding::kBitPack);
+    EXPECT_EQ(ct->columns[5].encoding, ColumnEncoding::kShuffleZlib);
     for (const auto& c : ct->columns) payloads[i].push_back(c.payload);
     auto back = DecompressTable(*ct);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -527,15 +588,304 @@ TEST(AutoChoiceTest, CompressTableStopsWithinABlockOfACancel) {
       << "the whole table took " << slowest_ms << " ms";
 }
 
+// --- DOUBLE value dictionary ----------------------------------------------
+
+/// `distinct` doubles with distinct bit patterns: -0.0, +0.0, +-inf and
+/// NaNs with distinct payloads first, then ordinary values.
+std::vector<double> DictionaryDomain(size_t distinct) {
+  std::vector<double> domain = {
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::bit_cast<double>(uint64_t{0x7FF8000000000001}),
+      std::bit_cast<double>(uint64_t{0x7FF0000000000042}),  // signaling
+      std::bit_cast<double>(uint64_t{0xFFF8000000000007}),
+  };
+  for (size_t i = domain.size(); i < distinct; ++i) {
+    domain.push_back(1000.0 + 0.25 * static_cast<double>(i));
+  }
+  domain.resize(distinct);
+  return domain;
+}
+
+/// `n` rows drawn from `domain` in short runs, every `null_every`-th row
+/// NULL when that is nonzero (NULL rows hold +0.0).
+Column DomainColumn(const std::vector<double>& domain, size_t n,
+                    size_t null_every, uint64_t seed) {
+  Rng rng(seed);
+  Column c(DataType::kDouble, null_every != 0);
+  double v = domain.empty() ? 0.0 : domain[0];
+  for (size_t i = 0; i < n; ++i) {
+    if (i < domain.size()) {
+      v = domain[i];  // every value shows up
+    } else if (rng.Bernoulli(0.3)) {
+      v = domain[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(domain.size()) - 1))];
+    }
+    if (null_every != 0 && i % null_every == 1) {
+      EXPECT_TRUE(c.AppendNull().ok());
+    } else {
+      c.AppendDouble(v);
+    }
+  }
+  return c;
+}
+
+/// Bit-exact equality of two DOUBLE columns, NaN payloads and signed
+/// zeros included.
+void ExpectSameDoubles(const Column& a, const Column& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.null_count(), b.null_count());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(a.double_data()[i]),
+              std::bit_cast<uint64_t>(b.double_data()[i]))
+        << i;
+    ASSERT_EQ(a.IsNull(i), b.IsNull(i)) << i;
+  }
+}
+
+TEST(DoubleDictionaryTest, RoundTripsBitExactUpToTheBound) {
+  struct Shape {
+    size_t distinct;
+    size_t n;
+    size_t null_every;
+  };
+  const Shape shapes[] = {
+      {0, 0, 0},
+      {1, 1, 0},
+      {1, 5000, 0},
+      {7, 5000, 0},
+      {7, 5000, 4},
+      {300, 20000, 0},
+      {kMaxDoubleDictionary, 30000, 0},
+      {kMaxDoubleDictionary, 30000, 9},
+  };
+  for (const Shape& shape : shapes) {
+    const Column c = DomainColumn(DictionaryDomain(shape.distinct), shape.n,
+                                  shape.null_every, shape.n + 3);
+    for (ColumnEncoding e : {ColumnEncoding::kRle, ColumnEncoding::kBitPack}) {
+      SCOPED_TRACE("distinct=" + std::to_string(shape.distinct) + " n=" +
+                   std::to_string(shape.n) + " nulls=" +
+                   std::to_string(shape.null_every) + " " +
+                   std::string(ColumnEncodingToString(e)));
+      auto cc = CompressColumn(c, e);
+      ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+      EXPECT_EQ(cc->encoding, e);
+      auto back = DecompressColumn(
+          *cc, Field{"x", DataType::kDouble, shape.null_every != 0}, shape.n);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      ExpectSameDoubles(*back, c);
+      if (e == ColumnEncoding::kBitPack && shape.distinct > 1) {
+        // Codes take ceil(log2(distinct)) bits a row.
+        const size_t bits = static_cast<size_t>(
+            std::bit_width(shape.distinct - 1));
+        EXPECT_LT(cc->payload.size(),
+                  shape.n * bits / 8 + 8 * shape.distinct + 64 +
+                      c.validity().size());
+      }
+    }
+  }
+}
+
+TEST(DoubleDictionaryTest, OneValuePastTheBoundIsOutOfRange) {
+  const Column c =
+      DomainColumn(DictionaryDomain(kMaxDoubleDictionary + 1), 30000, 0, 5);
+  for (ColumnEncoding e : {ColumnEncoding::kRle, ColumnEncoding::kBitPack}) {
+    EXPECT_EQ(CompressColumn(c, e).status().code(), StatusCode::kOutOfRange);
+  }
+  // kAuto declines the dictionary and still round-trips.
+  auto cc = CompressColumn(c, ColumnEncoding::kAuto);
+  ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+  EXPECT_NE(cc->encoding, ColumnEncoding::kRle);
+  EXPECT_NE(cc->encoding, ColumnEncoding::kBitPack);
+  auto back = DecompressColumn(*cc, Field{"x", DataType::kDouble, false},
+                               c.size());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ExpectSameDoubles(*back, c);
+}
+
+/// kAuto's sample rows for a column of `n` > 65,536 rows: 8 windows of
+/// 8,192 rows, the first at row 0 and the last ending at the last row.
+std::vector<uint32_t> SampleRows(size_t n) {
+  std::vector<uint32_t> rows;
+  for (size_t w = 0; w < 8; ++w) {
+    const size_t begin = (n - 8192) * w / 7;
+    for (size_t i = 0; i < 8192; ++i) {
+      rows.push_back(static_cast<uint32_t>(begin + i));
+    }
+  }
+  return rows;
+}
+
+TEST(DoubleDictionaryTest, ColumnOverTheBoundTakesItsSamplesBestOtherCodec) {
+  LaneGuard guard;
+  // Four values inside the sample windows, a new value on every row
+  // between them: the sample fits the dictionary, the column does not.
+  const size_t n = 200'000;
+  const std::vector<uint32_t> sample_rows = SampleRows(n);
+  std::vector<uint8_t> in_sample(n, 0);
+  for (uint32_t r : sample_rows) in_sample[r] = 1;
+  Rng rng(31);
+  Column c(DataType::kDouble);
+  for (size_t i = 0; i < n; ++i) {
+    c.AppendDouble(in_sample[i] ? 0.5 * static_cast<double>(rng.UniformInt(0, 3))
+                                : 1000.0 + static_cast<double>(i));
+  }
+  auto sample = c.Gather(sample_rows);
+  ASSERT_TRUE(sample.ok());
+  auto sample_choice = CompressColumn(*sample, ColumnEncoding::kAuto);
+  ASSERT_TRUE(sample_choice.ok());
+  ASSERT_EQ(sample_choice->encoding, ColumnEncoding::kBitPack);
+  ASSERT_EQ(CompressColumn(c, ColumnEncoding::kBitPack).status().code(),
+            StatusCode::kOutOfRange);
+  // The sample's smallest candidate without a dictionary, a tie going to
+  // the earlier one.
+  std::optional<Candidate> fallback;
+  size_t fallback_bytes = SIZE_MAX;
+  for (const Candidate& cand : AllCandidates()) {
+    if (cand.encoding == ColumnEncoding::kRle ||
+        cand.encoding == ColumnEncoding::kBitPack) {
+      continue;
+    }
+    auto cc = CompressColumn(*sample, cand.encoding, cand.strategy);
+    if (cc.ok() && cc->payload.size() < fallback_bytes) {
+      fallback = cand;
+      fallback_bytes = cc->payload.size();
+    }
+  }
+  ASSERT_TRUE(fallback.has_value());
+  auto expected = CompressColumn(c, fallback->encoding, fallback->strategy);
+  ASSERT_TRUE(expected.ok());
+  for (size_t lanes : {1, 4}) {
+    SCOPED_TRACE("fallback " + NameOf(*fallback) + " lanes " +
+                 std::to_string(lanes));
+    ThreadPool::SetGlobalThreadCount(lanes);
+    auto cc = CompressColumn(c, ColumnEncoding::kAuto);
+    ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+    EXPECT_EQ(cc->encoding, fallback->encoding);
+    EXPECT_EQ(cc->payload, expected->payload);
+    auto back =
+        DecompressColumn(*cc, Field{"x", DataType::kDouble, false}, n);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ExpectSameDoubles(*back, c);
+  }
+}
+
+/// A DOUBLE dictionary payload without NULLs, built by hand: `dictionary`
+/// values, then an RLE body of one run per (code, rows) pair.
+CompressedColumn HandBuiltDictionary(
+    size_t dictionary, const std::vector<std::pair<int64_t, uint64_t>>& runs,
+    uint64_t declared_rows) {
+  ByteWriter w;
+  w.PutU8(0);
+  w.PutVarint(dictionary);
+  for (size_t i = 0; i < dictionary; ++i) w.PutDouble(1.5 * i);
+  w.PutVarint(declared_rows);
+  for (const auto& [code, rows] : runs) {
+    w.PutSignedVarint(code);
+    w.PutVarint(rows);
+  }
+  CompressedColumn cc;
+  cc.encoding = ColumnEncoding::kRle;
+  cc.payload = w.TakeData();
+  return cc;
+}
+
+TEST(DoubleDictionaryTest, MalformedPayloadsAreParseErrors) {
+  const Field field{"x", DataType::kDouble, false};
+  const size_t n = 1000;
+  const Column c = DomainColumn(DictionaryDomain(5), n, 0, 8);
+  auto rle = CompressColumn(c, ColumnEncoding::kRle);
+  auto packed = CompressColumn(c, ColumnEncoding::kBitPack);
+  ASSERT_TRUE(rle.ok() && packed.ok());
+  const auto cut = [](CompressedColumn cc, size_t bytes) {
+    cc.payload.resize(cc.payload.size() - bytes);
+    return cc;
+  };
+  const auto extended = [](CompressedColumn cc) {
+    cc.payload.push_back(0);
+    return cc;
+  };
+  // A bit-packed body of eight 3-bit codes past a dictionary of 5: seven
+  // 0s, then a 7 in the top 3 bits of the third byte.
+  CompressedColumn bad_packed_code;
+  {
+    ByteWriter w;
+    w.PutU8(0);
+    w.PutVarint(5);
+    for (int i = 0; i < 5; ++i) w.PutDouble(i);
+    w.PutVarint(8);
+    w.PutSignedVarint(0);
+    w.PutU8(3);
+    w.PutU8(0);
+    w.PutU8(0);
+    w.PutU8(0xE0);
+    bad_packed_code.encoding = ColumnEncoding::kBitPack;
+    bad_packed_code.payload = w.TakeData();
+  }
+
+  struct Case {
+    const char* what;
+    CompressedColumn cc;
+    size_t rows;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"dictionary over the bound",
+       HandBuiltDictionary(kMaxDoubleDictionary + 1, {{0, 10}}, 10), 10,
+       "DOUBLE dictionary holds more than"},
+      {"dictionary count past the payload", cut(*rle, rle->payload.size() - 3),
+       n, "DOUBLE dictionary"},
+      {"RLE code past the dictionary",
+       HandBuiltDictionary(4, {{0, 6}, {4, 4}}, 10), 10,
+       "dictionary code out of range"},
+      {"negative RLE code", HandBuiltDictionary(4, {{-1, 10}}, 10), 10,
+       "dictionary code out of range"},
+      {"bit-packed code past the dictionary", bad_packed_code, 8,
+       "dictionary code out of range"},
+      {"truncated RLE body", cut(*rle, 1), n, ""},
+      {"truncated bit-pack body", cut(*packed, 1), n, "truncated"},
+      {"trailing bytes after an RLE body", extended(*rle), n,
+       "trailing bytes after column payload"},
+      {"trailing bytes after a bit-pack body", extended(*packed), n,
+       "trailing bytes after column payload"},
+      {"RLE row count above", *rle, n - 1, "does not match row count"},
+      {"RLE row count below", *rle, n + 1, "does not match row count"},
+      {"bit-pack row count above", *packed, n - 1,
+       "does not match row count"},
+      {"bit-pack row count below", *packed, n + 1,
+       "does not match row count"},
+  };
+  // The well-formed payloads decode, so each case fails for its own
+  // reason.
+  ASSERT_TRUE(DecompressColumn(*rle, field, n).ok());
+  ASSERT_TRUE(DecompressColumn(*packed, field, n).ok());
+  ASSERT_TRUE(
+      DecompressColumn(HandBuiltDictionary(4, {{0, 6}, {3, 4}}, 10), field, 10)
+          .ok());
+  for (const Case& c : cases) {
+    auto back = DecompressColumn(c.cc, field, c.rows);
+    ASSERT_FALSE(back.ok()) << c.what;
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError)
+        << c.what << ": " << back.status().ToString();
+    EXPECT_NE(back.status().message().find(c.message), std::string::npos)
+        << c.what << ": " << back.status().ToString();
+  }
+}
+
 // --- Block-parallel zlib codecs ------------------------------------------
 
 /// The block rule applied serially to a staged body with zlib directly:
-/// ZlibCompress for a one-block body; otherwise [u64 size][78 9C], then
-/// each 1 MiB block as raw DEFLATE (level 6, window 15, memLevel 8),
-/// primed with the 32 KiB before it and ended with a sync flush (the last
-/// with Z_FINISH), then the Adler-32 of the whole body.
-std::vector<uint8_t> BlockRuleBlob(const std::vector<uint8_t>& body) {
-  if (body.size() <= kZlibBlockBytes) {
+/// ZlibCompress for a one-block body under the default strategy; otherwise
+/// [u64 size][78 9C], then each 1 MiB block as raw DEFLATE (level 6,
+/// window 15, memLevel 8, `strategy`), primed with the 32 KiB before it
+/// and ended with a sync flush (the last with Z_FINISH), then the Adler-32
+/// of the whole body. A one-block body under Z_RLE is one one-shot raw
+/// stream in that frame.
+std::vector<uint8_t> BlockRuleBlob(const std::vector<uint8_t>& body,
+                                   int strategy = Z_DEFAULT_STRATEGY) {
+  if (body.size() <= kZlibBlockBytes && strategy == Z_DEFAULT_STRATEGY) {
     auto z = ZlibCompress(body.data(), body.size());
     EXPECT_TRUE(z.ok());
     return *z;
@@ -544,12 +894,12 @@ std::vector<uint8_t> BlockRuleBlob(const std::vector<uint8_t>& body) {
   out.PutU64(body.size());
   out.PutU8(0x78);
   out.PutU8(0x9C);
-  for (size_t lo = 0; lo < body.size(); lo += kZlibBlockBytes) {
+  size_t lo = 0;
+  do {
     const size_t len = std::min(kZlibBlockBytes, body.size() - lo);
     const bool last = lo + len == body.size();
     z_stream zs{};
-    EXPECT_EQ(deflateInit2(&zs, 6, Z_DEFLATED, -15, 8, Z_DEFAULT_STRATEGY),
-              Z_OK);
+    EXPECT_EQ(deflateInit2(&zs, 6, Z_DEFLATED, -15, 8, strategy), Z_OK);
     if (lo > 0) {
       EXPECT_EQ(deflateSetDictionary(&zs, body.data() + lo - 32768, 32768),
                 Z_OK);
@@ -563,7 +913,8 @@ std::vector<uint8_t> BlockRuleBlob(const std::vector<uint8_t>& body) {
               last ? Z_STREAM_END : Z_OK);
     out.PutRaw(block.data(), block.size() - zs.avail_out);
     deflateEnd(&zs);
-  }
+    lo += len;
+  } while (lo < body.size());
   const auto adler = static_cast<uint32_t>(
       adler32(adler32(0L, Z_NULL, 0), body.data(),
               static_cast<uInt>(body.size())));
@@ -610,14 +961,16 @@ std::vector<uint8_t> StagedBody(const Column& c, bool shuffle) {
 
 /// The reference for a kZlib/kShuffleZlib payload: the validity bitmap,
 /// then the block rule over the staged body.
-std::vector<uint8_t> OneShotPayload(const Column& c, bool shuffle) {
+std::vector<uint8_t> OneShotPayload(const Column& c, bool shuffle,
+                                    int strategy = Z_DEFAULT_STRATEGY) {
   ByteWriter out;
   out.PutU8(c.null_count() > 0 ? 1 : 0);
   if (c.null_count() > 0) {
     out.PutVarint(c.validity().size());
     out.PutRaw(c.validity().data(), c.validity().size());
   }
-  const std::vector<uint8_t> z = BlockRuleBlob(StagedBody(c, shuffle));
+  const std::vector<uint8_t> z =
+      BlockRuleBlob(StagedBody(c, shuffle), strategy);
   out.PutVarint(z.size());
   out.PutRaw(z.data(), z.size());
   return out.TakeData();
@@ -663,22 +1016,24 @@ TEST(StreamingZlibTest, PayloadsEqualOneShotReference) {
     const Column c = MixedColumn(type, n, shape.null_every, n * 3 + 1);
     const size_t width = type == DataType::kBool ? 1 : 8;
     const bool blocks = VarintSize(n) + n * width > mib;
-    for (ColumnEncoding e :
-         {ColumnEncoding::kZlib, ColumnEncoding::kShuffleZlib}) {
-      if (type == DataType::kBool && e == ColumnEncoding::kShuffleZlib) {
+    for (const Candidate& cand : AllCandidates()) {
+      const ColumnEncoding e = cand.encoding;
+      if (!IsZlib(e) ||
+          (type == DataType::kBool && e == ColumnEncoding::kShuffleZlib)) {
         continue;
       }
-      const std::vector<uint8_t> reference =
-          OneShotPayload(c, e == ColumnEncoding::kShuffleZlib);
+      const std::vector<uint8_t> reference = OneShotPayload(
+          c, e == ColumnEncoding::kShuffleZlib,
+          cand.strategy == DeflateStrategy::kRunLength ? Z_RLE
+                                                       : Z_DEFAULT_STRATEGY);
       for (size_t lanes : blocks ? std::vector<size_t>{1, 2, 4}
                                  : std::vector<size_t>{4}) {
         SCOPED_TRACE(std::string(DataTypeToString(type)) + " n=" +
                      std::to_string(n) + " nulls=" +
-                     std::to_string(shape.null_every) + " " +
-                     std::string(ColumnEncodingToString(e)) + " lanes=" +
-                     std::to_string(lanes));
+                     std::to_string(shape.null_every) + " " + NameOf(cand) +
+                     " lanes=" + std::to_string(lanes));
         ThreadPool::SetGlobalThreadCount(lanes);
-        auto cc = CompressColumn(c, e);
+        auto cc = CompressColumn(c, e, cand.strategy);
         ASSERT_TRUE(cc.ok()) << cc.status().ToString();
         EXPECT_EQ(cc->payload, reference);
         auto back = DecompressColumn(
@@ -704,14 +1059,19 @@ TEST(StreamingZlibTest, BlockEdgesDecodeWithZlibItself) {
     rows[i] = static_cast<uint8_t>(i / 4096 + noise);
   }
   for (size_t bytes : {mib - 1, mib, mib + 1, 3 * mib + 1}) {
-    for (bool shuffle : {false, true}) {
-      SCOPED_TRACE(std::to_string(bytes) + (shuffle ? " shuffled" : ""));
+    for (int variant = 0; variant < 4; ++variant) {
+      const bool shuffle = variant % 2 == 1;
+      const bool rle = variant >= 2;
+      SCOPED_TRACE(std::to_string(bytes) + (shuffle ? " shuffled" : "") +
+                   (rle ? " Z_RLE" : ""));
       // A 13-byte header, then 8-byte elements (and a ragged tail of
       // header bytes when `bytes` is not 13 + 8n).
       ZlibInput in;
       in.n = (bytes - 13) / 8;
       in.width = 8;
       in.shuffle = shuffle;
+      in.strategy =
+          rle ? DeflateStrategy::kRunLength : DeflateStrategy::kDefault;
       in.data = rows.data();
       in.header.assign(bytes - in.n * 8, 0x42);
       ASSERT_EQ(in.size(), bytes);
@@ -725,7 +1085,8 @@ TEST(StreamingZlibTest, BlockEdgesDecodeWithZlibItself) {
       ASSERT_TRUE(r.GetVarint().ok());
       const std::vector<uint8_t> blob(framed.begin() + r.position(),
                                       framed.end());
-      EXPECT_EQ(blob, BlockRuleBlob(staged));
+      EXPECT_EQ(blob,
+                BlockRuleBlob(staged, rle ? Z_RLE : Z_DEFAULT_STRATEGY));
       EXPECT_EQ(Uncompressed(blob), staged);
     }
   }
@@ -738,12 +1099,14 @@ TEST(StreamingZlibTest, RandomBlocksFitTheirRoom) {
   Rng rng(99);
   std::vector<uint8_t> rows(3 * kZlibBlockBytes + 12345);
   for (uint8_t& b : rows) b = static_cast<uint8_t>(rng.NextU64());
-  for (bool shuffle : {false, true}) {
+  for (int variant = 0; variant < 4; ++variant) {
     ZlibInput in;
     in.data = rows.data();
     in.n = rows.size() / 8;
     in.width = 8;
-    in.shuffle = shuffle;
+    in.shuffle = variant % 2 == 1;
+    in.strategy = variant >= 2 ? DeflateStrategy::kRunLength
+                               : DeflateStrategy::kDefault;
     in.header = {1, 2, 3};
     ASSERT_EQ(in.blocks(), 4u);
     for (size_t b = 0; b < in.blocks(); ++b) {

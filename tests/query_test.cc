@@ -1656,5 +1656,43 @@ TEST(OrderByTest, ExplainAnalyzeNamesTheSortAlgorithm) {
       << *full;
 }
 
+TEST(ProjectionTest, ZeroColumnTableKeepsItsRowsThroughStar) {
+  // `*` over a table with no columns expands to nothing, but the rows are
+  // still there: SELECT * keeps all of them, and DISTINCT * keeps one
+  // empty row when there is any.
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{3}}) {
+    auto t = std::make_shared<Table>(Schema{});
+    for (size_t i = 0; i < rows; ++i) ASSERT_TRUE(t->AppendRow({}).ok());
+    Catalog cat;
+    cat.RegisterOrReplace("nothing", t);
+    const std::pair<const char*, size_t> cases[] = {
+        {"SELECT * FROM nothing", rows},
+        {"SELECT DISTINCT * FROM nothing", rows == 0 ? 0 : 1},
+        {"SELECT * FROM nothing LIMIT 2", std::min<size_t>(rows, 2)},
+    };
+    for (const auto& [sql, want_rows] : cases) {
+      SCOPED_TRACE(std::string(sql) + " over " + std::to_string(rows) +
+                   " rows");
+      auto stmt = ParseSelect(sql);
+      ASSERT_TRUE(stmt.ok());
+      auto got = ExecuteSelect(cat, *stmt);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->num_columns(), 0u);
+      EXPECT_EQ(got->num_rows(), want_rows);
+      const testing::OracleResult want =
+          testing::OracleExecuteSelect(cat, *stmt);
+      ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+      EXPECT_EQ(want.table.num_rows(), want_rows);
+      std::string why;
+      EXPECT_TRUE(testing::TablesEquivalent(want.table, *got,
+                                            /*order_sensitive=*/true, &why))
+          << why;
+    }
+    auto count = ExecuteQuery(cat, "SELECT COUNT(*) FROM nothing");
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(count->GetValue(0, 0), Value::Int64(static_cast<int64_t>(rows)));
+  }
+}
+
 }  // namespace
 }  // namespace laws

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Durability gate: runs the corruption-fuzz sweep and the save-path
-# fault-injection matrix (tests/robustness_test.cc) under ASan + UBSan.
+# fault-injection matrix (tests/robustness_test.cc), and the column
+# decoders' mutated-payload sweep (tests/compress_test.cc), under ASan +
+# UBSan.
 # The sweep mutates serialized images with seeded bit flips, truncations
 # and splices and asserts every mutation is either rejected with a clean
 # Status or loads bit-identically; the fault matrix arms each persist/*
@@ -23,16 +25,17 @@ JOBS="${LAWS_ROBUST_JOBS:-$(nproc)}"
 cmake -B "$BUILD_DIR" -S . -DLAWS_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$JOBS" --target robustness_test common_test \
-  core_test lawsdb_shell
+  core_test compress_test lawsdb_shell
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 export LAWS_THREADS="${LAWS_THREADS:-4}"
 
 # The sweep + fault matrix, plus the parser-hardening regression tests in
-# common_test and the persistence round-trips in core_test.
+# common_test, the persistence round-trips in core_test and every column
+# codec's malformed and mutated payloads in compress_test.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'robustness_test|common_test|core_test' "$@"
+  -R 'robustness_test|common_test|core_test|compress_test' "$@"
 
 # End-to-end check of the LAWS_FAULTS env interface: armed via the
 # environment (not the API), a save must fail at the rename fault point
