@@ -299,6 +299,17 @@ Result<ApproxAnswer> ModelQueryEngine::ExecuteStatement(
   const auto ranges = ExtractRangeConstraints(stmt.where.get());
   LAWS_ASSIGN_OR_RETURN(ApproxAnswer answer,
                         ReconstructTable(*model, ranges));
+  // A law evaluated outside its domain (the log of a non-positive input, a
+  // negative power of zero) predicts inf or NaN, which no answer may rest
+  // on: decline, and the exact engine answers instead.
+  for (double y : answer.table.column(answer.table.num_columns() - 1)
+                      .double_data()) {
+    if (!std::isfinite(y)) {
+      return Status::NumericError("model " + std::to_string(model->id) +
+                                  " predicts a non-finite " +
+                                  model->output_column);
+    }
+  }
   // Run the original statement over the reconstructed tuples. The
   // reconstruction already honoured the pushed-down ranges, but the full
   // predicate (e.g. intensity > 3.0) still applies here.

@@ -53,7 +53,9 @@ class ModelQueryEngine {
   /// Parses and answers SQL approximately. Fails with NotFound when no
   /// fresh-enough model covers the referenced columns, InvalidArgument
   /// when a referenced input dimension is not enumerable and not pinned by
-  /// the predicate — callers then fall back to the exact engine.
+  /// the predicate, and NumericError when the model predicts inf or NaN
+  /// for a tuple it reconstructs — callers then fall back to the exact
+  /// engine.
   Result<ApproxAnswer> Execute(const std::string& sql) const;
 
   Result<ApproxAnswer> ExecuteStatement(const SelectStatement& stmt) const;

@@ -649,22 +649,6 @@ Status EncodeColumns(const std::vector<const Column*>& columns,
   return EncodeColumns(columns, choices, out, encoded);
 }
 
-/// CompressTable and CompressColumn: every column encoded with `encoding`
-/// (and `strategy`), or under kAuto with its sample's choice.
-Result<std::vector<CompressedColumn>> CompressColumns(
-    const std::vector<const Column*>& columns, ColumnEncoding encoding,
-    DeflateStrategy strategy) {
-  std::vector<CompressedColumn> out(columns.size());
-  std::vector<uint8_t> encoded(columns.size(), 0);
-  std::vector<Choice> choices(columns.size(),
-                              Choice{Codec{encoding, strategy}, std::nullopt});
-  if (encoding == ColumnEncoding::kAuto) {
-    LAWS_RETURN_IF_ERROR(ChooseEncodings(columns, &choices, &out, &encoded));
-  }
-  LAWS_RETURN_IF_ERROR(EncodeColumns(columns, &choices, &out, &encoded));
-  return out;
-}
-
 /// One column's decode in three steps, so that DecompressTable can size
 /// every destination on the calling thread and decode on pool lanes.
 struct ColumnDecode {
@@ -954,6 +938,20 @@ double CompressedTable::CompressionRatio() const {
          static_cast<double>(raw);
 }
 
+Result<std::vector<CompressedColumn>> CompressColumns(
+    const std::vector<const Column*>& columns, ColumnEncoding encoding,
+    DeflateStrategy strategy) {
+  std::vector<CompressedColumn> out(columns.size());
+  std::vector<uint8_t> encoded(columns.size(), 0);
+  std::vector<Choice> choices(columns.size(),
+                              Choice{Codec{encoding, strategy}, std::nullopt});
+  if (encoding == ColumnEncoding::kAuto) {
+    LAWS_RETURN_IF_ERROR(ChooseEncodings(columns, &choices, &out, &encoded));
+  }
+  LAWS_RETURN_IF_ERROR(EncodeColumns(columns, &choices, &out, &encoded));
+  return out;
+}
+
 Result<CompressedColumn> CompressColumn(const Column& column,
                                         ColumnEncoding encoding,
                                         DeflateStrategy strategy) {
@@ -981,9 +979,7 @@ Result<CompressedTable> CompressTable(const Table& table,
   CompressedTable out;
   out.schema = table.schema();
   out.num_rows = table.num_rows();
-  LAWS_ASSIGN_OR_RETURN(
-      out.columns,
-      CompressColumns(columns, encoding, DeflateStrategy::kDefault));
+  LAWS_ASSIGN_OR_RETURN(out.columns, CompressColumns(columns, encoding));
   return out;
 }
 

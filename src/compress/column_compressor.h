@@ -79,6 +79,14 @@ Result<CompressedColumn> CompressColumn(
     const Column& column, ColumnEncoding encoding,
     DeflateStrategy strategy = DeflateStrategy::kDefault);
 
+/// Compresses several columns in one parallel region: each as
+/// CompressColumn would alone, with the trial and encode units of all of
+/// them claimed from one cursor by every lane (see CompressTable, which
+/// calls it for a table's columns).
+Result<std::vector<CompressedColumn>> CompressColumns(
+    const std::vector<const Column*>& columns, ColumnEncoding encoding,
+    DeflateStrategy strategy = DeflateStrategy::kDefault);
+
 /// Reconstructs a column of `rows` rows; `field` supplies type/nullability.
 /// `rows` bounds every allocation: a destination is sized only once the
 /// payload is known to hold that many rows, so a corrupt payload fails

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <optional>
 
 #include "common/thread_pool.h"
@@ -146,33 +147,22 @@ Result<SemanticCompressedTable> SemanticCompress(
             : static_cast<int64_t>(
                   std::llround((y - pred[i]) / options.quantization_step)));
   }
-  LAWS_ASSIGN_OR_RETURN(out.residual_column,
-                        CompressColumn(residuals, ColumnEncoding::kAuto));
 
-  // Remaining columns, generically compressed — one independent encoding
-  // search per column, fanned out across lanes. Slots are indexed by the
-  // schema-order position so the blob layout never depends on scheduling.
-  std::vector<size_t> keep;
+  // The residuals and every other column, compressed under kAuto in one
+  // CompressColumns call, so their codec trials and DEFLATE blocks share
+  // the pool's lanes; the other columns keep their schema order.
+  std::vector<const Column*> columns = {&residuals};
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const std::string& name = table.schema().field(c).name;
     if (name == spec.output_column) continue;
-    keep.push_back(c);
+    columns.push_back(&table.column(c));
     out.other_column_names.push_back(name);
   }
-  out.other_columns.resize(keep.size());
-  std::vector<Status> column_status(keep.size());
-  ParallelFor(0, keep.size(), [&](size_t i) {
-    auto cc = CompressColumn(table.column(keep[i]),
-                             options.other_columns_encoding);
-    if (cc.ok()) {
-      out.other_columns[i] = std::move(*cc);
-    } else {
-      column_status[i] = cc.status();
-    }
-  });
-  for (const Status& s : column_status) {
-    LAWS_RETURN_IF_ERROR(s);
-  }
+  LAWS_ASSIGN_OR_RETURN(std::vector<CompressedColumn> compressed,
+                        CompressColumns(columns, ColumnEncoding::kAuto));
+  out.residual_column = std::move(compressed[0]);
+  out.other_columns.assign(std::make_move_iterator(compressed.begin() + 1),
+                           std::make_move_iterator(compressed.end()));
   return out;
 }
 

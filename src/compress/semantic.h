@@ -24,8 +24,6 @@ struct SemanticCompressionOptions {
   /// residual-quantization ablation.
   bool lossless = true;
   double quantization_step = 1e-4;
-  /// Encoding used for the non-modeled columns.
-  ColumnEncoding other_columns_encoding = ColumnEncoding::kAuto;
 };
 
 /// A semantically compressed table: the captured model (source form + per-

@@ -14,13 +14,13 @@ namespace laws {
 struct ModelCandidate {
   std::string model_source;
   bool fitted = false;
-  /// Fit outcome when fitted (ungrouped) or the aggregate over sampled
-  /// groups (grouped).
+  /// Ungrouped: the fit of the (sampled) rows. Grouped: the aggregate
+  /// over the sampled groups, whose `quality` holds their mean BIC and
+  /// mean R²; it has no parameters, since each group has its own.
   FitOutput fit;
-  /// Selection criterion: BIC (lower is better). For grouped advice this
-  /// is the mean BIC over the sampled groups.
+  /// Selection criterion, `fit.quality.bic`: lower is better (BetterFit).
   double bic = 0.0;
-  /// Mean R² (grouped: over sampled groups).
+  /// `fit.quality.r_squared`.
   double r_squared = 0.0;
   std::string failure;  // why the fit failed, when !fitted
 };
@@ -30,12 +30,8 @@ struct AdvisorOptions {
   /// Model classes to try. Empty = the default battery:
   /// linear(1), poly(2), poly(3), power_law, exponential, logistic.
   std::vector<std::string> candidate_sources;
-  /// Ungrouped: cap on rows used for trial fits (uniformly sampled
-  /// without replacement when the table is larger). 0 = all rows.
-  size_t max_rows = 20'000;
   /// Grouped: number of groups sampled for the trial fits.
   size_t sample_groups = 32;
-  uint64_t seed = 1234;
 };
 
 /// The paper's vision is *autonomous and proactive* harvesting: the
@@ -43,19 +39,24 @@ struct AdvisorOptions {
 /// intercept user fits (§6 also notes that "focusing on a single class of
 /// models ... is unlikely to cover enough ground"). The advisor fits a
 /// battery of model classes to (input, output) — optionally per group —
-/// and ranks them by BIC, which trades fit quality against parameter
-/// count. Candidates whose fit fails (domain violations, divergence) are
-/// reported with the reason rather than dropped.
+/// and ranks them by BIC (BetterFit, the rule the learner also promotes
+/// by), which trades fit quality against parameter count. Candidates
+/// whose fit fails (domain violations, divergence) are reported with the
+/// reason rather than dropped. A table of more than 20,000 usable rows is
+/// sampled down to 20,000, uniformly and with a fixed seed.
 ///
 /// Returns candidates sorted best-first (fitted ones by ascending BIC,
-/// failed ones last). InvalidArgument when no candidate applies at all.
+/// failed ones last). TypeMismatch for a STRING column, InvalidArgument
+/// when no candidate applies at all.
 Result<std::vector<ModelCandidate>> SuggestModels(
     const Table& table, const std::string& input_column,
     const std::string& output_column, const AdvisorOptions& options = {});
 
-/// Grouped variant: samples `options.sample_groups` groups, fits every
-/// candidate to each sampled group, and ranks classes by mean BIC. Useful
-/// before committing to a 35k-group fit.
+/// Grouped variant: samples `options.sample_groups` groups with a fixed
+/// seed, fits every candidate to the sampled groups with FitGrouped, and
+/// ranks classes by mean BIC over the groups of at least 8 rows; a class
+/// that fails on more than a quarter as many groups as it fits does not
+/// qualify. Useful before committing to a 35k-group fit.
 Result<std::vector<ModelCandidate>> SuggestGroupedModels(
     const Table& table, const std::string& group_column,
     const std::string& input_column, const std::string& output_column,

@@ -43,8 +43,8 @@ Result<Table> ApplySubset(const Table& table, const std::string& where) {
   return table.GatherRows(rows);
 }
 
-/// Extracts the (inputs, outputs) observation matrix from numeric columns,
-/// skipping rows with NULL in any referenced column.
+}  // namespace
+
 Status ExtractObservations(const Table& table,
                            const std::vector<std::string>& input_columns,
                            const std::string& output_column, Matrix* inputs,
@@ -75,27 +75,10 @@ Status ExtractObservations(const Table& table,
     }
     if (ok) usable.push_back(static_cast<uint32_t>(i));
   }
-  const size_t rows = usable.size();
-  const size_t num_cols = in_cols.size();
-  *inputs = Matrix(rows, num_cols);
-  if (num_cols == 1) {
-    LAWS_RETURN_IF_ERROR(
-        in_cols[0]->GatherNumeric(usable.data(), rows,
-                                  inputs->mutable_data()));
-  } else {
-    std::vector<double> scratch(rows);
-    for (size_t c = 0; c < num_cols; ++c) {
-      LAWS_RETURN_IF_ERROR(
-          in_cols[c]->GatherNumeric(usable.data(), rows, scratch.data()));
-      double* data = inputs->mutable_data();
-      for (size_t r = 0; r < rows; ++r) data[r * num_cols + c] = scratch[r];
-    }
-  }
-  outputs->assign(rows, 0.0);
-  return out_col->GatherNumeric(usable.data(), rows, outputs->data());
+  Vector scratch;
+  return GatherObservations(in_cols, *out_col, usable.data(), usable.size(),
+                            inputs, outputs, &scratch);
 }
-
-}  // namespace
 
 Status ComputeCapturedFit(const Catalog& data, const FitRequest& request,
                           CapturedModel* captured, FitReport* report) {

@@ -100,6 +100,15 @@ FitRequest RefitRequest(const CapturedModel& model);
 /// Computes the median of `values` (by copy); 0 for empty input.
 double MedianOf(std::vector<double> values);
 
+/// The observations of an ungrouped fit, gathered in bulk: `inputs` holds
+/// one row per table row with no NULL in `input_columns` or
+/// `output_column`, in table order, and `outputs` the matching outputs.
+/// TypeMismatch for a STRING column.
+Status ExtractObservations(const Table& table,
+                           const std::vector<std::string>& input_columns,
+                           const std::string& output_column, Matrix* inputs,
+                           Vector* outputs);
+
 /// The fit kernel behind Session::Fit/Refit, factored out so callers that
 /// only hold a const catalog (the learning loop's background refits run
 /// against a snapshot-commit copy) can compute a CapturedModel without a

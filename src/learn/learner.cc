@@ -1,7 +1,9 @@
 #include "learn/learner.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 
 #include "common/env.h"
 #include "common/governor.h"
@@ -12,15 +14,11 @@
 #include "model/model.h"
 #include "stats/diagnostics.h"
 #include "stats/distributions.h"
+#include "stats/goodness_of_fit.h"
 #include "storage/table.h"
 
 namespace laws {
 namespace {
-
-/// Candidate model families tried per harvested (x, y) pair. All are
-/// linear in their parameters (the IncrementalOls requirement); the
-/// promotion pass keeps only the best-fitting family per pair.
-constexpr const char* kFamilies[] = {"linear(1)", "log_law", "poly(2)"};
 
 /// Harvest and promotion thresholds: at most kMaxPairsPerScan (x, y)
 /// column pairs per scan (the first referenced numeric columns win) and
@@ -104,23 +102,19 @@ std::string CandidateKey(const std::string& table, const std::string& x,
 
 /// Gathers the usable (x, y) observations a candidate accumulator is
 /// defined over: rows [0, row_limit) with both columns non-NULL and
-/// finite, and x > 0 when the family needs it.
+/// finite.
 size_t GatherUsable(const Column& xc, const Column& yc, size_t row_limit,
-                    bool needs_positive_x, std::vector<double>* xs,
-                    std::vector<double>* ys) {
+                    std::vector<double>* xs, std::vector<double>* ys) {
   for (size_t r = 0; r < row_limit; ++r) {
     if (xc.IsNull(r) || yc.IsNull(r)) continue;
     const double x = NumericAt(xc, r);
     const double y = NumericAt(yc, r);
     if (!std::isfinite(x) || !std::isfinite(y)) continue;
-    if (needs_positive_x && x <= 0.0) continue;
     xs->push_back(x);
     ys->push_back(y);
   }
   return xs->size();
 }
-
-bool NeedsPositiveX(const std::string& source) { return source == "log_law"; }
 
 }  // namespace
 
@@ -198,10 +192,17 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
     }
   }
 
+  // Candidate model families tried per pair. All are linear in their
+  // parameters (the IncrementalOls requirement); the promotion pass keeps
+  // one family per pair, the best by BetterFit.
+  static const std::array<ModelPtr, 3> kFamilies = {
+      std::make_unique<LinearModel>(1), std::make_unique<LogLawModel>(),
+      std::make_unique<PolynomialModel>(2)};
   for (const Pair& pair : pairs) {
-    for (const char* family : kFamilies) {
+    for (const ModelPtr& family : kFamilies) {
+      const std::string source = family->ToSource();
       const std::string key =
-          CandidateKey(table_name, names[pair.x], names[pair.y], family);
+          CandidateKey(table_name, names[pair.x], names[pair.y], source);
 
       // Phase 1 (locked): get-or-create the candidate and reserve the
       // row range [begin, end). The reservation is what makes repeated
@@ -214,13 +215,11 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
         auto it = candidates_.find(key);
         if (it == candidates_.end()) {
           if (candidates_.size() >= kMaxCandidates) continue;
-          auto model = ModelFromSource(family);
-          if (!model.ok()) continue;
-          auto acc = IncrementalOls::Create(**model);
+          auto acc = IncrementalOls::Create(*family);
           if (!acc.ok()) continue;
           it = candidates_
                    .emplace(key, Candidate(table_name, names[pair.x],
-                                           names[pair.y], family,
+                                           names[pair.y], source,
                                            std::move(*acc)))
                    .first;
           counters.candidates_created->Add();
@@ -231,9 +230,7 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
           // The table was replaced wholesale (version or size went
           // backwards): restart the accumulator from scratch rather than
           // blending two unrelated populations.
-          auto model = ModelFromSource(family);
-          if (!model.ok()) continue;
-          auto acc = IncrementalOls::Create(**model);
+          auto acc = IncrementalOls::Create(*family);
           if (!acc.ok()) continue;
           cand.acc = std::move(*acc);
           cand.seen_rows = 0;
@@ -252,16 +249,17 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
 
       // Phase 2 (unlocked): fold the reserved rows into a scan-local
       // accumulator. Governed: a tripped deadline/budget/cancel aborts
-      // the harvest silently — learning never fails the query.
-      auto model = ModelFromSource(family);
-      if (!model.ok()) continue;
-      auto local = IncrementalOls::Create(**model);
+      // the harvest silently — learning never fails the query. A row the
+      // family's law refuses (IncrementalOls::Add fails, as log_law does
+      // at x <= 0, where Session::Fit refuses the same rows) ends this
+      // candidate's fold only.
+      auto local = IncrementalOls::Create(*family);
       if (!local.ok()) continue;
-      const bool positive_x = NeedsPositiveX(family);
       const Column& xc = *cols[pair.x];
       const Column& yc = *cols[pair.y];
       Vector in(1);
       bool aborted = false;
+      bool refused = false;
       size_t added = 0;
       QueryGovernor* gov = QueryGovernor::Current();
       for (size_t r = begin; r < end; ++r) {
@@ -274,10 +272,9 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
         const double x = NumericAt(xc, r);
         const double y = NumericAt(yc, r);
         if (!std::isfinite(x) || !std::isfinite(y)) continue;
-        if (positive_x && x <= 0.0) continue;
         in[0] = x;
         if (!local->Add(in, y).ok()) {
-          aborted = true;
+          refused = true;
           break;
         }
         ++added;
@@ -295,12 +292,11 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
         if (it == candidates_.end()) continue;
         Candidate& cand = it->second;
         if (cand.resets != reserved_resets) continue;
-        if (aborted) {
+        if (aborted || refused) {
           // Rows [begin, end) are reserved but (partly) unfolded: the
-          // accumulator no longer matches the row range, so the batch
-          // self-check must skip this candidate from now on.
+          // accumulator no longer matches the row range.
           cand.tainted = true;
-          counters.harvest_aborted->Add();
+          if (aborted) counters.harvest_aborted->Add();
         } else if (cand.acc.Merge(*local).ok()) {
           counters.harvest_rows->Add(added);
         } else {
@@ -498,7 +494,8 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
       }
     }
 
-    if (fit->quality.adjusted_r_squared < kMinPromoteQuality) {
+    if (cand.tainted ||
+        fit->quality.adjusted_r_squared < kMinPromoteQuality) {
       continue;
     }
     // Adopt an exactly matching catalog model instead of duplicating it
@@ -518,10 +515,11 @@ LearnTickReport Learner::Apply(const Catalog& data, ModelCatalog* models) {
     if (adopted) continue;  // refined on the next pass
     const std::string pair_key =
         cand.table + "|" + cand.x_column + "|" + cand.y_column;
+    // A pair's untainted candidates folded the same rows, so the rule
+    // the advisor ranks by picks among them.
     auto it = best_new.find(pair_key);
     if (it == best_new.end() ||
-        fit->quality.adjusted_r_squared >
-            it->second.fit.quality.adjusted_r_squared) {
+        BetterFit(fit->quality, it->second.fit.quality)) {
       best_new[pair_key] = NewModel{&cand, std::move(*fit)};
     }
   }
@@ -650,8 +648,7 @@ std::string Learner::VerifyCandidatesAgainstBatch(const Catalog& data,
     auto ycol = (*table)->ColumnByName(cand.y_column);
     if (!xcol.ok() || !ycol.ok()) continue;
     std::vector<double> xs, ys;
-    GatherUsable(**xcol, **ycol, cand.seen_rows,
-                 NeedsPositiveX(cand.model_source), &xs, &ys);
+    GatherUsable(**xcol, **ycol, cand.seen_rows, &xs, &ys);
     if (xs.size() != cand.acc.count()) {
       return key + ": accumulator folded " +
              std::to_string(cand.acc.count()) + " rows but the table holds " +

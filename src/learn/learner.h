@@ -142,9 +142,12 @@ class Learner : public LearningObserver {
     size_t solved_count = 0;
     /// Catalog id once promoted/adopted; 0 while still a candidate.
     uint64_t model_id = 0;
-    /// Set when a governor-aborted harvest lost rows: the accumulator
-    /// no longer equals "all usable rows in [0, seen_rows)", so the
-    /// batch self-check must skip it.
+    /// Set when a harvest left reserved rows unfolded, because the
+    /// governor aborted it or the family's law refused a row: the
+    /// accumulator no longer equals "all usable rows in [0, seen_rows)".
+    /// Until a reset, the candidate is neither promoted nor adopted (its
+    /// pair's other candidates fit rows it lacks), and the batch
+    /// self-check skips it.
     bool tainted = false;
 
     Candidate(std::string t, std::string x, std::string y, std::string src,

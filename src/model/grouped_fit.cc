@@ -31,9 +31,8 @@ struct GroupOutcome {
   FitOutput fit;
 };
 
-/// Assembles the (inputs, outputs) observation block for one group via
-/// bulk column gathers — one type dispatch per column instead of a
-/// Result-unwrapping NumericAt per cell.
+}  // namespace
+
 Status GatherObservations(const std::vector<const Column*>& input_cols,
                           const Column& output_col, const uint32_t* rows,
                           size_t n, Matrix* inputs, Vector* outputs,
@@ -57,8 +56,6 @@ Status GatherObservations(const std::vector<const Column*>& input_cols,
   outputs->resize(n);
   return output_col.GatherNumeric(rows, n, outputs->data());
 }
-
-}  // namespace
 
 Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,
                                     const GroupedFitSpec& spec) {

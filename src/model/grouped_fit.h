@@ -43,6 +43,15 @@ struct GroupedFitOutput {
   size_t rows_processed = 0;
 };
 
+/// The (inputs, outputs) observation block of the rows `rows[0..n)`, none
+/// of them NULL in these columns, gathered in bulk: one type dispatch per
+/// column instead of a NumericAt per cell. `scratch` stages multi-input
+/// blocks. TypeMismatch for a STRING column.
+Status GatherObservations(const std::vector<const Column*>& input_cols,
+                          const Column& output_col, const uint32_t* rows,
+                          size_t n, Matrix* inputs, Vector* outputs,
+                          Vector* scratch);
+
 /// Runs the grouped fit. Rows with NULL in any referenced column are
 /// ignored. Groups are returned sorted by key.
 Result<GroupedFitOutput> FitGrouped(const Model& model, const Table& table,

@@ -16,6 +16,10 @@ std::string FitQuality::ToString() const {
   return buf;
 }
 
+bool BetterFit(const FitQuality& a, const FitQuality& b) {
+  return a.bic < b.bic;
+}
+
 Result<FitQuality> ComputeFitQuality(const std::vector<double>& observed,
                                      const std::vector<double>& predicted,
                                      size_t n_parameters) {

@@ -35,6 +35,13 @@ struct FitQuality {
 /// BIC here, so the same sums give bit-identical qualities.
 FitQuality FitQualityFromSums(double rss, double tss, size_t n, size_t p);
 
+/// The model-selection rule the advisor and the learner share: true when
+/// `a` is the better of two fits of the same observations, by lower BIC.
+/// BIC charges log(n) per parameter, so a nested family that fits no
+/// better than the smaller one loses. Fits of different rows do not
+/// compare by it; quality gates such as adjusted R² judge those.
+bool BetterFit(const FitQuality& a, const FitQuality& b);
+
 /// Computes the full quality summary from observed and predicted outputs.
 /// Returns InvalidArgument on size mismatch or n <= p.
 Result<FitQuality> ComputeFitQuality(const std::vector<double>& observed,

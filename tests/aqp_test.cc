@@ -13,7 +13,9 @@
 #include "model/model.h"
 #include "query/executor.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/session.h"
+#include "lofar/generator.h"
 #include "query/executor.h"
 #include "query/parser.h"
 
@@ -567,6 +569,68 @@ TEST(HybridTest, PartialModelNeverAnswersOutsideItsSubset) {
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(answer->table.num_rows(), 1u);
   EXPECT_EQ(answer->table.GetValue(0, 0), exact->GetValue(0, 0));
+}
+
+// A power law evaluated at wavelength 0 predicts inf, and at a negative
+// wavelength NaN. Over the benchmark's LOFAR shape (its seed, no band
+// jitter) the model path used to serve those as approximate answers; it
+// declines them now, and the exact answer (no row matches: NULL) is
+// served. Reads at the four observed bands stay model answers.
+TEST(HybridTest, NonFiniteModelAnswersFallBackToExact) {
+  LofarConfig config;
+  config.num_sources = 200;
+  config.num_rows = 8'000;
+  config.band_jitter = 0.0;
+  auto lofar = GenerateLofar(config);
+  ASSERT_TRUE(lofar.ok()) << lofar.status().ToString();
+  Catalog data;
+  ModelCatalog models;
+  data.RegisterOrReplace(
+      "measurements", std::make_shared<Table>(std::move(lofar->observations)));
+  Session session(&data, &models);
+  FitRequest fit;
+  fit.table = "measurements";
+  fit.model_source = "power_law";
+  fit.input_columns = {"wavelength"};
+  fit.output_column = "intensity";
+  fit.group_column = "source";
+  ASSERT_TRUE(session.Fit(fit).ok());
+  DomainRegistry domains;
+  domains.Register("measurements", "wavelength",
+                   ColumnDomain::Explicit(config.bands));
+  ModelQueryEngine engine(&data, &models, &domains);
+  HybridQueryEngine hybrid(&data, &engine);
+
+  for (const char* sql :
+       {"SELECT AVG(intensity) FROM measurements WHERE source = 5 AND "
+        "wavelength = 0",
+        "SELECT AVG(intensity) FROM measurements WHERE source = 5 AND "
+        "wavelength = -0.1",
+        "SELECT AVG(intensity) FROM measurements WHERE wavelength = 0"}) {
+    auto model = engine.Execute(sql);
+    ASSERT_FALSE(model.ok()) << sql;
+    EXPECT_EQ(model.status().code(), StatusCode::kNumericError) << sql;
+    auto answer = hybrid.Execute(sql);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->method, "exact") << sql;
+    EXPECT_FALSE(answer->approximate) << sql;
+    ASSERT_EQ(answer->table.num_rows(), 1u);
+    EXPECT_TRUE(answer->table.GetValue(0, 0).is_null()) << sql;
+  }
+  for (double band : config.bands) {
+    const std::string at = FormatDouble(band);
+    for (const std::string& sql :
+         {"SELECT AVG(intensity) FROM measurements WHERE source = 5 AND "
+          "wavelength = " + at,
+          "SELECT AVG(intensity) FROM measurements WHERE wavelength = " +
+              at}) {
+      auto answer = hybrid.Execute(sql);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_TRUE(answer->approximate) << sql << ": "
+                                       << answer->fallback_reason;
+      EXPECT_TRUE(std::isfinite(answer->table.GetValue(0, 0).dbl())) << sql;
+    }
+  }
 }
 
 // --- Multi-input enumeration --------------------------------------------------

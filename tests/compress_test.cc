@@ -543,6 +543,29 @@ TEST(AutoChoiceTest, CompressTableIsByteIdenticalAtOneTwoAndFourLanes) {
   EXPECT_EQ(payloads[0], payloads[2]);
 }
 
+// One CompressColumns region gives each column the payload it gets alone,
+// so SemanticCompress can compress its residuals and its other columns
+// together.
+TEST(AutoChoiceTest, CompressColumnsEqualsOneColumnAtATime) {
+  LaneGuard guard;
+  ThreadPool::SetGlobalThreadCount(4);
+  const size_t n = 300'000;
+  const Column ints = MixedColumn(DataType::kInt64, n, 0, 1);
+  const Column rounded = MixedColumn(DataType::kDouble, n, 0, 2);
+  const Column noise = NoisyDoubles(n, 3);  // 3 DEFLATE blocks
+  const Column tags = MixedColumn(DataType::kString, n, 13, 4);
+  const std::vector<const Column*> columns = {&ints, &rounded, &noise, &tags};
+  auto together = CompressColumns(columns, ColumnEncoding::kAuto);
+  ASSERT_TRUE(together.ok()) << together.status().ToString();
+  ASSERT_EQ(together->size(), columns.size());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    auto alone = CompressColumn(*columns[c], ColumnEncoding::kAuto);
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    EXPECT_EQ((*together)[c].encoding, alone->encoding) << c;
+    EXPECT_EQ((*together)[c].payload, alone->payload) << c;
+  }
+}
+
 TEST(AutoChoiceTest, CompressTableStopsWithinABlockOfACancel) {
   LofarConfig cfg;
   auto data = GenerateLofar(cfg);

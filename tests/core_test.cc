@@ -3,12 +3,14 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/advisor.h"
 #include "core/diagnose.h"
 #include "core/model_catalog.h"
 #include "core/persistence.h"
 #include "core/session.h"
 #include "core/strawman.h"
+#include "lofar/generator.h"
 #include "model/model.h"
 #include "query/parser.h"
 #include "storage/catalog.h"
@@ -524,6 +526,152 @@ TEST(AdvisorTest, ValidationErrors) {
         big.AppendRow({Value::Double(i), Value::Double(i)}).ok());
   }
   EXPECT_FALSE(SuggestModels(big, "x", "y", custom).ok());
+}
+
+TEST(AdvisorTest, GroupedAdviceOverAStringInputIsATypeMismatch) {
+  Table t(Schema({Field{"g", DataType::kInt64, false},
+                  Field{"x", DataType::kString, false},
+                  Field{"y", DataType::kDouble, false}}));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value::Int64(i % 5), Value::String("a"),
+                             Value::Double(i)})
+                    .ok());
+  }
+  auto ungrouped = SuggestModels(t, "x", "y");
+  ASSERT_FALSE(ungrouped.ok());
+  EXPECT_EQ(ungrouped.status().code(), StatusCode::kTypeMismatch);
+  auto grouped = SuggestGroupedModels(t, "g", "x", "y");
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kTypeMismatch)
+      << grouped.status().ToString();
+}
+
+// The advisor's ranking, BIC and R², recorded bit for bit from the
+// advisor that fitted each trial with its own FitModel loop: the three
+// fixtures above, and a LOFAR-shaped table, grouped by source and (sampled
+// down to 20,000 of its 24,000 rows) ungrouped. The values must not move
+// with the lane count.
+struct RecordedCandidate {
+  const char* source;
+  double bic;
+  double r_squared;
+};
+
+void ExpectAdvice(const Result<std::vector<ModelCandidate>>& advice,
+                  const std::vector<RecordedCandidate>& recorded,
+                  const std::string& what) {
+  ASSERT_TRUE(advice.ok()) << what << ": " << advice.status().ToString();
+  ASSERT_EQ(advice->size(), recorded.size()) << what;
+  for (size_t i = 0; i < recorded.size(); ++i) {
+    const ModelCandidate& c = (*advice)[i];
+    EXPECT_EQ(c.model_source, recorded[i].source) << what << " #" << i;
+    EXPECT_TRUE(c.fitted) << what << " " << c.model_source;
+    EXPECT_EQ(c.bic, recorded[i].bic) << what << " " << c.model_source;
+    EXPECT_EQ(c.r_squared, recorded[i].r_squared)
+        << what << " " << c.model_source;
+  }
+}
+
+TEST(AdvisorTest, RankingMatchesRecordedValuesAtOneAndFourLanes) {
+  Rng power_rng(55);
+  Table power(Schema({Field{"x", DataType::kDouble, false},
+                      Field{"y", DataType::kDouble, false}}));
+  for (int i = 0; i < 500; ++i) {
+    const double x = power_rng.Uniform(0.1, 2.0);
+    ASSERT_TRUE(power
+                    .AppendRow({Value::Double(x),
+                                Value::Double(1.5 * std::pow(x, -0.8) *
+                                              std::exp(power_rng.Normal(
+                                                  0, 0.02)))})
+                    .ok());
+  }
+  Rng linear_rng(56);
+  Table linear(Schema({Field{"x", DataType::kDouble, false},
+                       Field{"y", DataType::kDouble, false}}));
+  for (int i = 0; i < 800; ++i) {
+    const double x = linear_rng.Uniform(-5.0, 5.0);
+    ASSERT_TRUE(linear
+                    .AppendRow({Value::Double(x),
+                                Value::Double(2.0 + 0.7 * x +
+                                              linear_rng.Normal(0, 0.3))})
+                    .ok());
+  }
+  Rng grouped_rng(57);
+  Table grouped(Schema({Field{"g", DataType::kInt64, false},
+                        Field{"x", DataType::kDouble, false},
+                        Field{"y", DataType::kDouble, false}}));
+  for (int g = 1; g <= 50; ++g) {
+    const double p = grouped_rng.Uniform(0.5, 2.0);
+    const double a = grouped_rng.Uniform(-1.0, -0.5);
+    for (int i = 0; i < 40; ++i) {
+      const double x = grouped_rng.Uniform(0.1, 0.3);
+      ASSERT_TRUE(grouped
+                      .AppendRow({Value::Int64(g), Value::Double(x),
+                                  Value::Double(p * std::pow(x, a) *
+                                                std::exp(grouped_rng.Normal(
+                                                    0, 0.02)))})
+                      .ok());
+    }
+  }
+  AdvisorOptions sixteen_groups;
+  sixteen_groups.sample_groups = 16;
+  LofarConfig config;
+  config.num_sources = 600;
+  config.num_rows = 24'000;
+  auto lofar = GenerateLofar(config);
+  ASSERT_TRUE(lofar.ok()) << lofar.status().ToString();
+
+  for (size_t lanes : {1, 4}) {
+    ThreadPool::SetGlobalThreadCount(lanes);
+    const std::string at = " at " + std::to_string(lanes) + " lanes";
+    ExpectAdvice(
+        SuggestModels(power, "x", "y"),
+        {{"power_law", -0x1.b5fed8e550aafp+10, 0x1.ff985385e1c05p-1},
+         {"poly(3)", 0x1.1f9cff717ee0dp+8, 0x1.e8a78e7b0e1eep-1},
+         {"poly(2)", 0x1.83bbadfd1affbp+9, 0x1.c149f49a6198ap-1},
+         {"exponential", 0x1.15edc39a48a6ep+10, 0x1.839ac4aabd83cp-1},
+         {"linear(1)", 0x1.42a369cdd4e2ep+10, 0x1.4e1d39246e188p-1},
+         {"logistic", 0x1.c856fdb95391bp+10, 0x1.8p-51}},
+        "power" + at);
+    ExpectAdvice(
+        SuggestModels(linear, "x", "y"),
+        {{"linear(1)", 0x1.3aea8336c2d71p+8, 0x1.f53da645ae8abp-1},
+         {"poly(2)", 0x1.416a6392ece3bp+8, 0x1.f53e4964e8d91p-1},
+         {"poly(3)", 0x1.47dc0221d5683p+8, 0x1.f53f1d8a448dap-1},
+         {"logistic", 0x1.439def3c84326p+10, 0x1.dbb2f65ffa96dp-1},
+         {"exponential", 0x1.cec7e75e4d256p+10, 0x1.b697d1510c3dcp-1},
+         {"power_law", 0x1.5e4e86bd59cdbp+12, -0x1.d486c948897bcp+3}},
+        "linear" + at);
+    ExpectAdvice(
+        SuggestGroupedModels(grouped, "g", "x", "y", sixteen_groups),
+        {{"power_law", -0x1.07f26f99d508dp+6, 0x1.fc627255b3c0cp-1},
+         {"poly(3)", -0x1.de97b3eafd17ep+5, 0x1.fc8b937b0cf17p-1},
+         {"poly(2)", -0x1.5ea5d6cf3950dp+5, 0x1.fac91c73c8b7p-1},
+         {"exponential", -0x1.11a5982478045p+2, 0x1.f0b9fce1f9819p-1},
+         {"linear(1)", 0x1.c4cc5b011dc1ep+4, 0x1.dd73cdaa61892p-1},
+         {"logistic", 0x1.1927b194cb7cp+7, 0x1.6p-54}},
+        "grouped" + at);
+    ExpectAdvice(
+        SuggestGroupedModels(lofar->observations, "source", "wavelength",
+                             "intensity"),
+        {{"power_law", -0x1.0028cb338778dp+8, 0x1.d7767c753cd97p-1},
+         {"poly(2)", -0x1.fc19a042ca10fp+7, 0x1.d913616c9bda8p-1},
+         {"exponential", -0x1.fbf62bf901545p+7, 0x1.d5713f318618ap-1},
+         {"poly(3)", -0x1.f6da650384a55p+7, 0x1.da2837beb52c9p-1},
+         {"linear(1)", -0x1.f35534702a0ep+7, 0x1.d12fd90d53d36p-1},
+         {"logistic", -0x1.c65a3c3741051p+7, 0x1.6f4753f1f2bd9p-1}},
+        "lofar grouped" + at);
+    ExpectAdvice(
+        SuggestModels(lofar->observations, "wavelength", "intensity"),
+        {{"poly(2)", 0x1.16136b5b8b0a6p+14, 0x1.b3a35c4e0fdp-6},
+         {"linear(1)", 0x1.161e13b99352bp+14, 0x1.a99cf41cc002p-6},
+         {"poly(3)", 0x1.1634f243b8684p+14, 0x1.b4d9feebedb6p-6},
+         {"logistic", 0x1.1e7f599156b65p+14, -0x1.5eef74p-29},
+         {"power_law", 0x1.2a240a11a649p+14, -0x1.3b31057efa5cp-5},
+         {"exponential", 0x1.2a413e8139007p+14, -0x1.3e4c35c25ca2p-5}},
+        "lofar ungrouped" + at);
+  }
+  ThreadPool::SetGlobalThreadCount(0);
 }
 
 // --- Diagnostics -------------------------------------------------------------

@@ -13,8 +13,11 @@
 #include "aqp/model_aqp.h"
 #include "common/governor.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "learn/learner.h"
 #include "learn/loop.h"
+#include "model/fit.h"
+#include "model/model.h"
 #include "query/parser.h"
 #include "serve/server.h"
 #include "storage/catalog.h"
@@ -200,6 +203,104 @@ TEST(LearnerTest, ApplyPromotesBestFamilyPerPair) {
   // Nothing new: a second pass must be a no-op (no epoch churn upstream).
   EXPECT_FALSE(learner.HasPendingWork());
   EXPECT_FALSE(learner.Apply(data, &models).did_work());
+}
+
+// A pair's families fold the same rows, so the learner picks among them
+// by BIC, as the advisor ranks. On this seed poly(2)'s extra parameter
+// lifts its adjusted R² above linear(1)'s on linear data; BIC's log(n)
+// penalty does not pay for it.
+TEST(LearnerTest, LinearDataPromotesLinearOverNestedPoly) {
+  Catalog data;
+  TablePtr t = MakeXY();
+  Rng rng(1);
+  Matrix x(200, 1);
+  Vector y(200);
+  for (size_t i = 0; i < 200; ++i) {
+    x(i, 0) = rng.Uniform(1.0, 10.0);
+    y[i] = 2.0 + 0.7 * x(i, 0) + rng.Normal(0, 0.3);
+    ASSERT_TRUE(
+        t->AppendRow({Value::Double(x(i, 0)), Value::Double(y[i])}).ok());
+  }
+  data.RegisterOrReplace("t", t);
+  FitOptions ols;
+  ols.algorithm = FitAlgorithm::kOls;
+  auto linear = FitModel(**ModelFromSource("linear(1)"), x, y, ols);
+  auto poly = FitModel(**ModelFromSource("poly(2)"), x, y, ols);
+  ASSERT_TRUE(linear.ok() && poly.ok());
+  ASSERT_GT(poly->quality.adjusted_r_squared,
+            linear->quality.adjusted_r_squared);
+  ASSERT_TRUE(BetterFit(linear->quality, poly->quality));
+
+  ModelCatalog models;
+  Learner learner(EnabledOptions());
+  Scan(&learner, data, models);
+  ASSERT_GE(learner.Apply(data, &models).promoted, 1u);
+  std::string promoted;
+  for (const CapturedModel* m : models.ModelsForTable("t")) {
+    if (m->input_columns[0] == "x" && m->output_column == "y") {
+      promoted = m->model_source;
+    }
+  }
+  EXPECT_EQ(promoted, "linear(1)");
+}
+
+// The law, not the family's name, decides which rows it covers: log_law
+// refuses x <= 0 (IncrementalOls::Add fails, as Session::Fit fails on the
+// same table), so its candidate is never promoted on a table with 40 rows
+// at x = -1, and those rows are answered exactly. The refusal stops only
+// that candidate: the scan's other families fold every row, and no
+// governor abort is counted.
+TEST(LearnerTest, LawRefusesRowsOutsideItsDomain) {
+  Catalog data;
+  TablePtr t = MakeXY();
+  Rng rng(7);
+  for (size_t i = 0; i < 2000; ++i) {
+    if (i % 50 == 49) {
+      ASSERT_TRUE(t->AppendRow({Value::Double(-1.0), Value::Double(3.0)}).ok());
+      continue;
+    }
+    const double x = std::exp(rng.Uniform(std::log(0.01), std::log(100.0)));
+    ASSERT_TRUE(t->AppendRow({Value::Double(x),
+                              Value::Double(5.0 + 2.0 * std::log(x) +
+                                            rng.Normal(0, 0.1))})
+                    .ok());
+  }
+  data.RegisterOrReplace("t", t);
+  ModelCatalog models;
+  Session session(&data, &models);
+  FitRequest fit;
+  fit.table = "t";
+  fit.model_source = "log_law";
+  fit.input_columns = {"x"};
+  fit.output_column = "y";
+  EXPECT_FALSE(session.Fit(fit).ok());
+
+  Learner learner(EnabledOptions());
+  const uint64_t rows_before = CounterValue("learn.harvest.rows");
+  const uint64_t aborted_before = CounterValue("learn.harvest.aborted");
+  Scan(&learner, data, models);
+  // linear(1) and poly(2) in both directions; log_law refuses a row in
+  // both (y runs below 0 too).
+  EXPECT_EQ(CounterValue("learn.harvest.rows") - rows_before, 4u * 2000u);
+  EXPECT_EQ(CounterValue("learn.harvest.aborted"), aborted_before);
+  EXPECT_EQ(learner.VerifyCandidatesAgainstBatch(data, 1e-6), "");
+  learner.Apply(data, &models);
+  for (const CapturedModel* m : models.ModelsForTable("t")) {
+    EXPECT_NE(m->model_source, "log_law") << m->Summary();
+  }
+
+  DomainRegistry domains;
+  ModelQueryEngine aqp(&data, &models, &domains);
+  const HybridQueryEngine hybrid(&data, &aqp);
+  auto at_minus_one = hybrid.Execute("SELECT AVG(y) FROM t WHERE x = -1");
+  ASSERT_TRUE(at_minus_one.ok()) << at_minus_one.status().ToString();
+  EXPECT_EQ(at_minus_one->method, "exact");
+  EXPECT_FALSE(at_minus_one->approximate);
+  EXPECT_EQ(at_minus_one->table.GetValue(0, 0), Value::Double(3.0));
+  auto at_zero = hybrid.Execute("SELECT AVG(y) FROM t WHERE x = 0");
+  ASSERT_TRUE(at_zero.ok()) << at_zero.status().ToString();
+  EXPECT_FALSE(at_zero->approximate);
+  EXPECT_TRUE(at_zero->table.GetValue(0, 0).is_null());
 }
 
 // A partial model answers only inside its subset, so however well it fits

@@ -20,7 +20,8 @@
 # too.
 #
 # Usage: tools/check_asan.sh [ctest-args...]
-#   LAWS_ASAN_BUILD_DIR  override the build tree (default: build-asan)
+#   LAWS_ASAN_BUILD_DIR  override the build tree (default: build-asan, the
+#                        ASan+UBSan tree every check script shares)
 #   LAWS_ASAN_JOBS       parallel build jobs (default: nproc)
 #   LAWS_FUZZ_QUERIES    differential sweep size (default 2000); the
 #   LAWS_FUZZ_SEED       seeded differential_test runs as part of ctest,

@@ -26,13 +26,14 @@
 # Usage: tools/check_differential.sh
 #   LAWS_FUZZ_QUERIES      queries in the sweep (default 2000)
 #   LAWS_FUZZ_SEED         base seed (default harness-chosen)
-#   LAWS_DIFF_BUILD_DIR    sanitizer build tree (default build-diff)
+#   LAWS_DIFF_BUILD_DIR    sanitizer build tree (default build-asan, the
+#                          ASan+UBSan tree every check script shares)
 #   LAWS_DIFF_MUTANT_DIR   mutant build tree (default build-diff-mutant)
 #   LAWS_DIFF_JOBS         parallel build jobs (default nproc)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-BUILD_DIR="${LAWS_DIFF_BUILD_DIR:-build-diff}"
+BUILD_DIR="${LAWS_DIFF_BUILD_DIR:-build-asan}"
 MUTANT_DIR="${LAWS_DIFF_MUTANT_DIR:-build-diff-mutant}"
 JOBS="${LAWS_DIFF_JOBS:-$(nproc)}"
 QUERIES="${LAWS_FUZZ_QUERIES:-2000}"

@@ -22,15 +22,15 @@
 # Usage: tools/check_governor.sh
 #   LAWS_CHAOS_QUERIES   chaos cases per sanitizer (default 2000)
 #   LAWS_CHAOS_SEED      base seed (default harness-chosen)
-#   LAWS_GOV_ASAN_DIR    ASan build tree (default build-diff, shared with
-#                        check_differential.sh)
+#   LAWS_GOV_ASAN_DIR    ASan build tree (default build-asan, the ASan+UBSan
+#                        tree every check script shares)
 #   LAWS_GOV_TSAN_DIR    TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
 #   LAWS_GOV_JOBS        parallel build jobs (default nproc)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-ASAN_DIR="${LAWS_GOV_ASAN_DIR:-build-diff}"
+ASAN_DIR="${LAWS_GOV_ASAN_DIR:-build-asan}"
 TSAN_DIR="${LAWS_GOV_TSAN_DIR:-build-tsan}"
 JOBS="${LAWS_GOV_JOBS:-$(nproc)}"
 QUERIES="${LAWS_CHAOS_QUERIES:-2000}"

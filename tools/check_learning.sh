@@ -22,8 +22,8 @@
 #     the promotion visible in `learning status`.
 #
 # Usage: tools/check_learning.sh
-#   LAWS_LEARN_ASAN_DIR  ASan build tree (default build-diff, shared with
-#                        check_differential.sh / check_serving.sh)
+#   LAWS_LEARN_ASAN_DIR  ASan build tree (default build-asan, the ASan+UBSan
+#                        tree every check script shares)
 #   LAWS_LEARN_TSAN_DIR  TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
 #   LAWS_LEARN_MUTANT_DIR mutant build tree (default build-diff-mutant)
@@ -32,7 +32,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-ASAN_DIR="${LAWS_LEARN_ASAN_DIR:-build-diff}"
+ASAN_DIR="${LAWS_LEARN_ASAN_DIR:-build-asan}"
 TSAN_DIR="${LAWS_LEARN_TSAN_DIR:-build-tsan}"
 MUTANT_DIR="${LAWS_LEARN_MUTANT_DIR:-build-diff-mutant}"
 JOBS="${LAWS_LEARN_JOBS:-$(nproc)}"

@@ -14,7 +14,8 @@
 # with persist/rename armed via the env var must fail.
 #
 # Usage: tools/check_robustness.sh [ctest-args...]
-#   LAWS_ROBUST_BUILD_DIR  override the build tree (default: build-asan)
+#   LAWS_ROBUST_BUILD_DIR  override the build tree (default: build-asan, the
+#                          ASan+UBSan tree every check script shares)
 #   LAWS_ROBUST_JOBS       parallel build jobs (default: nproc)
 set -euo pipefail
 

@@ -18,15 +18,15 @@
 #     the serving layer underneath.
 #
 # Usage: tools/check_serving.sh
-#   LAWS_SERVE_ASAN_DIR  ASan build tree (default build-diff, shared with
-#                        check_differential.sh / check_governor.sh)
+#   LAWS_SERVE_ASAN_DIR  ASan build tree (default build-asan, the ASan+UBSan
+#                        tree every check script shares)
 #   LAWS_SERVE_TSAN_DIR  TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
 #   LAWS_SERVE_JOBS      parallel build jobs (default nproc)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-ASAN_DIR="${LAWS_SERVE_ASAN_DIR:-build-diff}"
+ASAN_DIR="${LAWS_SERVE_ASAN_DIR:-build-asan}"
 TSAN_DIR="${LAWS_SERVE_TSAN_DIR:-build-tsan}"
 JOBS="${LAWS_SERVE_JOBS:-$(nproc)}"
 
